@@ -124,9 +124,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep_task(task):
-    seq_dir, alphas, repeat, config_values, frame_range = task
+    sequence, alphas, repeat, config_values, frame_range = task
     config = RunConfig(dict(config_values))
-    sequence = read_sequence(seq_dir)
     return evaluation.sweep_repeat(sequence, alphas, repeat,
                                    params=config.pipeline_params(),
                                    frame_range=frame_range)
@@ -142,7 +141,7 @@ def cmd_sweep(args) -> int:
         a, _, b = args.segment.partition(":")
         frame_range = (int(a), int(b))
     if args.jobs > 1:
-        tasks = [(args.seq, alphas, r, config.values, frame_range)
+        tasks = [(sequence, alphas, r, config.values, frame_range)
                  for r in range(args.repeats)]
         rows = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

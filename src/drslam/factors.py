@@ -1,9 +1,10 @@
-"""Residuals, analytic Jacobians, and robust/whitening machinery.
+"""Residuals, analytic Jacobians, the Huber kernel and information whitening.
 
-Two factor types: pixel reprojection of a landmark into a camera, and a
-relative-pose prior from dead reckoning between consecutive poses. Pose
-variables are camera-in-world; Jacobians are taken with respect to a
-right-multiplicative tangent perturbation, twist ordering (rho, phi).
+Two factor types: pixel reprojection of landmarks into a camera, evaluated
+in batches per camera, and a relative-pose prior from dead reckoning between
+consecutive poses. Pose variables are camera-in-world; Jacobians are taken
+with respect to a right-multiplicative tangent perturbation, twist ordering
+(rho, phi). These are the functions the solver linearizes with.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -20,7 +21,6 @@ from .geometry import (
     Z_MIN,
     adjoint,
     compose,
-    hat,
     inverse,
     log_se3,
     log_se3_saturated,
@@ -66,32 +66,43 @@ class DrFactor:
         object.__setattr__(self, "information", info)
 
 
-def projection_jacobian(k: CameraIntrinsics, x_cam: np.ndarray) -> np.ndarray:
-    x, y, z = x_cam
-    return np.array([
-        [k.fx / z, 0.0, -k.fx * x / (z * z)],
-        [0.0, k.fy / z, -k.fy * y / (z * z)],
-    ])
+def reprojection_residuals(k: CameraIntrinsics, pose: Pose, points: np.ndarray,
+                           observed: np.ndarray):
+    """Camera-frame points (N, 3) and pixel residuals observed - pi(y) (N, 2)
+    of N landmarks seen by one camera.
 
-
-def reprojection_residual(factor: ReprojectionFactor, pose: Pose,
-                          landmark: np.ndarray, k: CameraIntrinsics):
-    """Pixel residual plus Jacobians w.r.t. the pose and the landmark.
-
-    Raises BehindCamera when the landmark falls behind the near plane; the
-    caller marks the factor inactive for the iteration.
+    The residual is a total function: points at or behind the near plane are
+    projected at the clamped depth Z_MIN (a huge, honest residual), so steps
+    that flip geometry raise the cost. Their Jacobians are not defined; the
+    caller treats rows with y[:, 2] <= Z_MIN as inactive.
     """
-    R = pose.rotation_matrix
-    y = R.T @ (np.asarray(landmark, float) - pose.t)
-    if y[2] <= Z_MIN:
-        raise BehindCamera(f"landmark {factor.landmark_id} behind camera")
-    jp = projection_jacobian(k, y)
-    u = np.array([k.fx * y[0] / y[2] + k.cx, k.fy * y[1] / y[2] + k.cy])
-    residual = factor.observed - u
+    y = (points - pose.t) @ pose.rotation_matrix
+    z = np.maximum(y[:, 2], Z_MIN)
+    u = np.stack([k.fx * y[:, 0] / z + k.cx, k.fy * y[:, 1] / z + k.cy], axis=1)
+    return y, observed - u
+
+
+def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray):
+    """Residual Jacobians w.r.t. the pose (N, 2, 6) and the landmark (N, 2, 3)
+    at camera-frame points y in front of the near plane."""
+    n = len(y)
+    z = y[:, 2]
+    jpi = np.zeros((n, 2, 3))
+    jpi[:, 0, 0] = k.fx / z
+    jpi[:, 0, 2] = -k.fx * y[:, 0] / z ** 2
+    jpi[:, 1, 1] = k.fy / z
+    jpi[:, 1, 2] = -k.fy * y[:, 1] / z ** 2
+    haty = np.zeros((n, 3, 3))
+    haty[:, 0, 1] = -y[:, 2]
+    haty[:, 0, 2] = y[:, 1]
+    haty[:, 1, 0] = y[:, 2]
+    haty[:, 1, 2] = -y[:, 0]
+    haty[:, 2, 0] = -y[:, 1]
+    haty[:, 2, 1] = y[:, 0]
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
-    j_pose = np.hstack([jp, -jp @ hat(y)])
-    j_landmark = -jp @ R.T
-    return residual, j_pose, j_landmark
+    j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, haty)], axis=2)
+    j_landmark = -np.einsum("nij,jk->nik", jpi, pose.rotation_matrix.T)
+    return j_pose, j_landmark
 
 
 def dr_residual(factor: DrFactor, pose_from: Pose, pose_to: Pose):
@@ -113,19 +124,13 @@ def dr_residual_saturated(factor: DrFactor, pose_from: Pose, pose_to: Pose) -> n
     return log_se3_saturated(err).as_vector()
 
 
-def huber_weight(residual_norm: float, threshold: float) -> float:
-    """IRLS weight of the Huber kernel: 1 inside, threshold/norm outside."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if residual_norm <= threshold:
-        return 1.0
-    return threshold / residual_norm
-
-
-def huber_cost(residual_norm: float, threshold: float) -> float:
-    if residual_norm <= threshold:
-        return 0.5 * residual_norm * residual_norm
-    return threshold * (residual_norm - 0.5 * threshold)
+def huber(norms: np.ndarray, threshold: np.ndarray | float):
+    """Huber cost and IRLS weight per whitened residual norm: quadratic with
+    weight 1 up to the threshold, linear with weight threshold/norm beyond."""
+    inside = norms <= threshold
+    cost = np.where(inside, 0.5 * norms ** 2, threshold * (norms - 0.5 * threshold))
+    weight = np.where(inside, 1.0, threshold / np.maximum(norms, 1e-300))
+    return cost, weight
 
 
 def information_sqrt(information: np.ndarray) -> np.ndarray:
@@ -136,12 +141,3 @@ def information_sqrt(information: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("information matrix is not positive definite") from e
     return lower.T
 
-
-def whiten(residual: np.ndarray, jacobians, information: np.ndarray):
-    """Left-multiply residual and Jacobians by the information square root.
-
-    The squared norm of the whitened residual equals the Mahalanobis norm
-    r^T Sigma^-1 r of the raw residual.
-    """
-    u = information_sqrt(information)
-    return u @ np.asarray(residual, float), [u @ j for j in jacobians]

@@ -254,11 +254,6 @@ def transform_point(p: Pose, x: np.ndarray) -> np.ndarray:
     return p.rotation_matrix @ np.asarray(x, dtype=float) + p.t
 
 
-def relative(a: Pose, b: Pose) -> Pose:
-    """b expressed in a's frame: inverse(a) o b."""
-    return compose(inverse(a), b)
-
-
 def project(k: CameraIntrinsics, x_cam: np.ndarray) -> np.ndarray:
     x, y, z = x_cam
     if z <= Z_MIN:

@@ -22,9 +22,15 @@ from .errors import (
     NoConstraints,
     SingularSystem,
 )
-from .factors import DrFactor, dr_residual, dr_residual_saturated, information_sqrt
+from .factors import (
+    dr_residual,
+    dr_residual_saturated,
+    huber,
+    information_sqrt,
+    reprojection_jacobians,
+    reprojection_residuals,
+)
 from .geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3_vec
-from .weighting import NominalDrInformation, WeightBounds, dr_weight
 
 
 @dataclass
@@ -161,9 +167,6 @@ class NormalEquations:
             H = H + damping * np.eye(n)
         return H, b
 
-    def pose_block(self) -> np.ndarray:
-        return self.Hpp
-
 
 def min_pose_eigenvalue(neq: NormalEquations) -> float:
     """Smallest eigenvalue of the pose-pose block (conditioning diagnostic)."""
@@ -263,16 +266,6 @@ class _Linearizer:
         self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]) \
             if self.lm_ids else np.zeros((0, 3))
 
-    def n_active_factors_for(self, pose_id: int) -> int:
-        n = 0
-        for slot, rows, *_ in self.groups:
-            if self.pose_ids[slot] == pose_id:
-                n += len(rows)
-        for fs, ts, f, _ in self.dr:
-            if pose_id in (self.pose_ids[fs], self.pose_ids[ts]):
-                n += 1
-        return n
-
     def apply_step(self, poses, lm_pos, step):
         dp = step[:6 * self.n_pose_free]
         dl = step[6 * self.n_pose_free:]
@@ -289,51 +282,23 @@ class _Linearizer:
     def evaluate(self, poses, lm_pos, with_jacobians: bool):
         cost = 0.0
         neq = NormalEquations(self.n_pose_free, self.n_lm_free) if with_jacobians else None
-        k = self.k
         for slot, rows, obs, inv_std, huber_k in self.groups:
             pose = poses[slot]
-            R = pose.rotation_matrix
-            X = lm_pos[rows]
-            Y = (X - pose.t) @ R
-            # Cost is a total function: behind-camera points are evaluated at
-            # the clamped near plane (a huge, honest residual) so candidate
-            # steps that flip geometry are rejected, never rewarded. Only the
-            # Jacobians treat such factors as inactive for the iteration.
-            z_all = np.maximum(Y[:, 2], Z_MIN)
-            u_all = np.stack([k.fx * Y[:, 0] / z_all + k.cx,
-                              k.fy * Y[:, 1] / z_all + k.cy], axis=1)
-            rw_all = (obs - u_all) * inv_std[:, None]
-            norms_all = np.linalg.norm(rw_all, axis=1)
-            inside_all = norms_all <= huber_k
-            cost += float(np.sum(np.where(
-                inside_all, 0.5 * norms_all ** 2,
-                huber_k * (norms_all - 0.5 * huber_k))))
+            y, r = reprojection_residuals(self.k, pose, lm_pos[rows], obs)
+            rw_all = r * inv_std[:, None]
+            rho, w_all = huber(np.linalg.norm(rw_all, axis=1), huber_k)
+            cost += float(np.sum(rho))
             if not with_jacobians:
                 continue
-            active = Y[:, 2] > Z_MIN
-            Y, rows_a = Y[active], rows[active]
-            inv_a, hub_a = inv_std[active], huber_k[active]
-            r_w, norms = rw_all[active], norms_all[active]
-            inside = inside_all[active]
+            active = y[:, 2] > Z_MIN
+            rows_a = rows[active]
             if len(rows_a) == 0:
                 continue
-            z = Y[:, 2]
-            w = np.where(inside, 1.0, hub_a / np.maximum(norms, 1e-300))
-            jpi = np.zeros((len(rows_a), 2, 3))
-            jpi[:, 0, 0] = k.fx / z
-            jpi[:, 0, 2] = -k.fx * Y[:, 0] / z ** 2
-            jpi[:, 1, 1] = k.fy / z
-            jpi[:, 1, 2] = -k.fy * Y[:, 1] / z ** 2
-            haty = np.zeros((len(rows_a), 3, 3))
-            haty[:, 0, 1] = -Y[:, 2]
-            haty[:, 0, 2] = Y[:, 1]
-            haty[:, 1, 0] = Y[:, 2]
-            haty[:, 1, 2] = -Y[:, 0]
-            haty[:, 2, 0] = -Y[:, 1]
-            haty[:, 2, 1] = Y[:, 0]
-            scale = (inv_a * np.sqrt(w))[:, None, None]
-            jp = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, haty)], axis=2) * scale
-            rw = r_w * np.sqrt(w)[:, None]
+            j_pose, j_lm = reprojection_jacobians(self.k, pose, y[active])
+            sqrt_w = np.sqrt(w_all[active])
+            scale = (inv_std[active] * sqrt_w)[:, None, None]
+            jp = j_pose * scale
+            rw = rw_all[active] * sqrt_w[:, None]
             pose_free = not self.fixed[slot]
             if pose_free:
                 pj = self.free_index[slot]
@@ -341,8 +306,7 @@ class _Linearizer:
                 neq.bp[6 * pj:6 * pj + 6] -= np.einsum("nij,ni->j", jp, rw)
             lm_free = ~self.lm_fixed[rows_a]
             if lm_free.any():
-                jl = -np.einsum("nij,jk->nik", jpi, R.T) * scale
-                jl_f = jl[lm_free]
+                jl_f = j_lm[lm_free] * scale[lm_free]
                 rw_f = rw[lm_free]
                 frows = self.lm_free_index[rows_a[lm_free]]
                 np.add.at(neq.Hll, frows, np.einsum("nij,nik->njk", jl_f, jl_f))
@@ -453,16 +417,11 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     return report
 
 
-def solve_motion_only(problem: Problem, q: float | None = None,
-                      bounds: WeightBounds | None = None,
-                      nominal: NominalDrInformation | None = None,
-                      alpha: float | None = None,
-                      config: SolverConfig | None = None):
+def solve_motion_only(problem: Problem, config: SolverConfig | None = None):
     """Single-pose refinement with landmarks fixed.
 
-    The DR prior information is rescaled to alpha * nominal, where alpha is
-    given directly or derived from the quality score q. Raises NoConstraints
-    when the free pose has no factor at all.
+    DR factors enter with the information they carry, already scaled by
+    their weight. Raises NoConstraints when the free pose has no factor at all.
     """
     free = problem.free_pose_ids()
     if len(free) != 1:
@@ -470,21 +429,13 @@ def solve_motion_only(problem: Problem, q: float | None = None,
     for lid, lm in problem.landmarks.items():
         if not lm.fixed:
             raise ValueError("landmarks must be fixed in a motion-only solve")
-    if alpha is None and q is not None:
-        alpha = dr_weight(q, bounds or WeightBounds())
-    if alpha is not None:
-        if alpha <= 0:
-            raise ValueError("DR weight must be positive")
-        nominal = nominal or NominalDrInformation()
-        info = alpha * nominal.matrix()
-        problem.dr_factors = [
-            DrFactor(f.from_id, f.to_id, f.delta, info) for f in problem.dr_factors
-        ]
-    if _Linearizer(problem).n_active_factors_for(free[0]) == 0:
-        raise NoConstraints(f"pose {free[0]} has no visual and no DR factor")
+    pid = free[0]
+    if not (any(f.frame_id == pid for f in problem.reprojection_factors)
+            or any(pid in (f.from_id, f.to_id) for f in problem.dr_factors)):
+        raise NoConstraints(f"pose {pid} has no visual and no DR factor")
     config = config or SolverConfig(max_iterations=10)
     report = solve(problem, config)
-    return problem.poses[free[0]].pose, report
+    return problem.poses[pid].pose, report
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

@@ -32,6 +32,7 @@ from .weighting import (
     compute_quality,
     dr_weight,
     keyframe_quality,
+    scale_information,
     smooth_window_weights,
     update_c_ref,
 )
@@ -39,13 +40,6 @@ from .weighting import (
 MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 
 MAP_MAGIC = "GWMAP v1"
-
-
-@dataclass(frozen=True)
-class DrMeasurement:
-    """Relative SE(3) increment between consecutive frames, camera frame."""
-
-    delta: Pose
 
 
 @dataclass
@@ -56,7 +50,7 @@ class Frame:
     stats: TrackingStats
     quality: float
     observations: list
-    dr: DrMeasurement | None
+    dr: Pose | None                  # DR increment from the previous frame, camera frame
     tracked_ok: bool
     alpha: float = float("nan")
     solver_iterations: int = 0
@@ -138,9 +132,9 @@ class PipelineParams:
         default_factory=lambda: SolverConfig(max_iterations=15, cost_tolerance=1e-8))
 
 
-def predict_pose(prev: Frame, dr: DrMeasurement) -> Pose:
+def predict_pose(prev: Frame, dr: Pose) -> Pose:
     """DR motion model: compose the previous pose with the camera-frame increment."""
-    return compose(prev.pose, dr.delta)
+    return compose(prev.pose, dr)
 
 
 def associate_features(detections, points, predicted: Pose, search_radius: float,
@@ -245,7 +239,7 @@ class Pipeline:
 
     # ----- tracking -------------------------------------------------------
 
-    def _predict(self, dr: DrMeasurement | None) -> Pose:
+    def _predict(self, dr: Pose | None) -> Pose:
         prev = self.prev_frame
         if self.mode == "vision-only" or dr is None:
             if self.prev_prev_pose is None:
@@ -271,12 +265,12 @@ class Pipeline:
                 huber_scale=self.params.huber_scale))
         if alpha is not None and dr is not None:
             problem.add_pose(0, self.prev_frame.pose, fixed=True)
-            problem.dr_factors.append(DrFactor(0, 1, dr.delta, self.params.nominal.matrix()))
-        return solve_motion_only(problem, alpha=alpha, nominal=self.params.nominal,
-                                 config=self.params.motion_solver)
+            problem.dr_factors.append(DrFactor(
+                0, 1, dr, scale_information(alpha, self.params.nominal)))
+        return solve_motion_only(problem, self.params.motion_solver)
 
     def process(self, record) -> Frame:
-        dr = DrMeasurement(record.dr_delta) if record.dr_delta is not None else None
+        dr = record.dr_delta
         if self.prev_frame is None:
             pose = record.gt_pose if record.gt_pose is not None else Pose.identity()
             stats = TrackingStats(record.n_det, 0)
@@ -344,7 +338,7 @@ class Pipeline:
     def _finish_frame(self, frame: Frame, record, mapped: bool) -> None:
         self.frames.append(frame)
         if self.acc_delta is not None and frame.dr is not None:
-            self.acc_delta = compose(self.acc_delta, frame.dr.delta)
+            self.acc_delta = compose(self.acc_delta, frame.dr)
         else:
             self.acc_delta = None if frame.dr is None else self.acc_delta
         self.prev_prev_pose = self.prev_frame.pose
@@ -506,7 +500,7 @@ class Pipeline:
             alpha = max(alphas.get(k - 1, p.bounds.alpha_min), alphas.get(k, p.bounds.alpha_min))
             self.slam_map.dr_edges[(k - 1, k)] = alpha
             problem.dr_factors.append(DrFactor(
-                k - 1, k, delta, alpha * p.nominal.matrix()))
+                k - 1, k, delta, scale_information(alpha, p.nominal)))
 
         if len(problem.poses) < 2:
             return
@@ -567,9 +561,12 @@ class Pipeline:
         old_id = best[0]
         relative = compose(inverse(self.slam_map.keyframes[old_id].gt_pose), new_kf.gt_pose)
         self.slam_map.loop_edges.append((old_id, new_kf.id, relative, self.params.loop_info_scale))
-        self._global_ba(old_id, new_kf.id)
+        if not self._global_ba(old_id, new_kf.id):
+            self.slam_map.loop_edges.pop()
+        self.last_gba_kf = new_kf.id
 
-    def _global_ba(self, loop_from: int, loop_to: int) -> None:
+    def _global_ba(self, loop_from: int, loop_to: int) -> bool:
+        """Refine the whole map over every loop edge; False when the solve fails."""
         p = self.params
         kf_ids = sorted(self.slam_map.keyframes)
         pre = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].pose)
@@ -593,14 +590,16 @@ class Pipeline:
         for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
             delta = self.slam_map.keyframes[b].dr_to_prev
             if delta is not None and a in self.slam_map.keyframes:
-                problem.dr_factors.append(DrFactor(a, b, delta, alpha * p.nominal.matrix()))
+                problem.dr_factors.append(DrFactor(
+                    a, b, delta, scale_information(alpha, p.nominal)))
         for a, b, relative, scale in self.slam_map.loop_edges:
-            problem.dr_factors.append(DrFactor(a, b, relative, scale * p.nominal.matrix()))
+            problem.dr_factors.append(DrFactor(
+                a, b, relative, scale_information(scale, p.nominal)))
 
         try:
             solve_global_ba(problem, p.gba_solver)
         except (Diverged, SingularSystem):
-            return
+            return False
         last = kf_ids[-1]
         correction = compose(problem.poses[last].pose, inverse(self.slam_map.keyframes[last].pose))
         for k in kf_ids:
@@ -611,13 +610,13 @@ class Pipeline:
             self.prev_frame.pose = compose(correction, self.prev_frame.pose)
             if self.prev_prev_pose is not None:
                 self.prev_prev_pose = compose(correction, self.prev_prev_pose)
-        self.last_gba_kf = loop_to
         post = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].pose)
                 for k in kf_ids]
         self.gba_events.append(GbaEvent(
             frame_id=self.frames[-1].id if self.frames else -1,
             kf_from=loop_from, kf_to=loop_to,
             pre_keyframes=pre, post_keyframes=post, keyframe_gt=gt))
+        return True
 
     def result(self) -> RunResult:
         return RunResult(mode=self.mode, frames=self.frames, slam_map=self.slam_map,

@@ -25,8 +25,8 @@ from drslam.evaluation import (
 from drslam.factors import (
     DrFactor,
     dr_residual,
-    make_reprojection_factor,
-    reprojection_residual,
+    reprojection_jacobians,
+    reprojection_residuals,
 )
 from drslam.geometry import compose, exp_se3_vec, inverse, project, transform_point
 from drslam.optimizer import (
@@ -45,6 +45,7 @@ from drslam.weighting import (
     WeightBounds,
     compute_quality,
     dr_weight,
+    scale_information,
 )
 
 BOUNDS = WeightBounds()
@@ -103,6 +104,10 @@ def _rel(analytic, numeric):
     return np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1.0)
 
 
+def _reprojection(pose, lm, obs):
+    return reprojection_residuals(CAMERA, pose, lm[None], obs[None])[1][0]
+
+
 def test_criterion_02_jacobian_suite():
     t0 = time.time()
     rng = np.random.default_rng(2)
@@ -114,12 +119,12 @@ def test_criterion_02_jacobian_suite():
         cam = np.array([(u - CAMERA.cx) * z / CAMERA.fx, (v - CAMERA.cy) * z / CAMERA.fy, z])
         lm = transform_point(pose, cam)
         obs = project(CAMERA, transform_point(inverse(pose), lm)) + rng.normal(scale=2, size=2)
-        factor = make_reprojection_factor(0, 0, obs, pixel_std=1.0)
-        _, j_pose, j_lm = reprojection_residual(factor, pose, lm, CAMERA)
+        y, _ = reprojection_residuals(CAMERA, pose, lm[None], obs[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
         worst = max(worst, _rel(j_pose, _fd_jacobian(
-            lambda d: reprojection_residual(factor, compose(pose, exp_se3_vec(d)), lm, CAMERA)[0], 6)))
+            lambda d: _reprojection(compose(pose, exp_se3_vec(d)), lm, obs), 6)))
         worst = max(worst, _rel(j_lm, _fd_jacobian(
-            lambda d: reprojection_residual(factor, pose, lm + d, CAMERA)[0], 3)))
+            lambda d: _reprojection(pose, lm + d, obs), 3)))
     for _ in range(100):
         pf, pt = random_pose(rng, rot_scale=1.0), random_pose(rng, rot_scale=1.0)
         factor = DrFactor(0, 1, random_pose(rng, rot_scale=1.0), np.eye(6))
@@ -194,8 +199,9 @@ def test_criterion_05_conditioning_guarantee():
         problem.add_pose(0, prev, fixed=True)
         problem.add_pose(1, compose(prediction, exp_se3_vec(
             rng.normal(scale=0.02, size=6))), fixed=False)
-        problem.dr_factors.append(DrFactor(0, 1, delta, NOMINAL.matrix()))
-        pose, rep = solve_motion_only(problem, q=0.0, bounds=BOUNDS, nominal=NOMINAL)
+        problem.dr_factors.append(DrFactor(
+            0, 1, delta, scale_information(dr_weight(0.0, BOUNDS), NOMINAL)))
+        pose, rep = solve_motion_only(problem)
         err = np.linalg.norm(pose.t - prediction.t)
         rot = compose(inverse(pose), prediction).rotation_angle()
         floor = 0.99 * BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()

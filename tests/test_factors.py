@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
-from drslam.errors import AngleNearPi, BehindCamera, NotPositiveDefinite
+from drslam.errors import AngleNearPi, NotPositiveDefinite
 from drslam.factors import (
     DrFactor,
     dr_residual,
-    huber_cost,
-    huber_weight,
-    make_reprojection_factor,
-    reprojection_residual,
-    whiten,
+    huber,
+    information_sqrt,
+    reprojection_jacobians,
+    reprojection_residuals,
 )
 from drslam.geometry import (
     CameraIntrinsics,
     Pose,
     Twist,
+    Z_MIN,
     compose,
     exp_se3,
     exp_se3_vec,
@@ -56,21 +56,29 @@ def rel_err(analytic, numeric):
     return np.max(np.abs(analytic - numeric)) / scale
 
 
+def residual_of(pose: Pose, landmark: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    return reprojection_residuals(K, pose, landmark[None], observed[None])[1][0]
+
+
 def test_reprojection_residual_zero_for_consistent_geometry(rng):
     for _ in range(20):
         pose = random_pose(rng)
-        lm = in_view_landmark(rng, pose)
-        obs = project_world(pose, lm)
-        factor = make_reprojection_factor(0, 0, obs, pixel_std=1.0)
-        r, _, _ = reprojection_residual(factor, pose, lm, K)
+        lms = np.array([in_view_landmark(rng, pose) for _ in range(5)])
+        obs = np.array([project_world(pose, lm) for lm in lms])
+        y, r = reprojection_residuals(K, pose, lms, obs)
         assert np.allclose(r, 0, atol=1e-9)
+        assert np.allclose(y, [transform_point(inverse(pose), lm) for lm in lms], atol=1e-12)
 
 
-def test_reprojection_behind_camera_raises(rng):
+def test_reprojection_behind_camera_clamps_to_near_plane():
     pose = Pose.identity()
-    factor = make_reprojection_factor(0, 0, np.array([320.0, 240.0]), pixel_std=1.0)
-    with pytest.raises(BehindCamera):
-        reprojection_residual(factor, pose, np.array([0.0, 0.0, -1.0]), K)
+    points = np.array([[0.1, 0.0, -1.0], [0.1, 0.0, 2.0]])
+    obs = np.array([[320.0, 240.0], [345.0, 240.0]])
+    y, r = reprojection_residuals(K, pose, points, obs)
+    assert y[0, 2] == -1.0
+    # projected at depth Z_MIN: a large, finite residual instead of a raise
+    assert np.allclose(r[0], [320.0 - (K.fx * 0.1 / Z_MIN + K.cx), 0.0])
+    assert np.allclose(r[1], 0.0)
 
 
 def test_reprojection_jacobians_match_finite_differences(rng):
@@ -78,15 +86,14 @@ def test_reprojection_jacobians_match_finite_differences(rng):
         pose = random_pose(rng)
         lm = in_view_landmark(rng, pose)
         obs = project_world(pose, lm) + rng.normal(scale=2.0, size=2)
-        factor = make_reprojection_factor(0, 0, obs, pixel_std=1.0)
-        _, j_pose, j_lm = reprojection_residual(factor, pose, lm, K)
+        y, _ = reprojection_residuals(K, pose, lm[None], obs[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(K, pose, y))
 
         def r_of_pose(d):
-            p = compose(pose, exp_se3_vec(d))
-            return reprojection_residual(factor, p, lm, K)[0]
+            return residual_of(compose(pose, exp_se3_vec(d)), lm, obs)
 
         def r_of_lm(d):
-            return reprojection_residual(factor, pose, lm + d, K)[0]
+            return residual_of(pose, lm + d, obs)
 
         assert rel_err(j_pose, fd_jacobian(r_of_pose, 6)) < FD_RTOL
         assert rel_err(j_lm, fd_jacobian(r_of_lm, 3)) < FD_RTOL
@@ -140,32 +147,35 @@ def test_dr_residual_near_pi_propagates():
 
 
 def test_huber_weight():
-    assert huber_weight(0.0, 2.0) == 1.0
-    assert huber_weight(2.0, 2.0) == 1.0
-    assert huber_weight(4.0, 2.0) == pytest.approx(0.5)
+    _, w = huber(np.array([0.0, 2.0, 4.0]), 2.0)
+    assert w[0] == 1.0
+    assert w[1] == 1.0
+    assert w[2] == pytest.approx(0.5)
 
 
 def test_huber_cost_continuous_and_monotone():
     k = 1.345
     ns = np.linspace(0, 10, 2001)
-    costs = np.array([huber_cost(n, k) for n in ns])
+    costs, _ = huber(ns, k)
     assert np.all(np.diff(costs) >= 0)
     jumps = np.abs(np.diff(costs))
     assert jumps.max() < 0.1  # no discontinuity at the threshold
 
 
+# Whitening: the solver left-multiplies DR residuals and Jacobians by U.
+
 def test_whiten_identity_information(rng):
+    u = information_sqrt(np.eye(2))
     r = rng.normal(size=2)
     j = rng.normal(size=(2, 6))
-    rw, (jw,) = whiten(r, [j], np.eye(2))
-    assert np.allclose(rw, r)
-    assert np.allclose(jw, j)
+    assert np.allclose(u @ r, r)
+    assert np.allclose(u @ j, j)
 
 
 def test_whiten_diagonal_scales_rows():
-    d = np.diag([4.0, 9.0])
-    rw, (jw,) = whiten(np.array([1.0, 1.0]), [np.ones((2, 3))], d)
-    assert np.allclose(rw, [2.0, 3.0])
+    u = information_sqrt(np.diag([4.0, 9.0]))
+    assert np.allclose(u @ np.array([1.0, 1.0]), [2.0, 3.0])
+    jw = u @ np.ones((2, 3))
     assert np.allclose(jw[0], 2.0)
     assert np.allclose(jw[1], 3.0)
 
@@ -174,15 +184,17 @@ def test_whiten_preserves_mahalanobis_norm(rng):
     for _ in range(50):
         a = rng.normal(size=(6, 6))
         info = a @ a.T + 6 * np.eye(6)
+        u = information_sqrt(info)
+        assert np.allclose(u, np.triu(u))
         r = rng.normal(size=6)
-        rw, _ = whiten(r, [], info)
+        rw = u @ r
         assert abs(rw @ rw - r @ info @ r) < 1e-12 * max(1.0, abs(r @ info @ r))
 
 
 def test_whiten_rejects_indefinite():
     info = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefinite):
-        whiten(np.zeros(2), [], info)
+        information_sqrt(info)
 
 
 def test_dr_factor_validates_information():

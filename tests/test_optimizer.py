@@ -6,7 +6,14 @@ import scipy.sparse.linalg
 
 from conftest import CAMERA, make_ba_problem, random_pose
 from drslam.errors import GaugeUnderconstrained, NoConstraints
-from drslam.factors import DrFactor, dr_residual, make_reprojection_factor
+from drslam.factors import (
+    DrFactor,
+    dr_residual,
+    huber,
+    make_reprojection_factor,
+    reprojection_jacobians,
+    reprojection_residuals,
+)
 from drslam.geometry import Pose, compose, exp_se3_vec, inverse, log_se3, project, transform_point
 from drslam.optimizer import (
     Problem,
@@ -19,7 +26,7 @@ from drslam.optimizer import (
     solve_local_ba,
     solve_motion_only,
 )
-from drslam.weighting import NominalDrInformation, WeightBounds
+from drslam.weighting import NominalDrInformation, WeightBounds, dr_weight, scale_information
 
 NOMINAL = NominalDrInformation()
 BOUNDS = WeightBounds()
@@ -31,7 +38,7 @@ def pose_distance(a: Pose, b: Pose):
 
 
 def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
-                        perturb_r_deg=2.0, with_dr=True, dr_alpha_scale=1.0):
+                        perturb_r_deg=2.0, with_dr=True, dr_alpha=1.0):
     """One fixed previous pose, one free current pose, fixed landmarks."""
     prev = random_pose(rng, rot_scale=0.3)
     delta = exp_se3_vec(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
@@ -60,7 +67,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
         problem.reprojection_factors.append(
             make_reprojection_factor(1, j, obs, pixel_std=max(pixel_noise, 1.0)))
     if with_dr:
-        problem.dr_factors.append(DrFactor(0, 1, delta, NOMINAL.matrix() * dr_alpha_scale))
+        problem.dr_factors.append(DrFactor(0, 1, delta, scale_information(dr_alpha, NOMINAL)))
     return problem, gt, prev, delta
 
 
@@ -74,17 +81,17 @@ def test_motion_only_recovers_ground_truth(rng):
 
 
 def test_motion_only_dr_only_returns_prediction(rng):
-    problem, _, prev, delta = make_motion_problem(rng, n_obs=0, with_dr=True)
+    problem, _, prev, delta = make_motion_problem(rng, n_obs=0, with_dr=True,
+                                                  dr_alpha=dr_weight(0.0, BOUNDS))
     prediction = compose(prev, delta)
     # start away from the optimum; the DR quadratic must pull the pose back
     problem.poses[1].pose = compose(prediction, exp_se3_vec(
         np.array([0.05, -0.03, 0.02, 0.01, -0.02, 0.015])))
-    pose, report = solve_motion_only(problem, q=0.0, bounds=BOUNDS, nominal=NOMINAL)
+    pose, report = solve_motion_only(problem)
     dt, dr = pose_distance(pose, prediction)
     assert dt < 1e-9
     assert dr < 1e-9
-    floor = BOUNDS.alpha_max * NOMINAL.matrix().min() if False else \
-        BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()
+    floor = BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()
     assert report.min_pose_eigenvalue >= floor - 1e-6
 
 
@@ -172,6 +179,55 @@ def test_single_dr_factor_normal_equations_match_direct_product(rng):
     assert np.allclose(neq.Hpp, j.T @ j, atol=1e-12)
 
 
+def test_reprojection_normal_equations_match_direct_product(rng):
+    # one free pose (1) and one free landmark (0); pose 0 and landmarks 1-3
+    # are fixed, so every block has a known set of contributing factors
+    pose0, pose1 = random_pose(rng, rot_scale=0.2), random_pose(rng, rot_scale=0.2)
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_pose(0, pose0, fixed=True)
+    problem.add_pose(1, pose1)
+    lms = []
+    for j in range(4):
+        cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 5)])
+        lms.append(transform_point(pose1, cam))
+        problem.add_landmark(j, lms[-1], fixed=j > 0)
+    pixel_std = 0.5
+    pairs = [(1, 0), (1, 1), (1, 2), (1, 3), (0, 0)]
+    for i, j in pairs:
+        pose = (pose0, pose1)[i]
+        # noise of several sigma, so some factors sit on the linear Huber branch
+        obs = project(CAMERA, transform_point(inverse(pose), lms[j])) \
+            + rng.normal(scale=3 * pixel_std, size=2)
+        problem.reprojection_factors.append(make_reprojection_factor(i, j, obs, pixel_std))
+    neq, _ = build_normal_equations(problem)
+
+    hpp, hll, hpl = np.zeros((6, 6)), np.zeros((3, 3)), np.zeros((6, 3))
+    bp, bl = np.zeros(6), np.zeros(3)
+    weights = []
+    for f in problem.reprojection_factors:
+        pose = (pose0, pose1)[f.frame_id]
+        y, r = reprojection_residuals(CAMERA, pose, lms[f.landmark_id][None], f.observed[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
+        r_w = r[0] / f.pixel_std
+        _, w = huber(np.linalg.norm(r_w), f.huber_threshold)
+        weights.append(w)
+        info = w / f.pixel_std ** 2
+        if f.frame_id == 1:
+            hpp += info * j_pose.T @ j_pose
+            bp -= info * j_pose.T @ r[0]
+        if f.landmark_id == 0:
+            hll += info * j_lm.T @ j_lm
+            bl -= info * j_lm.T @ r[0]
+        if f.frame_id == 1 and f.landmark_id == 0:
+            hpl += info * j_pose.T @ j_lm
+    assert min(weights) < 1.0 == max(weights)   # both Huber branches are exercised
+    _, _, blocks, _, _ = neq.coupling()
+    assert len(blocks) == 1
+    for got, want in ((neq.Hpp, hpp), (neq.Hll[0], hll), (blocks[0], hpl),
+                      (neq.bp, bp), (neq.bl[0], bl)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_dr_hessian_linear_in_alpha(rng):
     a, b = random_pose(rng), random_pose(rng)
     delta = random_pose(rng, rot_scale=0.3)
@@ -202,7 +258,7 @@ def test_alpha_doubling_doubles_dr_contribution(rng):
         problem = Problem(intrinsics=CAMERA)
         problem.add_pose(0, a)
         problem.add_pose(1, b)
-        problem.dr_factors.append(DrFactor(0, 1, delta, alpha * NOMINAL.matrix()))
+        problem.dr_factors.append(DrFactor(0, 1, delta, scale_information(alpha, NOMINAL)))
         return build_normal_equations(problem)[0].Hpp
 
     h1, h2 = hpp(1.0), hpp(2.0)
@@ -293,7 +349,6 @@ def test_dr_factor_keeps_pose_hessian_positive_definite(rng):
     # invariant: with an active DR factor per free pose, the pose Hessian is
     # positive definite for every weight at or above the lower bound
     for alpha in (BOUNDS.alpha_min, 1.0, BOUNDS.alpha_max):
-        problem, _, _, _ = make_motion_problem(rng, n_obs=0, with_dr=True,
-                                               dr_alpha_scale=alpha)
+        problem, _, _, _ = make_motion_problem(rng, n_obs=0, with_dr=True, dr_alpha=alpha)
         neq, _ = build_normal_equations(problem)
         assert min_pose_eigenvalue(neq) > 0

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from drslam.errors import FormatError
+from drslam.errors import Diverged, FormatError
 from drslam.geometry import Pose, compose, exp_se3_vec, inverse
 from drslam.pipeline import (
-    DrMeasurement,
     Frame,
     KeyFrame,
     MapPoint,
@@ -42,7 +41,7 @@ def straight_sequence(n_frames=120, seed=0, **kw):
 
 def test_predict_pose_identity_delta(rng):
     prev = make_frame(pose=exp_se3_vec(rng.normal(scale=0.2, size=6)))
-    pred = predict_pose(prev, DrMeasurement(Pose.identity()))
+    pred = predict_pose(prev, Pose.identity())
     assert np.allclose(pred.matrix(), prev.pose.matrix(), atol=1e-15)
 
 
@@ -51,7 +50,7 @@ def test_predict_pose_chain_composition(rng):
     chain = Pose.identity()
     for _ in range(20):
         delta = exp_se3_vec(rng.normal(scale=0.05, size=6))
-        pose = predict_pose(make_frame(pose=pose), DrMeasurement(delta))
+        pose = predict_pose(make_frame(pose=pose), delta)
         chain = compose(chain, delta)
     assert np.allclose(pose.matrix(), chain.matrix(), atol=1e-12)
 
@@ -168,7 +167,7 @@ def test_textureless_frames_adaptive_follows_dr_prediction():
     for fid in range(26, 41):
         f, prev = frames[fid], frames[fid - 1]
         assert f.quality == 0.0
-        predicted = compose(prev.pose, f.dr.delta)
+        predicted = compose(prev.pose, f.dr)
         assert np.linalg.norm(f.pose.t - predicted.t) < 1e-9
         assert f.tracked_ok  # DR keeps the solve constrained
 
@@ -229,6 +228,21 @@ def test_loop_oracle_fires_on_closed_rectangle():
     gt_a = res.slam_map.keyframes[a].gt_pose
     gt_b = res.slam_map.keyframes[b].gt_pose
     assert np.allclose(rel.matrix(), compose(inverse(gt_a), gt_b).matrix(), atol=1e-12)
+
+
+def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
+    attempts = []
+
+    def diverging(problem, config=None):
+        attempts.append(max(problem.poses))   # the keyframe that found the loop
+        raise Diverged("forced failure")
+
+    monkeypatch.setattr("drslam.pipeline.solve_global_ba", diverging)
+    res = run_pipeline(closed_loop_sequence(), PARAMS, "adaptive")
+    assert attempts, "no loop closure was attempted"
+    assert res.slam_map.loop_edges == []
+    assert res.gba_events == []
+    assert all(b - a >= PARAMS.loop_cooldown for a, b in zip(attempts, attempts[1:]))
 
 
 def test_map_round_trip_empty(tmp_path):
