@@ -9,6 +9,8 @@ run verdict, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +28,10 @@ EXIT_FAILED_VERDICT = 1
 EXIT_USAGE = 2
 
 OUTPUT_ROOT_ENV = "DRSLAM_OUT"
+# Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+# Several sweep workers each running a multithreaded BLAS on the same cores
+# slow one another down; each worker gets one thread instead.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def resolve_config_path(name: str | None):
@@ -109,7 +115,9 @@ def cmd_run(args) -> int:
             ("tracking_ratio", fmt(result.tracking_ratio())),
             ("track_lost_frame",
              "" if result.track_lost_frame is None else str(result.track_lost_frame)),
-            ("loop_closures", str(len(result.gba_events)))]
+            ("loop_closures", str(len(result.gba_events))),
+            ("lba_failed", str(result.lba_failed)),
+            ("gba_failed", str(result.gba_failed))]
     v = _run_verdict(result, sequence)
     if v is not None:
         rows += [("ape_rmse_m", fmt(v.rmse)), ("completed", str(v.completed).lower())]
@@ -131,6 +139,28 @@ def _sweep_task(task):
                                    frame_range=frame_range)
 
 
+@contextlib.contextmanager
+def _sweep_pool(jobs: int):
+    """Process pool whose workers run with one BLAS thread each.
+
+    Workers are spawned, so each imports numpy afresh; the thread variables
+    are set in this process's environment while the pool starts and runs its
+    workers, and restored when it shuts down.
+    """
+    saved = {key: os.environ.get(key) for key in BLAS_THREAD_ENV}
+    os.environ.update({key: "1" for key in BLAS_THREAD_ENV})
+    try:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     sequence = read_sequence(args.seq)
@@ -144,7 +174,7 @@ def cmd_sweep(args) -> int:
         tasks = [(sequence, alphas, r, config.values, frame_range)
                  for r in range(args.repeats)]
         rows = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with _sweep_pool(args.jobs) as pool:
             for part in pool.map(_sweep_task, tasks):
                 rows.extend(part)
         rows = evaluation.fill_medians(rows)

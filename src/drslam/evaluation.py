@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivisionByZeroRmse, TooFewPairs
+from .errors import DivisionByZeroRmse, DrSlamError, TooFewPairs
 from .geometry import Pose, compose, inverse
 from .pipeline import PipelineParams, run_pipeline
 from .simulator import Sequence, config_from_meta, simulate_sequence
@@ -166,7 +166,7 @@ def sweep_repeat(sequence: Sequence, alphas, repeat: int,
         try:
             result = run_pipeline(seq_r, run_params, "fixed-dr")
             rmse = ape_rmse(Trajectory.from_rows(result.frame_trajectory()), ref)
-        except Exception:
+        except DrSlamError:
             rmse = float("nan")
         rows.append(SweepRow(log_alpha=float(log_alpha), repeat=repeat, rmse=rmse))
     return rows

@@ -2,7 +2,7 @@
 
 Two factor types: pixel reprojection of landmarks into a camera, evaluated
 in batches per camera, and a relative-pose prior from dead reckoning between
-consecutive poses. Pose variables are camera-in-world; Jacobians are taken
+two poses, evaluated for every edge of a problem at once. Pose variables are camera-in-world; Jacobians are taken
 with respect to a right-multiplicative tangent perturbation, twist ordering
 (rho, phi). These are the functions the solver linearizes with.
 """
@@ -17,15 +17,7 @@ from .errors import NotPositiveDefinite
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    Twist,
     Z_MIN,
-    adjoint,
-    compose,
-    inverse,
-    log_se3,
-    log_se3_saturated,
-    se3_left_jacobian_inverse,
-    se3_right_jacobian_inverse,
 )
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
@@ -105,23 +97,140 @@ def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray):
     return j_pose, j_landmark
 
 
-def dr_residual(factor: DrFactor, pose_from: Pose, pose_to: Pose):
-    """Relative-pose residual log(delta^-1 from^-1 to) with both Jacobians.
+# Rotation angle at which the SE(3) log saturates; as in geometry.so3_log_quat.
+NEAR_PI = np.pi - 1e-6
+# Below this angle the inverse-Jacobian coefficients use their Taylor series.
+JACOBIAN_SMALL_ANGLE = 1e-3
 
-    Zero exactly when the estimated relative motion equals the measured
-    increment. AngleNearPi from the log propagates to the caller.
+
+def _structure_tensors():
+    """Levi-Civita symbol eps (3, 3, 3), the Hamilton product as a bilinear
+    form (a*b)_k = qmul[k, i, j] a_i b_j, and the rotation of a vector by a
+    unit quaternion as (R(q) v)_i = rot[i, a, b, j] q_a q_b v_j."""
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    qmul = np.zeros((4, 4, 4))
+    qmul[0, 0, 0] = 1.0
+    for m in range(1, 4):
+        qmul[0, m, m] = -1.0                 # w = aw bw - a.b
+        qmul[m, 0, m] = qmul[m, m, 0] = 1.0  # v = aw bv + bw av + a x b
+    qmul[1:, 1:, 1:] += eps
+    # R(q) v = (w^2 - |u|^2) v + 2 (u.v) u + 2 w (u x v)
+    rot = np.zeros((3, 4, 4, 3))
+    for i in range(3):
+        rot[i, 0, 0, i] = 1.0
+        for m in range(1, 4):
+            rot[i, m, m, i] -= 1.0
+        for j in range(3):
+            rot[i, i + 1, j + 1, j] += 2.0
+            rot[i, 0, 1:, j] += 2.0 * eps[i, :, j]
+    return eps, qmul, rot
+
+
+_EPS, _QMUL, _ROT = _structure_tensors()
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ijk,nj,nk->ni", _EPS, a, b)
+
+
+def _hat(v: np.ndarray) -> np.ndarray:
+    return np.einsum("ijk,nj->nik", _EPS, v)
+
+
+def _v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
+    """c(theta) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse of the
+    SO(3) left Jacobian; as in geometry._v_inverse."""
+    small = theta < JACOBIAN_SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    return np.where(small, 1.0 / 12.0 + theta * theta / 720.0 + theta ** 4 / 30240.0,
+                    (1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t))
+
+
+def _translation_rotation_block(rho: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Translation-rotation coupling block of the SE(3) left Jacobian (N, 3, 3)."""
+    small = theta < JACOBIAN_SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    t2, s2 = t * t, theta * theta
+    sin_t = np.sin(t)
+    c1 = np.where(small, 1.0 / 6.0 - s2 / 120.0, (t - sin_t) / (t2 * t))
+    c2 = np.where(small, 1.0 / 24.0 - s2 / 720.0, (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2))
+    c3 = np.where(small, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0)),
+                  0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t)))
+    c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
+    p, rh = _hat(phi), _hat(rho)
+    pr, rp = p @ rh, rh @ p
+    prp = pr @ p
+    return (0.5 * rh + c1 * (pr + rp + p @ rp)
+            - c2 * (p @ pr + rp @ p - 3.0 * prp)
+            - c3 * (prp @ p + p @ prp))
+
+
+def _left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
+    """Inverse left Jacobian of SE(3) (N, 6, 6) at twists (N, 6) = (rho, phi)."""
+    rho, phi = xi[:, :3], xi[:, 3:]
+    theta = np.sqrt(np.einsum("ni,ni->n", phi, phi))
+    k = _hat(phi)
+    jinv = np.eye(3) - 0.5 * k + _v_inverse_coefficient(theta)[:, None, None] * (k @ k)
+    out = np.zeros((len(xi), 6, 6))
+    out[:, :3, :3] = jinv
+    out[:, 3:, 3:] = jinv
+    out[:, :3, 3:] = -jinv @ _translation_rotation_block(rho, phi, theta) @ jinv
+    return out
+
+
+def dr_residuals(from_q: np.ndarray, from_t: np.ndarray, to_q: np.ndarray, to_t: np.ndarray,
+                 delta_inv_q: np.ndarray, delta_inv_t: np.ndarray):
+    """Residuals log(delta^-1 from^-1 to) (E, 6) of E relative-pose edges and
+    their near-pi mask (E,).
+
+    Poses come as unit quaternions (E, 4), (w, x, y, z), and translations
+    (E, 3); delta_inv is the inverted measured increment. Zero exactly when
+    the estimated relative motion equals the increment. The residual is a
+    total function: where the error rotation is within 1e-6 of pi the
+    rotation is clamped just below pi, so the cost stays large and honest;
+    the log's Jacobian is not defined there, and the caller treats those
+    rows as inactive.
     """
-    err = compose(inverse(factor.delta), compose(inverse(pose_from), pose_to))
-    r = log_se3(err).as_vector()
-    j_to = se3_right_jacobian_inverse(r)
-    j_from = -se3_left_jacobian_inverse(r) @ adjoint(inverse(factor.delta))
-    return Twist.from_vector(r), j_from, j_to
+    inv_from_q = from_q * _CONJ
+    err_q = np.einsum("kij,ni,nj->nk", _QMUL, delta_inv_q,
+                      np.einsum("kij,ni,nj->nk", _QMUL, inv_from_q, to_q))
+    rel_t = np.einsum("iabj,na,nb,nj->ni", _ROT, inv_from_q, inv_from_q, to_t - from_t)
+    err_t = np.einsum("iabj,na,nb,nj->ni", _ROT, delta_inv_q, delta_inv_q, rel_t) + delta_inv_t
+
+    # SO(3) log of the canonical (w >= 0) error quaternion
+    w = np.abs(err_q[:, 0])
+    v = np.where(err_q[:, :1] < 0, -err_q[:, 1:], err_q[:, 1:])
+    s = np.sqrt(np.einsum("ni,ni->n", v, v))
+    theta = 2.0 * np.arctan2(s, w)
+    near_pi = theta >= NEAR_PI
+    tiny = s < 1e-9
+    scale = np.where(tiny, 2.0, np.minimum(theta, NEAR_PI) / np.where(tiny, 1.0, s))
+    phi = scale[:, None] * v
+    # rho = V^-1(phi) t, with the angle of the (possibly clamped) phi
+    c = _v_inverse_coefficient(np.minimum(theta, NEAR_PI))
+    phi_t = _cross(phi, err_t)
+    rho = err_t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t)
+    return np.concatenate([rho, phi], axis=1), near_pi
 
 
-def dr_residual_saturated(factor: DrFactor, pose_from: Pose, pose_to: Pose) -> np.ndarray:
-    """Residual with the rotation clamped below pi; cost evaluation only."""
-    err = compose(inverse(factor.delta), compose(inverse(pose_from), pose_to))
-    return log_se3_saturated(err).as_vector()
+def dr_jacobians(r: np.ndarray, delta_inv_adjoint: np.ndarray,
+                 from_rows=slice(None), to_rows=slice(None)):
+    """Jacobians of the residuals r (E, 6) w.r.t. the from pose, for the edges
+    from_rows, and w.r.t. the to pose, for the edges to_rows; (n, 6, 6) each.
+
+    Rows are selected by index array or boolean mask. delta_inv_adjoint
+    (E, 6, 6) holds Ad(delta^-1) per edge. A caller that holds one side of an
+    edge fixed leaves that edge out of the side's rows, so that Jacobian is
+    never formed. Rows must not be flagged near pi.
+    """
+    r_from, r_to = r[from_rows], r[to_rows]
+    jl_inv = _left_jacobian_inverse(np.concatenate([r_from, -r_to]))
+    n = len(r_from)
+    # d/d(from) = -Jl^-1(r) Ad(delta^-1); d/d(to) = Jr^-1(r) = Jl^-1(-r).
+    return -jl_inv[:n] @ delta_inv_adjoint[from_rows], jl_inv[n:]
 
 
 def huber(norms: np.ndarray, threshold: np.ndarray | float):

@@ -223,24 +223,6 @@ def log_se3(p: Pose) -> Twist:
     return Twist(rho, phi)
 
 
-def log_se3_saturated(p: Pose) -> Twist:
-    """log_se3 with the rotation angle clamped just below pi.
-
-    Total on all of SE(3); used for cost evaluation of candidates whose
-    rotation leaves the log domain, so such steps carry an honest large
-    residual instead of disappearing from the objective.
-    """
-    s = np.linalg.norm(p.q[1:])
-    theta = 2.0 * math.atan2(s, p.q[0])
-    if theta >= math.pi - 1e-6:
-        phi = (p.q[1:] / s) * (math.pi - 1e-6)
-    elif s < 1e-9:
-        phi = 2.0 * p.q[1:]
-    else:
-        phi = (theta / s) * p.q[1:]
-    return Twist(_v_inverse(phi) @ p.t, phi)
-
-
 def compose(a: Pose, b: Pose) -> Pose:
     return Pose(_quat_mul(a.q, b.q), a.rotation_matrix @ b.t + a.t)
 
@@ -269,41 +251,3 @@ def adjoint(p: Pose) -> np.ndarray:
     A[:3, 3:] = hat(p.t) @ R
     A[3:, 3:] = R
     return A
-
-
-def _q_matrix(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    theta = np.linalg.norm(phi)
-    P = hat(phi)
-    Rh = hat(rho)
-    PR = P @ Rh
-    RP = Rh @ P
-    PRP = PR @ P
-    if theta < 1e-3:
-        c1 = 1.0 / 6.0 - theta * theta / 120.0
-        c2 = 1.0 / 24.0 - theta * theta / 720.0
-        c3 = 0.5 * (c2 - 3.0 * (1.0 / 120.0 - theta * theta / 2520.0))
-    else:
-        t2 = theta * theta
-        c1 = (theta - math.sin(theta)) / (t2 * theta)
-        c2 = (1.0 - 0.5 * t2 - math.cos(theta)) / (t2 * t2)
-        c3 = 0.5 * (c2 - 3.0 * (theta - math.sin(theta) - theta * t2 / 6.0) / (t2 * t2 * theta))
-    return (0.5 * Rh + c1 * (PR + RP + P @ RP)
-            - c2 * (P @ PR + RP @ P - 3.0 * PRP)
-            - c3 * (PRP @ P + P @ PRP))
-
-
-def se3_left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobian of SE(3) at the twist vector (rho, phi)."""
-    rho, phi = xi[:3], xi[3:]
-    Jinv = _v_inverse(phi)
-    Q = _q_matrix(rho, phi)
-    out = np.zeros((6, 6))
-    out[:3, :3] = Jinv
-    out[3:, 3:] = Jinv
-    out[:3, 3:] = -Jinv @ Q @ Jinv
-    return out
-
-
-def se3_right_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
-    return se3_left_jacobian_inverse(-np.asarray(xi))

@@ -4,8 +4,12 @@ One solver core drives all three problem shapes: motion-only (single free
 pose, landmarks fixed), local BA (window of keyframes plus their landmarks),
 and global BA (everything, first keyframe fixed). Visual factors carry a
 Huber kernel; DR factors are whitened by their alpha-scaled information and
-carry no kernel. The linear solve eliminates landmarks by Schur complement;
-a dense path exists for verification.
+carry no kernel. Every DR edge of a problem is linearized in one batched
+call. The linear solve eliminates landmarks by Schur complement; a dense
+path exists for verification. The pose-landmark coupling is kept as one
+dense block, O(F*L) memory for F free poses and L free landmarks; the Schur
+complement is formed from it in chunks of landmarks, each a product over the
+poses that observe the chunk.
 """
 
 from __future__ import annotations
@@ -16,21 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AngleNearPi,
     Diverged,
     GaugeUnderconstrained,
     NoConstraints,
     SingularSystem,
 )
 from .factors import (
-    dr_residual,
-    dr_residual_saturated,
+    dr_jacobians,
+    dr_residuals,
     huber,
     information_sqrt,
     reprojection_jacobians,
     reprojection_residuals,
 )
-from .geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3_vec
+from .geometry import CameraIntrinsics, Pose, Z_MIN, adjoint, compose, exp_se3_vec, inverse
 
 
 @dataclass
@@ -100,9 +103,12 @@ class NormalEquations:
     """Gauss-Newton system in pose/landmark block form.
 
     Hpp is the dense pose-pose block (6F x 6F), Hll the block-diagonal
-    landmark block stored as (L, 3, 3). Pose-landmark coupling blocks are
-    kept as flat arrays (one 6x3 block per active observation) so the Schur
-    elimination can run fully vectorized.
+    landmark block stored as (L, 3, 3), and Hpl the pose-landmark coupling
+    kept dense as (F, 6, L, 3), for F free poses and L free landmarks. The
+    dense coupling costs O(F*L) memory, most of it zeros on a long map, and
+    needs no observer bookkeeping: factors add into it, repeated pose-landmark
+    pairs included, and schur_solve reads its structure from the nonzero
+    blocks.
     """
 
     def __init__(self, n_pose_free: int, n_lm_free: int):
@@ -112,40 +118,7 @@ class NormalEquations:
         self.bp = np.zeros(6 * n_pose_free)
         self.Hll = np.zeros((n_lm_free, 3, 3))
         self.bl = np.zeros((n_lm_free, 3))
-        self._w_parts = []
-        self._flat = None
-
-    def add_coupling(self, pose_free_idx: int, lm_rows: np.ndarray, blocks: np.ndarray):
-        self._w_parts.append((pose_free_idx, lm_rows, blocks))
-        self._flat = None
-
-    def coupling(self):
-        """(pose idx (M,), landmark row (M,), block (M, 6, 3)) plus the
-        within-landmark ordered observer pairs used by the Schur complement."""
-        if self._flat is None:
-            if self._w_parts:
-                pose_idx = np.concatenate([np.full(len(r), p, dtype=int)
-                                           for p, r, _ in self._w_parts])
-                lm_idx = np.concatenate([r for _, r, _ in self._w_parts])
-                blocks = np.concatenate([w for _, _, w in self._w_parts])
-            else:
-                pose_idx = np.zeros(0, dtype=int)
-                lm_idx = np.zeros(0, dtype=int)
-                blocks = np.zeros((0, 6, 3))
-            order = np.argsort(lm_idx, kind="stable")
-            pose_idx, lm_idx, blocks = pose_idx[order], lm_idx[order], blocks[order]
-            pair_a, pair_b = [], []
-            start = 0
-            for end in np.flatnonzero(np.diff(lm_idx, append=-1)) + 1:
-                members = np.arange(start, end)
-                grid = np.meshgrid(members, members, indexing="ij")
-                pair_a.append(grid[0].ravel())
-                pair_b.append(grid[1].ravel())
-                start = end
-            pair_a = np.concatenate(pair_a) if pair_a else np.zeros(0, dtype=int)
-            pair_b = np.concatenate(pair_b) if pair_b else np.zeros(0, dtype=int)
-            self._flat = (pose_idx, lm_idx, blocks, pair_a, pair_b)
-        return self._flat
+        self.Hpl = np.zeros((n_pose_free, 6, n_lm_free, 3))
 
     def dense(self, damping: float = 0.0):
         n = 6 * self.n_pose_free + 3 * self.n_lm_free
@@ -154,14 +127,11 @@ class NormalEquations:
         np_ = 6 * self.n_pose_free
         H[:np_, :np_] = self.Hpp
         b[:np_] = self.bp
-        pose_idx, lm_idx, blocks, _, _ = self.coupling()
         for j in range(self.n_lm_free):
             s = np_ + 3 * j
             H[s:s + 3, s:s + 3] = self.Hll[j]
             b[s:s + 3] = self.bl[j]
-        for p, j, w in zip(pose_idx, lm_idx, blocks):
-            s = np_ + 3 * j
-            H[6 * p:6 * p + 6, s:s + 3] += w
+        H[:np_, np_:] = self.Hpl.reshape(np_, 3 * self.n_lm_free)
         H[np_:, :np_] = H[:np_, np_:].T
         if damping:
             H = H + damping * np.eye(n)
@@ -175,40 +145,62 @@ def min_pose_eigenvalue(neq: NormalEquations) -> float:
     return float(np.linalg.eigvalsh(0.5 * (neq.Hpp + neq.Hpp.T)).min())
 
 
+# Landmarks per product in the Schur complement: large enough that a local BA
+# window takes a few products, small enough that on a long map each product
+# spans a few keyframes.
+LANDMARK_CHUNK = 64
+
+
 def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     """Landmark-eliminated step, identical to the dense solve.
 
-    Returns the concatenated (pose, landmark) step vector. Raises
-    SingularSystem when the reduced camera system cannot be factorized.
+    Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the dense
+    coupling and C the damped landmark block. Returns the concatenated
+    (pose, landmark) step vector. Raises SingularSystem when the reduced
+    camera system cannot be factorized.
     """
-    n_p = neq.n_pose_free
-    pose_idx, lm_idx, blocks, pair_a, pair_b = neq.coupling()
-    try:
-        cinv = np.linalg.inv(neq.Hll + damping * np.eye(3)) if neq.n_lm_free else \
-            np.zeros((0, 3, 3))
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem("landmark block singular under damping") from e
-
-    s = (neq.Hpp + damping * np.eye(6 * n_p)).reshape(n_p, 6, n_p, 6).transpose(0, 2, 1, 3).copy()
-    bs = neq.bp.reshape(n_p, 6).copy()
-    if len(lm_idx):
-        y = np.einsum("mij,mjk->mik", blocks, cinv[lm_idx])
-        np.add.at(bs, pose_idx, -np.einsum("mik,mk->mi", y, neq.bl[lm_idx]))
-        contrib = np.einsum("qik,qjk->qij", y[pair_a], blocks[pair_b])
-        np.add.at(s, (pose_idx[pair_a], pose_idx[pair_b]), -contrib)
-    s = s.transpose(0, 2, 1, 3).reshape(6 * n_p, 6 * n_p)
+    n_p, n_l = 6 * neq.n_pose_free, neq.n_lm_free
+    s = neq.Hpp.copy()
+    s.flat[::n_p + 1] += damping
+    bs = neq.bp.copy()
+    if n_l:
+        try:
+            cinv = np.linalg.inv(neq.Hll + damping * np.eye(3))
+        except np.linalg.LinAlgError as e:
+            raise SingularSystem("landmark block singular under damping") from e
+        w = neq.Hpl.reshape(n_p, n_l, 3)
+    if n_p and n_l:
+        # S -= W C^-1 W^T and bs -= W C^-1 bl over chunks of landmarks taken in
+        # order of their first observer, each over the rows of the free poses
+        # that observe the chunk: a landmark is seen from a few keyframes close
+        # in time, so on a long map a chunk has few rows. einsum, not BLAS: a
+        # BLAS product rounds differently with one thread than with several,
+        # and the step must not depend on the thread setting.
+        seen = (w != 0).reshape(neq.n_pose_free, 6, 3 * n_l).any(axis=1)
+        seen = seen.reshape(neq.n_pose_free, n_l, 3).any(axis=2)
+        order = np.argsort(seen.argmax(axis=0), kind="stable")
+        for a in range(0, n_l, LANDMARK_CHUNK):
+            lms = order[a:a + LANDMARK_CHUNK]
+            poses = np.flatnonzero(seen[:, lms].any(axis=1))
+            if not len(poses):
+                continue
+            rows = (6 * poses[:, None] + np.arange(6)).ravel()
+            w_c = w[rows].take(lms, axis=1)
+            y_c = (w_c.transpose(1, 0, 2) @ cinv[lms]).transpose(1, 0, 2).reshape(len(rows), -1)
+            w_c = w_c.reshape(len(rows), -1)
+            s[np.ix_(rows, rows)] -= np.einsum("pk,qk->pq", y_c, w_c)
+            bs[rows] -= np.einsum("pk,k->p", y_c, neq.bl[lms].reshape(-1))
     if n_p:
         try:
-            dp = np.linalg.solve(s, bs.reshape(-1))
+            dp = np.linalg.solve(s, bs)
         except np.linalg.LinAlgError as e:
             raise SingularSystem("reduced camera system is singular") from e
     else:
         dp = np.zeros(0)
-    rhs = neq.bl.copy()
-    if len(lm_idx):
-        dpb = dp.reshape(n_p, 6)
-        np.add.at(rhs, lm_idx, -np.einsum("mik,mi->mk", blocks, dpb[pose_idx]))
-    dl = np.einsum("ljk,lk->lj", cinv, rhs) if neq.n_lm_free else np.zeros((0, 3))
+    if not n_l:
+        return dp
+    rhs = neq.bl - np.einsum("p,plk->lk", dp, w)
+    dl = np.einsum("ljk,lk->lj", cinv, rhs)
     return np.concatenate([dp, dl.reshape(-1)])
 
 
@@ -259,8 +251,21 @@ class _Linearizer:
                 np.array([1.0 / f.pixel_std for f in fs]),
                 np.array([f.huber_threshold for f in fs]),
             ))
-        self.dr = [(self.slot[f.from_id], self.slot[f.to_id], f,
-                    information_sqrt(f.information)) for f in problem.dr_factors]
+        # DR edges, stacked: pose slots, inverted increments, Ad(delta^-1),
+        # whitening square roots, and the free-pose index of each side (-1: fixed).
+        drs = problem.dr_factors
+        self.dr_from = np.array([self.slot[f.from_id] for f in drs], dtype=int)
+        self.dr_to = np.array([self.slot[f.to_id] for f in drs], dtype=int)
+        delta_inv = [inverse(f.delta) for f in drs]
+        self.dr_delta_inv_q = np.array([d.q for d in delta_inv]).reshape(-1, 4)
+        self.dr_delta_inv_t = np.array([d.t for d in delta_inv]).reshape(-1, 3)
+        self.dr_delta_inv_adjoint = np.array([adjoint(d) for d in delta_inv]).reshape(-1, 6, 6)
+        self.dr_sqrt_info = np.array([information_sqrt(f.information)
+                                      for f in drs]).reshape(-1, 6, 6)
+        pose_free_index = np.array([self.free_index.get(i, -1)
+                                    for i in range(len(self.pose_ids))], dtype=int)
+        self.dr_from_free = pose_free_index[self.dr_from]
+        self.dr_to_free = pose_free_index[self.dr_to]
 
         self.poses = [problem.poses[p].pose for p in self.pose_ids]
         self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]) \
@@ -313,38 +318,52 @@ class _Linearizer:
                 np.add.at(neq.bl, frows, -np.einsum("nij,ni->nj", jl_f, rw_f))
                 if pose_free:
                     wblocks = np.einsum("nij,nik->njk", jp[lm_free], jl_f)
-                    neq.add_coupling(self.free_index[slot], frows, wblocks)
-        for fs, ts, f, sqrt_info in self.dr:
-            try:
-                r, jf, jt = dr_residual(f, poses[fs], poses[ts])
-            except AngleNearPi:
-                # inactive for Jacobians this iteration, re-tested next time;
-                # the saturated residual keeps the cost total and large
-                rw = sqrt_info @ dr_residual_saturated(f, poses[fs], poses[ts])
-                cost += 0.5 * float(rw @ rw)
-                continue
-            rw = sqrt_info @ r.as_vector()
-            cost += 0.5 * float(rw @ rw)
-            if not with_jacobians:
-                continue
-            jfw = sqrt_info @ jf
-            jtw = sqrt_info @ jt
-            f_free = not self.fixed[fs]
-            t_free = not self.fixed[ts]
-            if f_free:
-                a = self.free_index[fs]
-                neq.Hpp[6 * a:6 * a + 6, 6 * a:6 * a + 6] += jfw.T @ jfw
-                neq.bp[6 * a:6 * a + 6] -= jfw.T @ rw
-            if t_free:
-                b_ = self.free_index[ts]
-                neq.Hpp[6 * b_:6 * b_ + 6, 6 * b_:6 * b_ + 6] += jtw.T @ jtw
-                neq.bp[6 * b_:6 * b_ + 6] -= jtw.T @ rw
-            if f_free and t_free:
-                a, b_ = self.free_index[fs], self.free_index[ts]
-                blk = jfw.T @ jtw
-                neq.Hpp[6 * a:6 * a + 6, 6 * b_:6 * b_ + 6] += blk
-                neq.Hpp[6 * b_:6 * b_ + 6, 6 * a:6 * a + 6] += blk.T
+                    # add.at: one pose may observe a landmark twice
+                    np.add.at(neq.Hpl, (pj, slice(None), frows), wblocks)
+        if len(self.dr_from):
+            cost += self._evaluate_dr(poses, neq)
         return cost, neq
+
+    def _evaluate_dr(self, poses, neq: NormalEquations | None) -> float:
+        """Cost of every DR edge; with neq, also adds their normal equations."""
+        from_p = [poses[s] for s in self.dr_from]
+        to_p = [poses[s] for s in self.dr_to]
+        r, near_pi = dr_residuals(
+            np.array([p.q for p in from_p]), np.array([p.t for p in from_p]),
+            np.array([p.q for p in to_p]), np.array([p.t for p in to_p]),
+            self.dr_delta_inv_q, self.dr_delta_inv_t)
+        rw = (self.dr_sqrt_info @ r[:, :, None])[:, :, 0]
+        cost = 0.5 * float(np.sum(rw * rw))
+        if neq is None:
+            return cost
+        # near-pi edges stay in the cost but are inactive for Jacobians; the
+        # angle is tested again at the next linearization
+        f_sel = ~near_pi & (self.dr_from_free >= 0)
+        t_sel = ~near_pi & (self.dr_to_free >= 0)
+        j_from, j_to = dr_jacobians(r, self.dr_delta_inv_adjoint, f_sel, t_sel)
+        jw = np.concatenate([self.dr_sqrt_info[f_sel] @ j_from,
+                             self.dr_sqrt_info[t_sel] @ j_to])
+        idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
+        jwt = jw.transpose(0, 2, 1)
+        # diagonal blocks J^T J and gradients of both sides, then the blocks
+        # coupling the two poses of every edge with both sides free
+        blocks = [jwt @ jw]
+        rows, cols = [idx], [idx]
+        both = f_sel & t_sel
+        if both.any():
+            jf, jt = jw[:len(j_from)][both[f_sel]], jw[len(j_from):][both[t_sel]]
+            a, b = self.dr_from_free[both], self.dr_to_free[both]
+            cross = jf.transpose(0, 2, 1) @ jt
+            blocks += [cross, cross.transpose(0, 2, 1)]
+            rows += [a, b]
+            cols += [b, a]
+        n = self.n_pose_free
+        np.add.at(neq.Hpp.reshape(n, 6, n, 6),
+                  (np.concatenate(rows), slice(None), np.concatenate(cols)),
+                  np.concatenate(blocks))
+        rw_rows = np.concatenate([rw[f_sel], rw[t_sel]])
+        np.add.at(neq.bp.reshape(n, 6), idx, -(jwt @ rw_rows[:, :, None])[:, :, 0])
+        return cost
 
 
 def build_normal_equations(problem: Problem):

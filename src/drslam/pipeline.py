@@ -200,6 +200,8 @@ class RunResult:
     slam_map: SlamMap
     track_lost_frame: int | None
     gba_events: list
+    lba_failed: int          # local BA windows left unrefined (Diverged, SingularSystem)
+    gba_failed: int          # global BAs that failed and had their loop edge rolled back
 
     def frame_trajectory(self):
         return [(f.timestamp, f.pose) for f in self.frames]
@@ -235,6 +237,8 @@ class Pipeline:
         self.track_lost_frame: int | None = None
         self.last_gba_kf: int | None = None
         self.gba_events: list[GbaEvent] = []
+        self.lba_failed = 0
+        self.gba_failed = 0
         self._next_kf_id = 0
 
     # ----- tracking -------------------------------------------------------
@@ -515,6 +519,7 @@ class Pipeline:
         try:
             solve_local_ba(problem, p.ba_solver)
         except (Diverged, SingularSystem):
+            self.lba_failed += 1
             return
         for k in window:
             if not problem.poses[k].fixed:
@@ -599,6 +604,7 @@ class Pipeline:
         try:
             solve_global_ba(problem, p.gba_solver)
         except (Diverged, SingularSystem):
+            self.gba_failed += 1
             return False
         last = kf_ids[-1]
         correction = compose(problem.poses[last].pose, inverse(self.slam_map.keyframes[last].pose))
@@ -621,7 +627,8 @@ class Pipeline:
     def result(self) -> RunResult:
         return RunResult(mode=self.mode, frames=self.frames, slam_map=self.slam_map,
                          track_lost_frame=self.track_lost_frame,
-                         gba_events=self.gba_events)
+                         gba_events=self.gba_events, lba_failed=self.lba_failed,
+                         gba_failed=self.gba_failed)
 
 
 def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:

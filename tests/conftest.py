@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from drslam.factors import DrFactor, make_reprojection_factor
-from drslam.geometry import CameraIntrinsics, Pose, Twist, exp_se3, exp_se3_vec, compose, inverse, project, transform_point
+from drslam.factors import DrFactor, dr_jacobians, dr_residuals, make_reprojection_factor
+from drslam.geometry import (CameraIntrinsics, Pose, Twist, adjoint, exp_se3, exp_se3_vec, compose,
+                             inverse, project, transform_point)
 from drslam.optimizer import Problem
 from drslam.weighting import NominalDrInformation
 
@@ -17,6 +18,27 @@ def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> Twist:
 
 def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
     return exp_se3(random_twist(rng, rot_scale, trans_scale))
+
+
+def edge_residuals(pose_from, pose_to, delta):
+    """Batched DR kernel on edges given as Pose lists: residuals (E, 6) and near-pi mask."""
+    inv = [inverse(d) for d in delta]
+    return dr_residuals(np.array([p.q for p in pose_from]), np.array([p.t for p in pose_from]),
+                        np.array([p.q for p in pose_to]), np.array([p.t for p in pose_to]),
+                        np.array([d.q for d in inv]), np.array([d.t for d in inv]))
+
+
+def edge_residual(pose_from: Pose, pose_to: Pose, delta: Pose) -> np.ndarray:
+    """Residual (6,) of one DR edge through the batched kernel."""
+    return edge_residuals([pose_from], [pose_to], [delta])[0][0]
+
+
+def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
+    """From- and to-Jacobians (6, 6) of one DR edge through the batched kernel."""
+    r, near_pi = edge_residuals([pose_from], [pose_to], [delta])
+    assert not near_pi[0]
+    j_from, j_to = dr_jacobians(r, adjoint(inverse(delta))[None])
+    return j_from[0], j_to[0]
 
 
 def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from drslam.cli import main
+import drslam.pipeline
+from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import parse_config
-from drslam.errors import ConfigError
+from drslam.errors import ConfigError, Diverged
 from drslam.fileio import read_tum
 
 
@@ -100,6 +101,33 @@ def test_run_log_one_row_per_frame(tmp_path):
     assert len(lines) == 1 + 80
     assert os.path.exists(os.path.join(run_dir, "config.cfg"))
     assert os.path.exists(os.path.join(run_dir, "map.gwmap"))
+
+
+def read_metrics(out):
+    rows = open(os.path.join(out, "metrics.csv")).read().splitlines()[1:]
+    return dict(row.split(",", 1) for row in rows)
+
+
+def test_run_counts_failed_local_ba(tmp_path, monkeypatch):
+    cfg = write_world(tmp_path / "w.cfg")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    solve_local_ba = drslam.pipeline.solve_local_ba
+    calls = []
+
+    def first_call_diverges(problem, config=None):
+        calls.append(len(problem.poses))
+        if len(calls) == 1:
+            raise Diverged("forced failure")
+        return solve_local_ba(problem, config)
+
+    monkeypatch.setattr("drslam.pipeline.solve_local_ba", first_call_diverges)
+    out = str(tmp_path / "run")
+    assert main(["run", "--seq", seq_dir, "--out", out, "--config", cfg]) == 0
+    assert len(calls) > 1
+    metrics = read_metrics(out)
+    assert metrics["lba_failed"] == "1"
+    assert metrics["gba_failed"] == "0"
 
 
 def test_eval_identical_files_zero_rmse(tmp_path, capsys):
@@ -220,3 +248,14 @@ def test_sweep_jobs_matches_serial(tmp_path):
     a = open(os.path.join(serial, "sweep.csv"), "rb").read()
     b = open(os.path.join(parallel, "sweep.csv"), "rb").read()
     assert a == b
+
+
+def test_sweep_workers_run_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with _sweep_pool(2) as pool:
+        seen = [pool.submit(os.getenv, key).result(timeout=120) for key in BLAS_THREAD_ENV]
+    assert seen == ["1"] * len(BLAS_THREAD_ENV)
+    # the parent's own environment is restored
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "MKL_NUM_THREADS" not in os.environ

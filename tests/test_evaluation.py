@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
-from drslam.errors import DivisionByZeroRmse, TooFewPairs
+from drslam import evaluation
+from drslam.errors import Diverged, DivisionByZeroRmse, TooFewPairs
 from drslam.evaluation import (
     Trajectory,
     align,
@@ -14,6 +15,7 @@ from drslam.evaluation import (
     gt_trajectory,
     per_frame_errors,
     repeat_run,
+    sweep_repeat,
     verdict,
 )
 from drslam.geometry import Pose, compose
@@ -185,6 +187,26 @@ def test_alpha_sweep_noiseless_rmse_constant_across_alpha():
     rmses = [r.rmse for r in rows]
     assert max(rmses) - min(rmses) < 1e-6
     assert max(rmses) < 1e-6
+
+
+def test_sweep_repeat_nan_row_only_for_package_errors(monkeypatch):
+    seq = noiseless_sequence(n_frames=30)
+    run_pipeline = evaluation.run_pipeline
+    failure = Diverged("forced failure")
+
+    def fail_at_alpha_100(sequence, params, mode):
+        if params.fixed_alpha == 100.0:
+            raise failure
+        return run_pipeline(sequence, params, mode)
+
+    monkeypatch.setattr(evaluation, "run_pipeline", fail_at_alpha_100)
+    rows = sweep_repeat(seq, [0.0, 2.0], 0, PipelineParams(), reseed=False)
+    assert np.isfinite(rows[0].rmse)
+    assert np.isnan(rows[1].rmse)
+    # a defect outside the package's error types is not turned into a NaN cell
+    failure = RuntimeError("bug")
+    with pytest.raises(RuntimeError):
+        sweep_repeat(seq, [0.0, 2.0], 0, PipelineParams(), reseed=False)
 
 
 def test_alpha_sweep_deterministic_rows():

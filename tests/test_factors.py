@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_pose
-from drslam.errors import AngleNearPi, NotPositiveDefinite
+from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
+from drslam.errors import NotPositiveDefinite
 from drslam.factors import (
+    JACOBIAN_SMALL_ANGLE,
+    NEAR_PI,
     DrFactor,
-    dr_residual,
+    dr_jacobians,
     huber,
     information_sqrt,
     reprojection_jacobians,
@@ -16,6 +20,7 @@ from drslam.geometry import (
     Pose,
     Twist,
     Z_MIN,
+    adjoint,
     compose,
     exp_se3,
     exp_se3_vec,
@@ -99,24 +104,20 @@ def test_reprojection_jacobians_match_finite_differences(rng):
         assert rel_err(j_lm, fd_jacobian(r_of_lm, 3)) < FD_RTOL
 
 
-def make_dr_factor(delta: Pose, info=None) -> DrFactor:
-    info = np.eye(6) if info is None else info
-    return DrFactor(0, 1, delta, info)
-
-
 def test_dr_residual_zero_for_consistent_motion(rng):
+    pose_from, delta = [], []
     for _ in range(50):
-        pose_from = random_pose(rng, rot_scale=2.0)
-        delta = random_pose(rng, rot_scale=2.0)
-        pose_to = compose(pose_from, delta)
-        r, _, _ = dr_residual(make_dr_factor(delta), pose_from, pose_to)
-        assert np.linalg.norm(r.as_vector()) < 1e-9
+        pose_from.append(random_pose(rng, rot_scale=2.0))
+        delta.append(random_pose(rng, rot_scale=2.0))
+    pose_to = [compose(a, d) for a, d in zip(pose_from, delta)]
+    r, near_pi = edge_residuals(pose_from, pose_to, delta)
+    assert not near_pi.any()
+    assert np.max(np.linalg.norm(r, axis=1)) < 1e-9
 
 
 def test_dr_residual_identity_delta():
     p = Pose.identity()
-    r, _, _ = dr_residual(make_dr_factor(Pose.identity()), p, p)
-    assert np.allclose(r.as_vector(), 0, atol=1e-15)
+    assert np.allclose(edge_residual(p, p, Pose.identity()), 0, atol=1e-15)
 
 
 def test_dr_jacobians_match_finite_differences(rng):
@@ -124,26 +125,125 @@ def test_dr_jacobians_match_finite_differences(rng):
         pose_from = random_pose(rng, rot_scale=1.0)
         pose_to = random_pose(rng, rot_scale=1.0)
         delta = random_pose(rng, rot_scale=1.0)
-        factor = make_dr_factor(delta)
-        _, j_from, j_to = dr_residual(factor, pose_from, pose_to)
+        j_from, j_to = edge_jacobians(pose_from, pose_to, delta)
 
         def r_of_from(d):
-            p = compose(pose_from, exp_se3_vec(d))
-            return dr_residual(factor, p, pose_to)[0].as_vector()
+            return edge_residual(compose(pose_from, exp_se3_vec(d)), pose_to, delta)
 
         def r_of_to(d):
-            p = compose(pose_to, exp_se3_vec(d))
-            return dr_residual(factor, pose_from, p)[0].as_vector()
+            return edge_residual(pose_from, compose(pose_to, exp_se3_vec(d)), delta)
 
         assert rel_err(j_from, fd_jacobian(r_of_from, 6)) < FD_RTOL
         assert rel_err(j_to, fd_jacobian(r_of_to, 6)) < FD_RTOL
 
 
-def test_dr_residual_near_pi_propagates():
-    half_turn = exp_se3(Twist(np.zeros(3), np.array([0.0, 0.0, np.pi - 1e-9])))
-    factor = make_dr_factor(Pose.identity())
-    with pytest.raises(AngleNearPi):
-        dr_residual(factor, Pose.identity(), half_turn)
+def test_dr_residual_near_pi_flagged_and_saturated():
+    half_turn = exp_se3(Twist(np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.0, np.pi - 1e-9])))
+    quarter_turn = exp_se3(Twist(np.zeros(3), np.array([0.0, 0.0, np.pi / 2])))
+    ident = Pose.identity()
+    r, near_pi = edge_residuals([ident, ident], [half_turn, quarter_turn], [ident, ident])
+    assert near_pi.tolist() == [True, False]
+    # the rotation is clamped just below pi about the same axis
+    assert np.allclose(r[0, 3:], [0.0, 0.0, NEAR_PI], atol=1e-12)
+    assert np.all(np.isfinite(r))
+    assert np.allclose(r[1, 3:], [0.0, 0.0, np.pi / 2], atol=1e-12)
+
+
+def test_dr_jacobians_skip_fixed_sides(rng):
+    pose_from = [random_pose(rng) for _ in range(4)]
+    pose_to = [random_pose(rng) for _ in range(4)]
+    delta = [random_pose(rng) for _ in range(4)]
+    r, _ = edge_residuals(pose_from, pose_to, delta)
+    ad = np.array([adjoint(inverse(d)) for d in delta])
+    all_from, all_to = dr_jacobians(r, ad)
+    j_from, j_to = dr_jacobians(r, ad, np.array([0, 2]), np.array([1, 2, 3]))
+    assert j_from.shape == (2, 6, 6) and j_to.shape == (3, 6, 6)
+    assert np.allclose(j_from, all_from[[0, 2]], rtol=0, atol=1e-15)
+    assert np.allclose(j_to, all_to[[1, 2, 3]], rtol=0, atol=1e-15)
+
+
+# Property tests of the batched DR kernel.
+
+def twists(max_angle):
+    """Twist vectors (rho, phi) with |rho| <= 2 m and 0 <= |phi| <= max_angle."""
+    return st.tuples(arrays(float, 3, elements=st.floats(-2, 2)),
+                     arrays(float, 3, elements=st.floats(-1, 1)).filter(
+                         lambda a: np.linalg.norm(a) > 1e-3),
+                     st.floats(0, max_angle)).map(
+        lambda v: np.concatenate([v[0], v[1] / np.linalg.norm(v[1]) * v[2]]))
+
+
+def edges(max_angle=3.0):
+    """(from, to, delta) as Poses."""
+    return st.tuples(twists(max_angle), twists(max_angle), twists(max_angle)).map(
+        lambda v: tuple(exp_se3_vec(x) for x in v))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(edges(), min_size=1, max_size=8))
+def test_dr_batch_equals_one_edge_calls(batch):
+    pose_from, pose_to, delta = zip(*batch)
+    r, near_pi = edge_residuals(pose_from, pose_to, delta)
+    ad = np.array([adjoint(inverse(d)) for d in delta])
+    j_from, j_to = dr_jacobians(r, ad)
+    for e, edge in enumerate(batch):
+        r1, near1 = edge_residuals(*([x] for x in edge))
+        jf1, jt1 = dr_jacobians(r1, ad[e:e + 1])
+        assert near1[0] == near_pi[e]
+        assert np.allclose(r1[0], r[e], rtol=0, atol=1e-14)
+        assert np.allclose(jf1[0], j_from[e], rtol=0, atol=1e-14 * max(1.0, np.abs(jf1).max()))
+        assert np.allclose(jt1[0], j_to[e], rtol=0, atol=1e-14 * max(1.0, np.abs(jt1).max()))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(twists(3.0), twists(3.0))
+def test_dr_residual_zero_for_consistent_motion_property(from_twist, delta_twist):
+    pose_from, delta = exp_se3_vec(from_twist), exp_se3_vec(delta_twist)
+    r = edge_residual(pose_from, compose(pose_from, delta), delta)
+    assert np.linalg.norm(r) < 1e-9
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(twists(3.0), arrays(float, 3, elements=st.floats(-2, 2)),
+       arrays(float, 3, elements=st.floats(-1, 1)).filter(lambda a: np.linalg.norm(a) > 1e-3),
+       st.floats(0.0, 1e-7))
+def test_dr_residual_near_pi_flagged_property(from_twist, rho, axis, gap):
+    # an error rotation within 1e-6 of pi about a random axis
+    pose_from = exp_se3_vec(from_twist)
+    err = exp_se3_vec(np.concatenate([rho, axis / np.linalg.norm(axis) * (np.pi - gap)]))
+    r, near_pi = edge_residuals([pose_from], [compose(pose_from, err)], [Pose.identity()])
+    assert near_pi[0]
+    assert np.all(np.isfinite(r))
+    assert np.linalg.norm(r[0, 3:]) == pytest.approx(NEAR_PI, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(twists(2.5), twists(2.5), twists(2.5), st.booleans())
+def test_dr_jacobians_match_finite_differences_property(from_twist, to_twist, delta_twist,
+                                                        small_angle):
+    pose_from, delta = exp_se3_vec(from_twist), exp_se3_vec(delta_twist)
+    if small_angle:
+        # error rotation below the Taylor cutoff: |phi| < 1e-3
+        err = np.concatenate([to_twist[:3], to_twist[3:] * 2e-4])
+        pose_to = compose(compose(pose_from, delta), exp_se3_vec(err))
+    else:
+        pose_to = exp_se3_vec(to_twist)
+    r = edge_residual(pose_from, pose_to, delta)
+    theta = np.linalg.norm(r[3:])
+    if small_angle:
+        assert theta < JACOBIAN_SMALL_ANGLE
+    if theta > NEAR_PI - 1e-3:
+        return   # finite differences would straddle the log's domain edge
+    j_from, j_to = edge_jacobians(pose_from, pose_to, delta)
+
+    def r_of_from(d):
+        return edge_residual(compose(pose_from, exp_se3_vec(d)), pose_to, delta)
+
+    def r_of_to(d):
+        return edge_residual(pose_from, compose(pose_to, exp_se3_vec(d)), delta)
+
+    assert rel_err(j_from, fd_jacobian(r_of_from, 6)) < FD_RTOL
+    assert rel_err(j_to, fd_jacobian(r_of_to, 6)) < FD_RTOL
 
 
 def test_huber_weight():

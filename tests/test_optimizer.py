@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
-from conftest import CAMERA, make_ba_problem, random_pose
+from conftest import (CAMERA, edge_jacobians, edge_residual, make_ba_problem,
+                      random_pose)
 from drslam.errors import GaugeUnderconstrained, NoConstraints
 from drslam.factors import (
     DrFactor,
-    dr_residual,
     huber,
+    information_sqrt,
     make_reprojection_factor,
     reprojection_jacobians,
     reprojection_residuals,
@@ -174,7 +176,7 @@ def test_single_dr_factor_normal_equations_match_direct_product(rng):
     factor = DrFactor(0, 1, delta, np.eye(6))
     problem.dr_factors.append(factor)
     neq, _ = build_normal_equations(problem)
-    _, jf, jt = dr_residual(factor, a, b)
+    jf, jt = edge_jacobians(a, b, delta)
     j = np.hstack([jf, jt])
     assert np.allclose(neq.Hpp, j.T @ j, atol=1e-12)
 
@@ -221,11 +223,82 @@ def test_reprojection_normal_equations_match_direct_product(rng):
         if f.frame_id == 1 and f.landmark_id == 0:
             hpl += info * j_pose.T @ j_lm
     assert min(weights) < 1.0 == max(weights)   # both Huber branches are exercised
-    _, _, blocks, _, _ = neq.coupling()
-    assert len(blocks) == 1
-    for got, want in ((neq.Hpp, hpp), (neq.Hll[0], hll), (blocks[0], hpl),
+    assert neq.Hpl.shape == (1, 6, 1, 3)
+    for got, want in ((neq.Hpp, hpp), (neq.Hll[0], hll), (neq.Hpl[0, :, 0, :], hpl),
                       (neq.bp, bp), (neq.bl[0], bl)):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def direct_normal_equations(problem):
+    """H = J^T W J and b = -J^T W r over the free variables, one factor at a
+    time, with J from the factor kernels and W from huber or the information."""
+    free_poses = [i for i in sorted(problem.poses) if not problem.poses[i].fixed]
+    free_lms = [j for j in sorted(problem.landmarks) if not problem.landmarks[j].fixed]
+    pose_col = {p: 6 * k for k, p in enumerate(free_poses)}
+    lm_col = {l: 6 * len(free_poses) + 3 * k for k, l in enumerate(free_lms)}
+    n = 6 * len(free_poses) + 3 * len(free_lms)
+    h, b = np.zeros((n, n)), np.zeros(n)
+    for f in problem.reprojection_factors:
+        pose = problem.poses[f.frame_id].pose
+        lm = problem.landmarks[f.landmark_id].position
+        y, r = reprojection_residuals(CAMERA, pose, lm[None], f.observed[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
+        _, w = huber(np.linalg.norm(r[0]) / f.pixel_std, f.huber_threshold)
+        j = np.zeros((2, n))
+        if f.frame_id in pose_col:
+            j[:, pose_col[f.frame_id]:pose_col[f.frame_id] + 6] = j_pose
+        if f.landmark_id in lm_col:
+            j[:, lm_col[f.landmark_id]:lm_col[f.landmark_id] + 3] = j_lm
+        info = w / f.pixel_std ** 2
+        h += info * j.T @ j
+        b -= info * j.T @ r[0]
+    for f in problem.dr_factors:
+        a, c = problem.poses[f.from_id].pose, problem.poses[f.to_id].pose
+        j = np.zeros((6, n))
+        for pid, jac in zip((f.from_id, f.to_id), edge_jacobians(a, c, f.delta)):
+            if pid in pose_col:
+                j[:, pose_col[pid]:pose_col[pid] + 6] += jac
+        u = information_sqrt(f.information)
+        h += (u @ j).T @ (u @ j)
+        b -= (u @ j).T @ (u @ edge_residual(a, c, f.delta))
+    return h, b
+
+
+def test_normal_equations_match_direct_product_with_repeated_factors(rng):
+    # poses 1-3 free, pose 0 and landmark 5 fixed; the pairs (1, 0) and (2, 3)
+    # carry two reprojection factors each, and the DR edge 1->2 appears twice
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_pose(0, Pose.identity(), fixed=True)
+    for i in (1, 2, 3):
+        problem.add_pose(i, exp_se3_vec(rng.normal(scale=0.05, size=6)))
+    for j in range(6):
+        lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
+        problem.add_landmark(j, lm, fixed=j == 5)
+    pixel_std = 0.5
+    pairs = [(1, 0), (1, 0), (1, 1), (1, 5), (2, 3), (2, 3), (2, 0), (2, 4), (3, 1), (3, 4),
+             (0, 2), (3, 2)]
+    for i, j in pairs:
+        pose, lm = problem.poses[i].pose, problem.landmarks[j].position
+        obs = project(CAMERA, transform_point(inverse(pose), lm)) \
+            + rng.normal(scale=3 * pixel_std, size=2)
+        problem.reprojection_factors.append(make_reprojection_factor(i, j, obs, pixel_std))
+    for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
+        delta = compose(compose(inverse(problem.poses[a].pose), problem.poses[c].pose),
+                        exp_se3_vec(rng.normal(scale=0.01, size=6)))
+        problem.dr_factors.append(DrFactor(a, c, delta, scale_information(2.0, NOMINAL)))
+    neq, _ = build_normal_equations(problem)
+    h, b = direct_normal_equations(problem)
+
+    n_p = 6 * neq.n_pose_free
+    assert neq.Hpl.shape == (3, 6, 5, 3)
+    scale = np.max(np.abs(h))
+    assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(neq.Hpp, h[:n_p, :n_p], rtol=1e-12, atol=1e-12 * scale)
+    for k in range(neq.n_lm_free):
+        s = n_p + 3 * k
+        assert np.allclose(neq.Hll[k], h[s:s + 3, s:s + 3], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(neq.bp, b[:n_p], rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+    assert np.allclose(neq.bl.reshape(-1), b[n_p:], rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
 
 
 def test_dr_hessian_linear_in_alpha(rng):
@@ -243,7 +316,7 @@ def test_dr_hessian_linear_in_alpha(rng):
 
     alpha1, alpha2 = 0.37, 41.5
     h1, h2 = hessians(alpha1), hessians(alpha2)
-    _, jf, jt = dr_residual(DrFactor(0, 1, delta, w0), a, b)
+    jf, jt = edge_jacobians(a, b, delta)
     j = np.hstack([jf, jt])
     expected = (alpha2 - alpha1) * (j.T @ w0 @ j)
     scale = np.max(np.abs(expected))
@@ -280,6 +353,46 @@ def test_schur_matches_dense_on_random_problems(rng):
         step_d = dense_solve(neq, lam)
         denom = max(np.max(np.abs(step_d)), 1e-12)
         assert np.max(np.abs(step_s - step_d)) / denom < 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_poses=st.integers(1, 6), n_fixed=st.integers(0, 2),
+       n_lms=st.integers(0, 20), density=st.floats(0.0, 1.0),
+       with_dr=st.booleans(), damping=st.sampled_from([1e-2, 1.0, 1e2]))
+def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, density,
+                                                with_dr, damping):
+    # sparsity drawn per (pose, landmark) pair: landmarks seen once or never,
+    # free poses that see no landmark, and fully fixed problems all occur
+    rng = np.random.default_rng(seed)
+    problem = Problem(intrinsics=CAMERA)
+    for i in range(n_poses):
+        problem.add_pose(i, exp_se3_vec(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
+    for j in range(n_lms):
+        lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
+        problem.add_landmark(j, lm, fixed=rng.uniform() < 0.2)
+        for i in range(n_poses):
+            if rng.uniform() < density:
+                obs = project(CAMERA, transform_point(inverse(problem.poses[i].pose), lm))
+                problem.reprojection_factors.append(make_reprojection_factor(
+                    i, j, obs + rng.normal(scale=1.0, size=2), pixel_std=1.0))
+    if with_dr:
+        for i in range(n_poses - 1):
+            delta = exp_se3_vec(rng.normal(scale=0.05, size=6))
+            problem.dr_factors.append(DrFactor(i, i + 1, delta, NOMINAL.matrix()))
+    neq, _ = build_normal_equations(problem)
+    step_s = schur_solve(neq, damping)
+    step_d = dense_solve(neq, damping)
+    assert step_s.shape == step_d.shape
+    if not len(step_d):
+        return
+    # many draws are rank deficient up to the damping, so the two steps agree
+    # to within the damped system's conditioning; the Schur step solves that
+    # system to a small backward error either way
+    h, b = neq.dense(damping)
+    diff = np.max(np.abs(step_s - step_d)) / max(np.max(np.abs(step_d)), 1e-12)
+    assert diff < 1e-11 * np.linalg.cond(h)
+    scale = np.linalg.norm(h, 2) * np.linalg.norm(step_s) + np.linalg.norm(b)
+    assert np.linalg.norm(h @ step_s - b) <= 1e-10 * scale
 
 
 def test_schur_landmark_free_reduces_to_pose_solve(rng):

@@ -242,6 +242,7 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     assert attempts, "no loop closure was attempted"
     assert res.slam_map.loop_edges == []
     assert res.gba_events == []
+    assert res.gba_failed == len(attempts)
     assert all(b - a >= PARAMS.loop_cooldown for a, b in zip(attempts, attempts[1:]))
 
 
