@@ -116,6 +116,7 @@ def cmd_run(args) -> int:
             ("track_lost_frame",
              "" if result.track_lost_frame is None else str(result.track_lost_frame)),
             ("loop_closures", str(len(result.gba_events))),
+            ("motion_failed", str(result.motion_failed)),
             ("lba_failed", str(result.lba_failed)),
             ("gba_failed", str(result.gba_failed))]
     v = _run_verdict(result, sequence)

@@ -74,9 +74,11 @@ def reprojection_residuals(k: CameraIntrinsics, pose: Pose, points: np.ndarray,
     return y, observed - u
 
 
-def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray):
+def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray,
+                           landmarks: bool = True):
     """Residual Jacobians w.r.t. the pose (N, 2, 6) and the landmark (N, 2, 3)
-    at camera-frame points y in front of the near plane."""
+    at camera-frame points y in front of the near plane. With landmarks
+    False (points held fixed) the landmark Jacobian is not formed: None."""
     n = len(y)
     z = y[:, 2]
     jpi = np.zeros((n, 2, 3))
@@ -93,8 +95,9 @@ def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray):
     haty[:, 2, 1] = y[:, 0]
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
     j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, haty)], axis=2)
-    j_landmark = -np.einsum("nij,jk->nik", jpi, pose.rotation_matrix.T)
-    return j_pose, j_landmark
+    if not landmarks:
+        return j_pose, None
+    return j_pose, -np.einsum("nij,jk->nik", jpi, pose.rotation_matrix.T)
 
 
 # Rotation angle at which the SE(3) log saturates; as in geometry.so3_log_quat.
@@ -140,27 +143,44 @@ def _hat(v: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,nj->nik", _EPS, v)
 
 
+def _closed_form_angle(theta: np.ndarray):
+    """Angles to evaluate the closed-form coefficients at, and the mask of the
+    angles below JACOBIAN_SMALL_ANGLE, which take the Taylor series instead;
+    the mask is None when no angle is small, so no series is evaluated. Small
+    angles enter the closed forms as 1.0, and those values are discarded."""
+    small = theta < JACOBIAN_SMALL_ANGLE
+    if not small.any():
+        return theta, None
+    return np.where(small, 1.0, theta), small
+
+
 def _v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
     """c(theta) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse of the
     SO(3) left Jacobian; as in geometry._v_inverse."""
-    small = theta < JACOBIAN_SMALL_ANGLE
-    t = np.where(small, 1.0, theta)
-    return np.where(small, 1.0 / 12.0 + theta * theta / 720.0 + theta ** 4 / 30240.0,
-                    (1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t))
+    t, small = _closed_form_angle(theta)
+    c = (1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t)
+    if small is None:
+        return c
+    return np.where(small, 1.0 / 12.0 + theta * theta / 720.0 + theta ** 4 / 30240.0, c)
 
 
-def _translation_rotation_block(rho: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian (N, 3, 3)."""
-    small = theta < JACOBIAN_SMALL_ANGLE
-    t = np.where(small, 1.0, theta)
-    t2, s2 = t * t, theta * theta
+def _translation_rotation_block(rho: np.ndarray, p: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Translation-rotation coupling block of the SE(3) left Jacobian (N, 3, 3),
+    with p = hat(phi) and theta = |phi|."""
+    t, small = _closed_form_angle(theta)
+    t2 = t * t
     sin_t = np.sin(t)
-    c1 = np.where(small, 1.0 / 6.0 - s2 / 120.0, (t - sin_t) / (t2 * t))
-    c2 = np.where(small, 1.0 / 24.0 - s2 / 720.0, (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2))
-    c3 = np.where(small, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0)),
-                  0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t)))
+    c1 = (t - sin_t) / (t2 * t)
+    c2 = (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2)
+    if small is not None:
+        s2 = theta * theta
+        c1 = np.where(small, 1.0 / 6.0 - s2 / 120.0, c1)
+        c2 = np.where(small, 1.0 / 24.0 - s2 / 720.0, c2)
+    c3 = 0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t))
+    if small is not None:
+        c3 = np.where(small, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0)), c3)
     c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
-    p, rh = _hat(phi), _hat(rho)
+    rh = _hat(rho)
     pr, rp = p @ rh, rh @ p
     prp = pr @ p
     return (0.5 * rh + c1 * (pr + rp + p @ rp)
@@ -177,7 +197,7 @@ def _left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
     out = np.zeros((len(xi), 6, 6))
     out[:, :3, :3] = jinv
     out[:, 3:, 3:] = jinv
-    out[:, :3, 3:] = -jinv @ _translation_rotation_block(rho, phi, theta) @ jinv
+    out[:, :3, 3:] = -jinv @ _translation_rotation_block(rho, k, theta) @ jinv
     return out
 
 

@@ -1,15 +1,19 @@
 """Levenberg-Marquardt bundle adjustment over pose and landmark variables.
 
-One solver core drives all three problem shapes: motion-only (single free
-pose, landmarks fixed), local BA (window of keyframes plus their landmarks),
-and global BA (everything, first keyframe fixed). Visual factors carry a
-Huber kernel; DR factors are whitened by their alpha-scaled information and
-carry no kernel. Every DR edge of a problem is linearized in one batched
-call. The linear solve eliminates landmarks by Schur complement; a dense
-path exists for verification. The pose-landmark coupling is kept as one
-dense block, O(F*L) memory for F free poses and L free landmarks; the Schur
-complement is formed from it in chunks of landmarks, each a product over the
-poses that observe the chunk.
+One LM loop drives two linearizers. The Problem linearizer serves local BA
+(window of keyframes plus their landmarks) and global BA (everything, first
+keyframe fixed); the motion-only linearizer serves tracking: one free pose
+against fixed map points given as arrays in match order, with at most one DR
+edge from the fixed previous pose, and a 6x6 system. Both evaluate residuals
+once per point through the factors kernels, and the loop linearizes each
+accepted point from the residuals its cost check computed there. Visual
+factors carry a Huber kernel; DR factors are whitened by their alpha-scaled
+information and carry no kernel. Every DR edge of a problem is linearized in
+one batched call. The BA linear solve eliminates landmarks by Schur
+complement; a dense path exists for verification. The pose-landmark coupling
+is kept as one dense block, O(F*L) memory for F free poses and L free
+landmarks; the Schur complement is formed from it in chunks of landmarks,
+each a product over the poses that observe it.
 """
 
 from __future__ import annotations
@@ -75,9 +79,6 @@ class Problem:
             if f.from_id not in self.poses or f.to_id not in self.poses:
                 raise KeyError("dr factor references unknown pose")
 
-    def free_pose_ids(self):
-        return [i for i, v in self.poses.items() if not v.fixed]
-
 
 @dataclass
 class SolverConfig:
@@ -97,6 +98,9 @@ class SolverReport:
     final_cost: float = 0.0
     termination: str = "empty"
     min_pose_eigenvalue: float = float("nan")
+    evaluations: int = 0            # cost evaluations, the starting point included
+    rejected_steps: int = 0         # candidate steps that raised the cost
+    final_damping: float = float("nan")
 
 
 class NormalEquations:
@@ -142,7 +146,11 @@ def min_pose_eigenvalue(neq: NormalEquations) -> float:
     """Smallest eigenvalue of the pose-pose block (conditioning diagnostic)."""
     if neq.n_pose_free == 0:
         return float("nan")
-    return float(np.linalg.eigvalsh(0.5 * (neq.Hpp + neq.Hpp.T)).min())
+    return _min_eigenvalue(neq.Hpp)
+
+
+def _min_eigenvalue(hpp: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (hpp + hpp.T)).min())
 
 
 # Landmarks per product in the Schur complement: large enough that a local BA
@@ -215,7 +223,11 @@ def dense_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
 
 
 class _Linearizer:
-    """Caches the factor structure of a Problem for repeated evaluation."""
+    """Caches the factor structure of a Problem for repeated evaluation.
+
+    A point is the pair (poses, landmark positions); its system is a
+    NormalEquations, solved by schur_solve.
+    """
 
     def __init__(self, problem: Problem):
         problem.validate()
@@ -256,12 +268,8 @@ class _Linearizer:
         drs = problem.dr_factors
         self.dr_from = np.array([self.slot[f.from_id] for f in drs], dtype=int)
         self.dr_to = np.array([self.slot[f.to_id] for f in drs], dtype=int)
-        delta_inv = [inverse(f.delta) for f in drs]
-        self.dr_delta_inv_q = np.array([d.q for d in delta_inv]).reshape(-1, 4)
-        self.dr_delta_inv_t = np.array([d.t for d in delta_inv]).reshape(-1, 3)
-        self.dr_delta_inv_adjoint = np.array([adjoint(d) for d in delta_inv]).reshape(-1, 6, 6)
-        self.dr_sqrt_info = np.array([information_sqrt(f.information)
-                                      for f in drs]).reshape(-1, 6, 6)
+        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_info = \
+            _dr_edge_arrays([f.delta for f in drs], [f.information for f in drs])
         pose_free_index = np.array([self.free_index.get(i, -1)
                                     for i in range(len(self.pose_ids))], dtype=int)
         self.dr_from_free = pose_free_index[self.dr_from]
@@ -271,7 +279,8 @@ class _Linearizer:
         self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]) \
             if self.lm_ids else np.zeros((0, 3))
 
-    def apply_step(self, poses, lm_pos, step):
+    def retract(self, point, step):
+        poses, lm_pos = point
         dp = step[:6 * self.n_pose_free]
         dl = step[6 * self.n_pose_free:]
         new_poses = list(poses)
@@ -284,27 +293,39 @@ class _Linearizer:
             new_lm[rows] += dl.reshape(-1, 3)[self.lm_free_index[rows]]
         return new_poses, new_lm
 
-    def evaluate(self, poses, lm_pos, with_jacobians: bool):
+    def residuals(self, point):
+        """Cost at the point and the per-row residuals linearize reuses."""
+        poses, lm_pos = point
         cost = 0.0
-        neq = NormalEquations(self.n_pose_free, self.n_lm_free) if with_jacobians else None
+        visual = []
         for slot, rows, obs, inv_std, huber_k in self.groups:
-            pose = poses[slot]
-            y, r = reprojection_residuals(self.k, pose, lm_pos[rows], obs)
-            rw_all = r * inv_std[:, None]
-            rho, w_all = huber(np.linalg.norm(rw_all, axis=1), huber_k)
-            cost += float(np.sum(rho))
-            if not with_jacobians:
-                continue
-            active = y[:, 2] > Z_MIN
-            rows_a = rows[active]
-            if len(rows_a) == 0:
-                continue
-            j_pose, j_lm = reprojection_jacobians(self.k, pose, y[active])
-            sqrt_w = np.sqrt(w_all[active])
-            scale = (inv_std[active] * sqrt_w)[:, None, None]
-            jp = j_pose * scale
-            rw = rw_all[active] * sqrt_w[:, None]
+            group_cost, group = _visual_residuals(self.k, poses[slot], lm_pos[rows], obs,
+                                                  inv_std, huber_k)
+            cost += group_cost
+            visual.append(group)
+        dr = None
+        if len(self.dr_from):
+            from_p = [poses[s] for s in self.dr_from]
+            to_p = [poses[s] for s in self.dr_to]
+            dr = _dr_whitened_residuals(
+                np.array([p.q for p in from_p]), np.array([p.t for p in from_p]),
+                np.array([p.q for p in to_p]), np.array([p.t for p in to_p]),
+                self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_sqrt_info)
+            cost += dr[3]
+        return cost, (visual, dr)
+
+    def linearize(self, point, cache) -> NormalEquations:
+        """Normal equations at the point, from the residuals computed there."""
+        poses, _ = point
+        visual, dr = cache
+        neq = NormalEquations(self.n_pose_free, self.n_lm_free)
+        for (slot, rows, _, inv_std, _), group in zip(self.groups, visual):
             pose_free = not self.fixed[slot]
+            weighted = _visual_jacobians(self.k, poses[slot], group, inv_std)
+            if weighted is None:
+                continue
+            active, jp, j_lm, scale, rw = weighted
+            rows_a = rows[active]
             if pose_free:
                 pj = self.free_index[slot]
                 neq.Hpp[6 * pj:6 * pj + 6, 6 * pj:6 * pj + 6] += np.einsum("nij,nik->jk", jp, jp)
@@ -320,22 +341,13 @@ class _Linearizer:
                     wblocks = np.einsum("nij,nik->njk", jp[lm_free], jl_f)
                     # add.at: one pose may observe a landmark twice
                     np.add.at(neq.Hpl, (pj, slice(None), frows), wblocks)
-        if len(self.dr_from):
-            cost += self._evaluate_dr(poses, neq)
-        return cost, neq
+        if dr is not None:
+            self._linearize_dr(dr, neq)
+        return neq
 
-    def _evaluate_dr(self, poses, neq: NormalEquations | None) -> float:
-        """Cost of every DR edge; with neq, also adds their normal equations."""
-        from_p = [poses[s] for s in self.dr_from]
-        to_p = [poses[s] for s in self.dr_to]
-        r, near_pi = dr_residuals(
-            np.array([p.q for p in from_p]), np.array([p.t for p in from_p]),
-            np.array([p.q for p in to_p]), np.array([p.t for p in to_p]),
-            self.dr_delta_inv_q, self.dr_delta_inv_t)
-        rw = (self.dr_sqrt_info @ r[:, :, None])[:, :, 0]
-        cost = 0.5 * float(np.sum(rw * rw))
-        if neq is None:
-            return cost
+    def _linearize_dr(self, dr, neq: NormalEquations) -> None:
+        """Adds the normal equations of every DR edge."""
+        r, near_pi, rw, _ = dr
         # near-pi edges stay in the cost but are inactive for Jacobians; the
         # angle is tested again at the next linearization
         f_sel = ~near_pi & (self.dr_from_free >= 0)
@@ -363,35 +375,150 @@ class _Linearizer:
                   np.concatenate(blocks))
         rw_rows = np.concatenate([rw[f_sel], rw[t_sel]])
         np.add.at(neq.bp.reshape(n, 6), idx, -(jwt @ rw_rows[:, :, None])[:, :, 0])
-        return cost
+
+    def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
+        return schur_solve(neq, damping)
+
+    def min_pose_eigenvalue(self, neq: NormalEquations) -> float:
+        return min_pose_eigenvalue(neq)
 
 
-def build_normal_equations(problem: Problem):
-    """Linearize at the problem's current variables; returns (neq, cost)."""
-    lin = _Linearizer(problem)
-    cost, neq = lin.evaluate(lin.poses, lin.lm_pos, with_jacobians=True)
-    return neq, cost
+class _PoseLinearizer:
+    """Motion-only BA: one free pose against fixed points, and at most one DR
+    edge from a fixed previous pose.
+
+    A point is the Pose; its system is the 6x6 pair (H, b). Rows are the
+    matched points (N, 3) and pixels (N, 2) in match order, with the inverse
+    pixel std and the Huber threshold of each row. The arithmetic and its
+    order are those of _Linearizer on the equivalent one-free-pose Problem:
+    reprojection terms first, then the DR edge.
+    """
+
+    # The DR edge's from side is fixed and its to side free, as a
+    # _Linearizer selects them for an edge whose angle is not near pi.
+    _FROM_ROWS = np.array([False])
+    _TO_ROWS = np.array([True])
+
+    def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
+        self.k = camera
+        self.points, self.uv = points, uv
+        self.inv_std, self.huber_k = inv_std, huber_threshold
+        self.dr_sqrt_info = None
+        if dr is not None:
+            previous, delta, information = dr
+            self.from_q, self.from_t = np.array([previous.q]), np.array([previous.t])
+            self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_info = \
+                _dr_edge_arrays([delta], [information])
+
+    def retract(self, pose: Pose, step) -> Pose:
+        return compose(pose, exp_se3_vec(step))
+
+    def residuals(self, pose: Pose):
+        """Cost at the pose and the per-row residuals linearize reuses."""
+        cost = 0.0
+        visual = dr = None
+        if len(self.points):
+            cost, visual = _visual_residuals(self.k, pose, self.points, self.uv,
+                                             self.inv_std, self.huber_k)
+        if self.dr_sqrt_info is not None:
+            dr = _dr_whitened_residuals(self.from_q, self.from_t,
+                                        np.array([pose.q]), np.array([pose.t]),
+                                        self.delta_inv_q, self.delta_inv_t, self.dr_sqrt_info)
+            cost += dr[3]
+        return cost, (visual, dr)
+
+    def linearize(self, pose: Pose, cache):
+        """The 6x6 system (H, b) at the pose, from the residuals computed there."""
+        visual, dr = cache
+        H = np.zeros((6, 6))
+        b = np.zeros(6)
+        weighted = None if visual is None else \
+            _visual_jacobians(self.k, pose, visual, self.inv_std, landmarks=False)
+        if weighted is not None:
+            _, jp, _, _, rw = weighted
+            H += np.einsum("nij,nik->jk", jp, jp)
+            b -= np.einsum("nij,ni->j", jp, rw)
+        if dr is not None and not dr[1][0]:
+            r, _, rw, _ = dr
+            _, j_to = dr_jacobians(r, self.delta_inv_adjoint, self._FROM_ROWS, self._TO_ROWS)
+            jw = self.dr_sqrt_info @ j_to
+            jwt = jw.transpose(0, 2, 1)
+            H += (jwt @ jw)[0]
+            b -= (jwt @ rw[:, :, None])[0, :, 0]
+        return H, b
+
+    def step(self, system, damping: float) -> np.ndarray:
+        """The damped step, with the diagonal add that schur_solve makes."""
+        H, b = system
+        s = H.copy()
+        s.flat[::7] += damping
+        try:
+            return np.linalg.solve(s, b)
+        except np.linalg.LinAlgError as e:
+            raise SingularSystem("motion-only system is singular") from e
+
+    def min_pose_eigenvalue(self, system) -> float:
+        return _min_eigenvalue(system[0])
 
 
-def _write_back(problem: Problem, lin: _Linearizer, poses, lm_pos):
-    for pid, s in lin.slot.items():
-        problem.poses[pid].pose = poses[s]
-    for lid, row in lin.lm_row.items():
-        problem.landmarks[lid].position = lm_pos[row].copy()
+def _dr_edge_arrays(deltas, informations):
+    """Per DR edge: inverted increment (quaternion, translation), Ad(delta^-1)
+    and the whitening square root of the information, stacked."""
+    delta_inv = [inverse(d) for d in deltas]
+    return (np.array([d.q for d in delta_inv]).reshape(-1, 4),
+            np.array([d.t for d in delta_inv]).reshape(-1, 3),
+            np.array([adjoint(d) for d in delta_inv]).reshape(-1, 6, 6),
+            np.array([information_sqrt(i) for i in informations]).reshape(-1, 6, 6))
 
 
-def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
-    """Core LM loop; updates the problem's variables in place."""
-    config = config or SolverConfig()
-    lin = _Linearizer(problem)
-    if lin.n_pose_free == 0 and lin.n_lm_free == 0:
-        return SolverReport(termination="no_free_variables")
+def _visual_residuals(k, pose, points, observed, inv_std, huber_k):
+    """Huber cost of one camera's rows, and their camera-frame points,
+    whitened residuals and IRLS weights."""
+    y, r = reprojection_residuals(k, pose, points, observed)
+    rw = r * inv_std[:, None]
+    rho, w = huber(np.linalg.norm(rw, axis=1), huber_k)
+    return float(np.sum(rho)), (y, rw, w)
 
-    poses, lm_pos = lin.poses, lin.lm_pos
+
+def _visual_jacobians(k, pose, group, inv_std, landmarks: bool = True):
+    """IRLS-weighted pose Jacobians and residuals of one camera's rows in front
+    of the near plane: (active, jp, j_landmark, scale, rw); None if none is."""
+    y, rw_all, w_all = group
+    active = y[:, 2] > Z_MIN
+    if not active.all():
+        if not active.any():
+            return None
+        y, rw_all, w_all, inv_std = y[active], rw_all[active], w_all[active], inv_std[active]
+    j_pose, j_lm = reprojection_jacobians(k, pose, y, landmarks)
+    sqrt_w = np.sqrt(w_all)
+    scale = (inv_std * sqrt_w)[:, None, None]
+    return active, j_pose * scale, j_lm, scale, rw_all * sqrt_w[:, None]
+
+
+def _dr_whitened_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t, sqrt_info):
+    """Residuals, near-pi mask, whitened residuals and cost of DR edges."""
+    r, near_pi = dr_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t)
+    rw = (sqrt_info @ r[:, :, None])[:, :, 0]
+    return r, near_pi, rw, 0.5 * float(np.sum(rw * rw))
+
+
+def _levenberg_marquardt(lin, point, config: SolverConfig):
+    """The one LM loop; returns the final point and the report.
+
+    lin is a linearizer over points of its own kind: residuals(point) gives
+    the cost and a cache of per-row residuals, linearize(point, cache) the
+    system at the point, step(system, damping) the damped step (or raises
+    SingularSystem), retract(point, step) the moved point, and
+    min_pose_eigenvalue(system) the conditioning diagnostic. Residuals are
+    evaluated once per point: an accepted candidate is linearized from the
+    residuals its cost check computed.
+    """
     lam = config.initial_damping
     report = SolverReport(termination="max_iterations")
     accepted_any = False
-    cost, neq = lin.evaluate(poses, lm_pos, with_jacobians=True)
+    cost, cache = lin.residuals(point)
+    report.evaluations = 1
+    system = lin.linearize(point, cache)
     report.initial_cost = cost
     for it in range(1, config.max_iterations + 1):
         report.iterations = it
@@ -400,18 +527,20 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
         step = None
         while lam <= config.max_damping:
             try:
-                step = schur_solve(neq, lam)
+                step = lin.step(system, lam)
             except SingularSystem:
                 lam *= config.damping_up
                 continue
-            cand_poses, cand_lm = lin.apply_step(poses, lm_pos, step)
-            new_cost, _ = lin.evaluate(cand_poses, cand_lm, with_jacobians=False)
+            candidate = lin.retract(point, step)
+            new_cost, new_cache = lin.residuals(candidate)
+            report.evaluations += 1
             if new_cost <= cost:
-                poses, lm_pos = cand_poses, cand_lm
+                point, cache = candidate, new_cache
                 lam = max(lam * config.damping_down, 1e-15)
                 accepted = True
                 accepted_any = True
                 break
+            report.rejected_steps += 1
             best_overshoot = min(best_overshoot, new_cost - cost)
             lam *= config.damping_up
         if not accepted:
@@ -422,39 +551,65 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
             raise Diverged("no damping value produced a cost decrease")
         decrease = cost - new_cost
         cost = new_cost
+        system = lin.linearize(point, cache)
         if decrease <= config.cost_tolerance * max(cost, 1e-30):
             report.termination = "cost_tolerance"
-            cost, neq = lin.evaluate(poses, lm_pos, with_jacobians=True)
             break
-        cost, neq = lin.evaluate(poses, lm_pos, with_jacobians=True)
         if np.max(np.abs(step)) < config.step_tolerance:
             report.termination = "step_tolerance"
             break
     report.final_cost = cost
-    report.min_pose_eigenvalue = min_pose_eigenvalue(neq)
+    report.final_damping = lam
+    report.min_pose_eigenvalue = lin.min_pose_eigenvalue(system)
+    return point, report
+
+
+def build_normal_equations(problem: Problem):
+    """Linearize at the problem's current variables; returns (neq, cost)."""
+    lin = _Linearizer(problem)
+    point = (lin.poses, lin.lm_pos)
+    cost, cache = lin.residuals(point)
+    return lin.linearize(point, cache), cost
+
+
+def _write_back(problem: Problem, lin: _Linearizer, poses, lm_pos):
+    for pid, s in lin.slot.items():
+        problem.poses[pid].pose = poses[s]
+    for lid, row in lin.lm_row.items():
+        problem.landmarks[lid].position = lm_pos[row].copy()
+
+
+def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
+    """LM over a Problem; updates the problem's variables in place."""
+    config = config or SolverConfig()
+    lin = _Linearizer(problem)
+    if lin.n_pose_free == 0 and lin.n_lm_free == 0:
+        return SolverReport(termination="no_free_variables")
+    (poses, lm_pos), report = _levenberg_marquardt(lin, (lin.poses, lin.lm_pos), config)
     _write_back(problem, lin, poses, lm_pos)
     return report
 
 
-def solve_motion_only(problem: Problem, config: SolverConfig | None = None):
-    """Single-pose refinement with landmarks fixed.
+def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, inv_std,
+                      huber_threshold, dr=None, config: SolverConfig | None = None):
+    """Motion-only BA: refine one pose against fixed map points.
 
-    DR factors enter with the information they carry, already scaled by
-    their weight. Raises NoConstraints when the free pose has no factor at all.
+    points (N, 3) are the matched map points and uv (N, 2) their pixels, in
+    match order; inv_std and huber_threshold are each row's inverse pixel std
+    and Huber threshold, per row (N,) or one value for all rows. dr is None or
+    one DR edge (previous, delta, information) from the fixed previous pose,
+    its information already scaled by its weight. Starts at pose, the
+    prediction; returns (pose, report). Raises NoConstraints when there is no
+    row and no DR edge.
     """
-    free = problem.free_pose_ids()
-    if len(free) != 1:
-        raise ValueError(f"motion-only solve needs exactly one free pose, got {len(free)}")
-    for lid, lm in problem.landmarks.items():
-        if not lm.fixed:
-            raise ValueError("landmarks must be fixed in a motion-only solve")
-    pid = free[0]
-    if not (any(f.frame_id == pid for f in problem.reprojection_factors)
-            or any(pid in (f.from_id, f.to_id) for f in problem.dr_factors)):
-        raise NoConstraints(f"pose {pid} has no visual and no DR factor")
-    config = config or SolverConfig(max_iterations=10)
-    report = solve(problem, config)
-    return problem.poses[pid].pose, report
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    if n == 0 and dr is None:
+        raise NoConstraints("the pose has no visual and no DR constraint")
+    lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
+                          np.broadcast_to(np.asarray(inv_std, dtype=float), (n,)),
+                          np.broadcast_to(np.asarray(huber_threshold, dtype=float), (n,)), dr)
+    return _levenberg_marquardt(lin, pose, config or SolverConfig(max_iterations=10))
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

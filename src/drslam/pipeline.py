@@ -200,6 +200,7 @@ class RunResult:
     slam_map: SlamMap
     track_lost_frame: int | None
     gba_events: list
+    motion_failed: int       # frames left at the prediction (NoConstraints, Diverged, SingularSystem)
     lba_failed: int          # local BA windows left unrefined (Diverged, SingularSystem)
     gba_failed: int          # global BAs that failed and had their loop edge rolled back
 
@@ -237,6 +238,7 @@ class Pipeline:
         self.track_lost_frame: int | None = None
         self.last_gba_kf: int | None = None
         self.gba_events: list[GbaEvent] = []
+        self.motion_failed = 0
         self.lba_failed = 0
         self.gba_failed = 0
         self._next_kf_id = 0
@@ -260,18 +262,14 @@ class Pipeline:
         return None
 
     def _solve_motion(self, predicted, observations, dr, alpha):
-        problem = Problem(intrinsics=self.camera)
-        problem.add_pose(1, predicted, fixed=False)
-        for j, u, v in observations:
-            problem.add_landmark(j, self.slam_map.points[j].position, fixed=True)
-            problem.reprojection_factors.append(make_reprojection_factor(
-                1, j, np.array([u, v]), self.params.pixel_std,
-                huber_scale=self.params.huber_scale))
+        p = self.params
+        points = [self.slam_map.points[j].position for j, _, _ in observations]
+        uv = [(u, v) for _, u, v in observations]
+        prior = None
         if alpha is not None and dr is not None:
-            problem.add_pose(0, self.prev_frame.pose, fixed=True)
-            problem.dr_factors.append(DrFactor(
-                0, 1, dr, scale_information(alpha, self.params.nominal)))
-        return solve_motion_only(problem, self.params.motion_solver)
+            prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
+        return solve_motion_only(self.camera, predicted, points, uv, 1.0 / p.pixel_std,
+                                 p.huber_scale, prior, p.motion_solver)
 
     def process(self, record) -> Frame:
         dr = record.dr_delta
@@ -324,6 +322,7 @@ class Pipeline:
         except (NoConstraints, Diverged, SingularSystem):
             pose = predicted
             tracked_ok = False
+            self.motion_failed += 1
 
         frame = Frame(record.frame_id, record.timestamp, pose, stats, q,
                       observations, dr, tracked_ok,
@@ -627,8 +626,8 @@ class Pipeline:
     def result(self) -> RunResult:
         return RunResult(mode=self.mode, frames=self.frames, slam_map=self.slam_map,
                          track_lost_frame=self.track_lost_frame,
-                         gba_events=self.gba_events, lba_failed=self.lba_failed,
-                         gba_failed=self.gba_failed)
+                         gba_events=self.gba_events, motion_failed=self.motion_failed,
+                         lba_failed=self.lba_failed, gba_failed=self.gba_failed)
 
 
 def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:

@@ -107,6 +107,26 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
     return problem, gt_poses, np.array(gt_landmarks)
 
 
+def motion_only_args(problem):
+    """Keyword arguments of solve_motion_only equivalent to a Problem with one
+    free pose, fixed landmarks and at most one DR edge from a fixed pose; rows
+    in factor order."""
+    (pid,) = [i for i, v in problem.poses.items() if not v.fixed]
+    fs = problem.reprojection_factors
+    n = len(fs)
+    dr = None
+    if problem.dr_factors:
+        (f,) = problem.dr_factors
+        assert f.to_id == pid and problem.poses[f.from_id].fixed
+        dr = (problem.poses[f.from_id].pose, f.delta, f.information)
+    return dict(camera=problem.intrinsics, pose=problem.poses[pid].pose,
+                points=np.array([problem.landmarks[f.landmark_id].position for f in fs]).reshape(n, 3),
+                uv=np.array([f.observed for f in fs]).reshape(n, 2),
+                inv_std=np.array([1.0 / f.pixel_std for f in fs]),
+                huber_threshold=np.array([f.huber_threshold for f in fs]),
+                dr=dr)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

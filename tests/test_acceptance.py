@@ -190,13 +190,10 @@ def test_criterion_05_conditioning_guarantee():
         prev = random_pose(rng)
         delta = exp_se3_vec(np.array([0.03, 0.001, 0.01, 0.002, 0.01, 0.001]))
         prediction = compose(prev, delta)
-        problem = Problem(intrinsics=CAMERA)
-        problem.add_pose(0, prev, fixed=True)
-        problem.add_pose(1, compose(prediction, exp_se3_vec(
-            rng.normal(scale=0.02, size=6))), fixed=False)
-        problem.dr_factors.append(DrFactor(
-            0, 1, delta, scale_information(dr_weight(0.0, BOUNDS), NOMINAL)))
-        pose, rep = solve_motion_only(problem)
+        start = compose(prediction, exp_se3_vec(rng.normal(scale=0.02, size=6)))
+        information = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
+        pose, rep = solve_motion_only(CAMERA, start, np.zeros((0, 3)), np.zeros((0, 2)),
+                                      np.zeros(0), np.zeros(0), dr=(prev, delta, information))
         err = np.linalg.norm(pose.t - prediction.t)
         rot = compose(inverse(pose), prediction).rotation_angle()
         floor = 0.99 * BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()

@@ -126,8 +126,29 @@ def test_run_counts_failed_local_ba(tmp_path, monkeypatch):
     assert main(["run", "--seq", seq_dir, "--out", out, "--config", cfg]) == 0
     assert len(calls) > 1
     metrics = read_metrics(out)
+    assert metrics["motion_failed"] == "0"
     assert metrics["lba_failed"] == "1"
     assert metrics["gba_failed"] == "0"
+
+
+def test_run_counts_motion_only_fallbacks(tmp_path, monkeypatch):
+    cfg = write_world(tmp_path / "w.cfg")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    solve_motion_only = drslam.pipeline.solve_motion_only
+    calls = []
+
+    def first_call_diverges(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise Diverged("forced failure")
+        return solve_motion_only(*args, **kwargs)
+
+    monkeypatch.setattr("drslam.pipeline.solve_motion_only", first_call_diverges)
+    out = str(tmp_path / "run")
+    assert main(["run", "--seq", seq_dir, "--out", out, "--config", cfg]) == 0
+    assert len(calls) > 1
+    assert read_metrics(out)["motion_failed"] == "1"
 
 
 def test_eval_identical_files_zero_rmse(tmp_path, capsys):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from conftest import random_pose, random_twist
 from drslam.errors import AngleNearPi, BehindCamera
 from drslam.geometry import (
+    SMALL_ANGLE,
     CameraIntrinsics,
     Pose,
     Twist,
@@ -67,6 +70,53 @@ def test_log_raises_near_pi():
     p = exp_se3(Twist(np.zeros(3), phi))
     with pytest.raises(AngleNearPi):
         log_se3(p)
+
+
+# The rotation angle at which log_se3 raises AngleNearPi.
+NEAR_PI_CUT = math.pi - 1e-6
+
+
+def twists_at_angle(low, high):
+    """Twists with |rho| <= 2 m and a rotation angle in [low, high]."""
+    return st.tuples(arrays(float, 3, elements=st.floats(-2, 2)),
+                     arrays(float, 3, elements=st.floats(-1, 1)).filter(
+                         lambda a: np.linalg.norm(a) > 1e-3),
+                     st.floats(low, high)).map(
+        lambda v: Twist(v[0], v[1] / np.linalg.norm(v[1]) * v[2]))
+
+
+def assert_round_trip(xi: Twist, atol: float):
+    back = log_se3(exp_se3(xi))
+    assert np.max(np.abs(back.phi - xi.phi)) <= atol
+    assert np.max(np.abs(back.rho - xi.rho)) <= atol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twists_at_angle(0.0, 0.999 * SMALL_ANGLE))
+def test_exp_log_round_trip_small_angle_branch(xi):
+    # below SMALL_ANGLE exp_se3 takes the Taylor series of its ratios
+    assert_round_trip(xi, 1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twists_at_angle(SMALL_ANGLE, 3.0))
+def test_exp_log_round_trip_generic_branch(xi):
+    # just above SMALL_ANGLE the closed-form ratios of exp_se3 cancel: about
+    # 1e-10 m of translation error at 1e-6 rad, 1e-15 from 0.1 rad on
+    assert_round_trip(xi, 1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twists_at_angle(math.pi - 1e-3, NEAR_PI_CUT - 1e-9))
+def test_exp_log_round_trip_just_below_near_pi_cut(xi):
+    assert_round_trip(xi, 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twists_at_angle(NEAR_PI_CUT + 1e-9, math.pi))
+def test_log_raises_angle_near_pi_at_the_cut(xi):
+    with pytest.raises(AngleNearPi):
+        log_se3(exp_se3(xi))
 
 
 def test_compose_identity_and_inverse(rng):

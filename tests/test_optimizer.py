@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CAMERA, edge_jacobians, edge_residual, make_ba_problem,
-                      random_pose)
-from drslam.errors import GaugeUnderconstrained, NoConstraints
+from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, make_ba_problem,
+                      motion_only_args, random_pose)
+from drslam.errors import Diverged, GaugeUnderconstrained, NoConstraints
 from drslam.factors import (
     DrFactor,
     huber,
@@ -19,6 +19,9 @@ from drslam.factors import (
 from drslam.geometry import Pose, compose, exp_se3_vec, inverse, log_se3, project, transform_point
 from drslam.optimizer import (
     Problem,
+    SolverConfig,
+    _Linearizer,
+    _levenberg_marquardt,
     build_normal_equations,
     dense_solve,
     min_pose_eigenvalue,
@@ -75,7 +78,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
 
 def test_motion_only_recovers_ground_truth(rng):
     problem, gt, _, _ = make_motion_problem(rng, with_dr=False)
-    pose, report = solve_motion_only(problem)
+    pose, report = solve_motion_only(**motion_only_args(problem))
     dt, dr = pose_distance(pose, gt)
     assert dt < 1e-6
     assert dr < 1e-6
@@ -89,7 +92,7 @@ def test_motion_only_dr_only_returns_prediction(rng):
     # start away from the optimum; the DR quadratic must pull the pose back
     problem.poses[1].pose = compose(prediction, exp_se3_vec(
         np.array([0.05, -0.03, 0.02, 0.01, -0.02, 0.015])))
-    pose, report = solve_motion_only(problem)
+    pose, report = solve_motion_only(**motion_only_args(problem))
     dt, dr = pose_distance(pose, prediction)
     assert dt < 1e-9
     assert dr < 1e-9
@@ -99,7 +102,7 @@ def test_motion_only_dr_only_returns_prediction(rng):
 
 def test_motion_only_already_optimal_terminates_fast(rng):
     problem, gt, _, _ = make_motion_problem(rng, with_dr=False, perturb_t=0.0, perturb_r_deg=0.0)
-    pose, report = solve_motion_only(problem)
+    pose, report = solve_motion_only(**motion_only_args(problem))
     assert report.iterations <= 2
     assert report.termination in ("cost_tolerance", "stalled", "step_tolerance")
     dt, _ = pose_distance(pose, gt)
@@ -109,7 +112,7 @@ def test_motion_only_already_optimal_terminates_fast(rng):
 def test_motion_only_no_constraints_raises(rng):
     problem, _, _, _ = make_motion_problem(rng, n_obs=0, with_dr=False)
     with pytest.raises(NoConstraints):
-        solve_motion_only(problem)
+        solve_motion_only(**motion_only_args(problem))
 
 
 def test_local_ba_recovers_ground_truth(rng):
@@ -465,3 +468,181 @@ def test_dr_factor_keeps_pose_hessian_positive_definite(rng):
         problem, _, _, _ = make_motion_problem(rng, n_obs=0, with_dr=True, dr_alpha=alpha)
         neq, _ = build_normal_equations(problem)
         assert min_pose_eigenvalue(neq) > 0
+
+
+def _outcome(fn):
+    """(pose, report) of a solve, or the type of the error it raised."""
+    try:
+        return fn()
+    except (Diverged, NoConstraints) as e:
+        return type(e)
+
+
+def _assert_same_solve(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a is b
+        return
+    (pose_a, rep_a), (pose_b, rep_b) = a, b
+    assert pose_a.q.tobytes() == pose_b.q.tobytes()
+    assert pose_a.t.tobytes() == pose_b.t.tobytes()
+    for name in ("iterations", "termination", "evaluations", "rejected_steps"):
+        assert getattr(rep_a, name) == getattr(rep_b, name), name
+    for name in ("initial_cost", "final_cost", "final_damping", "min_pose_eigenvalue"):
+        x, y = getattr(rep_a, name), getattr(rep_b, name)
+        assert np.float64(x).tobytes() == np.float64(y).tobytes(), name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_obs=st.integers(0, 40),
+       dr_edge=st.sampled_from(["none", "edge", "near_pi"]),
+       behind=st.floats(0.0, 0.3), outliers=st.floats(0.0, 0.4),
+       log_alpha=st.floats(-1.0, 3.0))
+def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, outliers,
+                                                log_alpha):
+    # the array solve against the one-free-pose Problem through the generic
+    # solve: same pose, iterations, termination, costs and telemetry, bit for bit
+    rng = np.random.default_rng(seed)
+    prev = random_pose(rng, rot_scale=0.3)
+    delta = exp_se3_vec(rng.normal(scale=0.03, size=6))
+    gt = compose(prev, delta)
+    start = compose(gt, exp_se3_vec(rng.normal(scale=0.05, size=6)))
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_pose(1, start)
+    # landmark ids out of match order: the Problem sorts them, the arrays do not
+    for j in rng.permutation(1000)[:n_obs]:
+        cam = np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 6.0)])
+        if rng.uniform() < behind:
+            cam[2] = rng.uniform(-1.0, 0.05)       # at or behind the near plane
+        obs = np.array([rng.uniform(0, 640), rng.uniform(0, 480)])
+        if cam[2] > 0.05 and rng.uniform() >= outliers:
+            obs = project(CAMERA, cam) + rng.normal(size=2)
+        problem.add_landmark(int(j), transform_point(gt, cam), fixed=True)
+        problem.reprojection_factors.append(make_reprojection_factor(1, int(j), obs, 1.0))
+    if dr_edge != "none":
+        if dr_edge == "near_pi":
+            # the start sits at an error rotation just below pi from the prediction
+            axis = rng.normal(size=3)
+            phi = axis / np.linalg.norm(axis) * (math.pi - 1e-7)
+            problem.poses[1].pose = compose(compose(prev, delta),
+                                            exp_se3_vec(np.concatenate([np.zeros(3), phi])))
+            assert edge_residuals([prev], [problem.poses[1].pose], [delta])[1][0]
+        problem.add_pose(0, prev, fixed=True)
+        problem.dr_factors.append(DrFactor(0, 1, delta,
+                                           scale_information(10.0 ** log_alpha, NOMINAL)))
+    config = SolverConfig(max_iterations=10)
+    arrays = _outcome(lambda: solve_motion_only(**motion_only_args(problem), config=config))
+    if n_obs == 0 and dr_edge == "none":
+        assert arrays is NoConstraints
+        return
+
+    def generic():
+        report = solve(problem, config)
+        return problem.poses[1].pose, report
+    _assert_same_solve(arrays, _outcome(generic))
+
+
+def test_motion_only_without_rows_or_dr_edge_raises():
+    with pytest.raises(NoConstraints):
+        solve_motion_only(CAMERA, Pose.identity(), np.zeros((0, 3)), np.zeros((0, 2)),
+                          np.zeros(0), np.zeros(0))
+
+
+def _set_point(problem, lin, point):
+    poses, lm_pos = point
+    for pid, s in lin.slot.items():
+        problem.poses[pid].pose = poses[s]
+    for lid, row in lin.lm_row.items():
+        problem.landmarks[lid].position = lm_pos[row].copy()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_poses=st.integers(2, 5),
+       perturb=st.sampled_from([0.005, 0.05, 0.2]), with_dr=st.booleans())
+def test_cached_linearization_matches_fresh_build(seed, n_poses, perturb, with_dr):
+    # every system the loop linearizes from cached residuals equals a fresh
+    # build_normal_equations at the same point, block by block
+    rng = np.random.default_rng(seed)
+    problem, _, _ = make_ba_problem(rng, n_poses=n_poses, n_landmarks=25, pixel_noise=1.0,
+                                    pose_perturb=perturb, lm_perturb=perturb,
+                                    with_dr_chain=with_dr)
+    lin = _Linearizer(problem)
+    seen = []
+    linearize = lin.linearize
+
+    def recording(point, cache):
+        neq = linearize(point, cache)
+        seen.append((point, neq))
+        return neq
+    lin.linearize = recording
+    try:
+        _levenberg_marquardt(lin, (lin.poses, lin.lm_pos), SolverConfig(max_iterations=5))
+    except Diverged:
+        pass
+    assert seen
+    for point, neq in seen:
+        _set_point(problem, lin, point)
+        fresh, _ = build_normal_equations(problem)
+        for block in ("Hpp", "bp", "Hll", "bl", "Hpl"):
+            assert np.array_equal(getattr(neq, block), getattr(fresh, block)), block
+
+
+class _Arctan:
+    """Linearizer of the scalar residual r(x) = atan(x): Gauss-Newton
+    overshoots from |x| > 1.39, so steps are rejected until the damping grows."""
+
+    def residuals(self, x):
+        r = math.atan(x)
+        return 0.5 * r * r, r
+
+    def linearize(self, x, r):
+        j = 1.0 / (1.0 + x * x)
+        return j * j, -j * r
+
+    def step(self, system, damping):
+        h, b = system
+        return np.array([b / (h + damping)])
+
+    def retract(self, x, step):
+        return x + float(step[0])
+
+    def min_pose_eigenvalue(self, system):
+        return system[0]
+
+
+def test_lm_counts_rejected_steps_exactly():
+    # from x = 3 the steps at damping 1e-4, 1e-3 and 1e-2 land at x = -9.37,
+    # -8.36 and -3.25, all with |atan| above atan(3); the step at 0.1 lands at
+    # x = 1.86 and is accepted, halving the damping
+    x, report = _levenberg_marquardt(_Arctan(), 3.0, SolverConfig(max_iterations=1))
+    assert report.iterations == 1
+    assert report.termination == "max_iterations"
+    assert report.evaluations == 5
+    assert report.rejected_steps == 3
+    assert report.final_damping == 1e-4 * 10 * 10 * 10 * 0.5
+    assert 1.8 < x < 1.9
+    assert report.final_cost == 0.5 * math.atan(x) ** 2
+
+
+def test_report_telemetry_matches_for_both_linearizers():
+    # a start 0.5 m and 20 degrees off, with near points: the first steps
+    # overshoot and are rejected; both linearizers count the same steps
+    rng = np.random.default_rng(2)
+    gt = random_pose(rng, rot_scale=0.3)
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_pose(1, compose(gt, exp_se3_vec(np.array([0.3, -0.2, 0.4, 0.2, -0.25, 0.1]))))
+    for j in range(12):
+        cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.8, 2.0)])
+        problem.add_landmark(j, transform_point(gt, cam), fixed=True)
+        problem.reprojection_factors.append(make_reprojection_factor(1, j, project(CAMERA, cam), 1.0))
+    config = SolverConfig(max_iterations=10)
+    arrays = solve_motion_only(**motion_only_args(problem), config=config)
+    report = solve(problem, config)
+    _assert_same_solve(arrays, (problem.poses[1].pose, report))
+    assert report.termination in ("cost_tolerance", "step_tolerance")
+    assert report.rejected_steps > 0
+    # one evaluation at the start and one per candidate step: accepted or rejected
+    assert report.evaluations == 1 + report.iterations + report.rejected_steps
+    expected = config.initial_damping
+    for _ in range(report.rejected_steps):
+        expected *= config.damping_up
+    assert report.final_damping == expected * config.damping_down ** report.iterations

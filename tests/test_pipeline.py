@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import drslam.pipeline
 from drslam.errors import Diverged, FormatError
 from drslam.geometry import Pose, compose, exp_se3_vec, inverse
 from drslam.pipeline import (
@@ -244,6 +245,25 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     assert res.gba_events == []
     assert res.gba_failed == len(attempts)
     assert all(b - a >= PARAMS.loop_cooldown for a, b in zip(attempts, attempts[1:]))
+
+
+def test_motion_only_fallbacks_are_counted(monkeypatch):
+    solve_motion_only = drslam.pipeline.solve_motion_only
+    calls = []
+
+    def every_fifth_diverges(*args, **kwargs):
+        calls.append(len(calls) + 1)
+        if calls[-1] % 5 == 0:
+            raise Diverged("forced failure")
+        return solve_motion_only(*args, **kwargs)
+
+    monkeypatch.setattr("drslam.pipeline.solve_motion_only", every_fifth_diverges)
+    res = run_pipeline(straight_sequence(n_frames=60), PARAMS, "adaptive")
+    assert len(calls) == 59
+    assert res.motion_failed == 11
+    # each fallback leaves its frame at the prediction, marked not tracked
+    assert sum(not f.tracked_ok for f in res.frames) == res.motion_failed
+    assert all(f.solver_iterations == 0 for f in res.frames if not f.tracked_ok)
 
 
 def test_map_round_trip_empty(tmp_path):
