@@ -1,15 +1,23 @@
 """Trajectory and table file I/O.
 
 TUM line format: ``timestamp tx ty tz qx qy qz qw``, space-separated, 17
-significant digits (lossless for float64).
+significant digits (lossless for float64). Tables are comma-separated with
+one header line. Both are read column-wise into float64 arrays; a field that
+does not parse, or a row with the wrong number of fields, is a FormatError.
 """
 
 from __future__ import annotations
+
+from contextlib import closing
+from itertools import islice
 
 import numpy as np
 
 from .errors import FormatError
 from .geometry import Pose
+
+# Largest magnitude at which every integer is exact in float64.
+_INT_EXACT = 2.0 ** 53
 
 
 def fmt(x: float) -> str:
@@ -29,22 +37,53 @@ def write_tum(path, rows) -> None:
             f.write(tum_line(ts, pose) + "\n")
 
 
-def read_tum(path):
-    rows = []
+def _data_lines(path, delimiter, comment, skip):
+    """(line number, fields) of every line after the first `skip` that holds a row."""
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise FormatError(f"expected 8 fields, got {len(parts)}", path=str(path), line=lineno)
-            try:
-                ts, tx, ty, tz, qx, qy, qz, qw = (float(p) for p in parts)
-            except ValueError as e:
-                raise FormatError(f"non-numeric field: {e}", path=str(path), line=lineno) from e
-            rows.append((ts, Pose(np.array([qw, qx, qy, qz]), np.array([tx, ty, tz]))))
-    return rows
+        for lineno, line in islice(enumerate(f, start=1), skip, None):
+            if comment is not None:
+                line = line.partition(comment)[0]
+            # as np.loadtxt: a whitespace-only line is a row of a delimited table
+            line = line.strip() if delimiter is None else line.rstrip("\n")
+            if line:
+                yield lineno, line.split(delimiter)
+
+
+def _parse_error(path, columns, delimiter, comment, skip, cause) -> FormatError:
+    """The first row the parse rejects, found by a line-by-line rescan."""
+    for lineno, fields in _data_lines(path, delimiter, comment, skip):
+        if len(fields) != columns:
+            return FormatError(f"expected {columns} fields, got {len(fields)}",
+                               path=str(path), line=lineno)
+        try:
+            for field in fields:
+                float(field)
+        except ValueError as e:
+            return FormatError(f"non-numeric field: {e}", path=str(path), line=lineno)
+    return FormatError(f"malformed table: {cause}", path=str(path))
+
+
+def _load_table(path, columns, delimiter, comment, skip):
+    """The rows after the first `skip` lines of a table file as an (N, columns) float64 array."""
+    with closing(_data_lines(path, delimiter, comment, skip)) as rows:
+        if next(rows, None) is None:
+            # np.loadtxt warns on input without rows
+            return np.empty((0, columns))
+    try:
+        table = np.loadtxt(path, delimiter=delimiter, comments=comment, skiprows=skip, ndmin=2)
+    except ValueError as e:
+        raise _parse_error(path, columns, delimiter, comment, skip, e) from e
+    if table.shape[1] != columns:
+        raise _parse_error(path, columns, delimiter, comment, skip,
+                           f"{table.shape[1]} columns")
+    return table
+
+
+def read_tum(path):
+    """[(timestamp, Pose), ...] in file order; '#' starts a comment."""
+    table = _load_table(path, 8, None, "#", 0)
+    q = table[:, [7, 4, 5, 6]]
+    return [(ts, Pose(qi, ti)) for ts, qi, ti in zip(table[:, 0].tolist(), q, table[:, 1:4])]
 
 
 def write_csv(path, header, rows) -> None:
@@ -54,22 +93,29 @@ def write_csv(path, header, rows) -> None:
             f.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def read_csv(path, expected_header):
-    rows = []
+def read_csv(path, expected_header) -> np.ndarray:
+    """Rows after the header line as an (N, len(expected_header)) float64 array."""
     with open(path) as f:
         header = f.readline().strip()
         if header.split(",") != list(expected_header):
             raise FormatError(
                 f"bad header: expected {','.join(expected_header)}, got {header}",
                 path=str(path), line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(expected_header):
-                raise FormatError(
-                    f"expected {len(expected_header)} columns, got {len(parts)}",
-                    path=str(path), line=lineno)
-            rows.append(parts)
-    return rows
+    return _load_table(path, len(expected_header), ",", None, 1)
+
+
+def csv_line(path, row: int) -> int:
+    """File line number of data row `row` of a table read by read_csv."""
+    with closing(_data_lines(path, ",", None, 1)) as rows:
+        return next(islice(rows, row, None))[0]
+
+
+def int_column(table: np.ndarray, column: int, name: str, path) -> np.ndarray:
+    """Column of a read_csv table as int64; FormatError on a non-integral value."""
+    values = table[:, column]
+    ok = np.isfinite(values) & (np.trunc(values) == values) & (np.abs(values) <= _INT_EXACT)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise FormatError(f"{name} must be an integer, got {float(values[row])}",
+                          path=str(path), line=csv_line(path, row))
+    return values.astype(np.int64)

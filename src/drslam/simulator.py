@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpec, FormatError, NonMonotoneTimestamps
-from .fileio import fmt, read_csv, read_tum, write_csv, write_tum
+from .fileio import csv_line, fmt, int_column, read_csv, read_tum, write_csv, write_tum
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -445,26 +445,36 @@ def read_sequence(path) -> Sequence:
     odom = read_tum(os.path.join(path, "odom.tum"))
     if len(gt) != len(odom):
         raise FormatError("gt.tum and odom.tum disagree on frame count", path=str(path))
-    stats = read_csv(os.path.join(path, "stats.csv"), ["frame_id", "n_det"])
-    obs = read_csv(os.path.join(path, "obs.csv"), ["frame_id", "landmark_id", "u", "v"])
-    world_rows = read_csv(os.path.join(path, "world.csv"), ["landmark_id", "x", "y", "z"])
-    world = {int(r[0]): np.array([float(r[1]), float(r[2]), float(r[3])]) for r in world_rows}
+    stats_path, obs_path, world_path = (
+        os.path.join(path, name) for name in ("stats.csv", "obs.csv", "world.csv"))
+    stats = read_csv(stats_path, ["frame_id", "n_det"])
+    obs = read_csv(obs_path, ["frame_id", "landmark_id", "u", "v"])
+    world_table = read_csv(world_path, ["landmark_id", "x", "y", "z"])
+    world = dict(zip(int_column(world_table, 0, "landmark_id", world_path).tolist(),
+                     world_table[:, 1:]))
+    n_det = dict(zip(int_column(stats, 0, "frame_id", stats_path).tolist(),
+                     int_column(stats, 1, "n_det", stats_path).tolist()))
 
-    by_frame = {}
-    for r in obs:
-        by_frame.setdefault(int(r[0]), []).append((int(r[1]), float(r[2]), float(r[3])))
-    n_det = {int(r[0]): int(r[1]) for r in stats}
+    # Group rows by frame with a stable sort, so rows keep their file order
+    # within a frame whatever the order of the frames in the file.
+    frames = int_column(obs, 0, "frame_id", obs_path)
+    ids = int_column(obs, 1, "landmark_id", obs_path)
+    order = np.argsort(frames, kind="stable")
+    bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1)).tolist()
+    ids = ids[order]
+    tracked = np.concatenate([[0], np.cumsum(ids >= 0)])[bounds].tolist()
+    detections = list(zip(ids.tolist(), obs[order, 2].tolist(), obs[order, 3].tolist()))
 
     records = []
     prev_odom = None
     for i, ((ts, gt_pose), (_, odom_pose)) in enumerate(zip(gt, odom)):
-        dets = by_frame.get(i, [])
+        dets = detections[bounds[i]:bounds[i + 1]]
         delta = None if prev_odom is None else compose(inverse(prev_odom), odom_pose)
         records.append(SimFrameRecord(
             frame_id=i, timestamp=ts, gt_pose=gt_pose, detections=dets,
             dr_delta=delta, odom_pose=odom_pose,
             n_det=n_det.get(i, len(dets)),
-            n_trk_max=sum(1 for d in dets if d[0] >= 0)))
+            n_trk_max=tracked[i + 1] - tracked[i]))
         prev_odom = odom_pose
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
@@ -503,23 +513,29 @@ def ingest_replay(stats_csv, odom_file, gt_file=None,
     degenerates to DR prediction driven by the recorded counts.
     """
     rows = read_csv(stats_csv, ["timestamp", "n_det", "n_trk"])
-    timestamps = [float(r[0]) for r in rows]
-    if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
-        raise NonMonotoneTimestamps("stats timestamps must be strictly increasing")
-    for lineno, r in enumerate(rows, start=2):
-        if int(r[2]) > int(r[1]):
-            raise FormatError("n_trk exceeds n_det", path=str(stats_csv), line=lineno)
+    n_det = int_column(rows, 1, "n_det", stats_csv)
+    n_trk = int_column(rows, 2, "n_trk", stats_csv)
+    back = np.flatnonzero(~(np.diff(rows[:, 0]) > 0))
+    if len(back):
+        raise NonMonotoneTimestamps(
+            f"stats timestamps must be strictly increasing [{stats_csv}:"
+            f"{csv_line(stats_csv, int(back[0]) + 1)}]")
+    over = np.flatnonzero(n_trk > n_det)
+    if len(over):
+        raise FormatError("n_trk exceeds n_det", path=str(stats_csv),
+                          line=csv_line(stats_csv, int(over[0])))
+    timestamps = rows[:, 0].tolist()
     odom_samples = read_tum(odom_file)
     odom = resample_poses(odom_samples, timestamps)
     gt = resample_poses(read_tum(gt_file), timestamps) if gt_file else [None] * len(rows)
 
     records = []
     prev = None
-    for i, (r, op, gp) in enumerate(zip(rows, odom, gt)):
+    for i, (det, trk, op, gp) in enumerate(zip(n_det.tolist(), n_trk.tolist(), odom, gt)):
         delta = None if prev is None else compose(inverse(prev), op)
         records.append(SimFrameRecord(
             frame_id=i, timestamp=timestamps[i], gt_pose=gp, detections=[],
-            dr_delta=delta, odom_pose=op, n_det=int(r[1]), n_trk_max=int(r[2])))
+            dr_delta=delta, odom_pose=op, n_det=det, n_trk_max=trk))
         prev = op
     meta = {"format": META_MAGIC, "replay": "true",
             "fx": fmt(camera.fx), "fy": fmt(camera.fy), "cx": fmt(camera.cx),

@@ -240,6 +240,17 @@ def test_usage_errors_exit_two(tmp_path):
                  "--out", str(tmp_path / "s")]) == 2
 
 
+def test_run_malformed_sequence_field_exits_two(tmp_path, capsys):
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--out", str(seq_dir)])
+    with open(seq_dir / "obs.csv", "a") as f:
+        f.write("1,abc,2.0,3.0\n")
+    assert main(["run", "--seq", str(seq_dir), "--out", str(tmp_path / "o"),
+                 "--config", cfg]) == 2
+    assert "obs.csv" in capsys.readouterr().err
+
+
 def test_bundled_configs_resolve(tmp_path):
     from drslam.cli import resolve_config_path
     for name in ("corridor_gap", "rectangle_loop", "two_lap"):

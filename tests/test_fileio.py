@@ -1,0 +1,122 @@
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from drslam.errors import FormatError
+from drslam.fileio import int_column, read_csv, read_tum, write_tum
+from drslam.geometry import Pose
+
+HEADER = ["frame_id", "landmark_id", "u", "v"]
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+def test_read_csv_returns_float_table(tmp_path):
+    path = write_text(tmp_path / "t.csv", "frame_id,landmark_id,u,v\n0,3,1.5,2.25\n\n1,-1,7,8e-3\n")
+    table = read_csv(path, HEADER)
+    assert table.dtype == np.float64
+    assert table.tolist() == [[0.0, 3.0, 1.5, 2.25], [1.0, -1.0, 7.0, 0.008]]
+
+
+def test_read_csv_header_only_is_empty_without_warning(tmp_path):
+    path = write_text(tmp_path / "t.csv", "frame_id,landmark_id,u,v\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = read_csv(path, HEADER)
+    assert table.shape == (0, 4)
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("0,1,2.0,3.0\n1,abc,2.0,3.0\n", 3, "non-numeric"),
+    ("0,1,2.0,3.0\n\n1,2,,3.0\n", 4, "non-numeric"),
+    ("0,1,2.0,3.0\n1,2,3.0\n", 3, "expected 4 fields, got 3"),
+    ("0,1,2.0,3.0,4.0\n1,2,3.0,4.0\n", 2, "expected 4 fields, got 5"),
+    ("0,1,2.0\n1,2,3.0\n", 2, "expected 4 fields, got 3"),
+    ("0,1,2.0,3.0\n  \n1,2,3.0,4.0\n", 3, "expected 4 fields, got 1"),
+])
+def test_read_csv_malformed_row_names_path_and_line(tmp_path, body, line, message):
+    path = write_text(tmp_path / "obs.csv", "frame_id,landmark_id,u,v\n" + body)
+    with pytest.raises(FormatError) as e:
+        read_csv(path, HEADER)
+    assert e.value.path == str(path)
+    assert e.value.line == line
+    assert message in str(e.value)
+
+
+def test_read_csv_bad_header(tmp_path):
+    path = write_text(tmp_path / "t.csv", "frame_id,landmark,u,v\n0,1,2,3\n")
+    with pytest.raises(FormatError) as e:
+        read_csv(path, HEADER)
+    assert e.value.line == 1
+
+
+@pytest.mark.parametrize("value", ["1.5", "nan", "inf", "1e300"])
+def test_int_column_rejects_non_integral(tmp_path, value):
+    path = write_text(tmp_path / "t.csv", f"frame_id,landmark_id,u,v\n0,1,2,3\n\n1,{value},2,3\n")
+    table = read_csv(path, HEADER)
+    assert int_column(table, 0, "frame_id", path).tolist() == [0, 1]
+    with pytest.raises(FormatError) as e:
+        int_column(table, 1, "landmark_id", path)
+    assert e.value.path == str(path)
+    assert e.value.line == 4
+    assert "landmark_id" in str(e.value)
+
+
+def test_read_tum_skips_comments_and_blank_lines(tmp_path):
+    path = write_text(tmp_path / "t.tum", "# timestamp tx ty tz qx qy qz qw\n\n"
+                                          "0.5 1 2 3 0 0 0 1\n# note\n1.0 4 5 6 0 0 -1 0\n")
+    rows = read_tum(path)
+    assert [ts for ts, _ in rows] == [0.5, 1.0]
+    assert rows[0][1].q.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert rows[1][1].t.tolist() == [4.0, 5.0, 6.0]
+    assert rows[1][1].q.tolist() == [0.0, 0.0, 0.0, 1.0]  # (w, x, y, z), w >= 0
+
+
+def test_read_tum_empty_without_warning(tmp_path):
+    path = write_text(tmp_path / "t.tum", "# no poses\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_tum(path) == []
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0 1 2 3 0 0 0 1\n1 1 2 3 0 0 1\n", 2),
+    ("# c\n0 1 2 3 0 0 0 1\n1 1 2 x 0 0 0 1\n", 3),
+    ("0 1 2 3 0 0 0 1 9\n", 1),
+])
+def test_read_tum_malformed_row_names_path_and_line(tmp_path, body, line):
+    path = write_text(tmp_path / "t.tum", body)
+    with pytest.raises(FormatError) as e:
+        read_tum(path)
+    assert e.value.path == str(path)
+    assert e.value.line == line
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(finite, st.lists(finite, min_size=3, max_size=3),
+                          st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)),
+                min_size=1, max_size=12))
+def test_tum_round_trip_bit_exact(tmp_path_factory, samples):
+    rows = []
+    for ts, t, q in samples:
+        q = np.array(q)
+        if np.linalg.norm(q) < 1e-3:
+            q = np.array([1.0, 0.0, 0.0, 0.0])
+        rows.append((ts, Pose(q, np.array(t))))
+    path = tmp_path_factory.mktemp("tum") / "t.tum"
+    write_tum(path, rows)
+    back = read_tum(path)
+    assert len(back) == len(rows)
+    for (ts, pose), (ts2, pose2) in zip(rows, back):
+        assert type(ts2) is float and ts2 == ts
+        assert pose2.q.tobytes() == pose.q.tobytes()
+        assert pose2.t.tobytes() == pose.t.tobytes()
+

@@ -1,8 +1,14 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import drslam.fileio
+import drslam.simulator
 from drslam.errors import DegenerateSpec, FormatError, NonMonotoneTimestamps
 from drslam.fileio import write_csv, write_tum
 from drslam.geometry import Pose, Twist, compose, exp_se3, inverse, log_se3
@@ -217,6 +223,140 @@ def test_read_sequence_missing_column(tmp_path):
         read_sequence(d)
 
 
+@pytest.mark.parametrize("name, row", [
+    ("obs.csv", "1,abc,2.0,3.0"),
+    ("obs.csv", "1,1.5,2.0,3.0"),
+    ("obs.csv", "1.5,1,2.0,3.0"),
+    ("obs.csv", "1,2,3.0"),
+    ("stats.csv", "3,4.5"),
+    ("stats.csv", "2.5,4"),
+    ("stats.csv", "3,x"),
+    ("world.csv", "1.5,0.0,0.0,0.0"),
+    ("world.csv", "7,0.0,0.0"),
+])
+def test_read_sequence_malformed_field_is_format_error(tmp_path, name, row):
+    cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 10.0)])
+    d = tmp_path / "seq"
+    write_sequence(simulate_sequence(cfg), d)
+    with open(d / name, "a") as f:
+        f.write(row + "\n")
+    with pytest.raises(FormatError) as e:
+        read_sequence(d)
+    assert e.value.path == str(d / name)
+    assert e.value.line == len((d / name).read_text().splitlines())
+
+
+@pytest.mark.parametrize("clutter", [0, 5])
+def test_read_sequence_header_only_tables(tmp_path, clutter):
+    # no landmarks: world.csv is header-only, and so is obs.csv without clutter
+    cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 0.0)],
+                      clutter=clutter)
+    d = tmp_path / "seq"
+    write_sequence(simulate_sequence(cfg), d)
+    assert (d / "world.csv").read_text() == "landmark_id,x,y,z\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = read_sequence(d)
+    assert seq.world == {} and not seq.has_world
+    for rec in seq.records:
+        assert len(rec.detections) == rec.n_det == clutter
+        assert rec.n_trk_max == 0
+    if clutter == 0:
+        assert (d / "obs.csv").read_text() == "frame_id,landmark_id,u,v\n"
+        assert all(rec.detections == [] for rec in seq.records)
+
+
+def test_read_sequence_calls_the_traced_readers(tmp_path, monkeypatch):
+    # bench/tracing.py wraps these two names in drslam.simulator
+    assert drslam.simulator.read_csv is drslam.fileio.read_csv
+    assert drslam.simulator.read_tum is drslam.fileio.read_tum
+    cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=12, density=[(0.0, 20.0)], clutter=3)
+    d = tmp_path / "seq"
+    write_sequence(simulate_sequence(cfg), d)
+    csv_rows, tum_paths = [], []
+
+    def counted_csv(path, header):
+        out = drslam.fileio.read_csv(path, header)
+        csv_rows.append(len(out))
+        return out
+
+    def counted_tum(path):
+        tum_paths.append(path)
+        return drslam.fileio.read_tum(path)
+
+    monkeypatch.setattr(drslam.simulator, "read_csv", counted_csv)
+    monkeypatch.setattr(drslam.simulator, "read_tum", counted_tum)
+    read_sequence(d)
+    assert csv_rows == [len((d / name).read_text().splitlines()) - 1
+                        for name in ("stats.csv", "obs.csv", "world.csv")]
+    assert len(tum_paths) == 2
+
+
+@st.composite
+def world_configs(draw):
+    n_frames = draw(st.integers(2, 12))
+    length = draw(st.floats(1.0, 6.0))
+    waypoints = [(0.0, 0.0), (length, 0.0)]
+    if draw(st.booleans()):
+        waypoints.append((length, draw(st.floats(1.0, 4.0))))
+    d0 = draw(st.sampled_from([0.0, 15.0, 40.0]))
+    density = [(0.0, d0)]
+    if draw(st.booleans()):
+        density.append((draw(st.floats(0.5, length)), draw(st.sampled_from([0.0, 25.0]))))
+    dropouts = []
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n_frames - 1))
+        dropouts.append(Dropout(start, draw(st.integers(start, n_frames - 1)),
+                                draw(st.sampled_from([0, 3, 8])), draw(st.booleans())))
+    return WorldConfig(
+        waypoints=waypoints, n_frames=n_frames, density=density,
+        clutter=draw(st.integers(0, 6)), pixel_noise=draw(st.sampled_from([0.0, 0.4, 2.0])),
+        dr_sigma_t=draw(st.sampled_from([0.0, 0.003])),
+        dr_sigma_r_deg=draw(st.sampled_from([0.0, 0.1])),
+        dropouts=dropouts, depth_max=draw(st.sampled_from([5.0, 8.0])),
+        seed=draw(st.integers(0, 2 ** 16)))
+
+
+def interleave_frames(obs_csv: Path, rng) -> None:
+    """Shuffle the rows of obs.csv across frames, keeping each frame's own row order."""
+    header, *rows = obs_csv.read_text().splitlines()
+    by_frame = {}
+    for row in rows:
+        by_frame.setdefault(row.split(",")[0], []).append(row)
+    queues = {f: iter(r) for f, r in by_frame.items()}
+    order = rng.permutation([row.split(",")[0] for row in rows])
+    obs_csv.write_text("\n".join([header] + [next(queues[f]) for f in order]) + "\n")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(world_configs(), st.integers(0, 2 ** 32 - 1))
+def test_sequence_round_trip_property(cfg, shuffle_seed):
+    seq = simulate_sequence(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        write_sequence(seq, a)
+        back = read_sequence(a)
+        assert len(back.records) == len(seq.records)
+        for sim, rec in zip(seq.records, back.records):
+            assert rec.detections == sim.detections
+            assert all(type(j) is int and type(u) is float and type(v) is float
+                       for j, u, v in rec.detections)
+            assert (rec.n_det, rec.n_trk_max) == (sim.n_det, sim.n_trk_max)
+            for p, q in ((sim.gt_pose, rec.gt_pose), (sim.odom_pose, rec.odom_pose)):
+                assert p.q.tobytes() == q.q.tobytes() and p.t.tobytes() == q.t.tobytes()
+        assert sorted(back.world) == sorted(seq.world)
+        assert all(back.world[j].tobytes() == seq.world[j].tobytes() for j in seq.world)
+
+        write_sequence(back, b)
+        for name in ("gt.tum", "odom.tum", "obs.csv", "stats.csv", "world.csv", "meta"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        interleave_frames(a / "obs.csv", np.random.default_rng(shuffle_seed))
+        shuffled = read_sequence(a)
+        assert [r.detections for r in shuffled.records] == [r.detections for r in back.records]
+        assert [r.n_trk_max for r in shuffled.records] == [r.n_trk_max for r in back.records]
+
+
 def test_read_sequence_truncated_meta(tmp_path):
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 10.0)])
     d = tmp_path / "seq"
@@ -270,7 +410,7 @@ def test_replay_shuffled_timestamps_rejected(tmp_path):
     write_tum(tmp_path / "odom.tum", odom_rows)
     write_csv(tmp_path / "stats.csv", ["timestamp", "n_det", "n_trk"],
               [(0.0, 10, 5), (0.2, 10, 5), (0.1, 10, 5)])
-    with pytest.raises(NonMonotoneTimestamps):
+    with pytest.raises(NonMonotoneTimestamps, match=r"stats\.csv:4\]"):
         ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
 
 
@@ -281,6 +421,23 @@ def test_replay_rejects_inconsistent_stats(tmp_path):
               [(0.0, 10, 11)])
     with pytest.raises(FormatError):
         ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("0.0,10,5\n0.1,abc,5\n", 3, "non-numeric"),
+    ("0.0,10,5\n0.1,10\n", 3, "expected 3 fields"),
+    ("0.0,10,5\n0.1,10.5,5\n", 3, "n_det must be an integer"),
+    ("0.0,10,5\n\n0.1,10,5.5\n", 4, "n_trk must be an integer"),
+    ("0.0,10,5\n\n0.1,10,11\n", 4, "n_trk exceeds n_det"),
+])
+def test_replay_malformed_stats(tmp_path, rows, line, message):
+    write_tum(tmp_path / "odom.tum", constant_velocity_odom(3, [0.02, 0, 0, 0, 0, 0]))
+    (tmp_path / "stats.csv").write_text("timestamp,n_det,n_trk\n" + rows)
+    with pytest.raises(FormatError) as e:
+        ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
+    assert e.value.path == str(tmp_path / "stats.csv")
+    assert e.value.line == line
+    assert message in str(e.value)
 
 
 def test_resample_poses_monotone_guard():
