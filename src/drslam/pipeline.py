@@ -24,6 +24,7 @@ from .factors import DrFactor, make_reprojection_factor
 from .fileio import fmt
 from .geometry import CameraIntrinsics, Pose, compose, inverse
 from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
+from .simulator import Detections, squared_distance
 from .weighting import (
     NominalDrInformation,
     QualityParams,
@@ -49,7 +50,6 @@ class Frame:
     pose: Pose
     stats: TrackingStats
     quality: float
-    observations: list
     dr: Pose | None                  # DR increment from the previous frame, camera frame
     tracked_ok: bool
     alpha: float = float("nan")
@@ -137,40 +137,38 @@ def predict_pose(prev: Frame, dr: Pose) -> Pose:
     return compose(prev.pose, dr)
 
 
-def associate_features(detections, points, predicted: Pose, search_radius: float,
+def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
+    """Rows, in detection order, of the first detection of each landmark id; clutter skipped."""
+    _, first = np.unique(ids, return_index=True)
+    first.sort()
+    return first[ids[first] >= 0]
+
+
+def associate_features(detections: Detections, points, predicted: Pose, search_radius: float,
                        camera: CameraIntrinsics):
     """Match map points against the frame's detections by projection gating.
 
-    A map point matches the detection carrying its landmark identity
+    A map point matches the first detection carrying its landmark identity
     (descriptor oracle) when that detection lies within ``search_radius`` of
     the point's projection under the predicted pose. Clutter detections
-    (negative ids) never match. Returns (observations, n_trk).
+    (negative ids) never match. Returns (matches, n_trk): the matched
+    detections in detection order, and their count.
     """
-    det_by_id = {}
-    for j, u, v in detections:
-        if j >= 0 and j not in det_by_id:
-            det_by_id[j] = (u, v)
-    if not det_by_id or not points:
-        return [], 0
-    ids = [j for j in det_by_id if j in points]
-    if not ids:
-        return [], 0
-    positions = np.array([points[j].position for j in ids])
-    rot = predicted.rotation_matrix
-    cam = (positions - predicted.t) @ rot
-    observations = []
-    for j, (x, y, z) in zip(ids, cam):
-        if z <= 0.05:
-            continue
-        u = camera.fx * x / z + camera.cx
-        v = camera.fy * y / z + camera.cy
-        if not (-search_radius <= u < camera.width + search_radius
-                and -search_radius <= v < camera.height + search_radius):
-            continue
-        du, dv = det_by_id[j]
-        if (du - u) ** 2 + (dv - v) ** 2 <= search_radius ** 2:
-            observations.append((j, du, dv))
-    return observations, len(observations)
+    rows = _first_landmark_rows(detections.ids)
+    rows = rows[[j in points for j in detections.ids[rows].tolist()]]
+    if not len(rows):
+        return detections.take(rows), 0
+    positions = np.array([points[j].position for j in detections.ids[rows].tolist()])
+    cam = (positions - predicted.t) @ predicted.rotation_matrix
+    front = cam[:, 2] > 0.05
+    rows, cam = rows[front], cam[front]
+    u = camera.fx * cam[:, 0] / cam[:, 2] + camera.cx
+    v = camera.fy * cam[:, 1] / cam[:, 2] + camera.cy
+    hit = ((-search_radius <= u) & (u < camera.width + search_radius)
+           & (-search_radius <= v) & (v < camera.height + search_radius)
+           & (squared_distance(detections.uv[rows], (u, v)) <= search_radius ** 2))
+    matches = detections.take(rows[hit])
+    return matches, len(matches)
 
 
 def decide_keyframe(frame: Frame, last_kf: KeyFrame, params: PipelineParams) -> bool:
@@ -261,14 +259,13 @@ class Pipeline:
             return self.params.fixed_alpha
         return None
 
-    def _solve_motion(self, predicted, observations, dr, alpha):
+    def _solve_motion(self, predicted, matches: Detections, dr, alpha):
         p = self.params
-        points = [self.slam_map.points[j].position for j, _, _ in observations]
-        uv = [(u, v) for _, u, v in observations]
+        points = [self.slam_map.points[j].position for j in matches.ids.tolist()]
         prior = None
         if alpha is not None and dr is not None:
             prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
-        return solve_motion_only(self.camera, predicted, points, uv, 1.0 / p.pixel_std,
+        return solve_motion_only(self.camera, predicted, points, matches.uv, 1.0 / p.pixel_std,
                                  p.huber_scale, prior, p.motion_solver)
 
     def process(self, record) -> Frame:
@@ -277,13 +274,13 @@ class Pipeline:
             pose = record.gt_pose if record.gt_pose is not None else Pose.identity()
             stats = TrackingStats(record.n_det, 0)
             frame = Frame(record.frame_id, record.timestamp, pose, stats,
-                          compute_quality(stats, self.params.quality), [], dr,
+                          compute_quality(stats, self.params.quality), dr,
                           tracked_ok=True, gt_pose=record.gt_pose)
             self.frames.append(frame)
             if self.mode == "dr-only":
                 self._bare_keyframe(frame)
             else:
-                self._insert_keyframe(frame, record)
+                self._insert_keyframe(frame, record, Detections.empty())
             self.prev_frame = frame
             return frame
 
@@ -292,20 +289,20 @@ class Pipeline:
         if self.mode == "dr-only":
             stats = TrackingStats(record.n_det, 0)
             frame = Frame(record.frame_id, record.timestamp, predicted, stats,
-                          compute_quality(stats, self.params.quality), [], dr,
+                          compute_quality(stats, self.params.quality), dr,
                           tracked_ok=True, gt_pose=record.gt_pose)
-            self._finish_frame(frame, record, mapped=False)
+            self._finish_frame(frame, record)
             return frame
 
         if self.track_lost_frame is not None:
             stats = TrackingStats(record.n_det, 0)
             frame = Frame(record.frame_id, record.timestamp, predicted, stats,
-                          compute_quality(stats, self.params.quality), [], dr,
+                          compute_quality(stats, self.params.quality), dr,
                           tracked_ok=False, gt_pose=record.gt_pose)
-            self._finish_frame(frame, record, mapped=False)
+            self._finish_frame(frame, record)
             return frame
 
-        observations, n_trk = associate_features(
+        matches, n_trk = associate_features(
             record.detections, self.slam_map.points, predicted,
             self.params.search_radius, self.camera)
         if not record.detections and record.n_trk_max > 0:
@@ -317,15 +314,14 @@ class Pipeline:
         tracked_ok = True
         iterations = 0
         try:
-            pose, report = self._solve_motion(predicted, observations, dr, alpha)
+            pose, report = self._solve_motion(predicted, matches, dr, alpha)
             iterations = report.iterations
         except (NoConstraints, Diverged, SingularSystem):
             pose = predicted
             tracked_ok = False
             self.motion_failed += 1
 
-        frame = Frame(record.frame_id, record.timestamp, pose, stats, q,
-                      observations, dr, tracked_ok,
+        frame = Frame(record.frame_id, record.timestamp, pose, stats, q, dr, tracked_ok,
                       alpha=alpha if alpha is not None else float("nan"),
                       solver_iterations=iterations, gt_pose=record.gt_pose)
 
@@ -335,10 +331,11 @@ class Pipeline:
                 self.track_lost_frame = record.frame_id
                 frame.tracked_ok = False
 
-        self._finish_frame(frame, record, mapped=self.track_lost_frame is None)
+        self._finish_frame(frame, record, matches if self.track_lost_frame is None else None)
         return frame
 
-    def _finish_frame(self, frame: Frame, record, mapped: bool) -> None:
+    def _finish_frame(self, frame: Frame, record, matches: Detections | None = None) -> None:
+        """Append the frame; with its matches, map it (the frame may become a keyframe)."""
         self.frames.append(frame)
         if self.acc_delta is not None and frame.dr is not None:
             self.acc_delta = compose(self.acc_delta, frame.dr)
@@ -351,7 +348,7 @@ class Pipeline:
             last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
             if frame.id - last_kf.frame_id >= self.params.k_max:
                 self._bare_keyframe(frame)
-        elif mapped:
+        elif matches is not None:
             last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
             # Few-but-nonzero matches on a degraded frame make a geometrically
             # risky keyframe. Blackout frames (zero matches, no geometry) and
@@ -360,7 +357,7 @@ class Pipeline:
             risky = (0 < frame.stats.n_trk < self.params.kf_min_trk
                      and frame.stats.n_det < self.params.kf_min_det)
             if decide_keyframe(frame, last_kf, self.params) and not risky:
-                self._insert_keyframe(frame, record)
+                self._insert_keyframe(frame, record, matches)
 
     # ----- mapping --------------------------------------------------------
 
@@ -379,15 +376,20 @@ class Pipeline:
         y = gt_pose.rotation_matrix.T @ (self.world[landmark_id] - gt_pose.t)
         return float(y[2]) if y[2] > 0.05 else None
 
-    def _insert_keyframe(self, frame: Frame, record) -> KeyFrame:
+    def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> KeyFrame:
+        """Keyframe observing its matches, then new points from its other detections.
+
+        Every match is a map point, so the first detection of each landmark
+        not yet in the map is a candidate, in detection order.
+        """
         kf_id = self._next_kf_id
         self._next_kf_id += 1
-        observations = list(frame.observations)
+        observations = list(matches)
 
-        matched = {j for j, _, _ in observations}
-        for j, u, v in record.detections:
-            if j < 0 or j in matched or j in self.slam_map.points:
-                continue
+        ids = record.detections.ids
+        rows = _first_landmark_rows(ids)
+        rows = rows[[j not in self.slam_map.points for j in ids[rows].tolist()]]
+        for j, u, v in record.detections.take(rows):
             depth = self._depth_of(j, frame.gt_pose)
             if depth is None:
                 continue

@@ -74,12 +74,39 @@ class WorldConfig:
             raise ValueError("noise standard deviations must be nonnegative")
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """One frame's detections, rows in detection order.
+
+    ``ids`` (N,) int64 holds each row's landmark id, -1 for clutter, and
+    ``uv`` (N, 2) float64 its pixel. Iterating yields ``(id, u, v)`` rows as
+    a Python int and two floats.
+    """
+
+    ids: np.ndarray
+    uv: np.ndarray
+
+    @classmethod
+    def empty(cls) -> Detections:
+        return cls(np.empty(0, dtype=np.int64), np.empty((0, 2)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return zip(self.ids.tolist(), *self.uv.T.tolist())
+
+    def take(self, rows) -> Detections:
+        """The rows selected by an index array or boolean mask, in that order."""
+        return Detections(self.ids[rows], self.uv[rows])
+
+
 @dataclass
 class SimFrameRecord:
     frame_id: int
     timestamp: float
     gt_pose: Pose | None
-    detections: list                    # (landmark_id or -1, u, v)
+    detections: Detections
     dr_delta: Pose | None               # relative increment to previous frame
     odom_pose: Pose | None              # absolute DR-integrated pose
     n_det: int
@@ -240,51 +267,59 @@ def populate_landmarks(config: WorldConfig, trajectory, rng,
     return np.vstack(positions)
 
 
-def _select_detections(dets, n_keep: int, clustered: bool, camera: CameraIntrinsics,
-                       landmarks=None):
+def squared_distance(uv: np.ndarray, center) -> np.ndarray:
+    """Squared pixel distance of each row of uv (N, 2) from center (u, v), scalars or (N,)."""
+    # float_power rounds each square as a Python float's ``** 2`` (libm pow)
+    # does, which keeps drop-out ranks, gate decisions and so the pinned
+    # sequence bytes and run outputs; an array's ``** 2`` is x * x, which
+    # differs from it in the last bit for about one value in a thousand
+    return np.float_power(uv[:, 0] - center[0], 2) + np.float_power(uv[:, 1] - center[1], 2)
+
+
+def _select_detections(dets: Detections, n_keep: int, clustered: bool,
+                       camera: CameraIntrinsics, landmarks=None) -> Detections:
     """Deterministic subset when a drop-out forces the detection count down.
 
     Plain drop-outs keep the most central detections. Clustered drop-outs
     keep a tight 3D neighborhood (one wall patch): seeded by the detection
     nearest an off-center anchor, then grown by landmark-space distance, so
-    the surviving geometry is nearly degenerate for pose estimation.
+    the surviving geometry is nearly degenerate for pose estimation. Ties
+    go to the lower landmark id; clutter fills up in detection order.
     """
-    landmark_dets = [d for d in dets if d[0] >= 0]
-    clutter_dets = [d for d in dets if d[0] < 0]
-    if clustered and landmarks is not None and landmark_dets:
-        anchor = np.array([0.2 * camera.width, 0.5 * camera.height])
-        seed = min(landmark_dets,
-                   key=lambda d: ((d[1] - anchor[0]) ** 2 + (d[2] - anchor[1]) ** 2, d[0]))
-        center = landmarks[seed[0]]
-        landmark_dets.sort(key=lambda d: (float(np.sum((landmarks[d[0]] - center) ** 2)), d[0]))
+    rows = np.flatnonzero(dets.ids >= 0)
+    ids = dets.ids[rows]
+    if clustered and landmarks is not None and len(rows):
+        anchor = (0.2 * camera.width, 0.5 * camera.height)
+        seed = ids[np.lexsort((ids, squared_distance(dets.uv[rows], anchor)))[0]]
+        key = np.sum((landmarks[ids] - landmarks[seed]) ** 2, axis=1)
     else:
-        anchor = np.array([camera.cx, camera.cy])
-        landmark_dets.sort(key=lambda d: ((d[1] - anchor[0]) ** 2 + (d[2] - anchor[1]) ** 2, d[0]))
-    kept = landmark_dets[:n_keep]
-    if len(kept) < n_keep:
-        kept += clutter_dets[:n_keep - len(kept)]
-    return kept
+        key = squared_distance(dets.uv[rows], (camera.cx, camera.cy))
+    ranked = rows[np.lexsort((ids, key))][:n_keep]
+    clutter = np.flatnonzero(dets.ids < 0)[:n_keep - len(ranked)]
+    return dets.take(np.concatenate([ranked, clutter]))
 
 
 def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
                    config: WorldConfig, rng, frame_id: int,
                    camera: CameraIntrinsics = DEFAULT_CAMERA) -> SimFrameRecord:
-    detections = []
+    detections = Detections.empty()
     if len(landmarks):
         cam = _camera_points(gt_pose, landmarks)
         ok, u, v = _visible_mask(cam, camera, config.depth_min, config.depth_max)
-        ids = np.where(ok)[0]
+        ids = np.flatnonzero(ok)
         if len(ids):
             noise = rng.normal(scale=config.pixel_noise, size=(len(ids), 2)) \
-                if config.pixel_noise > 0 else np.zeros((len(ids), 2))
-            for j, (du, dv) in zip(ids, noise):
-                uu, vv = u[j] + du, v[j] + dv
-                if 0 <= uu < camera.width and 0 <= vv < camera.height:
-                    detections.append((int(j), float(uu), float(vv)))
+                if config.pixel_noise > 0 else 0.0
+            uv = np.column_stack([u[ids], v[ids]]) + noise
+            detections = Detections(ids, uv).take(
+                (uv[:, 0] >= 0) & (uv[:, 0] < camera.width)
+                & (uv[:, 1] >= 0) & (uv[:, 1] < camera.height))
     if config.clutter:
         cu = rng.uniform(0.0, camera.width - 1e-6, config.clutter)
         cv = rng.uniform(0.0, camera.height - 1e-6, config.clutter)
-        detections.extend((-1, float(a), float(b)) for a, b in zip(cu, cv))
+        detections = Detections(
+            np.concatenate([detections.ids, np.full(config.clutter, -1)]),
+            np.concatenate([detections.uv, np.column_stack([cu, cv])]))
 
     active = None
     for d in config.dropouts:
@@ -306,7 +341,6 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
         ])
         dr_delta = compose(gt_delta, exp_se3(Twist(eps[:3], eps[3:])))
 
-    n_trk_max = sum(1 for d in detections if d[0] >= 0)
     return SimFrameRecord(
         frame_id=frame_id,
         timestamp=frame_id / config.fps,
@@ -315,7 +349,7 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
         dr_delta=dr_delta,
         odom_pose=None,
         n_det=len(detections),
-        n_trk_max=n_trk_max,
+        n_trk_max=int(np.count_nonzero(detections.ids >= 0)),
     )
 
 
@@ -438,6 +472,42 @@ def _read_meta(path) -> dict:
     return meta
 
 
+def _frame_ids(table: np.ndarray, path, n_frames: int) -> np.ndarray:
+    """Column 0 of a sequence table as frame ids; FormatError outside 0..n_frames-1."""
+    frames = int_column(table, 0, "frame_id", path)
+    outside = np.flatnonzero((frames < 0) | (frames >= n_frames))
+    if len(outside):
+        row = int(outside[0])
+        raise FormatError(f"frame_id {frames[row]} outside 0..{n_frames - 1}",
+                          path=str(path), line=csv_line(path, row))
+    return frames
+
+
+def _detection_counts(stats: np.ndarray, path, n_frames: int) -> list:
+    """n_det of frames 0..n_frames-1 from a stats table holding one row per frame.
+
+    A repeated frame is reported at its second row; a missing frame at the
+    row of the next frame present, or at the last line when none follows.
+    """
+    frames = _frame_ids(stats, path, n_frames)
+    n_det = int_column(stats, 1, "n_det", path)
+    order = np.argsort(frames, kind="stable")
+    repeats = order[1:][np.diff(frames[order]) == 0]
+    if len(repeats):
+        row = int(repeats.min())
+        raise FormatError(f"second row for frame {frames[row]}", path=str(path),
+                          line=csv_line(path, row))
+    if len(frames) < n_frames:
+        missing = int(np.flatnonzero(np.bincount(frames, minlength=n_frames) == 0)[0])
+        later = np.flatnonzero(frames > missing)
+        row = int(later[np.argmin(frames[later])]) if len(later) else len(frames) - 1
+        raise FormatError(f"no row for frame {missing}", path=str(path),
+                          line=csv_line(path, row) if row >= 0 else 1)
+    counts = np.empty(n_frames, dtype=np.int64)
+    counts[frames] = n_det
+    return counts.tolist()
+
+
 def read_sequence(path) -> Sequence:
     meta = _read_meta(os.path.join(path, "meta"))
     camera = camera_from_meta(meta)
@@ -447,33 +517,32 @@ def read_sequence(path) -> Sequence:
         raise FormatError("gt.tum and odom.tum disagree on frame count", path=str(path))
     stats_path, obs_path, world_path = (
         os.path.join(path, name) for name in ("stats.csv", "obs.csv", "world.csv"))
-    stats = read_csv(stats_path, ["frame_id", "n_det"])
+    n_det = _detection_counts(read_csv(stats_path, ["frame_id", "n_det"]), stats_path, len(gt))
     obs = read_csv(obs_path, ["frame_id", "landmark_id", "u", "v"])
     world_table = read_csv(world_path, ["landmark_id", "x", "y", "z"])
     world = dict(zip(int_column(world_table, 0, "landmark_id", world_path).tolist(),
                      world_table[:, 1:]))
-    n_det = dict(zip(int_column(stats, 0, "frame_id", stats_path).tolist(),
-                     int_column(stats, 1, "n_det", stats_path).tolist()))
 
     # Group rows by frame with a stable sort, so rows keep their file order
-    # within a frame whatever the order of the frames in the file.
-    frames = int_column(obs, 0, "frame_id", obs_path)
-    ids = int_column(obs, 1, "landmark_id", obs_path)
+    # within a frame whatever the order of the frames in the file. Each frame
+    # holds a slice of the sorted columns.
+    frames = _frame_ids(obs, obs_path, len(gt))
     order = np.argsort(frames, kind="stable")
+    ids = int_column(obs, 1, "landmark_id", obs_path)[order]
+    uv = obs[order, 2:]
+    del obs
     bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1)).tolist()
-    ids = ids[order]
     tracked = np.concatenate([[0], np.cumsum(ids >= 0)])[bounds].tolist()
-    detections = list(zip(ids.tolist(), obs[order, 2].tolist(), obs[order, 3].tolist()))
 
     records = []
     prev_odom = None
     for i, ((ts, gt_pose), (_, odom_pose)) in enumerate(zip(gt, odom)):
-        dets = detections[bounds[i]:bounds[i + 1]]
+        a, b = bounds[i], bounds[i + 1]
         delta = None if prev_odom is None else compose(inverse(prev_odom), odom_pose)
         records.append(SimFrameRecord(
-            frame_id=i, timestamp=ts, gt_pose=gt_pose, detections=dets,
-            dr_delta=delta, odom_pose=odom_pose,
-            n_det=n_det.get(i, len(dets)),
+            frame_id=i, timestamp=ts, gt_pose=gt_pose,
+            detections=Detections(ids[a:b], uv[a:b]),
+            dr_delta=delta, odom_pose=odom_pose, n_det=n_det[i],
             n_trk_max=tracked[i + 1] - tracked[i]))
         prev_odom = odom_pose
     return Sequence(records=records, world=world, camera=camera, meta=meta)
@@ -534,7 +603,7 @@ def ingest_replay(stats_csv, odom_file, gt_file=None,
     for i, (det, trk, op, gp) in enumerate(zip(n_det.tolist(), n_trk.tolist(), odom, gt)):
         delta = None if prev is None else compose(inverse(prev), op)
         records.append(SimFrameRecord(
-            frame_id=i, timestamp=timestamps[i], gt_pose=gp, detections=[],
+            frame_id=i, timestamp=timestamps[i], gt_pose=gp, detections=Detections.empty(),
             dr_delta=delta, odom_pose=op, n_det=det, n_trk_max=trk))
         prev = op
     meta = {"format": META_MAGIC, "replay": "true",

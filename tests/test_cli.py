@@ -251,6 +251,23 @@ def test_run_malformed_sequence_field_exits_two(tmp_path, capsys):
     assert "obs.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("obs.csv", lambda lines: lines + ["9999,1,2.0,3.0"]),
+    ("stats.csv", lambda lines: lines + ["3,40"]),
+    ("stats.csv", lambda lines: lines[:4] + lines[5:]),
+])
+def test_run_inconsistent_frame_rows_exit_two(tmp_path, capsys, name, edit):
+    # a row outside the sequence, a repeated and a missing frame in stats.csv
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--out", str(seq_dir)])
+    path = seq_dir / name
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main(["run", "--seq", str(seq_dir), "--out", str(tmp_path / "o"),
+                 "--config", cfg]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_bundled_configs_resolve(tmp_path):
     from drslam.cli import resolve_config_path
     for name in ("corridor_gap", "rectangle_loop", "two_lap"):

@@ -1,11 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drslam.pipeline
 from drslam.errors import Diverged, FormatError
-from drslam.geometry import Pose, compose, exp_se3_vec, inverse
+from drslam.geometry import CameraIntrinsics, Pose, compose, exp_se3_vec, inverse
 from drslam.pipeline import (
     Frame,
     KeyFrame,
@@ -20,7 +23,7 @@ from drslam.pipeline import (
     run_pipeline,
     save_map,
 )
-from drslam.simulator import DEFAULT_CAMERA, Dropout, WorldConfig, simulate_sequence
+from drslam.simulator import DEFAULT_CAMERA, Detections, Dropout, WorldConfig, simulate_sequence
 from drslam.weighting import TrackingStats
 
 PARAMS = PipelineParams()
@@ -29,7 +32,13 @@ PARAMS = PipelineParams()
 def make_frame(fid=0, pose=None, n_det=100, n_trk=50, ts=None):
     return Frame(fid, fid / 30.0 if ts is None else ts,
                  pose or Pose.identity(), TrackingStats(n_det, n_trk),
-                 quality=0.5, observations=[], dr=None, tracked_ok=True)
+                 quality=0.5, dr=None, tracked_ok=True)
+
+
+def as_detections(rows) -> Detections:
+    """Detections from (id, u, v) rows, in row order."""
+    return Detections(np.array([j for j, _, _ in rows], dtype=np.int64),
+                      np.array([(u, v) for _, u, v in rows], dtype=float).reshape(-1, 2))
 
 
 def straight_sequence(n_frames=120, seed=0, **kw):
@@ -70,7 +79,8 @@ def test_associate_perfect_prediction_matches_all():
         detections.append((j, DEFAULT_CAMERA.fx * y[0] / y[2] + DEFAULT_CAMERA.cx,
                            DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy))
     detections.append((-1, 100.0, 100.0))  # clutter never matches
-    obs, n_trk = associate_features(detections, points, pose, 15.0, DEFAULT_CAMERA)
+    obs, n_trk = associate_features(as_detections(detections), points, pose, 15.0,
+                                    DEFAULT_CAMERA)
     assert n_trk == 3
     assert sorted(j for j, _, _ in obs) == [0, 1, 2]
 
@@ -84,8 +94,9 @@ def test_associate_offset_beyond_radius_matches_nothing():
         detections.append((j, DEFAULT_CAMERA.fx * y[0] / y[2] + DEFAULT_CAMERA.cx,
                            DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy))
     off = Pose(np.array([1.0, 0, 0, 0]), np.array([0.5, 0.0, 0.0]))  # ~80 px shift
-    obs, n_trk = associate_features(detections, points, off, 15.0, DEFAULT_CAMERA)
-    assert n_trk == 0 and obs == []
+    obs, n_trk = associate_features(as_detections(detections), points, off, 15.0,
+                                    DEFAULT_CAMERA)
+    assert n_trk == 0 and list(obs) == []
 
 
 def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
@@ -103,7 +114,8 @@ def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
         shift = rng.normal(size=3)
         shift = shift / np.linalg.norm(shift) * rng.uniform(0.01, 0.08)
         predicted = Pose(np.array([1.0, 0, 0, 0]), shift)
-        obs, n_trk = associate_features(detections, points, predicted, radius, DEFAULT_CAMERA)
+        obs, n_trk = associate_features(as_detections(detections), points, predicted, radius,
+                                        DEFAULT_CAMERA)
         expected = set()
         rot = predicted.rotation_matrix
         for j, p in enumerate(pts):
@@ -120,6 +132,153 @@ def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
                 expected.add(j)
         assert {j for j, _, _ in obs} == expected
         assert n_trk == len(expected)
+
+
+def associate_oracle(detections, points, predicted, search_radius, camera):
+    """Per-detection reference: the first row of each landmark id, gated one point at a time."""
+    det_by_id = {}
+    for j, u, v in detections:
+        if j >= 0 and j not in det_by_id:
+            det_by_id[j] = (u, v)
+    if not det_by_id or not points:
+        return [], 0
+    ids = [j for j in det_by_id if j in points]
+    if not ids:
+        return [], 0
+    positions = np.array([points[j].position for j in ids])
+    rot = predicted.rotation_matrix
+    cam = (positions - predicted.t) @ rot
+    observations = []
+    for j, (x, y, z) in zip(ids, cam):
+        if z <= 0.05:
+            continue
+        u = camera.fx * x / z + camera.cx
+        v = camera.fy * y / z + camera.cy
+        if not (-search_radius <= u < camera.width + search_radius
+                and -search_radius <= v < camera.height + search_radius):
+            continue
+        du, dv = det_by_id[j]
+        if (du - u) ** 2 + (dv - v) ** 2 <= search_radius ** 2:
+            observations.append((j, du, dv))
+    return observations, len(observations)
+
+
+# fx = fy = 512 and depths that are powers of two make projections of the
+# drawn targets exact, so rows land exactly on the gate and margin bounds
+CAMERA_512 = CameraIntrinsics(fx=512.0, fy=512.0, cx=320.0, cy=240.0, width=640, height=480)
+NEAR_PLANE_DEPTHS = [0.05, float(np.nextafter(0.05, 1.0)), float(np.nextafter(0.05, 0.0)),
+                     0.0, -1.0, 0.5, 1.0, 2.0, 4.0]
+
+
+@st.composite
+def association_cases(draw):
+    radius = draw(st.sampled_from([15.0, 40.0]))
+    k = radius / 5.0
+    offsets = st.sampled_from([
+        (0.0, 0.0), (3 * k, 4 * k), (-4 * k, 3 * k), (radius, 0.0), (0.0, -radius),
+        (3 * k, float(np.nextafter(4 * k, np.inf))), (radius + 0.5, 0.0),
+    ]) | st.tuples(st.floats(-2 * radius, 2 * radius), st.floats(-2 * radius, 2 * radius))
+    u_targets = st.sampled_from([-radius - 0.5, -radius, -radius + 0.5, 0.0, 320.0, 639.5,
+                                 640.0 + radius - 0.5, 640.0 + radius, 640.0 + radius + 0.5]) \
+        | st.floats(-80.0, 720.0)
+    v_targets = st.sampled_from([-radius - 0.5, -radius, 0.0, 240.0, 480.0 + radius - 0.5,
+                                 480.0 + radius, 480.0 + radius + 0.5]) | st.floats(-80.0, 560.0)
+    points, rows = {}, []
+    for j in range(draw(st.integers(0, 10))):
+        z = draw(st.sampled_from(NEAR_PLANE_DEPTHS))
+        u, v = draw(u_targets), draw(v_targets)
+        position = np.array([(u - CAMERA_512.cx) * z / CAMERA_512.fx,
+                             (v - CAMERA_512.cy) * z / CAMERA_512.fy, z])
+        if draw(st.integers(0, 4)):          # some detected landmarks are not map points
+            points[j] = MapPoint(j, position, {0}, 0)
+        for _ in range(draw(st.integers(0, 2))):   # duplicate ids
+            du, dv = draw(offsets)
+            rows.append((j, u + du, v + dv))
+    rows += [(-1, draw(st.floats(0.0, 640.0)), draw(st.floats(0.0, 480.0)))
+             for _ in range(draw(st.integers(0, 4)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    kind = draw(st.sampled_from(["identity", "shift", "turn"]))
+    if kind == "identity":
+        predicted = Pose.identity()
+    elif kind == "shift":
+        predicted = Pose(np.array([1.0, 0.0, 0.0, 0.0]),
+                         np.array([draw(st.sampled_from([0.0, 0.25, -0.5])) for _ in range(3)]))
+    else:
+        predicted = exp_se3_vec(np.array([draw(st.floats(-0.2, 0.2)) for _ in range(6)]))
+    return as_detections(rows), points, predicted, radius
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(association_cases())
+def test_associate_matches_per_detection_oracle(case):
+    detections, points, predicted, radius = case
+    matches, n_trk = associate_features(detections, points, predicted, radius, CAMERA_512)
+    expected, n_expected = associate_oracle(detections, points, predicted, radius, CAMERA_512)
+    assert n_trk == n_expected == len(matches)
+    assert matches.ids.dtype == np.int64 and matches.uv.dtype == np.float64
+    assert matches.ids.tolist() == [j for j, _, _ in expected]
+    assert matches.uv.tobytes() == np.array([(u, v) for _, u, v in expected],
+                                            dtype=float).reshape(-1, 2).tobytes()
+    assert list(matches) == expected
+
+
+def test_associate_gate_and_near_plane_bounds():
+    r = 15.0
+
+    def point(u, v, z):
+        return np.array([(u - 320.0) * z / 512.0, (v - 240.0) * z / 512.0, z])
+
+    positions = {
+        0: point(100.0, 100.0, 1.0),          # detection exactly on the gate circle
+        1: point(100.0, 200.0, 1.0),          # just beyond it
+        2: point(200.0, 100.0, 0.05),         # on the near plane
+        3: point(200.0, 200.0, float(np.nextafter(0.05, 1.0))),
+        4: point(-r, 300.0, 2.0),             # projects onto the margin
+        5: point(-r - 2.0 ** -6, 300.0, 2.0),  # just outside it
+        6: point(300.0, 300.0, 1.0),          # duplicate id: the first row decides
+    }
+    points = {j: MapPoint(j, p, {0}, 0) for j, p in positions.items()}
+    rows = [(6, 330.0, 300.0), (0, 109.0, 112.0), (-1, 100.0, 100.0),
+            (1, 109.0, float(np.nextafter(212.0, np.inf))), (2, 200.0, 100.0),
+            (3, 200.0, 200.0), (4, -r, 300.0), (5, -r - 2.0 ** -6, 300.0), (6, 300.0, 300.0)]
+    matches, n_trk = associate_features(as_detections(rows), points, Pose.identity(), r,
+                                        CAMERA_512)
+    assert list(matches) == [(0, 109.0, 112.0), (3, 200.0, 200.0), (4, -r, 300.0)]
+    assert n_trk == 3
+
+
+def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatch):
+    seq = straight_sequence(n_frames=60)
+    for rec in seq.records:
+        # repeat the first landmark rows at the end: only the first row of an id counts
+        lm = np.flatnonzero(rec.detections.ids >= 0)[:5]
+        rec.detections = Detections(np.concatenate([rec.detections.ids, rec.detections.ids[lm]]),
+                                    np.concatenate([rec.detections.uv, rec.detections.uv[lm] + 3.0]))
+    insert = Pipeline._insert_keyframe
+    seen = []
+
+    def recorded(self, frame, record, matches):
+        before = set(self.slam_map.points)
+        kf = insert(self, frame, record, matches)
+        created = [j for j in self.slam_map.points if j not in before]
+        seen.append((before, created, record, matches, list(kf.observations)))
+        return kf
+
+    monkeypatch.setattr(Pipeline, "_insert_keyframe", recorded)
+    pipe = Pipeline(PARAMS, seq.camera, seq.world, "adaptive")
+    for rec in seq.records:
+        pipe.process(rec)
+    assert len(seen) >= 3 and sum(len(m) for _, _, _, m, _ in seen) > 0
+    for before, created, record, matches, observations in seen:
+        first = {}
+        for j, u, v in record.detections:
+            if j >= 0:
+                first.setdefault(j, (j, u, v))
+        new = [first[j] for j in first
+               if j not in before and pipe._depth_of(j, record.gt_pose) is not None]
+        assert all(j in before for j in matches.ids.tolist())
+        assert observations == list(matches) + new
+        assert created == [j for j, _, _ in new]
 
 
 def test_decide_keyframe_rules():
@@ -274,28 +433,80 @@ def test_map_round_trip_empty(tmp_path):
     assert back.keyframes == {} and back.points == {}
 
 
+def pose_bytes(pose):
+    return None if pose is None else (pose.q.tobytes(), pose.t.tobytes())
+
+
+def same_float(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
 def assert_maps_equal(a: SlamMap, b: SlamMap):
-    assert set(a.keyframes) == set(b.keyframes)
+    """Every field of every keyframe, point and edge, bit for bit."""
+    assert sorted(a.keyframes) == sorted(b.keyframes)
     for k in a.keyframes:
         ka, kb = a.keyframes[k], b.keyframes[k]
-        assert ka.frame_id == kb.frame_id
-        assert np.allclose(ka.pose.matrix(), kb.pose.matrix(), atol=1e-12)
+        assert (ka.id, ka.frame_id, ka.n_trk) == (kb.id, kb.frame_id, kb.n_trk)
+        assert ka.timestamp == kb.timestamp and ka.quality == kb.quality
+        assert same_float(ka.lba_alpha, kb.lba_alpha)
+        for field in ("pose", "dr_to_prev", "gt_pose"):
+            assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
         assert ka.observations == kb.observations
-        assert ka.n_trk == kb.n_trk
-        assert (ka.lba_alpha == kb.lba_alpha) or \
-            (math.isnan(ka.lba_alpha) and math.isnan(kb.lba_alpha))
-        if ka.dr_to_prev is not None:
-            assert np.allclose(ka.dr_to_prev.matrix(), kb.dr_to_prev.matrix(), atol=1e-12)
-        if ka.gt_pose is not None:
-            assert np.allclose(ka.gt_pose.matrix(), kb.gt_pose.matrix(), atol=1e-12)
-    assert set(a.points) == set(b.points)
+    assert sorted(a.points) == sorted(b.points)
     for j in a.points:
-        assert np.allclose(a.points[j].position, b.points[j].position, atol=1e-12)
-        assert a.points[j].observers == b.points[j].observers
-        assert a.points[j].created_kf == b.points[j].created_kf
+        pa, pb = a.points[j], b.points[j]
+        assert (pa.id, pa.created_kf, pa.observers) == (pb.id, pb.created_kf, pb.observers)
+        assert pa.position.tobytes() == pb.position.tobytes()
     assert a.covisibility == b.covisibility
     assert a.dr_edges == b.dr_edges
-    assert len(a.loop_edges) == len(b.loop_edges)
+    assert [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in a.loop_edges] == \
+        [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in b.loop_edges]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def poses(draw):
+    rotation = exp_se3_vec(np.array([0.0] * 3 + [draw(st.floats(-3.0, 3.0)) for _ in range(3)]))
+    return Pose(rotation.q, np.array([draw(finite) for _ in range(3)]))
+
+
+@st.composite
+def slam_maps(draw):
+    """Small maps as the pipeline keeps them: point observers are the keyframes observing them."""
+    m = SlamMap()
+    kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
+    point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
+    for k in kf_ids:
+        m.keyframes[k] = KeyFrame(
+            k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
+            observations=draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4)),
+            n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
+            lba_alpha=draw(st.just(float("nan")) | finite),
+            dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
+    for j in sorted(point_ids):
+        observers = {k for k in kf_ids if any(o[0] == j for o in m.keyframes[k].observations)}
+        m.points[j] = MapPoint(j, np.array([draw(finite) for _ in range(3)]), observers,
+                               draw(st.integers(0, 40)))
+    if len(kf_ids) >= 2:
+        pairs = st.lists(st.sampled_from(kf_ids), min_size=2, max_size=2, unique=True)
+        for a, b in draw(st.lists(pairs, max_size=4)):
+            m.add_covisibility(a, b, draw(st.integers(1, 500)))
+        for a, b in draw(st.lists(pairs, max_size=3)):
+            m.dr_edges[(a, b)] = draw(finite)
+        for a, b in draw(st.lists(pairs, max_size=2)):
+            m.loop_edges.append((a, b, draw(poses()), draw(finite)))
+    return m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(slam_maps())
+def test_map_round_trip_property(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.gwmap"
+        save_map(m, path)
+        assert_maps_equal(m, load_map(path))
 
 
 def test_map_round_trip_real_run(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ from drslam.fileio import write_csv, write_tum
 from drslam.geometry import Pose, Twist, compose, exp_se3, inverse, log_se3
 from drslam.simulator import (
     DEFAULT_CAMERA,
+    Detections,
     Dropout,
     WorldConfig,
     generate_trajectory,
@@ -23,6 +25,7 @@ from drslam.simulator import (
     resample_poses,
     simulate_frame,
     simulate_sequence,
+    squared_distance,
     write_sequence,
 )
 
@@ -40,6 +43,14 @@ def count_visible(pose, landmarks, config, camera=DEFAULT_CAMERA):
         if 0 <= u < cam.width and 0 <= v < cam.height:
             n += 1
     return n
+
+
+def assert_same_detections(a: Detections, b: Detections):
+    """Same ids and pixels, bit for bit, in the same order and layout."""
+    assert a.ids.dtype == b.ids.dtype == np.int64 and a.uv.dtype == b.uv.dtype == np.float64
+    assert a.ids.shape == b.ids.shape and a.uv.shape == b.uv.shape == (len(a.ids), 2)
+    assert a.ids.tobytes() == b.ids.tobytes()
+    assert a.uv.tobytes() == b.uv.tobytes()
 
 
 def test_trajectory_two_waypoints_equally_spaced():
@@ -127,13 +138,26 @@ def test_simulate_frame_zero_noise_exact_projections(rng):
         assert v == pytest.approx(DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy, abs=1e-9)
 
 
+def test_squared_distance_rounds_as_scalar_power(rng):
+    # the drop-out ranking and the association gate compare these sums, so
+    # they round as a Python float's ``x ** 2`` (libm pow) does; x * x
+    # differs from it in the last bit for about one row in a thousand
+    uv = rng.uniform(-700.0, 700.0, size=(20000, 2))
+    cu, cv = rng.uniform(0.0, 640.0, 20000), rng.uniform(0.0, 480.0, 20000)
+    expected = [(u - a) ** 2 + (v - b) ** 2
+                for (u, v), a, b in zip(uv.tolist(), cu.tolist(), cv.tolist())]
+    assert squared_distance(uv, (cu, cv)).tolist() == expected
+    assert squared_distance(uv, (320.0, 240.0)).tolist() == \
+        [(u - 320.0) ** 2 + (v - 240.0) ** 2 for u, v in uv.tolist()]
+
+
 def test_dropout_forces_detection_count(rng):
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=20, density=[(0.0, 40.0)],
                       clutter=30, dropouts=[Dropout(5, 8, 0), Dropout(12, 14, 7)])
     seq = simulate_sequence(cfg)
     for r in seq.records:
         if 5 <= r.frame_id <= 8:
-            assert r.n_det == 0 and r.detections == []
+            assert r.n_det == 0 and len(r.detections) == 0
         elif 12 <= r.frame_id <= 14:
             assert r.n_det == 7
         else:
@@ -187,7 +211,7 @@ def test_sequence_round_trip(tmp_path, rng):
         assert np.allclose(a.gt_pose.matrix(), b.gt_pose.matrix(), atol=1e-12)
         if a.dr_delta is not None:
             assert np.allclose(a.dr_delta.matrix(), b.dr_delta.matrix(), atol=1e-12)
-        assert a.detections == b.detections
+        assert_same_detections(a.detections, b.detections)
     assert set(back.world) == set(seq.world)
     for j in seq.world:
         assert np.allclose(seq.world[j], back.world[j], atol=1e-15)
@@ -246,6 +270,108 @@ def test_read_sequence_malformed_field_is_format_error(tmp_path, name, row):
     assert e.value.line == len((d / name).read_text().splitlines())
 
 
+def small_sequence_dir(tmp_path, n_frames=10):
+    cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=n_frames, density=[(0.0, 10.0)],
+                      clutter=2)
+    d = tmp_path / "seq"
+    write_sequence(simulate_sequence(cfg), d)
+    return d
+
+
+@pytest.mark.parametrize("name, row", [
+    ("obs.csv", "9999,1,2.0,3.0"),
+    ("obs.csv", "-4,1,2.0,3.0"),
+    ("obs.csv", "10,-1,2.0,3.0"),
+    ("stats.csv", "9999,7"),
+    ("stats.csv", "-1,7"),
+])
+def test_read_sequence_frame_outside_sequence_is_format_error(tmp_path, name, row):
+    d = small_sequence_dir(tmp_path)
+    with open(d / name, "a") as f:
+        f.write(row + "\n")
+    with pytest.raises(FormatError, match="outside 0..9") as e:
+        read_sequence(d)
+    assert e.value.path == str(d / name)
+    assert e.value.line == len((d / name).read_text().splitlines())
+
+
+def test_read_sequence_repeated_stats_frame_is_format_error(tmp_path):
+    d = small_sequence_dir(tmp_path)
+    lines = (d / "stats.csv").read_text().splitlines()
+    lines.insert(3, "7,5")  # line 4; frame 7's own row follows on line 10
+    (d / "stats.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="second row for frame 7") as e:
+        read_sequence(d)
+    assert e.value.path == str(d / "stats.csv")
+    assert e.value.line == 10
+
+
+@pytest.mark.parametrize("frame, line", [(0, 2), (4, 6), (9, 10)])
+def test_read_sequence_missing_stats_frame_is_format_error(tmp_path, frame, line):
+    # reported at the row of the next frame, or at the last row when none follows
+    d = small_sequence_dir(tmp_path)
+    lines = (d / "stats.csv").read_text().splitlines()
+    del lines[frame + 1]
+    (d / "stats.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"no row for frame {frame}") as e:
+        read_sequence(d)
+    assert e.value.path == str(d / "stats.csv")
+    assert e.value.line == line
+
+
+def test_read_sequence_frames_slice_shared_columns(tmp_path):
+    # one ids array and one two-column uv array back every frame; the parsed
+    # four-column obs.csv table is not kept
+    d = small_sequence_dir(tmp_path)
+    seq = read_sequence(d)
+    rows = len((d / "obs.csv").read_text().splitlines()) - 1
+    ids_base = {id(r.detections.ids.base) for r in seq.records}
+    uv_base = {id(r.detections.uv.base) for r in seq.records}
+    assert len(ids_base) == len(uv_base) == 1
+    assert seq.records[0].detections.ids.base.shape == (rows,)
+    assert seq.records[0].detections.uv.base.shape == (rows, 2)
+
+
+# sha256 of obs.csv and stats.csv as write_sequence(simulate_sequence(cfg))
+# writes them; these bytes are what every stored or benchmarked sequence is.
+PINNED_SEQUENCES = {
+    "clutter_noise": (
+        dict(waypoints=[(0, 0), (6, 0), (6, 4)], n_frames=30, density=[(0.0, 50.0)],
+             clutter=20, pixel_noise=0.5, dr_sigma_t=0.004, dr_sigma_r_deg=0.1, seed=3),
+        "69176455a646b9da17107c32d0cff7ceee2ff3d4e0b84252a76ad5c0e1277e9c",
+        "6a696446da8fd051d8089c5d7ea8e25bc0365e3236b5de6bb1602537f8815cd8"),
+    "plain_dropouts": (
+        dict(waypoints=[(0, 0), (8, 0)], n_frames=30, density=[(0.0, 50.0)], clutter=10,
+             pixel_noise=0.3, dropouts=[Dropout(5, 9, 12), Dropout(15, 17, 0), Dropout(20, 22, 80)],
+             seed=4),
+        "e4494ea05aa8270060d6be2a042b5a24e16d1e8f1162c4e7f3b077280784d0bc",
+        "8ae7a3c4e8a9cbcdbdb78c2f8bed8ae83eb8093fefed077922904e6c3a95504f"),
+    "clustered_dropout": (
+        dict(waypoints=[(0, 0), (5, 0), (5, 3)], n_frames=30, density=[(0.0, 60.0)], clutter=5,
+             pixel_noise=1.0, dropouts=[Dropout(4, 10, 8, clustered=True)], seed=5),
+        "35136e91acf94b2f541c06bc94dd32d415a86e30a67f024f5643cdf41f6bac04",
+        "39542f8d6c6479efa49b970237d67c0dc0a074e5d024ac7bb8f6ae982b11ce51"),
+    "detection_cap": (
+        dict(waypoints=[(0, 0), (6, 0)], n_frames=20, density=[(0.0, 120.0)], detection_cap=40,
+             clutter=30, pixel_noise=0.5, seed=6),
+        "5a09e88847b0e91377230a85da5de62e2758783b4dd914ca608a9dae3208d715",
+        "834c624434bba7789f9c5564d2fdc5c5618affb0cc21412247a1a798df5b9d5e"),
+    "cap_filled_by_clutter": (
+        dict(waypoints=[(0, 0), (6, 0)], n_frames=20, density=[(0.0, 20.0)], detection_cap=30,
+             clutter=40, pixel_noise=0.2, seed=7),
+        "51785ffb7f1e1d8f4a34bd177fa77c9ac2b2ffb44c575398f3d50963c3bdbbc0",
+        "daba443c165fe831768214d4baa3763d1fd83fb0f191e06a2ccddd06946a34c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEQUENCES))
+def test_simulated_sequence_bytes_are_pinned(tmp_path, name):
+    kwargs, obs_sha, stats_sha = PINNED_SEQUENCES[name]
+    write_sequence(simulate_sequence(WorldConfig(**kwargs)), tmp_path)
+    assert hashlib.sha256((tmp_path / "obs.csv").read_bytes()).hexdigest() == obs_sha
+    assert hashlib.sha256((tmp_path / "stats.csv").read_bytes()).hexdigest() == stats_sha
+
+
 @pytest.mark.parametrize("clutter", [0, 5])
 def test_read_sequence_header_only_tables(tmp_path, clutter):
     # no landmarks: world.csv is header-only, and so is obs.csv without clutter
@@ -263,7 +389,7 @@ def test_read_sequence_header_only_tables(tmp_path, clutter):
         assert rec.n_trk_max == 0
     if clutter == 0:
         assert (d / "obs.csv").read_text() == "frame_id,landmark_id,u,v\n"
-        assert all(rec.detections == [] for rec in seq.records)
+        assert all(len(rec.detections) == 0 for rec in seq.records)
 
 
 def test_read_sequence_calls_the_traced_readers(tmp_path, monkeypatch):
@@ -338,7 +464,8 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
         back = read_sequence(a)
         assert len(back.records) == len(seq.records)
         for sim, rec in zip(seq.records, back.records):
-            assert rec.detections == sim.detections
+            assert_same_detections(rec.detections, sim.detections)
+            assert list(rec.detections) == list(sim.detections)
             assert all(type(j) is int and type(u) is float and type(v) is float
                        for j, u, v in rec.detections)
             assert (rec.n_det, rec.n_trk_max) == (sim.n_det, sim.n_trk_max)
@@ -353,7 +480,8 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
 
         interleave_frames(a / "obs.csv", np.random.default_rng(shuffle_seed))
         shuffled = read_sequence(a)
-        assert [r.detections for r in shuffled.records] == [r.detections for r in back.records]
+        for r, q in zip(shuffled.records, back.records):
+            assert_same_detections(r.detections, q.detections)
         assert [r.n_trk_max for r in shuffled.records] == [r.n_trk_max for r in back.records]
 
 
