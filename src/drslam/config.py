@@ -1,10 +1,10 @@
 """Run configuration: plain-text key=value files with section headers.
 
 Resolution is layered: built-in defaults, then the config file, then
-command-line ``--set section.key=value`` overrides. Unknown or ill-typed
-keys are rejected with the offending key and line. The resolved config is
-echoed into every output directory; re-running from the echo reproduces
-outputs byte-identically.
+command-line ``--set section.key=value`` overrides. Unknown, ill-typed or
+out-of-range keys are rejected with the offending key and line. The resolved
+config is echoed into every output directory; re-running from the echo
+reproduces outputs byte-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt
 from .optimizer import SolverConfig
 from .pipeline import MODES, PipelineParams
@@ -77,6 +78,13 @@ def _fmt_vec3(v):
     return ",".join(fmt(x) for x in v)
 
 
+def _positive(s: str) -> float:
+    value = float(s)
+    if not value > 0:
+        raise ValueError("must be positive")
+    return value
+
+
 def _mode(s: str) -> str:
     if s not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {s!r}")
@@ -99,8 +107,8 @@ SCHEMA = {
     "quality.c_ref_window": (int, str, 10),
     "quality.q_well": (float, fmt, 0.8),
     "quality.smoothing_halfwidth": (int, str, 2),
-    "tracking.pixel_std": (float, fmt, 1.0),
-    "tracking.huber_scale": (float, fmt, 2.447),
+    "tracking.pixel_std": (_positive, fmt, 1.0),
+    "tracking.huber_scale": (_positive, fmt, HUBER_PIXEL_SCALE),
     "tracking.search_radius": (float, fmt, 15.0),
     "tracking.min_inliers": (int, str, 10),
     "tracking.lost_frames": (int, str, 5),
@@ -162,7 +170,7 @@ class RunConfig:
         try:
             self.values[key] = parse(raw.strip())
         except (ValueError, IndexError) as e:
-            raise ConfigError(f"ill-typed value {raw.strip()!r}: {e}", key=key, line=line) from e
+            raise ConfigError(f"invalid value {raw.strip()!r}: {e}", key=key, line=line) from e
 
     @property
     def mode(self) -> str:

@@ -25,26 +25,6 @@ HUBER_PIXEL_SCALE = 2.447
 
 
 @dataclass(frozen=True)
-class ReprojectionFactor:
-    frame_id: int
-    landmark_id: int
-    observed: np.ndarray            # pixel measurement (2,)
-    pixel_std: float                # isotropic measurement noise [px]
-    huber_threshold: float          # robust kernel threshold [px, whitened units]
-
-    def __post_init__(self):
-        if self.pixel_std <= 0:
-            raise ValueError("pixel std must be positive")
-        object.__setattr__(self, "observed", np.asarray(self.observed, dtype=float))
-
-
-def make_reprojection_factor(frame_id, landmark_id, observed, pixel_std,
-                             huber_scale: float = HUBER_PIXEL_SCALE) -> ReprojectionFactor:
-    return ReprojectionFactor(frame_id, landmark_id, np.asarray(observed, float),
-                              pixel_std, huber_scale)
-
-
-@dataclass(frozen=True)
 class DrFactor:
     from_id: int
     to_id: int

@@ -30,6 +30,7 @@ from .errors import (
     SingularSystem,
 )
 from .factors import (
+    HUBER_PIXEL_SCALE,
     dr_jacobians,
     dr_residuals,
     huber,
@@ -55,13 +56,20 @@ class LandmarkVariable:
         self.position = np.asarray(self.position, dtype=float).copy()
 
 
+# One reprojection row: the observing pose id, the landmark id and the pixel.
+REPROJECTION_ROW = np.dtype([("pose", np.int64), ("landmark", np.int64), ("uv", np.float64, (2,))])
+
+
 @dataclass
 class Problem:
     intrinsics: CameraIntrinsics | None = None
     poses: dict = field(default_factory=dict)          # id -> PoseVariable
     landmarks: dict = field(default_factory=dict)      # id -> LandmarkVariable
-    reprojection_factors: list = field(default_factory=list)
+    reprojection_factors: np.ndarray = field(          # (N,) REPROJECTION_ROW
+        default_factory=lambda: np.empty(0, REPROJECTION_ROW))
     dr_factors: list = field(default_factory=list)
+    pixel_std: float = 1.0                             # isotropic, every row [px]
+    huber_threshold: float = HUBER_PIXEL_SCALE         # every row, whitened units
 
     def add_pose(self, pose_id: int, pose: Pose, fixed: bool = False):
         self.poses[pose_id] = PoseVariable(pose, fixed)
@@ -69,12 +77,22 @@ class Problem:
     def add_landmark(self, lm_id: int, position, fixed: bool = False):
         self.landmarks[lm_id] = LandmarkVariable(position, fixed)
 
+    def add_observations(self, pose_ids, landmark_ids, uv):
+        """Appends reprojection rows: pose and landmark ids (N,), or one id for
+        every row, and pixels (N, 2)."""
+        uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+        rows = np.empty(len(uv), REPROJECTION_ROW)
+        rows["pose"], rows["landmark"], rows["uv"] = pose_ids, landmark_ids, uv
+        self.reprojection_factors = np.concatenate([self.reprojection_factors, rows])
+
     def validate(self):
-        for f in self.reprojection_factors:
-            if f.frame_id not in self.poses:
-                raise KeyError(f"reprojection factor references unknown pose {f.frame_id}")
-            if f.landmark_id not in self.landmarks:
-                raise KeyError(f"reprojection factor references unknown landmark {f.landmark_id}")
+        if not (self.pixel_std > 0 and self.huber_threshold > 0):
+            raise ValueError("pixel std and Huber threshold must be positive")
+        rows = self.reprojection_factors
+        for name, known in (("pose", self.poses), ("landmark", self.landmarks)):
+            unknown = rows[name][~np.isin(rows[name], list(known))]
+            if len(unknown):
+                raise KeyError(f"reprojection row references unknown {name} {unknown[0]}")
         for f in self.dr_factors:
             if f.from_id not in self.poses or f.to_id not in self.poses:
                 raise KeyError("dr factor references unknown pose")
@@ -232,65 +250,48 @@ class _Linearizer:
     def __init__(self, problem: Problem):
         problem.validate()
         self.k = problem.intrinsics
+        # Poses and landmarks in ascending id; a pose's position is its slot,
+        # a landmark's its row.
         self.pose_ids = sorted(problem.poses)
-        self.slot = {pid: i for i, pid in enumerate(self.pose_ids)}
-        self.fixed = np.array([problem.poses[p].fixed for p in self.pose_ids])
-        free_slots = [i for i, pid in enumerate(self.pose_ids) if not problem.poses[pid].fixed]
-        self.free_index = {s: j for j, s in enumerate(free_slots)}
-        self.n_pose_free = len(free_slots)
-
+        self.fixed = np.array([problem.poses[p].fixed for p in self.pose_ids], dtype=bool)
+        self.free_index, self.n_pose_free = _free_index(self.fixed)
         self.lm_ids = sorted(problem.landmarks)
-        self.lm_row = {l: i for i, l in enumerate(self.lm_ids)}
-        self.lm_fixed = np.array([problem.landmarks[l].fixed for l in self.lm_ids], dtype=bool) \
-            if self.lm_ids else np.zeros(0, dtype=bool)
-        free_rows = [i for i, l in enumerate(self.lm_ids) if not problem.landmarks[l].fixed]
-        self.lm_free_index = np.full(len(self.lm_ids), -1, dtype=int)
-        for j, r in enumerate(free_rows):
-            self.lm_free_index[r] = j
-        self.n_lm_free = len(free_rows)
+        self.lm_fixed = np.array([problem.landmarks[l].fixed for l in self.lm_ids], dtype=bool)
+        self.lm_free_index, self.n_lm_free = _free_index(self.lm_fixed)
 
-        # Group visual factors by observing pose for vectorized evaluation.
-        by_pose = {}
-        for f in problem.reprojection_factors:
-            by_pose.setdefault(f.frame_id, []).append(f)
-        self.groups = []
-        for pid in sorted(by_pose):
-            fs = by_pose[pid]
-            self.groups.append((
-                self.slot[pid],
-                np.array([self.lm_row[f.landmark_id] for f in fs], dtype=int),
-                np.array([f.observed for f in fs]),
-                np.array([1.0 / f.pixel_std for f in fs]),
-                np.array([f.huber_threshold for f in fs]),
-            ))
+        # Group the rows by observing pose, in row order within each pose.
+        rows = problem.reprojection_factors
+        slots = np.searchsorted(self.pose_ids, rows["pose"])
+        order = np.argsort(slots, kind="stable")
+        group_slots, starts = np.unique(slots[order], return_index=True)
+        lm_rows = np.searchsorted(self.lm_ids, rows["landmark"])
+        self.groups = [(int(s), lm_rows[g], rows["uv"][g])
+                       for s, g in zip(group_slots, np.split(order, starts[1:]))]
+        self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         # DR edges, stacked: pose slots, inverted increments, Ad(delta^-1),
         # whitening square roots, and the free-pose index of each side (-1: fixed).
         drs = problem.dr_factors
-        self.dr_from = np.array([self.slot[f.from_id] for f in drs], dtype=int)
-        self.dr_to = np.array([self.slot[f.to_id] for f in drs], dtype=int)
+        self.dr_from = np.searchsorted(self.pose_ids, [f.from_id for f in drs])
+        self.dr_to = np.searchsorted(self.pose_ids, [f.to_id for f in drs])
         self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_info = \
             _dr_edge_arrays([f.delta for f in drs], [f.information for f in drs])
-        pose_free_index = np.array([self.free_index.get(i, -1)
-                                    for i in range(len(self.pose_ids))], dtype=int)
-        self.dr_from_free = pose_free_index[self.dr_from]
-        self.dr_to_free = pose_free_index[self.dr_to]
+        self.dr_from_free = self.free_index[self.dr_from]
+        self.dr_to_free = self.free_index[self.dr_to]
 
         self.poses = [problem.poses[p].pose for p in self.pose_ids]
-        self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]) \
-            if self.lm_ids else np.zeros((0, 3))
+        self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]).reshape(-1, 3)
 
     def retract(self, point, step):
         poses, lm_pos = point
         dp = step[:6 * self.n_pose_free]
         dl = step[6 * self.n_pose_free:]
         new_poses = list(poses)
-        for s, j in self.free_index.items():
+        for j, s in enumerate(np.flatnonzero(~self.fixed).tolist()):
             new_poses[s] = compose(poses[s], exp_se3_vec(dp[6 * j:6 * j + 6]))
         new_lm = lm_pos
         if self.n_lm_free:
             new_lm = lm_pos.copy()
-            rows = np.where(self.lm_free_index >= 0)[0]
-            new_lm[rows] += dl.reshape(-1, 3)[self.lm_free_index[rows]]
+            new_lm[~self.lm_fixed] += dl.reshape(-1, 3)
         return new_poses, new_lm
 
     def residuals(self, point):
@@ -298,9 +299,9 @@ class _Linearizer:
         poses, lm_pos = point
         cost = 0.0
         visual = []
-        for slot, rows, obs, inv_std, huber_k in self.groups:
+        for slot, rows, obs in self.groups:
             group_cost, group = _visual_residuals(self.k, poses[slot], lm_pos[rows], obs,
-                                                  inv_std, huber_k)
+                                                  self.inv_std, self.huber_k)
             cost += group_cost
             visual.append(group)
         dr = None
@@ -319,9 +320,9 @@ class _Linearizer:
         poses, _ = point
         visual, dr = cache
         neq = NormalEquations(self.n_pose_free, self.n_lm_free)
-        for (slot, rows, _, inv_std, _), group in zip(self.groups, visual):
+        for (slot, rows, _), group in zip(self.groups, visual):
             pose_free = not self.fixed[slot]
-            weighted = _visual_jacobians(self.k, poses[slot], group, inv_std)
+            weighted = _visual_jacobians(self.k, poses[slot], group, self.inv_std)
             if weighted is None:
                 continue
             active, jp, j_lm, scale, rw = weighted
@@ -388,8 +389,8 @@ class _PoseLinearizer:
     edge from a fixed previous pose.
 
     A point is the Pose; its system is the 6x6 pair (H, b). Rows are the
-    matched points (N, 3) and pixels (N, 2) in match order, with the inverse
-    pixel std and the Huber threshold of each row. The arithmetic and its
+    matched points (N, 3) and pixels (N, 2) in match order, with one inverse
+    pixel std and one Huber threshold for every row. The arithmetic and its
     order are those of _Linearizer on the equivalent one-free-pose Problem:
     reprojection terms first, then the DR edge.
     """
@@ -461,6 +462,13 @@ class _PoseLinearizer:
         return _min_eigenvalue(system[0])
 
 
+def _free_index(fixed: np.ndarray):
+    """Index of each variable among the free ones (-1 where fixed), and the
+    number of free variables."""
+    free = ~fixed
+    return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
+
+
 def _dr_edge_arrays(deltas, informations):
     """Per DR edge: inverted increment (quaternion, translation), Ad(delta^-1)
     and the whitening square root of the information, stacked."""
@@ -471,16 +479,16 @@ def _dr_edge_arrays(deltas, informations):
             np.array([information_sqrt(i) for i in informations]).reshape(-1, 6, 6))
 
 
-def _visual_residuals(k, pose, points, observed, inv_std, huber_k):
+def _visual_residuals(k, pose, points, observed, inv_std: float, huber_k: float):
     """Huber cost of one camera's rows, and their camera-frame points,
     whitened residuals and IRLS weights."""
     y, r = reprojection_residuals(k, pose, points, observed)
-    rw = r * inv_std[:, None]
+    rw = r * inv_std
     rho, w = huber(np.linalg.norm(rw, axis=1), huber_k)
     return float(np.sum(rho)), (y, rw, w)
 
 
-def _visual_jacobians(k, pose, group, inv_std, landmarks: bool = True):
+def _visual_jacobians(k, pose, group, inv_std: float, landmarks: bool = True):
     """IRLS-weighted pose Jacobians and residuals of one camera's rows in front
     of the near plane: (active, jp, j_landmark, scale, rw); None if none is."""
     y, rw_all, w_all = group
@@ -488,7 +496,7 @@ def _visual_jacobians(k, pose, group, inv_std, landmarks: bool = True):
     if not active.all():
         if not active.any():
             return None
-        y, rw_all, w_all, inv_std = y[active], rw_all[active], w_all[active], inv_std[active]
+        y, rw_all, w_all = y[active], rw_all[active], w_all[active]
     j_pose, j_lm = reprojection_jacobians(k, pose, y, landmarks)
     sqrt_w = np.sqrt(w_all)
     scale = (inv_std * sqrt_w)[:, None, None]
@@ -573,10 +581,10 @@ def build_normal_equations(problem: Problem):
 
 
 def _write_back(problem: Problem, lin: _Linearizer, poses, lm_pos):
-    for pid, s in lin.slot.items():
-        problem.poses[pid].pose = poses[s]
-    for lid, row in lin.lm_row.items():
-        problem.landmarks[lid].position = lm_pos[row].copy()
+    for pid, pose in zip(lin.pose_ids, poses):
+        problem.poses[pid].pose = pose
+    for lid, position in zip(lin.lm_ids, lm_pos):
+        problem.landmarks[lid].position = position.copy()
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
@@ -590,13 +598,12 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     return report
 
 
-def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, inv_std,
-                      huber_threshold, dr=None, config: SolverConfig | None = None):
+def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float,
+                      huber_threshold: float, dr=None, config: SolverConfig | None = None):
     """Motion-only BA: refine one pose against fixed map points.
 
     points (N, 3) are the matched map points and uv (N, 2) their pixels, in
-    match order; inv_std and huber_threshold are each row's inverse pixel std
-    and Huber threshold, per row (N,) or one value for all rows. dr is None or
+    match order; pixel_std and huber_threshold hold for every row. dr is None or
     one DR edge (previous, delta, information) from the fixed previous pose,
     its information already scaled by its weight. Starts at pose, the
     prediction; returns (pose, report). Raises NoConstraints when there is no
@@ -607,8 +614,7 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, inv_std,
     if n == 0 and dr is None:
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
-                          np.broadcast_to(np.asarray(inv_std, dtype=float), (n,)),
-                          np.broadcast_to(np.asarray(huber_threshold, dtype=float), (n,)), dr)
+                          1.0 / pixel_std, huber_threshold, dr)
     return _levenberg_marquardt(lin, pose, config or SolverConfig(max_iterations=10))
 
 

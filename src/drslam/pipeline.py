@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
-from .factors import DrFactor, make_reprojection_factor
+from .factors import HUBER_PIXEL_SCALE, DrFactor
 from .fileio import fmt
 from .geometry import CameraIntrinsics, Pose, compose, inverse
 from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
@@ -63,7 +63,7 @@ class KeyFrame:
     frame_id: int
     timestamp: float
     pose: Pose
-    observations: list               # (point_id, u, v)
+    observations: Detections         # map point ids and their pixels
     n_trk: int
     quality: float
     lba_alpha: float = float("nan")
@@ -104,7 +104,7 @@ class PipelineParams:
     bounds: WeightBounds = field(default_factory=WeightBounds)
     nominal: NominalDrInformation = field(default_factory=NominalDrInformation)
     pixel_std: float = 1.0
-    huber_scale: float = 2.447
+    huber_scale: float = HUBER_PIXEL_SCALE
     search_radius: float = 15.0
     min_inliers: int = 10
     lost_frames: int = 5
@@ -265,7 +265,7 @@ class Pipeline:
         prior = None
         if alpha is not None and dr is not None:
             prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
-        return solve_motion_only(self.camera, predicted, points, matches.uv, 1.0 / p.pixel_std,
+        return solve_motion_only(self.camera, predicted, points, matches.uv, p.pixel_std,
                                  p.huber_scale, prior, p.motion_solver)
 
     def process(self, record) -> Frame:
@@ -363,7 +363,7 @@ class Pipeline:
 
     def _bare_keyframe(self, frame: Frame) -> KeyFrame:
         kf = KeyFrame(self._next_kf_id, frame.id, frame.timestamp, frame.pose,
-                      observations=[], n_trk=0, quality=frame.quality,
+                      observations=Detections.empty(), n_trk=0, quality=frame.quality,
                       gt_pose=frame.gt_pose)
         self._next_kf_id += 1
         self.slam_map.keyframes[kf.id] = kf
@@ -384,12 +384,12 @@ class Pipeline:
         """
         kf_id = self._next_kf_id
         self._next_kf_id += 1
-        observations = list(matches)
 
         ids = record.detections.ids
         rows = _first_landmark_rows(ids)
         rows = rows[[j not in self.slam_map.points for j in ids[rows].tolist()]]
-        for j, u, v in record.detections.take(rows):
+        new = []
+        for row, (j, u, v) in zip(rows.tolist(), record.detections.take(rows)):
             depth = self._depth_of(j, frame.gt_pose)
             if depth is None:
                 continue
@@ -397,7 +397,9 @@ class Pipeline:
                             (v - self.camera.cy) * depth / self.camera.fy, depth])
             position = frame.pose.rotation_matrix @ cam + frame.pose.t
             self.slam_map.points[j] = MapPoint(j, position, {kf_id}, kf_id)
-            observations.append((j, u, v))
+            new.append(row)
+        observations = Detections(np.concatenate([matches.ids, ids[new]]),
+                                  np.concatenate([matches.uv, record.detections.uv[new]]))
 
         kf = KeyFrame(kf_id, frame.id, frame.timestamp, frame.pose, observations,
                       n_trk=frame.stats.n_trk, quality=frame.quality,
@@ -406,10 +408,8 @@ class Pipeline:
         self.slam_map.keyframes[kf_id] = kf
 
         shared = {}
-        for j, _, _ in observations:
-            point = self.slam_map.points.get(j)
-            if point is None:
-                continue
+        for j in observations.ids.tolist():   # every observation is of a map point
+            point = self.slam_map.points[j]
             for other in point.observers:
                 if other != kf_id:
                     shared[other] = shared.get(other, 0) + 1
@@ -462,12 +462,10 @@ class Pipeline:
             if k in self.slam_map.keyframes:
                 window.add(k)
 
-        points = set()
-        for k in window:
-            for j, _, _ in self.slam_map.keyframes[k].observations:
-                point = self.slam_map.points.get(j)
-                if point is not None and len(point.observers) >= 2:
-                    points.add(j)
+        seen = np.unique(np.concatenate([self.slam_map.keyframes[k].observations.ids
+                                         for k in window]))
+        points = {j for j in seen.tolist()
+                  if j in self.slam_map.points and len(self.slam_map.points[j].observers) >= 2}
 
         anchor_votes = {}
         for j in points:
@@ -477,22 +475,17 @@ class Pipeline:
         anchors = {k for k, _ in sorted(anchor_votes.items(),
                                         key=lambda e: (-e[1], e[0]))[:p.max_anchor_keyframes]}
 
-        problem = Problem(intrinsics=self.camera)
+        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
+                          huber_threshold=p.huber_scale)
         for k in sorted(window):
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=False)
         for k in sorted(anchors):
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=True)
         if not anchors:
             problem.poses[min(window)].fixed = True
-        obs_lookup = {k: {j: (u, v) for j, u, v in self.slam_map.keyframes[k].observations}
-                      for k in window | anchors}
         for j in sorted(points):
             problem.add_landmark(j, self.slam_map.points[j].position)
-            for k in self.slam_map.points[j].observers:
-                hit = obs_lookup.get(k, {}).get(j)
-                if hit is not None:
-                    problem.reprojection_factors.append(make_reprojection_factor(
-                        k, j, np.array(hit), p.pixel_std, huber_scale=p.huber_scale))
+        self._add_observations(problem, sorted(window | anchors), sorted(points), by_id=True)
 
         alphas = self._edge_alphas(window)
         in_problem = window | anchors
@@ -530,14 +523,28 @@ class Pipeline:
         for j in points:
             self.slam_map.points[j].position = problem.landmarks[j].position
 
+    def _add_observations(self, problem: Problem, kf_ids, landmark_ids, by_id: bool) -> None:
+        """Adds the observations of the landmarks by the keyframes kf_ids,
+        given in ascending order, as reprojection rows, keyframe by keyframe.
+        Each keyframe's rows are in ascending landmark id when by_id, else in
+        observation order; the solver sums each pose's rows in that order."""
+        parts = [self.slam_map.keyframes[k].observations for k in kf_ids]
+        pose_ids = np.repeat(kf_ids, [len(d) for d in parts])
+        ids, uv = np.concatenate([d.ids for d in parts]), np.concatenate([d.uv for d in parts])
+        rows = np.flatnonzero(np.isin(ids, landmark_ids))
+        if by_id:
+            rows = rows[np.lexsort((ids[rows], pose_ids[rows]))]
+        problem.add_observations(pose_ids[rows], ids[rows], uv[rows])
+
     def _cull_points(self, current_kf: int) -> None:
         doomed = [j for j, pt in self.slam_map.points.items()
                   if len(pt.observers) < 2 and current_kf - pt.created_kf >= 2]
+        affected = set()
         for j in doomed:
-            point = self.slam_map.points.pop(j)
-            for k in point.observers:
-                kf = self.slam_map.keyframes[k]
-                kf.observations = [o for o in kf.observations if o[0] != j]
+            affected |= self.slam_map.points.pop(j).observers
+        for k in affected:
+            kf = self.slam_map.keyframes[k]
+            kf.observations = kf.observations.take(~np.isin(kf.observations.ids, doomed))
 
     def _update_c_ref(self) -> None:
         recent = sorted(self.slam_map.keyframes)[-self.params.c_ref_window:]
@@ -580,7 +587,8 @@ class Pipeline:
         gt = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].gt_pose)
               for k in kf_ids]
 
-        problem = Problem(intrinsics=self.camera)
+        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
+                          huber_threshold=p.huber_scale)
         for k in kf_ids:
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=(k == kf_ids[0]))
         live = set()
@@ -588,11 +596,7 @@ class Pipeline:
             if len(point.observers) >= 2:
                 live.add(j)
                 problem.add_landmark(j, point.position)
-        for k in kf_ids:
-            for j, u, v in self.slam_map.keyframes[k].observations:
-                if j in live:
-                    problem.reprojection_factors.append(make_reprojection_factor(
-                        k, j, np.array([u, v]), p.pixel_std, huber_scale=p.huber_scale))
+        self._add_observations(problem, kf_ids, list(live), by_id=False)
         for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
             delta = self.slam_map.keyframes[b].dr_to_prev
             if delta is not None and a in self.slam_map.keyframes:
@@ -642,39 +646,27 @@ def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:
 # ----- map persistence ----------------------------------------------------
 
 
+def _pose_text(pose: Pose) -> str:
+    """The pose fields tx ty tz qx qy qz qw, as _parse_pose reads them."""
+    w, x, y, z = pose.q
+    return " ".join(fmt(v) for v in (*pose.t, x, y, z, w))
+
+
 def save_map(slam_map: SlamMap, path) -> None:
     """Versioned structured text; see the README for the section layout."""
-    lines = [MAP_MAGIC]
-    lines.append("[keyframes]")
-    for k in sorted(slam_map.keyframes):
-        kf = slam_map.keyframes[k]
-        w, x, y, z = kf.pose.q
-        tx, ty, tz = kf.pose.t
-        lines.append(" ".join([str(kf.id), str(kf.frame_id), fmt(kf.timestamp),
-                               fmt(tx), fmt(ty), fmt(tz), fmt(x), fmt(y), fmt(z), fmt(w),
-                               fmt(kf.lba_alpha), str(kf.n_trk), fmt(kf.quality)]))
-    lines.append("[keyframe_dr]")
-    for k in sorted(slam_map.keyframes):
-        kf = slam_map.keyframes[k]
-        if kf.dr_to_prev is None:
-            continue
-        w, x, y, z = kf.dr_to_prev.q
-        tx, ty, tz = kf.dr_to_prev.t
-        lines.append(" ".join([str(kf.id), fmt(tx), fmt(ty), fmt(tz),
-                               fmt(x), fmt(y), fmt(z), fmt(w)]))
-    lines.append("[keyframe_gt]")
-    for k in sorted(slam_map.keyframes):
-        kf = slam_map.keyframes[k]
-        if kf.gt_pose is None:
-            continue
-        w, x, y, z = kf.gt_pose.q
-        tx, ty, tz = kf.gt_pose.t
-        lines.append(" ".join([str(kf.id), fmt(tx), fmt(ty), fmt(tz),
-                               fmt(x), fmt(y), fmt(z), fmt(w)]))
+    keyframes = [slam_map.keyframes[k] for k in sorted(slam_map.keyframes)]
+    lines = [MAP_MAGIC, "[keyframes]"]
+    for kf in keyframes:
+        lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {_pose_text(kf.pose)} "
+                     f"{fmt(kf.lba_alpha)} {kf.n_trk} {fmt(kf.quality)}")
+    for section, attr in (("keyframe_dr", "dr_to_prev"), ("keyframe_gt", "gt_pose")):
+        lines.append(f"[{section}]")
+        lines += [f"{kf.id} {_pose_text(getattr(kf, attr))}" for kf in keyframes
+                  if getattr(kf, attr) is not None]
     lines.append("[observations]")
-    for k in sorted(slam_map.keyframes):
-        for j, u, v in slam_map.keyframes[k].observations:
-            lines.append(f"{k} {j} {fmt(u)} {fmt(v)}")
+    for kf in keyframes:
+        for j, u, v in kf.observations:
+            lines.append(f"{kf.id} {j} {fmt(u)} {fmt(v)}")
     lines.append("[points]")
     for j in sorted(slam_map.points):
         pt = slam_map.points[j]
@@ -690,10 +682,7 @@ def save_map(slam_map: SlamMap, path) -> None:
         lines.append(f"{a} {b} {fmt(slam_map.dr_edges[(a, b)])}")
     lines.append("[loopedges]")
     for a, b, rel, scale in slam_map.loop_edges:
-        w, x, y, z = rel.q
-        tx, ty, tz = rel.t
-        lines.append(" ".join([str(a), str(b), fmt(scale), fmt(tx), fmt(ty), fmt(tz),
-                               fmt(x), fmt(y), fmt(z), fmt(w)]))
+        lines.append(f"{a} {b} {fmt(scale)} {_pose_text(rel)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -707,6 +696,7 @@ def _parse_pose(parts, path, lineno) -> Pose:
 
 def load_map(path) -> SlamMap:
     slam_map = SlamMap()
+    observations = {}                # keyframe id -> (point ids, pixels)
     section = None
     with open(path) as f:
         lines = f.read().splitlines()
@@ -733,7 +723,8 @@ def load_map(path) -> SlamMap:
                                       path=str(path), line=lineno)
                 kf = KeyFrame(
                     id=int(parts[0]), frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=_parse_pose(parts[3:10], str(path), lineno), observations=[],
+                    pose=_parse_pose(parts[3:10], str(path), lineno),
+                    observations=Detections.empty(),
                     n_trk=int(parts[11]), quality=float(parts[12]),
                     lba_alpha=float(parts[10]))
                 slam_map.keyframes[kf.id] = kf
@@ -747,8 +738,9 @@ def load_map(path) -> SlamMap:
                 if len(parts) != 4:
                     raise FormatError(f"expected 4 fields, got {len(parts)}",
                                       path=str(path), line=lineno)
-                k, j = int(parts[0]), int(parts[1])
-                slam_map.keyframes[k].observations.append((j, float(parts[2]), float(parts[3])))
+                ids, uv = observations.setdefault(slam_map.keyframes[int(parts[0])].id, ([], []))
+                ids.append(int(parts[1]))
+                uv.append((float(parts[2]), float(parts[3])))
             elif section == "points":
                 if len(parts) != 5:
                     raise FormatError(f"expected 5 fields, got {len(parts)}",
@@ -780,8 +772,11 @@ def load_map(path) -> SlamMap:
         raise
     except (ValueError, KeyError, IndexError) as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
+    for k, (ids, uv) in observations.items():
+        slam_map.keyframes[k].observations = Detections(np.array(ids, dtype=np.int64),
+                                                        np.array(uv, dtype=float))
     for k in sorted(slam_map.keyframes):
-        for j, _, _ in slam_map.keyframes[k].observations:
+        for j in slam_map.keyframes[k].observations.ids.tolist():
             if j in slam_map.points:
                 slam_map.points[j].observers.add(k)
     return slam_map

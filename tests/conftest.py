@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drslam.factors import DrFactor, dr_jacobians, dr_residuals, make_reprojection_factor
+from drslam.factors import DrFactor, dr_jacobians, dr_residuals
 from drslam.geometry import (CameraIntrinsics, Pose, Twist, adjoint, exp_se3, exp_se3_vec, compose,
                              inverse, project, transform_point)
 from drslam.optimizer import Problem
@@ -87,7 +87,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
         gt_landmarks.append(lm)
         observations.extend((i, j, obs) for i, obs in obs_here)
 
-    problem = Problem(intrinsics=CAMERA)
+    problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
     for i, gt in enumerate(gt_poses):
         anchored = fix_first and i == 0
         init = gt if (pose_perturb == 0 or anchored) else \
@@ -97,8 +97,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
         init = gt if lm_perturb == 0 else gt + rng.normal(scale=lm_perturb, size=3)
         problem.add_landmark(j, init, fixed=fix_landmarks)
     for i, j, obs in observations:
-        problem.reprojection_factors.append(
-            make_reprojection_factor(i, j, obs, pixel_std=max(pixel_noise, 1.0)))
+        problem.add_observations(i, j, obs)
     if with_dr_chain:
         info = NominalDrInformation().matrix()
         for i in range(n_poses - 1):
@@ -110,21 +109,19 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
 def motion_only_args(problem):
     """Keyword arguments of solve_motion_only equivalent to a Problem with one
     free pose, fixed landmarks and at most one DR edge from a fixed pose; rows
-    in factor order."""
+    in the problem's row order."""
     (pid,) = [i for i, v in problem.poses.items() if not v.fixed]
-    fs = problem.reprojection_factors
-    n = len(fs)
+    rows = problem.reprojection_factors
     dr = None
     if problem.dr_factors:
         (f,) = problem.dr_factors
         assert f.to_id == pid and problem.poses[f.from_id].fixed
         dr = (problem.poses[f.from_id].pose, f.delta, f.information)
     return dict(camera=problem.intrinsics, pose=problem.poses[pid].pose,
-                points=np.array([problem.landmarks[f.landmark_id].position for f in fs]).reshape(n, 3),
-                uv=np.array([f.observed for f in fs]).reshape(n, 2),
-                inv_std=np.array([1.0 / f.pixel_std for f in fs]),
-                huber_threshold=np.array([f.huber_threshold for f in fs]),
-                dr=dr)
+                points=np.array([problem.landmarks[j].position
+                                 for j in rows["landmark"].tolist()]).reshape(-1, 3),
+                uv=rows["uv"], pixel_std=problem.pixel_std,
+                huber_threshold=problem.huber_threshold, dr=dr)
 
 
 @pytest.fixture

@@ -240,6 +240,18 @@ def test_usage_errors_exit_two(tmp_path):
                  "--out", str(tmp_path / "s")]) == 2
 
 
+@pytest.mark.parametrize("setting", ["tracking.pixel_std=0", "tracking.pixel_std=-1.5",
+                                     "tracking.huber_scale=0"])
+def test_run_nonpositive_pixel_std_or_huber_scale_exits_two(tmp_path, capsys, setting):
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    assert main(["run", "--seq", seq_dir, "--out", str(tmp_path / "o"), "--config", cfg,
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert setting.partition("=")[0] in err and "must be positive" in err
+
+
 def test_run_malformed_sequence_field_exits_two(tmp_path, capsys):
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
     seq_dir = tmp_path / "seq"

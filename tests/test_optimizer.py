@@ -9,10 +9,10 @@ from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, mak
                       motion_only_args, random_pose)
 from drslam.errors import Diverged, GaugeUnderconstrained, NoConstraints
 from drslam.factors import (
+    HUBER_PIXEL_SCALE,
     DrFactor,
     huber,
     information_sqrt,
-    make_reprojection_factor,
     reprojection_jacobians,
     reprojection_residuals,
 )
@@ -49,7 +49,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
     delta = exp_se3_vec(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
     gt = compose(prev, delta)
 
-    problem = Problem(intrinsics=CAMERA)
+    problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
     problem.add_pose(0, prev, fixed=True)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -69,8 +69,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
         obs = project(CAMERA, cam)
         if pixel_noise:
             obs = obs + rng.normal(scale=pixel_noise, size=2)
-        problem.reprojection_factors.append(
-            make_reprojection_factor(1, j, obs, pixel_std=max(pixel_noise, 1.0)))
+        problem.add_observations(1, j, obs)
     if with_dr:
         problem.dr_factors.append(DrFactor(0, 1, delta, scale_information(dr_alpha, NOMINAL)))
     return problem, gt, prev, delta
@@ -131,7 +130,8 @@ def test_local_ba_recovers_ground_truth(rng):
 def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
     problem, gt_poses, _ = make_ba_problem(rng, n_poses=3, n_landmarks=60)
     # pose 1 loses all its visual factors but keeps DR edges to 0 and 2
-    problem.reprojection_factors = [f for f in problem.reprojection_factors if f.frame_id != 1]
+    rows = problem.reprojection_factors
+    problem.reprojection_factors = rows[rows["pose"] != 1]
     d01 = compose(inverse(gt_poses[0]), gt_poses[1])
     d12 = compose(inverse(gt_poses[1]), gt_poses[2])
     problem.dr_factors.append(DrFactor(0, 1, d01, NOMINAL.matrix()))
@@ -170,6 +170,26 @@ def test_empty_problem_is_zero_dimensional():
     assert report.termination == "no_free_variables"
 
 
+@pytest.mark.parametrize("pose_id, landmark_id, unknown", [(7, 0, "pose 7"),
+                                                           (1, 99, "landmark 99")])
+def test_problem_rejects_rows_of_unknown_ids(rng, pose_id, landmark_id, unknown):
+    problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10)
+    problem.add_observations(pose_id, landmark_id, [320.0, 240.0])
+    with pytest.raises(KeyError, match=unknown):
+        problem.validate()
+    with pytest.raises(KeyError, match=unknown):
+        solve(problem)
+
+
+@pytest.mark.parametrize("name, value", [("pixel_std", 0.0), ("pixel_std", -1.5),
+                                         ("huber_threshold", 0.0)])
+def test_problem_rejects_nonpositive_pixel_std_and_huber_threshold(rng, name, value):
+    problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10)
+    setattr(problem, name, value)
+    with pytest.raises(ValueError, match="must be positive"):
+        solve(problem)
+
+
 def test_single_dr_factor_normal_equations_match_direct_product(rng):
     a, b = random_pose(rng), random_pose(rng)
     delta = random_pose(rng, rot_scale=0.3)
@@ -196,34 +216,34 @@ def test_reprojection_normal_equations_match_direct_product(rng):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 5)])
         lms.append(transform_point(pose1, cam))
         problem.add_landmark(j, lms[-1], fixed=j > 0)
-    pixel_std = 0.5
+    pixel_std = problem.pixel_std = 0.5
     pairs = [(1, 0), (1, 1), (1, 2), (1, 3), (0, 0)]
     for i, j in pairs:
         pose = (pose0, pose1)[i]
-        # noise of several sigma, so some factors sit on the linear Huber branch
+        # noise of several sigma, so some rows sit on the linear Huber branch
         obs = project(CAMERA, transform_point(inverse(pose), lms[j])) \
             + rng.normal(scale=3 * pixel_std, size=2)
-        problem.reprojection_factors.append(make_reprojection_factor(i, j, obs, pixel_std))
+        problem.add_observations(i, j, obs)
     neq, _ = build_normal_equations(problem)
 
     hpp, hll, hpl = np.zeros((6, 6)), np.zeros((3, 3)), np.zeros((6, 3))
     bp, bl = np.zeros(6), np.zeros(3)
     weights = []
-    for f in problem.reprojection_factors:
-        pose = (pose0, pose1)[f.frame_id]
-        y, r = reprojection_residuals(CAMERA, pose, lms[f.landmark_id][None], f.observed[None])
+    for i, lm, observed in problem.reprojection_factors:
+        pose = (pose0, pose1)[i]
+        y, r = reprojection_residuals(CAMERA, pose, lms[lm][None], observed[None])
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
-        r_w = r[0] / f.pixel_std
-        _, w = huber(np.linalg.norm(r_w), f.huber_threshold)
+        r_w = r[0] / pixel_std
+        _, w = huber(np.linalg.norm(r_w), problem.huber_threshold)
         weights.append(w)
-        info = w / f.pixel_std ** 2
-        if f.frame_id == 1:
+        info = w / pixel_std ** 2
+        if i == 1:
             hpp += info * j_pose.T @ j_pose
             bp -= info * j_pose.T @ r[0]
-        if f.landmark_id == 0:
+        if lm == 0:
             hll += info * j_lm.T @ j_lm
             bl -= info * j_lm.T @ r[0]
-        if f.frame_id == 1 and f.landmark_id == 0:
+        if i == 1 and lm == 0:
             hpl += info * j_pose.T @ j_lm
     assert min(weights) < 1.0 == max(weights)   # both Huber branches are exercised
     assert neq.Hpl.shape == (1, 6, 1, 3)
@@ -233,26 +253,26 @@ def test_reprojection_normal_equations_match_direct_product(rng):
 
 
 def direct_normal_equations(problem):
-    """H = J^T W J and b = -J^T W r over the free variables, one factor at a
-    time, with J from the factor kernels and W from huber or the information."""
+    """H = J^T W J and b = -J^T W r over the free variables, one row or edge at
+    a time, with J from the factor kernels and W from huber or the information."""
     free_poses = [i for i in sorted(problem.poses) if not problem.poses[i].fixed]
     free_lms = [j for j in sorted(problem.landmarks) if not problem.landmarks[j].fixed]
     pose_col = {p: 6 * k for k, p in enumerate(free_poses)}
     lm_col = {l: 6 * len(free_poses) + 3 * k for k, l in enumerate(free_lms)}
     n = 6 * len(free_poses) + 3 * len(free_lms)
     h, b = np.zeros((n, n)), np.zeros(n)
-    for f in problem.reprojection_factors:
-        pose = problem.poses[f.frame_id].pose
-        lm = problem.landmarks[f.landmark_id].position
-        y, r = reprojection_residuals(CAMERA, pose, lm[None], f.observed[None])
+    for i, l, observed in problem.reprojection_factors:
+        pose = problem.poses[i].pose
+        lm = problem.landmarks[l].position
+        y, r = reprojection_residuals(CAMERA, pose, lm[None], observed[None])
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
-        _, w = huber(np.linalg.norm(r[0]) / f.pixel_std, f.huber_threshold)
+        _, w = huber(np.linalg.norm(r[0]) / problem.pixel_std, problem.huber_threshold)
         j = np.zeros((2, n))
-        if f.frame_id in pose_col:
-            j[:, pose_col[f.frame_id]:pose_col[f.frame_id] + 6] = j_pose
-        if f.landmark_id in lm_col:
-            j[:, lm_col[f.landmark_id]:lm_col[f.landmark_id] + 3] = j_lm
-        info = w / f.pixel_std ** 2
+        if i in pose_col:
+            j[:, pose_col[i]:pose_col[i] + 6] = j_pose
+        if l in lm_col:
+            j[:, lm_col[l]:lm_col[l] + 3] = j_lm
+        info = w / problem.pixel_std ** 2
         h += info * j.T @ j
         b -= info * j.T @ r[0]
     for f in problem.dr_factors:
@@ -269,7 +289,7 @@ def direct_normal_equations(problem):
 
 def test_normal_equations_match_direct_product_with_repeated_factors(rng):
     # poses 1-3 free, pose 0 and landmark 5 fixed; the pairs (1, 0) and (2, 3)
-    # carry two reprojection factors each, and the DR edge 1->2 appears twice
+    # carry two reprojection rows each, and the DR edge 1->2 appears twice
     problem = Problem(intrinsics=CAMERA)
     problem.add_pose(0, Pose.identity(), fixed=True)
     for i in (1, 2, 3):
@@ -277,14 +297,14 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng):
     for j in range(6):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmark(j, lm, fixed=j == 5)
-    pixel_std = 0.5
+    pixel_std = problem.pixel_std = 0.5
     pairs = [(1, 0), (1, 0), (1, 1), (1, 5), (2, 3), (2, 3), (2, 0), (2, 4), (3, 1), (3, 4),
              (0, 2), (3, 2)]
     for i, j in pairs:
         pose, lm = problem.poses[i].pose, problem.landmarks[j].position
         obs = project(CAMERA, transform_point(inverse(pose), lm)) \
             + rng.normal(scale=3 * pixel_std, size=2)
-        problem.reprojection_factors.append(make_reprojection_factor(i, j, obs, pixel_std))
+        problem.add_observations(i, j, obs)
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
         delta = compose(compose(inverse(problem.poses[a].pose), problem.poses[c].pose),
                         exp_se3_vec(rng.normal(scale=0.01, size=6)))
@@ -376,8 +396,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
         for i in range(n_poses):
             if rng.uniform() < density:
                 obs = project(CAMERA, transform_point(inverse(problem.poses[i].pose), lm))
-                problem.reprojection_factors.append(make_reprojection_factor(
-                    i, j, obs + rng.normal(scale=1.0, size=2), pixel_std=1.0))
+                problem.add_observations(i, j, obs + rng.normal(scale=1.0, size=2))
     if with_dr:
         for i in range(n_poses - 1):
             delta = exp_se3_vec(rng.normal(scale=0.05, size=6))
@@ -413,8 +432,7 @@ def test_damped_singular_system_gives_finite_step():
     problem.add_pose(1, Pose.identity())
     # single observation: wildly underdetermined without damping
     problem.add_landmark(0, np.array([0.0, 0.0, 3.0]))
-    problem.reprojection_factors.append(
-        make_reprojection_factor(1, 0, np.array([322.0, 239.0]), pixel_std=1.0))
+    problem.add_observations(1, 0, np.array([322.0, 239.0]))
     neq, _ = build_normal_equations(problem)
     step = schur_solve(neq, 1e-2)
     assert np.all(np.isfinite(step))
@@ -517,7 +535,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
         if cam[2] > 0.05 and rng.uniform() >= outliers:
             obs = project(CAMERA, cam) + rng.normal(size=2)
         problem.add_landmark(int(j), transform_point(gt, cam), fixed=True)
-        problem.reprojection_factors.append(make_reprojection_factor(1, int(j), obs, 1.0))
+        problem.add_observations(1, int(j), obs)
     if dr_edge != "none":
         if dr_edge == "near_pi":
             # the start sits at an error rotation just below pi from the prediction
@@ -544,15 +562,15 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
 def test_motion_only_without_rows_or_dr_edge_raises():
     with pytest.raises(NoConstraints):
         solve_motion_only(CAMERA, Pose.identity(), np.zeros((0, 3)), np.zeros((0, 2)),
-                          np.zeros(0), np.zeros(0))
+                          1.0, HUBER_PIXEL_SCALE)
 
 
 def _set_point(problem, lin, point):
     poses, lm_pos = point
-    for pid, s in lin.slot.items():
-        problem.poses[pid].pose = poses[s]
-    for lid, row in lin.lm_row.items():
-        problem.landmarks[lid].position = lm_pos[row].copy()
+    for pid, pose in zip(lin.pose_ids, poses):
+        problem.poses[pid].pose = pose
+    for lid, position in zip(lin.lm_ids, lm_pos):
+        problem.landmarks[lid].position = position.copy()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -633,7 +651,7 @@ def test_report_telemetry_matches_for_both_linearizers():
     for j in range(12):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.8, 2.0)])
         problem.add_landmark(j, transform_point(gt, cam), fixed=True)
-        problem.reprojection_factors.append(make_reprojection_factor(1, j, project(CAMERA, cam), 1.0))
+        problem.add_observations(1, j, project(CAMERA, cam))
     config = SolverConfig(max_iterations=10)
     arrays = solve_motion_only(**motion_only_args(problem), config=config)
     report = solve(problem, config)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drslam.optimizer
 import drslam.pipeline
+from drslam.cli import resolve_config_path
+from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
 from drslam.geometry import CameraIntrinsics, Pose, compose, exp_se3_vec, inverse
 from drslam.pipeline import (
@@ -282,7 +285,7 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
 
 
 def test_decide_keyframe_rules():
-    last = KeyFrame(0, 0, 0.0, Pose.identity(), [], n_trk=60, quality=1.0)
+    last = KeyFrame(0, 0, 0.0, Pose.identity(), Detections.empty(), n_trk=60, quality=1.0)
     below = make_frame(fid=5, n_trk=40)
     assert not decide_keyframe(below, last, PARAMS)
     gap = make_frame(fid=PARAMS.k_max, n_trk=40)
@@ -390,6 +393,44 @@ def test_loop_oracle_fires_on_closed_rectangle():
     assert np.allclose(rel.matrix(), compose(inverse(gt_a), gt_b).matrix(), atol=1e-12)
 
 
+def test_ba_problems_answer_the_traced_sizes(monkeypatch):
+    # bench/tracing.py wraps these two names in drslam.pipeline and reads len()
+    # of the poses, landmarks, reprojection_factors and dr_factors of the Problem
+    assert drslam.pipeline.solve_local_ba is drslam.optimizer.solve_local_ba
+    assert drslam.pipeline.solve_global_ba is drslam.optimizer.solve_global_ba
+    config = parse_config(resolve_config_path("two_lap"))
+    seq = simulate_sequence(config.world_config())
+    pipe = Pipeline(config.pipeline_params(), seq.camera, seq.world, "adaptive")
+    sizes = {"local": [], "global": []}
+
+    def sized(level, solve):
+        def traced(problem, config=None):
+            landmarks = list(problem.landmarks)
+            observed = sum(int(np.isin(pipe.slam_map.keyframes[k].observations.ids,
+                                       landmarks).sum()) for k in problem.poses)
+            sizes[level].append((len(problem.poses), len(problem.landmarks),
+                                 len(problem.reprojection_factors), len(problem.dr_factors),
+                                 observed))
+            return solve(problem, config)
+        return traced
+
+    monkeypatch.setattr(drslam.pipeline, "solve_local_ba",
+                        sized("local", drslam.optimizer.solve_local_ba))
+    monkeypatch.setattr(drslam.pipeline, "solve_global_ba",
+                        sized("global", drslam.optimizer.solve_global_ba))
+    for record in seq.records:
+        pipe.process(record)
+        if pipe.gba_events:
+            break
+    assert pipe.gba_events, "no loop closure"
+    assert len(sizes["local"]) >= 10 and len(sizes["global"]) == 1
+    assert sizes["global"][0][0] == len(pipe.slam_map.keyframes)
+    assert sizes["global"][0][3] >= len(pipe.slam_map.loop_edges) == 1
+    for n_poses, n_landmarks, n_rows, _, observed in sizes["local"] + sizes["global"]:
+        assert n_poses >= 2 and n_landmarks > 0
+        assert n_rows == observed
+
+
 def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     attempts = []
 
@@ -451,7 +492,9 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
         assert same_float(ka.lba_alpha, kb.lba_alpha)
         for field in ("pose", "dr_to_prev", "gt_pose"):
             assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
-        assert ka.observations == kb.observations
+        oa, ob = ka.observations, kb.observations
+        assert (oa.ids.dtype, oa.ids.tobytes(), oa.uv.dtype, oa.uv.shape, oa.uv.tobytes()) == \
+            (ob.ids.dtype, ob.ids.tobytes(), ob.uv.dtype, ob.uv.shape, ob.uv.tobytes())
     assert sorted(a.points) == sorted(b.points)
     for j in a.points:
         pa, pb = a.points[j], b.points[j]
@@ -481,12 +524,13 @@ def slam_maps(draw):
     for k in kf_ids:
         m.keyframes[k] = KeyFrame(
             k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
-            observations=draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4)),
+            observations=as_detections(
+                draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4))),
             n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
             lba_alpha=draw(st.just(float("nan")) | finite),
             dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
     for j in sorted(point_ids):
-        observers = {k for k in kf_ids if any(o[0] == j for o in m.keyframes[k].observations)}
+        observers = {k for k in kf_ids if j in m.keyframes[k].observations.ids}
         m.points[j] = MapPoint(j, np.array([draw(finite) for _ in range(3)]), observers,
                                draw(st.integers(0, 40)))
     if len(kf_ids) >= 2:
