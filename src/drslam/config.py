@@ -112,7 +112,7 @@ SCHEMA = {
     "tracking.search_radius": (float, fmt, 15.0),
     "tracking.min_inliers": (int, str, 10),
     "tracking.lost_frames": (int, str, 5),
-    "tracking.fixed_alpha": (float, fmt, 1.0),
+    "tracking.fixed_alpha": (_positive, fmt, 1.0),
     "keyframes.k_max": (int, str, 15),
     "keyframes.overlap_ratio": (float, fmt, 0.5),
     "keyframes.d_max": (float, fmt, 0.5),

@@ -75,7 +75,6 @@ class KeyFrame:
 class MapPoint:
     id: int
     position: np.ndarray
-    observers: set
     created_kf: int
 
 
@@ -86,6 +85,15 @@ class SlamMap:
     covisibility: dict = field(default_factory=dict)   # kf -> {kf: count}
     dr_edges: dict = field(default_factory=dict)       # (a, b) -> alpha
     loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
+
+    def observation_table(self) -> tuple[np.ndarray, Detections]:
+        """The map's one record of which keyframe sees which point: every
+        keyframe's rows, keyframes ascending and each in observation order, as
+        the keyframe id of each row and the rows' point ids and pixels."""
+        parts = [self.keyframes[k].observations for k in sorted(self.keyframes)]
+        kf = np.repeat(sorted(self.keyframes), [len(d) for d in parts])
+        return kf, Detections(np.concatenate([d.ids for d in parts]),
+                              np.concatenate([d.uv for d in parts]))
 
     def connection_count(self, kf_id: int) -> int:
         edges = self.covisibility.get(kf_id, {})
@@ -171,6 +179,13 @@ def associate_features(detections: Detections, points, predicted: Pose, search_r
     return matches, len(matches)
 
 
+def _seen_twice(ids: np.ndarray) -> np.ndarray:
+    """The point ids, ascending, in at least two rows of an observation table,
+    that is seen by at least two keyframes (a keyframe holds a point once)."""
+    unique, counts = np.unique(ids, return_counts=True)
+    return unique[counts >= 2]
+
+
 def decide_keyframe(frame: Frame, last_kf: KeyFrame, params: PipelineParams) -> bool:
     if frame.id - last_kf.frame_id >= params.k_max:
         return True
@@ -188,7 +203,6 @@ class GbaEvent:
     kf_to: int
     pre_keyframes: list      # (timestamp, Pose) before global BA
     post_keyframes: list     # (timestamp, Pose) after global BA
-    keyframe_gt: list        # (timestamp, Pose) ground truth, same order
 
 
 @dataclass
@@ -396,7 +410,7 @@ class Pipeline:
             cam = np.array([(u - self.camera.cx) * depth / self.camera.fx,
                             (v - self.camera.cy) * depth / self.camera.fy, depth])
             position = frame.pose.rotation_matrix @ cam + frame.pose.t
-            self.slam_map.points[j] = MapPoint(j, position, {kf_id}, kf_id)
+            self.slam_map.points[j] = MapPoint(j, position, kf_id)
             new.append(row)
         observations = Detections(np.concatenate([matches.ids, ids[new]]),
                                   np.concatenate([matches.uv, record.detections.uv[new]]))
@@ -407,15 +421,10 @@ class Pipeline:
                       gt_pose=frame.gt_pose)
         self.slam_map.keyframes[kf_id] = kf
 
-        shared = {}
-        for j in observations.ids.tolist():   # every observation is of a map point
-            point = self.slam_map.points[j]
-            for other in point.observers:
-                if other != kf_id:
-                    shared[other] = shared.get(other, 0) + 1
-            point.observers.add(kf_id)
-        for other, count in shared.items():
-            self.slam_map.add_covisibility(kf_id, other, count)
+        table_kf, table = self.slam_map.observation_table()
+        shared = np.unique(table_kf[np.isin(table.ids, observations.ids)], return_counts=True)
+        for other, count in zip(*(a.tolist() for a in shared)):
+            self.slam_map.add_covisibility(kf_id, other, count)   # skips kf_id itself
 
         self.acc_delta = Pose.identity()
         if kf_id > 0:
@@ -432,10 +441,7 @@ class Pipeline:
         if self.mode in ("vision-only", "da-only"):
             return {}
         if self.mode == "fixed-dr":
-            # the sweep protocol carries one constant weight through every
-            # stage; only nonpositive values are rejected
-            if p.fixed_alpha <= 0:
-                raise ValueError("fixed DR weight must be positive")
+            # the sweep protocol carries one constant weight through every stage
             return {k: min(p.fixed_alpha, p.bounds.alpha_max) for k in kf_ids}
         raw = []
         for k in sorted(kf_ids):
@@ -462,18 +468,14 @@ class Pipeline:
             if k in self.slam_map.keyframes:
                 window.add(k)
 
-        seen = np.unique(np.concatenate([self.slam_map.keyframes[k].observations.ids
-                                         for k in window]))
-        points = {j for j in seen.tolist()
-                  if j in self.slam_map.points and len(self.slam_map.points[j].observers) >= 2}
-
-        anchor_votes = {}
-        for j in points:
-            for k in self.slam_map.points[j].observers:
-                if k not in window:
-                    anchor_votes[k] = anchor_votes.get(k, 0) + 1
-        anchors = {k for k, _ in sorted(anchor_votes.items(),
-                                        key=lambda e: (-e[1], e[0]))[:p.max_anchor_keyframes]}
+        # the points the window sees that at least two keyframes see, and as
+        # anchors the keyframes outside the window seeing most of them
+        table_kf, table = self.slam_map.observation_table()
+        in_window = np.isin(table_kf, list(window))
+        points = np.intersect1d(_seen_twice(table.ids), table.ids[in_window]).tolist()
+        voters, votes = np.unique(table_kf[~in_window & np.isin(table.ids, points)],
+                                  return_counts=True)
+        anchors = set(voters[np.argsort(-votes, kind="stable")[:p.max_anchor_keyframes]].tolist())
 
         problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
                           huber_threshold=p.huber_scale)
@@ -483,9 +485,9 @@ class Pipeline:
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=True)
         if not anchors:
             problem.poses[min(window)].fixed = True
-        for j in sorted(points):
+        for j in points:
             problem.add_landmark(j, self.slam_map.points[j].position)
-        self._add_observations(problem, sorted(window | anchors), sorted(points), by_id=True)
+        self._add_observations(problem, (table_kf, table), window | anchors, points, by_id=True)
 
         alphas = self._edge_alphas(window)
         in_problem = window | anchors
@@ -523,26 +525,27 @@ class Pipeline:
         for j in points:
             self.slam_map.points[j].position = problem.landmarks[j].position
 
-    def _add_observations(self, problem: Problem, kf_ids, landmark_ids, by_id: bool) -> None:
-        """Adds the observations of the landmarks by the keyframes kf_ids,
-        given in ascending order, as reprojection rows, keyframe by keyframe.
+    def _add_observations(self, problem: Problem, observation_table, kf_ids, landmark_ids,
+                          by_id: bool) -> None:
+        """Adds the table's observations of the landmarks by the keyframes
+        kf_ids as reprojection rows, keyframe by keyframe in ascending id.
         Each keyframe's rows are in ascending landmark id when by_id, else in
         observation order; the solver sums each pose's rows in that order."""
-        parts = [self.slam_map.keyframes[k].observations for k in kf_ids]
-        pose_ids = np.repeat(kf_ids, [len(d) for d in parts])
-        ids, uv = np.concatenate([d.ids for d in parts]), np.concatenate([d.uv for d in parts])
-        rows = np.flatnonzero(np.isin(ids, landmark_ids))
+        table_kf, table = observation_table
+        rows = np.flatnonzero(np.isin(table_kf, list(kf_ids)) & np.isin(table.ids, landmark_ids))
         if by_id:
-            rows = rows[np.lexsort((ids[rows], pose_ids[rows]))]
-        problem.add_observations(pose_ids[rows], ids[rows], uv[rows])
+            rows = rows[np.lexsort((table.ids[rows], table_kf[rows]))]
+        problem.add_observations(table_kf[rows], table.ids[rows], table.uv[rows])
 
     def _cull_points(self, current_kf: int) -> None:
+        """Drops each point fewer than two keyframes see, two keyframes after its creation."""
+        table_kf, table = self.slam_map.observation_table()
+        kept = set(_seen_twice(table.ids).tolist())
         doomed = [j for j, pt in self.slam_map.points.items()
-                  if len(pt.observers) < 2 and current_kf - pt.created_kf >= 2]
-        affected = set()
+                  if j not in kept and current_kf - pt.created_kf >= 2]
         for j in doomed:
-            affected |= self.slam_map.points.pop(j).observers
-        for k in affected:
+            del self.slam_map.points[j]
+        for k in np.unique(table_kf[np.isin(table.ids, doomed)]).tolist():
             kf = self.slam_map.keyframes[k]
             kf.observations = kf.observations.take(~np.isin(kf.observations.ids, doomed))
 
@@ -584,19 +587,18 @@ class Pipeline:
         kf_ids = sorted(self.slam_map.keyframes)
         pre = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].pose)
                for k in kf_ids]
-        gt = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].gt_pose)
-              for k in kf_ids]
 
         problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
                           huber_threshold=p.huber_scale)
         for k in kf_ids:
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=(k == kf_ids[0]))
-        live = set()
-        for j, point in self.slam_map.points.items():
-            if len(point.observers) >= 2:
-                live.add(j)
-                problem.add_landmark(j, point.position)
-        self._add_observations(problem, kf_ids, list(live), by_id=False)
+        # the live points, each seen by at least two keyframes, in map order
+        table_kf, table = self.slam_map.observation_table()
+        seen_twice = set(_seen_twice(table.ids).tolist())
+        live = [j for j in self.slam_map.points if j in seen_twice]
+        for j in live:
+            problem.add_landmark(j, self.slam_map.points[j].position)
+        self._add_observations(problem, (table_kf, table), kf_ids, live, by_id=False)
         for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
             delta = self.slam_map.keyframes[b].dr_to_prev
             if delta is not None and a in self.slam_map.keyframes:
@@ -626,7 +628,7 @@ class Pipeline:
         self.gba_events.append(GbaEvent(
             frame_id=self.frames[-1].id if self.frames else -1,
             kf_from=loop_from, kf_to=loop_to,
-            pre_keyframes=pre, post_keyframes=post, keyframe_gt=gt))
+            pre_keyframes=pre, post_keyframes=post))
         return True
 
     def result(self) -> RunResult:
@@ -748,7 +750,7 @@ def load_map(path) -> SlamMap:
                 j = int(parts[0])
                 slam_map.points[j] = MapPoint(
                     j, np.array([float(parts[1]), float(parts[2]), float(parts[3])]),
-                    set(), int(parts[4]))
+                    int(parts[4]))
             elif section == "covisibility":
                 if len(parts) != 3:
                     raise FormatError(f"expected 3 fields, got {len(parts)}",
@@ -775,8 +777,4 @@ def load_map(path) -> SlamMap:
     for k, (ids, uv) in observations.items():
         slam_map.keyframes[k].observations = Detections(np.array(ids, dtype=np.int64),
                                                         np.array(uv, dtype=float))
-    for k in sorted(slam_map.keyframes):
-        for j in slam_map.keyframes[k].observations.ids.tolist():
-            if j in slam_map.points:
-                slam_map.points[j].observers.add(k)
     return slam_map

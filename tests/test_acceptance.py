@@ -272,7 +272,7 @@ def test_criterion_08_loop_closure_improvement():
         res = run_pipeline(seq, params, "adaptive")
         assert res.gba_events, f"no loop closure fired on seed {seed}"
         ev = res.gba_events[0]
-        gt = Trajectory.from_rows([(t, p) for t, p in ev.keyframe_gt if p is not None])
+        gt = gt_trajectory(seq)
         pre = ape_rmse(Trajectory.from_rows(ev.pre_keyframes), gt)
         post = ape_rmse(Trajectory.from_rows(ev.post_keyframes), gt)
         reductions.append(1.0 - post / pre)

@@ -1,13 +1,18 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+import drslam.config
 import drslam.pipeline
 from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
-from drslam.config import parse_config
+from drslam.config import SCHEMA, RunConfig, parse_config
 from drslam.errors import ConfigError, Diverged
 from drslam.fileio import read_tum
+from drslam.pipeline import MODES
+from drslam.simulator import Dropout
 
 
 def write_world(path, extra=""):
@@ -65,14 +70,37 @@ def test_config_ill_typed_value(tmp_path):
     assert "omega1" in str(e.value)
 
 
-def test_config_echo_round_trip(tmp_path):
-    src = tmp_path / "src.cfg"
-    write_world(src, extra="\n[run]\nseed = 9\nmode = fixed-dr\n")
-    config = parse_config(str(src))
-    echo_path = tmp_path / "echo.cfg"
-    echo_path.write_text(config.echo())
-    back = parse_config(str(echo_path))
+floats = st.floats(allow_nan=False)
+float_pairs = st.lists(st.tuples(floats, floats), min_size=1)
+# one strategy per SCHEMA parser, drawing the values that parser returns
+PARSED_VALUES = {
+    drslam.config._mode: st.sampled_from(MODES),
+    int: st.integers(),
+    float: floats,
+    drslam.config._positive: st.floats(min_value=0.0, exclude_min=True),
+    drslam.config._parse_bool: st.booleans(),
+    drslam.config._parse_waypoints: float_pairs,
+    drslam.config._parse_density: float_pairs,
+    drslam.config._parse_vec3: st.tuples(floats, floats, floats),
+    drslam.config._parse_dropouts: st.lists(st.builds(
+        Dropout, st.integers(), st.integers(), st.integers(), st.booleans())),
+}
+
+
+# a failing draw is reported as drawn: shrinking some 60 values takes minutes
+@settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(st.fixed_dictionaries({key: PARSED_VALUES[parse] for key, (parse, _, _) in SCHEMA.items()}))
+def test_config_echo_round_trip(values):
+    config = RunConfig(dict(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        echo_path = os.path.join(tmp, "echo.cfg")
+        with open(echo_path, "w") as f:
+            f.write(config.echo())
+        back = parse_config(echo_path)
     assert back.values == config.values
+    # the same types and float bits too, -0.0 included
+    assert {k: repr(v) for k, v in back.values.items()} == \
+        {k: repr(v) for k, v in config.values.items()}
     assert back.echo() == config.echo()
 
 
@@ -241,7 +269,8 @@ def test_usage_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["tracking.pixel_std=0", "tracking.pixel_std=-1.5",
-                                     "tracking.huber_scale=0"])
+                                     "tracking.huber_scale=0", "tracking.fixed_alpha=0",
+                                     "tracking.fixed_alpha=-1"])
 def test_run_nonpositive_pixel_std_or_huber_scale_exits_two(tmp_path, capsys, setting):
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
     seq_dir = str(tmp_path / "seq")

@@ -69,7 +69,7 @@ def test_predict_pose_chain_composition(rng):
 
 
 def simple_map_points(positions):
-    return {j: MapPoint(j, np.asarray(p, float), {0}, 0) for j, p in enumerate(positions)}
+    return {j: MapPoint(j, np.asarray(p, float), 0) for j, p in enumerate(positions)}
 
 
 def test_associate_perfect_prediction_matches_all():
@@ -193,7 +193,7 @@ def association_cases(draw):
         position = np.array([(u - CAMERA_512.cx) * z / CAMERA_512.fx,
                              (v - CAMERA_512.cy) * z / CAMERA_512.fy, z])
         if draw(st.integers(0, 4)):          # some detected landmarks are not map points
-            points[j] = MapPoint(j, position, {0}, 0)
+            points[j] = MapPoint(j, position, 0)
         for _ in range(draw(st.integers(0, 2))):   # duplicate ids
             du, dv = draw(offsets)
             rows.append((j, u + du, v + dv))
@@ -240,7 +240,7 @@ def test_associate_gate_and_near_plane_bounds():
         5: point(-r - 2.0 ** -6, 300.0, 2.0),  # just outside it
         6: point(300.0, 300.0, 1.0),          # duplicate id: the first row decides
     }
-    points = {j: MapPoint(j, p, {0}, 0) for j, p in positions.items()}
+    points = {j: MapPoint(j, p, 0) for j, p in positions.items()}
     rows = [(6, 330.0, 300.0), (0, 109.0, 112.0), (-1, 100.0, 100.0),
             (1, 109.0, float(np.nextafter(212.0, np.inf))), (2, 200.0, 100.0),
             (3, 200.0, 200.0), (4, -r, 300.0), (5, -r - 2.0 ** -6, 300.0), (6, 300.0, 300.0)]
@@ -309,7 +309,8 @@ def test_pipeline_first_and_second_keyframe_covisibility():
         for b, c in edges.items():
             assert m.covisibility[b][a] == c  # symmetry
     shared = m.covisibility[0].get(1, 0)
-    manual = sum(1 for p in m.points.values() if {0, 1} <= p.observers)
+    manual = len(set(m.keyframes[0].observations.ids.tolist())
+                 & set(m.keyframes[1].observations.ids.tolist()))
     assert shared == manual and shared > 0
 
 
@@ -431,6 +432,109 @@ def test_ba_problems_answer_the_traced_sizes(monkeypatch):
         assert n_rows == observed
 
 
+def observer_walk(slam_map):
+    """Point id -> the keyframes whose observations hold it, one keyframe at a time."""
+    observers = {}
+    for k in sorted(slam_map.keyframes):
+        for j in slam_map.keyframes[k].observations.ids.tolist():
+            observers.setdefault(j, set()).add(k)
+    return observers
+
+
+def row_tuples(rows):
+    return [(k, j, u, v) for k, j, (u, v) in zip(rows["pose"].tolist(), rows["landmark"].tolist(),
+                                                 rows["uv"].tolist())]
+
+
+def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
+    # two_lap seed 0 up to its loop closure culls points and runs one global BA;
+    # at every keyframe insertion the covisibility counts, the local BA window
+    # points, anchors and rows, the culled ids and the global BA live points
+    # and rows must be what per-keyframe id sets give; three anchors at most,
+    # so that the anchor ranking picks among more voters
+    config = parse_config(resolve_config_path("two_lap"), ["keyframes.max_anchor_keyframes=3"])
+    seq = simulate_sequence(config.world_config())
+    p = config.pipeline_params()
+    pipe = Pipeline(p, seq.camera, seq.world, "adaptive")
+    covisibility, expected, culled = {}, {}, []
+    counts = {"insertions": 0, "local": 0, "global": 0}
+    local_ba, cull_points = Pipeline._local_ba, Pipeline._cull_points
+
+    def ids_of(k):
+        return pipe.slam_map.keyframes[k].observations.ids.tolist()
+
+    def checked_local_ba(self, new_kf):
+        # runs right after new_kf's covisibility is stored, before culling
+        counts["insertions"] += 1
+        observers = observer_walk(self.slam_map)
+        for k in self.slam_map.keyframes:
+            shared = len(set(ids_of(k)) & set(ids_of(new_kf.id)))
+            if k != new_kf.id and shared:
+                covisibility.setdefault(k, {})[new_kf.id] = shared
+                covisibility.setdefault(new_kf.id, {})[k] = shared
+        assert self.slam_map.covisibility == covisibility
+        by_count = sorted(covisibility.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
+        window = {new_kf.id} | {k for k, _ in by_count[:p.max_local_keyframes]} | {
+            k for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id)
+            if k in self.slam_map.keyframes}
+        points = {j for k in window for j in ids_of(k) if len(observers[j]) >= 2}
+        votes = {}
+        for j in points:
+            for k in observers[j] - window:
+                votes[k] = votes.get(k, 0) + 1
+        anchors = {k for k, _ in sorted(votes.items(), key=lambda e: (-e[1], e[0]))
+                   [:p.max_anchor_keyframes]}
+        rows = []
+        for k in sorted(window | anchors):
+            obs = self.slam_map.keyframes[k].observations
+            rows += sorted((k, j, u, v) for j, u, v in obs if j in points)
+        expected["local"] = (window, anchors, sorted(points), rows)
+        local_ba(self, new_kf)
+
+    def checked_local_solve(problem, config=None):
+        window, anchors, points, rows = expected.pop("local")
+        assert window <= set(problem.poses) and set(problem.poses) - window == anchors
+        assert list(problem.landmarks) == points
+        assert row_tuples(problem.reprojection_factors) == rows
+        counts["local"] += 1
+        return drslam.optimizer.solve_local_ba(problem, config)
+
+    def checked_cull(self, current_kf):
+        observers = observer_walk(self.slam_map)
+        doomed = {j for j, pt in self.slam_map.points.items()
+                  if len(observers[j]) < 2 and current_kf - pt.created_kf >= 2}
+        before = {k: list(kf.observations) for k, kf in self.slam_map.keyframes.items()}
+        points = set(self.slam_map.points)
+        cull_points(self, current_kf)
+        assert set(self.slam_map.points) == points - doomed
+        for k, kf in self.slam_map.keyframes.items():
+            assert list(kf.observations) == [o for o in before[k] if o[0] not in doomed]
+        culled.extend(doomed)
+
+    def checked_global_solve(problem, config=None):
+        observers = observer_walk(pipe.slam_map)
+        live = [j for j in pipe.slam_map.points if len(observers[j]) >= 2]
+        assert list(problem.landmarks) == live
+        assert row_tuples(problem.reprojection_factors) == [
+            (k, j, u, v) for k in sorted(pipe.slam_map.keyframes)
+            for j, u, v in pipe.slam_map.keyframes[k].observations if len(observers[j]) >= 2]
+        counts["global"] += 1
+        return drslam.optimizer.solve_global_ba(problem, config)
+
+    monkeypatch.setattr(Pipeline, "_local_ba", checked_local_ba)
+    monkeypatch.setattr(Pipeline, "_cull_points", checked_cull)
+    monkeypatch.setattr(drslam.pipeline, "solve_local_ba", checked_local_solve)
+    monkeypatch.setattr(drslam.pipeline, "solve_global_ba", checked_global_solve)
+    for record in seq.records:
+        pipe.process(record)
+        if pipe.gba_events:
+            break
+    assert pipe.gba_events, "no loop closure"
+    assert counts["global"] == 1 and culled
+    assert counts["local"] == counts["insertions"] == len(pipe.slam_map.keyframes) - 1
+    assert covisibility
+
+
 def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     attempts = []
 
@@ -498,7 +602,7 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
     assert sorted(a.points) == sorted(b.points)
     for j in a.points:
         pa, pb = a.points[j], b.points[j]
-        assert (pa.id, pa.created_kf, pa.observers) == (pb.id, pb.created_kf, pb.observers)
+        assert (pa.id, pa.created_kf) == (pb.id, pb.created_kf)
         assert pa.position.tobytes() == pb.position.tobytes()
     assert a.covisibility == b.covisibility
     assert a.dr_edges == b.dr_edges
@@ -517,7 +621,7 @@ def poses(draw):
 
 @st.composite
 def slam_maps(draw):
-    """Small maps as the pipeline keeps them: point observers are the keyframes observing them."""
+    """Small maps: keyframes with drawn observations, points, covisibility, DR and loop edges."""
     m = SlamMap()
     kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
@@ -530,8 +634,7 @@ def slam_maps(draw):
             lba_alpha=draw(st.just(float("nan")) | finite),
             dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
     for j in sorted(point_ids):
-        observers = {k for k in kf_ids if j in m.keyframes[k].observations.ids}
-        m.points[j] = MapPoint(j, np.array([draw(finite) for _ in range(3)]), observers,
+        m.points[j] = MapPoint(j, np.array([draw(finite) for _ in range(3)]),
                                draw(st.integers(0, 40)))
     if len(kf_ids) >= 2:
         pairs = st.lists(st.sampled_from(kf_ids), min_size=2, max_size=2, unique=True)
