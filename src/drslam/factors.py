@@ -1,10 +1,12 @@
 """Residuals, analytic Jacobians, the Huber kernel and information whitening.
 
-Two factor types: pixel reprojection of landmarks into a camera, evaluated
-in batches per camera, and a relative-pose prior from dead reckoning between
-two poses, evaluated for every edge of a problem at once. Pose variables are camera-in-world; Jacobians are taken
-with respect to a right-multiplicative tangent perturbation, twist ordering
-(rho, phi). These are the functions the solver linearizes with.
+Two factor types: pixel reprojection of a landmark into a camera, evaluated
+for every row of a problem at once, each row with its own pose or all rows
+with one, and a relative-pose prior from dead reckoning between two poses,
+evaluated for every edge of a problem at once. Pose variables are
+camera-in-world; Jacobians are taken with respect to a right-multiplicative
+tangent perturbation, twist ordering (rho, phi). These are the functions the
+solver linearizes with.
 """
 
 from __future__ import annotations
@@ -38,27 +40,27 @@ class DrFactor:
         object.__setattr__(self, "information", info)
 
 
-def reprojection_residuals(k: CameraIntrinsics, pose: Pose, points: np.ndarray,
-                           observed: np.ndarray):
+def reprojection_residuals(k: CameraIntrinsics, rotation: np.ndarray, translation: np.ndarray,
+                           points: np.ndarray, observed: np.ndarray):
     """Camera-frame points (N, 3) and pixel residuals observed - pi(y) (N, 2)
-    of N landmarks seen by one camera.
+    of N landmarks, seen by one camera-in-world rotation (3, 3) and
+    translation (3,), or by one each, (N, 3, 3) and (N, 3).
 
     The residual is a total function: points at or behind the near plane are
     projected at the clamped depth Z_MIN (a huge, honest residual), so steps
     that flip geometry raise the cost. Their Jacobians are not defined; the
     caller treats rows with y[:, 2] <= Z_MIN as inactive.
     """
-    y = (points - pose.t) @ pose.rotation_matrix
+    y = np.einsum("...i,...ij->...j", points - translation, rotation)
     z = np.maximum(y[:, 2], Z_MIN)
     u = np.stack([k.fx * y[:, 0] / z + k.cx, k.fy * y[:, 1] / z + k.cy], axis=1)
     return y, observed - u
 
 
-def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray,
-                           landmarks: bool = True):
+def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndarray | None = None):
     """Residual Jacobians w.r.t. the pose (N, 2, 6) and the landmark (N, 2, 3)
-    at camera-frame points y in front of the near plane. With landmarks
-    False (points held fixed) the landmark Jacobian is not formed: None."""
+    at camera-frame points y in front of the near plane. Without the camera
+    rotation (points held fixed) the landmark Jacobian is not formed: None."""
     n = len(y)
     z = y[:, 2]
     jpi = np.zeros((n, 2, 3))
@@ -75,9 +77,9 @@ def reprojection_jacobians(k: CameraIntrinsics, pose: Pose, y: np.ndarray,
     haty[:, 2, 1] = y[:, 0]
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
     j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, haty)], axis=2)
-    if not landmarks:
+    if rotation is None:
         return j_pose, None
-    return j_pose, -np.einsum("nij,jk->nik", jpi, pose.rotation_matrix.T)
+    return j_pose, -np.einsum("...ij,...kj->...ik", jpi, rotation)
 
 
 # Rotation angle at which the SE(3) log saturates; as in geometry.so3_log_quat.

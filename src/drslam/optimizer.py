@@ -8,18 +8,21 @@ edge from the fixed previous pose, and a 6x6 system. Both evaluate residuals
 once per point through the factors kernels, and the loop linearizes each
 accepted point from the residuals its cost check computed there. Visual
 factors carry a Huber kernel; DR factors are whitened by their alpha-scaled
-information and carry no kernel. Every DR edge of a problem is linearized in
-one batched call. The BA linear solve eliminates landmarks by Schur
-complement; a dense path exists for verification. The pose-landmark coupling
-is kept as one dense block, O(F*L) memory for F free poses and L free
-landmarks; the Schur complement is formed from it in chunks of landmarks,
-each a product over the poses that observe it.
+information and carry no kernel. The Problem linearizer evaluates every
+reprojection row in one kernel call, each row with its pose's rotation and
+translation gathered by the row's pose slot, and scatters the rows' blocks
+into the system with np.add.at; every DR edge is linearized in one batched
+call. The BA linear solve eliminates landmarks by Schur complement; a dense
+path exists for verification. The pose-landmark coupling is kept as one
+dense block, O(F*L) memory for F free poses and L free landmarks; the Schur
+complement is formed from it in chunks of landmarks, each a product over
+the poses that observe it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,6 +122,10 @@ class SolverReport:
     evaluations: int = 0            # cost evaluations, the starting point included
     rejected_steps: int = 0         # candidate steps that raised the cost
     final_damping: float = float("nan")
+    free_poses: int = 0             # problem size
+    free_landmarks: int = 0
+    reprojection_rows: int = 0
+    dr_edges: int = 0
 
 
 class NormalEquations:
@@ -128,9 +135,10 @@ class NormalEquations:
     landmark block stored as (L, 3, 3), and Hpl the pose-landmark coupling
     kept dense as (F, 6, L, 3), for F free poses and L free landmarks. The
     dense coupling costs O(F*L) memory, most of it zeros on a long map, and
-    needs no observer bookkeeping: factors add into it, repeated pose-landmark
-    pairs included, and schur_solve reads its structure from the nonzero
-    blocks.
+    needs no observer bookkeeping: the blocks of all reprojection rows are
+    added into it at once by their pose and landmark indices, repeated
+    pose-landmark pairs included, and schur_solve reads its structure from
+    the nonzero blocks.
     """
 
     def __init__(self, n_pose_free: int, n_lm_free: int):
@@ -244,7 +252,8 @@ class _Linearizer:
     """Caches the factor structure of a Problem for repeated evaluation.
 
     A point is the pair (poses, landmark positions); its system is a
-    NormalEquations, solved by schur_solve.
+    NormalEquations, solved by schur_solve. size is the problem size the
+    solve reports.
     """
 
     def __init__(self, problem: Problem):
@@ -259,14 +268,14 @@ class _Linearizer:
         self.lm_fixed = np.array([problem.landmarks[l].fixed for l in self.lm_ids], dtype=bool)
         self.lm_free_index, self.n_lm_free = _free_index(self.lm_fixed)
 
-        # Group the rows by observing pose, in row order within each pose.
+        # Per row: the observing pose's slot and free index (-1: fixed), the
+        # landmark's row and free index, and the pixel.
         rows = problem.reprojection_factors
-        slots = np.searchsorted(self.pose_ids, rows["pose"])
-        order = np.argsort(slots, kind="stable")
-        group_slots, starts = np.unique(slots[order], return_index=True)
-        lm_rows = np.searchsorted(self.lm_ids, rows["landmark"])
-        self.groups = [(int(s), lm_rows[g], rows["uv"][g])
-                       for s, g in zip(group_slots, np.split(order, starts[1:]))]
+        self.row_slot = np.searchsorted(self.pose_ids, rows["pose"])
+        self.row_pose_free = self.free_index[self.row_slot]
+        self.row_lm = np.searchsorted(self.lm_ids, rows["landmark"])
+        self.row_lm_free = self.lm_free_index[self.row_lm]
+        self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         # DR edges, stacked: pose slots, inverted increments, Ad(delta^-1),
         # whitening square roots, and the free-pose index of each side (-1: fixed).
@@ -280,6 +289,8 @@ class _Linearizer:
 
         self.poses = [problem.poses[p].pose for p in self.pose_ids]
         self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]).reshape(-1, 3)
+        self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
+                         reprojection_rows=len(self.uv), dr_edges=len(self.dr_from))
 
     def retract(self, point, step):
         poses, lm_pos = point
@@ -297,51 +308,38 @@ class _Linearizer:
     def residuals(self, point):
         """Cost at the point and the per-row residuals linearize reuses."""
         poses, lm_pos = point
-        cost = 0.0
-        visual = []
-        for slot, rows, obs in self.groups:
-            group_cost, group = _visual_residuals(self.k, poses[slot], lm_pos[rows], obs,
-                                                  self.inv_std, self.huber_k)
-            cost += group_cost
-            visual.append(group)
+        t = np.array([p.t for p in poses]).reshape(-1, 3)
+        rotations = np.array([p.rotation_matrix for p in poses]).reshape(-1, 3, 3)[self.row_slot]
+        cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
+                                         self.uv, self.inv_std, self.huber_k)
         dr = None
         if len(self.dr_from):
-            from_p = [poses[s] for s in self.dr_from]
-            to_p = [poses[s] for s in self.dr_to]
-            dr = _dr_whitened_residuals(
-                np.array([p.q for p in from_p]), np.array([p.t for p in from_p]),
-                np.array([p.q for p in to_p]), np.array([p.t for p in to_p]),
-                self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_sqrt_info)
+            q = np.array([p.q for p in poses])
+            dr = _dr_whitened_residuals(q[self.dr_from], t[self.dr_from], q[self.dr_to],
+                                        t[self.dr_to], self.dr_delta_inv_q, self.dr_delta_inv_t,
+                                        self.dr_sqrt_info)
             cost += dr[3]
-        return cost, (visual, dr)
+        return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
-        """Normal equations at the point, from the residuals computed there."""
-        poses, _ = point
-        visual, dr = cache
+        """Normal equations at the point, from the residuals computed there;
+        np.add.at scatters the rows' blocks in row order."""
+        visual, rotations, dr = cache
         neq = NormalEquations(self.n_pose_free, self.n_lm_free)
-        for (slot, rows, _), group in zip(self.groups, visual):
-            pose_free = not self.fixed[slot]
-            weighted = _visual_jacobians(self.k, poses[slot], group, self.inv_std)
-            if weighted is None:
-                continue
-            active, jp, j_lm, scale, rw = weighted
-            rows_a = rows[active]
-            if pose_free:
-                pj = self.free_index[slot]
-                neq.Hpp[6 * pj:6 * pj + 6, 6 * pj:6 * pj + 6] += np.einsum("nij,nik->jk", jp, jp)
-                neq.bp[6 * pj:6 * pj + 6] -= np.einsum("nij,ni->j", jp, rw)
-            lm_free = ~self.lm_fixed[rows_a]
-            if lm_free.any():
-                jl_f = j_lm[lm_free] * scale[lm_free]
-                rw_f = rw[lm_free]
-                frows = self.lm_free_index[rows_a[lm_free]]
-                np.add.at(neq.Hll, frows, np.einsum("nij,nik->njk", jl_f, jl_f))
-                np.add.at(neq.bl, frows, -np.einsum("nij,ni->nj", jl_f, rw_f))
-                if pose_free:
-                    wblocks = np.einsum("nij,nik->njk", jp[lm_free], jl_f)
-                    # add.at: one pose may observe a landmark twice
-                    np.add.at(neq.Hpl, (pj, slice(None), frows), wblocks)
+        active, jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
+        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
+        on_pose, on_lm = pose_free >= 0, lm_free >= 0
+        hpp, gp = _row_blocks(jp[on_pose], rw[on_pose])
+        n = self.n_pose_free
+        np.add.at(neq.Hpp.reshape(n, 6, n, 6),
+                  (pose_free[on_pose], slice(None), pose_free[on_pose]), hpp)
+        np.add.at(neq.bp.reshape(n, 6), pose_free[on_pose], -gp)
+        hll, gl = _row_blocks(j_lm[on_lm], rw[on_lm])
+        np.add.at(neq.Hll, lm_free[on_lm], hll)
+        np.add.at(neq.bl, lm_free[on_lm], -gl)
+        both = on_pose & on_lm
+        np.add.at(neq.Hpl, (pose_free[both], slice(None), lm_free[both]),
+                  np.einsum("nij,nik->njk", jp[both], j_lm[both]))
         if dr is not None:
             self._linearize_dr(dr, neq)
         return neq
@@ -392,7 +390,7 @@ class _PoseLinearizer:
     matched points (N, 3) and pixels (N, 2) in match order, with one inverse
     pixel std and one Huber threshold for every row. The arithmetic and its
     order are those of _Linearizer on the equivalent one-free-pose Problem:
-    reprojection terms first, then the DR edge.
+    the rows' blocks summed in row order first, then the DR edge.
     """
 
     # The DR edge's from side is fixed and its to side free, as a
@@ -410,6 +408,8 @@ class _PoseLinearizer:
             self.from_q, self.from_t = np.array([previous.q]), np.array([previous.t])
             self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_info = \
                 _dr_edge_arrays([delta], [information])
+        self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
+                         dr_edges=int(dr is not None))
 
     def retract(self, pose: Pose, step) -> Pose:
         return compose(pose, exp_se3_vec(step))
@@ -419,8 +419,8 @@ class _PoseLinearizer:
         cost = 0.0
         visual = dr = None
         if len(self.points):
-            cost, visual = _visual_residuals(self.k, pose, self.points, self.uv,
-                                             self.inv_std, self.huber_k)
+            cost, visual = _visual_residuals(self.k, pose.rotation_matrix, pose.t, self.points,
+                                             self.uv, self.inv_std, self.huber_k)
         if self.dr_sqrt_info is not None:
             dr = _dr_whitened_residuals(self.from_q, self.from_t,
                                         np.array([pose.q]), np.array([pose.t]),
@@ -433,12 +433,11 @@ class _PoseLinearizer:
         visual, dr = cache
         H = np.zeros((6, 6))
         b = np.zeros(6)
-        weighted = None if visual is None else \
-            _visual_jacobians(self.k, pose, visual, self.inv_std, landmarks=False)
-        if weighted is not None:
-            _, jp, _, _, rw = weighted
-            H += np.einsum("nij,nik->jk", jp, jp)
-            b -= np.einsum("nij,ni->j", jp, rw)
+        if visual is not None:
+            _, jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
+            hpp, gp = _row_blocks(jp, rw)
+            H += hpp.sum(axis=0)
+            b -= gp.sum(axis=0)
         if dr is not None and not dr[1][0]:
             r, _, rw, _ = dr
             _, j_to = dr_jacobians(r, self.delta_inv_adjoint, self._FROM_ROWS, self._TO_ROWS)
@@ -479,28 +478,34 @@ def _dr_edge_arrays(deltas, informations):
             np.array([information_sqrt(i) for i in informations]).reshape(-1, 6, 6))
 
 
-def _visual_residuals(k, pose, points, observed, inv_std: float, huber_k: float):
-    """Huber cost of one camera's rows, and their camera-frame points,
+def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
+    """Huber cost of reprojection rows, and their camera-frame points,
     whitened residuals and IRLS weights."""
-    y, r = reprojection_residuals(k, pose, points, observed)
+    y, r = reprojection_residuals(k, rotation, translation, points, observed)
     rw = r * inv_std
     rho, w = huber(np.linalg.norm(rw, axis=1), huber_k)
     return float(np.sum(rho)), (y, rw, w)
 
 
-def _visual_jacobians(k, pose, group, inv_std: float, landmarks: bool = True):
-    """IRLS-weighted pose Jacobians and residuals of one camera's rows in front
-    of the near plane: (active, jp, j_landmark, scale, rw); None if none is."""
-    y, rw_all, w_all = group
+def _visual_jacobians(k, visual, inv_std: float, rotations=None):
+    """IRLS-weighted Jacobians and residuals of the rows in front of the near
+    plane: (active, jp, j_landmark, rw), j_landmark only given the rows'
+    rotations."""
+    y, rw, w = visual
     active = y[:, 2] > Z_MIN
     if not active.all():
-        if not active.any():
-            return None
-        y, rw_all, w_all = y[active], rw_all[active], w_all[active]
-    j_pose, j_lm = reprojection_jacobians(k, pose, y, landmarks)
-    sqrt_w = np.sqrt(w_all)
+        y, rw, w = y[active], rw[active], w[active]
+        rotations = None if rotations is None else rotations[active]
+    j_pose, j_lm = reprojection_jacobians(k, y, rotations)
+    sqrt_w = np.sqrt(w)
     scale = (inv_std * sqrt_w)[:, None, None]
-    return active, j_pose * scale, j_lm, scale, rw_all * sqrt_w[:, None]
+    return active, j_pose * scale, None if j_lm is None else j_lm * scale, rw * sqrt_w[:, None]
+
+
+def _row_blocks(j, r):
+    """Per-row blocks J^T J (N, k, k) and gradients J^T r (N, k) of
+    Jacobians j (N, 2, k) and residuals r (N, 2)."""
+    return np.einsum("nij,nik->njk", j, j), np.einsum("nij,ni->nj", j, r)
 
 
 def _dr_whitened_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t, sqrt_info):
@@ -592,10 +597,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     config = config or SolverConfig()
     lin = _Linearizer(problem)
     if lin.n_pose_free == 0 and lin.n_lm_free == 0:
-        return SolverReport(termination="no_free_variables")
+        return SolverReport(termination="no_free_variables", **lin.size)
     (poses, lm_pos), report = _levenberg_marquardt(lin, (lin.poses, lin.lm_pos), config)
     _write_back(problem, lin, poses, lm_pos)
-    return report
+    return replace(report, **lin.size)
 
 
 def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float,
@@ -615,7 +620,8 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
-    return _levenberg_marquardt(lin, pose, config or SolverConfig(max_iterations=10))
+    pose, report = _levenberg_marquardt(lin, pose, config or SolverConfig(max_iterations=10))
+    return pose, replace(report, **lin.size)
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .factors import HUBER_PIXEL_SCALE, DrFactor
 from .fileio import fmt
-from .geometry import CameraIntrinsics, Pose, compose, inverse
+from .geometry import CameraIntrinsics, Pose, Z_MIN, compose, inverse
 from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
 from .simulator import Detections, squared_distance
 from .weighting import (
@@ -168,7 +168,7 @@ def associate_features(detections: Detections, points, predicted: Pose, search_r
         return detections.take(rows), 0
     positions = np.array([points[j].position for j in detections.ids[rows].tolist()])
     cam = (positions - predicted.t) @ predicted.rotation_matrix
-    front = cam[:, 2] > 0.05
+    front = cam[:, 2] > Z_MIN
     rows, cam = rows[front], cam[front]
     u = camera.fx * cam[:, 0] / cam[:, 2] + camera.cx
     v = camera.fy * cam[:, 1] / cam[:, 2] + camera.cy
@@ -388,7 +388,7 @@ class Pipeline:
         if gt_pose is None or landmark_id not in self.world:
             return None
         y = gt_pose.rotation_matrix.T @ (self.world[landmark_id] - gt_pose.t)
-        return float(y[2]) if y[2] > 0.05 else None
+        return float(y[2]) if y[2] > Z_MIN else None
 
     def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> KeyFrame:
         """Keyframe observing its matches, then new points from its other detections.

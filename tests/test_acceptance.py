@@ -100,7 +100,7 @@ def _rel(analytic, numeric):
 
 
 def _reprojection(pose, lm, obs):
-    return reprojection_residuals(CAMERA, pose, lm[None], obs[None])[1][0]
+    return reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lm[None], obs[None])[1][0]
 
 
 def test_criterion_02_jacobian_suite():
@@ -114,8 +114,8 @@ def test_criterion_02_jacobian_suite():
         cam = np.array([(u - CAMERA.cx) * z / CAMERA.fx, (v - CAMERA.cy) * z / CAMERA.fy, z])
         lm = transform_point(pose, cam)
         obs = project(CAMERA, transform_point(inverse(pose), lm)) + rng.normal(scale=2, size=2)
-        y, _ = reprojection_residuals(CAMERA, pose, lm[None], obs[None])
-        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
+        y, _ = reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lm[None], obs[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
         worst = max(worst, _rel(j_pose, _fd_jacobian(
             lambda d: _reprojection(compose(pose, exp_se3_vec(d)), lm, obs), 6)))
         worst = max(worst, _rel(j_lm, _fd_jacobian(

@@ -62,7 +62,8 @@ def rel_err(analytic, numeric):
 
 
 def residual_of(pose: Pose, landmark: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    return reprojection_residuals(K, pose, landmark[None], observed[None])[1][0]
+    _, r = reprojection_residuals(K, pose.rotation_matrix, pose.t, landmark[None], observed[None])
+    return r[0]
 
 
 def test_reprojection_residual_zero_for_consistent_geometry(rng):
@@ -70,7 +71,7 @@ def test_reprojection_residual_zero_for_consistent_geometry(rng):
         pose = random_pose(rng)
         lms = np.array([in_view_landmark(rng, pose) for _ in range(5)])
         obs = np.array([project_world(pose, lm) for lm in lms])
-        y, r = reprojection_residuals(K, pose, lms, obs)
+        y, r = reprojection_residuals(K, pose.rotation_matrix, pose.t, lms, obs)
         assert np.allclose(r, 0, atol=1e-9)
         assert np.allclose(y, [transform_point(inverse(pose), lm) for lm in lms], atol=1e-12)
 
@@ -79,7 +80,7 @@ def test_reprojection_behind_camera_clamps_to_near_plane():
     pose = Pose.identity()
     points = np.array([[0.1, 0.0, -1.0], [0.1, 0.0, 2.0]])
     obs = np.array([[320.0, 240.0], [345.0, 240.0]])
-    y, r = reprojection_residuals(K, pose, points, obs)
+    y, r = reprojection_residuals(K, pose.rotation_matrix, pose.t, points, obs)
     assert y[0, 2] == -1.0
     # projected at depth Z_MIN: a large, finite residual instead of a raise
     assert np.allclose(r[0], [320.0 - (K.fx * 0.1 / Z_MIN + K.cx), 0.0])
@@ -91,8 +92,8 @@ def test_reprojection_jacobians_match_finite_differences(rng):
         pose = random_pose(rng)
         lm = in_view_landmark(rng, pose)
         obs = project_world(pose, lm) + rng.normal(scale=2.0, size=2)
-        y, _ = reprojection_residuals(K, pose, lm[None], obs[None])
-        j_pose, j_lm = (j[0] for j in reprojection_jacobians(K, pose, y))
+        y, _ = reprojection_residuals(K, pose.rotation_matrix, pose.t, lm[None], obs[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(K, y, pose.rotation_matrix))
 
         def r_of_pose(d):
             return residual_of(compose(pose, exp_se3_vec(d)), lm, obs)
@@ -102,6 +103,25 @@ def test_reprojection_jacobians_match_finite_differences(rng):
 
         assert rel_err(j_pose, fd_jacobian(r_of_pose, 6)) < FD_RTOL
         assert rel_err(j_lm, fd_jacobian(r_of_lm, 3)) < FD_RTOL
+
+
+def test_reprojection_rows_with_own_poses_match_one_call_per_pose(rng):
+    # one call over the rows of three poses, each row with its own pose's
+    # rotation and translation, gives each pose's rows the bits of one call
+    # with that pose for every row
+    poses = [random_pose(rng) for _ in range(3)]
+    slot = rng.integers(0, 3, size=40)
+    points = np.array([in_view_landmark(rng, poses[s]) for s in slot])
+    obs = rng.uniform(0, 480, size=(40, 2))
+    rotations = np.array([p.rotation_matrix for p in poses])[slot]
+    y, r = reprojection_residuals(K, rotations, np.array([p.t for p in poses])[slot], points, obs)
+    j_pose, j_lm = reprojection_jacobians(K, y, rotations)
+    for s, pose in enumerate(poses):
+        rows = slot == s
+        y_s, r_s = reprojection_residuals(K, pose.rotation_matrix, pose.t, points[rows], obs[rows])
+        jp_s, jl_s = reprojection_jacobians(K, y_s, pose.rotation_matrix)
+        for got, want in ((y, y_s), (r, r_s), (j_pose, jp_s), (j_lm, jl_s)):
+            assert got[rows].tobytes() == want.tobytes()
 
 
 def test_dr_residual_zero_for_consistent_motion(rng):

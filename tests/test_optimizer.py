@@ -16,7 +16,9 @@ from drslam.factors import (
     reprojection_jacobians,
     reprojection_residuals,
 )
-from drslam.geometry import Pose, compose, exp_se3_vec, inverse, log_se3, project, transform_point
+from drslam.geometry import (Z_MIN, Pose, compose, exp_se3_vec, inverse, log_se3, project,
+                             transform_point)
+from drslam import optimizer
 from drslam.optimizer import (
     Problem,
     SolverConfig,
@@ -231,8 +233,9 @@ def test_reprojection_normal_equations_match_direct_product(rng):
     weights = []
     for i, lm, observed in problem.reprojection_factors:
         pose = (pose0, pose1)[i]
-        y, r = reprojection_residuals(CAMERA, pose, lms[lm][None], observed[None])
-        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
+        y, r = reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lms[lm][None],
+                                      observed[None])
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
         r_w = r[0] / pixel_std
         _, w = huber(np.linalg.norm(r_w), problem.huber_threshold)
         weights.append(w)
@@ -254,7 +257,8 @@ def test_reprojection_normal_equations_match_direct_product(rng):
 
 def direct_normal_equations(problem):
     """H = J^T W J and b = -J^T W r over the free variables, one row or edge at
-    a time, with J from the factor kernels and W from huber or the information."""
+    a time, with J from the factor kernels and W from huber or the information.
+    Rows at or behind the near plane are skipped, as the solver skips them."""
     free_poses = [i for i in sorted(problem.poses) if not problem.poses[i].fixed]
     free_lms = [j for j in sorted(problem.landmarks) if not problem.landmarks[j].fixed]
     pose_col = {p: 6 * k for k, p in enumerate(free_poses)}
@@ -264,8 +268,11 @@ def direct_normal_equations(problem):
     for i, l, observed in problem.reprojection_factors:
         pose = problem.poses[i].pose
         lm = problem.landmarks[l].position
-        y, r = reprojection_residuals(CAMERA, pose, lm[None], observed[None])
-        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, pose, y))
+        y, r = reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lm[None],
+                                      observed[None])
+        if y[0, 2] <= Z_MIN:
+            continue
+        j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
         _, w = huber(np.linalg.norm(r[0]) / problem.pixel_std, problem.huber_threshold)
         j = np.zeros((2, n))
         if i in pose_col:
@@ -287,9 +294,26 @@ def direct_normal_equations(problem):
     return h, b
 
 
-def test_normal_equations_match_direct_product_with_repeated_factors(rng):
+def test_problem_linearizer_calls_each_reprojection_kernel_once(rng, monkeypatch):
+    # the rows of all five poses go through one residual and one Jacobian call
+    calls = []
+    for name in ("reprojection_residuals", "reprojection_jacobians"):
+        def counted(*args, kernel=getattr(optimizer, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(optimizer, name, counted)
+    problem, _, _ = make_ba_problem(rng, n_poses=5, n_landmarks=20, with_dr_chain=True)
+    build_normal_equations(problem)
+    assert calls == ["reprojection_residuals", "reprojection_jacobians"]
+
+
+@pytest.mark.parametrize("near_plane", [False, True], ids=["in_front", "near_plane"])
+def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_plane):
     # poses 1-3 free, pose 0 and landmark 5 fixed; the pairs (1, 0) and (2, 3)
-    # carry two reprojection rows each, and the DR edge 1->2 appears twice
+    # carry two reprojection rows each, and the DR edge 1->2 appears twice.
+    # With near_plane, free pose 3 sees the free landmark 6 behind it, fixed
+    # pose 0 sees the free landmark 7 exactly on its near plane, and pose 1's
+    # rows interleave with the other poses' rows.
     problem = Problem(intrinsics=CAMERA)
     problem.add_pose(0, Pose.identity(), fixed=True)
     for i in (1, 2, 3):
@@ -300,9 +324,17 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng):
     pixel_std = problem.pixel_std = 0.5
     pairs = [(1, 0), (1, 0), (1, 1), (1, 5), (2, 3), (2, 3), (2, 0), (2, 4), (3, 1), (3, 4),
              (0, 2), (3, 2)]
+    if near_plane:
+        behind = np.array([0.2, -0.1, -1.0])
+        problem.add_landmark(6, transform_point(problem.poses[3].pose, behind))
+        problem.add_landmark(7, np.array([0.1, 0.1, Z_MIN]))
+        pairs = [(1, 0), (2, 3), (3, 6), (1, 0), (0, 7), (2, 3), (1, 1), (2, 0), (3, 6), (1, 5),
+                 (2, 4), (3, 1), (3, 4), (0, 2), (3, 2)]
+    centre = np.array([CAMERA.cx, CAMERA.cy])   # the pixel of a row at or behind the near plane
     for i, j in pairs:
         pose, lm = problem.poses[i].pose, problem.landmarks[j].position
-        obs = project(CAMERA, transform_point(inverse(pose), lm)) \
+        cam = transform_point(inverse(pose), lm)
+        obs = (project(CAMERA, cam) if cam[2] > Z_MIN else centre) \
             + rng.normal(scale=3 * pixel_std, size=2)
         problem.add_observations(i, j, obs)
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
@@ -313,7 +345,10 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng):
     h, b = direct_normal_equations(problem)
 
     n_p = 6 * neq.n_pose_free
-    assert neq.Hpl.shape == (3, 6, 5, 3)
+    assert neq.Hpl.shape == (3, 6, 7 if near_plane else 5, 3)
+    if near_plane:
+        # landmarks 6 and 7 have only inactive rows
+        assert not neq.Hll[5:].any() and not neq.Hpl[:, :, 5:].any()
     scale = np.max(np.abs(h))
     assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
     assert np.allclose(neq.Hpp, h[:n_p, :n_p], rtol=1e-12, atol=1e-12 * scale)
@@ -503,7 +538,8 @@ def _assert_same_solve(a, b):
     (pose_a, rep_a), (pose_b, rep_b) = a, b
     assert pose_a.q.tobytes() == pose_b.q.tobytes()
     assert pose_a.t.tobytes() == pose_b.t.tobytes()
-    for name in ("iterations", "termination", "evaluations", "rejected_steps"):
+    for name in ("iterations", "termination", "evaluations", "rejected_steps", "free_poses",
+                 "free_landmarks", "reprojection_rows", "dr_edges"):
         assert getattr(rep_a, name) == getattr(rep_b, name), name
     for name in ("initial_cost", "final_cost", "final_damping", "min_pose_eigenvalue"):
         x, y = getattr(rep_a, name), getattr(rep_b, name)
@@ -557,6 +593,27 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
         report = solve(problem, config)
         return problem.poses[1].pose, report
     _assert_same_solve(arrays, _outcome(generic))
+
+
+def _size(report):
+    return report.free_poses, report.free_landmarks, report.reprojection_rows, report.dr_edges
+
+
+def test_report_carries_problem_size(rng):
+    # a local BA window of poses 2-4 with the anchors 0 and 1, and landmarks
+    # 0-4 held fixed
+    problem, _, _ = make_ba_problem(rng, n_poses=5, n_landmarks=30, pose_perturb=0.01,
+                                    with_dr_chain=True)
+    problem.poses[1].fixed = True
+    for j in range(5):
+        problem.landmarks[j].fixed = True
+    n_landmarks, n_rows = len(problem.landmarks), len(problem.reprojection_factors)
+    assert n_rows > 2 * n_landmarks
+    assert _size(solve_local_ba(problem)) == (3, n_landmarks - 5, n_rows, 4)
+    # motion only: one free pose against 20 fixed points, one DR edge
+    problem, _, _, _ = make_motion_problem(rng, n_obs=20)
+    _, report = solve_motion_only(**motion_only_args(problem))
+    assert _size(report) == (1, 0, 20, 1)
 
 
 def test_motion_only_without_rows_or_dr_edge_raises():
