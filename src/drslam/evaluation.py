@@ -71,6 +71,11 @@ def associate(est: Trajectory, ref: Trajectory):
 
 def align(est: Trajectory, ref: Trajectory) -> Pose:
     """Least-squares rigid transform T minimizing sum ||T(est) - ref||^2."""
+    return _aligned_pairs(est, ref)[0]
+
+
+def _aligned_pairs(est: Trajectory, ref: Trajectory):
+    """align's transform and the associated pairs it is fitted on."""
     pairs = associate(est, ref)
     if len(pairs) < 3:
         raise TooFewPairs(f"{len(pairs)} associated pairs; need at least 3")
@@ -85,13 +90,12 @@ def align(est: Trajectory, ref: Trajectory) -> Pose:
     m = np.eye(4)
     m[:3, :3] = rot
     m[:3, 3] = t
-    return Pose.from_matrix(m)
+    return Pose.from_matrix(m), pairs
 
 
 def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
     """Root-mean-square position error over associated pairs after alignment."""
-    transform = align(est, ref)
-    pairs = associate(est, ref)
+    transform, pairs = _aligned_pairs(est, ref)
     rot, t = transform.rotation_matrix, transform.t
     errs = []
     for i, j in pairs:
@@ -100,8 +104,7 @@ def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
 
 
 def per_frame_errors(est: Trajectory, ref: Trajectory):
-    transform = align(est, ref)
-    pairs = associate(est, ref)
+    transform, pairs = _aligned_pairs(est, ref)
     rot, t = transform.rotation_matrix, transform.t
     return [(float(est.timestamps[i]),
              float(np.linalg.norm(rot @ est.poses[i].t + t - ref.poses[j].t)))

@@ -1,4 +1,4 @@
-"""Residuals, analytic Jacobians, the Huber kernel and information whitening.
+"""Residuals, analytic Jacobians and the Huber kernel.
 
 Two factor types: pixel reprojection of a landmark into a camera, evaluated
 for every row of a problem at once, each row with its own pose or all rows
@@ -6,38 +6,18 @@ with one, and a relative-pose prior from dead reckoning between two poses,
 evaluated for every edge of a problem at once. Pose variables are
 camera-in-world; Jacobians are taken with respect to a right-multiplicative
 tangent perturbation, twist ordering (rho, phi). These are the functions the
-solver linearizes with.
+solver linearizes with; it whitens their outputs itself, reprojection rows
+by one pixel std and DR edges by the square root of a diagonal precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotPositiveDefinite
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    Z_MIN,
-)
+from .geometry import CameraIntrinsics, Z_MIN
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
-
-
-@dataclass(frozen=True)
-class DrFactor:
-    from_id: int
-    to_id: int
-    delta: Pose                     # relative increment, camera frame
-    information: np.ndarray         # 6x6 SPD, alpha-scaled
-
-    def __post_init__(self):
-        info = np.asarray(self.information, dtype=float)
-        if info.shape != (6, 6) or not np.allclose(info, info.T, atol=1e-9):
-            raise ValueError("information must be symmetric 6x6")
-        object.__setattr__(self, "information", info)
 
 
 def reprojection_residuals(k: CameraIntrinsics, rotation: np.ndarray, translation: np.ndarray,
@@ -242,13 +222,3 @@ def huber(norms: np.ndarray, threshold: np.ndarray | float):
     cost = np.where(inside, 0.5 * norms ** 2, threshold * (norms - 0.5 * threshold))
     weight = np.where(inside, 1.0, threshold / np.maximum(norms, 1e-300))
     return cost, weight
-
-
-def information_sqrt(information: np.ndarray) -> np.ndarray:
-    """Upper-triangular square root U with U^T U = information."""
-    try:
-        lower = np.linalg.cholesky(np.asarray(information, float))
-    except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite("information matrix is not positive definite") from e
-    return lower.T
-

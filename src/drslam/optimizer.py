@@ -7,8 +7,10 @@ against fixed map points given as arrays in match order, with at most one DR
 edge from the fixed previous pose, and a 6x6 system. Both evaluate residuals
 once per point through the factors kernels, and the loop linearizes each
 accepted point from the residuals its cost check computed there. Visual
-factors carry a Huber kernel; DR factors are whitened by their alpha-scaled
-information and carry no kernel. The Problem linearizer evaluates every
+rows are whitened by one pixel std and carry a Huber kernel; DR edges carry
+a diagonal precision, alpha times the nominal one, and each residual entry
+and Jacobian row is whitened by the square root of its precision entry; they
+carry no kernel. The Problem linearizer evaluates every
 reprojection row in one kernel call, each row with its pose's rotation and
 translation gathered by the row's pose slot, and scatters the rows' blocks
 into the system with np.add.at; every DR edge is linearized in one batched
@@ -30,6 +32,7 @@ from .errors import (
     Diverged,
     GaugeUnderconstrained,
     NoConstraints,
+    NotPositiveDefinite,
     SingularSystem,
 )
 from .factors import (
@@ -37,7 +40,6 @@ from .factors import (
     dr_jacobians,
     dr_residuals,
     huber,
-    information_sqrt,
     reprojection_jacobians,
     reprojection_residuals,
 )
@@ -61,6 +63,10 @@ class LandmarkVariable:
 
 # One reprojection row: the observing pose id, the landmark id and the pixel.
 REPROJECTION_ROW = np.dtype([("pose", np.int64), ("landmark", np.int64), ("uv", np.float64, (2,))])
+# One DR edge: the from and to pose ids, the measured increment from -> to
+# (unit quaternion and translation) and the diagonal of its information.
+DR_EDGE = np.dtype([("from", np.int64), ("to", np.int64), ("q", np.float64, (4,)),
+                    ("t", np.float64, (3,)), ("precision", np.float64, (6,))])
 
 
 @dataclass
@@ -70,7 +76,8 @@ class Problem:
     landmarks: dict = field(default_factory=dict)      # id -> LandmarkVariable
     reprojection_factors: np.ndarray = field(          # (N,) REPROJECTION_ROW
         default_factory=lambda: np.empty(0, REPROJECTION_ROW))
-    dr_factors: list = field(default_factory=list)
+    dr_factors: np.ndarray = field(                    # (E,) DR_EDGE
+        default_factory=lambda: np.empty(0, DR_EDGE))
     pixel_std: float = 1.0                             # isotropic, every row [px]
     huber_threshold: float = HUBER_PIXEL_SCALE         # every row, whitened units
 
@@ -88,17 +95,31 @@ class Problem:
         rows["pose"], rows["landmark"], rows["uv"] = pose_ids, landmark_ids, uv
         self.reprojection_factors = np.concatenate([self.reprojection_factors, rows])
 
+    def add_dr_edges(self, from_ids, to_ids, deltas, precisions):
+        """Appends DR edges: pose ids (E,), or one id for every edge, increments
+        (E Poses) and precisions (E, 6), or one precision for every edge."""
+        edges = np.empty(len(deltas), DR_EDGE)
+        edges["from"], edges["to"] = from_ids, to_ids
+        edges["precision"] = np.reshape(precisions, (-1, 6))
+        edges["q"] = np.array([d.q for d in deltas]).reshape(-1, 4)
+        edges["t"] = np.array([d.t for d in deltas]).reshape(-1, 3)
+        self.dr_factors = np.concatenate([self.dr_factors, edges])
+
     def validate(self):
-        if not (self.pixel_std > 0 and self.huber_threshold > 0):
-            raise ValueError("pixel std and Huber threshold must be positive")
-        rows = self.reprojection_factors
-        for name, known in (("pose", self.poses), ("landmark", self.landmarks)):
-            unknown = rows[name][~np.isin(rows[name], list(known))]
+        _check_pixel_model(self.pixel_std, self.huber_threshold)
+        rows, edges, poses = self.reprojection_factors, self.dr_factors, list(self.poses)
+        for kind, ids, name, known in (
+                ("reprojection row", rows["pose"], "pose", poses),
+                ("reprojection row", rows["landmark"], "landmark", list(self.landmarks)),
+                ("DR edge", np.concatenate([edges["from"], edges["to"]]), "pose", poses)):
+            unknown = ids[~np.isin(ids, known)]
             if len(unknown):
-                raise KeyError(f"reprojection row references unknown {name} {unknown[0]}")
-        for f in self.dr_factors:
-            if f.from_id not in self.poses or f.to_id not in self.poses:
-                raise KeyError("dr factor references unknown pose")
+                raise KeyError(f"{kind} references unknown {name} {unknown[0]}")
+
+
+def _check_pixel_model(pixel_std, huber_threshold):
+    if not all(np.ndim(v) == 0 and v > 0 for v in (pixel_std, huber_threshold)):
+        raise ValueError("pixel std and Huber threshold must be positive scalars")
 
 
 @dataclass
@@ -277,13 +298,14 @@ class _Linearizer:
         self.row_lm_free = self.lm_free_index[self.row_lm]
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
-        # DR edges, stacked: pose slots, inverted increments, Ad(delta^-1),
-        # whitening square roots, and the free-pose index of each side (-1: fixed).
-        drs = problem.dr_factors
-        self.dr_from = np.searchsorted(self.pose_ids, [f.from_id for f in drs])
-        self.dr_to = np.searchsorted(self.pose_ids, [f.to_id for f in drs])
-        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_info = \
-            _dr_edge_arrays([f.delta for f in drs], [f.information for f in drs])
+        # DR edges: pose slots, inverted increments, Ad(delta^-1), square
+        # roots of the precisions, and the free-pose index of each side (-1: fixed).
+        edges = problem.dr_factors
+        self.dr_from = np.searchsorted(self.pose_ids, edges["from"])
+        self.dr_to = np.searchsorted(self.pose_ids, edges["to"])
+        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_p = \
+            _dr_edge_arrays([Pose(q, t) for q, t in zip(edges["q"], edges["t"])],
+                            edges["precision"])
         self.dr_from_free = self.free_index[self.dr_from]
         self.dr_to_free = self.free_index[self.dr_to]
 
@@ -317,7 +339,7 @@ class _Linearizer:
             q = np.array([p.q for p in poses])
             dr = _dr_whitened_residuals(q[self.dr_from], t[self.dr_from], q[self.dr_to],
                                         t[self.dr_to], self.dr_delta_inv_q, self.dr_delta_inv_t,
-                                        self.dr_sqrt_info)
+                                        self.dr_sqrt_p)
             cost += dr[3]
         return cost, (visual, rotations, dr)
 
@@ -351,9 +373,9 @@ class _Linearizer:
         # angle is tested again at the next linearization
         f_sel = ~near_pi & (self.dr_from_free >= 0)
         t_sel = ~near_pi & (self.dr_to_free >= 0)
-        j_from, j_to = dr_jacobians(r, self.dr_delta_inv_adjoint, f_sel, t_sel)
-        jw = np.concatenate([self.dr_sqrt_info[f_sel] @ j_from,
-                             self.dr_sqrt_info[t_sel] @ j_to])
+        jw_from, jw_to = _dr_whitened_jacobians(r, self.dr_delta_inv_adjoint, self.dr_sqrt_p,
+                                                f_sel, t_sel)
+        jw = np.concatenate([jw_from, jw_to])
         idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
         jwt = jw.transpose(0, 2, 1)
         # diagonal blocks J^T J and gradients of both sides, then the blocks
@@ -362,7 +384,7 @@ class _Linearizer:
         rows, cols = [idx], [idx]
         both = f_sel & t_sel
         if both.any():
-            jf, jt = jw[:len(j_from)][both[f_sel]], jw[len(j_from):][both[t_sel]]
+            jf, jt = jw_from[both[f_sel]], jw_to[both[t_sel]]
             a, b = self.dr_from_free[both], self.dr_to_free[both]
             cross = jf.transpose(0, 2, 1) @ jt
             blocks += [cross, cross.transpose(0, 2, 1)]
@@ -394,20 +416,21 @@ class _PoseLinearizer:
     """
 
     # The DR edge's from side is fixed and its to side free, as a
-    # _Linearizer selects them for an edge whose angle is not near pi.
-    _FROM_ROWS = np.array([False])
-    _TO_ROWS = np.array([True])
+    # _Linearizer selects them for an edge whose angle is not near pi; as
+    # slices, which select the same rows at less cost than masks.
+    _FROM_ROWS = slice(0, 0)
+    _TO_ROWS = slice(None)
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
         self.k = camera
         self.points, self.uv = points, uv
         self.inv_std, self.huber_k = inv_std, huber_threshold
-        self.dr_sqrt_info = None
+        self.dr_sqrt_p = None
         if dr is not None:
-            previous, delta, information = dr
+            previous, delta, precision = dr
             self.from_q, self.from_t = np.array([previous.q]), np.array([previous.t])
-            self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_info = \
-                _dr_edge_arrays([delta], [information])
+            self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_p = \
+                _dr_edge_arrays([delta], np.reshape(precision, (1, 6)))
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
 
@@ -421,10 +444,10 @@ class _PoseLinearizer:
         if len(self.points):
             cost, visual = _visual_residuals(self.k, pose.rotation_matrix, pose.t, self.points,
                                              self.uv, self.inv_std, self.huber_k)
-        if self.dr_sqrt_info is not None:
+        if self.dr_sqrt_p is not None:
             dr = _dr_whitened_residuals(self.from_q, self.from_t,
                                         np.array([pose.q]), np.array([pose.t]),
-                                        self.delta_inv_q, self.delta_inv_t, self.dr_sqrt_info)
+                                        self.delta_inv_q, self.delta_inv_t, self.dr_sqrt_p)
             cost += dr[3]
         return cost, (visual, dr)
 
@@ -440,8 +463,8 @@ class _PoseLinearizer:
             b -= gp.sum(axis=0)
         if dr is not None and not dr[1][0]:
             r, _, rw, _ = dr
-            _, j_to = dr_jacobians(r, self.delta_inv_adjoint, self._FROM_ROWS, self._TO_ROWS)
-            jw = self.dr_sqrt_info @ j_to
+            _, jw = _dr_whitened_jacobians(r, self.delta_inv_adjoint, self.dr_sqrt_p,
+                                           self._FROM_ROWS, self._TO_ROWS)
             jwt = jw.transpose(0, 2, 1)
             H += (jwt @ jw)[0]
             b -= (jwt @ rw[:, :, None])[0, :, 0]
@@ -468,14 +491,17 @@ def _free_index(fixed: np.ndarray):
     return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
 
 
-def _dr_edge_arrays(deltas, informations):
+def _dr_edge_arrays(deltas, precisions):
     """Per DR edge: inverted increment (quaternion, translation), Ad(delta^-1)
-    and the whitening square root of the information, stacked."""
+    and the square root of the precision (E, 6), stacked. Raises
+    NotPositiveDefinite when a precision entry is not finite and positive."""
+    if not np.all(np.isfinite(precisions) & (precisions > 0)):
+        raise NotPositiveDefinite("DR precision entries must be finite and positive")
     delta_inv = [inverse(d) for d in deltas]
     return (np.array([d.q for d in delta_inv]).reshape(-1, 4),
             np.array([d.t for d in delta_inv]).reshape(-1, 3),
             np.array([adjoint(d) for d in delta_inv]).reshape(-1, 6, 6),
-            np.array([information_sqrt(i) for i in informations]).reshape(-1, 6, 6))
+            np.sqrt(precisions))
 
 
 def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
@@ -508,11 +534,19 @@ def _row_blocks(j, r):
     return np.einsum("nij,nik->njk", j, j), np.einsum("nij,ni->nj", j, r)
 
 
-def _dr_whitened_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t, sqrt_info):
-    """Residuals, near-pi mask, whitened residuals and cost of DR edges."""
+def _dr_whitened_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t, sqrt_p):
+    """Residuals, near-pi mask, whitened residuals and cost of DR edges; each
+    residual entry is scaled by the square root of its precision entry."""
     r, near_pi = dr_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t)
-    rw = (sqrt_info @ r[:, :, None])[:, :, 0]
+    rw = r * sqrt_p
     return r, near_pi, rw, 0.5 * float(np.sum(rw * rw))
+
+
+def _dr_whitened_jacobians(r, delta_inv_adjoint, sqrt_p, from_rows, to_rows):
+    """dr_jacobians of the edges' from and to sides, each Jacobian row scaled
+    by the square root of its precision entry."""
+    j_from, j_to = dr_jacobians(r, delta_inv_adjoint, from_rows, to_rows)
+    return j_from * sqrt_p[from_rows, :, None], j_to * sqrt_p[to_rows, :, None]
 
 
 def _levenberg_marquardt(lin, point, config: SolverConfig):
@@ -608,12 +642,13 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
     """Motion-only BA: refine one pose against fixed map points.
 
     points (N, 3) are the matched map points and uv (N, 2) their pixels, in
-    match order; pixel_std and huber_threshold hold for every row. dr is None or
-    one DR edge (previous, delta, information) from the fixed previous pose,
-    its information already scaled by its weight. Starts at pose, the
-    prediction; returns (pose, report). Raises NoConstraints when there is no
-    row and no DR edge.
+    match order; pixel_std and huber_threshold are positive scalars that hold
+    for every row. dr is None or one DR edge (previous, delta, precision) from
+    the fixed previous pose, its precision (6,) already scaled by its weight.
+    Starts at pose, the prediction; returns (pose, report). Raises
+    NoConstraints when there is no row and no DR edge.
     """
+    _check_pixel_model(pixel_std, huber_threshold)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     if n == 0 and dr is None:

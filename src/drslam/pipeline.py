@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
-from .factors import HUBER_PIXEL_SCALE, DrFactor
+from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt
 from .geometry import CameraIntrinsics, Pose, Z_MIN, compose, inverse
 from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
@@ -499,8 +499,7 @@ class Pipeline:
                 continue
             alpha = max(alphas.get(k - 1, p.bounds.alpha_min), alphas.get(k, p.bounds.alpha_min))
             self.slam_map.dr_edges[(k - 1, k)] = alpha
-            problem.dr_factors.append(DrFactor(
-                k - 1, k, delta, scale_information(alpha, p.nominal)))
+            problem.add_dr_edges(k - 1, k, [delta], scale_information(alpha, p.nominal))
 
         if len(problem.poses) < 2:
             return
@@ -602,11 +601,9 @@ class Pipeline:
         for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
             delta = self.slam_map.keyframes[b].dr_to_prev
             if delta is not None and a in self.slam_map.keyframes:
-                problem.dr_factors.append(DrFactor(
-                    a, b, delta, scale_information(alpha, p.nominal)))
+                problem.add_dr_edges(a, b, [delta], scale_information(alpha, p.nominal))
         for a, b, relative, scale in self.slam_map.loop_edges:
-            problem.dr_factors.append(DrFactor(
-                a, b, relative, scale_information(scale, p.nominal)))
+            problem.add_dr_edges(a, b, [relative], scale_information(scale, p.nominal))
 
         try:
             solve_global_ba(problem, p.gba_solver)

@@ -64,11 +64,12 @@ class NominalDrInformation:
     def from_degrees(sigma_t: float, sigma_r_deg: float) -> "NominalDrInformation":
         return NominalDrInformation(sigma_t, math.radians(sigma_r_deg))
 
-    def matrix(self) -> np.ndarray:
+    def precision(self) -> np.ndarray:
+        """Diagonal of the information matrix (6,), translation then rotation."""
         d = np.empty(6)
         d[:3] = 1.0 / self.sigma_t ** 2
         d[3:] = 1.0 / self.sigma_r ** 2
-        return np.diag(d)
+        return d
 
 
 def compute_quality(stats: TrackingStats, params: QualityParams) -> float:
@@ -84,9 +85,12 @@ def dr_weight(q: float, bounds: WeightBounds) -> float:
 
 
 def scale_information(alpha: float, nominal: NominalDrInformation) -> np.ndarray:
+    """DR precision (6,) of an edge at weight alpha: alpha times the nominal
+    precision. The one scaling rule of tracking, local BA, global BA and the
+    loop edge; the solver whitens each DR residual entry by its square root."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return alpha * nominal.matrix()
+    return alpha * nominal.precision()
 
 
 def keyframe_quality(c_ij: float, c_ref: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drslam.factors import DrFactor, dr_jacobians, dr_residuals
+from drslam.factors import dr_jacobians, dr_residuals
 from drslam.geometry import (CameraIntrinsics, Pose, Twist, adjoint, exp_se3, exp_se3_vec, compose,
                              inverse, project, transform_point)
 from drslam.optimizer import Problem
@@ -99,10 +99,10 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
     for i, j, obs in observations:
         problem.add_observations(i, j, obs)
     if with_dr_chain:
-        info = NominalDrInformation().matrix()
+        info = NominalDrInformation().precision()
         for i in range(n_poses - 1):
             delta = compose(inverse(gt_poses[i]), gt_poses[i + 1])
-            problem.dr_factors.append(DrFactor(i, i + 1, delta, info))
+            problem.add_dr_edges(i, i + 1, [delta], info)
     return problem, gt_poses, np.array(gt_landmarks)
 
 
@@ -113,10 +113,10 @@ def motion_only_args(problem):
     (pid,) = [i for i, v in problem.poses.items() if not v.fixed]
     rows = problem.reprojection_factors
     dr = None
-    if problem.dr_factors:
+    if len(problem.dr_factors):
         (f,) = problem.dr_factors
-        assert f.to_id == pid and problem.poses[f.from_id].fixed
-        dr = (problem.poses[f.from_id].pose, f.delta, f.information)
+        assert f["to"] == pid and problem.poses[f["from"]].fixed
+        dr = (problem.poses[f["from"]].pose, Pose(f["q"], f["t"]), f["precision"])
     return dict(camera=problem.intrinsics, pose=problem.poses[pid].pose,
                 points=np.array([problem.landmarks[j].position
                                  for j in rows["landmark"].tolist()]).reshape(-1, 3),

@@ -22,7 +22,7 @@ from drslam.evaluation import (
     gt_trajectory,
     repeat_run,
 )
-from drslam.factors import DrFactor, reprojection_jacobians, reprojection_residuals
+from drslam.factors import HUBER_PIXEL_SCALE, reprojection_jacobians, reprojection_residuals
 from drslam.geometry import compose, exp_se3_vec, inverse, project, transform_point
 from drslam.optimizer import (
     Problem,
@@ -162,19 +162,19 @@ def test_criterion_04_hessian_linear_in_alpha():
     for _ in range(20):
         a, b = random_pose(rng), random_pose(rng)
         delta = random_pose(rng, rot_scale=0.5)
-        w0 = NOMINAL.matrix()
+        w0 = NOMINAL.precision()
 
         def hpp(alpha):
             problem = Problem(intrinsics=CAMERA)
             problem.add_pose(0, a)
             problem.add_pose(1, b)
-            problem.dr_factors.append(DrFactor(0, 1, delta, alpha * w0))
+            problem.add_dr_edges(0, 1, [delta], alpha * w0)
             return build_normal_equations(problem)[0].Hpp
 
         a1, a2 = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(2, 3)
         jf, jt = edge_jacobians(a, b, delta)
         j = np.hstack([jf, jt])
-        expected = (a2 - a1) * (j.T @ w0 @ j)
+        expected = (a2 - a1) * (j.T @ np.diag(w0) @ j)
         got = hpp(a2) - hpp(a1)
         worst = max(worst, float(np.max(np.abs(got - expected)) / np.max(np.abs(expected))))
     report(4, "adaptive Hessian linear in the DR weight",
@@ -191,12 +191,12 @@ def test_criterion_05_conditioning_guarantee():
         delta = exp_se3_vec(np.array([0.03, 0.001, 0.01, 0.002, 0.01, 0.001]))
         prediction = compose(prev, delta)
         start = compose(prediction, exp_se3_vec(rng.normal(scale=0.02, size=6)))
-        information = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
+        precision = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
         pose, rep = solve_motion_only(CAMERA, start, np.zeros((0, 3)), np.zeros((0, 2)),
-                                      np.zeros(0), np.zeros(0), dr=(prev, delta, information))
+                                      1.0, HUBER_PIXEL_SCALE, dr=(prev, delta, precision))
         err = np.linalg.norm(pose.t - prediction.t)
         rot = compose(inverse(pose), prediction).rotation_angle()
-        floor = 0.99 * BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()
+        floor = 0.99 * BOUNDS.alpha_max * NOMINAL.precision().min()
         if err > 1e-9 or rot > 1e-9 or rep.min_pose_eigenvalue < floor:
             ok = False
         detail = (f"min eig {rep.min_pose_eigenvalue:.3e} >= {floor:.3e}, "

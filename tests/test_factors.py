@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
-from drslam.errors import NotPositiveDefinite
 from drslam.factors import (
     JACOBIAN_SMALL_ANGLE,
     NEAR_PI,
-    DrFactor,
     dr_jacobians,
     huber,
-    information_sqrt,
     reprojection_jacobians,
     reprojection_residuals,
 )
@@ -280,45 +277,3 @@ def test_huber_cost_continuous_and_monotone():
     assert np.all(np.diff(costs) >= 0)
     jumps = np.abs(np.diff(costs))
     assert jumps.max() < 0.1  # no discontinuity at the threshold
-
-
-# Whitening: the solver left-multiplies DR residuals and Jacobians by U.
-
-def test_whiten_identity_information(rng):
-    u = information_sqrt(np.eye(2))
-    r = rng.normal(size=2)
-    j = rng.normal(size=(2, 6))
-    assert np.allclose(u @ r, r)
-    assert np.allclose(u @ j, j)
-
-
-def test_whiten_diagonal_scales_rows():
-    u = information_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(u @ np.array([1.0, 1.0]), [2.0, 3.0])
-    jw = u @ np.ones((2, 3))
-    assert np.allclose(jw[0], 2.0)
-    assert np.allclose(jw[1], 3.0)
-
-
-def test_whiten_preserves_mahalanobis_norm(rng):
-    for _ in range(50):
-        a = rng.normal(size=(6, 6))
-        info = a @ a.T + 6 * np.eye(6)
-        u = information_sqrt(info)
-        assert np.allclose(u, np.triu(u))
-        r = rng.normal(size=6)
-        rw = u @ r
-        assert abs(rw @ rw - r @ info @ r) < 1e-12 * max(1.0, abs(r @ info @ r))
-
-
-def test_whiten_rejects_indefinite():
-    info = np.diag([1.0, -1.0])
-    with pytest.raises(NotPositiveDefinite):
-        information_sqrt(info)
-
-
-def test_dr_factor_validates_information():
-    bad = np.eye(6)
-    bad[0, 1] = 0.5  # asymmetric
-    with pytest.raises(ValueError):
-        DrFactor(0, 1, Pose.identity(), bad)

@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, make_ba_problem,
                       motion_only_args, random_pose)
-from drslam.errors import Diverged, GaugeUnderconstrained, NoConstraints
+from drslam.errors import Diverged, GaugeUnderconstrained, NoConstraints, NotPositiveDefinite
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
-    DrFactor,
+    dr_jacobians,
     huber,
-    information_sqrt,
     reprojection_jacobians,
     reprojection_residuals,
 )
-from drslam.geometry import (Z_MIN, Pose, compose, exp_se3_vec, inverse, log_se3, project,
-                             transform_point)
+from drslam.geometry import (Z_MIN, Pose, adjoint, compose, exp_se3_vec, inverse, log_se3,
+                             project, transform_point)
 from drslam import optimizer
 from drslam.optimizer import (
     Problem,
@@ -73,7 +72,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
             obs = obs + rng.normal(scale=pixel_noise, size=2)
         problem.add_observations(1, j, obs)
     if with_dr:
-        problem.dr_factors.append(DrFactor(0, 1, delta, scale_information(dr_alpha, NOMINAL)))
+        problem.add_dr_edges(0, 1, [delta], scale_information(dr_alpha, NOMINAL))
     return problem, gt, prev, delta
 
 
@@ -97,7 +96,7 @@ def test_motion_only_dr_only_returns_prediction(rng):
     dt, dr = pose_distance(pose, prediction)
     assert dt < 1e-9
     assert dr < 1e-9
-    floor = BOUNDS.alpha_max * np.diag(NOMINAL.matrix()).min()
+    floor = BOUNDS.alpha_max * NOMINAL.precision().min()
     assert report.min_pose_eigenvalue >= floor - 1e-6
 
 
@@ -136,8 +135,7 @@ def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
     problem.reprojection_factors = rows[rows["pose"] != 1]
     d01 = compose(inverse(gt_poses[0]), gt_poses[1])
     d12 = compose(inverse(gt_poses[1]), gt_poses[2])
-    problem.dr_factors.append(DrFactor(0, 1, d01, NOMINAL.matrix()))
-    problem.dr_factors.append(DrFactor(1, 2, d12, NOMINAL.matrix()))
+    problem.add_dr_edges([0, 1], [1, 2], [d01, d12], NOMINAL.precision())
     problem.poses[1].pose = compose(gt_poses[1], exp_se3_vec(np.full(6, 0.01)))
     report = solve_local_ba(problem)
     assert report.final_cost <= report.initial_cost
@@ -183,6 +181,16 @@ def test_problem_rejects_rows_of_unknown_ids(rng, pose_id, landmark_id, unknown)
         solve(problem)
 
 
+@pytest.mark.parametrize("from_id, to_id", [(7, 1), (1, 7)])
+def test_problem_rejects_dr_edges_of_unknown_poses(rng, from_id, to_id):
+    problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10, with_dr_chain=True)
+    problem.add_dr_edges(from_id, to_id, [Pose.identity()], NOMINAL.precision())
+    with pytest.raises(KeyError, match="DR edge references unknown pose 7"):
+        problem.validate()
+    with pytest.raises(KeyError, match="DR edge references unknown pose 7"):
+        solve(problem)
+
+
 @pytest.mark.parametrize("name, value", [("pixel_std", 0.0), ("pixel_std", -1.5),
                                          ("huber_threshold", 0.0)])
 def test_problem_rejects_nonpositive_pixel_std_and_huber_threshold(rng, name, value):
@@ -198,8 +206,7 @@ def test_single_dr_factor_normal_equations_match_direct_product(rng):
     problem = Problem(intrinsics=CAMERA)
     problem.add_pose(0, a)
     problem.add_pose(1, b)
-    factor = DrFactor(0, 1, delta, np.eye(6))
-    problem.dr_factors.append(factor)
+    problem.add_dr_edges(0, 1, [delta], np.ones(6))
     neq, _ = build_normal_equations(problem)
     jf, jt = edge_jacobians(a, b, delta)
     j = np.hstack([jf, jt])
@@ -283,14 +290,14 @@ def direct_normal_equations(problem):
         h += info * j.T @ j
         b -= info * j.T @ r[0]
     for f in problem.dr_factors:
-        a, c = problem.poses[f.from_id].pose, problem.poses[f.to_id].pose
+        a, c = problem.poses[f["from"]].pose, problem.poses[f["to"]].pose
+        delta, w = Pose(f["q"], f["t"]), np.diag(f["precision"])
         j = np.zeros((6, n))
-        for pid, jac in zip((f.from_id, f.to_id), edge_jacobians(a, c, f.delta)):
+        for pid, jac in zip((f["from"], f["to"]), edge_jacobians(a, c, delta)):
             if pid in pose_col:
                 j[:, pose_col[pid]:pose_col[pid] + 6] += jac
-        u = information_sqrt(f.information)
-        h += (u @ j).T @ (u @ j)
-        b -= (u @ j).T @ (u @ edge_residual(a, c, f.delta))
+        h += j.T @ w @ j
+        b -= j.T @ w @ edge_residual(a, c, delta)
     return h, b
 
 
@@ -340,7 +347,7 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
         delta = compose(compose(inverse(problem.poses[a].pose), problem.poses[c].pose),
                         exp_se3_vec(rng.normal(scale=0.01, size=6)))
-        problem.dr_factors.append(DrFactor(a, c, delta, scale_information(2.0, NOMINAL)))
+        problem.add_dr_edges(a, c, [delta], scale_information(2.0, NOMINAL))
     neq, _ = build_normal_equations(problem)
     h, b = direct_normal_equations(problem)
 
@@ -362,13 +369,13 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
 def test_dr_hessian_linear_in_alpha(rng):
     a, b = random_pose(rng), random_pose(rng)
     delta = random_pose(rng, rot_scale=0.3)
-    w0 = NOMINAL.matrix()
+    w0 = NOMINAL.precision()
 
     def hessians(alpha):
         problem = Problem(intrinsics=CAMERA)
         problem.add_pose(0, a)
         problem.add_pose(1, b)
-        problem.dr_factors.append(DrFactor(0, 1, delta, alpha * w0))
+        problem.add_dr_edges(0, 1, [delta], alpha * w0)
         neq, _ = build_normal_equations(problem)
         return neq.Hpp
 
@@ -376,7 +383,7 @@ def test_dr_hessian_linear_in_alpha(rng):
     h1, h2 = hessians(alpha1), hessians(alpha2)
     jf, jt = edge_jacobians(a, b, delta)
     j = np.hstack([jf, jt])
-    expected = (alpha2 - alpha1) * (j.T @ w0 @ j)
+    expected = (alpha2 - alpha1) * (j.T @ np.diag(w0) @ j)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs((h2 - h1) - expected)) < 1e-10 * scale
 
@@ -389,7 +396,7 @@ def test_alpha_doubling_doubles_dr_contribution(rng):
         problem = Problem(intrinsics=CAMERA)
         problem.add_pose(0, a)
         problem.add_pose(1, b)
-        problem.dr_factors.append(DrFactor(0, 1, delta, scale_information(alpha, NOMINAL)))
+        problem.add_dr_edges(0, 1, [delta], scale_information(alpha, NOMINAL))
         return build_normal_equations(problem)[0].Hpp
 
     h1, h2 = hpp(1.0), hpp(2.0)
@@ -435,7 +442,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     if with_dr:
         for i in range(n_poses - 1):
             delta = exp_se3_vec(rng.normal(scale=0.05, size=6))
-            problem.dr_factors.append(DrFactor(i, i + 1, delta, NOMINAL.matrix()))
+            problem.add_dr_edges(i, i + 1, [delta], NOMINAL.precision())
     neq, _ = build_normal_equations(problem)
     step_s = schur_solve(neq, damping)
     step_d = dense_solve(neq, damping)
@@ -581,8 +588,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
                                             exp_se3_vec(np.concatenate([np.zeros(3), phi])))
             assert edge_residuals([prev], [problem.poses[1].pose], [delta])[1][0]
         problem.add_pose(0, prev, fixed=True)
-        problem.dr_factors.append(DrFactor(0, 1, delta,
-                                           scale_information(10.0 ** log_alpha, NOMINAL)))
+        problem.add_dr_edges(0, 1, [delta], scale_information(10.0 ** log_alpha, NOMINAL))
     config = SolverConfig(max_iterations=10)
     arrays = _outcome(lambda: solve_motion_only(**motion_only_args(problem), config=config))
     if n_obs == 0 and dr_edge == "none":
@@ -620,6 +626,64 @@ def test_motion_only_without_rows_or_dr_edge_raises():
     with pytest.raises(NoConstraints):
         solve_motion_only(CAMERA, Pose.identity(), np.zeros((0, 3)), np.zeros((0, 2)),
                           1.0, HUBER_PIXEL_SCALE)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.zeros(0)], ids=["zero", "negative", "empty"])
+@pytest.mark.parametrize("name", ["pixel_std", "huber_threshold"])
+def test_motion_only_rejects_pixel_model_that_is_not_a_positive_scalar(rng, name, value):
+    # the motion-only solve checks its pixel std and Huber threshold as
+    # Problem.validate does, and raises the same error
+    problem, _, _, _ = make_motion_problem(rng, n_obs=10)
+    args = motion_only_args(problem)
+    args[name] = value
+    setattr(problem, name, value)
+    with pytest.raises(ValueError) as problem_error:
+        problem.validate()
+    with pytest.raises(ValueError) as motion_error:
+        solve_motion_only(**args)
+    assert str(motion_error.value) == str(problem_error.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("solver", ["solve", "solve_motion_only"])
+def test_dr_precision_not_finite_and_positive_raises(solver, bad):
+    previous = Pose.identity()
+    delta = exp_se3_vec(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
+    precision = NOMINAL.precision()
+    precision[4] = bad
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_pose(0, previous, fixed=True)
+    problem.add_pose(1, compose(previous, delta))
+    problem.add_dr_edges(0, 1, [delta], precision)
+    with pytest.raises(NotPositiveDefinite):
+        if solver == "solve":
+            solve(problem)
+        else:
+            solve_motion_only(**motion_only_args(problem))
+
+
+def test_dr_whitening_matches_cholesky_of_the_precision(rng):
+    # the solver scales each DR residual entry and Jacobian row by the square
+    # root of its precision entry: the upper Cholesky factor of the diagonal
+    # information applied as a 6x6 product, and a whitened norm equal to the
+    # Mahalanobis norm
+    for _ in range(50):
+        p = 10.0 ** rng.uniform(-3, 7, size=6)
+        a, b = random_pose(rng), random_pose(rng)
+        delta_inv = inverse(random_pose(rng, rot_scale=0.3))
+        ad = adjoint(delta_inv)[None]
+        sqrt_p = np.sqrt(p)[None]
+        r, _, rw, _ = optimizer._dr_whitened_residuals(
+            a.q[None], a.t[None], b.q[None], b.t[None], delta_inv.q[None], delta_inv.t[None],
+            sqrt_p)
+        jw_from, jw_to = optimizer._dr_whitened_jacobians(r, ad, sqrt_p, slice(None),
+                                                          slice(None))
+        j_from, j_to = dr_jacobians(r, ad)
+        u = np.linalg.cholesky(np.diag(p)).T
+        for whitened, raw in ((rw, r), (jw_from, j_from), (jw_to, j_to)):
+            assert (u @ raw[0]).tobytes() == whitened[0].tobytes()
+        mahalanobis = r[0] @ np.diag(p) @ r[0]
+        assert abs(rw[0] @ rw[0] - mahalanobis) <= 1e-12 * mahalanobis
 
 
 def _set_point(problem, lin, point):

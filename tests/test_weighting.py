@@ -83,16 +83,16 @@ def test_dr_weight_strictly_decreasing():
 
 def test_scale_information_identity_and_arithmetic():
     nominal = NominalDrInformation()
-    assert np.allclose(scale_information(1.0, nominal), nominal.matrix())
+    assert np.allclose(scale_information(1.0, nominal), nominal.precision())
     scaled = scale_information(10.0, nominal)
-    assert scaled[0, 0] == pytest.approx(625000.0)
-    assert nominal.matrix()[0, 0] == pytest.approx(62500.0)
+    assert scaled[0] == pytest.approx(625000.0)
+    assert nominal.precision()[0] == pytest.approx(62500.0)
 
 
 def test_scale_information_scales_eigenvalues():
     nominal = NominalDrInformation()
-    base = np.linalg.eigvalsh(nominal.matrix())
-    scaled = np.linalg.eigvalsh(scale_information(0.1, nominal))
+    base = np.linalg.eigvalsh(np.diag(nominal.precision()))
+    scaled = np.linalg.eigvalsh(np.diag(scale_information(0.1, nominal)))
     assert np.allclose(scaled, 0.1 * base)
 
 
@@ -100,7 +100,7 @@ def test_scale_information_positive_definite(rng):
     nominal = NominalDrInformation()
     for _ in range(50):
         alpha = 10.0 ** rng.uniform(-3, 4)
-        eig = np.linalg.eigvalsh(scale_information(alpha, nominal))
+        eig = np.linalg.eigvalsh(np.diag(scale_information(alpha, nominal)))
         assert eig.min() > 0
 
 
@@ -180,7 +180,7 @@ def test_quality_params_validation():
 def test_nominal_information_from_degrees():
     nominal = NominalDrInformation.from_degrees(0.004, 0.1)
     assert nominal.sigma_r == pytest.approx(math.radians(0.1))
-    m = nominal.matrix()
-    assert m.shape == (6, 6)
-    assert np.allclose(m, np.diag(np.diag(m)))
-    assert m[3, 3] == pytest.approx(1.0 / math.radians(0.1) ** 2)
+    p = nominal.precision()
+    assert p.shape == (6,)
+    assert p[0] == pytest.approx(1.0 / 0.004 ** 2)
+    assert p[3] == pytest.approx(1.0 / math.radians(0.1) ** 2)
