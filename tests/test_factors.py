@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
+from drslam import optimizer
 from drslam.factors import (
     JACOBIAN_SMALL_ANGLE,
     NEAR_PI,
@@ -277,3 +278,42 @@ def test_huber_cost_continuous_and_monotone():
     assert np.all(np.diff(costs) >= 0)
     jumps = np.abs(np.diff(costs))
     assert jumps.max() < 0.1  # no discontinuity at the threshold
+
+
+def _whiten_edge(rng, precision):
+    """Raw and whitened residual and Jacobians of one random DR edge under the
+    solver's whitening by the square root of each precision entry."""
+    a, b = random_pose(rng), random_pose(rng)
+    delta_inv = inverse(random_pose(rng, rot_scale=0.3))
+    ad = adjoint(delta_inv)[None]
+    sqrt_p = np.sqrt(np.asarray(precision, dtype=float))[None]
+    r, _, rw, cost = optimizer._dr_whitened_residuals(
+        a.q[None], a.t[None], b.q[None], b.t[None], delta_inv.q[None], delta_inv.t[None], sqrt_p)
+    jw_from, jw_to = optimizer._dr_whitened_jacobians(r, ad, sqrt_p, slice(None), slice(None))
+    j_from, j_to = dr_jacobians(r, ad)
+    return (r[0], j_from[0], j_to[0]), (rw[0], jw_from[0], jw_to[0]), cost
+
+
+def test_whiten_identity_information(rng):
+    raw, whitened, _ = _whiten_edge(rng, np.ones(6))
+    for w, x in zip(whitened, raw):
+        assert np.array_equal(w, x)
+
+
+def test_whiten_diagonal_scales_rows(rng):
+    scale = np.array([2.0, 3.0, 0.5, 1.0, 10.0, 0.1])
+    raw, whitened, _ = _whiten_edge(rng, scale ** 2)
+    r, j_from, j_to = raw
+    rw, jw_from, jw_to = whitened
+    assert np.allclose(rw, scale * r)
+    assert np.allclose(jw_from, scale[:, None] * j_from)
+    assert np.allclose(jw_to, scale[:, None] * j_to)
+
+
+def test_whiten_preserves_mahalanobis_norm(rng):
+    for _ in range(50):
+        p = 10.0 ** rng.uniform(-3, 7, size=6)
+        (r, _, _), (rw, _, _), cost = _whiten_edge(rng, p)
+        mahalanobis = r @ np.diag(p) @ r
+        assert abs(rw @ rw - mahalanobis) <= 1e-12 * max(1.0, mahalanobis)
+        assert cost == pytest.approx(0.5 * mahalanobis, rel=1e-12)
