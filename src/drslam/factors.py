@@ -3,18 +3,20 @@
 Two factor types: pixel reprojection of a landmark into a camera, evaluated
 for every row of a problem at once, each row with its own pose or all rows
 with one, and a relative-pose prior from dead reckoning between two poses,
-evaluated for every edge of a problem at once. Pose variables are
-camera-in-world; Jacobians are taken with respect to a right-multiplicative
-tangent perturbation, twist ordering (rho, phi). These are the functions the
-solver linearizes with; it whitens their outputs itself, reprojection rows
-by one pixel std and DR edges by the square root of a diagonal precision.
+evaluated for every edge of a problem at once on geometry's batched SE(3)
+kernels. Pose variables are camera-in-world; Jacobians are taken with
+respect to a right-multiplicative tangent perturbation, twist ordering
+(rho, phi). These are the functions the solver linearizes with; it whitens
+their outputs itself, reprojection rows by one pixel std and DR edges by the
+square root of a diagonal precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Z_MIN
+from .geometry import (CameraIntrinsics, Z_MIN, angle_coefficients, hat, se3_compose, se3_inverse,
+                       se3_log, v_inverse_coefficient)
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
@@ -48,101 +50,33 @@ def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndar
     jpi[:, 0, 2] = -k.fx * y[:, 0] / z ** 2
     jpi[:, 1, 1] = k.fy / z
     jpi[:, 1, 2] = -k.fy * y[:, 1] / z ** 2
-    haty = np.zeros((n, 3, 3))
-    haty[:, 0, 1] = -y[:, 2]
-    haty[:, 0, 2] = y[:, 1]
-    haty[:, 1, 0] = y[:, 2]
-    haty[:, 1, 2] = -y[:, 0]
-    haty[:, 2, 0] = -y[:, 1]
-    haty[:, 2, 1] = y[:, 0]
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
-    j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, haty)], axis=2)
+    j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, hat(y))], axis=2)
     if rotation is None:
         return j_pose, None
     return j_pose, -np.einsum("...ij,...kj->...ik", jpi, rotation)
 
 
-# Rotation angle at which the SE(3) log saturates; as in geometry.so3_log_quat.
-NEAR_PI = np.pi - 1e-6
-# Below this angle the inverse-Jacobian coefficients use their Taylor series.
-JACOBIAN_SMALL_ANGLE = 1e-3
+def _coupling_closed_form(t: np.ndarray):
+    t2 = t * t
+    sin_t = np.sin(t)
+    c2 = (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2)
+    return ((t - sin_t) / (t2 * t), c2,
+            0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t)))
 
 
-def _structure_tensors():
-    """Levi-Civita symbol eps (3, 3, 3), the Hamilton product as a bilinear
-    form (a*b)_k = qmul[k, i, j] a_i b_j, and the rotation of a vector by a
-    unit quaternion as (R(q) v)_i = rot[i, a, b, j] q_a q_b v_j."""
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
-    qmul = np.zeros((4, 4, 4))
-    qmul[0, 0, 0] = 1.0
-    for m in range(1, 4):
-        qmul[0, m, m] = -1.0                 # w = aw bw - a.b
-        qmul[m, 0, m] = qmul[m, m, 0] = 1.0  # v = aw bv + bw av + a x b
-    qmul[1:, 1:, 1:] += eps
-    # R(q) v = (w^2 - |u|^2) v + 2 (u.v) u + 2 w (u x v)
-    rot = np.zeros((3, 4, 4, 3))
-    for i in range(3):
-        rot[i, 0, 0, i] = 1.0
-        for m in range(1, 4):
-            rot[i, m, m, i] -= 1.0
-        for j in range(3):
-            rot[i, i + 1, j + 1, j] += 2.0
-            rot[i, 0, 1:, j] += 2.0 * eps[i, :, j]
-    return eps, qmul, rot
-
-
-_EPS, _QMUL, _ROT = _structure_tensors()
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,nj,nk->ni", _EPS, a, b)
-
-
-def _hat(v: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,nj->nik", _EPS, v)
-
-
-def _closed_form_angle(theta: np.ndarray):
-    """Angles to evaluate the closed-form coefficients at, and the mask of the
-    angles below JACOBIAN_SMALL_ANGLE, which take the Taylor series instead;
-    the mask is None when no angle is small, so no series is evaluated. Small
-    angles enter the closed forms as 1.0, and those values are discarded."""
-    small = theta < JACOBIAN_SMALL_ANGLE
-    if not small.any():
-        return theta, None
-    return np.where(small, 1.0, theta), small
-
-
-def _v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
-    """c(theta) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse of the
-    SO(3) left Jacobian; as in geometry._v_inverse."""
-    t, small = _closed_form_angle(theta)
-    c = (1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t)
-    if small is None:
-        return c
-    return np.where(small, 1.0 / 12.0 + theta * theta / 720.0 + theta ** 4 / 30240.0, c)
+def _coupling_series(theta: np.ndarray):
+    s2 = theta * theta
+    c2 = 1.0 / 24.0 - s2 / 720.0
+    return 1.0 / 6.0 - s2 / 120.0, c2, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0))
 
 
 def _translation_rotation_block(rho: np.ndarray, p: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian (N, 3, 3),
     with p = hat(phi) and theta = |phi|."""
-    t, small = _closed_form_angle(theta)
-    t2 = t * t
-    sin_t = np.sin(t)
-    c1 = (t - sin_t) / (t2 * t)
-    c2 = (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2)
-    if small is not None:
-        s2 = theta * theta
-        c1 = np.where(small, 1.0 / 6.0 - s2 / 120.0, c1)
-        c2 = np.where(small, 1.0 / 24.0 - s2 / 720.0, c2)
-    c3 = 0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t))
-    if small is not None:
-        c3 = np.where(small, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0)), c3)
-    c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
-    rh = _hat(rho)
+    c1, c2, c3 = (c[:, None, None] for c in
+                  angle_coefficients(theta, _coupling_closed_form, _coupling_series))
+    rh = hat(rho)
     pr, rp = p @ rh, rh @ p
     prp = pr @ p
     return (0.5 * rh + c1 * (pr + rp + p @ rp)
@@ -154,8 +88,8 @@ def _left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
     """Inverse left Jacobian of SE(3) (N, 6, 6) at twists (N, 6) = (rho, phi)."""
     rho, phi = xi[:, :3], xi[:, 3:]
     theta = np.sqrt(np.einsum("ni,ni->n", phi, phi))
-    k = _hat(phi)
-    jinv = np.eye(3) - 0.5 * k + _v_inverse_coefficient(theta)[:, None, None] * (k @ k)
+    k = hat(phi)
+    jinv = np.eye(3) - 0.5 * k + v_inverse_coefficient(theta)[:, None, None] * (k @ k)
     out = np.zeros((len(xi), 6, 6))
     out[:, :3, :3] = jinv
     out[:, 3:, 3:] = jinv
@@ -176,26 +110,8 @@ def dr_residuals(from_q: np.ndarray, from_t: np.ndarray, to_q: np.ndarray, to_t:
     the log's Jacobian is not defined there, and the caller treats those
     rows as inactive.
     """
-    inv_from_q = from_q * _CONJ
-    err_q = np.einsum("kij,ni,nj->nk", _QMUL, delta_inv_q,
-                      np.einsum("kij,ni,nj->nk", _QMUL, inv_from_q, to_q))
-    rel_t = np.einsum("iabj,na,nb,nj->ni", _ROT, inv_from_q, inv_from_q, to_t - from_t)
-    err_t = np.einsum("iabj,na,nb,nj->ni", _ROT, delta_inv_q, delta_inv_q, rel_t) + delta_inv_t
-
-    # SO(3) log of the canonical (w >= 0) error quaternion
-    w = np.abs(err_q[:, 0])
-    v = np.where(err_q[:, :1] < 0, -err_q[:, 1:], err_q[:, 1:])
-    s = np.sqrt(np.einsum("ni,ni->n", v, v))
-    theta = 2.0 * np.arctan2(s, w)
-    near_pi = theta >= NEAR_PI
-    tiny = s < 1e-9
-    scale = np.where(tiny, 2.0, np.minimum(theta, NEAR_PI) / np.where(tiny, 1.0, s))
-    phi = scale[:, None] * v
-    # rho = V^-1(phi) t, with the angle of the (possibly clamped) phi
-    c = _v_inverse_coefficient(np.minimum(theta, NEAR_PI))
-    phi_t = _cross(phi, err_t)
-    rho = err_t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t)
-    return np.concatenate([rho, phi], axis=1), near_pi
+    q, t = se3_compose(*se3_inverse(from_q, from_t), to_q, to_t)
+    return se3_log(*se3_compose(delta_inv_q, delta_inv_t, q, t))
 
 
 def dr_jacobians(r: np.ndarray, delta_inv_adjoint: np.ndarray,

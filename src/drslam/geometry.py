@@ -4,6 +4,13 @@ Conventions used everywhere in the package:
   * twists are ordered (rho, phi): translation block first, rotation second;
   * pose perturbations are right-multiplicative, P <- P * exp(xi);
   * quaternions are stored (w, x, y, z) with w >= 0 canonicalization.
+
+The group arithmetic is implemented once, as batched kernels on quaternions
+(N, 4), translations (N, 3) and twists (N, 6), called on stacked rows by the
+DR kernel and the solver and on one row by the scalar Pose API. They work
+row by row (elementwise operations, one matrix product per row), so a row
+of a batch has the bits of that row evaluated alone. Pose canonicalizes the
+quaternions the kernels return.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ import numpy as np
 
 from .errors import AngleNearPi, BehindCamera
 
-# Taylor-series cutoff for the trigonometric ratios [rad].
-SMALL_ANGLE = 1e-6
+# Below this angle the trigonometric ratios take their Taylor series [rad].
+SMALL_ANGLE = 1e-3
+# Rotation angle from which the SE(3) log saturates [rad].
+NEAR_PI = math.pi - 1e-6
 # Projection near-plane [m]; the guard for BehindCamera.
 Z_MIN = 0.05
 
@@ -31,26 +40,6 @@ def _canonical(q: np.ndarray) -> np.ndarray:
     if q[0] < 0 or (q[0] == 0 and (q[1] < 0 or (q[1] == 0 and (q[2] < 0 or (q[2] == 0 and q[3] < 0))))):
         q = -q
     return q
-
-
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 def _matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -83,12 +72,156 @@ def _matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return _canonical(q)
 
 
+# Index tables of the batched kernels: the slots of hat(v) that hold +-v;
+# a x b as a_A b_B, first three minus last three; the right-multiplication
+# matrix of a quaternion, a * b = M(b) a; and entry (i, j) of R(q), row-major,
+# as 2 (q_a q_b + sign q_c q_d), 1 minus that on the diagonal (R00 =
+# 1 - 2 (y y + z z), R01 = 2 (x y - w z), ...), a then c in the first table.
+_HAT_SLOT = np.array([1, 2, 3, 5, 6, 7])
+_HAT_SOURCE = np.array([2, 1, 2, 0, 1, 0])
+_HAT_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+_QMUL_SOURCE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QMUL_SIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+_ROT_FIRST = np.array([2, 1, 1, 1, 1, 2, 1, 2, 1, 3, 0, 0, 0, 3, 0, 0, 0, 2])
+_ROT_SECOND = np.array([2, 2, 3, 2, 1, 3, 3, 3, 1, 3, 3, 2, 3, 3, 1, 2, 1, 2])
+_ROT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def hat(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Skew matrices (..., 3, 3) of vectors (..., 3): hat(a) b = a x b."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    out.reshape(-1, 9)[:, _HAT_SLOT] = v.reshape(-1, 3).take(_HAT_SOURCE, 1) * _HAT_SIGN
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products (..., 3) of broadcast vectors, a_1 b_2 - a_2 b_1, ..."""
+    p = a.take(_CROSS_A, -1) * b.take(_CROSS_B, -1)
+    return p[..., :3] - p[..., 3:]
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Products m v (N, k) of matrices (N, k, j) and vectors (N, j), one
+    matrix-vector product per row."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _squared_norm(v: np.ndarray) -> np.ndarray:
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton products a * b (N, 4)."""
+    return _apply(b.take(_QMUL_SOURCE, 1) * _QMUL_SIGN, a)
+
+
+def quat_to_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (N, 3, 3) of unit quaternions (N, 4)."""
+    p = q.take(_ROT_FIRST, 1) * q.take(_ROT_SECOND, 1)
+    r = 2.0 * (p[:, :9] + p[:, 9:] * _ROT_SIGN)
+    r[:, ::4] = 1.0 - r[:, ::4]
+    return r.reshape(-1, 3, 3)
+
+
+def se3_compose(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
+    """Products a * b of pose rows, as (q, t)."""
+    return _quat_multiply(qa, qb), _apply(quat_to_rotation(qa), tb) + ta
+
+
+def se3_inverse(q: np.ndarray, t: np.ndarray):
+    """Inverses of pose rows, as (q, t)."""
+    qi = q * _CONJ
+    return qi, -_apply(quat_to_rotation(qi), t)
+
+
+def se3_adjoint(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Adjoints (N, 6, 6) for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
+    r = quat_to_rotation(q)
+    out = np.zeros((len(q), 6, 6))
+    out[:, :3, :3] = out[:, 3:, 3:] = r
+    out[:, :3, 3:] = hat(t) @ r
+    return out
+
+
+def angle_coefficients(theta: np.ndarray, closed_form, series):
+    """k coefficients (N,) each at angles theta (N,): series(theta) below
+    SMALL_ANGLE, closed_form(theta) from there on. Each form is evaluated
+    only when some angle takes it, small angles entering the closed form as
+    1.0 and those values discarded, so a row's coefficients do not depend on
+    the other rows."""
+    small = theta < SMALL_ANGLE
+    n_small = np.count_nonzero(small)
+    if n_small == 0:
+        return closed_form(theta)
+    if n_small == len(theta):
+        return series(theta)
+    return [np.where(small, s, c)
+            for s, c in zip(series(theta), closed_form(np.where(small, 1.0, theta)))]
+
+
+def _taylor(theta: np.ndarray, c0, d2, d4) -> np.ndarray:
+    """Series c0 + theta^2/d2 + theta^4/d4 (k, N) of k coefficients, given
+    as k-vectors or scalars."""
+    theta = theta[:, None]
+    return (c0 + theta * theta / d2 + theta ** 4 / d4).T
+
+
+def _exp_closed_form(t: np.ndarray):
+    half, t2 = 0.5 * t, t * t
+    return np.cos(half), np.sin(half) / t, (1.0 - np.cos(t)) / t2, (t - np.sin(t)) / (t2 * t)
+
+
+# Series of cos(t/2), sin(t/2)/t, (1 - cos t)/t^2 and (t - sin t)/t^3.
+_EXP_SERIES = (np.array([1.0, 0.5, 0.5, 1.0 / 6.0]), np.array([-8.0, -48.0, -24.0, -120.0]),
+               np.array([384.0, 3840.0, 720.0, 5040.0]))
+
+
+def se3_exp(xi: np.ndarray):
+    """Closed-form SE(3) exponentials of twists (N, 6), as (q, t); the ratios
+    take their series below SMALL_ANGLE."""
+    rho, phi = xi[:, :3], xi[:, 3:]
+    cos_half, k, a, b = angle_coefficients(np.sqrt(_squared_norm(phi)), _exp_closed_form,
+                                           lambda theta: _taylor(theta, *_EXP_SERIES))
+    q = np.concatenate([cos_half[:, None], k[:, None] * phi], axis=1)
+    # V(phi) rho = rho + a phi x rho + b phi x (phi x rho)
+    phi_rho = _cross(phi, rho)
+    return q, rho + a[:, None] * phi_rho + b[:, None] * _cross(phi, phi_rho)
+
+
+def _v_inverse_closed_form(t: np.ndarray):
+    return ((1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t),)
+
+
+def v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
+    """c(theta) (N,) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse
+    of the SO(3) left Jacobian."""
+    return angle_coefficients(theta, _v_inverse_closed_form,
+                              lambda t: _taylor(t, 1.0 / 12.0, 720.0, 30240.0))[0]
+
+
+def se3_log(q: np.ndarray, t: np.ndarray):
+    """Twists (N, 6) of pose rows and their near-pi mask (N,).
+
+    A total function: where the rotation angle is NEAR_PI or more the angle
+    is clamped to NEAR_PI about the same axis, so a residual stays large and
+    honest; the log's Jacobian is not defined there.
+    """
+    # the canonical (w >= 0) quaternion
+    w = np.abs(q[:, 0])
+    v = np.where(q[:, :1] < 0, -q[:, 1:], q[:, 1:])
+    s = np.sqrt(_squared_norm(v))
+    theta = 2.0 * np.arctan2(s, w)
+    near_pi = theta >= NEAR_PI
+    angle = np.minimum(theta, NEAR_PI)
+    tiny = s < 1e-9
+    phi = np.where(tiny, 2.0, angle / np.where(tiny, 1.0, s))[:, None] * v
+    # rho = V^-1(phi) t, with the angle of the (possibly clamped) phi
+    c = v_inverse_coefficient(angle)
+    phi_t = _cross(phi, t)
+    return np.concatenate([t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t), phi], axis=1), near_pi
 
 
 @dataclass(frozen=True)
@@ -119,7 +252,7 @@ class Pose:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _canonical(np.asarray(self.q, dtype=float)))
+        object.__setattr__(self, "q", _canonical(np.array(self.q, dtype=float)))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).copy())
 
     @staticmethod
@@ -132,7 +265,7 @@ class Pose:
 
     @cached_property
     def rotation_matrix(self) -> np.ndarray:
-        return _quat_to_matrix(self.q)
+        return quat_to_rotation(self.q[None])[0]
 
     def matrix(self) -> np.ndarray:
         T = np.eye(4)
@@ -160,76 +293,32 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def so3_exp_quat(phi: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(phi)
-    half = 0.5 * theta
-    if theta < SMALL_ANGLE:
-        # sin(t/2)/t = 1/2 - t^2/48 + ...
-        k = 0.5 - theta * theta / 48.0
-    else:
-        k = math.sin(half) / theta
-    return _canonical(np.array([math.cos(half), k * phi[0], k * phi[1], k * phi[2]]))
-
-
-def so3_log_quat(q: np.ndarray) -> np.ndarray:
-    # w >= 0 by canonicalization, so the angle lies in [0, pi].
-    s = np.linalg.norm(q[1:])
-    theta = 2.0 * math.atan2(s, q[0])
-    if theta >= math.pi - 1e-6:
-        raise AngleNearPi(f"rotation angle {theta:.9f} too close to pi")
-    if s < 1e-9:
-        return 2.0 * q[1:]
-    return (theta / s) * q[1:]
-
-
-def _v_matrix(phi: np.ndarray) -> np.ndarray:
-    """Translation mixer of the SE(3) exponential (SO(3) left Jacobian)."""
-    theta = np.linalg.norm(phi)
-    K = hat(phi)
-    if theta < SMALL_ANGLE:
-        a = 0.5 - theta * theta / 24.0
-        b = 1.0 / 6.0 - theta * theta / 120.0
-    else:
-        a = (1.0 - math.cos(theta)) / (theta * theta)
-        b = (theta - math.sin(theta)) / (theta ** 3)
-    return np.eye(3) + a * K + b * (K @ K)
-
-
-def _v_inverse(phi: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(phi)
-    K = hat(phi)
-    if theta < 1e-3:
-        c = 1.0 / 12.0 + theta * theta / 720.0 + theta ** 4 / 30240.0
-    else:
-        c = (1.0 - 0.5 * theta * math.sin(theta) / (1.0 - math.cos(theta))) / (theta * theta)
-    return np.eye(3) - 0.5 * K + c * (K @ K)
-
-
 def exp_se3(xi: Twist) -> Pose:
     """Closed-form SE(3) exponential; series below the small-angle cutoff."""
-    q = so3_exp_quat(xi.phi)
-    t = _v_matrix(xi.phi) @ xi.rho
-    return Pose(q, t)
+    return exp_se3_vec(xi.as_vector())
 
 
 def exp_se3_vec(v: np.ndarray) -> Pose:
-    return exp_se3(Twist.from_vector(v))
+    q, t = se3_exp(np.asarray(v, dtype=float)[None])
+    return Pose(q[0], t[0])
 
 
 def log_se3(p: Pose) -> Twist:
     """Inverse of exp_se3; raises AngleNearPi at the domain edge."""
-    phi = so3_log_quat(p.q)
-    rho = _v_inverse(phi) @ p.t
-    return Twist(rho, phi)
+    xi, near_pi = se3_log(p.q[None], p.t[None])
+    if near_pi[0]:
+        raise AngleNearPi(f"rotation angle {p.rotation_angle():.9f} too close to pi")
+    return Twist.from_vector(xi[0])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    return Pose(_quat_mul(a.q, b.q), a.rotation_matrix @ b.t + a.t)
+    q, t = se3_compose(a.q[None], a.t[None], b.q[None], b.t[None])
+    return Pose(q[0], t[0])
 
 
 def inverse(p: Pose) -> Pose:
-    qc = np.array([p.q[0], -p.q[1], -p.q[2], -p.q[3]])
-    return Pose(qc, -(p.rotation_matrix.T @ p.t))
+    q, t = se3_inverse(p.q[None], p.t[None])
+    return Pose(q[0], t[0])
 
 
 def transform_point(p: Pose, x: np.ndarray) -> np.ndarray:
@@ -245,9 +334,4 @@ def project(k: CameraIntrinsics, x_cam: np.ndarray) -> np.ndarray:
 
 def adjoint(p: Pose) -> np.ndarray:
     """Adjoint for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
-    R = p.rotation_matrix
-    A = np.zeros((6, 6))
-    A[:3, :3] = R
-    A[:3, 3:] = hat(p.t) @ R
-    A[3:, 3:] = R
-    return A
+    return se3_adjoint(p.q[None], p.t[None])[0]

@@ -4,21 +4,24 @@ One LM loop drives two linearizers. The Problem linearizer serves local BA
 (window of keyframes plus their landmarks) and global BA (everything, first
 keyframe fixed); the motion-only linearizer serves tracking: one free pose
 against fixed map points given as arrays in match order, with at most one DR
-edge from the fixed previous pose, and a 6x6 system. Both evaluate residuals
-once per point through the factors kernels, and the loop linearizes each
-accepted point from the residuals its cost check computed there. Visual
-rows are whitened by one pixel std and carry a Huber kernel; DR edges carry
-a diagonal precision, alpha times the nominal one, and each residual entry
-and Jacobian row is whitened by the square root of its precision entry; they
-carry no kernel. The Problem linearizer evaluates every
-reprojection row in one kernel call, each row with its pose's rotation and
-translation gathered by the row's pose slot, and scatters the rows' blocks
-into the system with np.add.at; every DR edge is linearized in one batched
-call. The BA linear solve eliminates landmarks by Schur complement; a dense
-path exists for verification. The pose-landmark coupling is kept as one
-dense block, O(F*L) memory for F free poses and L free landmarks; the Schur
-complement is formed from it in chunks of landmarks, each a product over
-the poses that observe it.
+edge from the fixed previous pose, and a 6x6 system. A point of either is
+stacked arrays (pose quaternions and translations, landmark positions); a
+retraction moves all free poses with one batched exp and compose, and Pose
+objects are built only for the result. Both evaluate residuals once per
+point through the factors kernels, and the loop linearizes each accepted
+point from the residuals its cost check computed there. Visual rows are
+whitened by one pixel std and carry a Huber kernel; DR edges carry a
+diagonal precision, alpha times the nominal one, and each residual entry and
+Jacobian row is whitened by the square root of its precision entry; they
+carry no kernel. The Problem linearizer evaluates every reprojection row in
+one kernel call, each row with its pose's rotation and translation gathered
+by the row's pose slot, and scatters the rows' blocks into the system with
+np.add.at; every DR edge is linearized in one batched call. The BA linear
+solve eliminates landmarks by Schur complement; a dense path exists for
+verification. The pose-landmark coupling is kept as one dense block, O(F*L)
+memory for F free poses and L free landmarks; the Schur complement is formed
+from it in chunks of landmarks, each a product over the poses that observe
+it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from .factors import (
     reprojection_jacobians,
     reprojection_residuals,
 )
-from .geometry import CameraIntrinsics, Pose, Z_MIN, adjoint, compose, exp_se3_vec, inverse
+from .geometry import (CameraIntrinsics, Pose, Z_MIN, quat_to_rotation, se3_adjoint, se3_compose,
+                       se3_exp, se3_inverse)
 
 
 @dataclass
@@ -272,9 +276,10 @@ def dense_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
 class _Linearizer:
     """Caches the factor structure of a Problem for repeated evaluation.
 
-    A point is the pair (poses, landmark positions); its system is a
-    NormalEquations, solved by schur_solve. size is the problem size the
-    solve reports.
+    A point is the triple (pose quaternions (P, 4), pose translations
+    (P, 3), landmark positions (L, 3)) in slot and row order; point holds the
+    problem's variables. Its system is a NormalEquations, solved by
+    schur_solve. size is the problem size the solve reports.
     """
 
     def __init__(self, problem: Problem):
@@ -285,6 +290,7 @@ class _Linearizer:
         self.pose_ids = sorted(problem.poses)
         self.fixed = np.array([problem.poses[p].fixed for p in self.pose_ids], dtype=bool)
         self.free_index, self.n_pose_free = _free_index(self.fixed)
+        self.free_slots = np.flatnonzero(~self.fixed)
         self.lm_ids = sorted(problem.landmarks)
         self.lm_fixed = np.array([problem.landmarks[l].fixed for l in self.lm_ids], dtype=bool)
         self.lm_free_index, self.n_lm_free = _free_index(self.lm_fixed)
@@ -304,39 +310,36 @@ class _Linearizer:
         self.dr_from = np.searchsorted(self.pose_ids, edges["from"])
         self.dr_to = np.searchsorted(self.pose_ids, edges["to"])
         self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_p = \
-            _dr_edge_arrays([Pose(q, t) for q, t in zip(edges["q"], edges["t"])],
-                            edges["precision"])
+            _dr_edge_arrays(edges["q"], edges["t"], edges["precision"])
         self.dr_from_free = self.free_index[self.dr_from]
         self.dr_to_free = self.free_index[self.dr_to]
 
-        self.poses = [problem.poses[p].pose for p in self.pose_ids]
-        self.lm_pos = np.array([problem.landmarks[l].position for l in self.lm_ids]).reshape(-1, 3)
+        poses = [problem.poses[p].pose for p in self.pose_ids]
+        self.point = (np.array([p.q for p in poses]).reshape(-1, 4),
+                      np.array([p.t for p in poses]).reshape(-1, 3),
+                      np.array([problem.landmarks[l].position for l in self.lm_ids]).reshape(-1, 3))
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
                          reprojection_rows=len(self.uv), dr_edges=len(self.dr_from))
 
     def retract(self, point, step):
-        poses, lm_pos = point
-        dp = step[:6 * self.n_pose_free]
-        dl = step[6 * self.n_pose_free:]
-        new_poses = list(poses)
-        for j, s in enumerate(np.flatnonzero(~self.fixed).tolist()):
-            new_poses[s] = compose(poses[s], exp_se3_vec(dp[6 * j:6 * j + 6]))
-        new_lm = lm_pos
+        q, t, lm_pos = point
+        n = self.n_pose_free
+        if n:
+            q, t, free = q.copy(), t.copy(), self.free_slots
+            q[free], t[free] = se3_compose(q[free], t[free], *se3_exp(step[:6 * n].reshape(n, 6)))
         if self.n_lm_free:
-            new_lm = lm_pos.copy()
-            new_lm[~self.lm_fixed] += dl.reshape(-1, 3)
-        return new_poses, new_lm
+            lm_pos = lm_pos.copy()
+            lm_pos[~self.lm_fixed] += step[6 * n:].reshape(-1, 3)
+        return q, t, lm_pos
 
     def residuals(self, point):
         """Cost at the point and the per-row residuals linearize reuses."""
-        poses, lm_pos = point
-        t = np.array([p.t for p in poses]).reshape(-1, 3)
-        rotations = np.array([p.rotation_matrix for p in poses]).reshape(-1, 3, 3)[self.row_slot]
+        q, t, lm_pos = point
+        rotations = quat_to_rotation(q)[self.row_slot]
         cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
                                          self.uv, self.inv_std, self.huber_k)
         dr = None
         if len(self.dr_from):
-            q = np.array([p.q for p in poses])
             dr = _dr_whitened_residuals(q[self.dr_from], t[self.dr_from], q[self.dr_to],
                                         t[self.dr_to], self.dr_delta_inv_q, self.dr_delta_inv_t,
                                         self.dr_sqrt_p)
@@ -408,7 +411,8 @@ class _PoseLinearizer:
     """Motion-only BA: one free pose against fixed points, and at most one DR
     edge from a fixed previous pose.
 
-    A point is the Pose; its system is the 6x6 pair (H, b). Rows are the
+    A point is the pose as one row (quaternion (1, 4), translation (1, 3));
+    its system is the 6x6 pair (H, b). Rows are the
     matched points (N, 3) and pixels (N, 2) in match order, with one inverse
     pixel std and one Huber threshold for every row. The arithmetic and its
     order are those of _Linearizer on the equivalent one-free-pose Problem:
@@ -428,30 +432,30 @@ class _PoseLinearizer:
         self.dr_sqrt_p = None
         if dr is not None:
             previous, delta, precision = dr
-            self.from_q, self.from_t = np.array([previous.q]), np.array([previous.t])
+            self.from_q, self.from_t = previous.q[None], previous.t[None]
             self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_p = \
-                _dr_edge_arrays([delta], np.reshape(precision, (1, 6)))
+                _dr_edge_arrays(delta.q[None], delta.t[None], np.reshape(precision, (1, 6)))
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
 
-    def retract(self, pose: Pose, step) -> Pose:
-        return compose(pose, exp_se3_vec(step))
+    def retract(self, point, step):
+        return se3_compose(*point, *se3_exp(step[None]))
 
-    def residuals(self, pose: Pose):
+    def residuals(self, point):
         """Cost at the pose and the per-row residuals linearize reuses."""
+        q, t = point
         cost = 0.0
         visual = dr = None
         if len(self.points):
-            cost, visual = _visual_residuals(self.k, pose.rotation_matrix, pose.t, self.points,
+            cost, visual = _visual_residuals(self.k, quat_to_rotation(q)[0], t[0], self.points,
                                              self.uv, self.inv_std, self.huber_k)
         if self.dr_sqrt_p is not None:
-            dr = _dr_whitened_residuals(self.from_q, self.from_t,
-                                        np.array([pose.q]), np.array([pose.t]),
-                                        self.delta_inv_q, self.delta_inv_t, self.dr_sqrt_p)
+            dr = _dr_whitened_residuals(self.from_q, self.from_t, q, t, self.delta_inv_q,
+                                        self.delta_inv_t, self.dr_sqrt_p)
             cost += dr[3]
         return cost, (visual, dr)
 
-    def linearize(self, pose: Pose, cache):
+    def linearize(self, point, cache):
         """The 6x6 system (H, b) at the pose, from the residuals computed there."""
         visual, dr = cache
         H = np.zeros((6, 6))
@@ -491,17 +495,15 @@ def _free_index(fixed: np.ndarray):
     return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
 
 
-def _dr_edge_arrays(deltas, precisions):
-    """Per DR edge: inverted increment (quaternion, translation), Ad(delta^-1)
-    and the square root of the precision (E, 6), stacked. Raises
-    NotPositiveDefinite when a precision entry is not finite and positive."""
+def _dr_edge_arrays(q, t, precisions):
+    """Per DR edge of increments (q (E, 4), t (E, 3)): inverted increment
+    (quaternion, translation), Ad(delta^-1) and the square root of the
+    precision (E, 6). Raises NotPositiveDefinite when a precision entry is
+    not finite and positive."""
     if not np.all(np.isfinite(precisions) & (precisions > 0)):
         raise NotPositiveDefinite("DR precision entries must be finite and positive")
-    delta_inv = [inverse(d) for d in deltas]
-    return (np.array([d.q for d in delta_inv]).reshape(-1, 4),
-            np.array([d.t for d in delta_inv]).reshape(-1, 3),
-            np.array([adjoint(d) for d in delta_inv]).reshape(-1, 6, 6),
-            np.sqrt(precisions))
+    inv_q, inv_t = se3_inverse(q, t)
+    return inv_q, inv_t, se3_adjoint(inv_q, inv_t), np.sqrt(precisions)
 
 
 def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
@@ -614,16 +616,8 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
 def build_normal_equations(problem: Problem):
     """Linearize at the problem's current variables; returns (neq, cost)."""
     lin = _Linearizer(problem)
-    point = (lin.poses, lin.lm_pos)
-    cost, cache = lin.residuals(point)
-    return lin.linearize(point, cache), cost
-
-
-def _write_back(problem: Problem, lin: _Linearizer, poses, lm_pos):
-    for pid, pose in zip(lin.pose_ids, poses):
-        problem.poses[pid].pose = pose
-    for lid, position in zip(lin.lm_ids, lm_pos):
-        problem.landmarks[lid].position = position.copy()
+    cost, cache = lin.residuals(lin.point)
+    return lin.linearize(lin.point, cache), cost
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
@@ -632,8 +626,11 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     lin = _Linearizer(problem)
     if lin.n_pose_free == 0 and lin.n_lm_free == 0:
         return SolverReport(termination="no_free_variables", **lin.size)
-    (poses, lm_pos), report = _levenberg_marquardt(lin, (lin.poses, lin.lm_pos), config)
-    _write_back(problem, lin, poses, lm_pos)
+    (q, t, lm_pos), report = _levenberg_marquardt(lin, lin.point, config)
+    for s in lin.free_slots.tolist():
+        problem.poses[lin.pose_ids[s]].pose = Pose(q[s], t[s])
+    for lid, position in zip(lin.lm_ids, lm_pos):
+        problem.landmarks[lid].position = position.copy()
     return replace(report, **lin.size)
 
 
@@ -655,8 +652,9 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
-    pose, report = _levenberg_marquardt(lin, pose, config or SolverConfig(max_iterations=10))
-    return pose, replace(report, **lin.size)
+    (q, t), report = _levenberg_marquardt(lin, (pose.q[None], pose.t[None]),
+                                          config or SolverConfig(max_iterations=10))
+    return Pose(q[0], t[0]), replace(report, **lin.size)
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

@@ -6,14 +6,14 @@ from hypothesis.extra.numpy import arrays
 from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
 from drslam import optimizer
 from drslam.factors import (
-    JACOBIAN_SMALL_ANGLE,
-    NEAR_PI,
     dr_jacobians,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
 )
 from drslam.geometry import (
+    NEAR_PI,
+    SMALL_ANGLE,
     CameraIntrinsics,
     Pose,
     Twist,
@@ -249,7 +249,7 @@ def test_dr_jacobians_match_finite_differences_property(from_twist, to_twist, de
     r = edge_residual(pose_from, pose_to, delta)
     theta = np.linalg.norm(r[3:])
     if small_angle:
-        assert theta < JACOBIAN_SMALL_ANGLE
+        assert theta < SMALL_ANGLE
     if theta > NEAR_PI - 1e-3:
         return   # finite differences would straddle the log's domain edge
     j_from, j_to = edge_jacobians(pose_from, pose_to, delta)

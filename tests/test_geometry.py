@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from conftest import random_pose, random_twist
 from drslam.errors import AngleNearPi, BehindCamera
 from drslam.geometry import (
+    NEAR_PI,
     SMALL_ANGLE,
     CameraIntrinsics,
     Pose,
@@ -19,6 +20,11 @@ from drslam.geometry import (
     inverse,
     log_se3,
     project,
+    se3_adjoint,
+    se3_compose,
+    se3_exp,
+    se3_inverse,
+    se3_log,
     transform_point,
 )
 
@@ -51,6 +57,16 @@ def test_exp_matches_matrix_exponential(rng):
         assert np.allclose(T, se3_matrix_exp(xi), atol=1e-9)
 
 
+def test_exp_translation_matches_matrix_exponential(rng):
+    # the ratios (1 - cos t)/t^2 and (t - sin t)/t^3 take their series below
+    # SMALL_ANGLE, where their closed forms cancel
+    for angle in np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 300)]):
+        for _ in range(5):
+            axis = rng.normal(size=3)
+            xi = Twist(rng.uniform(-2, 2, size=3), axis / np.linalg.norm(axis) * angle)
+            assert np.max(np.abs(exp_se3(xi).t - se3_matrix_exp(xi)[:3, 3])) <= 1e-12
+
+
 def test_log_exp_round_trip(rng):
     for scale in (1e-9, 1e-7, 1e-4, 0.3, 1.5, 3.0):
         for _ in range(20):
@@ -70,10 +86,6 @@ def test_log_raises_near_pi():
     p = exp_se3(Twist(np.zeros(3), phi))
     with pytest.raises(AngleNearPi):
         log_se3(p)
-
-
-# The rotation angle at which log_se3 raises AngleNearPi.
-NEAR_PI_CUT = math.pi - 1e-6
 
 
 def twists_at_angle(low, high):
@@ -101,22 +113,63 @@ def test_exp_log_round_trip_small_angle_branch(xi):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(twists_at_angle(SMALL_ANGLE, 3.0))
 def test_exp_log_round_trip_generic_branch(xi):
-    # just above SMALL_ANGLE the closed-form ratios of exp_se3 cancel: about
-    # 1e-10 m of translation error at 1e-6 rad, 1e-15 from 0.1 rad on
+    # just above SMALL_ANGLE the closed-form V^-1 coefficient of log_se3
+    # cancels: about 1e-10 m of translation error at 1e-3 rad, 1e-15 from
+    # 0.1 rad on
     assert_round_trip(xi, 1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(twists_at_angle(math.pi - 1e-3, NEAR_PI_CUT - 1e-9))
+@given(twists_at_angle(math.pi - 1e-3, NEAR_PI - 1e-9))
 def test_exp_log_round_trip_just_below_near_pi_cut(xi):
     assert_round_trip(xi, 1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(twists_at_angle(NEAR_PI_CUT + 1e-9, math.pi))
+@given(twists_at_angle(NEAR_PI + 1e-9, math.pi))
 def test_log_raises_angle_near_pi_at_the_cut(xi):
     with pytest.raises(AngleNearPi):
         log_se3(exp_se3(xi))
+
+
+def test_pose_copies_its_quaternion():
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    p = Pose(q, np.zeros(3))
+    q[:] = [0.0, 1.0, 0.0, 0.0]
+    assert p.q.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(p.rotation_matrix, np.eye(3))
+
+
+def twist_rows():
+    """Twist rows (rho, phi), small angles as often as angles up to pi."""
+    return st.one_of(twists_at_angle(0.0, 2 * SMALL_ANGLE),
+                     twists_at_angle(0.0, math.pi)).map(Twist.as_vector)
+
+
+def assert_rows_equal(batch, one_row_call):
+    """Each output of a batched kernel equals, row by row and bit for bit, the
+    kernel's output on a one-row copy of the input rows."""
+    for i in range(len(batch[0])):
+        for got, want in zip(batch, one_row_call(i)):
+            assert got[i].tobytes() == want[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(twist_rows(), twist_rows()), min_size=1, max_size=8))
+def test_batched_kernels_equal_one_row_calls(pairs):
+    # rows mix small angles, large ones and angles at or above NEAR_PI
+    xa, xb = (np.array(x) for x in zip(*pairs))
+
+    def row(x, i):
+        return x[i:i + 1].copy()
+    qa, ta = se3_exp(xa)
+    qb, tb = se3_exp(xb)
+    assert_rows_equal((qa, ta), lambda i: se3_exp(row(xa, i)))
+    assert_rows_equal(se3_compose(qa, ta, qb, tb),
+                      lambda i: se3_compose(row(qa, i), row(ta, i), row(qb, i), row(tb, i)))
+    assert_rows_equal(se3_inverse(qa, ta), lambda i: se3_inverse(row(qa, i), row(ta, i)))
+    assert_rows_equal(se3_log(qa, ta), lambda i: se3_log(row(qa, i), row(ta, i)))
+    assert_rows_equal((se3_adjoint(qa, ta),), lambda i: (se3_adjoint(row(qa, i), row(ta, i)),))
 
 
 def test_compose_identity_and_inverse(rng):

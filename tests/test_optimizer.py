@@ -687,9 +687,9 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
 
 
 def _set_point(problem, lin, point):
-    poses, lm_pos = point
-    for pid, pose in zip(lin.pose_ids, poses):
-        problem.poses[pid].pose = pose
+    q, t, lm_pos = point
+    for pid, q_row, t_row in zip(lin.pose_ids, q, t):
+        problem.poses[pid].pose = Pose(q_row, t_row)
     for lid, position in zip(lin.lm_ids, lm_pos):
         problem.landmarks[lid].position = position.copy()
 
@@ -714,7 +714,7 @@ def test_cached_linearization_matches_fresh_build(seed, n_poses, perturb, with_d
         return neq
     lin.linearize = recording
     try:
-        _levenberg_marquardt(lin, (lin.poses, lin.lm_pos), SolverConfig(max_iterations=5))
+        _levenberg_marquardt(lin, lin.point, SolverConfig(max_iterations=5))
     except Diverged:
         pass
     assert seen
@@ -762,23 +762,40 @@ def test_lm_counts_rejected_steps_exactly():
     assert report.final_cost == 0.5 * math.atan(x) ** 2
 
 
-def test_report_telemetry_matches_for_both_linearizers():
-    # a start 0.5 m and 20 degrees off, with near points: the first steps
-    # overshoot and are rejected; both linearizers count the same steps
+def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
+    # a start 0.5 m too close to points 0.3-1.5 m away: the first steps
+    # overshoot and are rejected while the cost is still at its start, far
+    # above float noise; both linearizers count the same steps
     rng = np.random.default_rng(2)
     gt = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(1, compose(gt, exp_se3_vec(np.array([0.3, -0.2, 0.4, 0.2, -0.25, 0.1]))))
+    problem.add_pose(1, compose(gt, exp_se3_vec(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
     for j in range(12):
-        cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.8, 2.0)])
+        cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5)])
         problem.add_landmark(j, transform_point(gt, cam), fixed=True)
         problem.add_observations(1, j, project(CAMERA, cam))
     config = SolverConfig(max_iterations=10)
     arrays = solve_motion_only(**motion_only_args(problem), config=config)
+    costs = []
+    residuals = _Linearizer.residuals
+
+    def recording(lin, point):
+        cost, cache = residuals(lin, point)
+        costs.append(cost)
+        return cost, cache
+    monkeypatch.setattr(_Linearizer, "residuals", recording)
     report = solve(problem, config)
     _assert_same_solve(arrays, (problem.poses[1].pose, report))
     assert report.termination in ("cost_tolerance", "step_tolerance")
-    assert report.rejected_steps > 0
+    # replay the loop's cost checks: the cost at which each step was rejected
+    current, rejected_at = costs[0], []
+    for cost in costs[1:]:
+        if cost <= current:
+            current = cost
+        else:
+            rejected_at.append(current)
+    assert len(rejected_at) == report.rejected_steps > 0
+    assert rejected_at[0] > 1e3
     # one evaluation at the start and one per candidate step: accepted or rejected
     assert report.evaluations == 1 + report.iterations + report.rejected_steps
     expected = config.initial_damping
