@@ -163,6 +163,8 @@ def _sweep_pool(jobs: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
     sequence = read_sequence(args.seq)
     out = _out_dir(args, f"sweep_{config.seed}")
@@ -171,18 +173,10 @@ def cmd_sweep(args) -> int:
     if args.segment:
         a, _, b = args.segment.partition(":")
         frame_range = (int(a), int(b))
-    if args.jobs > 1:
-        tasks = [(sequence, alphas, r, config.values, frame_range)
-                 for r in range(args.repeats)]
-        rows = []
-        with _sweep_pool(args.jobs) as pool:
-            for part in pool.map(_sweep_task, tasks):
-                rows.extend(part)
-        rows = evaluation.fill_medians(rows)
-    else:
-        rows = evaluation.alpha_sweep(sequence, alphas, repeats=args.repeats,
-                                      params=config.pipeline_params(),
-                                      frame_range=frame_range)
+    tasks = [(sequence, alphas, r, config.values, frame_range) for r in range(args.repeats)]
+    with _sweep_pool(args.jobs) as pool:
+        rows = evaluation.fill_medians([row for part in pool.map(_sweep_task, tasks)
+                                        for row in part])
     write_csv(os.path.join(out, "sweep.csv"),
               ["log_alpha", "repeat", "rmse", "median"],
               [(fmt(r.log_alpha), r.repeat, float(r.rmse), float(r.median)) for r in rows])

@@ -13,69 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .factors import HUBER_PIXEL_SCALE
-from .fileio import fmt
+from .fileio import fmt, fmt_bool, parse_bool
 from .optimizer import SolverConfig
 from .pipeline import MODES, PipelineParams
-from .simulator import Dropout, WorldConfig
+from .simulator import WORLD_FIELDS, WorldConfig
 from .weighting import NominalDrInformation, QualityParams, WeightBounds
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes", "on"):
-        return True
-    if s.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _parse_waypoints(s: str):
-    out = []
-    for part in s.split(";"):
-        x, y = part.split(",")
-        out.append((float(x), float(y)))
-    return out
-
-
-def _parse_density(s: str):
-    out = []
-    for part in s.split(";"):
-        a, d = part.split(":")
-        out.append((float(a), float(d)))
-    return out
-
-
-def _parse_dropouts(s: str):
-    if not s.strip():
-        return []
-    out = []
-    for part in s.split(";"):
-        bits = part.split(":")
-        if len(bits) not in (3, 4):
-            raise ValueError(f"dropout needs start:end:n_det[:clustered], got {part!r}")
-        clustered = bool(int(bits[3])) if len(bits) == 4 else False
-        out.append(Dropout(int(bits[0]), int(bits[1]), int(bits[2]), clustered))
-    return out
-
-
-def _parse_vec3(s: str):
-    x, y, z = (float(v) for v in s.split(","))
-    return (x, y, z)
-
-
-def _fmt_waypoints(w):
-    return ";".join(f"{fmt(x)},{fmt(y)}" for x, y in w)
-
-
-def _fmt_density(d):
-    return ";".join(f"{fmt(a)}:{fmt(v)}" for a, v in d)
-
-
-def _fmt_dropouts(d):
-    return ";".join(f"{x.start}:{x.end}:{x.n_det}:{int(x.clustered)}" for x in d)
-
-
-def _fmt_vec3(v):
-    return ",".join(fmt(x) for x in v)
 
 
 def _positive(s: str) -> float:
@@ -90,6 +32,8 @@ def _mode(s: str) -> str:
         raise ValueError(f"mode must be one of {MODES}, got {s!r}")
     return s
 
+
+_WORLD_DEFAULTS = WorldConfig()
 
 # section.key -> (parse, format, default)
 SCHEMA = {
@@ -120,7 +64,7 @@ SCHEMA = {
     "keyframes.kf_min_det": (int, str, 50),
     "keyframes.max_local_keyframes": (int, str, 10),
     "keyframes.max_anchor_keyframes": (int, str, 15),
-    "loop.enabled": (_parse_bool, lambda b: str(b).lower(), True),
+    "loop.enabled": (parse_bool, fmt_bool, True),
     "loop.radius": (float, fmt, 0.5),
     "loop.gap_min": (int, str, 30),
     "loop.info_scale": (float, fmt, 100.0),
@@ -134,21 +78,8 @@ SCHEMA = {
     "solver.damping_down": (float, fmt, 0.5),
     "solver.cost_tolerance": (float, fmt, 1e-8),
     "solver.step_tolerance": (float, fmt, 1e-10),
-    "world.waypoints": (_parse_waypoints, _fmt_waypoints, [(0.0, 0.0), (10.0, 0.0)]),
-    "world.closed": (_parse_bool, lambda b: str(b).lower(), False),
-    "world.n_frames": (int, str, 300),
-    "world.fps": (float, fmt, 30.0),
-    "world.density": (_parse_density, _fmt_density, [(0.0, 80.0)]),
-    "world.detection_cap": (int, str, 800),
-    "world.clutter": (int, str, 0),
-    "world.pixel_noise": (float, fmt, 0.0),
-    "world.dr_sigma_t": (float, fmt, 0.0),
-    "world.dr_sigma_r_deg": (float, fmt, 0.0),
-    "world.dr_bias_t": (_parse_vec3, _fmt_vec3, (0.0, 0.0, 0.0)),
-    "world.dr_bias_r_deg": (_parse_vec3, _fmt_vec3, (0.0, 0.0, 0.0)),
-    "world.dropouts": (_parse_dropouts, _fmt_dropouts, []),
-    "world.depth_min": (float, fmt, 0.3),
-    "world.depth_max": (float, fmt, 8.0),
+    **{f"world.{name}": (parse, render, getattr(_WORLD_DEFAULTS, name))
+       for name, (parse, render) in WORLD_FIELDS.items() if name != "seed"},
 }
 
 
@@ -234,17 +165,8 @@ class RunConfig:
         )
 
     def world_config(self, seed=None) -> WorldConfig:
-        v = self.values
-        return WorldConfig(
-            waypoints=v["world.waypoints"], closed=v["world.closed"],
-            n_frames=v["world.n_frames"], fps=v["world.fps"],
-            density=v["world.density"], detection_cap=v["world.detection_cap"],
-            clutter=v["world.clutter"], pixel_noise=v["world.pixel_noise"],
-            dr_sigma_t=v["world.dr_sigma_t"], dr_sigma_r_deg=v["world.dr_sigma_r_deg"],
-            dr_bias_t=v["world.dr_bias_t"], dr_bias_r_deg=v["world.dr_bias_r_deg"],
-            dropouts=v["world.dropouts"], depth_min=v["world.depth_min"],
-            depth_max=v["world.depth_max"],
-            seed=self.seed if seed is None else seed)
+        fields = {name: self.values[f"world.{name}"] for name in WORLD_FIELDS if name != "seed"}
+        return WorldConfig(**fields, seed=self.seed if seed is None else seed)
 
     def echo(self) -> str:
         lines = []

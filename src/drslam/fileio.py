@@ -24,6 +24,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def parse_bool(s: str) -> bool:
+    if s.lower() in ("true", "1", "yes", "on"):
+        return True
+    if s.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def fmt_bool(b: bool) -> str:
+    return str(b).lower()
+
+
 def tum_line(timestamp: float, pose: Pose) -> str:
     w, x, y, z = pose.q
     tx, ty, tz = pose.t

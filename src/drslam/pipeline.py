@@ -146,10 +146,10 @@ def predict_pose(prev: Frame, dr: Pose) -> Pose:
 
 
 def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
-    """Rows, in detection order, of the first detection of each landmark id; clutter skipped."""
+    """Rows, in detection order, of the first detection of each landmark id."""
     _, first = np.unique(ids, return_index=True)
     first.sort()
-    return first[ids[first] >= 0]
+    return first
 
 
 def associate_features(detections: Detections, points, predicted: Pose, search_radius: float,
@@ -158,9 +158,8 @@ def associate_features(detections: Detections, points, predicted: Pose, search_r
 
     A map point matches the first detection carrying its landmark identity
     (descriptor oracle) when that detection lies within ``search_radius`` of
-    the point's projection under the predicted pose. Clutter detections
-    (negative ids) never match. Returns (matches, n_trk): the matched
-    detections in detection order, and their count.
+    the point's projection under the predicted pose. Returns (matches,
+    n_trk): the matched detections in detection order, and their count.
     """
     rows = _first_landmark_rows(detections.ids)
     rows = rows[[j in points for j in detections.ids[rows].tolist()]]
@@ -319,8 +318,8 @@ class Pipeline:
         matches, n_trk = associate_features(
             record.detections, self.slam_map.points, predicted,
             self.params.search_radius, self.camera)
-        if not record.detections and record.n_trk_max > 0:
-            n_trk = record.n_trk_max  # replay stream: recorded statistic
+        if record.recorded_n_trk is not None:
+            n_trk = record.recorded_n_trk  # replay stream: recorded statistic
         stats = TrackingStats(record.n_det, min(n_trk, record.n_det))
         q = compute_quality(stats, self.params.quality)
         alpha = self._alpha_for_quality(q)

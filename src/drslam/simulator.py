@@ -2,8 +2,10 @@
 
 A sequence holds per-frame ground truth, detections from an ideal pinhole
 camera over a landmark field with a controllable visible-density profile,
-and noisy dead-reckoning increments. Sequences round-trip losslessly through
-a directory layout of TUM and CSV files.
+and noisy dead-reckoning increments. Clutter (detections of no landmark) is
+drawn, ranked in the drop-out and cap selection and counted in each frame's
+``n_det``, but only landmark detections are kept. Sequences round-trip
+losslessly through a directory layout of TUM and CSV files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpec, FormatError, NonMonotoneTimestamps
-from .fileio import csv_line, fmt, int_column, read_csv, read_tum, write_csv, write_tum
+from .fileio import (csv_line, fmt, fmt_bool, int_column, parse_bool, read_csv, read_tum,
+                     write_csv, write_tum)
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -74,13 +77,77 @@ class WorldConfig:
             raise ValueError("noise standard deviations must be nonnegative")
 
 
+def _float_pairs(sep: str):
+    """(parse, format) of a ';'-separated list of float pairs, each written a<sep>b."""
+    def parse(s: str):
+        out = []
+        for part in s.split(";"):
+            a, b = part.split(sep)
+            out.append((float(a), float(b)))
+        return out
+
+    def render(pairs) -> str:
+        return ";".join(f"{fmt(a)}{sep}{fmt(b)}" for a, b in pairs)
+
+    return parse, render
+
+
+def _parse_vec3(s: str):
+    x, y, z = (float(v) for v in s.split(","))
+    return (x, y, z)
+
+
+def _fmt_vec3(v):
+    return ",".join(fmt(x) for x in v)
+
+
+def _parse_dropouts(s: str):
+    if not s.strip():
+        return []
+    out = []
+    for part in s.split(";"):
+        bits = part.split(":")
+        if len(bits) not in (3, 4):
+            raise ValueError(f"dropout needs start:end:n_det[:clustered], got {part!r}")
+        clustered = bool(int(bits[3])) if len(bits) == 4 else False
+        out.append(Dropout(int(bits[0]), int(bits[1]), int(bits[2]), clustered))
+    return out
+
+
+def _fmt_dropouts(d):
+    return ";".join(f"{x.start}:{x.end}:{x.n_det}:{int(x.clustered)}" for x in d)
+
+
+# WorldConfig field -> (parse, format) of its text, in field order. The
+# ``world.*`` configuration keys and the entries of a sequence's ``meta``
+# are both read and written through this table.
+WORLD_FIELDS = {
+    "waypoints": _float_pairs(","),
+    "closed": (parse_bool, fmt_bool),
+    "n_frames": (int, str),
+    "fps": (float, fmt),
+    "density": _float_pairs(":"),
+    "detection_cap": (int, str),
+    "clutter": (int, str),
+    "pixel_noise": (float, fmt),
+    "dr_sigma_t": (float, fmt),
+    "dr_sigma_r_deg": (float, fmt),
+    "dr_bias_t": (_parse_vec3, _fmt_vec3),
+    "dr_bias_r_deg": (_parse_vec3, _fmt_vec3),
+    "dropouts": (_parse_dropouts, _fmt_dropouts),
+    "depth_min": (float, fmt),
+    "depth_max": (float, fmt),
+    "seed": (int, str),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """One frame's detections, rows in detection order.
+    """One frame's landmark detections, rows in detection order.
 
-    ``ids`` (N,) int64 holds each row's landmark id, -1 for clutter, and
-    ``uv`` (N, 2) float64 its pixel. Iterating yields ``(id, u, v)`` rows as
-    a Python int and two floats.
+    ``ids`` (N,) int64 holds each row's landmark id (>= 0) and ``uv``
+    (N, 2) float64 its pixel. Iterating yields ``(id, u, v)`` rows as a
+    Python int and two floats.
     """
 
     ids: np.ndarray
@@ -109,8 +176,8 @@ class SimFrameRecord:
     detections: Detections
     dr_delta: Pose | None               # relative increment to previous frame
     odom_pose: Pose | None              # absolute DR-integrated pose
-    n_det: int
-    n_trk_max: int
+    n_det: int                          # detections, clutter included
+    recorded_n_trk: int | None = None   # replay streams only: the recorded tracked count
 
 
 @dataclass
@@ -119,10 +186,6 @@ class Sequence:
     world: dict                         # landmark_id -> position (3,)
     camera: CameraIntrinsics
     meta: dict
-
-    @property
-    def has_world(self) -> bool:
-        return len(self.world) > 0
 
 
 def _density_at(density, s: float) -> float:
@@ -345,11 +408,10 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
         frame_id=frame_id,
         timestamp=frame_id / config.fps,
         gt_pose=gt_pose,
-        detections=detections,
+        detections=detections.take(detections.ids >= 0),
         dr_delta=dr_delta,
         odom_pose=None,
         n_det=len(detections),
-        n_trk_max=int(np.count_nonzero(detections.ids >= 0)),
     )
 
 
@@ -369,65 +431,20 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
 
+def _camera_meta(camera: CameraIntrinsics) -> dict:
+    return {"fx": fmt(camera.fx), "fy": fmt(camera.fy),
+            "cx": fmt(camera.cx), "cy": fmt(camera.cy),
+            "width": str(camera.width), "height": str(camera.height)}
+
+
 def _config_meta(config: WorldConfig, camera: CameraIntrinsics) -> dict:
-    meta = {
-        "format": META_MAGIC,
-        "waypoints": ";".join(f"{fmt(x)},{fmt(y)}" for x, y in config.waypoints),
-        "closed": str(config.closed).lower(),
-        "n_frames": str(config.n_frames),
-        "fps": fmt(config.fps),
-        "density": ";".join(f"{fmt(s)}:{fmt(d)}" for s, d in config.density),
-        "detection_cap": str(config.detection_cap),
-        "clutter": str(config.clutter),
-        "pixel_noise": fmt(config.pixel_noise),
-        "dr_sigma_t": fmt(config.dr_sigma_t),
-        "dr_sigma_r_deg": fmt(config.dr_sigma_r_deg),
-        "dr_bias_t": ",".join(fmt(v) for v in config.dr_bias_t),
-        "dr_bias_r_deg": ",".join(fmt(v) for v in config.dr_bias_r_deg),
-        "dropouts": ";".join(
-            f"{d.start}:{d.end}:{d.n_det}:{int(d.clustered)}" for d in config.dropouts),
-        "depth_min": fmt(config.depth_min),
-        "depth_max": fmt(config.depth_max),
-        "seed": str(config.seed),
-        "fx": fmt(camera.fx), "fy": fmt(camera.fy),
-        "cx": fmt(camera.cx), "cy": fmt(camera.cy),
-        "width": str(camera.width), "height": str(camera.height),
-    }
-    return meta
+    return {"format": META_MAGIC,
+            **{name: render(getattr(config, name)) for name, (_, render) in WORLD_FIELDS.items()},
+            **_camera_meta(camera)}
 
 
 def config_from_meta(meta: dict) -> WorldConfig:
-    def floats(s):
-        return tuple(float(v) for v in s.split(","))
-
-    dropouts = []
-    if meta.get("dropouts"):
-        for part in meta["dropouts"].split(";"):
-            a, b, n, c = part.split(":")
-            dropouts.append(Dropout(int(a), int(b), int(n), bool(int(c))))
-    density = []
-    for part in meta["density"].split(";"):
-        s, d = part.split(":")
-        density.append((float(s), float(d)))
-    waypoints = [floats(p) for p in meta["waypoints"].split(";")]
-    return WorldConfig(
-        waypoints=waypoints,
-        closed=meta["closed"] == "true",
-        n_frames=int(meta["n_frames"]),
-        fps=float(meta["fps"]),
-        density=density,
-        detection_cap=int(meta["detection_cap"]),
-        clutter=int(meta["clutter"]),
-        pixel_noise=float(meta["pixel_noise"]),
-        dr_sigma_t=float(meta["dr_sigma_t"]),
-        dr_sigma_r_deg=float(meta["dr_sigma_r_deg"]),
-        dr_bias_t=floats(meta["dr_bias_t"]),
-        dr_bias_r_deg=floats(meta["dr_bias_r_deg"]),
-        dropouts=dropouts,
-        depth_min=float(meta["depth_min"]),
-        depth_max=float(meta["depth_max"]),
-        seed=int(meta["seed"]),
-    )
+    return WorldConfig(**{name: parse(meta[name]) for name, (parse, _) in WORLD_FIELDS.items()})
 
 
 def camera_from_meta(meta: dict) -> CameraIntrinsics:
@@ -523,16 +540,21 @@ def read_sequence(path) -> Sequence:
     world = dict(zip(int_column(world_table, 0, "landmark_id", world_path).tolist(),
                      world_table[:, 1:]))
 
+    frames = _frame_ids(obs, obs_path, len(gt))
+    ids = int_column(obs, 1, "landmark_id", obs_path)
+    negative = np.flatnonzero(ids < 0)
+    if len(negative):
+        row = int(negative[0])
+        raise FormatError(f"landmark_id {ids[row]} is negative", path=str(obs_path),
+                          line=csv_line(obs_path, row))
     # Group rows by frame with a stable sort, so rows keep their file order
     # within a frame whatever the order of the frames in the file. Each frame
     # holds a slice of the sorted columns.
-    frames = _frame_ids(obs, obs_path, len(gt))
     order = np.argsort(frames, kind="stable")
-    ids = int_column(obs, 1, "landmark_id", obs_path)[order]
+    ids = ids[order]
     uv = obs[order, 2:]
     del obs
     bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1)).tolist()
-    tracked = np.concatenate([[0], np.cumsum(ids >= 0)])[bounds].tolist()
 
     records = []
     prev_odom = None
@@ -542,8 +564,7 @@ def read_sequence(path) -> Sequence:
         records.append(SimFrameRecord(
             frame_id=i, timestamp=ts, gt_pose=gt_pose,
             detections=Detections(ids[a:b], uv[a:b]),
-            dr_delta=delta, odom_pose=odom_pose, n_det=n_det[i],
-            n_trk_max=tracked[i + 1] - tracked[i]))
+            dr_delta=delta, odom_pose=odom_pose, n_det=n_det[i]))
         prev_odom = odom_pose
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
@@ -578,8 +599,9 @@ def ingest_replay(stats_csv, odom_file, gt_file=None,
     """Recorded statistic/odometry streams as a landmark-free sequence.
 
     Odometry (and optional ground truth) is resampled to the stat timestamps
-    by piecewise tangent-space interpolation; tracking on such a sequence
-    degenerates to DR prediction driven by the recorded counts.
+    by piecewise tangent-space interpolation. Each record carries its
+    recorded tracked count in ``recorded_n_trk``; tracking on such a
+    sequence degenerates to DR prediction driven by the recorded counts.
     """
     rows = read_csv(stats_csv, ["timestamp", "n_det", "n_trk"])
     n_det = int_column(rows, 1, "n_det", stats_csv)
@@ -604,9 +626,7 @@ def ingest_replay(stats_csv, odom_file, gt_file=None,
         delta = None if prev is None else compose(inverse(prev), op)
         records.append(SimFrameRecord(
             frame_id=i, timestamp=timestamps[i], gt_pose=gp, detections=Detections.empty(),
-            dr_delta=delta, odom_pose=op, n_det=det, n_trk_max=trk))
+            dr_delta=delta, odom_pose=op, n_det=det, recorded_n_trk=trk))
         prev = op
-    meta = {"format": META_MAGIC, "replay": "true",
-            "fx": fmt(camera.fx), "fy": fmt(camera.fy), "cx": fmt(camera.cx),
-            "cy": fmt(camera.cy), "width": str(camera.width), "height": str(camera.height)}
+    meta = {"format": META_MAGIC, "replay": "true", **_camera_meta(camera)}
     return Sequence(records=records, world={}, camera=camera, meta=meta)

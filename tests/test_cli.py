@@ -6,7 +6,9 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import drslam.config
+import drslam.fileio
 import drslam.pipeline
+import drslam.simulator
 from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import SCHEMA, RunConfig, parse_config
 from drslam.errors import ConfigError, Diverged
@@ -78,11 +80,11 @@ PARSED_VALUES = {
     int: st.integers(),
     float: floats,
     drslam.config._positive: st.floats(min_value=0.0, exclude_min=True),
-    drslam.config._parse_bool: st.booleans(),
-    drslam.config._parse_waypoints: float_pairs,
-    drslam.config._parse_density: float_pairs,
-    drslam.config._parse_vec3: st.tuples(floats, floats, floats),
-    drslam.config._parse_dropouts: st.lists(st.builds(
+    drslam.fileio.parse_bool: st.booleans(),
+    drslam.simulator.WORLD_FIELDS["waypoints"][0]: float_pairs,
+    drslam.simulator.WORLD_FIELDS["density"][0]: float_pairs,
+    drslam.simulator._parse_vec3: st.tuples(floats, floats, floats),
+    drslam.simulator._parse_dropouts: st.lists(st.builds(
         Dropout, st.integers(), st.integers(), st.integers(), st.booleans())),
 }
 
@@ -338,6 +340,14 @@ def test_sweep_jobs_matches_serial(tmp_path):
     a = open(os.path.join(serial, "sweep.csv"), "rb").read()
     b = open(os.path.join(parallel, "sweep.csv"), "rb").read()
     assert a == b
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    assert main(["sweep", "--seq", str(tmp_path / "no_seq"), "--out", str(tmp_path / "o"),
+                 "--jobs", jobs]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_workers_run_with_one_blas_thread(monkeypatch):

@@ -81,7 +81,7 @@ def test_associate_perfect_prediction_matches_all():
         y = np.asarray(pts[j])
         detections.append((j, DEFAULT_CAMERA.fx * y[0] / y[2] + DEFAULT_CAMERA.cx,
                            DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy))
-    detections.append((-1, 100.0, 100.0))  # clutter never matches
+    detections.append((7, 100.0, 100.0))  # an id without a map point never matches
     obs, n_trk = associate_features(as_detections(detections), points, pose, 15.0,
                                     DEFAULT_CAMERA)
     assert n_trk == 3
@@ -254,9 +254,9 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
     seq = straight_sequence(n_frames=60)
     for rec in seq.records:
         # repeat the first landmark rows at the end: only the first row of an id counts
-        lm = np.flatnonzero(rec.detections.ids >= 0)[:5]
-        rec.detections = Detections(np.concatenate([rec.detections.ids, rec.detections.ids[lm]]),
-                                    np.concatenate([rec.detections.uv, rec.detections.uv[lm] + 3.0]))
+        ids, uv = rec.detections.ids, rec.detections.uv
+        rec.detections = Detections(np.concatenate([ids, ids[:5]]),
+                                    np.concatenate([uv, uv[:5] + 3.0]))
     insert = Pipeline._insert_keyframe
     seen = []
 

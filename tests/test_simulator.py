@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tempfile
@@ -15,9 +16,11 @@ from drslam.fileio import write_csv, write_tum
 from drslam.geometry import Pose, Twist, compose, exp_se3, inverse, log_se3
 from drslam.simulator import (
     DEFAULT_CAMERA,
+    WORLD_FIELDS,
     Detections,
     Dropout,
     WorldConfig,
+    config_from_meta,
     generate_trajectory,
     ingest_replay,
     populate_landmarks,
@@ -207,7 +210,7 @@ def test_sequence_round_trip(tmp_path, rng):
     for a, b in zip(seq.records, back.records):
         assert a.frame_id == b.frame_id
         assert a.n_det == b.n_det
-        assert a.n_trk_max == b.n_trk_max
+        assert a.recorded_n_trk is b.recorded_n_trk is None
         assert np.allclose(a.gt_pose.matrix(), b.gt_pose.matrix(), atol=1e-12)
         if a.dr_delta is not None:
             assert np.allclose(a.dr_delta.matrix(), b.dr_delta.matrix(), atol=1e-12)
@@ -252,6 +255,7 @@ def test_read_sequence_missing_column(tmp_path):
     ("obs.csv", "1,1.5,2.0,3.0"),
     ("obs.csv", "1.5,1,2.0,3.0"),
     ("obs.csv", "1,2,3.0"),
+    ("obs.csv", "1,-1,2.0,3.0"),  # a clutter row: obs.csv holds landmark detections only
     ("stats.csv", "3,4.5"),
     ("stats.csv", "2.5,4"),
     ("stats.csv", "3,x"),
@@ -332,24 +336,29 @@ def test_read_sequence_frames_slice_shared_columns(tmp_path):
     assert seq.records[0].detections.uv.base.shape == (rows, 2)
 
 
+def test_world_fields_cover_world_config_in_order():
+    # the text codec of the world.* config keys and of the meta entries
+    assert list(WORLD_FIELDS) == [f.name for f in dataclasses.fields(WorldConfig)]
+
+
 # sha256 of obs.csv and stats.csv as write_sequence(simulate_sequence(cfg))
 # writes them; these bytes are what every stored or benchmarked sequence is.
 PINNED_SEQUENCES = {
     "clutter_noise": (
         dict(waypoints=[(0, 0), (6, 0), (6, 4)], n_frames=30, density=[(0.0, 50.0)],
              clutter=20, pixel_noise=0.5, dr_sigma_t=0.004, dr_sigma_r_deg=0.1, seed=3),
-        "69176455a646b9da17107c32d0cff7ceee2ff3d4e0b84252a76ad5c0e1277e9c",
+        "e229acd064f67de03616b848d3342a7d6e1723b8a7ccf17b6eac726b84f340a7",
         "6a696446da8fd051d8089c5d7ea8e25bc0365e3236b5de6bb1602537f8815cd8"),
     "plain_dropouts": (
         dict(waypoints=[(0, 0), (8, 0)], n_frames=30, density=[(0.0, 50.0)], clutter=10,
              pixel_noise=0.3, dropouts=[Dropout(5, 9, 12), Dropout(15, 17, 0), Dropout(20, 22, 80)],
              seed=4),
-        "e4494ea05aa8270060d6be2a042b5a24e16d1e8f1162c4e7f3b077280784d0bc",
+        "bc863650f37c3c6305e19b6fcfcf98056324be3f6f49cbf416eb4521c6c0f815",
         "8ae7a3c4e8a9cbcdbdb78c2f8bed8ae83eb8093fefed077922904e6c3a95504f"),
     "clustered_dropout": (
         dict(waypoints=[(0, 0), (5, 0), (5, 3)], n_frames=30, density=[(0.0, 60.0)], clutter=5,
              pixel_noise=1.0, dropouts=[Dropout(4, 10, 8, clustered=True)], seed=5),
-        "35136e91acf94b2f541c06bc94dd32d415a86e30a67f024f5643cdf41f6bac04",
+        "f7eb42ddaefe9999b847521b74e1e80330ec1c2b1033032103921775f4eb5dc9",
         "39542f8d6c6479efa49b970237d67c0dc0a074e5d024ac7bb8f6ae982b11ce51"),
     "detection_cap": (
         dict(waypoints=[(0, 0), (6, 0)], n_frames=20, density=[(0.0, 120.0)], detection_cap=40,
@@ -359,7 +368,7 @@ PINNED_SEQUENCES = {
     "cap_filled_by_clutter": (
         dict(waypoints=[(0, 0), (6, 0)], n_frames=20, density=[(0.0, 20.0)], detection_cap=30,
              clutter=40, pixel_noise=0.2, seed=7),
-        "51785ffb7f1e1d8f4a34bd177fa77c9ac2b2ffb44c575398f3d50963c3bdbbc0",
+        "f23f33524eb66a7b89ffb6236f33cc50aa3db6ef1f1180c540495352e67620e4",
         "daba443c165fe831768214d4baa3763d1fd83fb0f191e06a2ccddd06946a34c1"),
 }
 
@@ -374,22 +383,21 @@ def test_simulated_sequence_bytes_are_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("clutter", [0, 5])
 def test_read_sequence_header_only_tables(tmp_path, clutter):
-    # no landmarks: world.csv is header-only, and so is obs.csv without clutter
+    # no landmarks: world.csv and obs.csv are header-only; clutter shows
+    # only in n_det
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 0.0)],
                       clutter=clutter)
     d = tmp_path / "seq"
     write_sequence(simulate_sequence(cfg), d)
     assert (d / "world.csv").read_text() == "landmark_id,x,y,z\n"
+    assert (d / "obs.csv").read_text() == "frame_id,landmark_id,u,v\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         seq = read_sequence(d)
-    assert seq.world == {} and not seq.has_world
+    assert seq.world == {}
     for rec in seq.records:
-        assert len(rec.detections) == rec.n_det == clutter
-        assert rec.n_trk_max == 0
-    if clutter == 0:
-        assert (d / "obs.csv").read_text() == "frame_id,landmark_id,u,v\n"
-        assert all(len(rec.detections) == 0 for rec in seq.records)
+        assert len(rec.detections) == 0 and rec.n_det == clutter
+        assert rec.recorded_n_trk is None
 
 
 def test_read_sequence_calls_the_traced_readers(tmp_path, monkeypatch):
@@ -468,11 +476,14 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
             assert list(rec.detections) == list(sim.detections)
             assert all(type(j) is int and type(u) is float and type(v) is float
                        for j, u, v in rec.detections)
-            assert (rec.n_det, rec.n_trk_max) == (sim.n_det, sim.n_trk_max)
+            assert np.all(sim.detections.ids >= 0)
+            assert (rec.n_det, rec.recorded_n_trk) == (sim.n_det, sim.recorded_n_trk)
+            assert sim.recorded_n_trk is None
             for p, q in ((sim.gt_pose, rec.gt_pose), (sim.odom_pose, rec.odom_pose)):
                 assert p.q.tobytes() == q.q.tobytes() and p.t.tobytes() == q.t.tobytes()
         assert sorted(back.world) == sorted(seq.world)
         assert all(back.world[j].tobytes() == seq.world[j].tobytes() for j in seq.world)
+        assert config_from_meta(back.meta) == cfg
 
         write_sequence(back, b)
         for name in ("gt.tum", "odom.tum", "obs.csv", "stats.csv", "world.csv", "meta"):
@@ -482,7 +493,8 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
         shuffled = read_sequence(a)
         for r, q in zip(shuffled.records, back.records):
             assert_same_detections(r.detections, q.detections)
-        assert [r.n_trk_max for r in shuffled.records] == [r.n_trk_max for r in back.records]
+        assert [len(r.detections) for r in shuffled.records] == \
+            [len(r.detections) for r in back.records]
 
 
 def test_read_sequence_truncated_meta(tmp_path):
@@ -512,7 +524,8 @@ def test_replay_exact_timestamps_no_resampling(tmp_path):
     seq = ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
     assert len(seq.records) == 20
     assert seq.records[5].n_det == 100
-    assert seq.records[5].n_trk_max == 50
+    assert seq.records[5].recorded_n_trk == 50
+    assert len(seq.records[5].detections) == 0
     for rec, (_, pose) in zip(seq.records, odom_rows):
         assert np.allclose(rec.odom_pose.matrix(), pose.matrix(), atol=1e-12)
 
