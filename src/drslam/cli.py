@@ -85,20 +85,19 @@ def _write_run_outputs(result, sequence, out: str) -> None:
     write_tum(os.path.join(out, "est_frames.tum"), result.frame_trajectory())
     write_tum(os.path.join(out, "est_keyframes.tum"), result.keyframe_trajectory())
     write_csv(os.path.join(out, "run_log.csv"),
-              ["frame_id", "timestamp", "n_det", "n_trk", "q", "alpha",
+              ["frame_id", "timestamp", "n_det", "n_trk", "n_cand", "q", "alpha",
                "iterations", "tracked_ok"],
-              [(f.id, float(f.timestamp), f.stats.n_det, f.stats.n_trk,
+              [(f.id, float(f.timestamp), f.stats.n_det, f.stats.n_trk, f.n_cand,
                 float(f.quality), float(f.alpha), f.solver_iterations,
                 int(f.tracked_ok)) for f in result.frames])
     save_map(result.slam_map, os.path.join(out, "map.gwmap"))
 
 
 def _run_verdict(result, sequence):
-    ref_rows = [(r.timestamp, r.gt_pose) for r in sequence.records if r.gt_pose is not None]
-    if len(ref_rows) < 3:
+    ref = evaluation.gt_trajectory(sequence)
+    if len(ref) < 3:
         return None
     est = evaluation.Trajectory.from_rows(result.frame_trajectory())
-    ref = evaluation.Trajectory.from_rows(ref_rows)
     return evaluation.verdict(est, ref, [f.tracked_ok for f in result.frames])
 
 

@@ -25,10 +25,6 @@ class NoConstraints(DrSlamError):
     """Free pose has neither visual nor dead-reckoning factors."""
 
 
-class GaugeUnderconstrained(DrSlamError):
-    """Bundle adjustment problem has no anchor fixing the global frame."""
-
-
 class SingularSystem(DrSlamError):
     """Reduced camera system is rank deficient beyond damping repair."""
 
@@ -43,10 +39,6 @@ class NonMonotoneTimestamps(DrSlamError):
 
 class TooFewPairs(DrSlamError):
     """Not enough time-associated samples for trajectory alignment."""
-
-
-class DivisionByZeroRmse(DrSlamError):
-    """Keyframe RMSE too small to form a frame/keyframe ratio."""
 
 
 class FormatError(DrSlamError):

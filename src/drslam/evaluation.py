@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivisionByZeroRmse, DrSlamError, TooFewPairs
+from .errors import DrSlamError, TooFewPairs
 from .geometry import Pose, compose, inverse
 from .pipeline import PipelineParams, run_pipeline
 from .simulator import Sequence, config_from_meta, simulate_sequence
@@ -119,10 +119,9 @@ def verdict(est: Trajectory, ref: Trajectory, tracked_flags) -> RunVerdict:
 
 
 def frame_kf_ratio(frame_traj: Trajectory, kf_traj: Trajectory, ref: Trajectory) -> float:
+    """Frame APE RMSE over keyframe APE RMSE; inf when the keyframe RMSE is below 1e-12."""
     kf_rmse = ape_rmse(kf_traj, ref)
-    if kf_rmse < 1e-12:
-        raise DivisionByZeroRmse("keyframe RMSE below 1e-12")
-    return ape_rmse(frame_traj, ref) / kf_rmse
+    return ape_rmse(frame_traj, ref) / kf_rmse if kf_rmse >= 1e-12 else float("inf")
 
 
 def gt_trajectory(sequence: Sequence) -> Trajectory:
@@ -260,19 +259,12 @@ def repeat_run(sequence: Sequence, loops: int, params: PipelineParams,
     concat = concatenate_loops(sequence, loops)
     result = run_pipeline(concat, params, mode)
     n = len(sequence.records)
-    kf_ref = Trajectory.from_rows(
-        [(kf.timestamp, kf.gt_pose) for kf in sorted(
-            result.slam_map.keyframes.values(), key=lambda k: k.id)
-         if kf.gt_pose is not None])
+    ref = gt_trajectory(concat)
     kf_est = Trajectory.from_rows(result.keyframe_trajectory())
-    kf_rmse = ape_rmse(kf_est, kf_ref)
     reports = []
     for lap in range(loops):
         frames = result.frames[lap * n:(lap + 1) * n]
         est = Trajectory.from_rows([(f.timestamp, f.pose) for f in frames])
-        ref = Trajectory.from_rows([(f.timestamp, f.gt_pose) for f in frames
-                                    if f.gt_pose is not None])
-        rmse = ape_rmse(est, ref)
-        ratio = rmse / kf_rmse if kf_rmse >= 1e-12 else float("inf")
-        reports.append(LoopReport(loop=lap + 1, frame_rmse=rmse, ratio=ratio))
+        reports.append(LoopReport(loop=lap + 1, frame_rmse=ape_rmse(est, ref),
+                                  ratio=frame_kf_ratio(est, kf_est, ref)))
     return reports, result

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, Z_MIN, angle_coefficients, hat, se3_compose, se3_inverse,
-                       se3_log, v_inverse_coefficient)
+from .geometry import (CameraIntrinsics, angle_coefficients, hat, project_points, se3_compose,
+                       se3_inverse, se3_log, v_inverse_coefficient)
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
@@ -28,14 +28,12 @@ def reprojection_residuals(k: CameraIntrinsics, rotation: np.ndarray, translatio
     of N landmarks, seen by one camera-in-world rotation (3, 3) and
     translation (3,), or by one each, (N, 3, 3) and (N, 3).
 
-    The residual is a total function: points at or behind the near plane are
-    projected at the clamped depth Z_MIN (a huge, honest residual), so steps
-    that flip geometry raise the cost. Their Jacobians are not defined; the
-    caller treats rows with y[:, 2] <= Z_MIN as inactive.
+    The residual is a total function: the projection kernel projects points
+    at or behind the near plane at the clamped depth Z_MIN (a huge, honest
+    residual), so steps that flip geometry raise the cost. Their Jacobians
+    are not defined; the caller treats rows with y[:, 2] <= Z_MIN as inactive.
     """
-    y = np.einsum("...i,...ij->...j", points - translation, rotation)
-    z = np.maximum(y[:, 2], Z_MIN)
-    u = np.stack([k.fx * y[:, 0] / z + k.cx, k.fy * y[:, 1] / z + k.cy], axis=1)
+    y, u = project_points(k, rotation, translation, points)
     return y, observed - u
 
 

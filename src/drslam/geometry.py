@@ -1,4 +1,4 @@
-"""SE(3)/SO(3) group arithmetic on quaternion poses, plus pinhole projection.
+"""SE(3)/SO(3) group arithmetic on quaternion poses, plus the pinhole camera.
 
 Conventions used everywhere in the package:
   * twists are ordered (rho, phi): translation block first, rotation second;
@@ -10,7 +10,9 @@ The group arithmetic is implemented once, as batched kernels on quaternions
 DR kernel and the solver and on one row by the scalar Pose API. They work
 row by row (elementwise operations, one matrix product per row), so a row
 of a batch has the bits of that row evaluated alone. Pose canonicalizes the
-quaternions the kernels return.
+quaternions the kernels return. The pinhole camera is two batched kernels,
+projection and back-projection, the only estimator code that reads the
+intrinsics besides the reprojection Jacobian.
 """
 
 from __future__ import annotations
@@ -321,15 +323,41 @@ def inverse(p: Pose) -> Pose:
     return Pose(q[0], t[0])
 
 
+def project_points(k: CameraIntrinsics, rotation: np.ndarray, translation: np.ndarray,
+                   points: np.ndarray):
+    """The projection kernel: camera-frame points y (N, 3) and pixels (N, 2)
+    of world points (N, 3), seen by one camera-in-world rotation (3, 3) and
+    translation (3,), or by one each, (N, 3, 3) and (N, 3). Points at or
+    behind the near plane are projected at the clamped depth Z_MIN."""
+    y = np.einsum("...i,...ij->...j", points - translation, rotation)
+    z = np.maximum(y[:, 2], Z_MIN)
+    return y, np.stack([k.fx * y[:, 0] / z + k.cx, k.fy * y[:, 1] / z + k.cy], axis=1)
+
+
+def camera_to_world(rotation: np.ndarray, translation: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """World points (N, 3) of camera-frame points y (N, 3), under rotations
+    and translations shaped as in project_points."""
+    return np.einsum("...ij,...j->...i", rotation, y) + translation
+
+
+def back_project(k: CameraIntrinsics, rotation: np.ndarray, translation: np.ndarray,
+                 uv: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The back-projection kernel: world points (N, 3) of pixels (N, 2) at
+    camera-frame depths (N,), under rotations and translations shaped as in
+    project_points."""
+    y = np.stack([(uv[:, 0] - k.cx) * depth / k.fx, (uv[:, 1] - k.cy) * depth / k.fy, depth],
+                 axis=1)
+    return camera_to_world(rotation, translation, y)
+
+
 def transform_point(p: Pose, x: np.ndarray) -> np.ndarray:
-    return p.rotation_matrix @ np.asarray(x, dtype=float) + p.t
+    return camera_to_world(p.rotation_matrix, p.t, np.asarray(x, dtype=float)[None])[0]
 
 
 def project(k: CameraIntrinsics, x_cam: np.ndarray) -> np.ndarray:
-    x, y, z = x_cam
-    if z <= Z_MIN:
-        raise BehindCamera(f"z = {z:.4f} m is at or behind the near plane")
-    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
+    if x_cam[2] <= Z_MIN:
+        raise BehindCamera(f"z = {x_cam[2]:.4f} m is at or behind the near plane")
+    return project_points(k, np.eye(3), np.zeros(3), np.asarray(x_cam, dtype=float)[None])[1][0]
 
 
 def adjoint(p: Pose) -> np.ndarray:

@@ -31,13 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    Diverged,
-    GaugeUnderconstrained,
-    NoConstraints,
-    NotPositiveDefinite,
-    SingularSystem,
-)
+from .errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from .factors import (
     HUBER_PIXEL_SCALE,
     dr_jacobians,
@@ -88,8 +82,14 @@ class Problem:
     def add_pose(self, pose_id: int, pose: Pose, fixed: bool = False):
         self.poses[pose_id] = PoseVariable(pose, fixed)
 
-    def add_landmark(self, lm_id: int, position, fixed: bool = False):
-        self.landmarks[lm_id] = LandmarkVariable(position, fixed)
+    def add_landmarks(self, lm_ids, positions, fixed: bool = False):
+        """Adds landmarks: ids (N,) and positions (N, 3), or one id and position."""
+        for j, x in zip(np.reshape(lm_ids, -1).tolist(), np.reshape(positions, (-1, 3))):
+            self.landmarks[j] = LandmarkVariable(x, fixed)
+
+    def landmark_positions(self, lm_ids) -> np.ndarray:
+        """Positions (N, 3) of the landmarks lm_ids."""
+        return np.array([self.landmarks[j].position for j in lm_ids]).reshape(-1, 3)
 
     def add_observations(self, pose_ids, landmark_ids, uv):
         """Appends reprojection rows: pose and landmark ids (N,), or one id for
@@ -317,7 +317,7 @@ class _Linearizer:
         poses = [problem.poses[p].pose for p in self.pose_ids]
         self.point = (np.array([p.q for p in poses]).reshape(-1, 4),
                       np.array([p.t for p in poses]).reshape(-1, 3),
-                      np.array([problem.landmarks[l].position for l in self.lm_ids]).reshape(-1, 3))
+                      problem.landmark_positions(self.lm_ids))
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
                          reprojection_rows=len(self.uv), dr_edges=len(self.dr_from))
 
@@ -659,15 +659,11 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     """Window refinement; keyframes outside the window act as gauge anchors."""
-    if len([p for p in problem.poses]) < 2:
+    if len(problem.poses) < 2:
         raise ValueError("local BA needs at least two keyframes")
-    if not any(v.fixed for v in problem.poses.values()):
-        raise GaugeUnderconstrained("local BA window has no fixed anchor pose")
     return solve(problem, config or SolverConfig())
 
 
 def solve_global_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     """Full-map refinement triggered by loop closure; first keyframe fixed."""
-    if not any(v.fixed for v in problem.poses.values()):
-        raise GaugeUnderconstrained("global BA has no fixed anchor pose")
     return solve(problem, config or SolverConfig())

@@ -16,13 +16,14 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt
-from .geometry import CameraIntrinsics, Pose, Z_MIN, compose, inverse
+from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
 from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
 from .simulator import Detections, squared_distance
 from .weighting import (
@@ -41,6 +42,11 @@ from .weighting import (
 MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 
 MAP_MAGIC = "GWMAP v1"
+# Fields per data line of each map section, in file order.
+MAP_FIELDS = {"keyframes": 13, "keyframe_dr": 8, "keyframe_gt": 8, "observations": 4,
+              "points": 5, "covisibility": 3, "dredges": 3, "loopedges": 10}
+# The keyframe pose sections and the KeyFrame attribute each holds.
+POSE_SECTIONS = {"keyframe_dr": "dr_to_prev", "keyframe_gt": "gt_pose"}
 
 
 @dataclass
@@ -55,6 +61,7 @@ class Frame:
     alpha: float = float("nan")
     solver_iterations: int = 0
     gt_pose: Pose | None = None
+    n_cand: int = 0                  # detected map points in front of the prediction
 
 
 @dataclass
@@ -72,16 +79,44 @@ class KeyFrame:
 
 
 @dataclass
-class MapPoint:
-    id: int
-    position: np.ndarray
-    created_kf: int
+class PointTable:
+    """The map's points, rows in ascending id, found with np.searchsorted.
+
+    ``ids`` (M,) int64 holds each row's point id, ``positions`` (M, 3)
+    float64 its world position and ``created_kf`` (M,) int64 the keyframe
+    that created it.
+    """
+
+    ids: np.ndarray
+    positions: np.ndarray
+    created_kf: np.ndarray
+
+    @classmethod
+    def empty(cls) -> PointTable:
+        return cls(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0, dtype=np.int64))
+
+    def rows(self, ids) -> np.ndarray:
+        """The rows of point ids (N,), each of which the table holds."""
+        return np.searchsorted(self.ids, ids)
+
+    def take(self, rows) -> PointTable:
+        """The rows selected by an index array or boolean mask, in that order."""
+        return PointTable(self.ids[rows], self.positions[rows], self.created_kf[rows])
+
+    def insert(self, ids, positions, created_kf) -> PointTable:
+        """The table with points ids (N,), none of them in it, at positions
+        (N, 3), created by keyframe created_kf, one or (N,)."""
+        ids = np.concatenate([self.ids, ids])
+        order = np.argsort(ids, kind="stable")
+        created_kf = np.concatenate([self.created_kf, np.broadcast_to(created_kf, len(positions))])
+        return PointTable(ids[order], np.concatenate([self.positions, positions])[order],
+                          created_kf[order])
 
 
 @dataclass
 class SlamMap:
     keyframes: dict = field(default_factory=dict)
-    points: dict = field(default_factory=dict)
+    points: PointTable = field(default_factory=PointTable.empty)
     covisibility: dict = field(default_factory=dict)   # kf -> {kf: count}
     dr_edges: dict = field(default_factory=dict)       # (a, b) -> alpha
     loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
@@ -96,8 +131,7 @@ class SlamMap:
                               np.concatenate([d.uv for d in parts]))
 
     def connection_count(self, kf_id: int) -> int:
-        edges = self.covisibility.get(kf_id, {})
-        return max(edges.values(), default=0)
+        return max(self.covisibility.get(kf_id, {}).values(), default=0)
 
     def add_covisibility(self, a: int, b: int, count: int) -> None:
         if count <= 0 or a == b:
@@ -152,30 +186,28 @@ def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
     return first
 
 
-def associate_features(detections: Detections, points, predicted: Pose, search_radius: float,
-                       camera: CameraIntrinsics):
+def associate_features(detections: Detections, points: PointTable, predicted: Pose,
+                       search_radius: float, camera: CameraIntrinsics):
     """Match map points against the frame's detections by projection gating.
 
     A map point matches the first detection carrying its landmark identity
     (descriptor oracle) when that detection lies within ``search_radius`` of
     the point's projection under the predicted pose. Returns (matches,
-    n_trk): the matched detections in detection order, and their count.
+    n_trk, n_cand): the matched detections in detection order, their count,
+    and the count of candidates, the detected map points in front of the
+    predicted camera.
     """
     rows = _first_landmark_rows(detections.ids)
-    rows = rows[[j in points for j in detections.ids[rows].tolist()]]
-    if not len(rows):
-        return detections.take(rows), 0
-    positions = np.array([points[j].position for j in detections.ids[rows].tolist()])
-    cam = (positions - predicted.t) @ predicted.rotation_matrix
-    front = cam[:, 2] > Z_MIN
-    rows, cam = rows[front], cam[front]
-    u = camera.fx * cam[:, 0] / cam[:, 2] + camera.cx
-    v = camera.fy * cam[:, 1] / cam[:, 2] + camera.cy
+    rows = rows[np.isin(detections.ids[rows], points.ids, assume_unique=True)]
+    y, uv = project_points(camera, predicted.rotation_matrix, predicted.t,
+                           points.positions[points.rows(detections.ids[rows])])
+    front = y[:, 2] > Z_MIN
+    rows, (u, v) = rows[front], uv[front].T
     hit = ((-search_radius <= u) & (u < camera.width + search_radius)
            & (-search_radius <= v) & (v < camera.height + search_radius)
            & (squared_distance(detections.uv[rows], (u, v)) <= search_radius ** 2))
     matches = detections.take(rows[hit])
-    return matches, len(matches)
+    return matches, len(matches), len(rows)
 
 
 def _seen_twice(ids: np.ndarray) -> np.ndarray:
@@ -186,13 +218,9 @@ def _seen_twice(ids: np.ndarray) -> np.ndarray:
 
 
 def decide_keyframe(frame: Frame, last_kf: KeyFrame, params: PipelineParams) -> bool:
-    if frame.id - last_kf.frame_id >= params.k_max:
-        return True
-    if last_kf.n_trk > 0 and frame.stats.n_trk / last_kf.n_trk < params.overlap_ratio:
-        return True
-    if np.linalg.norm(frame.pose.t - last_kf.pose.t) > params.d_max:
-        return True
-    return False
+    return bool(frame.id - last_kf.frame_id >= params.k_max
+                or (last_kf.n_trk > 0 and frame.stats.n_trk / last_kf.n_trk < params.overlap_ratio)
+                or np.linalg.norm(frame.pose.t - last_kf.pose.t) > params.d_max)
 
 
 @dataclass
@@ -219,8 +247,7 @@ class RunResult:
         return [(f.timestamp, f.pose) for f in self.frames]
 
     def keyframe_trajectory(self):
-        return [(kf.timestamp, kf.pose) for kf in sorted(self.slam_map.keyframes.values(),
-                                                         key=lambda k: k.id)]
+        return [(kf.timestamp, kf.pose) for _, kf in sorted(self.slam_map.keyframes.items())]
 
     def tracking_ratio(self) -> float:
         if not self.frames:
@@ -237,7 +264,11 @@ class Pipeline:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.params = params
         self.camera = camera
-        self.world = world or {}
+        world = world or {}
+        # the depth oracle's true landmark positions, created by no keyframe
+        self._world = PointTable.empty().insert(
+            np.fromiter(world, dtype=np.int64, count=len(world)),
+            np.array(list(world.values()), dtype=float).reshape(-1, 3), -1)
         self.mode = mode
         self.slam_map = SlamMap()
         self.frames: list[Frame] = []
@@ -274,7 +305,7 @@ class Pipeline:
 
     def _solve_motion(self, predicted, matches: Detections, dr, alpha):
         p = self.params
-        points = [self.slam_map.points[j].position for j in matches.ids.tolist()]
+        points = self.slam_map.points.positions[self.slam_map.points.rows(matches.ids)]
         prior = None
         if alpha is not None and dr is not None:
             prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
@@ -299,23 +330,16 @@ class Pipeline:
 
         predicted = self._predict(dr)
 
-        if self.mode == "dr-only":
+        if self.mode == "dr-only" or self.track_lost_frame is not None:
+            # no visual processing: integrated odometry, or tracking lost for good
             stats = TrackingStats(record.n_det, 0)
             frame = Frame(record.frame_id, record.timestamp, predicted, stats,
                           compute_quality(stats, self.params.quality), dr,
-                          tracked_ok=True, gt_pose=record.gt_pose)
+                          tracked_ok=self.mode == "dr-only", gt_pose=record.gt_pose)
             self._finish_frame(frame, record)
             return frame
 
-        if self.track_lost_frame is not None:
-            stats = TrackingStats(record.n_det, 0)
-            frame = Frame(record.frame_id, record.timestamp, predicted, stats,
-                          compute_quality(stats, self.params.quality), dr,
-                          tracked_ok=False, gt_pose=record.gt_pose)
-            self._finish_frame(frame, record)
-            return frame
-
-        matches, n_trk = associate_features(
+        matches, n_trk, n_cand = associate_features(
             record.detections, self.slam_map.points, predicted,
             self.params.search_radius, self.camera)
         if record.recorded_n_trk is not None:
@@ -336,7 +360,7 @@ class Pipeline:
 
         frame = Frame(record.frame_id, record.timestamp, pose, stats, q, dr, tracked_ok,
                       alpha=alpha if alpha is not None else float("nan"),
-                      solver_iterations=iterations, gt_pose=record.gt_pose)
+                      solver_iterations=iterations, gt_pose=record.gt_pose, n_cand=n_cand)
 
         if self.mode == "vision-only":
             self.lost_streak = self.lost_streak + 1 if n_trk < self.params.min_inliers else 0
@@ -382,37 +406,38 @@ class Pipeline:
         self.slam_map.keyframes[kf.id] = kf
         return kf
 
-    def _depth_of(self, landmark_id: int, gt_pose: Pose | None) -> float | None:
-        """RGB-D stand-in: true depth of the landmark in the actual camera."""
-        if gt_pose is None or landmark_id not in self.world:
-            return None
-        y = gt_pose.rotation_matrix.T @ (self.world[landmark_id] - gt_pose.t)
-        return float(y[2]) if y[2] > Z_MIN else None
+    def _true_depths(self, ids: np.ndarray, gt_pose: Pose | None) -> np.ndarray:
+        """RGB-D stand-in: the true depth (N,) of each of the distinct landmark
+        ids in the actual camera, NaN where the landmark or the true pose is unknown."""
+        depth = np.full(len(ids), np.nan)
+        known = np.isin(ids, self._world.ids, assume_unique=True)
+        if gt_pose is not None:
+            y, _ = project_points(self.camera, gt_pose.rotation_matrix, gt_pose.t,
+                                  self._world.positions[self._world.rows(ids[known])])
+            depth[known] = y[:, 2]
+        return depth
 
     def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> KeyFrame:
         """Keyframe observing its matches, then new points from its other detections.
 
         Every match is a map point, so the first detection of each landmark
-        not yet in the map is a candidate, in detection order.
+        not yet in the map is a candidate, in detection order; a candidate
+        with a true depth in front of the near plane becomes a new point.
         """
         kf_id = self._next_kf_id
         self._next_kf_id += 1
 
-        ids = record.detections.ids
+        ids, uv = record.detections.ids, record.detections.uv
         rows = _first_landmark_rows(ids)
-        rows = rows[[j not in self.slam_map.points for j in ids[rows].tolist()]]
-        new = []
-        for row, (j, u, v) in zip(rows.tolist(), record.detections.take(rows)):
-            depth = self._depth_of(j, frame.gt_pose)
-            if depth is None:
-                continue
-            cam = np.array([(u - self.camera.cx) * depth / self.camera.fx,
-                            (v - self.camera.cy) * depth / self.camera.fy, depth])
-            position = frame.pose.rotation_matrix @ cam + frame.pose.t
-            self.slam_map.points[j] = MapPoint(j, position, kf_id)
-            new.append(row)
-        observations = Detections(np.concatenate([matches.ids, ids[new]]),
-                                  np.concatenate([matches.uv, record.detections.uv[new]]))
+        rows = rows[~np.isin(ids[rows], self.slam_map.points.ids, assume_unique=True)]
+        depth = self._true_depths(ids[rows], frame.gt_pose)
+        front = depth > Z_MIN
+        rows = rows[front]
+        self.slam_map.points = self.slam_map.points.insert(
+            ids[rows], back_project(self.camera, frame.pose.rotation_matrix, frame.pose.t,
+                                    uv[rows], depth[front]), kf_id)
+        observations = Detections(np.concatenate([matches.ids, ids[rows]]),
+                                  np.concatenate([matches.uv, uv[rows]]))
 
         kf = KeyFrame(kf_id, frame.id, frame.timestamp, frame.pose, observations,
                       n_trk=frame.stats.n_trk, quality=frame.quality,
@@ -447,31 +472,24 @@ class Pipeline:
             q_ij = keyframe_quality(self.slam_map.connection_count(k), self.c_ref)
             raw.append((k, dr_weight(q_ij, p.bounds)))
         smoothed = {}
-        run = []
-        for k, a in raw + [(None, None)]:
-            if run and (k is None or k != run[-1][0] + 1):
-                smoothed.update(smooth_window_weights(run, p.smoothing_halfwidth))
-                run = []
-            if k is not None:
-                run.append((k, a))
+        # runs of consecutive keyframe ids, each smoothed on its own
+        for _, run in groupby(enumerate(raw), key=lambda e: e[1][0] - e[0]):
+            smoothed.update(smooth_window_weights([r for _, r in run], p.smoothing_halfwidth))
         lo, hi = p.bounds.alpha_min, p.bounds.alpha_max
         return {k: min(max(a, lo), hi) for k, a in smoothed.items()}
 
     def _local_ba(self, new_kf: KeyFrame) -> None:
         p = self.params
         covis = self.slam_map.covisibility.get(new_kf.id, {})
-        window = {new_kf.id}
-        for k, _ in sorted(covis.items(), key=lambda e: (-e[1], e[0]))[:p.max_local_keyframes]:
-            window.add(k)
-        for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id):
-            if k in self.slam_map.keyframes:
-                window.add(k)
+        ranked = sorted(covis.items(), key=lambda e: (-e[1], e[0]))[:p.max_local_keyframes]
+        window = {new_kf.id} | {k for k, _ in ranked} | (
+            set(range(new_kf.id - p.smoothing_halfwidth, new_kf.id)) & set(self.slam_map.keyframes))
 
         # the points the window sees that at least two keyframes see, and as
         # anchors the keyframes outside the window seeing most of them
         table_kf, table = self.slam_map.observation_table()
         in_window = np.isin(table_kf, list(window))
-        points = np.intersect1d(_seen_twice(table.ids), table.ids[in_window]).tolist()
+        points = np.intersect1d(_seen_twice(table.ids), table.ids[in_window])
         voters, votes = np.unique(table_kf[~in_window & np.isin(table.ids, points)],
                                   return_counts=True)
         anchors = set(voters[np.argsort(-votes, kind="stable")[:p.max_anchor_keyframes]].tolist())
@@ -484,8 +502,8 @@ class Pipeline:
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=True)
         if not anchors:
             problem.poses[min(window)].fixed = True
-        for j in points:
-            problem.add_landmark(j, self.slam_map.points[j].position)
+        rows = self.slam_map.points.rows(points)
+        problem.add_landmarks(points, self.slam_map.points.positions[rows])
         self._add_observations(problem, (table_kf, table), window | anchors, points, by_id=True)
 
         alphas = self._edge_alphas(window)
@@ -508,7 +526,7 @@ class Pipeline:
         free = [k for k in sorted(problem.poses) if not problem.poses[k].fixed]
         for k in free[:max(0, 2 - len(fixed))]:
             problem.poses[k].fixed = True
-        if all(v.fixed for v in problem.poses.values()) and not points:
+        if all(v.fixed for v in problem.poses.values()) and not len(points):
             return
         try:
             solve_local_ba(problem, p.ba_solver)
@@ -520,8 +538,7 @@ class Pipeline:
                 self.slam_map.keyframes[k].pose = problem.poses[k].pose
             if alphas:
                 self.slam_map.keyframes[k].lba_alpha = alphas[k]
-        for j in points:
-            self.slam_map.points[j].position = problem.landmarks[j].position
+        self.slam_map.points.positions[rows] = problem.landmark_positions(points)
 
     def _add_observations(self, problem: Problem, observation_table, kf_ids, landmark_ids,
                           by_id: bool) -> None:
@@ -538,11 +555,10 @@ class Pipeline:
     def _cull_points(self, current_kf: int) -> None:
         """Drops each point fewer than two keyframes see, two keyframes after its creation."""
         table_kf, table = self.slam_map.observation_table()
-        kept = set(_seen_twice(table.ids).tolist())
-        doomed = [j for j, pt in self.slam_map.points.items()
-                  if j not in kept and current_kf - pt.created_kf >= 2]
-        for j in doomed:
-            del self.slam_map.points[j]
+        points = self.slam_map.points
+        drop = ~np.isin(points.ids, _seen_twice(table.ids)) & (current_kf - points.created_kf >= 2)
+        self.slam_map.points = points.take(~drop)
+        doomed = points.ids[drop]
         for k in np.unique(table_kf[np.isin(table.ids, doomed)]).tolist():
             kf = self.slam_map.keyframes[k]
             kf.observations = kf.observations.take(~np.isin(kf.observations.ids, doomed))
@@ -590,13 +606,12 @@ class Pipeline:
                           huber_threshold=p.huber_scale)
         for k in kf_ids:
             problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=(k == kf_ids[0]))
-        # the live points, each seen by at least two keyframes, in map order
+        # the live points, each seen by at least two keyframes, ascending
         table_kf, table = self.slam_map.observation_table()
-        seen_twice = set(_seen_twice(table.ids).tolist())
-        live = [j for j in self.slam_map.points if j in seen_twice]
-        for j in live:
-            problem.add_landmark(j, self.slam_map.points[j].position)
-        self._add_observations(problem, (table_kf, table), kf_ids, live, by_id=False)
+        points = self.slam_map.points
+        live = np.isin(points.ids, _seen_twice(table.ids))
+        problem.add_landmarks(points.ids[live], points.positions[live])
+        self._add_observations(problem, (table_kf, table), kf_ids, points.ids[live], by_id=False)
         for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
             delta = self.slam_map.keyframes[b].dr_to_prev
             if delta is not None and a in self.slam_map.keyframes:
@@ -613,8 +628,7 @@ class Pipeline:
         correction = compose(problem.poses[last].pose, inverse(self.slam_map.keyframes[last].pose))
         for k in kf_ids:
             self.slam_map.keyframes[k].pose = problem.poses[k].pose
-        for j in live:
-            self.slam_map.points[j].position = problem.landmarks[j].position
+        points.positions[live] = problem.landmark_positions(points.ids[live])
         if self.prev_frame is not None:
             self.prev_frame.pose = compose(correction, self.prev_frame.pose)
             if self.prev_prev_pose is not None:
@@ -657,7 +671,7 @@ def save_map(slam_map: SlamMap, path) -> None:
     for kf in keyframes:
         lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {_pose_text(kf.pose)} "
                      f"{fmt(kf.lba_alpha)} {kf.n_trk} {fmt(kf.quality)}")
-    for section, attr in (("keyframe_dr", "dr_to_prev"), ("keyframe_gt", "gt_pose")):
+    for section, attr in POSE_SECTIONS.items():
         lines.append(f"[{section}]")
         lines += [f"{kf.id} {_pose_text(getattr(kf, attr))}" for kf in keyframes
                   if getattr(kf, attr) is not None]
@@ -666,10 +680,10 @@ def save_map(slam_map: SlamMap, path) -> None:
         for j, u, v in kf.observations:
             lines.append(f"{kf.id} {j} {fmt(u)} {fmt(v)}")
     lines.append("[points]")
-    for j in sorted(slam_map.points):
-        pt = slam_map.points[j]
-        lines.append(f"{j} {fmt(pt.position[0])} {fmt(pt.position[1])} "
-                     f"{fmt(pt.position[2])} {pt.created_kf}")
+    points = slam_map.points
+    for j, position, created in zip(points.ids.tolist(), points.positions.tolist(),
+                                    points.created_kf.tolist()):
+        lines.append(f"{j} {' '.join(fmt(x) for x in position)} {created}")
     lines.append("[covisibility]")
     for a in sorted(slam_map.covisibility):
         for b in sorted(slam_map.covisibility[a]):
@@ -685,9 +699,7 @@ def save_map(slam_map: SlamMap, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _parse_pose(parts, path, lineno) -> Pose:
-    if len(parts) != 7:
-        raise FormatError(f"expected 7 pose fields, got {len(parts)}", path=path, line=lineno)
+def _parse_pose(parts) -> Pose:
     tx, ty, tz, x, y, z, w = (float(p) for p in parts)
     return Pose(np.array([w, x, y, z]), np.array([tx, ty, tz]))
 
@@ -695,6 +707,7 @@ def _parse_pose(parts, path, lineno) -> Pose:
 def load_map(path) -> SlamMap:
     slam_map = SlamMap()
     observations = {}                # keyframe id -> (point ids, pixels)
+    points = ([], [], [])            # point ids, positions, creating keyframes
     section = None
     with open(path) as f:
         lines = f.read().splitlines()
@@ -709,68 +722,47 @@ def load_map(path) -> SlamMap:
                 if not line.endswith("]"):
                     raise FormatError("unterminated section header", path=str(path), line=lineno)
                 section = line[1:-1]
-                if section not in ("keyframes", "keyframe_dr", "keyframe_gt",
-                                   "observations", "points", "covisibility",
-                                   "dredges", "loopedges"):
+                if section not in MAP_FIELDS:
                     raise FormatError(f"unknown section {section!r}", path=str(path), line=lineno)
                 continue
+            if section is None:
+                raise FormatError("data line before any section", path=str(path), line=lineno)
             parts = line.split()
+            if len(parts) != MAP_FIELDS[section]:
+                raise FormatError(f"expected {MAP_FIELDS[section]} fields, got {len(parts)}",
+                                  path=str(path), line=lineno)
             if section == "keyframes":
-                if len(parts) != 13:
-                    raise FormatError(f"expected 13 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
                 kf = KeyFrame(
                     id=int(parts[0]), frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=_parse_pose(parts[3:10], str(path), lineno),
-                    observations=Detections.empty(),
-                    n_trk=int(parts[11]), quality=float(parts[12]),
-                    lba_alpha=float(parts[10]))
+                    pose=_parse_pose(parts[3:10]), observations=Detections.empty(),
+                    n_trk=int(parts[11]), quality=float(parts[12]), lba_alpha=float(parts[10]))
                 slam_map.keyframes[kf.id] = kf
-            elif section == "keyframe_dr":
-                slam_map.keyframes[int(parts[0])].dr_to_prev = \
-                    _parse_pose(parts[1:], str(path), lineno)
-            elif section == "keyframe_gt":
-                slam_map.keyframes[int(parts[0])].gt_pose = \
-                    _parse_pose(parts[1:], str(path), lineno)
+            elif section in POSE_SECTIONS:
+                setattr(slam_map.keyframes[int(parts[0])], POSE_SECTIONS[section],
+                        _parse_pose(parts[1:]))
             elif section == "observations":
-                if len(parts) != 4:
-                    raise FormatError(f"expected 4 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
                 ids, uv = observations.setdefault(slam_map.keyframes[int(parts[0])].id, ([], []))
                 ids.append(int(parts[1]))
                 uv.append((float(parts[2]), float(parts[3])))
             elif section == "points":
-                if len(parts) != 5:
-                    raise FormatError(f"expected 5 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
-                j = int(parts[0])
-                slam_map.points[j] = MapPoint(
-                    j, np.array([float(parts[1]), float(parts[2]), float(parts[3])]),
-                    int(parts[4]))
+                points[0].append(int(parts[0]))
+                points[1].append([float(x) for x in parts[1:4]])
+                points[2].append(int(parts[4]))
             elif section == "covisibility":
-                if len(parts) != 3:
-                    raise FormatError(f"expected 3 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
                 slam_map.add_covisibility(int(parts[0]), int(parts[1]), int(parts[2]))
             elif section == "dredges":
-                if len(parts) != 3:
-                    raise FormatError(f"expected 3 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
                 slam_map.dr_edges[(int(parts[0]), int(parts[1]))] = float(parts[2])
-            elif section == "loopedges":
-                if len(parts) != 10:
-                    raise FormatError(f"expected 10 fields, got {len(parts)}",
-                                      path=str(path), line=lineno)
-                slam_map.loop_edges.append((int(parts[0]), int(parts[1]),
-                                            _parse_pose(parts[3:], str(path), lineno),
-                                            float(parts[2])))
             else:
-                raise FormatError("data line before any section", path=str(path), line=lineno)
-    except FormatError:
-        raise
+                slam_map.loop_edges.append((int(parts[0]), int(parts[1]),
+                                            _parse_pose(parts[3:]), float(parts[2])))
     except (ValueError, KeyError, IndexError) as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
     for k, (ids, uv) in observations.items():
         slam_map.keyframes[k].observations = Detections(np.array(ids, dtype=np.int64),
                                                         np.array(uv, dtype=float))
+    slam_map.points = PointTable.empty().insert(
+        np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
+        np.array(points[2], dtype=np.int64))
+    if np.any(np.diff(slam_map.points.ids) == 0):
+        raise FormatError("duplicate point id", path=str(path))
     return slam_map

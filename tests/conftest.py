@@ -42,7 +42,7 @@ def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
 
 
 def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
-                    pose_perturb=0.0, lm_perturb=0.0, fix_first=True,
+                    pose_perturb=0.0, lm_perturb=0.0,
                     fix_landmarks=False, obs_per_landmark=None,
                     with_dr_chain=False):
     """Synthetic BA problem: poses on a gentle arc observing a point cloud.
@@ -89,13 +89,13 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
 
     problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
     for i, gt in enumerate(gt_poses):
-        anchored = fix_first and i == 0
+        anchored = i == 0
         init = gt if (pose_perturb == 0 or anchored) else \
             compose(gt, exp_se3_vec(rng.normal(scale=pose_perturb, size=6)))
         problem.add_pose(i, init, fixed=anchored)
     for j, gt in enumerate(gt_landmarks):
         init = gt if lm_perturb == 0 else gt + rng.normal(scale=lm_perturb, size=3)
-        problem.add_landmark(j, init, fixed=fix_landmarks)
+        problem.add_landmarks(j, init, fixed=fix_landmarks)
     for i, j, obs in observations:
         problem.add_observations(i, j, obs)
     if with_dr_chain:

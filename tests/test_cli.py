@@ -127,7 +127,7 @@ def test_run_log_one_row_per_frame(tmp_path):
     run_dir = str(tmp_path / "run")
     assert main(["run", "--seq", seq_dir, "--out", run_dir]) == 0
     lines = open(os.path.join(run_dir, "run_log.csv")).read().splitlines()
-    assert lines[0] == "frame_id,timestamp,n_det,n_trk,q,alpha,iterations,tracked_ok"
+    assert lines[0] == "frame_id,timestamp,n_det,n_trk,n_cand,q,alpha,iterations,tracked_ok"
     assert len(lines) == 1 + 80
     assert os.path.exists(os.path.join(run_dir, "config.cfg"))
     assert os.path.exists(os.path.join(run_dir, "map.gwmap"))

@@ -14,12 +14,16 @@ from drslam.geometry import (
     CameraIntrinsics,
     Pose,
     Twist,
+    Z_MIN,
+    back_project,
     compose,
     exp_se3,
     hat,
     inverse,
     log_se3,
     project,
+    project_points,
+    quat_to_rotation,
     se3_adjoint,
     se3_compose,
     se3_exp,
@@ -170,6 +174,19 @@ def test_batched_kernels_equal_one_row_calls(pairs):
     assert_rows_equal(se3_inverse(qa, ta), lambda i: se3_inverse(row(qa, i), row(ta, i)))
     assert_rows_equal(se3_log(qa, ta), lambda i: se3_log(row(qa, i), row(ta, i)))
     assert_rows_equal((se3_adjoint(qa, ta),), lambda i: (se3_adjoint(row(qa, i), row(ta, i)),))
+    # the camera kernels, each row under its own pose and all rows under one
+    ra = quat_to_rotation(qa)
+    uv, depth = tb[:, :2] * 100.0 + [320.0, 240.0], np.abs(tb[:, 2]) + Z_MIN
+    assert_rows_equal(project_points(INTRINSICS, ra, ta, tb),
+                      lambda i: project_points(INTRINSICS, row(ra, i), row(ta, i), row(tb, i)))
+    assert_rows_equal(project_points(INTRINSICS, ra[0], ta[0], tb),
+                      lambda i: project_points(INTRINSICS, ra[0], ta[0], row(tb, i)))
+    assert_rows_equal((back_project(INTRINSICS, ra, ta, uv, depth),),
+                      lambda i: (back_project(INTRINSICS, row(ra, i), row(ta, i), row(uv, i),
+                                              row(depth, i)),))
+    assert_rows_equal((back_project(INTRINSICS, ra[0], ta[0], uv, depth),),
+                      lambda i: (back_project(INTRINSICS, ra[0], ta[0], row(uv, i),
+                                              row(depth, i)),))
 
 
 def test_compose_identity_and_inverse(rng):
@@ -249,6 +266,21 @@ def test_project_invariant_under_identity_precomposition(rng):
         direct = project(INTRINSICS, x)
         via = project(INTRINSICS, transform_point(Pose.identity(), x))
         assert np.allclose(direct, via, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(twist_rows(), st.lists(st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0),
+                                        st.floats(0.1, 100.0)), min_size=1, max_size=8))
+def test_back_projection_then_projection_returns_the_pixels(xi, pixels):
+    # back-project pixels at their depths through a pose, project the points
+    # back through the same pose: the pixels again, up to rounding
+    q, t = se3_exp(xi[None])
+    rotation = quat_to_rotation(q)[0]
+    uv, depth = np.array(pixels)[:, :2], np.array(pixels)[:, 2]
+    y, back = project_points(INTRINSICS, rotation, t[0],
+                             back_project(INTRINSICS, rotation, t[0], uv, depth))
+    assert np.max(np.abs(back - uv)) <= 1e-9
+    assert np.max(np.abs(y[:, 2] - depth)) <= 1e-9
 
 
 def test_intrinsics_validation():

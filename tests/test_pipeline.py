@@ -11,13 +11,13 @@ import drslam.pipeline
 from drslam.cli import resolve_config_path
 from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
-from drslam.geometry import CameraIntrinsics, Pose, compose, exp_se3_vec, inverse
+from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3_vec, inverse
 from drslam.pipeline import (
     Frame,
     KeyFrame,
-    MapPoint,
     Pipeline,
     PipelineParams,
+    PointTable,
     SlamMap,
     associate_features,
     decide_keyframe,
@@ -69,7 +69,9 @@ def test_predict_pose_chain_composition(rng):
 
 
 def simple_map_points(positions):
-    return {j: MapPoint(j, np.asarray(p, float), 0) for j, p in enumerate(positions)}
+    """A point table of the positions, point j at row j, all created by keyframe 0."""
+    return PointTable(np.arange(len(positions)), np.array(positions, float).reshape(-1, 3),
+                      np.zeros(len(positions), dtype=np.int64))
 
 
 def test_associate_perfect_prediction_matches_all():
@@ -77,14 +79,14 @@ def test_associate_perfect_prediction_matches_all():
     pts = [(0.5, 0.2, 3.0), (-0.4, 0.1, 2.5), (0.1, -0.3, 4.0)]
     points = simple_map_points(pts)
     detections = []
-    for j, p in points.items():
-        y = np.asarray(pts[j])
+    for j, p in enumerate(pts):
+        y = np.asarray(p)
         detections.append((j, DEFAULT_CAMERA.fx * y[0] / y[2] + DEFAULT_CAMERA.cx,
                            DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy))
     detections.append((7, 100.0, 100.0))  # an id without a map point never matches
-    obs, n_trk = associate_features(as_detections(detections), points, pose, 15.0,
-                                    DEFAULT_CAMERA)
-    assert n_trk == 3
+    obs, n_trk, n_cand = associate_features(as_detections(detections), points, pose, 15.0,
+                                            DEFAULT_CAMERA)
+    assert n_trk == n_cand == 3
     assert sorted(j for j, _, _ in obs) == [0, 1, 2]
 
 
@@ -97,9 +99,9 @@ def test_associate_offset_beyond_radius_matches_nothing():
         detections.append((j, DEFAULT_CAMERA.fx * y[0] / y[2] + DEFAULT_CAMERA.cx,
                            DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy))
     off = Pose(np.array([1.0, 0, 0, 0]), np.array([0.5, 0.0, 0.0]))  # ~80 px shift
-    obs, n_trk = associate_features(as_detections(detections), points, off, 15.0,
-                                    DEFAULT_CAMERA)
-    assert n_trk == 0 and list(obs) == []
+    obs, n_trk, n_cand = associate_features(as_detections(detections), points, off, 15.0,
+                                            DEFAULT_CAMERA)
+    assert n_trk == 0 and list(obs) == [] and n_cand == 2
 
 
 def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
@@ -117,8 +119,8 @@ def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
         shift = rng.normal(size=3)
         shift = shift / np.linalg.norm(shift) * rng.uniform(0.01, 0.08)
         predicted = Pose(np.array([1.0, 0, 0, 0]), shift)
-        obs, n_trk = associate_features(as_detections(detections), points, predicted, radius,
-                                        DEFAULT_CAMERA)
+        obs, n_trk, _ = associate_features(as_detections(detections), points, predicted,
+                                           radius, DEFAULT_CAMERA)
         expected = set()
         rot = predicted.rotation_matrix
         for j, p in enumerate(pts):
@@ -138,23 +140,26 @@ def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
 
 
 def associate_oracle(detections, points, predicted, search_radius, camera):
-    """Per-detection reference: the first row of each landmark id, gated one point at a time."""
+    """Per-detection reference: the first row of each landmark id, gated one
+    point at a time; returns the matches, their count and the count of
+    detected map points in front of the near plane."""
     det_by_id = {}
     for j, u, v in detections:
         if j >= 0 and j not in det_by_id:
             det_by_id[j] = (u, v)
-    if not det_by_id or not points:
-        return [], 0
-    ids = [j for j in det_by_id if j in points]
+    position_of = dict(zip(points.ids.tolist(), points.positions))
+    ids = [j for j in det_by_id if j in position_of]
     if not ids:
-        return [], 0
-    positions = np.array([points[j].position for j in ids])
+        return [], 0, 0
+    positions = np.array([position_of[j] for j in ids])
     rot = predicted.rotation_matrix
     cam = (positions - predicted.t) @ rot
     observations = []
+    n_cand = 0
     for j, (x, y, z) in zip(ids, cam):
         if z <= 0.05:
             continue
+        n_cand += 1
         u = camera.fx * x / z + camera.cx
         v = camera.fy * y / z + camera.cy
         if not (-search_radius <= u < camera.width + search_radius
@@ -163,7 +168,7 @@ def associate_oracle(detections, points, predicted, search_radius, camera):
         du, dv = det_by_id[j]
         if (du - u) ** 2 + (dv - v) ** 2 <= search_radius ** 2:
             observations.append((j, du, dv))
-    return observations, len(observations)
+    return observations, len(observations), n_cand
 
 
 # fx = fy = 512 and depths that are powers of two make projections of the
@@ -186,14 +191,15 @@ def association_cases(draw):
         | st.floats(-80.0, 720.0)
     v_targets = st.sampled_from([-radius - 0.5, -radius, 0.0, 240.0, 480.0 + radius - 0.5,
                                  480.0 + radius, 480.0 + radius + 0.5]) | st.floats(-80.0, 560.0)
-    points, rows = {}, []
+    ids, positions, rows = [], [], []
     for j in range(draw(st.integers(0, 10))):
         z = draw(st.sampled_from(NEAR_PLANE_DEPTHS))
         u, v = draw(u_targets), draw(v_targets)
         position = np.array([(u - CAMERA_512.cx) * z / CAMERA_512.fx,
                              (v - CAMERA_512.cy) * z / CAMERA_512.fy, z])
         if draw(st.integers(0, 4)):          # some detected landmarks are not map points
-            points[j] = MapPoint(j, position, 0)
+            ids.append(j)
+            positions.append(position)
         for _ in range(draw(st.integers(0, 2))):   # duplicate ids
             du, dv = draw(offsets)
             rows.append((j, u + du, v + dv))
@@ -208,6 +214,8 @@ def association_cases(draw):
                          np.array([draw(st.sampled_from([0.0, 0.25, -0.5])) for _ in range(3)]))
     else:
         predicted = exp_se3_vec(np.array([draw(st.floats(-0.2, 0.2)) for _ in range(6)]))
+    points = PointTable(np.array(ids, dtype=np.int64), np.array(positions).reshape(-1, 3),
+                        np.zeros(len(ids), dtype=np.int64))
     return as_detections(rows), points, predicted, radius
 
 
@@ -215,9 +223,12 @@ def association_cases(draw):
 @given(association_cases())
 def test_associate_matches_per_detection_oracle(case):
     detections, points, predicted, radius = case
-    matches, n_trk = associate_features(detections, points, predicted, radius, CAMERA_512)
-    expected, n_expected = associate_oracle(detections, points, predicted, radius, CAMERA_512)
+    matches, n_trk, n_cand = associate_features(detections, points, predicted, radius,
+                                                CAMERA_512)
+    expected, n_expected, n_cand_expected = associate_oracle(detections, points, predicted,
+                                                             radius, CAMERA_512)
     assert n_trk == n_expected == len(matches)
+    assert n_cand == n_cand_expected
     assert matches.ids.dtype == np.int64 and matches.uv.dtype == np.float64
     assert matches.ids.tolist() == [j for j, _, _ in expected]
     assert matches.uv.tobytes() == np.array([(u, v) for _, u, v in expected],
@@ -240,14 +251,21 @@ def test_associate_gate_and_near_plane_bounds():
         5: point(-r - 2.0 ** -6, 300.0, 2.0),  # just outside it
         6: point(300.0, 300.0, 1.0),          # duplicate id: the first row decides
     }
-    points = {j: MapPoint(j, p, 0) for j, p in positions.items()}
+    points = PointTable(np.array(list(positions)), np.array(list(positions.values())),
+                        np.zeros(len(positions), dtype=np.int64))
     rows = [(6, 330.0, 300.0), (0, 109.0, 112.0), (-1, 100.0, 100.0),
             (1, 109.0, float(np.nextafter(212.0, np.inf))), (2, 200.0, 100.0),
             (3, 200.0, 200.0), (4, -r, 300.0), (5, -r - 2.0 ** -6, 300.0), (6, 300.0, 300.0)]
-    matches, n_trk = associate_features(as_detections(rows), points, Pose.identity(), r,
-                                        CAMERA_512)
+    matches, n_trk, n_cand = associate_features(as_detections(rows), points, Pose.identity(), r,
+                                                CAMERA_512)
     assert list(matches) == [(0, 109.0, 112.0), (3, 200.0, 200.0), (4, -r, 300.0)]
     assert n_trk == 3
+    assert n_cand == 6                        # every detected point but the one on the near plane
+
+
+def true_depth(position, gt_pose):
+    """Depth of a world position in the camera at gt_pose."""
+    return (gt_pose.rotation_matrix.T @ (position - gt_pose.t))[2]
 
 
 def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatch):
@@ -261,9 +279,12 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
     seen = []
 
     def recorded(self, frame, record, matches):
-        before = set(self.slam_map.points)
+        before = set(self.slam_map.points.ids.tolist())
         kf = insert(self, frame, record, matches)
-        created = [j for j in self.slam_map.points if j not in before]
+        points = self.slam_map.points
+        assert np.all(np.diff(points.ids) > 0)
+        created = [j for j in points.ids.tolist() if j not in before]
+        assert points.created_kf[np.isin(points.ids, created)].tolist() == [kf.id] * len(created)
         seen.append((before, created, record, matches, list(kf.observations)))
         return kf
 
@@ -278,10 +299,10 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
             if j >= 0:
                 first.setdefault(j, (j, u, v))
         new = [first[j] for j in first
-               if j not in before and pipe._depth_of(j, record.gt_pose) is not None]
+               if j not in before and true_depth(seq.world[j], record.gt_pose) > Z_MIN]
         assert all(j in before for j in matches.ids.tolist())
         assert observations == list(matches) + new
-        assert created == [j for j, _, _ in new]
+        assert created == sorted(j for j, _, _ in new)
 
 
 def test_decide_keyframe_rules():
@@ -501,19 +522,24 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
 
     def checked_cull(self, current_kf):
         observers = observer_walk(self.slam_map)
-        doomed = {j for j, pt in self.slam_map.points.items()
-                  if len(observers[j]) < 2 and current_kf - pt.created_kf >= 2}
+        points = self.slam_map.points
+        doomed = {j for j, created in zip(points.ids.tolist(), points.created_kf.tolist())
+                  if len(observers[j]) < 2 and current_kf - created >= 2}
         before = {k: list(kf.observations) for k, kf in self.slam_map.keyframes.items()}
-        points = set(self.slam_map.points)
+        kept = [(j, x.tobytes(), c) for j, x, c in
+                zip(points.ids.tolist(), points.positions, points.created_kf.tolist())
+                if j not in doomed]
         cull_points(self, current_kf)
-        assert set(self.slam_map.points) == points - doomed
+        points = self.slam_map.points
+        assert list(zip(points.ids.tolist(), (x.tobytes() for x in points.positions),
+                        points.created_kf.tolist())) == kept
         for k, kf in self.slam_map.keyframes.items():
             assert list(kf.observations) == [o for o in before[k] if o[0] not in doomed]
         culled.extend(doomed)
 
     def checked_global_solve(problem, config=None):
         observers = observer_walk(pipe.slam_map)
-        live = [j for j in pipe.slam_map.points if len(observers[j]) >= 2]
+        live = [j for j in pipe.slam_map.points.ids.tolist() if len(observers[j]) >= 2]
         assert list(problem.landmarks) == live
         assert row_tuples(problem.reprojection_factors) == [
             (k, j, u, v) for k in sorted(pipe.slam_map.keyframes)
@@ -575,7 +601,7 @@ def test_map_round_trip_empty(tmp_path):
     path = tmp_path / "empty.gwmap"
     save_map(m, path)
     back = load_map(path)
-    assert back.keyframes == {} and back.points == {}
+    assert back.keyframes == {} and len(back.points.ids) == 0
 
 
 def pose_bytes(pose):
@@ -599,11 +625,9 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
         oa, ob = ka.observations, kb.observations
         assert (oa.ids.dtype, oa.ids.tobytes(), oa.uv.dtype, oa.uv.shape, oa.uv.tobytes()) == \
             (ob.ids.dtype, ob.ids.tobytes(), ob.uv.dtype, ob.uv.shape, ob.uv.tobytes())
-    assert sorted(a.points) == sorted(b.points)
-    for j in a.points:
-        pa, pb = a.points[j], b.points[j]
-        assert (pa.id, pa.created_kf) == (pb.id, pb.created_kf)
-        assert pa.position.tobytes() == pb.position.tobytes()
+    for column in ("ids", "positions", "created_kf"):
+        ca, cb = getattr(a.points, column), getattr(b.points, column)
+        assert (ca.dtype, ca.shape, ca.tobytes()) == (cb.dtype, cb.shape, cb.tobytes()), column
     assert a.covisibility == b.covisibility
     assert a.dr_edges == b.dr_edges
     assert [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in a.loop_edges] == \
@@ -633,9 +657,13 @@ def slam_maps(draw):
             n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
             lba_alpha=draw(st.just(float("nan")) | finite),
             dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
-    for j in sorted(point_ids):
-        m.points[j] = MapPoint(j, np.array([draw(finite) for _ in range(3)]),
-                               draw(st.integers(0, 40)))
+    positions, created = [], []
+    for _ in sorted(point_ids):
+        positions.append([draw(finite) for _ in range(3)])
+        created.append(draw(st.integers(0, 40)))
+    m.points = PointTable(np.array(sorted(point_ids), dtype=np.int64),
+                          np.array(positions, dtype=float).reshape(-1, 3),
+                          np.array(created, dtype=np.int64))
     if len(kf_ids) >= 2:
         pairs = st.lists(st.sampled_from(kf_ids), min_size=2, max_size=2, unique=True)
         for a, b in draw(st.lists(pairs, max_size=4)):
@@ -665,6 +693,16 @@ def test_map_round_trip_real_run(tmp_path):
     assert_maps_equal(res.slam_map, load_map(path))
 
 
+def test_map_rewrite_of_corridor_run_is_byte_identical(tmp_path):
+    config = parse_config(resolve_config_path("corridor_gap"))
+    seq = simulate_sequence(config.world_config())
+    res = run_pipeline(seq, config.pipeline_params(), "adaptive")
+    assert len(res.slam_map.points.ids) > 0
+    save_map(res.slam_map, tmp_path / "run.gwmap")
+    save_map(load_map(tmp_path / "run.gwmap"), tmp_path / "again.gwmap")
+    assert (tmp_path / "again.gwmap").read_bytes() == (tmp_path / "run.gwmap").read_bytes()
+
+
 def test_map_load_truncated_raises(tmp_path):
     seq = straight_sequence(n_frames=50)
     res = run_pipeline(seq, PARAMS, "adaptive")
@@ -678,6 +716,10 @@ def test_map_load_truncated_raises(tmp_path):
     (tmp_path / "nomagic.gwmap").write_text("not a map\n")
     with pytest.raises(FormatError):
         load_map(tmp_path / "nomagic.gwmap")
+    point = text[text.index("[points]") + 1]
+    (tmp_path / "twice.gwmap").write_text("\n".join(text + ["[points]", point]) + "\n")
+    with pytest.raises(FormatError, match="duplicate point id"):
+        load_map(tmp_path / "twice.gwmap")
 
 
 def test_repeat_determinism_identical_outputs():
@@ -710,7 +752,7 @@ def test_dr_only_emits_cadence_keyframes():
     seq = straight_sequence(n_frames=60)
     res = run_pipeline(seq, PARAMS, "dr-only")
     assert len(res.slam_map.keyframes) == 1 + (59 // PARAMS.k_max)
-    assert res.slam_map.points == {}
+    assert len(res.slam_map.points.ids) == 0
 
 
 def test_lba_edge_weights_respect_bounds():
