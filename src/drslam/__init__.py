@@ -9,7 +9,6 @@ from .evaluation import Trajectory, align, alpha_sweep, ape_rmse, frame_kf_ratio
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    Twist,
     compose,
     exp_se3,
     inverse,
@@ -22,7 +21,6 @@ from .simulator import (
     Dropout,
     Sequence,
     WorldConfig,
-    ingest_replay,
     read_sequence,
     simulate_sequence,
     write_sequence,
@@ -55,7 +53,6 @@ __all__ = [
     "SlamMap",
     "TrackingStats",
     "Trajectory",
-    "Twist",
     "WeightBounds",
     "WorldConfig",
     "align",
@@ -66,7 +63,6 @@ __all__ = [
     "dr_weight",
     "exp_se3",
     "frame_kf_ratio",
-    "ingest_replay",
     "inverse",
     "keyframe_quality",
     "load_map",

@@ -131,14 +131,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(task):
-    sequence, alphas, repeat, config_values, frame_range = task
-    config = RunConfig(dict(config_values))
-    return evaluation.sweep_repeat(sequence, alphas, repeat,
-                                   params=config.pipeline_params(),
-                                   frame_range=frame_range)
-
-
 @contextlib.contextmanager
 def _sweep_pool(jobs: int):
     """Process pool whose workers run with one BLAS thread each.
@@ -161,21 +153,34 @@ def _sweep_pool(jobs: int):
                 os.environ[key] = value
 
 
-def cmd_sweep(args) -> int:
+def _sweep_arguments(args):
+    """--alphas as floats and --segment as a (start, stop) pair or None."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+    except ValueError:
+        raise ConfigError(f"--alphas must be log10 weights, got {args.alphas!r}") from None
+    if not args.segment:
+        return alphas, None
+    start, _, stop = args.segment.partition(":")
+    try:
+        return alphas, (int(start), int(stop))
+    except ValueError:
+        raise ConfigError(f"--segment must be start:stop, got {args.segment!r}") from None
+
+
+def cmd_sweep(args) -> int:
+    alphas, frame_range = _sweep_arguments(args)
     config = _load_config(args)
     sequence = read_sequence(args.seq)
+    n_frames = len(sequence.records)
+    if frame_range is not None and not 0 <= frame_range[0] < frame_range[1] <= n_frames:
+        raise ConfigError(f"--segment {args.segment} is not a frame range within 0:{n_frames}")
     out = _out_dir(args, f"sweep_{config.seed}")
-    alphas = [float(a) for a in args.alphas.split(",")]
-    frame_range = None
-    if args.segment:
-        a, _, b = args.segment.partition(":")
-        frame_range = (int(a), int(b))
-    tasks = [(sequence, alphas, r, config.values, frame_range) for r in range(args.repeats)]
     with _sweep_pool(args.jobs) as pool:
-        rows = evaluation.fill_medians([row for part in pool.map(_sweep_task, tasks)
-                                        for row in part])
+        rows = evaluation.alpha_sweep(sequence, alphas, args.repeats, config.pipeline_params(),
+                                      frame_range, map=pool.map)
     write_csv(os.path.join(out, "sweep.csv"),
               ["log_alpha", "repeat", "rmse", "median"],
               [(fmt(r.log_alpha), r.repeat, float(r.rmse), float(r.median)) for r in rows])
@@ -185,6 +190,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_repeat(args) -> int:
+    if args.loops < 2:
+        raise ConfigError(f"--loops must be at least 2, got {args.loops}")
     config = _load_config(args)
     sequence = read_sequence(args.seq)
     out = _out_dir(args, f"repeat_{config.mode}_{config.seed}")

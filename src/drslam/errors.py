@@ -34,7 +34,7 @@ class DegenerateSpec(DrSlamError):
 
 
 class NonMonotoneTimestamps(DrSlamError):
-    """Replay stream timestamps are not strictly increasing."""
+    """Trajectory timestamps are not strictly increasing."""
 
 
 class TooFewPairs(DrSlamError):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import DrSlamError, TooFewPairs
+from .errors import DrSlamError, NonMonotoneTimestamps, TooFewPairs
 from .geometry import Pose, compose, inverse
 from .pipeline import PipelineParams, run_pipeline
 from .simulator import Sequence, config_from_meta, simulate_sequence
@@ -34,8 +35,11 @@ class Trajectory:
     @staticmethod
     def from_rows(rows) -> "Trajectory":
         ts = np.array([t for t, _ in rows], dtype=float)
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("trajectory timestamps must be strictly increasing")
+        back = np.flatnonzero(~(np.diff(ts) > 0))
+        if len(back):
+            k = int(back[0]) + 1
+            raise NonMonotoneTimestamps("trajectory timestamps must be strictly increasing: "
+                                        f"sample {k} at {ts[k]:.17g} follows {ts[k - 1]:.17g}")
         return Trajectory(ts, [p for _, p in rows])
 
     def positions(self) -> np.ndarray:
@@ -187,17 +191,17 @@ def fill_medians(rows) -> list:
 
 def alpha_sweep(sequence: Sequence, alphas, repeats: int,
                 params: PipelineParams, frame_range=None,
-                reseed: bool = True) -> list:
+                reseed: bool = True, map=map) -> list:
     """Fixed-weight sweep: one pipeline run per (alpha, repeat).
 
     Repeats re-simulate the sequence from its config echo with the seed
     advanced, so each repeat sees fresh noise; rows are ordered by alpha
-    then repeat and carry the per-alpha median RMSE.
+    then repeat and carry the per-alpha median RMSE. ``map`` runs the
+    repeats, in order; a process pool's map runs them in parallel.
     """
-    rows = []
-    for repeat in range(repeats):
-        rows.extend(sweep_repeat(sequence, alphas, repeat, params, frame_range, reseed))
-    return fill_medians(rows)
+    run_repeat = partial(sweep_repeat, sequence, alphas, params=params,
+                         frame_range=frame_range, reseed=reseed)
+    return fill_medians([row for part in map(run_repeat, range(repeats)) for row in part])
 
 
 def baseline_rmse(sequence: Sequence, mode: str, repeats: int,

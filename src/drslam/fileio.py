@@ -116,10 +116,19 @@ def read_csv(path, expected_header) -> np.ndarray:
     return _load_table(path, len(expected_header), ",", None, 1)
 
 
+def _row_line(path, row: int, delimiter, comment, skip) -> int:
+    with closing(_data_lines(path, delimiter, comment, skip)) as rows:
+        return next(islice(rows, row, None))[0]
+
+
 def csv_line(path, row: int) -> int:
     """File line number of data row `row` of a table read by read_csv."""
-    with closing(_data_lines(path, ",", None, 1)) as rows:
-        return next(islice(rows, row, None))[0]
+    return _row_line(path, row, ",", None, 1)
+
+
+def tum_row_line(path, row: int) -> int:
+    """File line number of pose row `row` of a file read by read_tum."""
+    return _row_line(path, row, None, "#", 0)
 
 
 def int_column(table: np.ndarray, column: int, name: str, path) -> np.ndarray:

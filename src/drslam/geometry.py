@@ -7,12 +7,12 @@ Conventions used everywhere in the package:
 
 The group arithmetic is implemented once, as batched kernels on quaternions
 (N, 4), translations (N, 3) and twists (N, 6), called on stacked rows by the
-DR kernel and the solver and on one row by the scalar Pose API. They work
-row by row (elementwise operations, one matrix product per row), so a row
-of a batch has the bits of that row evaluated alone. Pose canonicalizes the
-quaternions the kernels return. The pinhole camera is two batched kernels,
-projection and back-projection, the only estimator code that reads the
-intrinsics besides the reprojection Jacobian.
+DR kernel and the solver and on one row by the scalar Pose API, whose twists
+are (6,) arrays. They work row by row (elementwise operations, one matrix
+product per row), so a row of a batch has the bits of that row evaluated
+alone. Pose canonicalizes the quaternions the kernels return. The pinhole
+camera is two batched kernels, projection and back-projection, the only
+estimator code that reads the intrinsics besides the reprojection Jacobian.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
 
 
 def se3_log(q: np.ndarray, t: np.ndarray):
-    """Twists (N, 6) of pose rows and their near-pi mask (N,).
+    """The twists (N, 6) of pose rows and their near-pi mask (N,).
 
     A total function: where the rotation angle is NEAR_PI or more the angle
     is clamped to NEAR_PI about the same axis, so a residual stays large and
@@ -224,26 +224,6 @@ def se3_log(q: np.ndarray, t: np.ndarray):
     c = v_inverse_coefficient(angle)
     phi_t = _cross(phi, t)
     return np.concatenate([t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t), phi], axis=1), near_pi
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Tangent-space element; rho is translational [m], phi rotational [rad]."""
-
-    rho: np.ndarray
-    phi: np.ndarray
-
-    @staticmethod
-    def zero() -> "Twist":
-        return Twist(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "Twist":
-        v = np.asarray(v, dtype=float)
-        return Twist(v[:3].copy(), v[3:].copy())
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.phi])
 
 
 @dataclass(frozen=True)
@@ -295,22 +275,19 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def exp_se3(xi: Twist) -> Pose:
-    """Closed-form SE(3) exponential; series below the small-angle cutoff."""
-    return exp_se3_vec(xi.as_vector())
-
-
-def exp_se3_vec(v: np.ndarray) -> Pose:
-    q, t = se3_exp(np.asarray(v, dtype=float)[None])
+def exp_se3(xi: np.ndarray) -> Pose:
+    """Closed-form SE(3) exponential of a (6,) twist (rho, phi); series below
+    the small-angle cutoff."""
+    q, t = se3_exp(np.asarray(xi, dtype=float)[None])
     return Pose(q[0], t[0])
 
 
-def log_se3(p: Pose) -> Twist:
-    """Inverse of exp_se3; raises AngleNearPi at the domain edge."""
+def log_se3(p: Pose) -> np.ndarray:
+    """Inverse of exp_se3, as a (6,) twist; raises AngleNearPi at the domain edge."""
     xi, near_pi = se3_log(p.q[None], p.t[None])
     if near_pi[0]:
         raise AngleNearPi(f"rotation angle {p.rotation_angle():.9f} too close to pi")
-    return Twist.from_vector(xi[0])
+    return xi[0]
 
 
 def compose(a: Pose, b: Pose) -> Pose:

@@ -342,9 +342,7 @@ class Pipeline:
         matches, n_trk, n_cand = associate_features(
             record.detections, self.slam_map.points, predicted,
             self.params.search_radius, self.camera)
-        if record.recorded_n_trk is not None:
-            n_trk = record.recorded_n_trk  # replay stream: recorded statistic
-        stats = TrackingStats(record.n_det, min(n_trk, record.n_det))
+        stats = TrackingStats(record.n_det, n_trk)
         q = compute_quality(stats, self.params.quality)
         alpha = self._alpha_for_quality(q)
 

@@ -1,4 +1,4 @@
-"""Synthetic sequence generation and replay ingestion.
+"""Synthetic sequence generation and sequence directory I/O.
 
 A sequence holds per-frame ground truth, detections from an ideal pinhole
 camera over a landmark field with a controllable visible-density profile,
@@ -16,18 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpec, FormatError, NonMonotoneTimestamps
+from .errors import DegenerateSpec, FormatError
 from .fileio import (csv_line, fmt, fmt_bool, int_column, parse_bool, read_csv, read_tum,
-                     write_csv, write_tum)
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    Twist,
-    compose,
-    exp_se3,
-    inverse,
-    log_se3,
-)
+                     tum_row_line, write_csv, write_tum)
+from .geometry import CameraIntrinsics, Pose, compose, exp_se3, inverse
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -177,7 +169,6 @@ class SimFrameRecord:
     dr_delta: Pose | None               # relative increment to previous frame
     odom_pose: Pose | None              # absolute DR-integrated pose
     n_det: int                          # detections, clutter included
-    recorded_n_trk: int | None = None   # replay streams only: the recorded tracked count
 
 
 @dataclass
@@ -402,7 +393,7 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
             np.asarray(config.dr_bias_t, float) + rng.normal(scale=config.dr_sigma_t, size=3),
             np.radians(config.dr_bias_r_deg) + rng.normal(scale=math.radians(config.dr_sigma_r_deg), size=3),
         ])
-        dr_delta = compose(gt_delta, exp_se3(Twist(eps[:3], eps[3:])))
+        dr_delta = compose(gt_delta, exp_se3(eps))
 
     return SimFrameRecord(
         frame_id=frame_id,
@@ -431,16 +422,12 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
 
-def _camera_meta(camera: CameraIntrinsics) -> dict:
-    return {"fx": fmt(camera.fx), "fy": fmt(camera.fy),
-            "cx": fmt(camera.cx), "cy": fmt(camera.cy),
-            "width": str(camera.width), "height": str(camera.height)}
-
-
 def _config_meta(config: WorldConfig, camera: CameraIntrinsics) -> dict:
     return {"format": META_MAGIC,
             **{name: render(getattr(config, name)) for name, (_, render) in WORLD_FIELDS.items()},
-            **_camera_meta(camera)}
+            "fx": fmt(camera.fx), "fy": fmt(camera.fy),
+            "cx": fmt(camera.cx), "cy": fmt(camera.cy),
+            "width": str(camera.width), "height": str(camera.height)}
 
 
 def config_from_meta(meta: dict) -> WorldConfig:
@@ -500,12 +487,14 @@ def _frame_ids(table: np.ndarray, path, n_frames: int) -> np.ndarray:
     return frames
 
 
-def _detection_counts(stats: np.ndarray, path, n_frames: int) -> list:
-    """n_det of frames 0..n_frames-1 from a stats table holding one row per frame.
+def _detection_counts(stats: np.ndarray, path, n_obs: np.ndarray) -> list:
+    """n_det of frames 0..len(n_obs)-1 from a stats table holding one row per
+    frame, each count at least the frame's n_obs landmark detections.
 
     A repeated frame is reported at its second row; a missing frame at the
     row of the next frame present, or at the last line when none follows.
     """
+    n_frames = len(n_obs)
     frames = _frame_ids(stats, path, n_frames)
     n_det = int_column(stats, 1, "n_det", path)
     order = np.argsort(frames, kind="stable")
@@ -520,6 +509,11 @@ def _detection_counts(stats: np.ndarray, path, n_frames: int) -> list:
         row = int(later[np.argmin(frames[later])]) if len(later) else len(frames) - 1
         raise FormatError(f"no row for frame {missing}", path=str(path),
                           line=csv_line(path, row) if row >= 0 else 1)
+    short = np.flatnonzero(n_det < n_obs[frames])
+    if len(short):
+        row = int(short[0])
+        raise FormatError(f"n_det {n_det[row]} is below the {n_obs[frames[row]]} obs.csv rows "
+                          f"of frame {frames[row]}", path=str(path), line=csv_line(path, row))
     counts = np.empty(n_frames, dtype=np.int64)
     counts[frames] = n_det
     return counts.tolist()
@@ -528,13 +522,18 @@ def _detection_counts(stats: np.ndarray, path, n_frames: int) -> list:
 def read_sequence(path) -> Sequence:
     meta = _read_meta(os.path.join(path, "meta"))
     camera = camera_from_meta(meta)
-    gt = read_tum(os.path.join(path, "gt.tum"))
+    gt_path = os.path.join(path, "gt.tum")
+    gt = read_tum(gt_path)
+    back = np.flatnonzero(~(np.diff([ts for ts, _ in gt]) > 0))
+    if len(back):
+        raise FormatError("timestamps must be strictly increasing", path=str(gt_path),
+                          line=tum_row_line(gt_path, int(back[0]) + 1))
     odom = read_tum(os.path.join(path, "odom.tum"))
     if len(gt) != len(odom):
         raise FormatError("gt.tum and odom.tum disagree on frame count", path=str(path))
     stats_path, obs_path, world_path = (
         os.path.join(path, name) for name in ("stats.csv", "obs.csv", "world.csv"))
-    n_det = _detection_counts(read_csv(stats_path, ["frame_id", "n_det"]), stats_path, len(gt))
+    stats = read_csv(stats_path, ["frame_id", "n_det"])
     obs = read_csv(obs_path, ["frame_id", "landmark_id", "u", "v"])
     world_table = read_csv(world_path, ["landmark_id", "x", "y", "z"])
     world = dict(zip(int_column(world_table, 0, "landmark_id", world_path).tolist(),
@@ -554,7 +553,9 @@ def read_sequence(path) -> Sequence:
     ids = ids[order]
     uv = obs[order, 2:]
     del obs
-    bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1)).tolist()
+    bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1))
+    n_det = _detection_counts(stats, stats_path, np.diff(bounds))
+    bounds = bounds.tolist()
 
     records = []
     prev_odom = None
@@ -567,66 +568,3 @@ def read_sequence(path) -> Sequence:
             dr_delta=delta, odom_pose=odom_pose, n_det=n_det[i]))
         prev_odom = odom_pose
     return Sequence(records=records, world=world, camera=camera, meta=meta)
-
-
-def _interp_pose(a_ts, a_pose, b_ts, b_pose, t):
-    if b_ts <= a_ts:
-        return a_pose
-    lam = (t - a_ts) / (b_ts - a_ts)
-    step = log_se3(compose(inverse(a_pose), b_pose)).as_vector()
-    return compose(a_pose, exp_se3(Twist(lam * step[:3], lam * step[3:])))
-
-
-def resample_poses(samples, timestamps):
-    """Tangent-space linear interpolation of (ts, Pose) samples; ends held."""
-    ts = np.array([s for s, _ in samples])
-    if np.any(np.diff(ts) <= 0):
-        raise NonMonotoneTimestamps("pose stream timestamps must be strictly increasing")
-    out = []
-    for t in timestamps:
-        k = int(np.searchsorted(ts, t, side="right")) - 1
-        if k < 0:
-            out.append(samples[0][1])
-        elif k >= len(samples) - 1:
-            out.append(samples[-1][1])
-        else:
-            out.append(_interp_pose(ts[k], samples[k][1], ts[k + 1], samples[k + 1][1], t))
-    return out
-
-
-def ingest_replay(stats_csv, odom_file, gt_file=None,
-                  camera: CameraIntrinsics = DEFAULT_CAMERA) -> Sequence:
-    """Recorded statistic/odometry streams as a landmark-free sequence.
-
-    Odometry (and optional ground truth) is resampled to the stat timestamps
-    by piecewise tangent-space interpolation. Each record carries its
-    recorded tracked count in ``recorded_n_trk``; tracking on such a
-    sequence degenerates to DR prediction driven by the recorded counts.
-    """
-    rows = read_csv(stats_csv, ["timestamp", "n_det", "n_trk"])
-    n_det = int_column(rows, 1, "n_det", stats_csv)
-    n_trk = int_column(rows, 2, "n_trk", stats_csv)
-    back = np.flatnonzero(~(np.diff(rows[:, 0]) > 0))
-    if len(back):
-        raise NonMonotoneTimestamps(
-            f"stats timestamps must be strictly increasing [{stats_csv}:"
-            f"{csv_line(stats_csv, int(back[0]) + 1)}]")
-    over = np.flatnonzero(n_trk > n_det)
-    if len(over):
-        raise FormatError("n_trk exceeds n_det", path=str(stats_csv),
-                          line=csv_line(stats_csv, int(over[0])))
-    timestamps = rows[:, 0].tolist()
-    odom_samples = read_tum(odom_file)
-    odom = resample_poses(odom_samples, timestamps)
-    gt = resample_poses(read_tum(gt_file), timestamps) if gt_file else [None] * len(rows)
-
-    records = []
-    prev = None
-    for i, (det, trk, op, gp) in enumerate(zip(n_det.tolist(), n_trk.tolist(), odom, gt)):
-        delta = None if prev is None else compose(inverse(prev), op)
-        records.append(SimFrameRecord(
-            frame_id=i, timestamp=timestamps[i], gt_pose=gp, detections=Detections.empty(),
-            dr_delta=delta, odom_pose=op, n_det=det, recorded_n_trk=trk))
-        prev = op
-    meta = {"format": META_MAGIC, "replay": "true", **_camera_meta(camera)}
-    return Sequence(records=records, world={}, camera=camera, meta=meta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drslam.factors import dr_jacobians, dr_residuals
-from drslam.geometry import (CameraIntrinsics, Pose, Twist, adjoint, exp_se3, exp_se3_vec, compose,
+from drslam.geometry import (CameraIntrinsics, Pose, adjoint, exp_se3, compose,
                              inverse, project, transform_point)
 from drslam.optimizer import Problem
 from drslam.weighting import NominalDrInformation
@@ -10,10 +10,10 @@ from drslam.weighting import NominalDrInformation
 CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> Twist:
+def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> np.ndarray:
     phi = rng.normal(size=3)
     phi = phi / np.linalg.norm(phi) * rng.uniform(0, rot_scale)
-    return Twist(rng.normal(scale=trans_scale, size=3), phi)
+    return np.concatenate([rng.normal(scale=trans_scale, size=3), phi])
 
 
 def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
@@ -56,7 +56,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
     gt_poses = []
     for i in range(n_poses):
         xi = np.array([0.25 * i, 0.02 * i, 0.0, 0.0, 0.05 * i, 0.0])
-        gt_poses.append(exp_se3_vec(xi))
+        gt_poses.append(exp_se3(xi))
     centers = np.array([p.t for p in gt_poses]).mean(axis=0)
     candidates = centers + np.column_stack([
         rng.uniform(-2.0, 2.0 + 0.25 * n_poses, 3 * n_landmarks),
@@ -91,7 +91,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
     for i, gt in enumerate(gt_poses):
         anchored = i == 0
         init = gt if (pose_perturb == 0 or anchored) else \
-            compose(gt, exp_se3_vec(rng.normal(scale=pose_perturb, size=6)))
+            compose(gt, exp_se3(rng.normal(scale=pose_perturb, size=6)))
         problem.add_pose(i, init, fixed=anchored)
     for j, gt in enumerate(gt_landmarks):
         init = gt if lm_perturb == 0 else gt + rng.normal(scale=lm_perturb, size=3)

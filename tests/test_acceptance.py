@@ -23,7 +23,7 @@ from drslam.evaluation import (
     repeat_run,
 )
 from drslam.factors import HUBER_PIXEL_SCALE, reprojection_jacobians, reprojection_residuals
-from drslam.geometry import compose, exp_se3_vec, inverse, project, transform_point
+from drslam.geometry import compose, exp_se3, inverse, project, transform_point
 from drslam.optimizer import (
     Problem,
     build_normal_equations,
@@ -117,7 +117,7 @@ def test_criterion_02_jacobian_suite():
         y, _ = reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lm[None], obs[None])
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
         worst = max(worst, _rel(j_pose, _fd_jacobian(
-            lambda d: _reprojection(compose(pose, exp_se3_vec(d)), lm, obs), 6)))
+            lambda d: _reprojection(compose(pose, exp_se3(d)), lm, obs), 6)))
         worst = max(worst, _rel(j_lm, _fd_jacobian(
             lambda d: _reprojection(pose, lm + d, obs), 3)))
     for _ in range(100):
@@ -125,9 +125,9 @@ def test_criterion_02_jacobian_suite():
         delta = random_pose(rng, rot_scale=1.0)
         j_from, j_to = edge_jacobians(pf, pt, delta)
         worst = max(worst, _rel(j_from, _fd_jacobian(
-            lambda d: edge_residual(compose(pf, exp_se3_vec(d)), pt, delta), 6)))
+            lambda d: edge_residual(compose(pf, exp_se3(d)), pt, delta), 6)))
         worst = max(worst, _rel(j_to, _fd_jacobian(
-            lambda d: edge_residual(pf, compose(pt, exp_se3_vec(d)), delta), 6)))
+            lambda d: edge_residual(pf, compose(pt, exp_se3(d)), delta), 6)))
     elapsed = time.time() - t0
     report(2, "analytic Jacobians vs central differences",
            worst < 1e-5 and elapsed < 5.0,
@@ -188,9 +188,9 @@ def test_criterion_05_conditioning_guarantee():
     detail = ""
     for _ in range(10):
         prev = random_pose(rng)
-        delta = exp_se3_vec(np.array([0.03, 0.001, 0.01, 0.002, 0.01, 0.001]))
+        delta = exp_se3(np.array([0.03, 0.001, 0.01, 0.002, 0.01, 0.001]))
         prediction = compose(prev, delta)
-        start = compose(prediction, exp_se3_vec(rng.normal(scale=0.02, size=6)))
+        start = compose(prediction, exp_se3(rng.normal(scale=0.02, size=6)))
         precision = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
         pose, rep = solve_motion_only(CAMERA, start, np.zeros((0, 3)), np.zeros((0, 2)),
                                       1.0, HUBER_PIXEL_SCALE, dr=(prev, delta, precision))

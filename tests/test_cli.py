@@ -193,6 +193,19 @@ def test_eval_identical_files_zero_rmse(tmp_path, capsys):
     assert float(metrics["ape_rmse_m"]) < 1e-12
 
 
+def test_eval_non_monotone_timestamps_exits_two(tmp_path, capsys):
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--out", str(seq_dir)])
+    lines = (seq_dir / "gt.tum").read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]
+    (tmp_path / "swapped.tum").write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--est", str(tmp_path / "swapped.tum"),
+                 "--ref", str(seq_dir / "gt.tum"), "--out", str(tmp_path / "o")]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_csv_shape(tmp_path):
     cfg = write_world(tmp_path / "w.cfg")
     seq_dir = str(tmp_path / "seq")
@@ -258,7 +271,7 @@ def test_failed_verdict_exit_code(tmp_path):
     assert code == 1
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["run"])  # missing --seq
     assert e.value.code == 2
@@ -268,6 +281,10 @@ def test_usage_errors_exit_two(tmp_path):
     bad_cfg.write_text("[quality]\nnope = 1\n")
     assert main(["simulate", "--config", str(bad_cfg),
                  "--out", str(tmp_path / "s")]) == 2
+    capsys.readouterr()
+    assert main(["repeat", "--seq", str(tmp_path / "missing"), "--loops", "1",
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "--loops must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["tracking.pixel_std=0", "tracking.pixel_std=-1.5",
@@ -298,9 +315,11 @@ def test_run_malformed_sequence_field_exits_two(tmp_path, capsys):
     ("obs.csv", lambda lines: lines + ["9999,1,2.0,3.0"]),
     ("stats.csv", lambda lines: lines + ["3,40"]),
     ("stats.csv", lambda lines: lines[:4] + lines[5:]),
+    ("stats.csv", lambda lines: lines[:6] + ["5,0"] + lines[7:]),
 ])
 def test_run_inconsistent_frame_rows_exit_two(tmp_path, capsys, name, edit):
-    # a row outside the sequence, a repeated and a missing frame in stats.csv
+    # a row outside the sequence, a repeated and a missing frame in stats.csv,
+    # and a frame whose n_det is below its obs.csv row count
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
     seq_dir = tmp_path / "seq"
     main(["simulate", "--config", cfg, "--out", str(seq_dir)])
@@ -347,6 +366,23 @@ def test_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     assert main(["sweep", "--seq", str(tmp_path / "no_seq"), "--out", str(tmp_path / "o"),
                  "--jobs", jobs]) == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--alphas=x", "--alphas must be log10 weights"),
+    ("--segment=5", "--segment must be start:stop"),
+    ("--segment=8:3", "not a frame range within 0:10"),
+    ("--segment=5:11", "not a frame range within 0:10"),
+    ("--segment=-1:5", "not a frame range within 0:10"),
+])
+def test_sweep_bad_alphas_or_segment_exits_two(tmp_path, capsys, flag, message):
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    assert main(["sweep", "--seq", seq_dir, "--out", str(tmp_path / "o"), "--config", cfg,
+                 flag]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

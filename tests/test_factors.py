@@ -16,12 +16,10 @@ from drslam.geometry import (
     SMALL_ANGLE,
     CameraIntrinsics,
     Pose,
-    Twist,
     Z_MIN,
     adjoint,
     compose,
     exp_se3,
-    exp_se3_vec,
     inverse,
     project,
     transform_point,
@@ -94,7 +92,7 @@ def test_reprojection_jacobians_match_finite_differences(rng):
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(K, y, pose.rotation_matrix))
 
         def r_of_pose(d):
-            return residual_of(compose(pose, exp_se3_vec(d)), lm, obs)
+            return residual_of(compose(pose, exp_se3(d)), lm, obs)
 
         def r_of_lm(d):
             return residual_of(pose, lm + d, obs)
@@ -146,18 +144,18 @@ def test_dr_jacobians_match_finite_differences(rng):
         j_from, j_to = edge_jacobians(pose_from, pose_to, delta)
 
         def r_of_from(d):
-            return edge_residual(compose(pose_from, exp_se3_vec(d)), pose_to, delta)
+            return edge_residual(compose(pose_from, exp_se3(d)), pose_to, delta)
 
         def r_of_to(d):
-            return edge_residual(pose_from, compose(pose_to, exp_se3_vec(d)), delta)
+            return edge_residual(pose_from, compose(pose_to, exp_se3(d)), delta)
 
         assert rel_err(j_from, fd_jacobian(r_of_from, 6)) < FD_RTOL
         assert rel_err(j_to, fd_jacobian(r_of_to, 6)) < FD_RTOL
 
 
 def test_dr_residual_near_pi_flagged_and_saturated():
-    half_turn = exp_se3(Twist(np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.0, np.pi - 1e-9])))
-    quarter_turn = exp_se3(Twist(np.zeros(3), np.array([0.0, 0.0, np.pi / 2])))
+    half_turn = exp_se3(np.array([0.3, 0.0, 0.0, 0.0, 0.0, np.pi - 1e-9]))
+    quarter_turn = exp_se3(np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2]))
     ident = Pose.identity()
     r, near_pi = edge_residuals([ident, ident], [half_turn, quarter_turn], [ident, ident])
     assert near_pi.tolist() == [True, False]
@@ -183,7 +181,7 @@ def test_dr_jacobians_skip_fixed_sides(rng):
 # Property tests of the batched DR kernel.
 
 def twists(max_angle):
-    """Twist vectors (rho, phi) with |rho| <= 2 m and 0 <= |phi| <= max_angle."""
+    """(6,) twists (rho, phi) with |rho| <= 2 m and 0 <= |phi| <= max_angle."""
     return st.tuples(arrays(float, 3, elements=st.floats(-2, 2)),
                      arrays(float, 3, elements=st.floats(-1, 1)).filter(
                          lambda a: np.linalg.norm(a) > 1e-3),
@@ -194,7 +192,7 @@ def twists(max_angle):
 def edges(max_angle=3.0):
     """(from, to, delta) as Poses."""
     return st.tuples(twists(max_angle), twists(max_angle), twists(max_angle)).map(
-        lambda v: tuple(exp_se3_vec(x) for x in v))
+        lambda v: tuple(exp_se3(x) for x in v))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -216,7 +214,7 @@ def test_dr_batch_equals_one_edge_calls(batch):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(twists(3.0), twists(3.0))
 def test_dr_residual_zero_for_consistent_motion_property(from_twist, delta_twist):
-    pose_from, delta = exp_se3_vec(from_twist), exp_se3_vec(delta_twist)
+    pose_from, delta = exp_se3(from_twist), exp_se3(delta_twist)
     r = edge_residual(pose_from, compose(pose_from, delta), delta)
     assert np.linalg.norm(r) < 1e-9
 
@@ -227,8 +225,8 @@ def test_dr_residual_zero_for_consistent_motion_property(from_twist, delta_twist
        st.floats(0.0, 1e-7))
 def test_dr_residual_near_pi_flagged_property(from_twist, rho, axis, gap):
     # an error rotation within 1e-6 of pi about a random axis
-    pose_from = exp_se3_vec(from_twist)
-    err = exp_se3_vec(np.concatenate([rho, axis / np.linalg.norm(axis) * (np.pi - gap)]))
+    pose_from = exp_se3(from_twist)
+    err = exp_se3(np.concatenate([rho, axis / np.linalg.norm(axis) * (np.pi - gap)]))
     r, near_pi = edge_residuals([pose_from], [compose(pose_from, err)], [Pose.identity()])
     assert near_pi[0]
     assert np.all(np.isfinite(r))
@@ -239,13 +237,13 @@ def test_dr_residual_near_pi_flagged_property(from_twist, rho, axis, gap):
 @given(twists(2.5), twists(2.5), twists(2.5), st.booleans())
 def test_dr_jacobians_match_finite_differences_property(from_twist, to_twist, delta_twist,
                                                         small_angle):
-    pose_from, delta = exp_se3_vec(from_twist), exp_se3_vec(delta_twist)
+    pose_from, delta = exp_se3(from_twist), exp_se3(delta_twist)
     if small_angle:
         # error rotation below the Taylor cutoff: |phi| < 1e-3
         err = np.concatenate([to_twist[:3], to_twist[3:] * 2e-4])
-        pose_to = compose(compose(pose_from, delta), exp_se3_vec(err))
+        pose_to = compose(compose(pose_from, delta), exp_se3(err))
     else:
-        pose_to = exp_se3_vec(to_twist)
+        pose_to = exp_se3(to_twist)
     r = edge_residual(pose_from, pose_to, delta)
     theta = np.linalg.norm(r[3:])
     if small_angle:
@@ -255,10 +253,10 @@ def test_dr_jacobians_match_finite_differences_property(from_twist, to_twist, de
     j_from, j_to = edge_jacobians(pose_from, pose_to, delta)
 
     def r_of_from(d):
-        return edge_residual(compose(pose_from, exp_se3_vec(d)), pose_to, delta)
+        return edge_residual(compose(pose_from, exp_se3(d)), pose_to, delta)
 
     def r_of_to(d):
-        return edge_residual(pose_from, compose(pose_to, exp_se3_vec(d)), delta)
+        return edge_residual(pose_from, compose(pose_to, exp_se3(d)), delta)
 
     assert rel_err(j_from, fd_jacobian(r_of_from, 6)) < FD_RTOL
     assert rel_err(j_to, fd_jacobian(r_of_to, 6)) < FD_RTOL

@@ -15,7 +15,7 @@ from drslam.factors import (
     reprojection_jacobians,
     reprojection_residuals,
 )
-from drslam.geometry import (Z_MIN, Pose, adjoint, compose, exp_se3_vec, inverse, log_se3,
+from drslam.geometry import (Z_MIN, Pose, adjoint, compose, exp_se3, inverse, log_se3,
                              project, transform_point)
 from drslam import optimizer
 from drslam.optimizer import (
@@ -40,14 +40,14 @@ BOUNDS = WeightBounds()
 
 def pose_distance(a: Pose, b: Pose):
     err = log_se3(compose(inverse(a), b))
-    return np.linalg.norm(err.rho), np.linalg.norm(err.phi)
+    return np.linalg.norm(err[:3]), np.linalg.norm(err[3:])
 
 
 def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
                         perturb_r_deg=2.0, with_dr=True, dr_alpha=1.0):
     """One fixed previous pose, one free current pose, fixed landmarks."""
     prev = random_pose(rng, rot_scale=0.3)
-    delta = exp_se3_vec(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
+    delta = exp_se3(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
     gt = compose(prev, delta)
 
     problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
@@ -58,7 +58,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
         rng.normal(size=3) / math.sqrt(3) * perturb_t,
         axis * math.radians(perturb_r_deg),
     ])
-    problem.add_pose(1, compose(gt, exp_se3_vec(perturb)), fixed=False)
+    problem.add_pose(1, compose(gt, exp_se3(perturb)), fixed=False)
 
     for j in range(n_obs):
         u = rng.uniform(60, 580)
@@ -90,7 +90,7 @@ def test_motion_only_dr_only_returns_prediction(rng):
                                                   dr_alpha=dr_weight(0.0, BOUNDS))
     prediction = compose(prev, delta)
     # start away from the optimum; the DR quadratic must pull the pose back
-    problem.poses[1].pose = compose(prediction, exp_se3_vec(
+    problem.poses[1].pose = compose(prediction, exp_se3(
         np.array([0.05, -0.03, 0.02, 0.01, -0.02, 0.015])))
     pose, report = solve_motion_only(**motion_only_args(problem))
     dt, dr = pose_distance(pose, prediction)
@@ -136,7 +136,7 @@ def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
     d01 = compose(inverse(gt_poses[0]), gt_poses[1])
     d12 = compose(inverse(gt_poses[1]), gt_poses[2])
     problem.add_dr_edges([0, 1], [1, 2], [d01, d12], NOMINAL.precision())
-    problem.poses[1].pose = compose(gt_poses[1], exp_se3_vec(np.full(6, 0.01)))
+    problem.poses[1].pose = compose(gt_poses[1], exp_se3(np.full(6, 0.01)))
     report = solve_local_ba(problem)
     assert report.final_cost <= report.initial_cost
     dt, dr = pose_distance(problem.poses[1].pose, gt_poses[1])
@@ -318,7 +318,7 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     problem = Problem(intrinsics=CAMERA)
     problem.add_pose(0, Pose.identity(), fixed=True)
     for i in (1, 2, 3):
-        problem.add_pose(i, exp_se3_vec(rng.normal(scale=0.05, size=6)))
+        problem.add_pose(i, exp_se3(rng.normal(scale=0.05, size=6)))
     for j in range(6):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=j == 5)
@@ -340,7 +340,7 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
         problem.add_observations(i, j, obs)
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
         delta = compose(compose(inverse(problem.poses[a].pose), problem.poses[c].pose),
-                        exp_se3_vec(rng.normal(scale=0.01, size=6)))
+                        exp_se3(rng.normal(scale=0.01, size=6)))
         problem.add_dr_edges(a, c, [delta], scale_information(2.0, NOMINAL))
     neq, _ = build_normal_equations(problem)
     h, b = direct_normal_equations(problem)
@@ -425,7 +425,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     rng = np.random.default_rng(seed)
     problem = Problem(intrinsics=CAMERA)
     for i in range(n_poses):
-        problem.add_pose(i, exp_se3_vec(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
+        problem.add_pose(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
     for j in range(n_lms):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=rng.uniform() < 0.2)
@@ -435,7 +435,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
                 problem.add_observations(i, j, obs + rng.normal(scale=1.0, size=2))
     if with_dr:
         for i in range(n_poses - 1):
-            delta = exp_se3_vec(rng.normal(scale=0.05, size=6))
+            delta = exp_se3(rng.normal(scale=0.05, size=6))
             problem.add_dr_edges(i, i + 1, [delta], NOMINAL.precision())
     neq, _ = build_normal_equations(problem)
     step_s = schur_solve(neq, damping)
@@ -558,9 +558,9 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
     # solve: same pose, iterations, termination, costs and telemetry, bit for bit
     rng = np.random.default_rng(seed)
     prev = random_pose(rng, rot_scale=0.3)
-    delta = exp_se3_vec(rng.normal(scale=0.03, size=6))
+    delta = exp_se3(rng.normal(scale=0.03, size=6))
     gt = compose(prev, delta)
-    start = compose(gt, exp_se3_vec(rng.normal(scale=0.05, size=6)))
+    start = compose(gt, exp_se3(rng.normal(scale=0.05, size=6)))
     problem = Problem(intrinsics=CAMERA)
     problem.add_pose(1, start)
     # landmark ids out of match order: the Problem sorts them, the arrays do not
@@ -579,7 +579,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
             axis = rng.normal(size=3)
             phi = axis / np.linalg.norm(axis) * (math.pi - 1e-7)
             problem.poses[1].pose = compose(compose(prev, delta),
-                                            exp_se3_vec(np.concatenate([np.zeros(3), phi])))
+                                            exp_se3(np.concatenate([np.zeros(3), phi])))
             assert edge_residuals([prev], [problem.poses[1].pose], [delta])[1][0]
         problem.add_pose(0, prev, fixed=True)
         problem.add_dr_edges(0, 1, [delta], scale_information(10.0 ** log_alpha, NOMINAL))
@@ -642,7 +642,7 @@ def test_motion_only_rejects_pixel_model_that_is_not_a_positive_scalar(rng, name
 @pytest.mark.parametrize("solver", ["solve", "solve_motion_only"])
 def test_dr_precision_not_finite_and_positive_raises(solver, bad):
     previous = Pose.identity()
-    delta = exp_se3_vec(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
+    delta = exp_se3(np.array([0.03, 0.0, 0.01, 0.0, 0.01, 0.0]))
     precision = NOMINAL.precision()
     precision[4] = bad
     problem = Problem(intrinsics=CAMERA)
@@ -763,7 +763,7 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     rng = np.random.default_rng(2)
     gt = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(1, compose(gt, exp_se3_vec(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
+    problem.add_pose(1, compose(gt, exp_se3(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
     for j in range(12):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5)])
         problem.add_landmarks(j, transform_point(gt, cam), fixed=True)

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import drslam.fileio
 import drslam.simulator
-from drslam.errors import DegenerateSpec, FormatError, NonMonotoneTimestamps
-from drslam.fileio import write_csv, write_tum
-from drslam.geometry import Pose, Twist, compose, exp_se3, inverse, log_se3
+from drslam.errors import DegenerateSpec, FormatError
+from drslam.geometry import compose, inverse, log_se3
 from drslam.simulator import (
     DEFAULT_CAMERA,
     WORLD_FIELDS,
@@ -22,10 +21,8 @@ from drslam.simulator import (
     WorldConfig,
     config_from_meta,
     generate_trajectory,
-    ingest_replay,
     populate_landmarks,
     read_sequence,
-    resample_poses,
     simulate_frame,
     simulate_sequence,
     squared_distance,
@@ -177,7 +174,7 @@ def test_dr_noise_empirical_std(rng):
     for r in seq.records:
         if prev is not None:
             gt_delta = compose(inverse(prev), r.gt_pose)
-            eps = log_se3(compose(inverse(gt_delta), r.dr_delta)).as_vector()
+            eps = log_se3(compose(inverse(gt_delta), r.dr_delta))
             errs.append(eps)
         prev = r.gt_pose
     errs = np.array(errs)
@@ -194,7 +191,7 @@ def test_dr_bias_applied(rng):
     seq = simulate_sequence(cfg)
     r = seq.records[1]
     gt_delta = compose(inverse(seq.records[0].gt_pose), r.gt_pose)
-    eps = log_se3(compose(inverse(gt_delta), r.dr_delta)).as_vector()
+    eps = log_se3(compose(inverse(gt_delta), r.dr_delta))
     assert np.allclose(eps[:3], [0.003, 0.0, 0.001], atol=1e-12)
 
 
@@ -210,7 +207,6 @@ def test_sequence_round_trip(tmp_path, rng):
     for a, b in zip(seq.records, back.records):
         assert a.frame_id == b.frame_id
         assert a.n_det == b.n_det
-        assert a.recorded_n_trk is b.recorded_n_trk is None
         assert np.allclose(a.gt_pose.matrix(), b.gt_pose.matrix(), atol=1e-12)
         if a.dr_delta is not None:
             assert np.allclose(a.dr_delta.matrix(), b.dr_delta.matrix(), atol=1e-12)
@@ -310,6 +306,17 @@ def test_read_sequence_repeated_stats_frame_is_format_error(tmp_path):
     assert e.value.line == 10
 
 
+def test_read_sequence_non_monotone_gt_timestamps_is_format_error(tmp_path):
+    d = small_sequence_dir(tmp_path)
+    lines = (d / "gt.tum").read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]
+    (d / "gt.tum").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="strictly increasing") as e:
+        read_sequence(d)
+    assert e.value.path == str(d / "gt.tum")
+    assert e.value.line == 5
+
+
 @pytest.mark.parametrize("frame, line", [(0, 2), (4, 6), (9, 10)])
 def test_read_sequence_missing_stats_frame_is_format_error(tmp_path, frame, line):
     # reported at the row of the next frame, or at the last row when none follows
@@ -397,7 +404,6 @@ def test_read_sequence_header_only_tables(tmp_path, clutter):
     assert seq.world == {}
     for rec in seq.records:
         assert len(rec.detections) == 0 and rec.n_det == clutter
-        assert rec.recorded_n_trk is None
 
 
 def test_read_sequence_calls_the_traced_readers(tmp_path, monkeypatch):
@@ -477,8 +483,7 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
             assert all(type(j) is int and type(u) is float and type(v) is float
                        for j, u, v in rec.detections)
             assert np.all(sim.detections.ids >= 0)
-            assert (rec.n_det, rec.recorded_n_trk) == (sim.n_det, sim.recorded_n_trk)
-            assert sim.recorded_n_trk is None
+            assert rec.n_det == sim.n_det
             for p, q in ((sim.gt_pose, rec.gt_pose), (sim.odom_pose, rec.odom_pose)):
                 assert p.q.tobytes() == q.q.tobytes() and p.t.tobytes() == q.t.tobytes()
         assert sorted(back.world) == sorted(seq.world)
@@ -504,84 +509,3 @@ def test_read_sequence_truncated_meta(tmp_path):
     (d / "meta").write_text("fps 30\n")
     with pytest.raises(FormatError):
         read_sequence(d)
-
-
-def constant_velocity_odom(n, step, rate_scale=1):
-    rows = []
-    pose = Pose.identity()
-    delta = exp_se3(Twist(np.array(step[:3]), np.array(step[3:])))
-    for i in range(n):
-        rows.append((i / (30.0 * rate_scale), pose))
-        pose = compose(pose, delta)
-    return rows
-
-
-def test_replay_exact_timestamps_no_resampling(tmp_path):
-    odom_rows = constant_velocity_odom(20, [0.02, 0, 0, 0, 0, 0.001])
-    write_tum(tmp_path / "odom.tum", odom_rows)
-    write_csv(tmp_path / "stats.csv", ["timestamp", "n_det", "n_trk"],
-              [(ts, 100, 50) for ts, _ in odom_rows])
-    seq = ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
-    assert len(seq.records) == 20
-    assert seq.records[5].n_det == 100
-    assert seq.records[5].recorded_n_trk == 50
-    assert len(seq.records[5].detections) == 0
-    for rec, (_, pose) in zip(seq.records, odom_rows):
-        assert np.allclose(rec.odom_pose.matrix(), pose.matrix(), atol=1e-12)
-
-
-def test_replay_double_rate_constant_velocity_interpolates_half_steps(tmp_path):
-    # odometry at 2x the stat rate; constant velocity means the interpolated
-    # frame deltas equal the composition of two half-steps exactly
-    step = [0.01, 0.002, 0, 0, 0.0005, 0.001]
-    odom_rows = constant_velocity_odom(41, step, rate_scale=2)
-    write_tum(tmp_path / "odom.tum", odom_rows)
-    frame_ts = [i / 30.0 for i in range(20)]
-    write_csv(tmp_path / "stats.csv", ["timestamp", "n_det", "n_trk"],
-              [(ts, 10, 5) for ts in frame_ts])
-    seq = ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
-    half = exp_se3(Twist(np.array(step[:3]), np.array(step[3:])))
-    full = compose(half, half)
-    for rec in seq.records[1:]:
-        assert np.allclose(rec.dr_delta.matrix(), full.matrix(), atol=1e-9)
-
-
-def test_replay_shuffled_timestamps_rejected(tmp_path):
-    odom_rows = constant_velocity_odom(10, [0.02, 0, 0, 0, 0, 0])
-    write_tum(tmp_path / "odom.tum", odom_rows)
-    write_csv(tmp_path / "stats.csv", ["timestamp", "n_det", "n_trk"],
-              [(0.0, 10, 5), (0.2, 10, 5), (0.1, 10, 5)])
-    with pytest.raises(NonMonotoneTimestamps, match=r"stats\.csv:4\]"):
-        ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
-
-
-def test_replay_rejects_inconsistent_stats(tmp_path):
-    odom_rows = constant_velocity_odom(3, [0.02, 0, 0, 0, 0, 0])
-    write_tum(tmp_path / "odom.tum", odom_rows)
-    write_csv(tmp_path / "stats.csv", ["timestamp", "n_det", "n_trk"],
-              [(0.0, 10, 11)])
-    with pytest.raises(FormatError):
-        ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
-
-
-@pytest.mark.parametrize("rows, line, message", [
-    ("0.0,10,5\n0.1,abc,5\n", 3, "non-numeric"),
-    ("0.0,10,5\n0.1,10\n", 3, "expected 3 fields"),
-    ("0.0,10,5\n0.1,10.5,5\n", 3, "n_det must be an integer"),
-    ("0.0,10,5\n\n0.1,10,5.5\n", 4, "n_trk must be an integer"),
-    ("0.0,10,5\n\n0.1,10,11\n", 4, "n_trk exceeds n_det"),
-])
-def test_replay_malformed_stats(tmp_path, rows, line, message):
-    write_tum(tmp_path / "odom.tum", constant_velocity_odom(3, [0.02, 0, 0, 0, 0, 0]))
-    (tmp_path / "stats.csv").write_text("timestamp,n_det,n_trk\n" + rows)
-    with pytest.raises(FormatError) as e:
-        ingest_replay(tmp_path / "stats.csv", tmp_path / "odom.tum")
-    assert e.value.path == str(tmp_path / "stats.csv")
-    assert e.value.line == line
-    assert message in str(e.value)
-
-
-def test_resample_poses_monotone_guard():
-    samples = [(0.0, Pose.identity()), (0.0, Pose.identity())]
-    with pytest.raises(NonMonotoneTimestamps):
-        resample_poses(samples, [0.0])
