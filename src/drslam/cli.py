@@ -18,7 +18,7 @@ from importlib import resources
 
 from . import evaluation
 from .config import RunConfig, parse_config
-from .errors import ConfigError, DrSlamError
+from .errors import ConfigError, DrSlamError, NonMonotoneTimestamps
 from .fileio import fmt, read_tum, write_csv, write_tum
 from .pipeline import run_pipeline, save_map
 from .simulator import read_sequence, simulate_sequence, write_sequence
@@ -157,6 +157,8 @@ def _sweep_arguments(args):
     """--alphas as floats and --segment as a (start, stop) pair or None."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     try:
         alphas = [float(a) for a in args.alphas.split(",")]
     except ValueError:
@@ -175,8 +177,14 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     sequence = read_sequence(args.seq)
     n_frames = len(sequence.records)
-    if frame_range is not None and not 0 <= frame_range[0] < frame_range[1] <= n_frames:
-        raise ConfigError(f"--segment {args.segment} is not a frame range within 0:{n_frames}")
+    if frame_range is not None:
+        start, stop = frame_range
+        if not 0 <= start < stop <= n_frames:
+            raise ConfigError(f"--segment {args.segment} is not a frame range within 0:{n_frames}")
+        if stop - start < evaluation.MIN_PAIRS:
+            # every cell's APE would have too few pairs
+            raise ConfigError(f"--segment {args.segment} has {stop - start} frames; APE needs "
+                              f"at least {evaluation.MIN_PAIRS}")
     out = _out_dir(args, f"sweep_{config.seed}")
     with _sweep_pool(args.jobs) as pool:
         rows = evaluation.alpha_sweep(sequence, alphas, args.repeats, config.pipeline_params(),
@@ -206,9 +214,16 @@ def cmd_repeat(args) -> int:
     return EXIT_OK
 
 
+def _read_trajectory(flag: str, path) -> evaluation.Trajectory:
+    try:
+        return evaluation.Trajectory.from_rows(read_tum(path))
+    except NonMonotoneTimestamps as e:
+        raise NonMonotoneTimestamps(f"{flag} {path}: {e}") from None
+
+
 def cmd_eval(args) -> int:
-    est = evaluation.Trajectory.from_rows(read_tum(args.est))
-    ref = evaluation.Trajectory.from_rows(read_tum(args.ref))
+    est = _read_trajectory("--est", args.est)
+    ref = _read_trajectory("--ref", args.ref)
     out = _out_dir(args, "eval")
     rmse = evaluation.ape_rmse(est, ref)
     errors = evaluation.per_frame_errors(est, ref)

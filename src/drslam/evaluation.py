@@ -73,6 +73,10 @@ def associate(est: Trajectory, ref: Trajectory):
     return pairs
 
 
+# Associated pairs the alignment needs; fewer make ape_rmse raise TooFewPairs.
+MIN_PAIRS = 3
+
+
 def align(est: Trajectory, ref: Trajectory) -> Pose:
     """Least-squares rigid transform T minimizing sum ||T(est) - ref||^2."""
     return _aligned_pairs(est, ref)[0]
@@ -81,8 +85,8 @@ def align(est: Trajectory, ref: Trajectory) -> Pose:
 def _aligned_pairs(est: Trajectory, ref: Trajectory):
     """align's transform and the associated pairs it is fitted on."""
     pairs = associate(est, ref)
-    if len(pairs) < 3:
-        raise TooFewPairs(f"{len(pairs)} associated pairs; need at least 3")
+    if len(pairs) < MIN_PAIRS:
+        raise TooFewPairs(f"{len(pairs)} associated pairs; need at least {MIN_PAIRS}")
     a = np.array([est.poses[i].t for i, _ in pairs])
     b = np.array([ref.poses[j].t for _, j in pairs])
     ca, cb = a.mean(axis=0), b.mean(axis=0)

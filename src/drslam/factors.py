@@ -4,11 +4,15 @@ Two factor types: pixel reprojection of a landmark into a camera, evaluated
 for every row of a problem at once, each row with its own pose or all rows
 with one, and a relative-pose prior from dead reckoning between two poses,
 evaluated for every edge of a problem at once on geometry's batched SE(3)
-kernels. Pose variables are camera-in-world; Jacobians are taken with
-respect to a right-multiplicative tangent perturbation, twist ordering
-(rho, phi). These are the functions the solver linearizes with; it whitens
-their outputs itself, reprojection rows by one pixel std and DR edges by the
-square root of a diagonal precision.
+kernels. A DR edge's residual is log(left to), with its fixed part
+left = delta^-1 from^-1 folded by dr_fold: once per solve where the from
+pose is fixed, once per evaluation where it is free. The residual
+evaluation returns the log's angle terms with the residuals, and the
+Jacobians reuse them. Pose variables are camera-in-world; Jacobians are
+taken with respect to a right-multiplicative tangent perturbation, twist
+ordering (rho, phi). These are the functions the solver linearizes with; it
+whitens their outputs itself, reprojection rows by one pixel std and DR
+edges by the square root of a diagonal precision.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (CameraIntrinsics, angle_coefficients, hat, project_points, se3_compose,
-                       se3_inverse, se3_log, v_inverse_coefficient)
+                       se3_inverse, se3_log)
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
@@ -82,12 +86,13 @@ def _translation_rotation_block(rho: np.ndarray, p: np.ndarray, theta: np.ndarra
             - c3 * (prp @ p + p @ prp))
 
 
-def _left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobian of SE(3) (N, 6, 6) at twists (N, 6) = (rho, phi)."""
+def _left_jacobian_inverse(xi: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Inverse left Jacobian of SE(3) (N, 6, 6) at twists (N, 6) = (rho, phi),
+    given the rotation angles theta = |phi| and the V^-1 coefficients c
+    (N,) that the log computed for them."""
     rho, phi = xi[:, :3], xi[:, 3:]
-    theta = np.sqrt(np.einsum("ni,ni->n", phi, phi))
     k = hat(phi)
-    jinv = np.eye(3) - 0.5 * k + v_inverse_coefficient(theta)[:, None, None] * (k @ k)
+    jinv = np.eye(3) - 0.5 * k + c[:, None, None] * (k @ k)
     out = np.zeros((len(xi), 6, 6))
     out[:, :3, :3] = jinv
     out[:, 3:, 3:] = jinv
@@ -95,35 +100,46 @@ def _left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def dr_residuals(from_q: np.ndarray, from_t: np.ndarray, to_q: np.ndarray, to_t: np.ndarray,
-                 delta_inv_q: np.ndarray, delta_inv_t: np.ndarray):
-    """Residuals log(delta^-1 from^-1 to) (E, 6) of E relative-pose edges and
-    their near-pi mask (E,).
+def dr_fold(from_q: np.ndarray, from_t: np.ndarray, delta_inv_q: np.ndarray,
+            delta_inv_t: np.ndarray):
+    """The fixed part left = delta^-1 from^-1 of E relative-pose edges, as
+    (q, t), from the from poses and the inverted measured increments."""
+    return se3_compose(delta_inv_q, delta_inv_t, *se3_inverse(from_q, from_t))
 
-    Poses come as unit quaternions (E, 4), (w, x, y, z), and translations
-    (E, 3); delta_inv is the inverted measured increment. Zero exactly when
-    the estimated relative motion equals the increment. The residual is a
-    total function: where the error rotation is within 1e-6 of pi the
-    rotation is clamped just below pi, so the cost stays large and honest;
-    the log's Jacobian is not defined there, and the caller treats those
-    rows as inactive.
+
+def dr_residuals(left_q: np.ndarray, left_t: np.ndarray, to_q: np.ndarray, to_t: np.ndarray,
+                 left_rotation: np.ndarray | None = None):
+    """Residuals log(left to) = log(delta^-1 from^-1 to) (E, 6) of E
+    relative-pose edges, their near-pi mask (E,) and the log's angle terms,
+    the clamped angle and the V^-1 coefficient (E,) each, which dr_jacobians
+    takes.
+
+    left is dr_fold of the edges, as unit quaternions (E, 4), (w, x, y, z),
+    and translations (E, 3); left_rotation, when the caller holds it, is its
+    rotation matrices (E, 3, 3). Zero exactly when the estimated relative
+    motion equals the increment. The residual is a total function: where
+    the error rotation is within 1e-6 of pi the rotation is clamped just
+    below pi, so the cost stays large and honest; the log's Jacobian is not
+    defined there, and the caller treats those rows as inactive.
     """
-    q, t = se3_compose(*se3_inverse(from_q, from_t), to_q, to_t)
-    return se3_log(*se3_compose(delta_inv_q, delta_inv_t, q, t))
+    return se3_log(*se3_compose(left_q, left_t, to_q, to_t, left_rotation))
 
 
-def dr_jacobians(r: np.ndarray, delta_inv_adjoint: np.ndarray,
+def dr_jacobians(r: np.ndarray, theta: np.ndarray, c: np.ndarray, delta_inv_adjoint: np.ndarray,
                  from_rows=slice(None), to_rows=slice(None)):
     """Jacobians of the residuals r (E, 6) w.r.t. the from pose, for the edges
     from_rows, and w.r.t. the to pose, for the edges to_rows; (n, 6, 6) each.
 
-    Rows are selected by index array or boolean mask. delta_inv_adjoint
-    (E, 6, 6) holds Ad(delta^-1) per edge. A caller that holds one side of an
-    edge fixed leaves that edge out of the side's rows, so that Jacobian is
-    never formed. Rows must not be flagged near pi.
+    theta and c (E,) are the angle terms dr_residuals returned with r. Rows
+    are selected by index array or boolean mask. delta_inv_adjoint (E, 6, 6)
+    holds Ad(delta^-1) per edge. A caller that holds one side of an edge
+    fixed leaves that edge out of the side's rows, so that Jacobian is never
+    formed. Rows must not be flagged near pi.
     """
     r_from, r_to = r[from_rows], r[to_rows]
-    jl_inv = _left_jacobian_inverse(np.concatenate([r_from, -r_to]))
+    jl_inv = _left_jacobian_inverse(np.concatenate([r_from, -r_to]),
+                                    np.concatenate([theta[from_rows], theta[to_rows]]),
+                                    np.concatenate([c[from_rows], c[to_rows]]))
     n = len(r_from)
     # d/d(from) = -Jl^-1(r) Ad(delta^-1); d/d(to) = Jr^-1(r) = Jl^-1(-r).
     return -jl_inv[:n] @ delta_inv_adjoint[from_rows], jl_inv[n:]

@@ -128,9 +128,13 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     return r.reshape(-1, 3, 3)
 
 
-def se3_compose(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
-    """Products a * b of pose rows, as (q, t)."""
-    return _quat_multiply(qa, qb), _apply(quat_to_rotation(qa), tb) + ta
+def se3_compose(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray,
+                rotation_a: np.ndarray | None = None):
+    """Products a * b of pose rows, as (q, t). rotation_a, when the caller
+    holds it, is quat_to_rotation(qa) (N, 3, 3) and is not formed again."""
+    if rotation_a is None:
+        rotation_a = quat_to_rotation(qa)
+    return _quat_multiply(qa, qb), _apply(rotation_a, tb) + ta
 
 
 def se3_inverse(q: np.ndarray, t: np.ndarray):
@@ -205,7 +209,9 @@ def v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
 
 
 def se3_log(q: np.ndarray, t: np.ndarray):
-    """The twists (N, 6) of pose rows and their near-pi mask (N,).
+    """The twists (N, 6) of pose rows, their near-pi mask (N,) and the log's
+    angle terms: the rotation angle of each twist and its V^-1 coefficient
+    (v_inverse_coefficient), (N,) each.
 
     A total function: where the rotation angle is NEAR_PI or more the angle
     is clamped to NEAR_PI about the same axis, so a residual stays large and
@@ -223,7 +229,8 @@ def se3_log(q: np.ndarray, t: np.ndarray):
     # rho = V^-1(phi) t, with the angle of the (possibly clamped) phi
     c = v_inverse_coefficient(angle)
     phi_t = _cross(phi, t)
-    return np.concatenate([t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t), phi], axis=1), near_pi
+    xi = np.concatenate([t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t), phi], axis=1)
+    return xi, near_pi, angle, c
 
 
 @dataclass(frozen=True)
@@ -284,7 +291,7 @@ def exp_se3(xi: np.ndarray) -> Pose:
 
 def log_se3(p: Pose) -> np.ndarray:
     """Inverse of exp_se3, as a (6,) twist; raises AngleNearPi at the domain edge."""
-    xi, near_pi = se3_log(p.q[None], p.t[None])
+    xi, near_pi, _, _ = se3_log(p.q[None], p.t[None])
     if near_pi[0]:
         raise AngleNearPi(f"rotation angle {p.rotation_angle():.9f} too close to pi")
     return xi[0]

@@ -9,19 +9,25 @@ stacked arrays (pose quaternions and translations, landmark positions); a
 retraction moves all free poses with one batched exp and compose, and Pose
 objects are built only for the result. Both evaluate residuals once per
 point through the factors kernels, and the loop linearizes each accepted
-point from the residuals its cost check computed there. Visual rows are
-whitened by one pixel std and carry a Huber kernel; DR edges carry a
-diagonal precision, alpha times the nominal one, and each residual entry and
-Jacobian row is whitened by the square root of its precision entry; they
-carry no kernel. The Problem linearizer evaluates every reprojection row in
-one kernel call, each row with its pose's rotation and translation gathered
-by the row's pose slot, and scatters the rows' blocks into the system with
-np.add.at; every DR edge is linearized in one batched call. The BA linear
-solve eliminates landmarks by Schur complement; a dense path exists for
-verification. The pose-landmark coupling is kept as one dense block, O(F*L)
-memory for F free poses and L free landmarks; the Schur complement is formed
-from it in chunks of landmarks, each a product over the poses that observe
-it.
+point from the residuals its cost check computed there, DR edges with the
+log's angle terms that came with their residuals. The Problem linearizer
+folds each DR edge's fixed part delta^-1 from^-1 per evaluation; the
+motion-only linearizer, whose from pose is fixed, folds it once per solve,
+with its rotation, and its point carries the pose's rotation matrix, formed
+once per point for both the residuals there and the retraction from there.
+Both fold with the same kernels, so their arithmetic is the same bit for
+bit. Visual rows are whitened by one pixel std and carry a Huber kernel;
+DR edges carry a diagonal precision, alpha times the nominal one, and each
+residual entry and Jacobian row is whitened by the square root of its
+precision entry; they carry no kernel. The Problem linearizer evaluates
+every reprojection row in one kernel call, each row with its pose's rotation
+and translation gathered by the row's pose slot, and scatters the rows'
+blocks into the system with np.add.at; every DR edge is linearized in one
+batched call. The BA linear solve eliminates landmarks by Schur complement;
+a dense path exists for verification. The pose-landmark coupling is kept as
+one dense block, O(F*L) memory for F free poses and L free landmarks; the
+Schur complement is formed from it in chunks of landmarks, each a product
+over the poses that observe it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import numpy as np
 from .errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from .factors import (
     HUBER_PIXEL_SCALE,
+    dr_fold,
     dr_jacobians,
     dr_residuals,
     huber,
@@ -340,10 +347,10 @@ class _Linearizer:
                                          self.uv, self.inv_std, self.huber_k)
         dr = None
         if len(self.dr_from):
-            dr = _dr_whitened_residuals(q[self.dr_from], t[self.dr_from], q[self.dr_to],
-                                        t[self.dr_to], self.dr_delta_inv_q, self.dr_delta_inv_t,
-                                        self.dr_sqrt_p)
-            cost += dr[3]
+            left = dr_fold(q[self.dr_from], t[self.dr_from], self.dr_delta_inv_q,
+                           self.dr_delta_inv_t)
+            dr = _dr_whitened_residuals(*left, q[self.dr_to], t[self.dr_to], self.dr_sqrt_p)
+            cost += dr[-1]
         return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
@@ -371,12 +378,13 @@ class _Linearizer:
 
     def _linearize_dr(self, dr, neq: NormalEquations) -> None:
         """Adds the normal equations of every DR edge."""
-        r, near_pi, rw, _ = dr
+        log, rw, _ = dr
+        near_pi = log[1]
         # near-pi edges stay in the cost but are inactive for Jacobians; the
         # angle is tested again at the next linearization
         f_sel = ~near_pi & (self.dr_from_free >= 0)
         t_sel = ~near_pi & (self.dr_to_free >= 0)
-        jw_from, jw_to = _dr_whitened_jacobians(r, self.dr_delta_inv_adjoint, self.dr_sqrt_p,
+        jw_from, jw_to = _dr_whitened_jacobians(log, self.dr_delta_inv_adjoint, self.dr_sqrt_p,
                                                 f_sel, t_sel)
         jw = np.concatenate([jw_from, jw_to])
         idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
@@ -411,12 +419,15 @@ class _PoseLinearizer:
     """Motion-only BA: one free pose against fixed points, and at most one DR
     edge from a fixed previous pose.
 
-    A point is the pose as one row (quaternion (1, 4), translation (1, 3));
-    its system is the 6x6 pair (H, b). Rows are the
-    matched points (N, 3) and pixels (N, 2) in match order, with one inverse
-    pixel std and one Huber threshold for every row. The arithmetic and its
-    order are those of _Linearizer on the equivalent one-free-pose Problem:
-    the rows' blocks summed in row order first, then the DR edge.
+    A point is the pose as one row (quaternion (1, 4), translation (1, 3))
+    with its rotation matrix (1, 3, 3), formed once per point by retract and
+    used by both the residuals there and the next retraction; its system is
+    the 6x6 pair (H, b). Rows are the matched points (N, 3) and pixels
+    (N, 2) in match order, with one inverse pixel std and one Huber threshold
+    for every row. The DR edge's fixed part is folded once per solve, with
+    its rotation. The arithmetic and its order are those of _Linearizer on
+    the equivalent one-free-pose Problem: the rows' blocks summed in row
+    order first, then the DR edge.
     """
 
     # The DR edge's from side is fixed and its to side free, as a
@@ -432,27 +443,31 @@ class _PoseLinearizer:
         self.dr_sqrt_p = None
         if dr is not None:
             previous, delta, precision = dr
-            self.from_q, self.from_t = previous.q[None], previous.t[None]
-            self.delta_inv_q, self.delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_p = \
+            delta_inv_q, delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_p = \
                 _dr_edge_arrays(delta.q[None], delta.t[None], np.reshape(precision, (1, 6)))
+            self.left_q, self.left_t = dr_fold(previous.q[None], previous.t[None], delta_inv_q,
+                                               delta_inv_t)
+            self.left_rotation = quat_to_rotation(self.left_q)
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
 
     def retract(self, point, step):
-        return se3_compose(*point, *se3_exp(step[None]))
+        q, t, rotation = point
+        q, t = se3_compose(q, t, *se3_exp(step[None]), rotation)
+        return q, t, quat_to_rotation(q)
 
     def residuals(self, point):
         """Cost at the pose and the per-row residuals linearize reuses."""
-        q, t = point
+        q, t, rotation = point
         cost = 0.0
         visual = dr = None
         if len(self.points):
-            cost, visual = _visual_residuals(self.k, quat_to_rotation(q)[0], t[0], self.points,
-                                             self.uv, self.inv_std, self.huber_k)
+            cost, visual = _visual_residuals(self.k, rotation[0], t[0], self.points, self.uv,
+                                             self.inv_std, self.huber_k)
         if self.dr_sqrt_p is not None:
-            dr = _dr_whitened_residuals(self.from_q, self.from_t, q, t, self.delta_inv_q,
-                                        self.delta_inv_t, self.dr_sqrt_p)
-            cost += dr[3]
+            dr = _dr_whitened_residuals(self.left_q, self.left_t, q, t, self.dr_sqrt_p,
+                                        self.left_rotation)
+            cost += dr[-1]
         return cost, (visual, dr)
 
     def linearize(self, point, cache):
@@ -465,9 +480,11 @@ class _PoseLinearizer:
             hpp, gp = _row_blocks(jp, rw)
             H += hpp.sum(axis=0)
             b -= gp.sum(axis=0)
-        if dr is not None and not dr[1][0]:
-            r, _, rw, _ = dr
-            _, jw = _dr_whitened_jacobians(r, self.delta_inv_adjoint, self.dr_sqrt_p,
+        if dr is not None:
+            log, rw, _ = dr
+            if log[1][0]:     # near pi: inactive, as in _Linearizer
+                return H, b
+            _, jw = _dr_whitened_jacobians(log, self.delta_inv_adjoint, self.dr_sqrt_p,
                                            self._FROM_ROWS, self._TO_ROWS)
             jwt = jw.transpose(0, 2, 1)
             H += (jwt @ jw)[0]
@@ -536,18 +553,21 @@ def _row_blocks(j, r):
     return np.einsum("nij,nik->njk", j, j), np.einsum("nij,ni->nj", j, r)
 
 
-def _dr_whitened_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t, sqrt_p):
-    """Residuals, near-pi mask, whitened residuals and cost of DR edges; each
-    residual entry is scaled by the square root of its precision entry."""
-    r, near_pi = dr_residuals(from_q, from_t, to_q, to_t, delta_inv_q, delta_inv_t)
-    rw = r * sqrt_p
-    return r, near_pi, rw, 0.5 * float(np.sum(rw * rw))
+def _dr_whitened_residuals(left_q, left_t, to_q, to_t, sqrt_p, left_rotation=None):
+    """DR edges' dr_residuals output (residuals, near-pi mask, angle terms),
+    whitened residuals and cost; each residual entry is scaled by the square
+    root of its precision entry."""
+    log = dr_residuals(left_q, left_t, to_q, to_t, left_rotation)
+    rw = log[0] * sqrt_p
+    return log, rw, 0.5 * float(np.sum(rw * rw))
 
 
-def _dr_whitened_jacobians(r, delta_inv_adjoint, sqrt_p, from_rows, to_rows):
-    """dr_jacobians of the edges' from and to sides, each Jacobian row scaled
-    by the square root of its precision entry."""
-    j_from, j_to = dr_jacobians(r, delta_inv_adjoint, from_rows, to_rows)
+def _dr_whitened_jacobians(log, delta_inv_adjoint, sqrt_p, from_rows, to_rows):
+    """dr_jacobians of the edges' from and to sides, at the dr_residuals
+    output log, each Jacobian row scaled by the square root of its precision
+    entry."""
+    r, _, theta, c = log
+    j_from, j_to = dr_jacobians(r, theta, c, delta_inv_adjoint, from_rows, to_rows)
     return j_from * sqrt_p[from_rows, :, None], j_to * sqrt_p[to_rows, :, None]
 
 
@@ -652,8 +672,9 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
-    (q, t), report = _levenberg_marquardt(lin, (pose.q[None], pose.t[None]),
-                                          config or SolverConfig(max_iterations=10))
+    q = pose.q[None]
+    (q, t, _), report = _levenberg_marquardt(lin, (q, pose.t[None], quat_to_rotation(q)),
+                                             config or SolverConfig(max_iterations=10))
     return Pose(q[0], t[0]), replace(report, **lin.size)
 
 

@@ -524,13 +524,22 @@ def read_sequence(path) -> Sequence:
     camera = camera_from_meta(meta)
     gt_path = os.path.join(path, "gt.tum")
     gt = read_tum(gt_path)
-    back = np.flatnonzero(~(np.diff([ts for ts, _ in gt]) > 0))
+    gt_ts = np.array([ts for ts, _ in gt])
+    back = np.flatnonzero(~(np.diff(gt_ts) > 0))
     if len(back):
         raise FormatError("timestamps must be strictly increasing", path=str(gt_path),
                           line=tum_row_line(gt_path, int(back[0]) + 1))
-    odom = read_tum(os.path.join(path, "odom.tum"))
+    odom_path = os.path.join(path, "odom.tum")
+    odom = read_tum(odom_path)
     if len(gt) != len(odom):
         raise FormatError("gt.tum and odom.tum disagree on frame count", path=str(path))
+    # odometry rows pair with ground-truth rows by position, so their
+    # timestamps must be the same row for row
+    off = np.flatnonzero(np.array([ts for ts, _ in odom]) != gt_ts)
+    if len(off):
+        row = int(off[0])
+        raise FormatError(f"timestamp {odom[row][0]!r} differs from gt.tum's {gt[row][0]!r}",
+                          path=str(odom_path), line=tum_row_line(odom_path, row))
     stats_path, obs_path, world_path = (
         os.path.join(path, name) for name in ("stats.csv", "obs.csv", "world.csv"))
     stats = read_csv(stats_path, ["frame_id", "n_det"])

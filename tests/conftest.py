@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drslam.factors import dr_jacobians, dr_residuals
+from drslam.factors import dr_fold, dr_jacobians, dr_residuals
 from drslam.geometry import (CameraIntrinsics, Pose, adjoint, exp_se3, compose,
                              inverse, project, transform_point)
 from drslam.optimizer import Problem
@@ -21,11 +21,12 @@ def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
 
 
 def edge_residuals(pose_from, pose_to, delta):
-    """Batched DR kernel on edges given as Pose lists: residuals (E, 6) and near-pi mask."""
+    """Batched DR kernel on edges given as Pose lists, folded as the solver
+    folds them: residuals (E, 6), near-pi mask and the log's angle terms (E,)."""
     inv = [inverse(d) for d in delta]
-    return dr_residuals(np.array([p.q for p in pose_from]), np.array([p.t for p in pose_from]),
-                        np.array([p.q for p in pose_to]), np.array([p.t for p in pose_to]),
-                        np.array([d.q for d in inv]), np.array([d.t for d in inv]))
+    left = dr_fold(np.array([p.q for p in pose_from]), np.array([p.t for p in pose_from]),
+                   np.array([d.q for d in inv]), np.array([d.t for d in inv]))
+    return dr_residuals(*left, np.array([p.q for p in pose_to]), np.array([p.t for p in pose_to]))
 
 
 def edge_residual(pose_from: Pose, pose_to: Pose, delta: Pose) -> np.ndarray:
@@ -35,9 +36,9 @@ def edge_residual(pose_from: Pose, pose_to: Pose, delta: Pose) -> np.ndarray:
 
 def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
     """From- and to-Jacobians (6, 6) of one DR edge through the batched kernel."""
-    r, near_pi = edge_residuals([pose_from], [pose_to], [delta])
+    r, near_pi, theta, c = edge_residuals([pose_from], [pose_to], [delta])
     assert not near_pi[0]
-    j_from, j_to = dr_jacobians(r, adjoint(inverse(delta))[None])
+    j_from, j_to = dr_jacobians(r, theta, c, adjoint(inverse(delta))[None])
     return j_from[0], j_to[0]
 
 

@@ -194,16 +194,24 @@ def test_eval_identical_files_zero_rmse(tmp_path, capsys):
 
 
 def test_eval_non_monotone_timestamps_exits_two(tmp_path, capsys):
+    # the message names the flag and the path of the file at fault, for
+    # either side
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
     seq_dir = tmp_path / "seq"
     main(["simulate", "--config", cfg, "--out", str(seq_dir)])
     lines = (seq_dir / "gt.tum").read_text().splitlines()
     lines[3], lines[4] = lines[4], lines[3]
-    (tmp_path / "swapped.tum").write_text("\n".join(lines) + "\n")
-    assert main(["eval", "--est", str(tmp_path / "swapped.tum"),
-                 "--ref", str(seq_dir / "gt.tum"), "--out", str(tmp_path / "o")]) == 2
-    assert "strictly increasing" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    swapped = tmp_path / "swapped.tum"
+    swapped.write_text("\n".join(lines) + "\n")
+    for side in ("--est", "--ref"):
+        files = {"--est": str(seq_dir / "gt.tum"), "--ref": str(seq_dir / "gt.tum"),
+                 side: str(swapped)}
+        assert main(["eval", "--est", files["--est"], "--ref", files["--ref"],
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err
+        assert f"{side} {swapped}:" in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_sweep_csv_shape(tmp_path):
@@ -375,6 +383,8 @@ def test_sweep_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     ("--segment=8:3", "not a frame range within 0:10"),
     ("--segment=5:11", "not a frame range within 0:10"),
     ("--segment=-1:5", "not a frame range within 0:10"),
+    ("--segment=3:5", "--segment 3:5 has 2 frames; APE needs at least 3"),
+    ("--repeats=0", "--repeats must be at least 1, got 0"),
 ])
 def test_sweep_bad_alphas_or_segment_exits_two(tmp_path, capsys, flag, message):
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
 from drslam import optimizer
 from drslam.factors import (
+    dr_fold,
     dr_jacobians,
     huber,
     reprojection_jacobians,
@@ -126,7 +127,7 @@ def test_dr_residual_zero_for_consistent_motion(rng):
         pose_from.append(random_pose(rng, rot_scale=2.0))
         delta.append(random_pose(rng, rot_scale=2.0))
     pose_to = [compose(a, d) for a, d in zip(pose_from, delta)]
-    r, near_pi = edge_residuals(pose_from, pose_to, delta)
+    r, near_pi, _, _ = edge_residuals(pose_from, pose_to, delta)
     assert not near_pi.any()
     assert np.max(np.linalg.norm(r, axis=1)) < 1e-9
 
@@ -157,7 +158,7 @@ def test_dr_residual_near_pi_flagged_and_saturated():
     half_turn = exp_se3(np.array([0.3, 0.0, 0.0, 0.0, 0.0, np.pi - 1e-9]))
     quarter_turn = exp_se3(np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2]))
     ident = Pose.identity()
-    r, near_pi = edge_residuals([ident, ident], [half_turn, quarter_turn], [ident, ident])
+    r, near_pi, _, _ = edge_residuals([ident, ident], [half_turn, quarter_turn], [ident, ident])
     assert near_pi.tolist() == [True, False]
     # the rotation is clamped just below pi about the same axis
     assert np.allclose(r[0, 3:], [0.0, 0.0, NEAR_PI], atol=1e-12)
@@ -169,10 +170,10 @@ def test_dr_jacobians_skip_fixed_sides(rng):
     pose_from = [random_pose(rng) for _ in range(4)]
     pose_to = [random_pose(rng) for _ in range(4)]
     delta = [random_pose(rng) for _ in range(4)]
-    r, _ = edge_residuals(pose_from, pose_to, delta)
+    r, _, theta, c = edge_residuals(pose_from, pose_to, delta)
     ad = np.array([adjoint(inverse(d)) for d in delta])
-    all_from, all_to = dr_jacobians(r, ad)
-    j_from, j_to = dr_jacobians(r, ad, np.array([0, 2]), np.array([1, 2, 3]))
+    all_from, all_to = dr_jacobians(r, theta, c, ad)
+    j_from, j_to = dr_jacobians(r, theta, c, ad, np.array([0, 2]), np.array([1, 2, 3]))
     assert j_from.shape == (2, 6, 6) and j_to.shape == (3, 6, 6)
     assert np.allclose(j_from, all_from[[0, 2]], rtol=0, atol=1e-15)
     assert np.allclose(j_to, all_to[[1, 2, 3]], rtol=0, atol=1e-15)
@@ -199,12 +200,12 @@ def edges(max_angle=3.0):
 @given(st.lists(edges(), min_size=1, max_size=8))
 def test_dr_batch_equals_one_edge_calls(batch):
     pose_from, pose_to, delta = zip(*batch)
-    r, near_pi = edge_residuals(pose_from, pose_to, delta)
+    r, near_pi, theta, c = edge_residuals(pose_from, pose_to, delta)
     ad = np.array([adjoint(inverse(d)) for d in delta])
-    j_from, j_to = dr_jacobians(r, ad)
+    j_from, j_to = dr_jacobians(r, theta, c, ad)
     for e, edge in enumerate(batch):
-        r1, near1 = edge_residuals(*([x] for x in edge))
-        jf1, jt1 = dr_jacobians(r1, ad[e:e + 1])
+        r1, near1, theta1, c1 = edge_residuals(*([x] for x in edge))
+        jf1, jt1 = dr_jacobians(r1, theta1, c1, ad[e:e + 1])
         assert near1[0] == near_pi[e]
         assert np.allclose(r1[0], r[e], rtol=0, atol=1e-14)
         assert np.allclose(jf1[0], j_from[e], rtol=0, atol=1e-14 * max(1.0, np.abs(jf1).max()))
@@ -227,7 +228,7 @@ def test_dr_residual_near_pi_flagged_property(from_twist, rho, axis, gap):
     # an error rotation within 1e-6 of pi about a random axis
     pose_from = exp_se3(from_twist)
     err = exp_se3(np.concatenate([rho, axis / np.linalg.norm(axis) * (np.pi - gap)]))
-    r, near_pi = edge_residuals([pose_from], [compose(pose_from, err)], [Pose.identity()])
+    r, near_pi, _, _ = edge_residuals([pose_from], [compose(pose_from, err)], [Pose.identity()])
     assert near_pi[0]
     assert np.all(np.isfinite(r))
     assert np.linalg.norm(r[0, 3:]) == pytest.approx(NEAR_PI, abs=1e-12)
@@ -285,10 +286,11 @@ def _whiten_edge(rng, precision):
     delta_inv = inverse(random_pose(rng, rot_scale=0.3))
     ad = adjoint(delta_inv)[None]
     sqrt_p = np.sqrt(np.asarray(precision, dtype=float))[None]
-    r, _, rw, cost = optimizer._dr_whitened_residuals(
-        a.q[None], a.t[None], b.q[None], b.t[None], delta_inv.q[None], delta_inv.t[None], sqrt_p)
-    jw_from, jw_to = optimizer._dr_whitened_jacobians(r, ad, sqrt_p, slice(None), slice(None))
-    j_from, j_to = dr_jacobians(r, ad)
+    left = dr_fold(a.q[None], a.t[None], delta_inv.q[None], delta_inv.t[None])
+    log, rw, cost = optimizer._dr_whitened_residuals(*left, b.q[None], b.t[None], sqrt_p)
+    jw_from, jw_to = optimizer._dr_whitened_jacobians(log, ad, sqrt_p, slice(None), slice(None))
+    r, _, theta, c = log
+    j_from, j_to = dr_jacobians(r, theta, c, ad)
     return (r[0], j_from[0], j_to[0]), (rw[0], jw_from[0], jw_to[0]), cost
 
 

@@ -167,6 +167,9 @@ def test_batched_kernels_equal_one_row_calls(pairs):
     assert_rows_equal((qa, ta), lambda i: se3_exp(row(xa, i)))
     assert_rows_equal(se3_compose(qa, ta, qb, tb),
                       lambda i: se3_compose(row(qa, i), row(ta, i), row(qb, i), row(tb, i)))
+    # with the left operand's rotation given, the bits of forming it
+    assert_rows_equal(se3_compose(qa, ta, qb, tb, quat_to_rotation(qa)),
+                      lambda i: se3_compose(row(qa, i), row(ta, i), row(qb, i), row(tb, i)))
     assert_rows_equal(se3_inverse(qa, ta), lambda i: se3_inverse(row(qa, i), row(ta, i)))
     assert_rows_equal(se3_log(qa, ta), lambda i: se3_log(row(qa, i), row(ta, i)))
     assert_rows_equal((se3_adjoint(qa, ta),), lambda i: (se3_adjoint(row(qa, i), row(ta, i)),))

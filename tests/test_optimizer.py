@@ -10,6 +10,7 @@ from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, mak
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
+    dr_fold,
     dr_jacobians,
     huber,
     reprojection_jacobians,
@@ -17,7 +18,7 @@ from drslam.factors import (
 )
 from drslam.geometry import (Z_MIN, Pose, adjoint, compose, exp_se3, inverse, log_se3,
                              project, transform_point)
-from drslam import optimizer
+from drslam import geometry, optimizer
 from drslam.optimizer import (
     Problem,
     SolverConfig,
@@ -113,6 +114,30 @@ def test_motion_only_no_constraints_raises(rng):
     problem, _, _, _ = make_motion_problem(rng, n_obs=0, with_dr=False)
     with pytest.raises(NoConstraints):
         solve_motion_only(**motion_only_args(problem))
+
+
+# Rotation matrices a motion-only solve with a DR edge forms once: the
+# increment's inverse and its adjoint, the previous pose's inverse, the fold
+# delta^-1 previous^-1 and the folded pose's rotation.
+DR_SOLVE_ROTATIONS = 5
+
+
+@pytest.mark.parametrize("n_obs, perturb_t", [(40, 0.05), (40, 0.5), (0, 0.05)],
+                         ids=["visual", "far-start", "dr-only"])
+def test_motion_only_forms_one_rotation_per_evaluation(rng, monkeypatch, n_obs, perturb_t):
+    # R(q) is formed once per evaluated point, for both the residuals there
+    # and the retraction from there, and the DR edge's fixed part once per
+    # solve
+    problem, _, _, _ = make_motion_problem(rng, n_obs=n_obs, pixel_noise=1.0,
+                                           perturb_t=perturb_t, perturb_r_deg=5.0)
+    calls = []
+    for module in (geometry, optimizer):
+        original = module.quat_to_rotation
+        monkeypatch.setattr(module, "quat_to_rotation",
+                            lambda q, original=original: calls.append(1) or original(q))
+    _, report = solve_motion_only(**motion_only_args(problem))
+    assert report.evaluations > 2
+    assert len(calls) == report.evaluations + DR_SOLVE_ROTATIONS
 
 
 def test_local_ba_recovers_ground_truth(rng):
@@ -667,12 +692,12 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
         delta_inv = inverse(random_pose(rng, rot_scale=0.3))
         ad = adjoint(delta_inv)[None]
         sqrt_p = np.sqrt(p)[None]
-        r, _, rw, _ = optimizer._dr_whitened_residuals(
-            a.q[None], a.t[None], b.q[None], b.t[None], delta_inv.q[None], delta_inv.t[None],
-            sqrt_p)
-        jw_from, jw_to = optimizer._dr_whitened_jacobians(r, ad, sqrt_p, slice(None),
+        left = dr_fold(a.q[None], a.t[None], delta_inv.q[None], delta_inv.t[None])
+        log, rw, _ = optimizer._dr_whitened_residuals(*left, b.q[None], b.t[None], sqrt_p)
+        jw_from, jw_to = optimizer._dr_whitened_jacobians(log, ad, sqrt_p, slice(None),
                                                           slice(None))
-        j_from, j_to = dr_jacobians(r, ad)
+        r, _, theta, c = log
+        j_from, j_to = dr_jacobians(r, theta, c, ad)
         u = np.linalg.cholesky(np.diag(p)).T
         for whitened, raw in ((rw, r), (jw_from, j_from), (jw_to, j_to)):
             assert (u @ raw[0]).tobytes() == whitened[0].tobytes()

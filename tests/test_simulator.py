@@ -317,6 +317,19 @@ def test_read_sequence_non_monotone_gt_timestamps_is_format_error(tmp_path):
     assert e.value.line == 5
 
 
+def test_read_sequence_odom_timestamps_differing_from_gt_is_format_error(tmp_path):
+    # odometry rows pair with ground-truth rows by position: swapped odom.tum
+    # rows are reported at the first row whose timestamp differs from gt.tum's
+    d = small_sequence_dir(tmp_path)
+    lines = (d / "odom.tum").read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]
+    (d / "odom.tum").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="differs from gt.tum") as e:
+        read_sequence(d)
+    assert e.value.path == str(d / "odom.tum")
+    assert e.value.line == 4
+
+
 @pytest.mark.parametrize("frame, line", [(0, 2), (4, 6), (9, 10)])
 def test_read_sequence_missing_stats_frame_is_format_error(tmp_path, frame, line):
     # reported at the row of the next frame, or at the last row when none follows
