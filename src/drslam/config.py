@@ -1,23 +1,24 @@
 """Run configuration: plain-text key=value files with section headers.
 
 Resolution is layered: built-in defaults, then the config file, then
-command-line ``--set section.key=value`` overrides. Unknown, ill-typed or
-out-of-range keys are rejected with the offending key and line. The resolved
-config is echoed into every output directory; re-running from the echo
-reproduces outputs byte-identically.
+command-line ``--set section.key=value`` overrides. The defaults are those of
+``PipelineParams`` and ``WorldConfig``; each estimator key names the
+``PipelineParams`` fields it sets. Unknown, ill-typed, NaN or out-of-range
+keys are rejected with the offending key and line. The resolved config is
+echoed into every output directory; re-running from the echo reproduces
+outputs byte-identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .errors import ConfigError
-from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt, fmt_bool, parse_bool
-from .optimizer import SolverConfig
 from .pipeline import MODES, PipelineParams
 from .simulator import WORLD_FIELDS, WorldConfig
-from .weighting import NominalDrInformation, QualityParams, WeightBounds
 
 
 def _positive(s: str) -> float:
@@ -33,53 +34,67 @@ def _mode(s: str) -> str:
     return s
 
 
-_WORLD_DEFAULTS = WorldConfig()
+def _solvers(name: str, levels=("motion_solver", "ba_solver", "gba_solver")) -> tuple:
+    return tuple(f"{level}.{name}" for level in levels)
 
-# section.key -> (parse, format, default)
+
+# section.key -> (parse, format, the dotted PipelineParams fields the key sets,
+# none for the run.* and world.* keys)
 SCHEMA = {
-    "run.mode": (_mode, str, "adaptive"),
-    "run.seed": (int, str, 0),
-    "quality.omega1": (float, fmt, 0.5),
-    "quality.omega2": (float, fmt, 0.5),
-    "quality.n_det_ref": (int, str, 600),
-    "quality.n_trk_ref": (int, str, 120),
-    "quality.alpha_min": (float, fmt, 0.1),
-    "quality.alpha_max": (float, fmt, 1000.0),
-    "quality.sigma_t": (float, fmt, 0.004),
-    "quality.sigma_r_deg": (float, fmt, 0.1),
-    "quality.c_ref_init": (float, fmt, 20.0),
-    "quality.c_ref_window": (int, str, 10),
-    "quality.q_well": (float, fmt, 0.8),
-    "quality.smoothing_halfwidth": (int, str, 2),
-    "tracking.pixel_std": (_positive, fmt, 1.0),
-    "tracking.huber_scale": (_positive, fmt, HUBER_PIXEL_SCALE),
-    "tracking.search_radius": (float, fmt, 15.0),
-    "tracking.min_inliers": (int, str, 10),
-    "tracking.lost_frames": (int, str, 5),
-    "tracking.fixed_alpha": (_positive, fmt, 1.0),
-    "keyframes.k_max": (int, str, 15),
-    "keyframes.overlap_ratio": (float, fmt, 0.5),
-    "keyframes.d_max": (float, fmt, 0.5),
-    "keyframes.kf_min_trk": (int, str, 15),
-    "keyframes.kf_min_det": (int, str, 50),
-    "keyframes.max_local_keyframes": (int, str, 10),
-    "keyframes.max_anchor_keyframes": (int, str, 15),
-    "loop.enabled": (parse_bool, fmt_bool, True),
-    "loop.radius": (float, fmt, 0.5),
-    "loop.gap_min": (int, str, 30),
-    "loop.info_scale": (float, fmt, 100.0),
-    "loop.cooldown": (int, str, 30),
-    "solver.max_iterations": (int, str, 20),
-    "solver.motion_max_iterations": (int, str, 10),
-    "solver.lba_max_iterations": (int, str, 8),
-    "solver.lba_cost_tolerance": (float, fmt, 1e-6),
-    "solver.initial_damping": (float, fmt, 1e-4),
-    "solver.damping_up": (float, fmt, 10.0),
-    "solver.damping_down": (float, fmt, 0.5),
-    "solver.cost_tolerance": (float, fmt, 1e-8),
-    "solver.step_tolerance": (float, fmt, 1e-10),
-    **{f"world.{name}": (parse, render, getattr(_WORLD_DEFAULTS, name))
+    "run.mode": (_mode, str, ()),
+    "run.seed": (int, str, ()),
+    "quality.omega1": (float, fmt, ("quality.omega1",)),
+    "quality.omega2": (float, fmt, ("quality.omega2",)),
+    "quality.n_det_ref": (int, str, ("quality.n_det_ref",)),
+    "quality.n_trk_ref": (int, str, ("quality.n_trk_ref",)),
+    "quality.alpha_min": (float, fmt, ("bounds.alpha_min",)),
+    "quality.alpha_max": (float, fmt, ("bounds.alpha_max",)),
+    "quality.sigma_t": (float, fmt, ("nominal.sigma_t",)),
+    "quality.sigma_r_deg": (float, fmt, ("nominal.sigma_r_deg",)),
+    "quality.c_ref_init": (float, fmt, ("c_ref_init",)),
+    "quality.c_ref_window": (int, str, ("c_ref_window",)),
+    "quality.q_well": (float, fmt, ("q_well",)),
+    "quality.smoothing_halfwidth": (int, str, ("smoothing_halfwidth",)),
+    "tracking.pixel_std": (_positive, fmt, ("pixel_std",)),
+    "tracking.huber_scale": (_positive, fmt, ("huber_scale",)),
+    "tracking.search_radius": (float, fmt, ("search_radius",)),
+    "tracking.min_inliers": (int, str, ("min_inliers",)),
+    "tracking.lost_frames": (int, str, ("lost_frames",)),
+    "tracking.fixed_alpha": (_positive, fmt, ("fixed_alpha",)),
+    "keyframes.k_max": (int, str, ("k_max",)),
+    "keyframes.overlap_ratio": (float, fmt, ("overlap_ratio",)),
+    "keyframes.d_max": (float, fmt, ("d_max",)),
+    "keyframes.kf_min_trk": (int, str, ("kf_min_trk",)),
+    "keyframes.kf_min_det": (int, str, ("kf_min_det",)),
+    "keyframes.max_local_keyframes": (int, str, ("max_local_keyframes",)),
+    "keyframes.max_anchor_keyframes": (int, str, ("max_anchor_keyframes",)),
+    "loop.enabled": (parse_bool, fmt_bool, ("loop_enabled",)),
+    "loop.radius": (float, fmt, ("loop_radius",)),
+    "loop.gap_min": (int, str, ("loop_gap_min",)),
+    "loop.info_scale": (float, fmt, ("loop_info_scale",)),
+    "loop.cooldown": (int, str, ("loop_cooldown",)),
+    "solver.max_iterations": (int, str, ("gba_solver.max_iterations",)),
+    "solver.motion_max_iterations": (int, str, ("motion_solver.max_iterations",)),
+    "solver.lba_max_iterations": (int, str, ("ba_solver.max_iterations",)),
+    "solver.lba_cost_tolerance": (float, fmt, ("ba_solver.cost_tolerance",)),
+    "solver.initial_damping": (float, fmt, _solvers("initial_damping")),
+    "solver.damping_up": (float, fmt, _solvers("damping_up")),
+    "solver.damping_down": (float, fmt, _solvers("damping_down")),
+    "solver.cost_tolerance": (float, fmt, _solvers("cost_tolerance", ("motion_solver", "gba_solver"))),
+    "solver.step_tolerance": (float, fmt, _solvers("step_tolerance")),
+    **{f"world.{name}": (parse, render, ())
        for name, (parse, render) in WORLD_FIELDS.items() if name != "seed"},
+}
+
+# A key's default is the PipelineParams() value of the fields it sets; the
+# world.* keys take theirs from WorldConfig().
+_PARAMS, _WORLD = PipelineParams(), WorldConfig()
+DEFAULTS = {
+    "run.mode": "adaptive",
+    "run.seed": 0,
+    **{key: reduce(getattr, fields[0].split("."), _PARAMS)
+       for key, (_, _, fields) in SCHEMA.items() if fields},
+    **{f"world.{name}": getattr(_WORLD, name) for name in WORLD_FIELDS if name != "seed"},
 }
 
 
@@ -88,8 +103,8 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (_, _, default) in SCHEMA.items():
-            self.values.setdefault(key, default)
+        for key in SCHEMA:
+            self.values.setdefault(key, DEFAULTS[key])
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -99,9 +114,12 @@ class RunConfig:
             raise ConfigError("unknown configuration key", key=key, line=line)
         parse = SCHEMA[key][0]
         try:
-            self.values[key] = parse(raw.strip())
+            value = parse(raw.strip())
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError("NaN is not accepted")
         except (ValueError, IndexError) as e:
             raise ConfigError(f"invalid value {raw.strip()!r}: {e}", key=key, line=line) from e
+        self.values[key] = value
 
     @property
     def mode(self) -> str:
@@ -112,57 +130,16 @@ class RunConfig:
         return self.values["run.seed"]
 
     def pipeline_params(self) -> PipelineParams:
-        v = self.values
-        return PipelineParams(
-            quality=QualityParams(v["quality.omega1"], v["quality.omega2"],
-                                  v["quality.n_det_ref"], v["quality.n_trk_ref"]),
-            bounds=WeightBounds(v["quality.alpha_min"], v["quality.alpha_max"]),
-            nominal=NominalDrInformation.from_degrees(v["quality.sigma_t"],
-                                                      v["quality.sigma_r_deg"]),
-            pixel_std=v["tracking.pixel_std"],
-            huber_scale=v["tracking.huber_scale"],
-            search_radius=v["tracking.search_radius"],
-            min_inliers=v["tracking.min_inliers"],
-            lost_frames=v["tracking.lost_frames"],
-            fixed_alpha=v["tracking.fixed_alpha"],
-            k_max=v["keyframes.k_max"],
-            overlap_ratio=v["keyframes.overlap_ratio"],
-            d_max=v["keyframes.d_max"],
-            kf_min_trk=v["keyframes.kf_min_trk"],
-            kf_min_det=v["keyframes.kf_min_det"],
-            q_well=v["quality.q_well"],
-            c_ref_init=v["quality.c_ref_init"],
-            c_ref_window=v["quality.c_ref_window"],
-            smoothing_halfwidth=v["quality.smoothing_halfwidth"],
-            max_local_keyframes=v["keyframes.max_local_keyframes"],
-            max_anchor_keyframes=v["keyframes.max_anchor_keyframes"],
-            loop_enabled=v["loop.enabled"],
-            loop_radius=v["loop.radius"],
-            loop_gap_min=v["loop.gap_min"],
-            loop_info_scale=v["loop.info_scale"],
-            loop_cooldown=v["loop.cooldown"],
-            motion_solver=SolverConfig(
-                max_iterations=v["solver.motion_max_iterations"],
-                initial_damping=v["solver.initial_damping"],
-                damping_up=v["solver.damping_up"],
-                damping_down=v["solver.damping_down"],
-                cost_tolerance=v["solver.cost_tolerance"],
-                step_tolerance=v["solver.step_tolerance"]),
-            ba_solver=SolverConfig(
-                max_iterations=v["solver.lba_max_iterations"],
-                initial_damping=v["solver.initial_damping"],
-                damping_up=v["solver.damping_up"],
-                damping_down=v["solver.damping_down"],
-                cost_tolerance=v["solver.lba_cost_tolerance"],
-                step_tolerance=v["solver.step_tolerance"]),
-            gba_solver=SolverConfig(
-                max_iterations=v["solver.max_iterations"],
-                initial_damping=v["solver.initial_damping"],
-                damping_up=v["solver.damping_up"],
-                damping_down=v["solver.damping_down"],
-                cost_tolerance=v["solver.cost_tolerance"],
-                step_tolerance=v["solver.step_tolerance"]),
-        )
+        """PipelineParams() with the fields each key names set to its value;
+        each nested group is rebuilt once, so it validates its fields together."""
+        top, groups = {}, {}
+        for key, (_, _, fields) in SCHEMA.items():
+            for path in fields:
+                group, _, name = path.rpartition(".")
+                (groups.setdefault(group, {}) if group else top)[name] = self.values[key]
+        params = PipelineParams()
+        return replace(params, **top, **{group: replace(getattr(params, group), **values)
+                                         for group, values in groups.items()})
 
     def world_config(self, seed=None) -> WorldConfig:
         fields = {name: self.values[f"world.{name}"] for name in WORLD_FIELDS if name != "seed"}

@@ -655,15 +655,15 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
 
 
 def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float,
-                      huber_threshold: float, dr=None, config: SolverConfig | None = None):
+                      huber_threshold: float, dr, config: SolverConfig):
     """Motion-only BA: refine one pose against fixed map points.
 
     points (N, 3) are the matched map points and uv (N, 2) their pixels, in
     match order; pixel_std and huber_threshold are positive scalars that hold
     for every row. dr is None or one DR edge (previous, delta, precision) from
     the fixed previous pose, its precision (6,) already scaled by its weight.
-    Starts at pose, the prediction; returns (pose, report). Raises
-    NoConstraints when there is no row and no DR edge.
+    Starts at pose, the prediction, and runs LM under config; returns (pose,
+    report). Raises NoConstraints when there is no row and no DR edge.
     """
     _check_pixel_model(pixel_std, huber_threshold)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -673,8 +673,7 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
     q = pose.q[None]
-    (q, t, _), report = _levenberg_marquardt(lin, (q, pose.t[None], quat_to_rotation(q)),
-                                             config or SolverConfig(max_iterations=10))
+    (q, t, _), report = _levenberg_marquardt(lin, (q, pose.t[None], quat_to_rotation(q)), config)
     return Pose(q[0], t[0]), replace(report, **lin.size)
 
 
@@ -682,9 +681,9 @@ def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> Solv
     """Window refinement; keyframes outside the window act as gauge anchors."""
     if len(problem.poses) < 2:
         raise ValueError("local BA needs at least two keyframes")
-    return solve(problem, config or SolverConfig())
+    return solve(problem, config)
 
 
 def solve_global_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     """Full-map refinement triggered by loop closure; first keyframe fixed."""
-    return solve(problem, config or SolverConfig())
+    return solve(problem, config)

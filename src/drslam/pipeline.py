@@ -170,8 +170,7 @@ class PipelineParams:
     motion_solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iterations=10))
     ba_solver: SolverConfig = field(
         default_factory=lambda: SolverConfig(max_iterations=8, cost_tolerance=1e-6))
-    gba_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(max_iterations=15, cost_tolerance=1e-8))
+    gba_solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 def predict_pose(prev: Frame, dr: Pose) -> Pose:

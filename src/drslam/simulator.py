@@ -248,7 +248,7 @@ def _visible_mask(cam_pts: np.ndarray, k: CameraIntrinsics, zmin: float, zmax: f
     return ok, u, v
 
 
-def populate_landmarks(config: WorldConfig, trajectory, rng,
+def populate_landmarks(config: WorldConfig,
                        camera: CameraIntrinsics = DEFAULT_CAMERA) -> np.ndarray:
     """Landmark field whose expected frustum count matches the density profile.
 
@@ -257,9 +257,9 @@ def populate_landmarks(config: WorldConfig, trajectory, rng,
     single profile value the fill covers the bounding box of the whole
     trajectory inflated by the frustum reach (exact for any heading); with a
     piecewise profile the fill is a tube per density region around the path,
-    which keeps steps localized in arc length.
+    which keeps steps localized in arc length. Placement draws from its own
+    stream keyed to the world seed.
     """
-    del rng  # placement uses a dedicated stream keyed to the world seed
     local = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1a2b]))
     tan_x = 0.5 * camera.width / camera.fx
     tan_y = 0.5 * camera.height / camera.fy
@@ -409,7 +409,7 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
 def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CAMERA) -> Sequence:
     rng = np.random.default_rng(config.seed)
     trajectory = generate_trajectory(config)
-    landmarks = populate_landmarks(config, trajectory, rng, camera)
+    landmarks = populate_landmarks(config, camera)
     records = []
     prev = None
     for i, gt in enumerate(trajectory[0]):

@@ -51,24 +51,22 @@ class TrackingStats:
 
 @dataclass(frozen=True)
 class NominalDrInformation:
-    """Diagonal per-frame DR noise model; rotation stored in radians."""
+    """Diagonal per-frame DR noise model: translation in metres, rotation in
+    degrees."""
 
     sigma_t: float = 0.004
-    sigma_r: float = math.radians(0.1)
+    sigma_r_deg: float = 0.1
 
     def __post_init__(self):
-        if self.sigma_t <= 0 or self.sigma_r <= 0:
+        if self.sigma_t <= 0 or self.sigma_r_deg <= 0:
             raise ValueError("noise standard deviations must be positive")
 
-    @staticmethod
-    def from_degrees(sigma_t: float, sigma_r_deg: float) -> "NominalDrInformation":
-        return NominalDrInformation(sigma_t, math.radians(sigma_r_deg))
-
     def precision(self) -> np.ndarray:
-        """Diagonal of the information matrix (6,), translation then rotation."""
+        """Diagonal of the information matrix (6,), translation then rotation,
+        the rotation in 1/rad^2."""
         d = np.empty(6)
         d[:3] = 1.0 / self.sigma_t ** 2
-        d[3:] = 1.0 / self.sigma_r ** 2
+        d[3:] = 1.0 / math.radians(self.sigma_r_deg) ** 2
         return d
 
 

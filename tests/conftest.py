@@ -5,6 +5,7 @@ from drslam.factors import dr_fold, dr_jacobians, dr_residuals
 from drslam.geometry import (CameraIntrinsics, Pose, adjoint, exp_se3, compose,
                              inverse, project, transform_point)
 from drslam.optimizer import Problem
+from drslam.pipeline import PipelineParams
 from drslam.weighting import NominalDrInformation
 
 CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -110,7 +111,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
 def motion_only_args(problem):
     """Keyword arguments of solve_motion_only equivalent to a Problem with one
     free pose, fixed landmarks and at most one DR edge from a fixed pose; rows
-    in the problem's row order."""
+    in the problem's row order, solved under tracking's solver configuration."""
     (pid,) = [i for i, v in problem.poses.items() if not v.fixed]
     rows = problem.reprojection_factors
     dr = None
@@ -122,7 +123,8 @@ def motion_only_args(problem):
                 points=np.array([problem.landmarks[j].position
                                  for j in rows["landmark"].tolist()]).reshape(-1, 3),
                 uv=rows["uv"], pixel_std=problem.pixel_std,
-                huber_threshold=problem.huber_threshold, dr=dr)
+                huber_threshold=problem.huber_threshold, dr=dr,
+                config=PipelineParams().motion_solver)
 
 
 @pytest.fixture

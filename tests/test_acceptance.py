@@ -31,7 +31,7 @@ from drslam.optimizer import (
     schur_solve,
     solve_motion_only,
 )
-from drslam.pipeline import run_pipeline
+from drslam.pipeline import PipelineParams, run_pipeline
 from drslam.simulator import WorldConfig, simulate_sequence
 from drslam.weighting import (
     NominalDrInformation,
@@ -193,7 +193,8 @@ def test_criterion_05_conditioning_guarantee():
         start = compose(prediction, exp_se3(rng.normal(scale=0.02, size=6)))
         precision = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
         pose, rep = solve_motion_only(CAMERA, start, np.zeros((0, 3)), np.zeros((0, 2)),
-                                      1.0, HUBER_PIXEL_SCALE, dr=(prev, delta, precision))
+                                      1.0, HUBER_PIXEL_SCALE, dr=(prev, delta, precision),
+                                      config=PipelineParams().motion_solver)
         err = np.linalg.norm(pose.t - prediction.t)
         rot = compose(inverse(pose), prediction).rotation_angle()
         floor = 0.99 * BOUNDS.alpha_max * NOMINAL.precision().min()

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import tempfile
 
@@ -13,7 +15,7 @@ from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import SCHEMA, RunConfig, parse_config
 from drslam.errors import ConfigError, Diverged
 from drslam.fileio import read_tum
-from drslam.pipeline import MODES
+from drslam.pipeline import MODES, PipelineParams
 from drslam.simulator import Dropout
 
 
@@ -70,6 +72,62 @@ def test_config_ill_typed_value(tmp_path):
     with pytest.raises(ConfigError) as e:
         parse_config(str(bad))
     assert "omega1" in str(e.value)
+
+
+def _fields(params, prefix=""):
+    """Dotted field name -> value over PipelineParams and its nested groups."""
+    out = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_fields(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def _other_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, float):
+        # the next float up keeps omega1 + omega2 within QualityParams' 1e-12 of 1
+        return math.nextafter(value, math.inf)
+    return value + 1
+
+
+def test_config_defaults_are_the_pipeline_params_defaults():
+    assert RunConfig().pipeline_params() == PipelineParams()
+    defaults = _fields(PipelineParams())
+    for key, (_, render, fields) in SCHEMA.items():
+        assert bool(fields) == (key.partition(".")[0] not in ("run", "world")), key
+        if not fields:
+            continue
+        # every field a key sets has the key's default
+        assert {repr(defaults[name]) for name in fields} == {repr(RunConfig()[key])}, key
+        config = RunConfig()
+        config.set(key, render(_other_value(config[key])))
+        changed = {name for name, value in _fields(config.pipeline_params()).items()
+                   if value != defaults[name]}
+        assert changed == set(fields), key
+
+
+def test_config_rejects_nan_in_every_float_key(tmp_path):
+    float_keys = [key for key, (parse, _, _) in SCHEMA.items()
+                  if parse in (float, drslam.config._positive)]
+    assert "tracking.search_radius" in float_keys and "world.fps" in float_keys
+    for key in float_keys:
+        section, _, name = key.partition(".")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\n{name} = nan\n")
+        with pytest.raises(ConfigError) as e:
+            parse_config(str(bad))
+        assert key in str(e.value) and "line 2" in str(e.value)
+        with pytest.raises(ConfigError) as e:
+            parse_config(overrides=[f"{key}=NaN"])
+        assert key in str(e.value)
+    # an infinite radius or keyframe distance means no limit
+    config = parse_config(overrides=["tracking.search_radius=inf", "keyframes.d_max=inf"])
+    assert config["tracking.search_radius"] == config["keyframes.d_max"] == math.inf
 
 
 floats = st.floats(allow_nan=False)

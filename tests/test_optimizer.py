@@ -608,14 +608,14 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
             assert edge_residuals([prev], [problem.poses[1].pose], [delta])[1][0]
         problem.add_pose(0, prev, fixed=True)
         problem.add_dr_edges(0, 1, [delta], scale_information(10.0 ** log_alpha, NOMINAL))
-    config = SolverConfig(max_iterations=10)
-    arrays = _outcome(lambda: solve_motion_only(**motion_only_args(problem), config=config))
+    args = motion_only_args(problem)
+    arrays = _outcome(lambda: solve_motion_only(**args))
     if n_obs == 0 and dr_edge == "none":
         assert arrays is NoConstraints
         return
 
     def generic():
-        report = solve(problem, config)
+        report = solve(problem, args["config"])
         return problem.poses[1].pose, report
     _assert_same_solve(arrays, _outcome(generic))
 
@@ -644,7 +644,7 @@ def test_report_carries_problem_size(rng):
 def test_motion_only_without_rows_or_dr_edge_raises():
     with pytest.raises(NoConstraints):
         solve_motion_only(CAMERA, Pose.identity(), np.zeros((0, 3)), np.zeros((0, 2)),
-                          1.0, HUBER_PIXEL_SCALE)
+                          1.0, HUBER_PIXEL_SCALE, None, SolverConfig())
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, np.zeros(0)], ids=["zero", "negative", "empty"])
@@ -793,8 +793,9 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5)])
         problem.add_landmarks(j, transform_point(gt, cam), fixed=True)
         problem.add_observations(1, j, project(CAMERA, cam))
-    config = SolverConfig(max_iterations=10)
-    arrays = solve_motion_only(**motion_only_args(problem), config=config)
+    args = motion_only_args(problem)
+    config = args["config"]
+    arrays = solve_motion_only(**args)
     costs = []
     residuals = _Linearizer.residuals
 

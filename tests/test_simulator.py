@@ -93,29 +93,28 @@ def test_trajectory_degenerate_spec():
         generate_trajectory(WorldConfig(waypoints=[(0, 0), (0, 0), (1, 0)], n_frames=5))
 
 
-def test_populate_zero_density_gives_empty_set(rng):
+def test_populate_zero_density_gives_empty_set():
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=20, density=[(0.0, 0.0)])
-    traj = generate_trajectory(cfg)
-    landmarks = populate_landmarks(cfg, traj, rng)
+    landmarks = populate_landmarks(cfg)
     assert len(landmarks) == 0
 
 
-def test_populate_uniform_density_mean_within_15_percent(rng):
+def test_populate_uniform_density_mean_within_15_percent():
     d = 80.0
     cfg = WorldConfig(waypoints=[(0, 0), (12, 0)], n_frames=240, density=[(0.0, d)])
     traj = generate_trajectory(cfg)
-    landmarks = populate_landmarks(cfg, traj, rng)
+    landmarks = populate_landmarks(cfg)
     counts = [count_visible(p, landmarks, cfg) for p in traj[0]]
     assert abs(np.mean(counts) - d) / d < 0.15
 
 
-def test_populate_step_profile_tracks_step(rng):
+def test_populate_step_profile_tracks_step():
     # windows chosen so the whole frustum (reaching depth_max ahead) lies
     # inside one density region
     cfg = WorldConfig(waypoints=[(0, 0), (44, 0)], n_frames=440,
                       density=[(0.0, 70.0), (14.0, 0.0), (30.0, 70.0)])
     traj = generate_trajectory(cfg)
-    landmarks = populate_landmarks(cfg, traj, rng)
+    landmarks = populate_landmarks(cfg)
     poses, arcs = traj
     high1 = [count_visible(poses[i], landmarks, cfg) for i in range(440) if arcs[i] < 6.0]
     low = [count_visible(poses[i], landmarks, cfg) for i in range(440) if 14.2 < arcs[i] < 21.8]
@@ -128,7 +127,7 @@ def test_populate_step_profile_tracks_step(rng):
 def test_simulate_frame_zero_noise_exact_projections(rng):
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 40.0)])
     traj = generate_trajectory(cfg)
-    landmarks = populate_landmarks(cfg, traj, rng)
+    landmarks = populate_landmarks(cfg)
     pose = traj[0][3]
     rec = simulate_frame(pose, traj[0][2], landmarks, cfg, rng, 3)
     assert rec.n_det == len(rec.detections)

@@ -178,9 +178,9 @@ def test_quality_params_validation():
 
 
 def test_nominal_information_from_degrees():
-    nominal = NominalDrInformation.from_degrees(0.004, 0.1)
-    assert nominal.sigma_r == pytest.approx(math.radians(0.1))
+    # the rotation sigma is kept in degrees and converted when the precision is formed
+    nominal = NominalDrInformation(sigma_t=0.004, sigma_r_deg=0.1)
     p = nominal.precision()
     assert p.shape == (6,)
     assert p[0] == pytest.approx(1.0 / 0.004 ** 2)
-    assert p[3] == pytest.approx(1.0 / math.radians(0.1) ** 2)
+    assert (p[3:] == 1.0 / math.radians(0.1) ** 2).all()
