@@ -131,15 +131,21 @@ class RunConfig:
 
     def pipeline_params(self) -> PipelineParams:
         """PipelineParams() with the fields each key names set to its value;
-        each nested group is rebuilt once, so it validates its fields together."""
-        top, groups = {}, {}
+        each nested group is rebuilt once, so it validates its fields together,
+        and a group that rejects them raises ConfigError naming its keys."""
+        top, groups, group_keys = {}, {}, {}
         for key, (_, _, fields) in SCHEMA.items():
             for path in fields:
                 group, _, name = path.rpartition(".")
                 (groups.setdefault(group, {}) if group else top)[name] = self.values[key]
+                group_keys.setdefault(group, []).append(key)
         params = PipelineParams()
-        return replace(params, **top, **{group: replace(getattr(params, group), **values)
-                                         for group, values in groups.items()})
+        for group, values in groups.items():
+            try:
+                groups[group] = replace(getattr(params, group), **values)
+            except ValueError as e:
+                raise ConfigError(f"{e}; set by {', '.join(group_keys[group])}") from None
+        return replace(params, **top, **groups)
 
     def world_config(self, seed=None) -> WorldConfig:
         fields = {name: self.values[f"world.{name}"] for name in WORLD_FIELDS if name != "seed"}

@@ -101,22 +101,23 @@ def _aligned_pairs(est: Trajectory, ref: Trajectory):
     return Pose.from_matrix(m), pairs
 
 
-def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
-    """Root-mean-square position error over associated pairs after alignment."""
+def _aligned_errors(est: Trajectory, ref: Trajectory):
+    """The associated pairs and the position error (3,) of each after alignment."""
     transform, pairs = _aligned_pairs(est, ref)
     rot, t = transform.rotation_matrix, transform.t
-    errs = []
-    for i, j in pairs:
-        errs.append(rot @ est.poses[i].t + t - ref.poses[j].t)
+    return pairs, [rot @ est.poses[i].t + t - ref.poses[j].t for i, j in pairs]
+
+
+def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
+    """Root-mean-square position error over associated pairs after alignment."""
+    _, errs = _aligned_errors(est, ref)
     return float(np.sqrt(np.mean(np.sum(np.square(errs), axis=1))))
 
 
 def per_frame_errors(est: Trajectory, ref: Trajectory):
-    transform, pairs = _aligned_pairs(est, ref)
-    rot, t = transform.rotation_matrix, transform.t
-    return [(float(est.timestamps[i]),
-             float(np.linalg.norm(rot @ est.poses[i].t + t - ref.poses[j].t)))
-            for i, j in pairs]
+    """(timestamp, position error norm) of each associated pair after alignment."""
+    pairs, errs = _aligned_errors(est, ref)
+    return [(float(est.timestamps[i]), float(np.linalg.norm(e))) for (i, _), e in zip(pairs, errs)]
 
 
 def verdict(est: Trajectory, ref: Trajectory, tracked_flags) -> RunVerdict:

@@ -2,32 +2,33 @@
 
 One LM loop drives two linearizers. The Problem linearizer serves local BA
 (window of keyframes plus their landmarks) and global BA (everything, first
-keyframe fixed); the motion-only linearizer serves tracking: one free pose
-against fixed map points given as arrays in match order, with at most one DR
-edge from the fixed previous pose, and a 6x6 system. A point of either is
-stacked arrays (pose quaternions and translations, landmark positions); a
-retraction moves all free poses with one batched exp and compose, and Pose
-objects are built only for the result. Both evaluate residuals once per
-point through the factors kernels, and the loop linearizes each accepted
-point from the residuals its cost check computed there, DR edges with the
-log's angle terms that came with their residuals. The Problem linearizer
-folds each DR edge's fixed part delta^-1 from^-1 per evaluation; the
-motion-only linearizer, whose from pose is fixed, folds it once per solve,
-with its rotation, and its point carries the pose's rotation matrix, formed
-once per point for both the residuals there and the retraction from there.
-Both fold with the same kernels, so their arithmetic is the same bit for
-bit. Visual rows are whitened by one pixel std and carry a Huber kernel;
-DR edges carry a diagonal precision, alpha times the nominal one, and each
-residual entry and Jacobian row is whitened by the square root of its
-precision entry; they carry no kernel. The Problem linearizer evaluates
-every reprojection row in one kernel call, each row with its pose's rotation
-and translation gathered by the row's pose slot, and scatters the rows'
-blocks into the system with np.add.at; every DR edge is linearized in one
-batched call. The BA linear solve eliminates landmarks by Schur complement;
-a dense path exists for verification. The pose-landmark coupling is kept as
-one dense block, O(F*L) memory for F free poses and L free landmarks; the
-Schur complement is formed from it in chunks of landmarks, each a product
-over the poses that observe it.
+keyframe fixed), over a Problem of structured arrays: poses and landmarks in
+ascending id, reprojection rows and DR edges. The motion-only linearizer
+serves tracking: one free pose against fixed map points given as arrays in
+match order, with at most one DR edge from the fixed previous pose, and a 6x6
+system. A point of either is stacked arrays (pose quaternions and
+translations, landmark positions); a retraction moves all free poses with one
+batched exp and compose, and Pose objects are built only for the result. Both
+evaluate residuals once per point through the factors kernels, and the loop
+linearizes each accepted point from the residuals its cost check computed
+there, DR edges with the log's angle terms that came with their residuals.
+The Problem linearizer folds each DR edge's fixed part delta^-1 from^-1 per
+evaluation; the motion-only linearizer, whose from pose is fixed, folds it
+once per solve, with its rotation, and its point carries the pose's rotation
+matrix, formed once per point for both the residuals there and the retraction
+from there. Both fold with the same kernels, so their arithmetic is the same
+bit for bit. Visual rows are whitened by one pixel std and carry a Huber
+kernel; DR edges carry a diagonal precision, alpha times the nominal one, and
+each residual entry and Jacobian row is whitened by the square root of its
+precision entry; they carry no kernel. The Problem linearizer evaluates every
+reprojection row in one kernel call, each row with its pose's rotation and
+translation gathered by the row's pose slot, and scatters the rows' blocks
+into the system with np.add.at; every DR edge is linearized in one batched
+call. The BA linear solve eliminates landmarks by Schur complement; a dense
+path exists for verification. The pose-landmark coupling is kept as one dense
+block, O(F*L) memory for F free poses and L free landmarks; the Schur
+complement is formed from it in chunks of landmarks, each a product over the
+poses that observe it.
 """
 
 from __future__ import annotations
@@ -51,34 +52,49 @@ from .geometry import (CameraIntrinsics, Pose, Z_MIN, quat_to_rotation, se3_adjo
                        se3_exp, se3_inverse)
 
 
-@dataclass
-class PoseVariable:
-    pose: Pose
-    fixed: bool = False
-
-
-@dataclass
-class LandmarkVariable:
-    position: np.ndarray
-    fixed: bool = False
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).copy()
-
-
 # One reprojection row: the observing pose id, the landmark id and the pixel.
 REPROJECTION_ROW = np.dtype([("pose", np.int64), ("landmark", np.int64), ("uv", np.float64, (2,))])
 # One DR edge: the from and to pose ids, the measured increment from -> to
 # (unit quaternion and translation) and the diagonal of its information.
 DR_EDGE = np.dtype([("from", np.int64), ("to", np.int64), ("q", np.float64, (4,)),
                     ("t", np.float64, (3,)), ("precision", np.float64, (6,))])
+# One pose and one landmark variable: the id, the value and whether it is held fixed.
+POSE_VARIABLE = np.dtype([("id", np.int64), ("q", np.float64, (4,)), ("t", np.float64, (3,)),
+                          ("fixed", np.bool_)], align=True)
+LANDMARK_VARIABLE = np.dtype([("id", np.int64), ("position", np.float64, (3,)),
+                              ("fixed", np.bool_)], align=True)
+
+
+def reprojection_rows(pose_ids, landmark_ids, uv) -> np.ndarray:
+    """Reprojection rows (N,) of pose and landmark ids (N,), or one each, and pixels (N, 2)."""
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    rows = np.empty(len(uv), REPROJECTION_ROW)
+    rows["pose"], rows["landmark"], rows["uv"] = pose_ids, landmark_ids, uv
+    return rows
+
+
+def _merged(variables: np.ndarray, name: str, ids, fixed, **columns) -> np.ndarray:
+    """The variables with new ones of ids, fixed flags and value columns, in
+    ascending id; raises KeyError on an id given twice."""
+    added = np.empty(len(next(iter(columns.values()))), variables.dtype)
+    added["id"], added["fixed"] = ids, fixed
+    for column, values in columns.items():
+        added[column] = values
+    merged = np.concatenate([variables, added])
+    merged = merged[np.argsort(merged["id"], kind="stable")]
+    repeated = merged["id"][1:][np.diff(merged["id"]) == 0]
+    if len(repeated):
+        raise KeyError(f"{name} {repeated[0]} given twice")
+    return merged
 
 
 @dataclass
 class Problem:
     intrinsics: CameraIntrinsics | None = None
-    poses: dict = field(default_factory=dict)          # id -> PoseVariable
-    landmarks: dict = field(default_factory=dict)      # id -> LandmarkVariable
+    poses: np.ndarray = field(                         # (P,) POSE_VARIABLE, ascending id
+        default_factory=lambda: np.empty(0, POSE_VARIABLE))
+    landmarks: np.ndarray = field(                     # (L,) LANDMARK_VARIABLE, ascending id
+        default_factory=lambda: np.empty(0, LANDMARK_VARIABLE))
     reprojection_factors: np.ndarray = field(          # (N,) REPROJECTION_ROW
         default_factory=lambda: np.empty(0, REPROJECTION_ROW))
     dr_factors: np.ndarray = field(                    # (E,) DR_EDGE
@@ -86,25 +102,24 @@ class Problem:
     pixel_std: float = 1.0                             # isotropic, every row [px]
     huber_threshold: float = HUBER_PIXEL_SCALE         # every row, whitened units
 
-    def add_pose(self, pose_id: int, pose: Pose, fixed: bool = False):
-        self.poses[pose_id] = PoseVariable(pose, fixed)
+    def add_poses(self, pose_ids, poses, fixed=False):
+        """Adds poses: ids (N,) and N Poses, or one id and Pose, fixed one flag
+        or (N,). Raises KeyError on an id given twice."""
+        poses = [poses] if isinstance(poses, Pose) else poses
+        self.poses = _merged(self.poses, "pose", pose_ids, fixed,
+                             q=np.reshape([p.q for p in poses], (-1, 4)),
+                             t=np.reshape([p.t for p in poses], (-1, 3)))
 
-    def add_landmarks(self, lm_ids, positions, fixed: bool = False):
-        """Adds landmarks: ids (N,) and positions (N, 3), or one id and position."""
-        for j, x in zip(np.reshape(lm_ids, -1).tolist(), np.reshape(positions, (-1, 3))):
-            self.landmarks[j] = LandmarkVariable(x, fixed)
-
-    def landmark_positions(self, lm_ids) -> np.ndarray:
-        """Positions (N, 3) of the landmarks lm_ids."""
-        return np.array([self.landmarks[j].position for j in lm_ids]).reshape(-1, 3)
+    def add_landmarks(self, lm_ids, positions, fixed=False):
+        """Adds landmarks: ids (N,) and positions (N, 3), or one id and
+        position, fixed one flag or (N,). Raises KeyError on an id given twice."""
+        self.landmarks = _merged(self.landmarks, "landmark", lm_ids, fixed,
+                                 position=np.reshape(positions, (-1, 3)))
 
     def add_observations(self, pose_ids, landmark_ids, uv):
-        """Appends reprojection rows: pose and landmark ids (N,), or one id for
-        every row, and pixels (N, 2)."""
-        uv = np.asarray(uv, dtype=float).reshape(-1, 2)
-        rows = np.empty(len(uv), REPROJECTION_ROW)
-        rows["pose"], rows["landmark"], rows["uv"] = pose_ids, landmark_ids, uv
-        self.reprojection_factors = np.concatenate([self.reprojection_factors, rows])
+        """Appends reprojection rows, as reprojection_rows takes them."""
+        self.reprojection_factors = np.concatenate([self.reprojection_factors,
+                                                    reprojection_rows(pose_ids, landmark_ids, uv)])
 
     def add_dr_edges(self, from_ids, to_ids, deltas, precisions):
         """Appends DR edges: pose ids (E,), or one id for every edge, increments
@@ -118,10 +133,12 @@ class Problem:
 
     def validate(self):
         _check_pixel_model(self.pixel_std, self.huber_threshold)
-        rows, edges, poses = self.reprojection_factors, self.dr_factors, list(self.poses)
+        if not all(np.all(np.diff(v["id"]) > 0) for v in (self.poses, self.landmarks)):
+            raise ValueError("pose and landmark ids must be unique and ascending")
+        rows, edges, poses = self.reprojection_factors, self.dr_factors, self.poses["id"]
         for kind, ids, name, known in (
                 ("reprojection row", rows["pose"], "pose", poses),
-                ("reprojection row", rows["landmark"], "landmark", list(self.landmarks)),
+                ("reprojection row", rows["landmark"], "landmark", self.landmarks["id"]),
                 ("DR edge", np.concatenate([edges["from"], edges["to"]]), "pose", poses)):
             unknown = ids[~np.isin(ids, known)]
             if len(unknown):
@@ -292,14 +309,13 @@ class _Linearizer:
     def __init__(self, problem: Problem):
         problem.validate()
         self.k = problem.intrinsics
-        # Poses and landmarks in ascending id; a pose's position is its slot,
-        # a landmark's its row.
-        self.pose_ids = sorted(problem.poses)
-        self.fixed = np.array([problem.poses[p].fixed for p in self.pose_ids], dtype=bool)
+        # Poses and landmarks in the problem's ascending id; a pose's position
+        # is its slot, a landmark's its row.
+        poses, landmarks = problem.poses, problem.landmarks
+        self.pose_ids, self.fixed = poses["id"], poses["fixed"]
         self.free_index, self.n_pose_free = _free_index(self.fixed)
         self.free_slots = np.flatnonzero(~self.fixed)
-        self.lm_ids = sorted(problem.landmarks)
-        self.lm_fixed = np.array([problem.landmarks[l].fixed for l in self.lm_ids], dtype=bool)
+        self.lm_ids, self.lm_fixed = landmarks["id"], landmarks["fixed"]
         self.lm_free_index, self.n_lm_free = _free_index(self.lm_fixed)
 
         # Per row: the observing pose's slot and free index (-1: fixed), the
@@ -321,10 +337,8 @@ class _Linearizer:
         self.dr_from_free = self.free_index[self.dr_from]
         self.dr_to_free = self.free_index[self.dr_to]
 
-        poses = [problem.poses[p].pose for p in self.pose_ids]
-        self.point = (np.array([p.q for p in poses]).reshape(-1, 4),
-                      np.array([p.t for p in poses]).reshape(-1, 3),
-                      problem.landmark_positions(self.lm_ids))
+        # contiguous copies of the variables' columns
+        self.point = (poses["q"].copy(), poses["t"].copy(), landmarks["position"].copy())
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
                          reprojection_rows=len(self.uv), dr_edges=len(self.dr_from))
 
@@ -641,16 +655,16 @@ def build_normal_equations(problem: Problem):
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
-    """LM over a Problem; updates the problem's variables in place."""
+    """LM over a Problem; updates the problem's free variables in place."""
     config = config or SolverConfig()
     lin = _Linearizer(problem)
     if lin.n_pose_free == 0 and lin.n_lm_free == 0:
         return SolverReport(termination="no_free_variables", **lin.size)
     (q, t, lm_pos), report = _levenberg_marquardt(lin, lin.point, config)
     for s in lin.free_slots.tolist():
-        problem.poses[lin.pose_ids[s]].pose = Pose(q[s], t[s])
-    for lid, position in zip(lin.lm_ids, lm_pos):
-        problem.landmarks[lid].position = position.copy()
+        pose = Pose(q[s], t[s])    # canonical, as a keyframe holds it
+        problem.poses["q"][s], problem.poses["t"][s] = pose.q, pose.t
+    problem.landmarks["position"] = lm_pos
     return replace(report, **lin.size)
 
 

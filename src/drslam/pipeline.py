@@ -24,7 +24,8 @@ from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt
 from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
-from .optimizer import Problem, SolverConfig, solve_global_ba, solve_local_ba, solve_motion_only
+from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
+                        solve_local_ba, solve_motion_only)
 from .simulator import Detections, squared_distance
 from .weighting import (
     NominalDrInformation,
@@ -70,7 +71,6 @@ class KeyFrame:
     frame_id: int
     timestamp: float
     pose: Pose
-    observations: Detections         # map point ids and their pixels
     n_trk: int
     quality: float
     lba_alpha: float = float("nan")
@@ -99,10 +99,6 @@ class PointTable:
         """The rows of point ids (N,), each of which the table holds."""
         return np.searchsorted(self.ids, ids)
 
-    def take(self, rows) -> PointTable:
-        """The rows selected by an index array or boolean mask, in that order."""
-        return PointTable(self.ids[rows], self.positions[rows], self.created_kf[rows])
-
     def insert(self, ids, positions, created_kf) -> PointTable:
         """The table with points ids (N,), none of them in it, at positions
         (N, 3), created by keyframe created_kf, one or (N,)."""
@@ -117,18 +113,12 @@ class PointTable:
 class SlamMap:
     keyframes: dict = field(default_factory=dict)
     points: PointTable = field(default_factory=PointTable.empty)
+    # the one record of which keyframe sees which point: (N,) REPROJECTION_ROW of keyframe
+    # id, point id and pixel, keyframes ascending, each keyframe's in observation order
+    observations: np.ndarray = field(default_factory=lambda: np.empty(0, REPROJECTION_ROW))
     covisibility: dict = field(default_factory=dict)   # kf -> {kf: count}
     dr_edges: dict = field(default_factory=dict)       # (a, b) -> alpha
     loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
-
-    def observation_table(self) -> tuple[np.ndarray, Detections]:
-        """The map's one record of which keyframe sees which point: every
-        keyframe's rows, keyframes ascending and each in observation order, as
-        the keyframe id of each row and the rows' point ids and pixels."""
-        parts = [self.keyframes[k].observations for k in sorted(self.keyframes)]
-        kf = np.repeat(sorted(self.keyframes), [len(d) for d in parts])
-        return kf, Detections(np.concatenate([d.ids for d in parts]),
-                              np.concatenate([d.uv for d in parts]))
 
     def connection_count(self, kf_id: int) -> int:
         return max(self.covisibility.get(kf_id, {}).values(), default=0)
@@ -210,8 +200,8 @@ def associate_features(detections: Detections, points: PointTable, predicted: Po
 
 
 def _seen_twice(ids: np.ndarray) -> np.ndarray:
-    """The point ids, ascending, in at least two rows of an observation table,
-    that is seen by at least two keyframes (a keyframe holds a point once)."""
+    """The point ids, ascending, in at least two rows of the observation
+    table, that is seen by at least two keyframes (each sees a point once)."""
     unique, counts = np.unique(ids, return_counts=True)
     return unique[counts >= 2]
 
@@ -396,9 +386,9 @@ class Pipeline:
     # ----- mapping --------------------------------------------------------
 
     def _bare_keyframe(self, frame: Frame) -> KeyFrame:
-        kf = KeyFrame(self._next_kf_id, frame.id, frame.timestamp, frame.pose,
-                      observations=Detections.empty(), n_trk=0, quality=frame.quality,
-                      gt_pose=frame.gt_pose)
+        """A new keyframe at the frame, observing no point, in the map."""
+        kf = KeyFrame(self._next_kf_id, frame.id, frame.timestamp, frame.pose, n_trk=0,
+                      quality=frame.quality, gt_pose=frame.gt_pose)
         self._next_kf_id += 1
         self.slam_map.keyframes[kf.id] = kf
         return kf
@@ -421,9 +411,9 @@ class Pipeline:
         not yet in the map is a candidate, in detection order; a candidate
         with a true depth in front of the near plane becomes a new point.
         """
-        kf_id = self._next_kf_id
-        self._next_kf_id += 1
-
+        kf = self._bare_keyframe(frame)
+        kf_id = kf.id
+        kf.n_trk, kf.dr_to_prev = frame.stats.n_trk, self.acc_delta if kf_id > 0 else None
         ids, uv = record.detections.ids, record.detections.uv
         rows = _first_landmark_rows(ids)
         rows = rows[~np.isin(ids[rows], self.slam_map.points.ids, assume_unique=True)]
@@ -433,17 +423,11 @@ class Pipeline:
         self.slam_map.points = self.slam_map.points.insert(
             ids[rows], back_project(self.camera, frame.pose.rotation_matrix, frame.pose.t,
                                     uv[rows], depth[front]), kf_id)
-        observations = Detections(np.concatenate([matches.ids, ids[rows]]),
-                                  np.concatenate([matches.uv, uv[rows]]))
-
-        kf = KeyFrame(kf_id, frame.id, frame.timestamp, frame.pose, observations,
-                      n_trk=frame.stats.n_trk, quality=frame.quality,
-                      dr_to_prev=self.acc_delta if kf_id > 0 else None,
-                      gt_pose=frame.gt_pose)
-        self.slam_map.keyframes[kf_id] = kf
-
-        table_kf, table = self.slam_map.observation_table()
-        shared = np.unique(table_kf[np.isin(table.ids, observations.ids)], return_counts=True)
+        seen = np.concatenate([matches.ids, ids[rows]])
+        table = self.slam_map.observations = np.concatenate([
+            self.slam_map.observations,
+            reprojection_rows(kf_id, seen, np.concatenate([matches.uv, uv[rows]]))])
+        shared = np.unique(table["pose"][np.isin(table["landmark"], seen)], return_counts=True)
         for other, count in zip(*(a.tolist() for a in shared)):
             self.slam_map.add_covisibility(kf_id, other, count)   # skips kf_id itself
 
@@ -484,81 +468,81 @@ class Pipeline:
 
         # the points the window sees that at least two keyframes see, and as
         # anchors the keyframes outside the window seeing most of them
-        table_kf, table = self.slam_map.observation_table()
-        in_window = np.isin(table_kf, list(window))
-        points = np.intersect1d(_seen_twice(table.ids), table.ids[in_window])
-        voters, votes = np.unique(table_kf[~in_window & np.isin(table.ids, points)],
+        table = self.slam_map.observations
+        in_window = np.isin(table["pose"], list(window))
+        points = np.intersect1d(_seen_twice(table["landmark"]), table["landmark"][in_window])
+        voters, votes = np.unique(table["pose"][~in_window & np.isin(table["landmark"], points)],
                                   return_counts=True)
-        anchors = set(voters[np.argsort(-votes, kind="stable")[:p.max_anchor_keyframes]].tolist())
+        anchors = voters[np.argsort(-votes, kind="stable")[:p.max_anchor_keyframes]]
+        kf_ids = np.union1d(list(window), anchors)
+        if len(kf_ids) < 2:
+            return
+        # Anchors are fixed. A reprojection-only problem's similarity gauge, which a weak DR
+        # chain barely stiffens, needs two fixed poses: the lowest window ids make up the count.
+        fixed = np.isin(kf_ids, anchors)
+        fixed[np.flatnonzero(~fixed)[:max(0, 2 - np.count_nonzero(fixed))]] = True
 
-        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
-                          huber_threshold=p.huber_scale)
-        for k in sorted(window):
-            problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=False)
-        for k in sorted(anchors):
-            problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=True)
-        if not anchors:
-            problem.poses[min(window)].fixed = True
-        rows = self.slam_map.points.rows(points)
-        problem.add_landmarks(points, self.slam_map.points.positions[rows])
-        self._add_observations(problem, (table_kf, table), window | anchors, points, by_id=True)
-
-        alphas = self._edge_alphas(window)
-        in_problem = window | anchors
-        for k in sorted(in_problem):
-            if k - 1 not in in_problem or (k not in window and k - 1 not in window):
-                continue
+        # a DR edge from each keyframe's predecessor in the problem, one of the
+        # two in the window, at the larger of their weights
+        alphas, edges, lo = self._edge_alphas(window), [], p.bounds.alpha_min
+        for k in kf_ids[1:].tolist() if alphas else ():
             delta = self.slam_map.keyframes[k].dr_to_prev
-            if delta is None or not alphas:
-                continue
-            alpha = max(alphas.get(k - 1, p.bounds.alpha_min), alphas.get(k, p.bounds.alpha_min))
-            self.slam_map.dr_edges[(k - 1, k)] = alpha
-            problem.add_dr_edges(k - 1, k, [delta], scale_information(alpha, p.nominal))
+            if k - 1 in kf_ids and (k in window or k - 1 in window) and delta is not None:
+                alpha = max(alphas.get(k - 1, lo), alphas.get(k, lo))
+                self.slam_map.dr_edges[(k - 1, k)] = alpha
+                edges.append((k - 1, k, delta, alpha))
 
-        if len(problem.poses) < 2:
+        if fixed.all() and not len(points):
             return
-        # Reprojection-only problems carry a similarity gauge, and a weak DR
-        # chain barely stiffens the scale mode; two fixed poses anchor it.
-        fixed = [k for k in sorted(problem.poses) if problem.poses[k].fixed]
-        free = [k for k in sorted(problem.poses) if not problem.poses[k].fixed]
-        for k in free[:max(0, 2 - len(fixed))]:
-            problem.poses[k].fixed = True
-        if all(v.fixed for v in problem.poses.values()) and not len(points):
-            return
+        problem = self._ba_problem(kf_ids, fixed, points, True, edges)
         try:
             solve_local_ba(problem, p.ba_solver)
         except (Diverged, SingularSystem):
             self.lba_failed += 1
             return
-        for k in window:
-            if not problem.poses[k].fixed:
-                self.slam_map.keyframes[k].pose = problem.poses[k].pose
-            if alphas:
+        self._apply_ba(problem)
+        if alphas:
+            for k in window:
                 self.slam_map.keyframes[k].lba_alpha = alphas[k]
-        self.slam_map.points.positions[rows] = problem.landmark_positions(points)
 
-    def _add_observations(self, problem: Problem, observation_table, kf_ids, landmark_ids,
-                          by_id: bool) -> None:
-        """Adds the table's observations of the landmarks by the keyframes
-        kf_ids as reprojection rows, keyframe by keyframe in ascending id.
-        Each keyframe's rows are in ascending landmark id when by_id, else in
-        observation order; the solver sums each pose's rows in that order."""
-        table_kf, table = observation_table
-        rows = np.flatnonzero(np.isin(table_kf, list(kf_ids)) & np.isin(table.ids, landmark_ids))
+    def _ba_problem(self, kf_ids, fixed, point_ids, by_id: bool, edges) -> Problem:
+        """The BA problem over keyframes kf_ids, those under the mask fixed
+        held fixed, points point_ids (both ascending) and DR edges (from, to,
+        increment, weight), a row per observation of the points by the
+        keyframes: keyframe by keyframe, each keyframe's in ascending point id
+        when by_id, else in observation order, the order the solver sums them."""
+        p, slam_map = self.params, self.slam_map
+        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
+                          huber_threshold=p.huber_scale)
+        problem.add_poses(kf_ids, [slam_map.keyframes[k].pose for k in kf_ids.tolist()], fixed)
+        problem.add_landmarks(point_ids, slam_map.points.positions[slam_map.points.rows(point_ids)])
+        table = slam_map.observations
+        rows = table[np.isin(table["pose"], kf_ids) & np.isin(table["landmark"], point_ids)]
         if by_id:
-            rows = rows[np.lexsort((table.ids[rows], table_kf[rows]))]
-        problem.add_observations(table_kf[rows], table.ids[rows], table.uv[rows])
+            rows = rows[np.lexsort((rows["landmark"], rows["pose"]))]
+        problem.add_observations(rows["pose"], rows["landmark"], rows["uv"])
+        if edges:
+            a, b, deltas, weights = zip(*edges)
+            problem.add_dr_edges(a, b, deltas, [scale_information(w, p.nominal) for w in weights])
+        return problem
+
+    def _apply_ba(self, problem: Problem) -> None:
+        """Moves the free poses' keyframes and the landmarks' points to their solved values."""
+        free = problem.poses[~problem.poses["fixed"]]
+        for k, q, t in zip(free["id"].tolist(), free["q"], free["t"]):
+            self.slam_map.keyframes[k].pose = Pose(q, t)
+        points = self.slam_map.points
+        points.positions[points.rows(problem.landmarks["id"])] = problem.landmarks["position"]
 
     def _cull_points(self, current_kf: int) -> None:
-        """Drops each point fewer than two keyframes see, two keyframes after its creation."""
-        table_kf, table = self.slam_map.observation_table()
-        points = self.slam_map.points
-        drop = ~np.isin(points.ids, _seen_twice(table.ids)) & (current_kf - points.created_kf >= 2)
-        self.slam_map.points = points.take(~drop)
-        doomed = points.ids[drop]
-        for k in np.unique(table_kf[np.isin(table.ids, doomed)]).tolist():
-            kf = self.slam_map.keyframes[k]
-            kf.observations = kf.observations.take(~np.isin(kf.observations.ids, doomed))
+        """Drops each point fewer than two keyframes see, two keyframes after
+        its creation, with its observations."""
+        table, points = self.slam_map.observations, self.slam_map.points
+        drop = ~np.isin(points.ids, _seen_twice(table["landmark"])) & (
+            current_kf - points.created_kf >= 2)
+        self.slam_map.points = PointTable(points.ids[~drop], points.positions[~drop],
+                                          points.created_kf[~drop])
+        self.slam_map.observations = table[~np.isin(table["landmark"], points.ids[drop])]
 
     def _update_c_ref(self) -> None:
         recent = sorted(self.slam_map.keyframes)[-self.params.c_ref_window:]
@@ -594,48 +578,33 @@ class Pipeline:
 
     def _global_ba(self, loop_from: int, loop_to: int) -> bool:
         """Refine the whole map over every loop edge; False when the solve fails."""
-        p = self.params
-        kf_ids = sorted(self.slam_map.keyframes)
-        pre = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].pose)
-               for k in kf_ids]
-
-        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
-                          huber_threshold=p.huber_scale)
-        for k in kf_ids:
-            problem.add_pose(k, self.slam_map.keyframes[k].pose, fixed=(k == kf_ids[0]))
-        # the live points, each seen by at least two keyframes, ascending
-        table_kf, table = self.slam_map.observation_table()
-        points = self.slam_map.points
-        live = np.isin(points.ids, _seen_twice(table.ids))
-        problem.add_landmarks(points.ids[live], points.positions[live])
-        self._add_observations(problem, (table_kf, table), kf_ids, points.ids[live], by_id=False)
-        for (a, b), alpha in sorted(self.slam_map.dr_edges.items()):
-            delta = self.slam_map.keyframes[b].dr_to_prev
-            if delta is not None and a in self.slam_map.keyframes:
-                problem.add_dr_edges(a, b, [delta], scale_information(alpha, p.nominal))
-        for a, b, relative, scale in self.slam_map.loop_edges:
-            problem.add_dr_edges(a, b, [relative], scale_information(scale, p.nominal))
-
+        keyframes = self.slam_map.keyframes
+        kf_ids = np.array(sorted(keyframes))
+        pre = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
+        # the first keyframe fixed; the live points, each seen by at least two
+        # keyframes, ascending
+        edges = [(a, b, keyframes[b].dr_to_prev, alpha)
+                 for (a, b), alpha in sorted(self.slam_map.dr_edges.items())
+                 if keyframes[b].dr_to_prev is not None and a in keyframes]
+        problem = self._ba_problem(kf_ids, kf_ids == kf_ids[0],
+                                   _seen_twice(self.slam_map.observations["landmark"]), False,
+                                   edges + self.slam_map.loop_edges)
         try:
-            solve_global_ba(problem, p.gba_solver)
+            solve_global_ba(problem, self.params.gba_solver)
         except (Diverged, SingularSystem):
             self.gba_failed += 1
             return False
-        last = kf_ids[-1]
-        correction = compose(problem.poses[last].pose, inverse(self.slam_map.keyframes[last].pose))
-        for k in kf_ids:
-            self.slam_map.keyframes[k].pose = problem.poses[k].pose
-        points.positions[live] = problem.landmark_positions(points.ids[live])
+        last, before = keyframes[kf_ids[-1]], keyframes[kf_ids[-1]].pose
+        self._apply_ba(problem)
+        correction = compose(last.pose, inverse(before))
         if self.prev_frame is not None:
             self.prev_frame.pose = compose(correction, self.prev_frame.pose)
             if self.prev_prev_pose is not None:
                 self.prev_prev_pose = compose(correction, self.prev_prev_pose)
-        post = [(self.slam_map.keyframes[k].timestamp, self.slam_map.keyframes[k].pose)
-                for k in kf_ids]
-        self.gba_events.append(GbaEvent(
-            frame_id=self.frames[-1].id if self.frames else -1,
-            kf_from=loop_from, kf_to=loop_to,
-            pre_keyframes=pre, post_keyframes=post))
+        post = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
+        self.gba_events.append(GbaEvent(frame_id=self.frames[-1].id if self.frames else -1,
+                                        kf_from=loop_from, kf_to=loop_to,
+                                        pre_keyframes=pre, post_keyframes=post))
         return True
 
     def result(self) -> RunResult:
@@ -673,9 +642,9 @@ def save_map(slam_map: SlamMap, path) -> None:
         lines += [f"{kf.id} {_pose_text(getattr(kf, attr))}" for kf in keyframes
                   if getattr(kf, attr) is not None]
     lines.append("[observations]")
-    for kf in keyframes:
-        for j, u, v in kf.observations:
-            lines.append(f"{kf.id} {j} {fmt(u)} {fmt(v)}")
+    obs = slam_map.observations
+    for k, j, (u, v) in zip(obs["pose"].tolist(), obs["landmark"].tolist(), obs["uv"].tolist()):
+        lines.append(f"{k} {j} {fmt(u)} {fmt(v)}")
     lines.append("[points]")
     points = slam_map.points
     for j, position, created in zip(points.ids.tolist(), points.positions.tolist(),
@@ -703,7 +672,8 @@ def _parse_pose(parts) -> Pose:
 
 def load_map(path) -> SlamMap:
     slam_map = SlamMap()
-    observations = {}                # keyframe id -> (point ids, pixels)
+    observations = []                # (keyframe id, point id, pixel)
+    observed = set()                 # (keyframe id, point id) pairs
     points = ([], [], [])            # point ids, positions, creating keyframes
     section = None
     with open(path) as f:
@@ -731,16 +701,21 @@ def load_map(path) -> SlamMap:
             if section == "keyframes":
                 kf = KeyFrame(
                     id=int(parts[0]), frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=_parse_pose(parts[3:10]), observations=Detections.empty(),
-                    n_trk=int(parts[11]), quality=float(parts[12]), lba_alpha=float(parts[10]))
+                    pose=_parse_pose(parts[3:10]), n_trk=int(parts[11]),
+                    quality=float(parts[12]), lba_alpha=float(parts[10]))
+                if kf.id in slam_map.keyframes:
+                    raise FormatError(f"duplicate keyframe id {kf.id}", path=str(path), line=lineno)
                 slam_map.keyframes[kf.id] = kf
             elif section in POSE_SECTIONS:
                 setattr(slam_map.keyframes[int(parts[0])], POSE_SECTIONS[section],
                         _parse_pose(parts[1:]))
             elif section == "observations":
-                ids, uv = observations.setdefault(slam_map.keyframes[int(parts[0])].id, ([], []))
-                ids.append(int(parts[1]))
-                uv.append((float(parts[2]), float(parts[3])))
+                k, j = slam_map.keyframes[int(parts[0])].id, int(parts[1])
+                if (k, j) in observed:
+                    raise FormatError(f"duplicate observation of point {j} by keyframe {k}",
+                                      path=str(path), line=lineno)
+                observed.add((k, j))
+                observations.append((k, j, (float(parts[2]), float(parts[3]))))
             elif section == "points":
                 points[0].append(int(parts[0]))
                 points[1].append([float(x) for x in parts[1:4]])
@@ -754,9 +729,8 @@ def load_map(path) -> SlamMap:
                                             _parse_pose(parts[3:]), float(parts[2])))
     except (ValueError, KeyError, IndexError) as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
-    for k, (ids, uv) in observations.items():
-        slam_map.keyframes[k].observations = Detections(np.array(ids, dtype=np.int64),
-                                                        np.array(uv, dtype=float))
+    table = np.array(observations, dtype=REPROJECTION_ROW)
+    slam_map.observations = table[np.argsort(table["pose"], kind="stable")]
     slam_map.points = PointTable.empty().insert(
         np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
         np.array(points[2], dtype=np.int64))

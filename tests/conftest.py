@@ -94,7 +94,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
         anchored = i == 0
         init = gt if (pose_perturb == 0 or anchored) else \
             compose(gt, exp_se3(rng.normal(scale=pose_perturb, size=6)))
-        problem.add_pose(i, init, fixed=anchored)
+        problem.add_poses(i, init, fixed=anchored)
     for j, gt in enumerate(gt_landmarks):
         init = gt if lm_perturb == 0 else gt + rng.normal(scale=lm_perturb, size=3)
         problem.add_landmarks(j, init, fixed=fix_landmarks)
@@ -108,19 +108,45 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
     return problem, gt_poses, np.array(gt_landmarks)
 
 
+def _slot(variables, var_id) -> int:
+    (slot,) = np.flatnonzero(variables["id"] == var_id)
+    return int(slot)
+
+
+def problem_pose(problem, pose_id) -> Pose:
+    """The problem's pose of id pose_id."""
+    row = problem.poses[_slot(problem.poses, pose_id)]
+    return Pose(row["q"], row["t"])
+
+
+def set_problem_pose(problem, pose_id, pose: Pose) -> None:
+    slot = _slot(problem.poses, pose_id)
+    problem.poses["q"][slot], problem.poses["t"][slot] = pose.q, pose.t
+
+
+def landmark_position(problem, lm_id) -> np.ndarray:
+    """The problem's position of landmark lm_id."""
+    return problem.landmarks["position"][_slot(problem.landmarks, lm_id)]
+
+
+def set_fixed(variables, var_ids) -> None:
+    """Holds the pose or landmark variables of ids var_ids fixed."""
+    variables["fixed"][np.isin(variables["id"], var_ids)] = True
+
+
 def motion_only_args(problem):
     """Keyword arguments of solve_motion_only equivalent to a Problem with one
     free pose, fixed landmarks and at most one DR edge from a fixed pose; rows
     in the problem's row order, solved under tracking's solver configuration."""
-    (pid,) = [i for i, v in problem.poses.items() if not v.fixed]
+    (pid,) = problem.poses["id"][~problem.poses["fixed"]].tolist()
     rows = problem.reprojection_factors
     dr = None
     if len(problem.dr_factors):
         (f,) = problem.dr_factors
-        assert f["to"] == pid and problem.poses[f["from"]].fixed
-        dr = (problem.poses[f["from"]].pose, Pose(f["q"], f["t"]), f["precision"])
-    return dict(camera=problem.intrinsics, pose=problem.poses[pid].pose,
-                points=np.array([problem.landmarks[j].position
+        assert f["to"] == pid and problem.poses["fixed"][_slot(problem.poses, f["from"])]
+        dr = (problem_pose(problem, f["from"]), Pose(f["q"], f["t"]), f["precision"])
+    return dict(camera=problem.intrinsics, pose=problem_pose(problem, pid),
+                points=np.array([landmark_position(problem, j)
                                  for j in rows["landmark"].tolist()]).reshape(-1, 3),
                 uv=rows["uv"], pixel_std=problem.pixel_std,
                 huber_threshold=problem.huber_threshold, dr=dr,

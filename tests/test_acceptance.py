@@ -166,8 +166,8 @@ def test_criterion_04_hessian_linear_in_alpha():
 
         def hpp(alpha):
             problem = Problem(intrinsics=CAMERA)
-            problem.add_pose(0, a)
-            problem.add_pose(1, b)
+            problem.add_poses(0, a)
+            problem.add_poses(1, b)
             problem.add_dr_edges(0, 1, [delta], alpha * w0)
             return build_normal_equations(problem)[0].Hpp
 

@@ -366,6 +366,29 @@ def test_run_nonpositive_pixel_std_or_huber_scale_exits_two(tmp_path, capsys, se
     assert setting.partition("=")[0] in err and "must be positive" in err
 
 
+@pytest.mark.parametrize("setting, keys", [
+    ("quality.omega1=0.7", ("quality.omega1", "quality.omega2")),
+    ("quality.alpha_min=-1", ("quality.alpha_min", "quality.alpha_max"))],
+    ids=["weights", "bounds"])
+@pytest.mark.parametrize("form", ["set", "file"])
+def test_run_group_rejecting_its_values_exits_two(tmp_path, capsys, setting, keys, form):
+    # the nested group's own check fails; the error names the keys that set the group
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    if form == "set":
+        args = ["--config", cfg, "--set", setting]
+    else:
+        section, _, entry = setting.partition(".")
+        name, _, value = entry.partition("=")
+        args = ["--config", write_world(tmp_path / "bad.cfg", f"[{section}]\n{name} = {value}\n")]
+    capsys.readouterr()
+    assert main(["run", "--seq", seq_dir, "--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert all(key in err for key in keys)
+
+
 def test_run_malformed_sequence_field_exits_two(tmp_path, capsys):
     cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
     seq_dir = tmp_path / "seq"

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, make_ba_problem,
-                      motion_only_args, random_pose)
+from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, landmark_position,
+                      make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
+                      set_problem_pose)
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
@@ -52,14 +53,14 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
     gt = compose(prev, delta)
 
     problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
-    problem.add_pose(0, prev, fixed=True)
+    problem.add_poses(0, prev, fixed=True)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     perturb = np.concatenate([
         rng.normal(size=3) / math.sqrt(3) * perturb_t,
         axis * math.radians(perturb_r_deg),
     ])
-    problem.add_pose(1, compose(gt, exp_se3(perturb)), fixed=False)
+    problem.add_poses(1, compose(gt, exp_se3(perturb)), fixed=False)
 
     for j in range(n_obs):
         u = rng.uniform(60, 580)
@@ -91,8 +92,8 @@ def test_motion_only_dr_only_returns_prediction(rng):
                                                   dr_alpha=dr_weight(0.0, BOUNDS))
     prediction = compose(prev, delta)
     # start away from the optimum; the DR quadratic must pull the pose back
-    problem.poses[1].pose = compose(prediction, exp_se3(
-        np.array([0.05, -0.03, 0.02, 0.01, -0.02, 0.015])))
+    set_problem_pose(problem, 1, compose(prediction, exp_se3(
+        np.array([0.05, -0.03, 0.02, 0.01, -0.02, 0.015]))))
     pose, report = solve_motion_only(**motion_only_args(problem))
     dt, dr = pose_distance(pose, prediction)
     assert dt < 1e-9
@@ -147,10 +148,10 @@ def test_local_ba_recovers_ground_truth(rng):
     report = solve_local_ba(problem)
     assert report.final_cost <= report.initial_cost
     for i, gt in enumerate(gt_poses):
-        dt, _ = pose_distance(problem.poses[i].pose, gt)
+        dt, _ = pose_distance(problem_pose(problem, i), gt)
         assert dt < 1e-5
     for j, gt in enumerate(gt_lms):
-        assert np.linalg.norm(problem.landmarks[j].position - gt) < 1e-5
+        assert np.linalg.norm(landmark_position(problem, j) - gt) < 1e-5
 
 
 def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
@@ -161,10 +162,10 @@ def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
     d01 = compose(inverse(gt_poses[0]), gt_poses[1])
     d12 = compose(inverse(gt_poses[1]), gt_poses[2])
     problem.add_dr_edges([0, 1], [1, 2], [d01, d12], NOMINAL.precision())
-    problem.poses[1].pose = compose(gt_poses[1], exp_se3(np.full(6, 0.01)))
+    set_problem_pose(problem, 1, compose(gt_poses[1], exp_se3(np.full(6, 0.01))))
     report = solve_local_ba(problem)
     assert report.final_cost <= report.initial_cost
-    dt, dr = pose_distance(problem.poses[1].pose, gt_poses[1])
+    dt, dr = pose_distance(problem_pose(problem, 1), gt_poses[1])
     assert dt < 1e-6 and dr < 1e-6
 
 
@@ -173,10 +174,10 @@ def test_global_ba_noop_on_consistent_input(rng):
     report = solve_global_ba(problem)
     assert report.iterations <= 2
     for i, gt in enumerate(gt_poses):
-        dt, _ = pose_distance(problem.poses[i].pose, gt)
+        dt, _ = pose_distance(problem_pose(problem, i), gt)
         assert dt < 1e-9
     for j, gt in enumerate(gt_lms):
-        assert np.linalg.norm(problem.landmarks[j].position - gt) < 1e-9
+        assert np.linalg.norm(landmark_position(problem, j) - gt) < 1e-9
 
 
 def test_empty_problem_is_zero_dimensional():
@@ -210,6 +211,18 @@ def test_problem_rejects_dr_edges_of_unknown_poses(rng, from_id, to_id):
         solve(problem)
 
 
+@pytest.mark.parametrize("kind", ["poses", "landmarks"])
+def test_problem_rejects_variables_out_of_id_order(rng, kind):
+    # variables assigned to the field directly, not through add_poses or
+    # add_landmarks: a reversed or repeated id would misplace every slot
+    problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10)
+    variables = getattr(problem, kind)
+    for bad in (variables[::-1].copy(), variables[[0, 0, 1, 2]]):
+        setattr(problem, kind, bad)
+        with pytest.raises(ValueError, match="must be unique and ascending"):
+            solve(problem)
+
+
 @pytest.mark.parametrize("name, value", [("pixel_std", 0.0), ("pixel_std", -1.5),
                                          ("huber_threshold", 0.0)])
 def test_problem_rejects_nonpositive_pixel_std_and_huber_threshold(rng, name, value):
@@ -223,8 +236,8 @@ def test_single_dr_factor_normal_equations_match_direct_product(rng):
     a, b = random_pose(rng), random_pose(rng)
     delta = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, a)
-    problem.add_pose(1, b)
+    problem.add_poses(0, a)
+    problem.add_poses(1, b)
     problem.add_dr_edges(0, 1, [delta], np.ones(6))
     neq, _ = build_normal_equations(problem)
     jf, jt = edge_jacobians(a, b, delta)
@@ -237,8 +250,8 @@ def test_reprojection_normal_equations_match_direct_product(rng):
     # are fixed, so every block has a known set of contributing factors
     pose0, pose1 = random_pose(rng, rot_scale=0.2), random_pose(rng, rot_scale=0.2)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, pose0, fixed=True)
-    problem.add_pose(1, pose1)
+    problem.add_poses(0, pose0, fixed=True)
+    problem.add_poses(1, pose1)
     lms = []
     for j in range(4):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 5)])
@@ -285,15 +298,15 @@ def direct_normal_equations(problem):
     """H = J^T W J and b = -J^T W r over the free variables, one row or edge at
     a time, with J from the factor kernels and W from huber or the information.
     Rows at or behind the near plane are skipped, as the solver skips them."""
-    free_poses = [i for i in sorted(problem.poses) if not problem.poses[i].fixed]
-    free_lms = [j for j in sorted(problem.landmarks) if not problem.landmarks[j].fixed]
+    free_poses = problem.poses["id"][~problem.poses["fixed"]].tolist()
+    free_lms = problem.landmarks["id"][~problem.landmarks["fixed"]].tolist()
     pose_col = {p: 6 * k for k, p in enumerate(free_poses)}
     lm_col = {l: 6 * len(free_poses) + 3 * k for k, l in enumerate(free_lms)}
     n = 6 * len(free_poses) + 3 * len(free_lms)
     h, b = np.zeros((n, n)), np.zeros(n)
     for i, l, observed in problem.reprojection_factors:
-        pose = problem.poses[i].pose
-        lm = problem.landmarks[l].position
+        pose = problem_pose(problem, i)
+        lm = landmark_position(problem, l)
         y, r = reprojection_residuals(CAMERA, pose.rotation_matrix, pose.t, lm[None],
                                       observed[None])
         if y[0, 2] <= Z_MIN:
@@ -309,7 +322,7 @@ def direct_normal_equations(problem):
         h += info * j.T @ j
         b -= info * j.T @ r[0]
     for f in problem.dr_factors:
-        a, c = problem.poses[f["from"]].pose, problem.poses[f["to"]].pose
+        a, c = problem_pose(problem, f["from"]), problem_pose(problem, f["to"])
         delta, w = Pose(f["q"], f["t"]), np.diag(f["precision"])
         j = np.zeros((6, n))
         for pid, jac in zip((f["from"], f["to"]), edge_jacobians(a, c, delta)):
@@ -341,9 +354,9 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     # pose 0 sees the free landmark 7 exactly on its near plane, and pose 1's
     # rows interleave with the other poses' rows.
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, Pose.identity(), fixed=True)
+    problem.add_poses(0, Pose.identity(), fixed=True)
     for i in (1, 2, 3):
-        problem.add_pose(i, exp_se3(rng.normal(scale=0.05, size=6)))
+        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)))
     for j in range(6):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=j == 5)
@@ -352,19 +365,19 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
              (0, 2), (3, 2)]
     if near_plane:
         behind = np.array([0.2, -0.1, -1.0])
-        problem.add_landmarks(6, transform_point(problem.poses[3].pose, behind))
+        problem.add_landmarks(6, transform_point(problem_pose(problem, 3), behind))
         problem.add_landmarks(7, np.array([0.1, 0.1, Z_MIN]))
         pairs = [(1, 0), (2, 3), (3, 6), (1, 0), (0, 7), (2, 3), (1, 1), (2, 0), (3, 6), (1, 5),
                  (2, 4), (3, 1), (3, 4), (0, 2), (3, 2)]
     centre = np.array([CAMERA.cx, CAMERA.cy])   # the pixel of a row at or behind the near plane
     for i, j in pairs:
-        pose, lm = problem.poses[i].pose, problem.landmarks[j].position
+        pose, lm = problem_pose(problem, i), landmark_position(problem, j)
         cam = transform_point(inverse(pose), lm)
         obs = (project(CAMERA, cam) if cam[2] > Z_MIN else centre) \
             + rng.normal(scale=3 * pixel_std, size=2)
         problem.add_observations(i, j, obs)
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
-        delta = compose(compose(inverse(problem.poses[a].pose), problem.poses[c].pose),
+        delta = compose(compose(inverse(problem_pose(problem, a)), problem_pose(problem, c)),
                         exp_se3(rng.normal(scale=0.01, size=6)))
         problem.add_dr_edges(a, c, [delta], scale_information(2.0, NOMINAL))
     neq, _ = build_normal_equations(problem)
@@ -392,8 +405,8 @@ def test_dr_hessian_linear_in_alpha(rng):
 
     def hessians(alpha):
         problem = Problem(intrinsics=CAMERA)
-        problem.add_pose(0, a)
-        problem.add_pose(1, b)
+        problem.add_poses(0, a)
+        problem.add_poses(1, b)
         problem.add_dr_edges(0, 1, [delta], alpha * w0)
         neq, _ = build_normal_equations(problem)
         return neq.Hpp
@@ -413,8 +426,8 @@ def test_alpha_doubling_doubles_dr_contribution(rng):
 
     def hpp(alpha):
         problem = Problem(intrinsics=CAMERA)
-        problem.add_pose(0, a)
-        problem.add_pose(1, b)
+        problem.add_poses(0, a)
+        problem.add_poses(1, b)
         problem.add_dr_edges(0, 1, [delta], scale_information(alpha, NOMINAL))
         return build_normal_equations(problem)[0].Hpp
 
@@ -450,13 +463,13 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     rng = np.random.default_rng(seed)
     problem = Problem(intrinsics=CAMERA)
     for i in range(n_poses):
-        problem.add_pose(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
+        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
     for j in range(n_lms):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=rng.uniform() < 0.2)
         for i in range(n_poses):
             if rng.uniform() < density:
-                obs = project(CAMERA, transform_point(inverse(problem.poses[i].pose), lm))
+                obs = project(CAMERA, transform_point(inverse(problem_pose(problem, i)), lm))
                 problem.add_observations(i, j, obs + rng.normal(scale=1.0, size=2))
     if with_dr:
         for i in range(n_poses - 1):
@@ -489,8 +502,8 @@ def test_schur_landmark_free_reduces_to_pose_solve(rng):
 
 def test_damped_singular_system_gives_finite_step():
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, Pose.identity(), fixed=True)
-    problem.add_pose(1, Pose.identity())
+    problem.add_poses(0, Pose.identity(), fixed=True)
+    problem.add_poses(1, Pose.identity())
     # single observation: wildly underdetermined without damping
     problem.add_landmarks(0, np.array([0.0, 0.0, 3.0]))
     problem.add_observations(1, 0, np.array([322.0, 239.0]))
@@ -502,7 +515,7 @@ def test_damped_singular_system_gives_finite_step():
 def test_min_pose_eigenvalue_identity_and_scaled():
     neq, _ = build_normal_equations(Problem(intrinsics=CAMERA))
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, Pose.identity())
+    problem.add_poses(0, Pose.identity())
     neq, _ = build_normal_equations(problem)
     neq.Hpp[:] = np.eye(6)
     assert min_pose_eigenvalue(neq) == pytest.approx(1.0)
@@ -512,8 +525,8 @@ def test_min_pose_eigenvalue_identity_and_scaled():
 
 def test_min_pose_eigenvalue_matches_iterative_oracle(rng):
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, Pose.identity())
-    problem.add_pose(1, Pose.identity())
+    problem.add_poses(0, Pose.identity())
+    problem.add_poses(1, Pose.identity())
     neq, _ = build_normal_equations(problem)
     a = rng.normal(size=(12, 12))
     spd = a @ a.T + 12 * np.eye(12)
@@ -587,7 +600,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
     gt = compose(prev, delta)
     start = compose(gt, exp_se3(rng.normal(scale=0.05, size=6)))
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(1, start)
+    problem.add_poses(1, start)
     # landmark ids out of match order: the Problem sorts them, the arrays do not
     for j in rng.permutation(1000)[:n_obs]:
         cam = np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 6.0)])
@@ -603,10 +616,10 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
             # the start sits at an error rotation just below pi from the prediction
             axis = rng.normal(size=3)
             phi = axis / np.linalg.norm(axis) * (math.pi - 1e-7)
-            problem.poses[1].pose = compose(compose(prev, delta),
-                                            exp_se3(np.concatenate([np.zeros(3), phi])))
-            assert edge_residuals([prev], [problem.poses[1].pose], [delta])[1][0]
-        problem.add_pose(0, prev, fixed=True)
+            set_problem_pose(problem, 1, compose(compose(prev, delta),
+                                                 exp_se3(np.concatenate([np.zeros(3), phi]))))
+            assert edge_residuals([prev], [problem_pose(problem, 1)], [delta])[1][0]
+        problem.add_poses(0, prev, fixed=True)
         problem.add_dr_edges(0, 1, [delta], scale_information(10.0 ** log_alpha, NOMINAL))
     args = motion_only_args(problem)
     arrays = _outcome(lambda: solve_motion_only(**args))
@@ -616,7 +629,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
 
     def generic():
         report = solve(problem, args["config"])
-        return problem.poses[1].pose, report
+        return problem_pose(problem, 1), report
     _assert_same_solve(arrays, _outcome(generic))
 
 
@@ -629,9 +642,8 @@ def test_report_carries_problem_size(rng):
     # 0-4 held fixed
     problem, _, _ = make_ba_problem(rng, n_poses=5, n_landmarks=30, pose_perturb=0.01,
                                     with_dr_chain=True)
-    problem.poses[1].fixed = True
-    for j in range(5):
-        problem.landmarks[j].fixed = True
+    set_fixed(problem.poses, 1)
+    set_fixed(problem.landmarks, range(5))
     n_landmarks, n_rows = len(problem.landmarks), len(problem.reprojection_factors)
     assert n_rows > 2 * n_landmarks
     assert _size(solve_local_ba(problem)) == (3, n_landmarks - 5, n_rows, 4)
@@ -671,8 +683,8 @@ def test_dr_precision_not_finite_and_positive_raises(solver, bad):
     precision = NOMINAL.precision()
     precision[4] = bad
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(0, previous, fixed=True)
-    problem.add_pose(1, compose(previous, delta))
+    problem.add_poses(0, previous, fixed=True)
+    problem.add_poses(1, compose(previous, delta))
     problem.add_dr_edges(0, 1, [delta], precision)
     with pytest.raises(NotPositiveDefinite):
         if solver == "solve":
@@ -705,12 +717,9 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
         assert abs(rw[0] @ rw[0] - mahalanobis) <= 1e-12 * mahalanobis
 
 
-def _set_point(problem, lin, point):
-    q, t, lm_pos = point
-    for pid, q_row, t_row in zip(lin.pose_ids, q, t):
-        problem.poses[pid].pose = Pose(q_row, t_row)
-    for lid, position in zip(lin.lm_ids, lm_pos):
-        problem.landmarks[lid].position = position.copy()
+def _set_point(problem, point):
+    # the linearizer's slots and rows are the problem's, both in ascending id
+    problem.poses["q"], problem.poses["t"], problem.landmarks["position"] = point
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -738,7 +747,7 @@ def test_cached_linearization_matches_fresh_build(seed, n_poses, perturb, with_d
         pass
     assert seen
     for point, neq in seen:
-        _set_point(problem, lin, point)
+        _set_point(problem, point)
         fresh, _ = build_normal_equations(problem)
         for block in ("Hpp", "bp", "Hll", "bl", "Hpl"):
             assert np.array_equal(getattr(neq, block), getattr(fresh, block)), block
@@ -788,7 +797,7 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     rng = np.random.default_rng(2)
     gt = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_pose(1, compose(gt, exp_se3(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
+    problem.add_poses(1, compose(gt, exp_se3(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
     for j in range(12):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5)])
         problem.add_landmarks(j, transform_point(gt, cam), fixed=True)
@@ -805,7 +814,7 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
         return cost, cache
     monkeypatch.setattr(_Linearizer, "residuals", recording)
     report = solve(problem, config)
-    _assert_same_solve(arrays, (problem.poses[1].pose, report))
+    _assert_same_solve(arrays, (problem_pose(problem, 1), report))
     assert report.termination in ("cost_tolerance", "step_tolerance")
     # replay the loop's cost checks: the cost at which each step was rejected
     current, rejected_at = costs[0], []
@@ -822,3 +831,34 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     for _ in range(report.rejected_steps):
         expected *= config.damping_up
     assert report.final_damping == expected * config.damping_down ** report.iterations
+
+
+@pytest.mark.parametrize("kind", ["poses", "landmarks"])
+def test_problem_keeps_variables_in_ascending_id_and_rejects_an_id_given_twice(rng, kind):
+    # one item or several per call, merged by id; an id given twice, within a
+    # call or across calls, raises and leaves the variables as they were
+    problem = Problem(intrinsics=CAMERA)
+    if kind == "poses":
+        values = [random_pose(rng) for _ in range(4)]
+        add = problem.add_poses
+    else:
+        values = list(rng.normal(size=(4, 3)))
+        add = problem.add_landmarks
+    add([5, 2], values[:2], fixed=[True, False])
+    add(3, values[2])
+    variables = getattr(problem, kind)
+    assert variables["id"].tolist() == [2, 3, 5]
+    assert variables["fixed"].tolist() == [False, False, True]
+    if kind == "poses":
+        for pose, slot in zip(values[:3], (2, 0, 1)):
+            assert variables["q"][slot].tobytes() == pose.q.tobytes()
+            assert variables["t"][slot].tobytes() == pose.t.tobytes()
+    else:
+        assert variables["position"].tobytes() == np.array([values[1], values[2],
+                                                            values[0]]).tobytes()
+    name = kind[:-1]
+    with pytest.raises(KeyError, match=f"{name} 3 given twice"):
+        add(3, values[3])
+    with pytest.raises(KeyError, match=f"{name} 7 given twice"):
+        add([7, 7], values[2:])
+    assert getattr(problem, kind).tobytes() == variables.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import drslam.optimizer
 import drslam.pipeline
+from drslam.optimizer import reprojection_rows
 from drslam.cli import resolve_config_path
 from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
@@ -42,6 +43,17 @@ def as_detections(rows) -> Detections:
     """Detections from (id, u, v) rows, in row order."""
     return Detections(np.array([j for j, _, _ in rows], dtype=np.int64),
                       np.array([(u, v) for _, u, v in rows], dtype=float).reshape(-1, 2))
+
+
+def observed(slam_map, k):
+    """Keyframe k's rows of the map's observation table as (point id, u, v),
+    in observation order."""
+    rows = slam_map.observations[slam_map.observations["pose"] == k]
+    return list(zip(rows["landmark"].tolist(), *rows["uv"].T.tolist()))
+
+
+def observed_ids(slam_map, k):
+    return [j for j, _, _ in observed(slam_map, k)]
 
 
 def straight_sequence(n_frames=120, seed=0, **kw):
@@ -285,7 +297,7 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
         assert np.all(np.diff(points.ids) > 0)
         created = [j for j in points.ids.tolist() if j not in before]
         assert points.created_kf[np.isin(points.ids, created)].tolist() == [kf.id] * len(created)
-        seen.append((before, created, record, matches, list(kf.observations)))
+        seen.append((before, created, record, matches, observed(self.slam_map, kf.id)))
         return kf
 
     monkeypatch.setattr(Pipeline, "_insert_keyframe", recorded)
@@ -306,7 +318,7 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
 
 
 def test_decide_keyframe_rules():
-    last = KeyFrame(0, 0, 0.0, Pose.identity(), Detections.empty(), n_trk=60, quality=1.0)
+    last = KeyFrame(0, 0, 0.0, Pose.identity(), n_trk=60, quality=1.0)
     below = make_frame(fid=5, n_trk=40)
     assert not decide_keyframe(below, last, PARAMS)
     gap = make_frame(fid=PARAMS.k_max, n_trk=40)
@@ -330,8 +342,7 @@ def test_pipeline_first_and_second_keyframe_covisibility():
         for b, c in edges.items():
             assert m.covisibility[b][a] == c  # symmetry
     shared = m.covisibility[0].get(1, 0)
-    manual = len(set(m.keyframes[0].observations.ids.tolist())
-                 & set(m.keyframes[1].observations.ids.tolist()))
+    manual = len(set(observed_ids(m, 0)) & set(observed_ids(m, 1)))
     assert shared == manual and shared > 0
 
 
@@ -377,7 +388,7 @@ def test_zero_observation_keyframe_gets_dr_edge():
     seq = straight_sequence(n_frames=80, dropouts=[Dropout(20, 60, 0)])
     res = run_pipeline(seq, PARAMS, "adaptive")
     m = res.slam_map
-    empty_kfs = [k for k, kf in m.keyframes.items() if not kf.observations and k > 0]
+    empty_kfs = [k for k in m.keyframes if not observed(m, k) and k > 0]
     assert empty_kfs, "blackout should create zero-observation keyframes"
     k = empty_kfs[0]
     assert m.connection_count(k) == 0
@@ -427,12 +438,12 @@ def test_ba_problems_answer_the_traced_sizes(monkeypatch):
 
     def sized(level, solve):
         def traced(problem, config=None):
-            landmarks = list(problem.landmarks)
-            observed = sum(int(np.isin(pipe.slam_map.keyframes[k].observations.ids,
-                                       landmarks).sum()) for k in problem.poses)
+            landmarks = set(problem.landmarks["id"].tolist())
+            seen = sum(j in landmarks for k in problem.poses["id"].tolist()
+                       for j in observed_ids(pipe.slam_map, k))
             sizes[level].append((len(problem.poses), len(problem.landmarks),
                                  len(problem.reprojection_factors), len(problem.dr_factors),
-                                 observed))
+                                 seen))
             return solve(problem, config)
         return traced
 
@@ -448,16 +459,16 @@ def test_ba_problems_answer_the_traced_sizes(monkeypatch):
     assert len(sizes["local"]) >= 10 and len(sizes["global"]) == 1
     assert sizes["global"][0][0] == len(pipe.slam_map.keyframes)
     assert sizes["global"][0][3] >= len(pipe.slam_map.loop_edges) == 1
-    for n_poses, n_landmarks, n_rows, _, observed in sizes["local"] + sizes["global"]:
+    for n_poses, n_landmarks, n_rows, _, seen in sizes["local"] + sizes["global"]:
         assert n_poses >= 2 and n_landmarks > 0
-        assert n_rows == observed
+        assert n_rows == seen
 
 
 def observer_walk(slam_map):
     """Point id -> the keyframes whose observations hold it, one keyframe at a time."""
     observers = {}
     for k in sorted(slam_map.keyframes):
-        for j in slam_map.keyframes[k].observations.ids.tolist():
+        for j in observed_ids(slam_map, k):
             observers.setdefault(j, set()).add(k)
     return observers
 
@@ -482,7 +493,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
     local_ba, cull_points = Pipeline._local_ba, Pipeline._cull_points
 
     def ids_of(k):
-        return pipe.slam_map.keyframes[k].observations.ids.tolist()
+        return observed_ids(pipe.slam_map, k)
 
     def checked_local_ba(self, new_kf):
         # runs right after new_kf's covisibility is stored, before culling
@@ -507,15 +518,16 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
                    [:p.max_anchor_keyframes]}
         rows = []
         for k in sorted(window | anchors):
-            obs = self.slam_map.keyframes[k].observations
-            rows += sorted((k, j, u, v) for j, u, v in obs if j in points)
+            rows += sorted((k, j, u, v) for j, u, v in observed(self.slam_map, k) if j in points)
         expected["local"] = (window, anchors, sorted(points), rows)
         local_ba(self, new_kf)
 
     def checked_local_solve(problem, config=None):
         window, anchors, points, rows = expected.pop("local")
-        assert window <= set(problem.poses) and set(problem.poses) - window == anchors
-        assert list(problem.landmarks) == points
+        poses = set(problem.poses["id"].tolist())
+        assert window <= poses and poses - window == anchors
+        assert anchors <= set(problem.poses["id"][problem.poses["fixed"]].tolist())
+        assert problem.landmarks["id"].tolist() == points
         assert row_tuples(problem.reprojection_factors) == rows
         counts["local"] += 1
         return drslam.optimizer.solve_local_ba(problem, config)
@@ -525,7 +537,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         points = self.slam_map.points
         doomed = {j for j, created in zip(points.ids.tolist(), points.created_kf.tolist())
                   if len(observers[j]) < 2 and current_kf - created >= 2}
-        before = {k: list(kf.observations) for k, kf in self.slam_map.keyframes.items()}
+        before = {k: observed(self.slam_map, k) for k in self.slam_map.keyframes}
         kept = [(j, x.tobytes(), c) for j, x, c in
                 zip(points.ids.tolist(), points.positions, points.created_kf.tolist())
                 if j not in doomed]
@@ -533,17 +545,18 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         points = self.slam_map.points
         assert list(zip(points.ids.tolist(), (x.tobytes() for x in points.positions),
                         points.created_kf.tolist())) == kept
-        for k, kf in self.slam_map.keyframes.items():
-            assert list(kf.observations) == [o for o in before[k] if o[0] not in doomed]
+        for k in self.slam_map.keyframes:
+            assert observed(self.slam_map, k) == [o for o in before[k] if o[0] not in doomed]
+        assert np.all(np.diff(self.slam_map.observations["pose"]) >= 0)
         culled.extend(doomed)
 
     def checked_global_solve(problem, config=None):
         observers = observer_walk(pipe.slam_map)
         live = [j for j in pipe.slam_map.points.ids.tolist() if len(observers[j]) >= 2]
-        assert list(problem.landmarks) == live
+        assert problem.landmarks["id"].tolist() == live
         assert row_tuples(problem.reprojection_factors) == [
             (k, j, u, v) for k in sorted(pipe.slam_map.keyframes)
-            for j, u, v in pipe.slam_map.keyframes[k].observations if len(observers[j]) >= 2]
+            for j, u, v in observed(pipe.slam_map, k) if len(observers[j]) >= 2]
         counts["global"] += 1
         return drslam.optimizer.solve_global_ba(problem, config)
 
@@ -565,7 +578,7 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     attempts = []
 
     def diverging(problem, config=None):
-        attempts.append(max(problem.poses))   # the keyframe that found the loop
+        attempts.append(int(problem.poses["id"].max()))   # the keyframe that found the loop
         raise Diverged("forced failure")
 
     monkeypatch.setattr("drslam.pipeline.solve_global_ba", diverging)
@@ -622,9 +635,8 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
         assert same_float(ka.lba_alpha, kb.lba_alpha)
         for field in ("pose", "dr_to_prev", "gt_pose"):
             assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
-        oa, ob = ka.observations, kb.observations
-        assert (oa.ids.dtype, oa.ids.tobytes(), oa.uv.dtype, oa.uv.shape, oa.uv.tobytes()) == \
-            (ob.ids.dtype, ob.ids.tobytes(), ob.uv.dtype, ob.uv.shape, ob.uv.tobytes())
+    oa, ob = a.observations, b.observations
+    assert (oa.dtype, oa.shape, oa.tobytes()) == (ob.dtype, ob.shape, ob.tobytes())
     for column in ("ids", "positions", "created_kf"):
         ca, cb = getattr(a.points, column), getattr(b.points, column)
         assert (ca.dtype, ca.shape, ca.tobytes()) == (cb.dtype, cb.shape, cb.tobytes()), column
@@ -645,15 +657,18 @@ def poses(draw):
 
 @st.composite
 def slam_maps(draw):
-    """Small maps: keyframes with drawn observations, points, covisibility, DR and loop edges."""
+    """Small maps: keyframes with drawn observations, each of a point at most
+    once, points, covisibility, DR and loop edges."""
     m = SlamMap()
     kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
     for k in kf_ids:
+        rows = draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4,
+                             unique_by=lambda row: row[0]))
+        m.observations = np.concatenate([m.observations, reprojection_rows(
+            k, [j for j, _, _ in rows], [(u, v) for _, u, v in rows])])
         m.keyframes[k] = KeyFrame(
             k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
-            observations=as_detections(
-                draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4))),
             n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
             lba_alpha=draw(st.just(float("nan")) | finite),
             dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
@@ -720,6 +735,29 @@ def test_map_load_truncated_raises(tmp_path):
     (tmp_path / "twice.gwmap").write_text("\n".join(text + ["[points]", point]) + "\n")
     with pytest.raises(FormatError, match="duplicate point id"):
         load_map(tmp_path / "twice.gwmap")
+
+
+def saved_map_lines(tmp_path):
+    """The lines of a saved straight-line run's map."""
+    res = run_pipeline(straight_sequence(n_frames=50), PARAMS, "adaptive")
+    save_map(res.slam_map, tmp_path / "run.gwmap")
+    return (tmp_path / "run.gwmap").read_text().splitlines()
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[keyframes]", "duplicate keyframe id 0"),
+    ("[observations]", r"duplicate observation of point \d+ by keyframe 0")],
+    ids=["keyframe", "observation"])
+def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, message):
+    # the section's first data line given twice: the copy, at file line i + 2
+    # for list index i of the original, is rejected
+    text = saved_map_lines(tmp_path)
+    i = text.index(section) + 1
+    path = tmp_path / "twice.gwmap"
+    path.write_text("\n".join(text[:i + 1] + text[i:]) + "\n")
+    with pytest.raises(FormatError, match=message) as error:
+        load_map(path)
+    assert error.value.line == i + 2
 
 
 def test_repeat_determinism_identical_outputs():
