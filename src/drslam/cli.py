@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import multiprocessing
 import os
 import sys
@@ -95,7 +96,7 @@ def _write_run_outputs(result, sequence, out: str) -> None:
 
 def _run_verdict(result, sequence):
     ref = evaluation.gt_trajectory(sequence)
-    if len(ref) < 3:
+    if len(ref) < evaluation.MIN_PAIRS:
         return None
     est = evaluation.Trajectory.from_rows(result.frame_trajectory())
     return evaluation.verdict(est, ref, [f.tracked_ok for f in result.frames])
@@ -163,6 +164,13 @@ def _sweep_arguments(args):
         alphas = [float(a) for a in args.alphas.split(",")]
     except ValueError:
         raise ConfigError(f"--alphas must be log10 weights, got {args.alphas!r}") from None
+    for a in alphas:
+        try:
+            finite = 0.0 < 10.0 ** a < math.inf     # the weight the sweep runs at
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"--alphas must give finite positive weights 10**a, got a = {a}")
     if not args.segment:
         return alphas, None
     start, _, stop = args.segment.partition(":")

@@ -1,12 +1,18 @@
 """Run configuration: plain-text key=value files with section headers.
 
+A key exists only for a value that a bundled config, the benchmark or a
+production caller varies, or for a parameter of the weight model (the
+``quality.*`` keys). The estimator's fixed settings are named constants: the
+tracking, keyframe, local BA and loop thresholds in ``pipeline``, the LM
+settings every solve shares in ``optimizer``.
+
 Resolution is layered: built-in defaults, then the config file, then
 command-line ``--set section.key=value`` overrides. The defaults are those of
 ``PipelineParams`` and ``WorldConfig``; each estimator key names the
-``PipelineParams`` fields it sets. Unknown, ill-typed, NaN or out-of-range
-keys are rejected with the offending key and line. The resolved config is
-echoed into every output directory; re-running from the echo reproduces
-outputs byte-identically.
+``PipelineParams`` fields it sets. Unknown keys (a fixed setting has none)
+and ill-typed, NaN or out-of-range values are rejected with the offending key
+and line. The resolved config is echoed into every output directory;
+re-running from the echo reproduces outputs byte-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .errors import ConfigError
-from .fileio import fmt, fmt_bool, parse_bool
+from .fileio import fmt
 from .pipeline import MODES, PipelineParams
 from .simulator import WORLD_FIELDS, WorldConfig
 
@@ -32,10 +38,6 @@ def _mode(s: str) -> str:
     if s not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {s!r}")
     return s
-
-
-def _solvers(name: str, levels=("motion_solver", "ba_solver", "gba_solver")) -> tuple:
-    return tuple(f"{level}.{name}" for level in levels)
 
 
 # section.key -> (parse, format, the dotted PipelineParams fields the key sets,
@@ -56,32 +58,10 @@ SCHEMA = {
     "quality.q_well": (float, fmt, ("q_well",)),
     "quality.smoothing_halfwidth": (int, str, ("smoothing_halfwidth",)),
     "tracking.pixel_std": (_positive, fmt, ("pixel_std",)),
-    "tracking.huber_scale": (_positive, fmt, ("huber_scale",)),
-    "tracking.search_radius": (float, fmt, ("search_radius",)),
-    "tracking.min_inliers": (int, str, ("min_inliers",)),
-    "tracking.lost_frames": (int, str, ("lost_frames",)),
     "tracking.fixed_alpha": (_positive, fmt, ("fixed_alpha",)),
-    "keyframes.k_max": (int, str, ("k_max",)),
-    "keyframes.overlap_ratio": (float, fmt, ("overlap_ratio",)),
-    "keyframes.d_max": (float, fmt, ("d_max",)),
-    "keyframes.kf_min_trk": (int, str, ("kf_min_trk",)),
-    "keyframes.kf_min_det": (int, str, ("kf_min_det",)),
-    "keyframes.max_local_keyframes": (int, str, ("max_local_keyframes",)),
-    "keyframes.max_anchor_keyframes": (int, str, ("max_anchor_keyframes",)),
-    "loop.enabled": (parse_bool, fmt_bool, ("loop_enabled",)),
-    "loop.radius": (float, fmt, ("loop_radius",)),
-    "loop.gap_min": (int, str, ("loop_gap_min",)),
-    "loop.info_scale": (float, fmt, ("loop_info_scale",)),
-    "loop.cooldown": (int, str, ("loop_cooldown",)),
-    "solver.max_iterations": (int, str, ("gba_solver.max_iterations",)),
-    "solver.motion_max_iterations": (int, str, ("motion_solver.max_iterations",)),
-    "solver.lba_max_iterations": (int, str, ("ba_solver.max_iterations",)),
-    "solver.lba_cost_tolerance": (float, fmt, ("ba_solver.cost_tolerance",)),
-    "solver.initial_damping": (float, fmt, _solvers("initial_damping")),
-    "solver.damping_up": (float, fmt, _solvers("damping_up")),
-    "solver.damping_down": (float, fmt, _solvers("damping_down")),
-    "solver.cost_tolerance": (float, fmt, _solvers("cost_tolerance", ("motion_solver", "gba_solver"))),
-    "solver.step_tolerance": (float, fmt, _solvers("step_tolerance")),
+    "solver.initial_damping": (float, fmt, ("motion_solver.initial_damping",
+                                            "ba_solver.initial_damping",
+                                            "gba_solver.initial_damping")),
     **{f"world.{name}": (parse, render, ())
        for name, (parse, render) in WORLD_FIELDS.items() if name != "seed"},
 }

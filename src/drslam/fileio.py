@@ -36,10 +36,20 @@ def fmt_bool(b: bool) -> str:
     return str(b).lower()
 
 
-def tum_line(timestamp: float, pose: Pose) -> str:
+def pose_text(pose: Pose) -> str:
+    """The pose's seven fields tx ty tz qx qy qz qw, as parse_poses reads them."""
     w, x, y, z = pose.q
-    tx, ty, tz = pose.t
-    return " ".join(fmt(v) for v in (timestamp, tx, ty, tz, x, y, z, w))
+    return " ".join(fmt(v) for v in (*pose.t, x, y, z, w))
+
+
+def parse_poses(fields) -> list:
+    """Poses of rows (N, 7) of the fields pose_text writes, numbers or text."""
+    fields = np.asarray(fields, dtype=float).reshape(-1, 7)
+    return [Pose(q, t) for q, t in zip(fields[:, [6, 3, 4, 5]], fields[:, :3])]
+
+
+def tum_line(timestamp: float, pose: Pose) -> str:
+    return f"{fmt(timestamp)} {pose_text(pose)}"
 
 
 def write_tum(path, rows) -> None:
@@ -94,8 +104,7 @@ def _load_table(path, columns, delimiter, comment, skip):
 def read_tum(path):
     """[(timestamp, Pose), ...] in file order; '#' starts a comment."""
     table = _load_table(path, 8, None, "#", 0)
-    q = table[:, [7, 4, 5, 6]]
-    return [(ts, Pose(qi, ti)) for ts, qi, ti in zip(table[:, 0].tolist(), q, table[:, 1:4])]
+    return list(zip(table[:, 0].tolist(), parse_poses(table[:, 1:])))
 
 
 def write_csv(path, header, rows) -> None:

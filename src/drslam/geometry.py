@@ -342,8 +342,3 @@ def project(k: CameraIntrinsics, x_cam: np.ndarray) -> np.ndarray:
     if x_cam[2] <= Z_MIN:
         raise BehindCamera(f"z = {x_cam[2]:.4f} m is at or behind the near plane")
     return project_points(k, np.eye(3), np.zeros(3), np.asarray(x_cam, dtype=float)[None])[1][0]
-
-
-def adjoint(p: Pose) -> np.ndarray:
-    """Adjoint for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
-    return se3_adjoint(p.q[None], p.t[None])[0]

@@ -24,11 +24,10 @@ precision entry; they carry no kernel. The Problem linearizer evaluates every
 reprojection row in one kernel call, each row with its pose's rotation and
 translation gathered by the row's pose slot, and scatters the rows' blocks
 into the system with np.add.at; every DR edge is linearized in one batched
-call. The BA linear solve eliminates landmarks by Schur complement; a dense
-path exists for verification. The pose-landmark coupling is kept as one dense
-block, O(F*L) memory for F free poses and L free landmarks; the Schur
-complement is formed from it in chunks of landmarks, each a product over the
-poses that observe it.
+call. The BA linear solve eliminates landmarks by Schur complement; the
+pose-landmark coupling is kept as one dense block, O(F*L) memory for F free
+poses and L free landmarks, and the Schur complement is formed from it in
+chunks of landmarks, each a product over the poses that observe it.
 """
 
 from __future__ import annotations
@@ -152,13 +151,19 @@ def _check_pixel_model(pixel_std, huber_threshold):
 
 @dataclass
 class SolverConfig:
+    """The LM settings that differ between tracking, local BA and global BA."""
     max_iterations: int = 20
     initial_damping: float = 1e-4
-    damping_up: float = 10.0
-    damping_down: float = 0.5
     cost_tolerance: float = 1e-8
-    step_tolerance: float = 1e-10
-    max_damping: float = 1e10
+
+
+# The LM settings every solve shares: the damping factor after a rejected and
+# after an accepted step, the largest damping tried before giving up on an
+# iteration, and the step below which the solve has converged.
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.5
+MAX_DAMPING = 1e10
+STEP_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -199,23 +204,6 @@ class NormalEquations:
         self.bl = np.zeros((n_lm_free, 3))
         self.Hpl = np.zeros((n_pose_free, 6, n_lm_free, 3))
 
-    def dense(self, damping: float = 0.0):
-        n = 6 * self.n_pose_free + 3 * self.n_lm_free
-        H = np.zeros((n, n))
-        b = np.zeros(n)
-        np_ = 6 * self.n_pose_free
-        H[:np_, :np_] = self.Hpp
-        b[:np_] = self.bp
-        for j in range(self.n_lm_free):
-            s = np_ + 3 * j
-            H[s:s + 3, s:s + 3] = self.Hll[j]
-            b[s:s + 3] = self.bl[j]
-        H[:np_, np_:] = self.Hpl.reshape(np_, 3 * self.n_lm_free)
-        H[np_:, :np_] = H[:np_, np_:].T
-        if damping:
-            H = H + damping * np.eye(n)
-        return H, b
-
 
 def min_pose_eigenvalue(neq: NormalEquations) -> float:
     """Smallest eigenvalue of the pose-pose block (conditioning diagnostic)."""
@@ -235,7 +223,7 @@ LANDMARK_CHUNK = 64
 
 
 def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
-    """Landmark-eliminated step, identical to the dense solve.
+    """Landmark-eliminated step, identical to the solve of the full system.
 
     Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the dense
     coupling and C the damped landmark block. Returns the concatenated
@@ -285,16 +273,6 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     rhs = neq.bl - np.einsum("p,plk->lk", dp, w)
     dl = np.einsum("ljk,lk->lj", cinv, rhs)
     return np.concatenate([dp, dl.reshape(-1)])
-
-
-def dense_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
-    H, b = neq.dense(damping)
-    if H.shape[0] == 0:
-        return np.zeros(0)
-    try:
-        return np.linalg.solve(H, b)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem("dense system is singular") from e
 
 
 class _Linearizer:
@@ -608,24 +586,24 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
         accepted = False
         best_overshoot = math.inf
         step = None
-        while lam <= config.max_damping:
+        while lam <= MAX_DAMPING:
             try:
                 step = lin.step(system, lam)
             except SingularSystem:
-                lam *= config.damping_up
+                lam *= DAMPING_UP
                 continue
             candidate = lin.retract(point, step)
             new_cost, new_cache = lin.residuals(candidate)
             report.evaluations += 1
             if new_cost <= cost:
                 point, cache = candidate, new_cache
-                lam = max(lam * config.damping_down, 1e-15)
+                lam = max(lam * DAMPING_DOWN, 1e-15)
                 accepted = True
                 accepted_any = True
                 break
             report.rejected_steps += 1
             best_overshoot = min(best_overshoot, new_cost - cost)
-            lam *= config.damping_up
+            lam *= DAMPING_UP
         if not accepted:
             # Float-level stall at an optimum counts as convergence, not failure.
             if accepted_any or best_overshoot <= 1e-12 * max(cost, 1e-12):
@@ -638,20 +616,13 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
         if decrease <= config.cost_tolerance * max(cost, 1e-30):
             report.termination = "cost_tolerance"
             break
-        if np.max(np.abs(step)) < config.step_tolerance:
+        if np.max(np.abs(step)) < STEP_TOLERANCE:
             report.termination = "step_tolerance"
             break
     report.final_cost = cost
     report.final_damping = lam
     report.min_pose_eigenvalue = lin.min_pose_eigenvalue(system)
     return point, report
-
-
-def build_normal_equations(problem: Problem):
-    """Linearize at the problem's current variables; returns (neq, cost)."""
-    lin = _Linearizer(problem)
-    cost, cache = lin.residuals(lin.point)
-    return lin.linearize(lin.point, cache), cost
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .factors import HUBER_PIXEL_SCALE
-from .fileio import fmt
+from .fileio import fmt, parse_poses, pose_text
 from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
 from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
                         solve_local_ba, solve_motion_only)
@@ -48,6 +48,37 @@ MAP_FIELDS = {"keyframes": 13, "keyframe_dr": 8, "keyframe_gt": 8, "observations
               "points": 5, "covisibility": 3, "dredges": 3, "loopedges": 10}
 # The keyframe pose sections and the KeyFrame attribute each holds.
 POSE_SECTIONS = {"keyframe_dr": "dr_to_prev", "keyframe_gt": "gt_pose"}
+# The sections whose lines are each the entry of one id; the others' are of two.
+ENTRY_OF_ONE_ID = ("keyframes", *POSE_SECTIONS, "points")
+
+
+# The estimator's fixed settings; PipelineParams holds the ones runs vary.
+# Tracking: the association gate around each map point's predicted pixel [px];
+# vision-only mode loses track for good after LOST_FRAMES frames in a row with
+# fewer than MIN_INLIERS matches.
+SEARCH_RADIUS = 15.0
+MIN_INLIERS = 10
+LOST_FRAMES = 5
+# Keyframes: a frame becomes one K_MAX frames after the last keyframe, when its
+# matches fall below OVERLAP_RATIO of the last keyframe's, or once it is more
+# than D_MAX [m] away; KF_MIN_TRK and KF_MIN_DET mark a risky frame, which does not.
+K_MAX = 15
+OVERLAP_RATIO = 0.5
+D_MAX = 0.5
+KF_MIN_TRK = 15
+KF_MIN_DET = 50
+# Local BA: the new keyframe's most covisible keyframes join its window, and
+# the keyframes outside it that see most of its points are fixed anchors.
+MAX_LOCAL_KEYFRAMES = 10
+MAX_ANCHOR_KEYFRAMES = 15
+# Loop closing (ground-truth oracle): a keyframe at least LOOP_GAP_MIN keyframes
+# older and within LOOP_RADIUS [m] closes a loop, with an edge weighted
+# LOOP_INFO_SCALE as a DR edge is by its alpha; none is tried within
+# LOOP_COOLDOWN keyframes of the last global BA.
+LOOP_RADIUS = 0.5
+LOOP_GAP_MIN = 30
+LOOP_INFO_SCALE = 100.0
+LOOP_COOLDOWN = 30
 
 
 @dataclass
@@ -136,27 +167,11 @@ class PipelineParams:
     bounds: WeightBounds = field(default_factory=WeightBounds)
     nominal: NominalDrInformation = field(default_factory=NominalDrInformation)
     pixel_std: float = 1.0
-    huber_scale: float = HUBER_PIXEL_SCALE
-    search_radius: float = 15.0
-    min_inliers: int = 10
-    lost_frames: int = 5
     fixed_alpha: float = 1.0
-    k_max: int = 15
-    overlap_ratio: float = 0.5
-    d_max: float = 0.5
-    kf_min_trk: int = 15
-    kf_min_det: int = 50
     q_well: float = 0.8
     c_ref_init: float = 20.0
     c_ref_window: int = 10
     smoothing_halfwidth: int = 2
-    max_local_keyframes: int = 10
-    max_anchor_keyframes: int = 15
-    loop_enabled: bool = True
-    loop_radius: float = 0.5
-    loop_gap_min: int = 30
-    loop_info_scale: float = 100.0
-    loop_cooldown: int = 30
     motion_solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iterations=10))
     ba_solver: SolverConfig = field(
         default_factory=lambda: SolverConfig(max_iterations=8, cost_tolerance=1e-6))
@@ -206,10 +221,10 @@ def _seen_twice(ids: np.ndarray) -> np.ndarray:
     return unique[counts >= 2]
 
 
-def decide_keyframe(frame: Frame, last_kf: KeyFrame, params: PipelineParams) -> bool:
-    return bool(frame.id - last_kf.frame_id >= params.k_max
-                or (last_kf.n_trk > 0 and frame.stats.n_trk / last_kf.n_trk < params.overlap_ratio)
-                or np.linalg.norm(frame.pose.t - last_kf.pose.t) > params.d_max)
+def decide_keyframe(frame: Frame, last_kf: KeyFrame) -> bool:
+    return bool(frame.id - last_kf.frame_id >= K_MAX
+                or (last_kf.n_trk > 0 and frame.stats.n_trk / last_kf.n_trk < OVERLAP_RATIO)
+                or np.linalg.norm(frame.pose.t - last_kf.pose.t) > D_MAX)
 
 
 @dataclass
@@ -299,7 +314,7 @@ class Pipeline:
         if alpha is not None and dr is not None:
             prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
         return solve_motion_only(self.camera, predicted, points, matches.uv, p.pixel_std,
-                                 p.huber_scale, prior, p.motion_solver)
+                                 HUBER_PIXEL_SCALE, prior, p.motion_solver)
 
     def process(self, record) -> Frame:
         dr = record.dr_delta
@@ -329,8 +344,7 @@ class Pipeline:
             return frame
 
         matches, n_trk, n_cand = associate_features(
-            record.detections, self.slam_map.points, predicted,
-            self.params.search_radius, self.camera)
+            record.detections, self.slam_map.points, predicted, SEARCH_RADIUS, self.camera)
         stats = TrackingStats(record.n_det, n_trk)
         q = compute_quality(stats, self.params.quality)
         alpha = self._alpha_for_quality(q)
@@ -350,8 +364,8 @@ class Pipeline:
                       solver_iterations=iterations, gt_pose=record.gt_pose, n_cand=n_cand)
 
         if self.mode == "vision-only":
-            self.lost_streak = self.lost_streak + 1 if n_trk < self.params.min_inliers else 0
-            if self.lost_streak >= self.params.lost_frames:
+            self.lost_streak = self.lost_streak + 1 if n_trk < MIN_INLIERS else 0
+            if self.lost_streak >= LOST_FRAMES:
                 self.track_lost_frame = record.frame_id
                 frame.tracked_ok = False
 
@@ -370,7 +384,7 @@ class Pipeline:
         if self.mode == "dr-only":
             # trajectory snapshots only; no mapping in this mode
             last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
-            if frame.id - last_kf.frame_id >= self.params.k_max:
+            if frame.id - last_kf.frame_id >= K_MAX:
                 self._bare_keyframe(frame)
         elif matches is not None:
             last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
@@ -378,9 +392,8 @@ class Pipeline:
             # risky keyframe. Blackout frames (zero matches, no geometry) and
             # frontier frames (plenty of fresh detections to triangulate) are
             # fine; only deny the degenerate low-texture case.
-            risky = (0 < frame.stats.n_trk < self.params.kf_min_trk
-                     and frame.stats.n_det < self.params.kf_min_det)
-            if decide_keyframe(frame, last_kf, self.params) and not risky:
+            risky = 0 < frame.stats.n_trk < KF_MIN_TRK and frame.stats.n_det < KF_MIN_DET
+            if decide_keyframe(frame, last_kf) and not risky:
                 self._insert_keyframe(frame, record, matches)
 
     # ----- mapping --------------------------------------------------------
@@ -436,8 +449,7 @@ class Pipeline:
             self._local_ba(kf)
             self._cull_points(kf_id)
             self._update_c_ref()
-            if self.params.loop_enabled:
-                self._check_loop(kf)
+            self._check_loop(kf)
         return kf
 
     def _edge_alphas(self, kf_ids) -> dict:
@@ -462,7 +474,7 @@ class Pipeline:
     def _local_ba(self, new_kf: KeyFrame) -> None:
         p = self.params
         covis = self.slam_map.covisibility.get(new_kf.id, {})
-        ranked = sorted(covis.items(), key=lambda e: (-e[1], e[0]))[:p.max_local_keyframes]
+        ranked = sorted(covis.items(), key=lambda e: (-e[1], e[0]))[:MAX_LOCAL_KEYFRAMES]
         window = {new_kf.id} | {k for k, _ in ranked} | (
             set(range(new_kf.id - p.smoothing_halfwidth, new_kf.id)) & set(self.slam_map.keyframes))
 
@@ -473,7 +485,7 @@ class Pipeline:
         points = np.intersect1d(_seen_twice(table["landmark"]), table["landmark"][in_window])
         voters, votes = np.unique(table["pose"][~in_window & np.isin(table["landmark"], points)],
                                   return_counts=True)
-        anchors = voters[np.argsort(-votes, kind="stable")[:p.max_anchor_keyframes]]
+        anchors = voters[np.argsort(-votes, kind="stable")[:MAX_ANCHOR_KEYFRAMES]]
         kf_ids = np.union1d(list(window), anchors)
         if len(kf_ids) < 2:
             return
@@ -512,8 +524,7 @@ class Pipeline:
         keyframes: keyframe by keyframe, each keyframe's in ascending point id
         when by_id, else in observation order, the order the solver sums them."""
         p, slam_map = self.params, self.slam_map
-        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std,
-                          huber_threshold=p.huber_scale)
+        problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std)
         problem.add_poses(kf_ids, [slam_map.keyframes[k].pose for k in kf_ids.tolist()], fixed)
         problem.add_landmarks(point_ids, slam_map.points.positions[slam_map.points.rows(point_ids)])
         table = slam_map.observations
@@ -555,23 +566,23 @@ class Pipeline:
     def _check_loop(self, new_kf: KeyFrame) -> None:
         if new_kf.gt_pose is None:
             return
-        if self.last_gba_kf is not None and new_kf.id - self.last_gba_kf < self.params.loop_cooldown:
+        if self.last_gba_kf is not None and new_kf.id - self.last_gba_kf < LOOP_COOLDOWN:
             return
         best = None
         for k in sorted(self.slam_map.keyframes):
-            if new_kf.id - k < self.params.loop_gap_min:
+            if new_kf.id - k < LOOP_GAP_MIN:
                 continue
             other = self.slam_map.keyframes[k]
             if other.gt_pose is None:
                 continue
             dist = float(np.linalg.norm(other.gt_pose.t - new_kf.gt_pose.t))
-            if dist <= self.params.loop_radius and (best is None or dist < best[1]):
+            if dist <= LOOP_RADIUS and (best is None or dist < best[1]):
                 best = (k, dist)
         if best is None:
             return
         old_id = best[0]
         relative = compose(inverse(self.slam_map.keyframes[old_id].gt_pose), new_kf.gt_pose)
-        self.slam_map.loop_edges.append((old_id, new_kf.id, relative, self.params.loop_info_scale))
+        self.slam_map.loop_edges.append((old_id, new_kf.id, relative, LOOP_INFO_SCALE))
         if not self._global_ba(old_id, new_kf.id):
             self.slam_map.loop_edges.pop()
         self.last_gba_kf = new_kf.id
@@ -624,22 +635,16 @@ def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:
 # ----- map persistence ----------------------------------------------------
 
 
-def _pose_text(pose: Pose) -> str:
-    """The pose fields tx ty tz qx qy qz qw, as _parse_pose reads them."""
-    w, x, y, z = pose.q
-    return " ".join(fmt(v) for v in (*pose.t, x, y, z, w))
-
-
 def save_map(slam_map: SlamMap, path) -> None:
     """Versioned structured text; see the README for the section layout."""
     keyframes = [slam_map.keyframes[k] for k in sorted(slam_map.keyframes)]
     lines = [MAP_MAGIC, "[keyframes]"]
     for kf in keyframes:
-        lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {_pose_text(kf.pose)} "
+        lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {pose_text(kf.pose)} "
                      f"{fmt(kf.lba_alpha)} {kf.n_trk} {fmt(kf.quality)}")
     for section, attr in POSE_SECTIONS.items():
         lines.append(f"[{section}]")
-        lines += [f"{kf.id} {_pose_text(getattr(kf, attr))}" for kf in keyframes
+        lines += [f"{kf.id} {pose_text(getattr(kf, attr))}" for kf in keyframes
                   if getattr(kf, attr) is not None]
     lines.append("[observations]")
     obs = slam_map.observations
@@ -660,21 +665,16 @@ def save_map(slam_map: SlamMap, path) -> None:
         lines.append(f"{a} {b} {fmt(slam_map.dr_edges[(a, b)])}")
     lines.append("[loopedges]")
     for a, b, rel, scale in slam_map.loop_edges:
-        lines.append(f"{a} {b} {fmt(scale)} {_pose_text(rel)}")
+        lines.append(f"{a} {b} {fmt(scale)} {pose_text(rel)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _parse_pose(parts) -> Pose:
-    tx, ty, tz, x, y, z, w = (float(p) for p in parts)
-    return Pose(np.array([w, x, y, z]), np.array([tx, ty, tz]))
 
 
 def load_map(path) -> SlamMap:
     slam_map = SlamMap()
     observations = []                # (keyframe id, point id, pixel)
-    observed = set()                 # (keyframe id, point id) pairs
     points = ([], [], [])            # point ids, positions, creating keyframes
+    seen = set()                     # (section, the ids the line is the entry of)
     section = None
     with open(path) as f:
         lines = f.read().splitlines()
@@ -698,35 +698,36 @@ def load_map(path) -> SlamMap:
             if len(parts) != MAP_FIELDS[section]:
                 raise FormatError(f"expected {MAP_FIELDS[section]} fields, got {len(parts)}",
                                   path=str(path), line=lineno)
+            # a line is the entry of a keyframe or point id, or of a pair of ids:
+            # keyframe and point, or two keyframes, in either order for covisibility
+            ids = tuple(int(x) for x in parts[:1 if section in ENTRY_OF_ONE_ID else 2])
+            entry = (section, tuple(sorted(ids)) if section == "covisibility" else ids)
+            if entry in seen:
+                raise FormatError(f"duplicate [{section}] entry {' '.join(map(str, ids))}",
+                                  path=str(path), line=lineno)
+            seen.add(entry)
             if section == "keyframes":
                 kf = KeyFrame(
-                    id=int(parts[0]), frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=_parse_pose(parts[3:10]), n_trk=int(parts[11]),
+                    id=ids[0], frame_id=int(parts[1]), timestamp=float(parts[2]),
+                    pose=parse_poses(parts[3:10])[0], n_trk=int(parts[11]),
                     quality=float(parts[12]), lba_alpha=float(parts[10]))
-                if kf.id in slam_map.keyframes:
-                    raise FormatError(f"duplicate keyframe id {kf.id}", path=str(path), line=lineno)
                 slam_map.keyframes[kf.id] = kf
             elif section in POSE_SECTIONS:
-                setattr(slam_map.keyframes[int(parts[0])], POSE_SECTIONS[section],
-                        _parse_pose(parts[1:]))
+                setattr(slam_map.keyframes[ids[0]], POSE_SECTIONS[section],
+                        parse_poses(parts[1:])[0])
             elif section == "observations":
-                k, j = slam_map.keyframes[int(parts[0])].id, int(parts[1])
-                if (k, j) in observed:
-                    raise FormatError(f"duplicate observation of point {j} by keyframe {k}",
-                                      path=str(path), line=lineno)
-                observed.add((k, j))
-                observations.append((k, j, (float(parts[2]), float(parts[3]))))
+                observations.append((slam_map.keyframes[ids[0]].id, ids[1],
+                                     (float(parts[2]), float(parts[3]))))
             elif section == "points":
-                points[0].append(int(parts[0]))
+                points[0].append(ids[0])
                 points[1].append([float(x) for x in parts[1:4]])
                 points[2].append(int(parts[4]))
             elif section == "covisibility":
-                slam_map.add_covisibility(int(parts[0]), int(parts[1]), int(parts[2]))
+                slam_map.add_covisibility(*ids, int(parts[2]))
             elif section == "dredges":
-                slam_map.dr_edges[(int(parts[0]), int(parts[1]))] = float(parts[2])
+                slam_map.dr_edges[ids] = float(parts[2])
             else:
-                slam_map.loop_edges.append((int(parts[0]), int(parts[1]),
-                                            _parse_pose(parts[3:]), float(parts[2])))
+                slam_map.loop_edges.append((*ids, parse_poses(parts[3:])[0], float(parts[2])))
     except (ValueError, KeyError, IndexError) as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
     table = np.array(observations, dtype=REPROJECTION_ROW)
@@ -734,6 +735,4 @@ def load_map(path) -> SlamMap:
     slam_map.points = PointTable.empty().insert(
         np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
         np.array(points[2], dtype=np.int64))
-    if np.any(np.diff(slam_map.points.ids) == 0):
-        raise FormatError("duplicate point id", path=str(path))
     return slam_map

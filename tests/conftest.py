@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from drslam.errors import SingularSystem
 from drslam.factors import dr_fold, dr_jacobians, dr_residuals
-from drslam.geometry import (CameraIntrinsics, Pose, adjoint, exp_se3, compose,
-                             inverse, project, transform_point)
-from drslam.optimizer import Problem
+from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, project,
+                             se3_adjoint, transform_point)
+from drslam.optimizer import NormalEquations, Problem, _Linearizer
 from drslam.pipeline import PipelineParams
 from drslam.weighting import NominalDrInformation
 
@@ -19,6 +20,48 @@ def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> np.ndarray:
 
 def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
     return exp_se3(random_twist(rng, rot_scale, trans_scale))
+
+
+def adjoint(p: Pose) -> np.ndarray:
+    """Adjoint for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
+    return se3_adjoint(p.q[None], p.t[None])[0]
+
+
+def build_normal_equations(problem: Problem):
+    """Linearize at the problem's current variables; returns (neq, cost)."""
+    lin = _Linearizer(problem)
+    cost, cache = lin.residuals(lin.point)
+    return lin.linearize(lin.point, cache), cost
+
+
+def dense_system(neq: NormalEquations, damping: float = 0.0):
+    """The full system (H, b) of the block normal equations, H damped on its diagonal."""
+    n = 6 * neq.n_pose_free + 3 * neq.n_lm_free
+    H = np.zeros((n, n))
+    b = np.zeros(n)
+    np_ = 6 * neq.n_pose_free
+    H[:np_, :np_] = neq.Hpp
+    b[:np_] = neq.bp
+    for j in range(neq.n_lm_free):
+        s = np_ + 3 * j
+        H[s:s + 3, s:s + 3] = neq.Hll[j]
+        b[s:s + 3] = neq.bl[j]
+    H[:np_, np_:] = neq.Hpl.reshape(np_, 3 * neq.n_lm_free)
+    H[np_:, :np_] = H[:np_, np_:].T
+    if damping:
+        H = H + damping * np.eye(n)
+    return H, b
+
+
+def dense_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
+    """The step of the full system, the oracle of schur_solve."""
+    H, b = dense_system(neq, damping)
+    if H.shape[0] == 0:
+        return np.zeros(0)
+    try:
+        return np.linalg.solve(H, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularSystem("dense system is singular") from e
 
 
 def edge_residuals(pose_from, pose_to, delta):

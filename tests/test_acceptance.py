@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CAMERA, edge_jacobians, edge_residual, make_ba_problem, random_pose
+from conftest import (CAMERA, build_normal_equations, dense_solve, edge_jacobians, edge_residual,
+                      make_ba_problem, random_pose)
 from drslam.cli import main as cli_main, resolve_config_path
 from drslam.config import parse_config
 from drslam.evaluation import (
@@ -24,13 +25,7 @@ from drslam.evaluation import (
 )
 from drslam.factors import HUBER_PIXEL_SCALE, reprojection_jacobians, reprojection_residuals
 from drslam.geometry import compose, exp_se3, inverse, project, transform_point
-from drslam.optimizer import (
-    Problem,
-    build_normal_equations,
-    dense_solve,
-    schur_solve,
-    solve_motion_only,
-)
+from drslam.optimizer import Problem, schur_solve, solve_motion_only
 from drslam.pipeline import PipelineParams, run_pipeline
 from drslam.simulator import WorldConfig, simulate_sequence
 from drslam.weighting import (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import edge_residuals, edge_jacobians, edge_residual, random_pose
+from conftest import adjoint, edge_residuals, edge_jacobians, edge_residual, random_pose
 from drslam import optimizer
 from drslam.factors import (
     dr_fold,
@@ -18,7 +18,6 @@ from drslam.geometry import (
     CameraIntrinsics,
     Pose,
     Z_MIN,
-    adjoint,
     compose,
     exp_se3,
     inverse,

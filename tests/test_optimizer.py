@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CAMERA, edge_jacobians, edge_residual, edge_residuals, landmark_position,
+from conftest import (CAMERA, adjoint, build_normal_equations, dense_solve, dense_system,
+                      edge_jacobians, edge_residual, edge_residuals, landmark_position,
                       make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
                       set_problem_pose)
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
@@ -17,16 +18,14 @@ from drslam.factors import (
     reprojection_jacobians,
     reprojection_residuals,
 )
-from drslam.geometry import (Z_MIN, Pose, adjoint, compose, exp_se3, inverse, log_se3,
-                             project, transform_point)
+from drslam.geometry import (Z_MIN, Pose, compose, exp_se3, inverse, log_se3, project,
+                             transform_point)
 from drslam import geometry, optimizer
 from drslam.optimizer import (
     Problem,
     SolverConfig,
     _Linearizer,
     _levenberg_marquardt,
-    build_normal_equations,
-    dense_solve,
     min_pose_eigenvalue,
     schur_solve,
     solve,
@@ -484,7 +483,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     # many draws are rank deficient up to the damping, so the two steps agree
     # to within the damped system's conditioning; the Schur step solves that
     # system to a small backward error either way
-    h, b = neq.dense(damping)
+    h, b = dense_system(neq, damping)
     diff = np.max(np.abs(step_s - step_d)) / max(np.max(np.abs(step_d)), 1e-12)
     assert diff < 1e-11 * np.linalg.cond(h)
     scale = np.linalg.norm(h, 2) * np.linalg.norm(step_s) + np.linalg.norm(b)
@@ -548,7 +547,7 @@ def test_gauge_fixing_one_pose_leaves_system_nonsingular(rng):
                                     pose_perturb=0.01, lm_perturb=0.01,
                                     with_dr_chain=True)
     neq, _ = build_normal_equations(problem)
-    h, _ = neq.dense(0.0)
+    h, _ = dense_system(neq, 0.0)
     ev = np.linalg.eigvalsh(0.5 * (h + h.T))
     assert ev.min() > 1e-8 * ev.max()
 
@@ -829,8 +828,8 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     assert report.evaluations == 1 + report.iterations + report.rejected_steps
     expected = config.initial_damping
     for _ in range(report.rejected_steps):
-        expected *= config.damping_up
-    assert report.final_damping == expected * config.damping_down ** report.iterations
+        expected *= optimizer.DAMPING_UP
+    assert report.final_damping == expected * optimizer.DAMPING_DOWN ** report.iterations
 
 
 @pytest.mark.parametrize("kind", ["poses", "landmarks"])

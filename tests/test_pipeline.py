@@ -14,6 +14,11 @@ from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
 from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse
 from drslam.pipeline import (
+    K_MAX,
+    LOOP_COOLDOWN,
+    LOOP_GAP_MIN,
+    LOST_FRAMES,
+    MAX_LOCAL_KEYFRAMES,
     Frame,
     KeyFrame,
     Pipeline,
@@ -320,14 +325,14 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
 def test_decide_keyframe_rules():
     last = KeyFrame(0, 0, 0.0, Pose.identity(), n_trk=60, quality=1.0)
     below = make_frame(fid=5, n_trk=40)
-    assert not decide_keyframe(below, last, PARAMS)
-    gap = make_frame(fid=PARAMS.k_max, n_trk=40)
-    assert decide_keyframe(gap, last, PARAMS)
+    assert not decide_keyframe(below, last)
+    gap = make_frame(fid=K_MAX, n_trk=40)
+    assert decide_keyframe(gap, last)
     overlap = make_frame(fid=5, n_trk=int(60 * 0.4))
-    assert decide_keyframe(overlap, last, PARAMS)
+    assert decide_keyframe(overlap, last)
     far = make_frame(fid=5, n_trk=40,
                      pose=Pose(np.array([1.0, 0, 0, 0]), np.array([0.6, 0, 0])))
-    assert decide_keyframe(far, last, PARAMS)
+    assert decide_keyframe(far, last)
 
 
 def test_pipeline_first_and_second_keyframe_covisibility():
@@ -372,7 +377,7 @@ def test_textureless_gap_vision_only_loses_track():
     seq = straight_sequence(n_frames=60, dropouts=[Dropout(25, 40, 0)])
     res = run_pipeline(seq, PARAMS, "vision-only")
     assert res.track_lost_frame is not None
-    assert 25 <= res.track_lost_frame <= 25 + PARAMS.lost_frames
+    assert 25 <= res.track_lost_frame <= 25 + LOST_FRAMES
     assert res.tracking_ratio() < 1.0
     assert len(res.frames) == 60  # poses still emitted after loss
 
@@ -419,7 +424,7 @@ def test_loop_oracle_fires_on_closed_rectangle():
     res = run_pipeline(seq, PARAMS, "adaptive")
     assert len(res.gba_events) >= 1
     ev = res.gba_events[0]
-    assert ev.kf_to - ev.kf_from >= PARAMS.loop_gap_min
+    assert ev.kf_to - ev.kf_from >= LOOP_GAP_MIN
     a, b, rel, scale = res.slam_map.loop_edges[0]
     gt_a = res.slam_map.keyframes[a].gt_pose
     gt_b = res.slam_map.keyframes[b].gt_pose
@@ -484,12 +489,13 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
     # points, anchors and rows, the culled ids and the global BA live points
     # and rows must be what per-keyframe id sets give; three anchors at most,
     # so that the anchor ranking picks among more voters
-    config = parse_config(resolve_config_path("two_lap"), ["keyframes.max_anchor_keyframes=3"])
+    monkeypatch.setattr(drslam.pipeline, "MAX_ANCHOR_KEYFRAMES", 3)
+    config = parse_config(resolve_config_path("two_lap"))
     seq = simulate_sequence(config.world_config())
     p = config.pipeline_params()
     pipe = Pipeline(p, seq.camera, seq.world, "adaptive")
     covisibility, expected, culled = {}, {}, []
-    counts = {"insertions": 0, "local": 0, "global": 0}
+    counts = {"insertions": 0, "local": 0, "global": 0, "capped": 0}
     local_ba, cull_points = Pipeline._local_ba, Pipeline._cull_points
 
     def ids_of(k):
@@ -506,7 +512,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
                 covisibility.setdefault(new_kf.id, {})[k] = shared
         assert self.slam_map.covisibility == covisibility
         by_count = sorted(covisibility.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
-        window = {new_kf.id} | {k for k, _ in by_count[:p.max_local_keyframes]} | {
+        window = {new_kf.id} | {k for k, _ in by_count[:MAX_LOCAL_KEYFRAMES]} | {
             k for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id)
             if k in self.slam_map.keyframes}
         points = {j for k in window for j in ids_of(k) if len(observers[j]) >= 2}
@@ -515,7 +521,8 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
             for k in observers[j] - window:
                 votes[k] = votes.get(k, 0) + 1
         anchors = {k for k, _ in sorted(votes.items(), key=lambda e: (-e[1], e[0]))
-                   [:p.max_anchor_keyframes]}
+                   [:drslam.pipeline.MAX_ANCHOR_KEYFRAMES]}
+        counts["capped"] += len(votes) > len(anchors)
         rows = []
         for k in sorted(window | anchors):
             rows += sorted((k, j, u, v) for j, u, v in observed(self.slam_map, k) if j in points)
@@ -569,7 +576,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         if pipe.gba_events:
             break
     assert pipe.gba_events, "no loop closure"
-    assert counts["global"] == 1 and culled
+    assert counts["global"] == 1 and culled and counts["capped"]
     assert counts["local"] == counts["insertions"] == len(pipe.slam_map.keyframes) - 1
     assert covisibility
 
@@ -587,7 +594,7 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     assert res.slam_map.loop_edges == []
     assert res.gba_events == []
     assert res.gba_failed == len(attempts)
-    assert all(b - a >= PARAMS.loop_cooldown for a, b in zip(attempts, attempts[1:]))
+    assert all(b - a >= LOOP_COOLDOWN for a, b in zip(attempts, attempts[1:]))
 
 
 def test_motion_only_fallbacks_are_counted(monkeypatch):
@@ -658,7 +665,8 @@ def poses(draw):
 @st.composite
 def slam_maps(draw):
     """Small maps: keyframes with drawn observations, each of a point at most
-    once, points, covisibility, DR and loop edges."""
+    once, points, covisibility, DR and loop edges, each loop edge of its own
+    keyframe pair."""
     m = SlamMap()
     kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
@@ -685,7 +693,7 @@ def slam_maps(draw):
             m.add_covisibility(a, b, draw(st.integers(1, 500)))
         for a, b in draw(st.lists(pairs, max_size=3)):
             m.dr_edges[(a, b)] = draw(finite)
-        for a, b in draw(st.lists(pairs, max_size=2)):
+        for a, b in draw(st.lists(pairs, max_size=2, unique_by=tuple)):
             m.loop_edges.append((a, b, draw(poses()), draw(finite)))
     return m
 
@@ -733,8 +741,9 @@ def test_map_load_truncated_raises(tmp_path):
         load_map(tmp_path / "nomagic.gwmap")
     point = text[text.index("[points]") + 1]
     (tmp_path / "twice.gwmap").write_text("\n".join(text + ["[points]", point]) + "\n")
-    with pytest.raises(FormatError, match="duplicate point id"):
+    with pytest.raises(FormatError, match=r"duplicate \[points\] entry") as error:
         load_map(tmp_path / "twice.gwmap")
+    assert error.value.line == len(text) + 2
 
 
 def saved_map_lines(tmp_path):
@@ -744,20 +753,42 @@ def saved_map_lines(tmp_path):
     return (tmp_path / "run.gwmap").read_text().splitlines()
 
 
-@pytest.mark.parametrize("section, message", [
-    ("[keyframes]", "duplicate keyframe id 0"),
-    ("[observations]", r"duplicate observation of point \d+ by keyframe 0")],
-    ids=["keyframe", "observation"])
-def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, message):
+LOOP_EDGE = "0 5 100 0 0 0 0 0 0 1"
+
+
+@pytest.mark.parametrize("section, edit, message", [
+    ("[keyframes]", None, r"duplicate \[keyframes\] entry 0"),
+    ("[keyframe_dr]", None, r"duplicate \[keyframe_dr\] entry 1"),
+    ("[keyframe_gt]", None, r"duplicate \[keyframe_gt\] entry 0"),
+    ("[observations]", None, r"duplicate \[observations\] entry 0 \d+"),
+    ("[covisibility]", None, r"duplicate \[covisibility\] entry 0 1"),
+    ("[covisibility]", "swap", r"duplicate \[covisibility\] entry 1 0"),
+    ("[dredges]", None, r"duplicate \[dredges\] entry 0 1"),
+    ("[loopedges]", LOOP_EDGE, r"duplicate \[loopedges\] entry 0 5")],
+    ids=["keyframe", "keyframe_dr", "keyframe_gt", "observation", "covisibility",
+         "covisibility_swapped", "dredge", "loopedge"])
+def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, edit, message):
     # the section's first data line given twice: the copy, at file line i + 2
-    # for list index i of the original, is rejected
+    # for list index i of the original, is rejected; a covisibility pair is the
+    # same entry in either order, and the straight run closes no loop, so its
+    # map is given one loop edge first
     text = saved_map_lines(tmp_path)
     i = text.index(section) + 1
-    path = tmp_path / "twice.gwmap"
-    path.write_text("\n".join(text[:i + 1] + text[i:]) + "\n")
+    if edit == LOOP_EDGE:
+        text.insert(i, LOOP_EDGE)
+        assert load_map(write_lines(tmp_path / "loop.gwmap", text)).loop_edges[0][:2] == (0, 5)
+    copy = text[i]
+    if edit == "swap":
+        a, b, count = copy.split()
+        copy = f"{b} {a} {count}"
     with pytest.raises(FormatError, match=message) as error:
-        load_map(path)
+        load_map(write_lines(tmp_path / "twice.gwmap", text[:i + 1] + [copy] + text[i + 1:]))
     assert error.value.line == i + 2
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def test_repeat_determinism_identical_outputs():
@@ -789,7 +820,7 @@ def test_gap_drift_bounded_by_dr_random_walk():
 def test_dr_only_emits_cadence_keyframes():
     seq = straight_sequence(n_frames=60)
     res = run_pipeline(seq, PARAMS, "dr-only")
-    assert len(res.slam_map.keyframes) == 1 + (59 // PARAMS.k_max)
+    assert len(res.slam_map.keyframes) == 1 + (59 // K_MAX)
     assert len(res.slam_map.points.ids) == 0
 
 
