@@ -1,9 +1,10 @@
 """Hierarchical SLAM pipeline with adaptive dead-reckoning support.
 
 Per-frame tracking (predict, associate, motion-only BA), keyframe management
-with a covisibility graph, local bundle adjustment with smoothed DR edge
-weights, oracle loop detection over simulated geometry, global bundle
-adjustment with preserved edge weights, and map persistence.
+with covisibility counted from the map's observations, local bundle adjustment
+with smoothed DR edge weights, oracle loop detection over simulated geometry,
+global bundle adjustment with the edge weights local BA last set, and map
+persistence.
 
 Modes:
   vision-only  constant-velocity prediction, no DR anywhere, can lose track
@@ -42,14 +43,11 @@ from .weighting import (
 
 MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 
-MAP_MAGIC = "GWMAP v1"
-# Fields per data line of each map section, in file order.
-MAP_FIELDS = {"keyframes": 13, "keyframe_dr": 8, "keyframe_gt": 8, "observations": 4,
-              "points": 5, "covisibility": 3, "dredges": 3, "loopedges": 10}
-# The keyframe pose sections and the KeyFrame attribute each holds.
-POSE_SECTIONS = {"keyframe_dr": "dr_to_prev", "keyframe_gt": "gt_pose"}
-# The sections whose lines are each the entry of one id; the others' are of two.
-ENTRY_OF_ONE_ID = ("keyframes", *POSE_SECTIONS, "points")
+MAP_MAGIC = "GWMAP v2"
+# Per map section, in file order: the fields of a data line, how many of them
+# lead with the ids the line is the entry of, and how many of those are keyframes.
+MAP_SECTIONS = {"keyframes": (13, 1, 0), "keyframe_dr": (9, 1, 1), "keyframe_gt": (8, 1, 1),
+                "observations": (4, 2, 1), "points": (5, 1, 0), "loopedges": (10, 2, 2)}
 
 
 # The estimator's fixed settings; PipelineParams holds the ones runs vary.
@@ -106,6 +104,7 @@ class KeyFrame:
     quality: float
     lba_alpha: float = float("nan")
     dr_to_prev: Pose | None = None   # composed frame deltas since previous keyframe
+    dr_alpha: float = float("nan")   # weight of the DR edge from keyframe id - 1, set by local BA
     gt_pose: Pose | None = None
 
 
@@ -142,23 +141,28 @@ class PointTable:
 
 @dataclass
 class SlamMap:
+    """Keyframes (each carrying its DR edge's weight), points, observations and
+    loop edges: only what cannot be derived; covisibility is counted from the
+    observations."""
+
     keyframes: dict = field(default_factory=dict)
     points: PointTable = field(default_factory=PointTable.empty)
     # the one record of which keyframe sees which point: (N,) REPROJECTION_ROW of keyframe
     # id, point id and pixel, keyframes ascending, each keyframe's in observation order
     observations: np.ndarray = field(default_factory=lambda: np.empty(0, REPROJECTION_ROW))
-    covisibility: dict = field(default_factory=dict)   # kf -> {kf: count}
-    dr_edges: dict = field(default_factory=dict)       # (a, b) -> alpha
     loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
 
-    def connection_count(self, kf_id: int) -> int:
-        return max(self.covisibility.get(kf_id, {}).values(), default=0)
+    def shared_counts(self, kf_id: int) -> np.ndarray:
+        """Per keyframe id, the count of points it shares with keyframe kf_id
+        (its covisibility with kf_id); kf_id's own entry is 0."""
+        table = self.observations
+        mine = table["landmark"][table["pose"] == kf_id]
+        counts = np.bincount(table["pose"][np.isin(table["landmark"], mine)], minlength=kf_id + 1)
+        counts[kf_id] = 0
+        return counts
 
-    def add_covisibility(self, a: int, b: int, count: int) -> None:
-        if count <= 0 or a == b:
-            return
-        self.covisibility.setdefault(a, {})[b] = count
-        self.covisibility.setdefault(b, {})[a] = count
+    def connection_count(self, kf_id: int) -> int:
+        return int(self.shared_counts(kf_id).max())
 
 
 @dataclass
@@ -440,9 +444,6 @@ class Pipeline:
         table = self.slam_map.observations = np.concatenate([
             self.slam_map.observations,
             reprojection_rows(kf_id, seen, np.concatenate([matches.uv, uv[rows]]))])
-        shared = np.unique(table["pose"][np.isin(table["landmark"], seen)], return_counts=True)
-        for other, count in zip(*(a.tolist() for a in shared)):
-            self.slam_map.add_covisibility(kf_id, other, count)   # skips kf_id itself
 
         self.acc_delta = Pose.identity()
         if kf_id > 0:
@@ -459,7 +460,7 @@ class Pipeline:
             return {}
         if self.mode == "fixed-dr":
             # the sweep protocol carries one constant weight through every stage
-            return {k: min(p.fixed_alpha, p.bounds.alpha_max) for k in kf_ids}
+            return dict.fromkeys(kf_ids, p.fixed_alpha)
         raw = []
         for k in sorted(kf_ids):
             q_ij = keyframe_quality(self.slam_map.connection_count(k), self.c_ref)
@@ -473,9 +474,10 @@ class Pipeline:
 
     def _local_ba(self, new_kf: KeyFrame) -> None:
         p = self.params
-        covis = self.slam_map.covisibility.get(new_kf.id, {})
-        ranked = sorted(covis.items(), key=lambda e: (-e[1], e[0]))[:MAX_LOCAL_KEYFRAMES]
-        window = {new_kf.id} | {k for k, _ in ranked} | (
+        counts = self.slam_map.shared_counts(new_kf.id)
+        covisible = np.flatnonzero(counts)
+        ranked = covisible[np.argsort(-counts[covisible], kind="stable")[:MAX_LOCAL_KEYFRAMES]]
+        window = {new_kf.id} | set(ranked.tolist()) | (
             set(range(new_kf.id - p.smoothing_halfwidth, new_kf.id)) & set(self.slam_map.keyframes))
 
         # the points the window sees that at least two keyframes see, and as
@@ -498,11 +500,10 @@ class Pipeline:
         # two in the window, at the larger of their weights
         alphas, edges, lo = self._edge_alphas(window), [], p.bounds.alpha_min
         for k in kf_ids[1:].tolist() if alphas else ():
-            delta = self.slam_map.keyframes[k].dr_to_prev
-            if k - 1 in kf_ids and (k in window or k - 1 in window) and delta is not None:
-                alpha = max(alphas.get(k - 1, lo), alphas.get(k, lo))
-                self.slam_map.dr_edges[(k - 1, k)] = alpha
-                edges.append((k - 1, k, delta, alpha))
+            kf = self.slam_map.keyframes[k]
+            if k - 1 in kf_ids and (k in window or k - 1 in window) and kf.dr_to_prev is not None:
+                kf.dr_alpha = max(alphas.get(k - 1, lo), alphas.get(k, lo))
+                edges.append((k - 1, k, kf.dr_to_prev, kf.dr_alpha))
 
         if fixed.all() and not len(points):
             return
@@ -593,10 +594,9 @@ class Pipeline:
         kf_ids = np.array(sorted(keyframes))
         pre = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
         # the first keyframe fixed; the live points, each seen by at least two
-        # keyframes, ascending
-        edges = [(a, b, keyframes[b].dr_to_prev, alpha)
-                 for (a, b), alpha in sorted(self.slam_map.dr_edges.items())
-                 if keyframes[b].dr_to_prev is not None and a in keyframes]
+        # keyframes, ascending; each DR edge a local BA weighted
+        edges = [(k - 1, k, keyframes[k].dr_to_prev, keyframes[k].dr_alpha)
+                 for k in kf_ids.tolist() if not np.isnan(keyframes[k].dr_alpha)]
         problem = self._ba_problem(kf_ids, kf_ids == kf_ids[0],
                                    _seen_twice(self.slam_map.observations["landmark"]), False,
                                    edges + self.slam_map.loop_edges)
@@ -642,10 +642,11 @@ def save_map(slam_map: SlamMap, path) -> None:
     for kf in keyframes:
         lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {pose_text(kf.pose)} "
                      f"{fmt(kf.lba_alpha)} {kf.n_trk} {fmt(kf.quality)}")
-    for section, attr in POSE_SECTIONS.items():
-        lines.append(f"[{section}]")
-        lines += [f"{kf.id} {pose_text(getattr(kf, attr))}" for kf in keyframes
-                  if getattr(kf, attr) is not None]
+    lines.append("[keyframe_dr]")
+    lines += [f"{kf.id} {fmt(kf.dr_alpha)} {pose_text(kf.dr_to_prev)}" for kf in keyframes
+              if kf.dr_to_prev is not None]
+    lines.append("[keyframe_gt]")
+    lines += [f"{kf.id} {pose_text(kf.gt_pose)}" for kf in keyframes if kf.gt_pose is not None]
     lines.append("[observations]")
     obs = slam_map.observations
     for k, j, (u, v) in zip(obs["pose"].tolist(), obs["landmark"].tolist(), obs["uv"].tolist()):
@@ -655,14 +656,6 @@ def save_map(slam_map: SlamMap, path) -> None:
     for j, position, created in zip(points.ids.tolist(), points.positions.tolist(),
                                     points.created_kf.tolist()):
         lines.append(f"{j} {' '.join(fmt(x) for x in position)} {created}")
-    lines.append("[covisibility]")
-    for a in sorted(slam_map.covisibility):
-        for b in sorted(slam_map.covisibility[a]):
-            if a < b:
-                lines.append(f"{a} {b} {slam_map.covisibility[a][b]}")
-    lines.append("[dredges]")
-    for (a, b) in sorted(slam_map.dr_edges):
-        lines.append(f"{a} {b} {fmt(slam_map.dr_edges[(a, b)])}")
     lines.append("[loopedges]")
     for a, b, rel, scale in slam_map.loop_edges:
         lines.append(f"{a} {b} {fmt(scale)} {pose_text(rel)}")
@@ -672,7 +665,7 @@ def save_map(slam_map: SlamMap, path) -> None:
 
 def load_map(path) -> SlamMap:
     slam_map = SlamMap()
-    observations = []                # (keyframe id, point id, pixel)
+    observations, observation_lines = [], []   # (keyframe id, point id, pixel), its file line
     points = ([], [], [])            # point ids, positions, creating keyframes
     seen = set()                     # (section, the ids the line is the entry of)
     section = None
@@ -689,48 +682,52 @@ def load_map(path) -> SlamMap:
                 if not line.endswith("]"):
                     raise FormatError("unterminated section header", path=str(path), line=lineno)
                 section = line[1:-1]
-                if section not in MAP_FIELDS:
+                if section not in MAP_SECTIONS:
                     raise FormatError(f"unknown section {section!r}", path=str(path), line=lineno)
                 continue
             if section is None:
                 raise FormatError("data line before any section", path=str(path), line=lineno)
             parts = line.split()
-            if len(parts) != MAP_FIELDS[section]:
-                raise FormatError(f"expected {MAP_FIELDS[section]} fields, got {len(parts)}",
+            n_fields, n_ids, n_keyframes = MAP_SECTIONS[section]
+            if len(parts) != n_fields:
+                raise FormatError(f"expected {n_fields} fields, got {len(parts)}",
                                   path=str(path), line=lineno)
-            # a line is the entry of a keyframe or point id, or of a pair of ids:
-            # keyframe and point, or two keyframes, in either order for covisibility
-            ids = tuple(int(x) for x in parts[:1 if section in ENTRY_OF_ONE_ID else 2])
-            entry = (section, tuple(sorted(ids)) if section == "covisibility" else ids)
-            if entry in seen:
+            ids = tuple(int(x) for x in parts[:n_ids])
+            if (section, ids) in seen:
                 raise FormatError(f"duplicate [{section}] entry {' '.join(map(str, ids))}",
                                   path=str(path), line=lineno)
-            seen.add(entry)
+            seen.add((section, ids))
+            for k in ids[:n_keyframes]:
+                if k not in slam_map.keyframes:
+                    raise FormatError(f"[{section}] entry names keyframe {k}, not in [keyframes]",
+                                      path=str(path), line=lineno)
             if section == "keyframes":
                 kf = KeyFrame(
                     id=ids[0], frame_id=int(parts[1]), timestamp=float(parts[2]),
                     pose=parse_poses(parts[3:10])[0], n_trk=int(parts[11]),
                     quality=float(parts[12]), lba_alpha=float(parts[10]))
                 slam_map.keyframes[kf.id] = kf
-            elif section in POSE_SECTIONS:
-                setattr(slam_map.keyframes[ids[0]], POSE_SECTIONS[section],
-                        parse_poses(parts[1:])[0])
+            elif section == "keyframe_dr":
+                kf = slam_map.keyframes[ids[0]]
+                kf.dr_alpha, kf.dr_to_prev = float(parts[1]), parse_poses(parts[2:])[0]
+            elif section == "keyframe_gt":
+                slam_map.keyframes[ids[0]].gt_pose = parse_poses(parts[1:])[0]
             elif section == "observations":
-                observations.append((slam_map.keyframes[ids[0]].id, ids[1],
-                                     (float(parts[2]), float(parts[3]))))
+                observations.append((*ids, (float(parts[2]), float(parts[3]))))
+                observation_lines.append(lineno)
             elif section == "points":
                 points[0].append(ids[0])
                 points[1].append([float(x) for x in parts[1:4]])
                 points[2].append(int(parts[4]))
-            elif section == "covisibility":
-                slam_map.add_covisibility(*ids, int(parts[2]))
-            elif section == "dredges":
-                slam_map.dr_edges[ids] = float(parts[2])
             else:
                 slam_map.loop_edges.append((*ids, parse_poses(parts[3:])[0], float(parts[2])))
-    except (ValueError, KeyError, IndexError) as e:
+    except ValueError as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
     table = np.array(observations, dtype=REPROJECTION_ROW)
+    unknown = np.flatnonzero(~np.isin(table["landmark"], points[0]))
+    if len(unknown):
+        raise FormatError(f"[observations] entry names point {table['landmark'][unknown[0]]}, "
+                          "not in [points]", path=str(path), line=observation_lines[unknown[0]])
     slam_map.observations = table[np.argsort(table["pose"], kind="stable")]
     slam_map.points = PointTable.empty().insert(
         np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),

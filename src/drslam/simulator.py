@@ -203,11 +203,9 @@ def _yaw_pose(position: np.ndarray, yaw: float) -> Pose:
     return Pose.from_matrix(T)
 
 
-def generate_trajectory(config: WorldConfig):
-    """Constant-speed poses along the waypoint polyline, yaw on the tangent.
-
-    Returns (poses, arc positions). Closed specs revisit the start exactly.
-    """
+def _path(config: WorldConfig):
+    """The waypoint polyline: its points, back to the first when closed, each
+    segment's vector and length, and the arc length at each point."""
     points = [np.array([x, y, 0.0]) for x, y in config.waypoints]
     if config.closed and np.linalg.norm(points[0] - points[-1]) > 1e-12:
         points.append(points[0].copy())
@@ -217,7 +215,15 @@ def generate_trajectory(config: WorldConfig):
     seg_lens = [float(np.linalg.norm(v)) for v in seg_vecs]
     if any(l < 1e-12 for l in seg_lens):
         raise DegenerateSpec("coincident consecutive waypoints")
-    cum = np.concatenate([[0.0], np.cumsum(seg_lens)])
+    return points, seg_vecs, seg_lens, np.concatenate([[0.0], np.cumsum(seg_lens)])
+
+
+def generate_trajectory(config: WorldConfig):
+    """Constant-speed poses along the waypoint polyline, yaw on the tangent.
+
+    Returns (poses, arc positions). Closed specs revisit the start exactly.
+    """
+    points, seg_vecs, seg_lens, cum = _path(config)
     total = cum[-1]
     n = config.n_frames
     poses, arcs = [], []
@@ -282,15 +288,10 @@ def populate_landmarks(config: WorldConfig,
         zs = local.uniform(-half_h, half_h, count)
         return np.column_stack([xs, ys, zs])
 
-    points = [np.array([x, y, 0.0]) for x, y in config.waypoints]
-    if config.closed and np.linalg.norm(points[0] - points[-1]) > 1e-12:
-        points.append(points[0].copy())
-    segments = []
-    arc = 0.0
-    for a, b in zip(points, points[1:]):
-        length = float(np.linalg.norm(b - a))
-        segments.append((arc, arc + length, a, (b - a) / length))
-        arc += length
+    points, seg_vecs, seg_lens, cum = _path(config)
+    segments = [(s0, s1, a, vec / length)
+                for s0, s1, a, vec, length in zip(cum, cum[1:], points, seg_vecs, seg_lens)]
+    arc = cum[-1]
     if not config.closed:
         # phantom extension so end-of-path frustums stay populated
         s0, s1, a, direction = segments[-1]

@@ -335,6 +335,11 @@ def test_decide_keyframe_rules():
     assert decide_keyframe(far, last)
 
 
+def covisibility(slam_map, k):
+    """Keyframe id -> the count of points keyframe k shares with it, where not 0."""
+    return {o: c for o, c in enumerate(slam_map.shared_counts(k).tolist()) if c}
+
+
 def test_pipeline_first_and_second_keyframe_covisibility():
     seq = straight_sequence(n_frames=40)
     pipe = Pipeline(PARAMS, seq.camera, seq.world, "adaptive")
@@ -342,13 +347,17 @@ def test_pipeline_first_and_second_keyframe_covisibility():
         pipe.process(rec)
     m = pipe.slam_map
     assert len(m.keyframes) >= 2
-    assert m.covisibility.get(0, {}) != {}
-    for a, edges in m.covisibility.items():
+    covisible = {k: covisibility(m, k) for k in m.keyframes}
+    assert covisible[0] != {}
+    for a, edges in covisible.items():
+        assert a not in edges
         for b, c in edges.items():
-            assert m.covisibility[b][a] == c  # symmetry
-    shared = m.covisibility[0].get(1, 0)
+            assert covisible[b][a] == c  # symmetry
+            assert m.connection_count(a) >= c
+    shared = covisible[0].get(1, 0)
     manual = len(set(observed_ids(m, 0)) & set(observed_ids(m, 1)))
     assert shared == manual and shared > 0
+    assert m.connection_count(0) == max(covisible[0].values())
 
 
 def test_pipeline_one_pose_per_frame_all_modes():
@@ -397,9 +406,8 @@ def test_zero_observation_keyframe_gets_dr_edge():
     assert empty_kfs, "blackout should create zero-observation keyframes"
     k = empty_kfs[0]
     assert m.connection_count(k) == 0
-    assert (k - 1, k) in m.dr_edges
     # keyframe quality 0 puts the raw weight at the alpha_max branch
-    assert m.dr_edges[(k - 1, k)] > 0.5 * PARAMS.bounds.alpha_max
+    assert m.keyframes[k].dr_alpha > 0.5 * PARAMS.bounds.alpha_max
 
 
 def test_loop_oracle_never_fires_on_straight_line():
@@ -485,16 +493,18 @@ def row_tuples(rows):
 
 def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
     # two_lap seed 0 up to its loop closure culls points and runs one global BA;
-    # at every keyframe insertion the covisibility counts, the local BA window
+    # at every keyframe insertion every keyframe's covisibility counts (which
+    # culling must leave as they are), the local BA window
     # points, anchors and rows, the culled ids and the global BA live points
-    # and rows must be what per-keyframe id sets give; three anchors at most,
+    # and rows must be what per-keyframe id sets give, and global BA's DR edges
+    # those local BA last weighted, in keyframe order; three anchors at most,
     # so that the anchor ranking picks among more voters
     monkeypatch.setattr(drslam.pipeline, "MAX_ANCHOR_KEYFRAMES", 3)
     config = parse_config(resolve_config_path("two_lap"))
     seq = simulate_sequence(config.world_config())
     p = config.pipeline_params()
     pipe = Pipeline(p, seq.camera, seq.world, "adaptive")
-    covisibility, expected, culled = {}, {}, []
+    walked, expected, culled, weighted = {}, {}, [], {}
     counts = {"insertions": 0, "local": 0, "global": 0, "capped": 0}
     local_ba, cull_points = Pipeline._local_ba, Pipeline._cull_points
 
@@ -502,16 +512,19 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         return observed_ids(pipe.slam_map, k)
 
     def checked_local_ba(self, new_kf):
-        # runs right after new_kf's covisibility is stored, before culling
+        # runs right after new_kf's observations are stored, before culling; the
+        # walked counts of earlier pairs are those of their own insertions
         counts["insertions"] += 1
         observers = observer_walk(self.slam_map)
         for k in self.slam_map.keyframes:
             shared = len(set(ids_of(k)) & set(ids_of(new_kf.id)))
             if k != new_kf.id and shared:
-                covisibility.setdefault(k, {})[new_kf.id] = shared
-                covisibility.setdefault(new_kf.id, {})[k] = shared
-        assert self.slam_map.covisibility == covisibility
-        by_count = sorted(covisibility.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
+                walked.setdefault(k, {})[new_kf.id] = shared
+                walked.setdefault(new_kf.id, {})[k] = shared
+        for k in self.slam_map.keyframes:
+            assert covisibility(self.slam_map, k) == walked.get(k, {})
+            assert self.slam_map.connection_count(k) == max(walked.get(k, {0: 0}).values())
+        by_count = sorted(walked.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
         window = {new_kf.id} | {k for k, _ in by_count[:MAX_LOCAL_KEYFRAMES]} | {
             k for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id)
             if k in self.slam_map.keyframes}
@@ -536,6 +549,10 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         assert anchors <= set(problem.poses["id"][problem.poses["fixed"]].tolist())
         assert problem.landmarks["id"].tolist() == points
         assert row_tuples(problem.reprojection_factors) == rows
+        edges = problem.dr_factors
+        for a, b, precision in zip(edges["from"].tolist(), edges["to"].tolist(),
+                                   edges["precision"]):
+            weighted[b] = (a, b, precision.tobytes())
         counts["local"] += 1
         return drslam.optimizer.solve_local_ba(problem, config)
 
@@ -545,6 +562,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         doomed = {j for j, created in zip(points.ids.tolist(), points.created_kf.tolist())
                   if len(observers[j]) < 2 and current_kf - created >= 2}
         before = {k: observed(self.slam_map, k) for k in self.slam_map.keyframes}
+        shared = {k: self.slam_map.shared_counts(k).tolist() for k in self.slam_map.keyframes}
         kept = [(j, x.tobytes(), c) for j, x, c in
                 zip(points.ids.tolist(), points.positions, points.created_kf.tolist())
                 if j not in doomed]
@@ -554,6 +572,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
                         points.created_kf.tolist())) == kept
         for k in self.slam_map.keyframes:
             assert observed(self.slam_map, k) == [o for o in before[k] if o[0] not in doomed]
+            assert self.slam_map.shared_counts(k).tolist() == shared[k]
         assert np.all(np.diff(self.slam_map.observations["pose"]) >= 0)
         culled.extend(doomed)
 
@@ -564,6 +583,11 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         assert row_tuples(problem.reprojection_factors) == [
             (k, j, u, v) for k in sorted(pipe.slam_map.keyframes)
             for j, u, v in observed(pipe.slam_map, k) if len(observers[j]) >= 2]
+        edges = problem.dr_factors
+        assert len(edges) == len(weighted) + len(pipe.slam_map.loop_edges)
+        assert [(a, b, precision.tobytes()) for a, b, precision in zip(
+            edges["from"].tolist(), edges["to"].tolist(), edges["precision"])][:len(weighted)] == \
+            [weighted[b] for b in sorted(weighted)]
         counts["global"] += 1
         return drslam.optimizer.solve_global_ba(problem, config)
 
@@ -578,7 +602,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
     assert pipe.gba_events, "no loop closure"
     assert counts["global"] == 1 and culled and counts["capped"]
     assert counts["local"] == counts["insertions"] == len(pipe.slam_map.keyframes) - 1
-    assert covisibility
+    assert walked
 
 
 def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
@@ -639,7 +663,7 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
         ka, kb = a.keyframes[k], b.keyframes[k]
         assert (ka.id, ka.frame_id, ka.n_trk) == (kb.id, kb.frame_id, kb.n_trk)
         assert ka.timestamp == kb.timestamp and ka.quality == kb.quality
-        assert same_float(ka.lba_alpha, kb.lba_alpha)
+        assert same_float(ka.lba_alpha, kb.lba_alpha) and same_float(ka.dr_alpha, kb.dr_alpha)
         for field in ("pose", "dr_to_prev", "gt_pose"):
             assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
     oa, ob = a.observations, b.observations
@@ -647,8 +671,6 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
     for column in ("ids", "positions", "created_kf"):
         ca, cb = getattr(a.points, column), getattr(b.points, column)
         assert (ca.dtype, ca.shape, ca.tobytes()) == (cb.dtype, cb.shape, cb.tobytes()), column
-    assert a.covisibility == b.covisibility
-    assert a.dr_edges == b.dr_edges
     assert [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in a.loop_edges] == \
         [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in b.loop_edges]
 
@@ -664,22 +686,24 @@ def poses(draw):
 
 @st.composite
 def slam_maps(draw):
-    """Small maps: keyframes with drawn observations, each of a point at most
-    once, points, covisibility, DR and loop edges, each loop edge of its own
-    keyframe pair."""
+    """Small maps: keyframes, each with or without a DR increment, and with a
+    DR weight only with one, with drawn observations of the points, each of a
+    point at most once, points, and loop edges, each of its own keyframe pair."""
     m = SlamMap()
     kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
     for k in kf_ids:
-        rows = draw(st.lists(st.tuples(st.integers(0, 12), finite, finite), max_size=4,
-                             unique_by=lambda row: row[0]))
+        rows = draw(st.lists(st.tuples(st.sampled_from(sorted(point_ids)), finite, finite),
+                             max_size=4, unique_by=lambda row: row[0])) if point_ids else []
         m.observations = np.concatenate([m.observations, reprojection_rows(
             k, [j for j, _, _ in rows], [(u, v) for _, u, v in rows])])
+        dr_to_prev = draw(st.none() | poses())
         m.keyframes[k] = KeyFrame(
             k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
             n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
-            lba_alpha=draw(st.just(float("nan")) | finite),
-            dr_to_prev=draw(st.none() | poses()), gt_pose=draw(st.none() | poses()))
+            lba_alpha=draw(st.just(float("nan")) | finite), dr_to_prev=dr_to_prev,
+            dr_alpha=float("nan") if dr_to_prev is None else draw(st.just(float("nan")) | finite),
+            gt_pose=draw(st.none() | poses()))
     positions, created = [], []
     for _ in sorted(point_ids):
         positions.append([draw(finite) for _ in range(3)])
@@ -689,10 +713,6 @@ def slam_maps(draw):
                           np.array(created, dtype=np.int64))
     if len(kf_ids) >= 2:
         pairs = st.lists(st.sampled_from(kf_ids), min_size=2, max_size=2, unique=True)
-        for a, b in draw(st.lists(pairs, max_size=4)):
-            m.add_covisibility(a, b, draw(st.integers(1, 500)))
-        for a, b in draw(st.lists(pairs, max_size=3)):
-            m.dr_edges[(a, b)] = draw(finite)
         for a, b in draw(st.lists(pairs, max_size=2, unique_by=tuple)):
             m.loop_edges.append((a, b, draw(poses()), draw(finite)))
     return m
@@ -761,29 +781,49 @@ LOOP_EDGE = "0 5 100 0 0 0 0 0 0 1"
     ("[keyframe_dr]", None, r"duplicate \[keyframe_dr\] entry 1"),
     ("[keyframe_gt]", None, r"duplicate \[keyframe_gt\] entry 0"),
     ("[observations]", None, r"duplicate \[observations\] entry 0 \d+"),
-    ("[covisibility]", None, r"duplicate \[covisibility\] entry 0 1"),
-    ("[covisibility]", "swap", r"duplicate \[covisibility\] entry 1 0"),
-    ("[dredges]", None, r"duplicate \[dredges\] entry 0 1"),
     ("[loopedges]", LOOP_EDGE, r"duplicate \[loopedges\] entry 0 5")],
-    ids=["keyframe", "keyframe_dr", "keyframe_gt", "observation", "covisibility",
-         "covisibility_swapped", "dredge", "loopedge"])
+    ids=["keyframe", "keyframe_dr", "keyframe_gt", "observation", "loopedge"])
 def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, edit, message):
     # the section's first data line given twice: the copy, at file line i + 2
-    # for list index i of the original, is rejected; a covisibility pair is the
-    # same entry in either order, and the straight run closes no loop, so its
-    # map is given one loop edge first
+    # for list index i of the original, is rejected; the straight run closes
+    # no loop, so its map is given one loop edge first
     text = saved_map_lines(tmp_path)
     i = text.index(section) + 1
     if edit == LOOP_EDGE:
         text.insert(i, LOOP_EDGE)
         assert load_map(write_lines(tmp_path / "loop.gwmap", text)).loop_edges[0][:2] == (0, 5)
     copy = text[i]
-    if edit == "swap":
-        a, b, count = copy.split()
-        copy = f"{b} {a} {count}"
     with pytest.raises(FormatError, match=message) as error:
         load_map(write_lines(tmp_path / "twice.gwmap", text[:i + 1] + [copy] + text[i + 1:]))
     assert error.value.line == i + 2
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("[keyframe_dr]", "99 nan 0 0 0 0 0 0 1", r"\[keyframe_dr\] entry names keyframe 99,"),
+    ("[observations]", "99 0 1.5 2.5", r"\[observations\] entry names keyframe 99,"),
+    ("[observations]", "0 1000000000 1.5 2.5",
+     r"\[observations\] entry names point 1000000000, not in \[points\]"),
+    ("[loopedges]", "0 99 100 0 0 0 0 0 0 1",
+     r"\[loopedges\] entry names keyframe 99, not in \[keyframes\]"),
+    ("[loopedges]", "99 5 100 0 0 0 0 0 0 1", r"\[loopedges\] entry names keyframe 99,")],
+    ids=["dr_keyframe", "observation_keyframe", "observation_point", "loopedge_to",
+         "loopedge_from"])
+def test_map_load_rejects_a_line_naming_an_id_the_map_lacks(tmp_path, section, line, message):
+    # the line inserted first in its section, at list index i, is file line i + 1
+    text = saved_map_lines(tmp_path)
+    assert len(load_map(tmp_path / "run.gwmap").keyframes) < 99
+    i = text.index(section) + 1
+    with pytest.raises(FormatError, match=message) as error:
+        load_map(write_lines(tmp_path / "unknown.gwmap", text[:i] + [line] + text[i:]))
+    assert error.value.line == i + 1
+
+
+def test_map_load_rejects_a_version_1_map(tmp_path):
+    text = saved_map_lines(tmp_path)
+    assert text[0] == "GWMAP v2"
+    with pytest.raises(FormatError, match="bad map magic") as error:
+        load_map(write_lines(tmp_path / "v1.gwmap", ["GWMAP v1"] + text[1:]))
+    assert error.value.line == 1
 
 
 def write_lines(path, lines):
@@ -827,9 +867,23 @@ def test_dr_only_emits_cadence_keyframes():
 def test_lba_edge_weights_respect_bounds():
     seq = straight_sequence(n_frames=120, dropouts=[Dropout(40, 70, 0)])
     res = run_pipeline(seq, PARAMS, "adaptive")
-    assert res.slam_map.dr_edges
-    for alpha in res.slam_map.dr_edges.values():
+    alphas = [kf.dr_alpha for kf in res.slam_map.keyframes.values() if not math.isnan(kf.dr_alpha)]
+    assert alphas
+    for alpha in alphas:
         assert PARAMS.bounds.alpha_min - 1e-12 <= alpha <= PARAMS.bounds.alpha_max + 1e-12
+
+
+def test_fixed_dr_runs_its_weight_in_every_stage():
+    # above alpha_max, the fixed weight is neither clamped in BA nor in tracking
+    import dataclasses
+    params = dataclasses.replace(PARAMS, fixed_alpha=1e4)
+    assert params.fixed_alpha > params.bounds.alpha_max
+    res = run_pipeline(straight_sequence(n_frames=80), params, "fixed-dr")
+    keyframes = [kf for k, kf in sorted(res.slam_map.keyframes.items()) if k > 0]
+    assert len(keyframes) >= 3
+    assert [kf.dr_alpha for kf in keyframes] == [1e4] * len(keyframes)
+    tracked = [f.alpha for f in res.frames[1:] if f.tracked_ok]
+    assert tracked and tracked == [1e4] * len(tracked)
 
 
 def test_lba_rejects_nonpositive_fixed_weight():
