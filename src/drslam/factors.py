@@ -101,10 +101,12 @@ def _left_jacobian_inverse(xi: np.ndarray, theta: np.ndarray, c: np.ndarray) -> 
 
 
 def dr_fold(from_q: np.ndarray, from_t: np.ndarray, delta_inv_q: np.ndarray,
-            delta_inv_t: np.ndarray):
+            delta_inv_t: np.ndarray, delta_inv_rotation: np.ndarray | None = None):
     """The fixed part left = delta^-1 from^-1 of E relative-pose edges, as
-    (q, t), from the from poses and the inverted measured increments."""
-    return se3_compose(delta_inv_q, delta_inv_t, *se3_inverse(from_q, from_t))
+    (q, t), from the from poses and the inverted measured increments;
+    delta_inv_rotation, when the caller holds it, is their rotation matrices
+    (E, 3, 3) and is not formed again."""
+    return se3_compose(delta_inv_q, delta_inv_t, *se3_inverse(from_q, from_t), delta_inv_rotation)
 
 
 def dr_residuals(left_q: np.ndarray, left_t: np.ndarray, to_q: np.ndarray, to_t: np.ndarray,
@@ -143,6 +145,13 @@ def dr_jacobians(r: np.ndarray, theta: np.ndarray, c: np.ndarray, delta_inv_adjo
     n = len(r_from)
     # d/d(from) = -Jl^-1(r) Ad(delta^-1); d/d(to) = Jr^-1(r) = Jl^-1(-r).
     return -jl_inv[:n] @ delta_inv_adjoint[from_rows], jl_inv[n:]
+
+
+def dr_to_jacobians(r: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The to side of dr_jacobians for every edge (E, 6, 6), for edges whose
+    from pose is fixed: no Ad(delta^-1) is needed. Rows must not be flagged
+    near pi."""
+    return _left_jacobian_inverse(-r, theta, c)
 
 
 def huber(norms: np.ndarray, threshold: np.ndarray | float):

@@ -42,10 +42,23 @@ def pose_text(pose: Pose) -> str:
     return " ".join(fmt(v) for v in (*pose.t, x, y, z, w))
 
 
-def parse_poses(fields) -> list:
-    """Poses of rows (N, 7) of the fields pose_text writes, numbers or text."""
+def parse_poses(fields, path=None, line=None) -> list:
+    """Poses of rows (N, 7) of the fields pose_text writes, numbers or text.
+
+    A row with a field that is not finite, or whose quaternion has no finite
+    nonzero norm to normalize by, is a FormatError at path and at the file
+    line line(row), when given.
+    """
     fields = np.asarray(fields, dtype=float).reshape(-1, 7)
-    return [Pose(q, t) for q, t in zip(fields[:, [6, 3, 4, 5]], fields[:, :3])]
+    q = fields[:, [6, 3, 4, 5]]
+    norm2 = np.einsum("ij,ij->i", q, q)
+    bad = np.flatnonzero(~(np.isfinite(fields).all(axis=1) & (norm2 > 0) & (norm2 < np.inf)))
+    if len(bad):
+        row = int(bad[0])
+        raise FormatError("pose fields must be finite, with a nonzero quaternion",
+                          path=None if path is None else str(path),
+                          line=None if line is None else line(row))
+    return [Pose(q, t) for q, t in zip(q, fields[:, :3])]
 
 
 def tum_line(timestamp: float, pose: Pose) -> str:
@@ -104,7 +117,8 @@ def _load_table(path, columns, delimiter, comment, skip):
 def read_tum(path):
     """[(timestamp, Pose), ...] in file order; '#' starts a comment."""
     table = _load_table(path, 8, None, "#", 0)
-    return list(zip(table[:, 0].tolist(), parse_poses(table[:, 1:])))
+    poses = parse_poses(table[:, 1:], path, lambda row: tum_row_line(path, row))
+    return list(zip(table[:, 0].tolist(), poses))
 
 
 def write_csv(path, header, rows) -> None:

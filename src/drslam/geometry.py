@@ -139,8 +139,14 @@ def se3_compose(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray,
 
 def se3_inverse(q: np.ndarray, t: np.ndarray):
     """Inverses of pose rows, as (q, t)."""
+    return se3_inverse_with_rotation(q, t)[:2]
+
+
+def se3_inverse_with_rotation(q: np.ndarray, t: np.ndarray):
+    """Inverses of pose rows, as (q, t), and their rotation matrices (N, 3, 3)."""
     qi = q * _CONJ
-    return qi, -_apply(quat_to_rotation(qi), t)
+    ri = quat_to_rotation(qi)
+    return qi, -_apply(ri, t), ri
 
 
 def se3_adjoint(q: np.ndarray, t: np.ndarray) -> np.ndarray:

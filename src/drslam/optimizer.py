@@ -9,31 +9,36 @@ match order, with at most one DR edge from the fixed previous pose, and a 6x6
 system. A point of either is stacked arrays (pose quaternions and
 translations, landmark positions); a retraction moves all free poses with one
 batched exp and compose, and Pose objects are built only for the result. Both
-evaluate residuals once per point through the factors kernels, and the loop
-linearizes each accepted point from the residuals its cost check computed
-there, DR edges with the log's angle terms that came with their residuals.
-The Problem linearizer folds each DR edge's fixed part delta^-1 from^-1 per
-evaluation; the motion-only linearizer, whose from pose is fixed, folds it
-once per solve, with its rotation, and its point carries the pose's rotation
-matrix, formed once per point for both the residuals there and the retraction
-from there. Both fold with the same kernels, so their arithmetic is the same
-bit for bit. Visual rows are whitened by one pixel std and carry a Huber
-kernel; DR edges carry a diagonal precision, alpha times the nominal one, and
-each residual entry and Jacobian row is whitened by the square root of its
-precision entry; they carry no kernel. The Problem linearizer evaluates every
-reprojection row in one kernel call, each row with its pose's rotation and
-translation gathered by the row's pose slot, and scatters the rows' blocks
-into the system with np.add.at; every DR edge is linearized in one batched
-call. The BA linear solve eliminates landmarks by Schur complement; the
-pose-landmark coupling is kept as one dense block, O(F*L) memory for F free
-poses and L free landmarks, and the Schur complement is formed from it in
-chunks of landmarks, each a product over the poses that observe it.
+evaluate residuals once per point through the factors kernels. The loop
+linearizes a point only when an iteration steps from it, from the residuals
+its cost check computed there, DR edges with the log's angle terms that came
+with their residuals; the point a solve ends at is linearized only if its
+report's min_pose_eigenvalue is read. The Problem linearizer folds each DR
+edge's fixed part delta^-1 from^-1 per evaluation. The motion-only
+linearizer, whose from pose is fixed, folds it once per solve, with its
+rotation, and forms neither Ad(delta^-1) nor a from-side Jacobian; its point
+carries the pose's rotation matrix, formed once per point for both the
+residuals there and the retraction from there. Both fold with the same
+kernels, so their arithmetic is the same bit for bit. Visual rows are
+whitened by one pixel std and carry a Huber kernel; DR edges carry a
+diagonal precision, alpha times the nominal one, and each residual entry
+and Jacobian row is whitened by the square root of its precision entry;
+they carry no kernel. The Problem linearizer evaluates every reprojection
+row in one kernel call, each row with its pose's rotation and translation
+gathered by the row's pose slot, and scatters the rows' blocks into the
+system with np.add.at; every DR edge is linearized in one batched call. The
+BA linear solve eliminates landmarks by Schur complement; the pose-landmark
+coupling is kept as one dense block, O(F*L) memory for F free poses and L
+free landmarks, and the Schur complement is formed from it in chunks of
+landmarks, each a product over the poses that observe it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,12 +48,13 @@ from .factors import (
     dr_fold,
     dr_jacobians,
     dr_residuals,
+    dr_to_jacobians,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
 )
 from .geometry import (CameraIntrinsics, Pose, Z_MIN, quat_to_rotation, se3_adjoint, se3_compose,
-                       se3_exp, se3_inverse)
+                       se3_exp, se3_inverse_with_rotation)
 
 
 # One reprojection row: the observing pose id, the landmark id and the pixel.
@@ -168,11 +174,15 @@ STEP_TOLERANCE = 1e-10
 
 @dataclass
 class SolverReport:
+    """What a solve did. min_pose_eigenvalue, the smallest eigenvalue of the
+    pose-pose block at the final point, is a conditioning diagnostic that no
+    estimator decision reads: conditioning computes it on the first read, and
+    the value is kept. It reads the solve's inputs, so a caller that changes
+    them in place reads it first."""
     iterations: int = 0
     initial_cost: float = 0.0
     final_cost: float = 0.0
     termination: str = "empty"
-    min_pose_eigenvalue: float = float("nan")
     evaluations: int = 0            # cost evaluations, the starting point included
     rejected_steps: int = 0         # candidate steps that raised the cost
     final_damping: float = float("nan")
@@ -180,6 +190,12 @@ class SolverReport:
     free_landmarks: int = 0
     reprojection_rows: int = 0
     dr_edges: int = 0
+    conditioning: Callable[[], float] = field(default=lambda: float("nan"), repr=False,
+                                              compare=False)
+
+    @cached_property
+    def min_pose_eigenvalue(self) -> float:
+        return self.conditioning()
 
 
 class NormalEquations:
@@ -305,13 +321,15 @@ class _Linearizer:
         self.row_lm_free = self.lm_free_index[self.row_lm]
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
-        # DR edges: pose slots, inverted increments, Ad(delta^-1), square
-        # roots of the precisions, and the free-pose index of each side (-1: fixed).
+        # DR edges: pose slots, inverted increments with their rotations,
+        # Ad(delta^-1), square roots of the precisions, and the free-pose
+        # index of each side (-1: fixed).
         edges = problem.dr_factors
         self.dr_from = np.searchsorted(self.pose_ids, edges["from"])
         self.dr_to = np.searchsorted(self.pose_ids, edges["to"])
-        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_adjoint, self.dr_sqrt_p = \
+        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_rotation, self.dr_sqrt_p = \
             _dr_edge_arrays(edges["q"], edges["t"], edges["precision"])
+        self.dr_delta_inv_adjoint = se3_adjoint(self.dr_delta_inv_q, self.dr_delta_inv_t)
         self.dr_from_free = self.free_index[self.dr_from]
         self.dr_to_free = self.free_index[self.dr_to]
 
@@ -340,7 +358,7 @@ class _Linearizer:
         dr = None
         if len(self.dr_from):
             left = dr_fold(q[self.dr_from], t[self.dr_from], self.dr_delta_inv_q,
-                           self.dr_delta_inv_t)
+                           self.dr_delta_inv_t, self.dr_delta_inv_rotation)
             dr = _dr_whitened_residuals(*left, q[self.dr_to], t[self.dr_to], self.dr_sqrt_p)
             cost += dr[-1]
         return cost, (visual, rotations, dr)
@@ -417,16 +435,12 @@ class _PoseLinearizer:
     the 6x6 pair (H, b). Rows are the matched points (N, 3) and pixels
     (N, 2) in match order, with one inverse pixel std and one Huber threshold
     for every row. The DR edge's fixed part is folded once per solve, with
-    its rotation. The arithmetic and its order are those of _Linearizer on
-    the equivalent one-free-pose Problem: the rows' blocks summed in row
-    order first, then the DR edge.
+    its rotation and that of delta^-1, each formed once; its from side is
+    fixed, so only its to side's Jacobian is formed, as a _Linearizer selects
+    the sides of such an edge whose angle is not near pi. The arithmetic and
+    its order are those of _Linearizer on the equivalent one-free-pose
+    Problem: the rows' blocks summed in row order first, then the DR edge.
     """
-
-    # The DR edge's from side is fixed and its to side free, as a
-    # _Linearizer selects them for an edge whose angle is not near pi; as
-    # slices, which select the same rows at less cost than masks.
-    _FROM_ROWS = slice(0, 0)
-    _TO_ROWS = slice(None)
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
         self.k = camera
@@ -435,10 +449,10 @@ class _PoseLinearizer:
         self.dr_sqrt_p = None
         if dr is not None:
             previous, delta, precision = dr
-            delta_inv_q, delta_inv_t, self.delta_inv_adjoint, self.dr_sqrt_p = \
+            delta_inv_q, delta_inv_t, delta_inv_rotation, self.dr_sqrt_p = \
                 _dr_edge_arrays(delta.q[None], delta.t[None], np.reshape(precision, (1, 6)))
             self.left_q, self.left_t = dr_fold(previous.q[None], previous.t[None], delta_inv_q,
-                                               delta_inv_t)
+                                               delta_inv_t, delta_inv_rotation)
             self.left_rotation = quat_to_rotation(self.left_q)
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
@@ -473,11 +487,10 @@ class _PoseLinearizer:
             H += hpp.sum(axis=0)
             b -= gp.sum(axis=0)
         if dr is not None:
-            log, rw, _ = dr
-            if log[1][0]:     # near pi: inactive, as in _Linearizer
+            (r, near_pi, theta, c), rw, _ = dr
+            if near_pi[0]:     # near pi: inactive, as in _Linearizer
                 return H, b
-            _, jw = _dr_whitened_jacobians(log, self.delta_inv_adjoint, self.dr_sqrt_p,
-                                           self._FROM_ROWS, self._TO_ROWS)
+            jw = dr_to_jacobians(r, theta, c) * self.dr_sqrt_p[:, :, None]
             jwt = jw.transpose(0, 2, 1)
             H += (jwt @ jw)[0]
             b -= (jwt @ rw[:, :, None])[0, :, 0]
@@ -506,13 +519,12 @@ def _free_index(fixed: np.ndarray):
 
 def _dr_edge_arrays(q, t, precisions):
     """Per DR edge of increments (q (E, 4), t (E, 3)): inverted increment
-    (quaternion, translation), Ad(delta^-1) and the square root of the
+    (quaternion, translation, rotation matrix) and the square root of the
     precision (E, 6). Raises NotPositiveDefinite when a precision entry is
     not finite and positive."""
     if not np.all(np.isfinite(precisions) & (precisions > 0)):
         raise NotPositiveDefinite("DR precision entries must be finite and positive")
-    inv_q, inv_t = se3_inverse(q, t)
-    return inv_q, inv_t, se3_adjoint(inv_q, inv_t), np.sqrt(precisions)
+    return *se3_inverse_with_rotation(q, t), np.sqrt(precisions)
 
 
 def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
@@ -571,18 +583,23 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
     system at the point, step(system, damping) the damped step (or raises
     SingularSystem), retract(point, step) the moved point, and
     min_pose_eigenvalue(system) the conditioning diagnostic. Residuals are
-    evaluated once per point: an accepted candidate is linearized from the
-    residuals its cost check computed.
+    evaluated once per point. A point is linearized, from the residuals its
+    cost check computed, only when an iteration steps from it: once per
+    iteration, so not after the step that meets the cost or step tolerance
+    or uses the last iteration. The report's min_pose_eigenvalue is that of
+    the system in hand when the solve stalled, and otherwise linearizes the
+    final point when first read.
     """
     lam = config.initial_damping
     report = SolverReport(termination="max_iterations")
     accepted_any = False
     cost, cache = lin.residuals(point)
     report.evaluations = 1
-    system = lin.linearize(point, cache)
     report.initial_cost = cost
+    system = None
     for it in range(1, config.max_iterations + 1):
         report.iterations = it
+        system = lin.linearize(point, cache)
         accepted = False
         best_overshoot = math.inf
         step = None
@@ -612,7 +629,6 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
             raise Diverged("no damping value produced a cost decrease")
         decrease = cost - new_cost
         cost = new_cost
-        system = lin.linearize(point, cache)
         if decrease <= config.cost_tolerance * max(cost, 1e-30):
             report.termination = "cost_tolerance"
             break
@@ -621,8 +637,16 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
             break
     report.final_cost = cost
     report.final_damping = lam
-    report.min_pose_eigenvalue = lin.min_pose_eigenvalue(system)
+    # a stalled solve ends at the point its last system was linearized at
+    final_system = system if report.termination == "stalled" else None
+    report.conditioning = partial(_final_conditioning, lin, point, cache, final_system)
     return point, report
+
+
+def _final_conditioning(lin, point, cache, system):
+    """min_pose_eigenvalue of the system at a solve's final point: the one
+    given, or else the point linearized from its residuals."""
+    return lin.min_pose_eigenvalue(lin.linearize(point, cache) if system is None else system)
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
@@ -657,8 +681,8 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
-    q = pose.q[None]
-    (q, t, _), report = _levenberg_marquardt(lin, (q, pose.t[None], quat_to_rotation(q)), config)
+    (q, t, _), report = _levenberg_marquardt(
+        lin, (pose.q[None], pose.t[None], pose.rotation_matrix[None]), config)
     return Pose(q[0], t[0]), replace(report, **lin.size)
 
 

@@ -129,6 +129,14 @@ class PointTable:
         """The rows of point ids (N,), each of which the table holds."""
         return np.searchsorted(self.ids, ids)
 
+    def lookup(self, ids):
+        """The rows (N,) of point ids (N,), any of which the table may lack,
+        and whether it holds each (N,); a row is meaningful only where it does."""
+        rows = np.searchsorted(self.ids, ids)
+        if not len(self.ids):
+            return rows, np.zeros(len(rows), dtype=bool)
+        return rows, self.ids.take(rows, mode="clip") == ids
+
     def insert(self, ids, positions, created_kf) -> PointTable:
         """The table with points ids (N,), none of them in it, at positions
         (N, 3), created by keyframe created_kf, one or (N,)."""
@@ -206,9 +214,10 @@ def associate_features(detections: Detections, points: PointTable, predicted: Po
     predicted camera.
     """
     rows = _first_landmark_rows(detections.ids)
-    rows = rows[np.isin(detections.ids[rows], points.ids, assume_unique=True)]
+    at, held = points.lookup(detections.ids[rows])
+    rows = rows[held]
     y, uv = project_points(camera, predicted.rotation_matrix, predicted.t,
-                           points.positions[points.rows(detections.ids[rows])])
+                           points.positions[at[held]])
     front = y[:, 2] > Z_MIN
     rows, (u, v) = rows[front], uv[front].T
     hit = ((-search_radius <= u) & (u < camera.width + search_radius)
@@ -414,10 +423,10 @@ class Pipeline:
         """RGB-D stand-in: the true depth (N,) of each of the distinct landmark
         ids in the actual camera, NaN where the landmark or the true pose is unknown."""
         depth = np.full(len(ids), np.nan)
-        known = np.isin(ids, self._world.ids, assume_unique=True)
+        at, known = self._world.lookup(ids)
         if gt_pose is not None:
             y, _ = project_points(self.camera, gt_pose.rotation_matrix, gt_pose.t,
-                                  self._world.positions[self._world.rows(ids[known])])
+                                  self._world.positions[at[known]])
             depth[known] = y[:, 2]
         return depth
 
@@ -669,6 +678,10 @@ def load_map(path) -> SlamMap:
     points = ([], [], [])            # point ids, positions, creating keyframes
     seen = set()                     # (section, the ids the line is the entry of)
     section = None
+
+    def pose(fields):
+        return parse_poses(fields, path, lambda _: lineno)[0]
+
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != MAP_MAGIC:
@@ -704,14 +717,14 @@ def load_map(path) -> SlamMap:
             if section == "keyframes":
                 kf = KeyFrame(
                     id=ids[0], frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=parse_poses(parts[3:10])[0], n_trk=int(parts[11]),
+                    pose=pose(parts[3:10]), n_trk=int(parts[11]),
                     quality=float(parts[12]), lba_alpha=float(parts[10]))
                 slam_map.keyframes[kf.id] = kf
             elif section == "keyframe_dr":
                 kf = slam_map.keyframes[ids[0]]
-                kf.dr_alpha, kf.dr_to_prev = float(parts[1]), parse_poses(parts[2:])[0]
+                kf.dr_alpha, kf.dr_to_prev = float(parts[1]), pose(parts[2:])
             elif section == "keyframe_gt":
-                slam_map.keyframes[ids[0]].gt_pose = parse_poses(parts[1:])[0]
+                slam_map.keyframes[ids[0]].gt_pose = pose(parts[1:])
             elif section == "observations":
                 observations.append((*ids, (float(parts[2]), float(parts[3]))))
                 observation_lines.append(lineno)
@@ -720,7 +733,7 @@ def load_map(path) -> SlamMap:
                 points[1].append([float(x) for x in parts[1:4]])
                 points[2].append(int(parts[4]))
             else:
-                slam_map.loop_edges.append((*ids, parse_poses(parts[3:])[0], float(parts[2])))
+                slam_map.loop_edges.append((*ids, pose(parts[3:]), float(parts[2])))
     except ValueError as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
     table = np.array(observations, dtype=REPROJECTION_ROW)

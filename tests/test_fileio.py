@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drslam.errors import FormatError
-from drslam.fileio import int_column, read_csv, read_tum, write_tum
+from drslam.fileio import int_column, parse_poses, read_csv, read_tum, write_tum
 from drslam.geometry import Pose
 
 HEADER = ["frame_id", "landmark_id", "u", "v"]
@@ -95,6 +95,22 @@ def test_read_tum_malformed_row_names_path_and_line(tmp_path, body, line):
         read_tum(path)
     assert e.value.path == str(path)
     assert e.value.line == line
+
+
+@pytest.mark.parametrize("pose", ["1 2 3 0 0 0 0", "1 2 3 0 nan 0 1", "1 inf 3 0 0 0 1",
+                                  "1 2 3 0 0 0 1e200"],
+                         ids=["zero-quaternion", "nan-quaternion", "inf-translation",
+                              "overflowing-norm"])
+def test_read_tum_rejects_a_pose_that_is_not_finite_or_has_a_zero_quaternion(tmp_path, pose):
+    # such a quaternion once normalized to a NaN pose with only a warning
+    with pytest.raises(FormatError, match="nonzero quaternion") as e:
+        parse_poses(pose.split())
+    assert e.value.path is None and e.value.line is None
+    path = write_text(tmp_path / "t.tum", f"# c\n0 1 2 3 0 0 0 1\n\n0.5 {pose}\n")
+    with pytest.raises(FormatError, match="nonzero quaternion") as e:
+        read_tum(path)
+    assert e.value.path == str(path)
+    assert e.value.line == 4
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)

@@ -117,9 +117,10 @@ def test_motion_only_no_constraints_raises(rng):
 
 
 # Rotation matrices a motion-only solve with a DR edge forms once: the
-# increment's inverse and its adjoint, the previous pose's inverse, the fold
-# delta^-1 previous^-1 and the folded pose's rotation.
-DR_SOLVE_ROTATIONS = 5
+# increment's inverse, which both inverts its translation and composes the
+# fold delta^-1 previous^-1, the previous pose's inverse and the folded
+# pose's rotation. The edge's adjoint is never formed: its from side is fixed.
+DR_SOLVE_ROTATIONS = 3
 
 
 @pytest.mark.parametrize("n_obs, perturb_t", [(40, 0.05), (40, 0.5), (0, 0.05)],
@@ -750,6 +751,68 @@ def test_cached_linearization_matches_fresh_build(seed, n_poses, perturb, with_d
         fresh, _ = build_normal_equations(problem)
         for block in ("Hpp", "bp", "Hll", "bl", "Hpl"):
             assert np.array_equal(getattr(neq, block), getattr(fresh, block)), block
+
+
+def _watch_linearizers(monkeypatch, stall_after=None):
+    """The list that records each linearize call of either linearizer. With
+    stall_after, every cost evaluated after that many is infinite, so that a
+    solve whose first step was accepted stalls on its second."""
+    calls, costs = [], []
+    for cls in (_Linearizer, optimizer._PoseLinearizer):
+        def linearize(lin, point, cache, original=cls.linearize):
+            calls.append(point)
+            return original(lin, point, cache)
+
+        def residuals(lin, point, original=cls.residuals):
+            cost, cache = original(lin, point)
+            costs.append(cost)
+            return (math.inf if stall_after and len(costs) > stall_after else cost), cache
+        monkeypatch.setattr(cls, "linearize", linearize)
+        monkeypatch.setattr(cls, "residuals", residuals)
+    return calls
+
+
+ENDINGS = {"tolerance": ("cost_tolerance", "step_tolerance"), "cap": ("max_iterations",),
+           "stall": ("stalled",)}
+
+
+@pytest.mark.parametrize("ending", list(ENDINGS))
+@pytest.mark.parametrize("level", ["motion_only", "problem"])
+def test_lm_linearizes_only_the_points_it_steps_from(rng, monkeypatch, level, ending):
+    # one linearization per iteration, however the solve ends; the first read
+    # of the final point's conditioning linearizes that point, unless the
+    # solve stalled there with its system in hand, and a second read does
+    # not; the value equals a fresh linearization at the solved point, bit
+    # for bit
+    if level == "motion_only":
+        problem, _, _, _ = make_motion_problem(rng, n_obs=30, pixel_noise=1.0, perturb_t=0.3,
+                                               perturb_r_deg=5.0)
+    else:
+        problem, _, _ = make_ba_problem(rng, n_poses=4, n_landmarks=30, pixel_noise=1.0,
+                                        pose_perturb=0.05, lm_perturb=0.05, with_dr_chain=True)
+    args = motion_only_args(problem) if level == "motion_only" else {}
+    config = SolverConfig(max_iterations=2 if ending == "cap" else 20)
+    calls = _watch_linearizers(monkeypatch, stall_after=2 if ending == "stall" else None)
+    if level == "motion_only":
+        pose, report = solve_motion_only(**{**args, "config": config})
+    else:
+        report = solve(problem, config)
+    assert report.termination in ENDINGS[ending]
+    assert len(calls) == report.iterations
+    eigenvalue = report.min_pose_eigenvalue
+    assert len(calls) == report.iterations + (ending != "stall")
+    assert np.float64(report.min_pose_eigenvalue).tobytes() == np.float64(eigenvalue).tobytes()
+    assert len(calls) == report.iterations + (ending != "stall")
+    monkeypatch.undo()
+    if level == "motion_only":
+        lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
+                                        1.0 / args["pixel_std"], args["huber_threshold"],
+                                        args["dr"])
+        point = (pose.q[None], pose.t[None], pose.rotation_matrix[None])
+        fresh = optimizer._min_eigenvalue(lin.linearize(point, lin.residuals(point)[1])[0])
+    else:
+        fresh = min_pose_eigenvalue(build_normal_equations(problem)[0])
+    assert np.float64(fresh).tobytes() == np.float64(eigenvalue).tobytes()
 
 
 class _Arctan:

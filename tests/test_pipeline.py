@@ -818,6 +818,21 @@ def test_map_load_rejects_a_line_naming_an_id_the_map_lacks(tmp_path, section, l
     assert error.value.line == i + 1
 
 
+@pytest.mark.parametrize("section, fields, values", [
+    ("[keyframes]", slice(6, 10), ["0", "0", "0", "0"]),
+    ("[keyframe_dr]", slice(2, 3), ["nan"])], ids=["zero-quaternion", "nan-translation"])
+def test_map_load_rejects_a_pose_that_is_not_finite_or_has_a_zero_quaternion(
+        tmp_path, section, fields, values):
+    # the section's first data line, at list index i, is file line i + 1
+    text = saved_map_lines(tmp_path)
+    i = text.index(section) + 1
+    line = text[i].split()
+    line[fields] = values
+    with pytest.raises(FormatError, match="nonzero quaternion") as error:
+        load_map(write_lines(tmp_path / "bad.gwmap", text[:i] + [" ".join(line)] + text[i + 1:]))
+    assert error.value.line == i + 1
+
+
 def test_map_load_rejects_a_version_1_map(tmp_path):
     text = saved_map_lines(tmp_path)
     assert text[0] == "GWMAP v2"
