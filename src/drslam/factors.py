@@ -53,10 +53,10 @@ def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndar
     jpi[:, 1, 1] = k.fy / z
     jpi[:, 1, 2] = -k.fy * y[:, 1] / z ** 2
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
-    j_pose = np.concatenate([jpi, -np.einsum("nij,njk->nik", jpi, hat(y))], axis=2)
+    j_pose = np.concatenate([jpi, -(jpi @ hat(y))], axis=2)
     if rotation is None:
         return j_pose, None
-    return j_pose, -np.einsum("...ij,...kj->...ik", jpi, rotation)
+    return j_pose, -(jpi @ np.swapaxes(rotation, -1, -2))
 
 
 def _coupling_closed_form(t: np.ndarray):

@@ -25,12 +25,20 @@ diagonal precision, alpha times the nominal one, and each residual entry
 and Jacobian row is whitened by the square root of its precision entry;
 they carry no kernel. The Problem linearizer evaluates every reprojection
 row in one kernel call, each row with its pose's rotation and translation
-gathered by the row's pose slot, and scatters the rows' blocks into the
-system with np.add.at; every DR edge is linearized in one batched call. The
-BA linear solve eliminates landmarks by Schur complement; the pose-landmark
-coupling is kept as one dense block, O(F*L) memory for F free poses and L
-free landmarks, and the Schur complement is formed from it in chunks of
-landmarks, each a product over the poses that observe it.
+gathered by the row's pose slot; every DR edge is linearized in one batched
+call. Its rows are grouped by free pose once per solve, and each pose's
+block and gradient are one reduction over its rows, as the motion-only
+linearizer reduces its rows, so both sum a pose's rows in the same order.
+Landmark and coupling blocks are formed per row and each kind is added into
+the system with one np.bincount, which sums every entry's contributions in
+row order; the DR edges' pose blocks follow the visual ones. The BA linear
+solve eliminates landmarks by Schur complement; the pose-landmark coupling
+is kept as one dense block, O(F*L) memory for F free poses and L free
+landmarks, and the Schur complement is formed from it in chunks of
+landmarks, each a product over the poses that observe it, with the chunk
+index built once per system. Products whose size grows with the problem
+are einsum, not BLAS, so that the step does not depend on the thread
+setting.
 """
 
 from __future__ import annotations
@@ -198,6 +206,12 @@ class SolverReport:
         return self.conditioning()
 
 
+# Landmarks per product in the Schur complement: large enough that a local BA
+# window takes a few products, small enough that on a long map each product
+# spans a few keyframes.
+LANDMARK_CHUNK = 64
+
+
 class NormalEquations:
     """Gauss-Newton system in pose/landmark block form.
 
@@ -208,17 +222,31 @@ class NormalEquations:
     needs no observer bookkeeping: the blocks of all reprojection rows are
     added into it at once by their pose and landmark indices, repeated
     pose-landmark pairs included, and schur_solve reads its structure from
-    the nonzero blocks.
+    the nonzero blocks, once per system.
     """
 
-    def __init__(self, n_pose_free: int, n_lm_free: int):
-        self.n_pose_free = n_pose_free
-        self.n_lm_free = n_lm_free
-        self.Hpp = np.zeros((6 * n_pose_free, 6 * n_pose_free))
-        self.bp = np.zeros(6 * n_pose_free)
-        self.Hll = np.zeros((n_lm_free, 3, 3))
-        self.bl = np.zeros((n_lm_free, 3))
-        self.Hpl = np.zeros((n_pose_free, 6, n_lm_free, 3))
+    def __init__(self, Hpp, bp, Hll, bl, Hpl):
+        self.n_pose_free, self.n_lm_free = len(bp) // 6, len(bl)
+        self.Hpp, self.bp, self.Hll, self.bl, self.Hpl = Hpp, bp, Hll, bl, Hpl
+
+    @cached_property
+    def schur_chunks(self) -> list:
+        """The Schur complement's chunks of landmarks, in order of their first
+        observer, each as (landmarks, the rows of the free poses that observe
+        them, np.ix_ of those rows): indices only, shared by every damping
+        tried on this system."""
+        n, n_l = self.n_pose_free, self.n_lm_free
+        seen = (self.Hpl != 0).reshape(n, 6, 3 * n_l).any(axis=1)
+        seen = seen.reshape(n, n_l, 3).any(axis=2)
+        order = np.argsort(seen.argmax(axis=0), kind="stable")
+        chunks = []
+        for a in range(0, n_l, LANDMARK_CHUNK):
+            lms = order[a:a + LANDMARK_CHUNK]
+            poses = np.flatnonzero(seen[:, lms].any(axis=1))
+            if len(poses):
+                rows = (6 * poses[:, None] + np.arange(6)).ravel()
+                chunks.append((lms, rows, np.ix_(rows, rows)))
+        return chunks
 
 
 def min_pose_eigenvalue(neq: NormalEquations) -> float:
@@ -230,12 +258,6 @@ def min_pose_eigenvalue(neq: NormalEquations) -> float:
 
 def _min_eigenvalue(hpp: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (hpp + hpp.T)).min())
-
-
-# Landmarks per product in the Schur complement: large enough that a local BA
-# window takes a few products, small enough that on a long map each product
-# spans a few keyframes.
-LANDMARK_CHUNK = 64
 
 
 def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
@@ -260,22 +282,15 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
         # S -= W C^-1 W^T and bs -= W C^-1 bl over chunks of landmarks taken in
         # order of their first observer, each over the rows of the free poses
         # that observe the chunk: a landmark is seen from a few keyframes close
-        # in time, so on a long map a chunk has few rows. einsum, not BLAS: a
-        # BLAS product rounds differently with one thread than with several,
-        # and the step must not depend on the thread setting.
-        seen = (w != 0).reshape(neq.n_pose_free, 6, 3 * n_l).any(axis=1)
-        seen = seen.reshape(neq.n_pose_free, n_l, 3).any(axis=2)
-        order = np.argsort(seen.argmax(axis=0), kind="stable")
-        for a in range(0, n_l, LANDMARK_CHUNK):
-            lms = order[a:a + LANDMARK_CHUNK]
-            poses = np.flatnonzero(seen[:, lms].any(axis=1))
-            if not len(poses):
-                continue
-            rows = (6 * poses[:, None] + np.arange(6)).ravel()
+        # in time, so on a long map a chunk has few rows. The chunk index is
+        # built once per system and kept for every damping. einsum, not BLAS:
+        # a BLAS product rounds differently with one thread than with
+        # several, and the step must not depend on the thread setting.
+        for lms, rows, block in neq.schur_chunks:
             w_c = w[rows].take(lms, axis=1)
             y_c = (w_c.transpose(1, 0, 2) @ cinv[lms]).transpose(1, 0, 2).reshape(len(rows), -1)
             w_c = w_c.reshape(len(rows), -1)
-            s[np.ix_(rows, rows)] -= np.einsum("pk,qk->pq", y_c, w_c)
+            s[block] -= np.einsum("pk,qk->pq", y_c, w_c)
             bs[rows] -= np.einsum("pk,k->p", y_c, neq.bl[lms].reshape(-1))
     if n_p:
         try:
@@ -319,6 +334,21 @@ class _Linearizer:
         self.row_pose_free = self.free_index[self.row_slot]
         self.row_lm = np.searchsorted(self.lm_ids, rows["landmark"])
         self.row_lm_free = self.lm_free_index[self.row_lm]
+        # The rows of the free poses grouped by pose, each pose's in row order,
+        # and each group's start (F + 1,).
+        on_pose = np.flatnonzero(self.row_pose_free >= 0)
+        self.pose_rows = on_pose[np.argsort(self.row_pose_free[on_pose], kind="stable")]
+        self.pose_rows_free = self.row_pose_free[self.pose_rows]
+        self.pose_starts = np.searchsorted(self.pose_rows_free, np.arange(self.n_pose_free + 1))
+        # The distinct (free pose, free landmark) pairs, as their free indices,
+        # and each row's pair (-1: pose or landmark fixed): the coupling's
+        # blocks are summed per pair and only those blocks are written.
+        key = np.where((self.row_pose_free >= 0) & (self.row_lm_free >= 0),
+                       self.row_pose_free * self.n_lm_free + self.row_lm_free, -1)
+        pairs, self.row_pair = np.unique(key, return_inverse=True)
+        if len(pairs) and pairs[0] < 0:
+            pairs, self.row_pair = pairs[1:], self.row_pair - 1
+        self.pair_pose, self.pair_lm = divmod(pairs, self.n_lm_free)
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         # DR edges: pose slots, inverted increments with their rotations,
@@ -364,30 +394,56 @@ class _Linearizer:
         return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
-        """Normal equations at the point, from the residuals computed there;
-        np.add.at scatters the rows' blocks in row order."""
-        visual, rotations, dr = cache
-        neq = NormalEquations(self.n_pose_free, self.n_lm_free)
-        active, jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
-        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
-        on_pose, on_lm = pose_free >= 0, lm_free >= 0
-        hpp, gp = _row_blocks(jp[on_pose], rw[on_pose])
-        n = self.n_pose_free
-        np.add.at(neq.Hpp.reshape(n, 6, n, 6),
-                  (pose_free[on_pose], slice(None), pose_free[on_pose]), hpp)
-        np.add.at(neq.bp.reshape(n, 6), pose_free[on_pose], -gp)
-        hll, gl = _row_blocks(j_lm[on_lm], rw[on_lm])
-        np.add.at(neq.Hll, lm_free[on_lm], hll)
-        np.add.at(neq.bl, lm_free[on_lm], -gl)
-        both = on_pose & on_lm
-        np.add.at(neq.Hpl, (pose_free[both], slice(None), lm_free[both]),
-                  np.einsum("nij,nik->njk", jp[both], j_lm[both]))
-        if dr is not None:
-            self._linearize_dr(dr, neq)
-        return neq
+        """Normal equations at the point, from the residuals computed there.
 
-    def _linearize_dr(self, dr, neq: NormalEquations) -> None:
-        """Adds the normal equations of every DR edge."""
+        Each free pose's block and gradient are one reduction over its active
+        rows in row order, the DR edges' pose blocks added after them. Landmark
+        blocks, their gradients and the coupling are formed per row. _scatter
+        adds every block into its system block in order, as np.add.at would.
+        """
+        visual, rotations, dr = cache
+        n, n_l = self.n_pose_free, self.n_lm_free
+        active, jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
+        rows, starts = self.pose_rows, self.pose_starts
+        if not active.all():
+            kept = active[rows]
+            rows = (np.cumsum(active) - 1)[rows[kept]]
+            starts = np.searchsorted(self.pose_rows_free[kept], np.arange(n + 1))
+        jp_rows, rw_rows = jp[rows], rw[rows]
+        reduced = [_pose_reduction(jp_rows[a:b], rw_rows[a:b])
+                   for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+        # Hpp's blocks by (row, column) pose and bp's gradients by pose
+        poses = np.arange(n)
+        block_rows, block_cols, grad_rows = [poses], [poses], [poses]
+        blocks = [np.reshape([h for h, _ in reduced], (n, 6, 6))]
+        grads = [np.reshape([g for _, g in reduced], (n, 6))]
+        if dr is not None:
+            self._add_dr_blocks(dr, block_rows, block_cols, blocks, grad_rows, grads)
+        # entry (i, j) of block (p, q) of Hpp (6n, 6n) is (6p + i) 6n + 6q + j
+        Hpp = _scatter(36 * n * np.concatenate(block_rows) + 6 * np.concatenate(block_cols),
+                       np.concatenate(blocks), 6 * n * np.arange(6)[:, None] + np.arange(6),
+                       36 * n * n).reshape(6 * n, 6 * n)
+        bp = _scatter(6 * np.concatenate(grad_rows), -np.concatenate(grads), np.arange(6), 6 * n)
+
+        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
+        on_lm = lm_free >= 0
+        j, r, lms = j_lm[on_lm], rw[on_lm], lm_free[on_lm]
+        Hll = _scatter(9 * lms, np.einsum("nij,nik->njk", j, j), np.arange(9), 9 * n_l)
+        bl = _scatter(3 * lms, -np.einsum("nij,ni->nj", j, r), np.arange(3), 3 * n_l)
+        pair = self.row_pair[active]
+        both = pair >= 0
+        n_pairs = len(self.pair_pose)
+        coupling = _scatter(18 * pair[both], jp[both].transpose(0, 2, 1) @ j_lm[both],
+                            np.arange(18), 18 * n_pairs)
+        Hpl = np.zeros((n, 6, n_l, 3))
+        Hpl[self.pair_pose, :, self.pair_lm] = coupling.reshape(n_pairs, 6, 3)
+        return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3), Hpl)
+
+    def _add_dr_blocks(self, dr, block_rows, block_cols, blocks, grad_rows, grads) -> None:
+        """Appends every DR edge's pose blocks, with their free-pose rows and
+        columns, and its gradients, with their free-pose rows: the diagonal
+        blocks J^T J and gradients of both sides, then the blocks coupling
+        the two poses of every edge with both sides free."""
         log, rw, _ = dr
         near_pi = log[1]
         # near-pi edges stay in the cost but are inactive for Jacobians; the
@@ -399,24 +455,20 @@ class _Linearizer:
         jw = np.concatenate([jw_from, jw_to])
         idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
         jwt = jw.transpose(0, 2, 1)
-        # diagonal blocks J^T J and gradients of both sides, then the blocks
-        # coupling the two poses of every edge with both sides free
-        blocks = [jwt @ jw]
-        rows, cols = [idx], [idx]
+        blocks.append(jwt @ jw)
+        block_rows.append(idx)
+        block_cols.append(idx)
         both = f_sel & t_sel
         if both.any():
             jf, jt = jw_from[both[f_sel]], jw_to[both[t_sel]]
             a, b = self.dr_from_free[both], self.dr_to_free[both]
             cross = jf.transpose(0, 2, 1) @ jt
             blocks += [cross, cross.transpose(0, 2, 1)]
-            rows += [a, b]
-            cols += [b, a]
-        n = self.n_pose_free
-        np.add.at(neq.Hpp.reshape(n, 6, n, 6),
-                  (np.concatenate(rows), slice(None), np.concatenate(cols)),
-                  np.concatenate(blocks))
+            block_rows += [a, b]
+            block_cols += [b, a]
         rw_rows = np.concatenate([rw[f_sel], rw[t_sel]])
-        np.add.at(neq.bp.reshape(n, 6), idx, -(jwt @ rw_rows[:, :, None])[:, :, 0])
+        grad_rows.append(idx)
+        grads.append((jwt @ rw_rows[:, :, None])[:, :, 0])
 
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)
@@ -439,7 +491,8 @@ class _PoseLinearizer:
     fixed, so only its to side's Jacobian is formed, as a _Linearizer selects
     the sides of such an edge whose angle is not near pi. The arithmetic and
     its order are those of _Linearizer on the equivalent one-free-pose
-    Problem: the rows' blocks summed in row order first, then the DR edge.
+    Problem: one reduction over the active rows in row order, then the DR
+    edge's block added to it.
     """
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
@@ -483,9 +536,9 @@ class _PoseLinearizer:
         b = np.zeros(6)
         if visual is not None:
             _, jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
-            hpp, gp = _row_blocks(jp, rw)
-            H += hpp.sum(axis=0)
-            b -= gp.sum(axis=0)
+            hpp, gp = _pose_reduction(jp, rw)
+            H += hpp
+            b -= gp
         if dr is not None:
             (r, near_pi, theta, c), rw, _ = dr
             if near_pi[0]:     # near pi: inactive, as in _Linearizer
@@ -551,10 +604,23 @@ def _visual_jacobians(k, visual, inv_std: float, rotations=None):
     return active, j_pose * scale, None if j_lm is None else j_lm * scale, rw * sqrt_w[:, None]
 
 
-def _row_blocks(j, r):
-    """Per-row blocks J^T J (N, k, k) and gradients J^T r (N, k) of
-    Jacobians j (N, 2, k) and residuals r (N, 2)."""
-    return np.einsum("nij,nik->njk", j, j), np.einsum("nij,ni->nj", j, r)
+def _pose_reduction(jp, rw):
+    """J^T J (6, 6) and J^T r (6,) of one pose's rows: Jacobians jp (m, 2, 6)
+    and residuals rw (m, 2), reduced as one (2m, 6) and (2m,) stack. einsum,
+    not BLAS, so the sums do not depend on the thread setting."""
+    j, r = jp.reshape(-1, 6), rw.reshape(-1)
+    return np.einsum("ij,ik->jk", j, j), np.einsum("ij,i->j", j, r)
+
+
+def _scatter(targets, blocks, offsets, size: int) -> np.ndarray:
+    """The flat array of size entries that np.add.at of blocks (N, ...) into
+    zeros gives, block k's entries at targets[k] + offsets (offsets in the
+    block's entry order): one np.bincount, which adds each entry's
+    contributions in input order, as np.add.at does."""
+    if not len(targets):
+        return np.zeros(size)      # np.bincount of nothing is int64
+    index = (targets[:, None] + offsets.reshape(-1)).reshape(-1)
+    return np.bincount(index, weights=blocks.reshape(-1), minlength=size)
 
 
 def _dr_whitened_residuals(left_q, left_t, to_q, to_t, sqrt_p, left_rotation=None):
@@ -599,6 +665,7 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
     system = None
     for it in range(1, config.max_iterations + 1):
         report.iterations = it
+        system = None      # so that two systems are never held at once
         system = lin.linearize(point, cache)
         accepted = False
         best_overshoot = math.inf

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateSpec, FormatError
 from .fileio import (csv_line, fmt, fmt_bool, int_column, parse_bool, read_csv, read_tum,
                      tum_row_line, write_csv, write_tum)
-from .geometry import CameraIntrinsics, Pose, compose, exp_se3, inverse
+from .geometry import CameraIntrinsics, Pose, compose, exp_se3, inverse, se3_compose, se3_inverse
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -567,14 +567,17 @@ def read_sequence(path) -> Sequence:
     n_det = _detection_counts(stats, stats_path, np.diff(bounds))
     bounds = bounds.tolist()
 
+    # DR increments prev^-1 odom of every frame after the first, in one batch;
+    # the kernels work row by row, so each equals compose(inverse(prev), odom)
+    odom_q = np.reshape([p.q for _, p in odom], (-1, 4))
+    odom_t = np.reshape([p.t for _, p in odom], (-1, 3))
+    delta_q, delta_t = se3_compose(*se3_inverse(odom_q[:-1], odom_t[:-1]), odom_q[1:], odom_t[1:])
+    deltas = [None] + [Pose(q, t) for q, t in zip(delta_q, delta_t)]
     records = []
-    prev_odom = None
     for i, ((ts, gt_pose), (_, odom_pose)) in enumerate(zip(gt, odom)):
         a, b = bounds[i], bounds[i + 1]
-        delta = None if prev_odom is None else compose(inverse(prev_odom), odom_pose)
         records.append(SimFrameRecord(
             frame_id=i, timestamp=ts, gt_pose=gt_pose,
             detections=Detections(ids[a:b], uv[a:b]),
-            dr_delta=delta, odom_pose=odom_pose, n_det=n_det[i]))
-        prev_odom = odom_pose
+            dr_delta=deltas[i], odom_pose=odom_pose, n_det=n_det[i]))
     return Sequence(records=records, world=world, camera=camera, meta=meta)

@@ -27,6 +27,7 @@ from drslam.optimizer import (
     _Linearizer,
     _levenberg_marquardt,
     min_pose_eigenvalue,
+    reprojection_rows,
     schur_solve,
     solve,
     solve_global_ba,
@@ -498,6 +499,154 @@ def test_schur_landmark_free_reduces_to_pose_solve(rng):
     step = schur_solve(neq, 1e-6)
     ref = np.linalg.solve(neq.Hpp + 1e-6 * np.eye(6), neq.bp)
     assert np.allclose(step, ref, atol=1e-12)
+
+
+BLOCKS = ("Hpp", "bp", "Hll", "bl", "Hpl")
+
+
+def test_scatter_adds_in_the_order_of_np_add_at(rng):
+    # many contributions per target, over magnitudes far apart, so that any
+    # other summation order would round differently
+    n, size = 400, 7 * 18
+    targets = 18 * rng.integers(0, 7, size=n)
+    blocks = rng.normal(size=(n, 6, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 1, 1))
+    offsets = 3 * np.arange(6)[:, None] + np.arange(3)
+    want = np.zeros(size)
+    np.add.at(want, (targets[:, None] + offsets.reshape(-1)).reshape(-1), blocks.reshape(-1))
+    assert optimizer._scatter(targets, blocks, offsets, size).tobytes() == want.tobytes()
+    empty = optimizer._scatter(np.zeros(0, np.int64), np.zeros((0, 6, 3)), offsets, size)
+    assert empty.dtype == np.float64 and empty.tobytes() == np.zeros(size).tobytes()
+
+
+@pytest.mark.parametrize("with_dr", [False, True], ids=["visual", "with_dr"])
+def test_interleaving_rows_of_different_poses_leaves_the_system_unchanged(rng, with_dr):
+    # pose 0 fixed, poses 1-3 free; pose p sees landmarks 3p+7 down to 3p,
+    # landmark 5 fixed. Taking the poses' rows round robin instead of pose by
+    # pose keeps each pose's rows, and each landmark's, in the same order, so
+    # the two problems differ only in how the poses' rows interleave
+    poses = [exp_se3(rng.normal(scale=0.05, size=6)) for _ in range(4)]
+    positions = np.column_stack([rng.uniform(-1, 1, 18), rng.uniform(-1, 1, 18),
+                                 rng.uniform(3, 5, 18)])
+    per_pose = []
+    for p, pose in enumerate(poses):
+        lms = range(3 * p + 7, 3 * p - 1, -1)
+        uv = [project(CAMERA, transform_point(inverse(pose), positions[j]))
+              + rng.normal(scale=1.5, size=2) for j in lms]
+        per_pose.append([(p, j, obs) for j, obs in zip(lms, uv)])
+    grouped = [row for rows in per_pose for row in rows]
+    interleaved = [rows[k] for k in range(8) for rows in per_pose]
+    deltas = [compose(compose(inverse(poses[a]), poses[a + 1]),
+                      exp_se3(rng.normal(scale=0.01, size=6))) for a in range(3)]
+
+    def problem_of(rows):
+        problem = Problem(intrinsics=CAMERA, pixel_std=0.5)
+        for p, pose in enumerate(poses):
+            problem.add_poses(p, pose, fixed=p == 0)
+        problem.add_landmarks(np.arange(18), positions, fixed=np.arange(18) == 5)
+        for p, j, obs in rows:
+            problem.add_observations(p, j, obs)
+        if with_dr:
+            problem.add_dr_edges([0, 1, 2], [1, 2, 3], deltas, scale_information(2.0, NOMINAL))
+        return problem
+
+    a, b = problem_of(grouped), problem_of(interleaved)
+    rows_a, rows_b = a.reprojection_factors, b.reprojection_factors
+    assert not np.array_equal(rows_a["pose"], rows_b["pose"])
+    for key in ("pose", "landmark"):
+        for v in range(18):
+            uv_a, uv_b = rows_a["uv"][rows_a[key] == v], rows_b["uv"][rows_b[key] == v]
+            assert uv_a.tobytes() == uv_b.tobytes()
+    neq_a, neq_b = build_normal_equations(a)[0], build_normal_equations(b)[0]
+    for block in BLOCKS:
+        assert getattr(neq_a, block).tobytes() == getattr(neq_b, block).tobytes(), block
+    # the cost sums its rows in row order, so only its last bits may differ
+    config = SolverConfig(max_iterations=5)
+    report_a, report_b = solve(a, config), solve(b, config)
+    for column in ("q", "t"):
+        assert a.poses[column].tobytes() == b.poses[column].tobytes(), column
+    assert a.landmarks["position"].tobytes() == b.landmarks["position"].tobytes()
+    for name in ("iterations", "evaluations", "rejected_steps", "termination"):
+        assert getattr(report_a, name) == getattr(report_b, name), name
+    assert report_a.final_cost == pytest.approx(report_b.final_cost, rel=1e-14)
+
+
+@pytest.mark.parametrize("near_plane", [False, True], ids=["in_front", "near_plane"])
+def test_schur_chunk_index_reused_across_dampings_gives_the_bits_of_a_fresh_system(rng,
+                                                                                   near_plane):
+    # 150 landmarks take three chunks; with near_plane, free landmark 150 has
+    # one row, behind free pose 3
+    problem, _, _ = make_ba_problem(rng, n_poses=6, n_landmarks=150, pixel_noise=0.5,
+                                    pose_perturb=0.005, lm_perturb=0.01, obs_per_landmark=3,
+                                    with_dr_chain=True)
+    if near_plane:
+        pose = problem_pose(problem, 3)
+        problem.add_landmarks(150, transform_point(pose, np.array([0.2, -0.1, -1.0])))
+        problem.add_observations(3, 150, np.array([CAMERA.cx, CAMERA.cy]))
+    neq, _ = build_normal_equations(problem)
+    dampings = (1e-4, 1e-2, 1.0)
+    steps = [schur_solve(neq, damping) for damping in dampings]
+    chunks = neq.schur_chunks
+    assert len(chunks) == 3 and chunks is neq.schur_chunks
+    for lms, rows, block in chunks:       # indices only, no copy of the coupling
+        assert all(index.dtype.kind == "i" for index in (lms, rows, *block))
+    if near_plane:
+        assert neq.Hll[150].tobytes() == np.zeros((3, 3)).tobytes()
+    for damping, step in zip(dampings, steps):
+        fresh, _ = build_normal_equations(problem)
+        assert schur_solve(fresh, damping).tobytes() == step.tobytes()
+        dense = dense_solve(neq, damping)
+        assert np.max(np.abs(step - dense)) < 1e-8 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("pose", [1, 2, 3])
+def test_normal_equations_match_direct_product_with_a_row_behind_one_pose(rng, pose):
+    # poses 1-3 free; one row of the given pose sees its landmark behind the
+    # camera, so that pose has one row fewer than it has in the problem
+    problem, _, _ = make_ba_problem(rng, n_poses=4, n_landmarks=20, pixel_noise=1.0,
+                                    pose_perturb=0.01, lm_perturb=0.02, with_dr_chain=True)
+    behind = transform_point(problem_pose(problem, pose), np.array([0.2, -0.1, -1.0]))
+    problem.add_landmarks(20, behind, fixed=True)
+    rows = problem.reprojection_factors
+    at = int(np.flatnonzero(rows["pose"] == pose)[0])
+    problem.reprojection_factors = np.concatenate([
+        rows[:at], reprojection_rows(pose, 20, [CAMERA.cx, CAMERA.cy]), rows[at:]])
+    neq, _ = build_normal_equations(problem)
+    h, b = direct_normal_equations(problem)
+    n_p, scale = 6 * neq.n_pose_free, np.max(np.abs(h))
+    assert np.allclose(neq.Hpp, h[:n_p, :n_p], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(neq.bp, b[:n_p], rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+    assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("rows", ["none", "behind"])
+def test_dr_edges_without_active_rows_give_float_blocks_and_the_dense_step(rng, rows):
+    # poses 1 and 2 free, held by DR edges from the fixed pose 0; with
+    # "behind", free landmark 0 and fixed landmark 1 each have one row, at or
+    # behind the near plane, so no reprojection row is active
+    problem = Problem(intrinsics=CAMERA)
+    for i in range(3):
+        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i == 0)
+    for a in range(2):
+        delta = compose(compose(inverse(problem_pose(problem, a)), problem_pose(problem, a + 1)),
+                        exp_se3(rng.normal(scale=0.01, size=6)))
+        problem.add_dr_edges(a, a + 1, [delta], NOMINAL.precision())
+    if rows == "behind":
+        problem.add_landmarks(0, transform_point(problem_pose(problem, 1),
+                                                 np.array([0.2, -0.1, -1.0])))
+        problem.add_landmarks(1, transform_point(problem_pose(problem, 2),
+                                                 np.array([0.1, 0.1, Z_MIN])), fixed=True)
+        problem.add_observations([1, 2], [0, 1], np.array([[CAMERA.cx, CAMERA.cy]] * 2))
+    neq, _ = build_normal_equations(problem)
+    n_l = int(rows == "behind")
+    assert (neq.Hpp.shape, neq.Hll.shape, neq.Hpl.shape) == ((12, 12), (n_l, 3, 3),
+                                                             (2, 6, n_l, 3))
+    for block in BLOCKS:
+        assert getattr(neq, block).dtype == np.float64, block
+    assert not neq.Hll.any() and not neq.bl.any() and not neq.Hpl.any()
+    assert neq.Hpp.any()
+    for damping in (1e-4, 1.0):
+        step, dense = schur_solve(neq, damping), dense_solve(neq, damping)
+        assert np.allclose(step, dense, rtol=1e-10, atol=1e-12 * np.max(np.abs(dense)))
 
 
 def test_damped_singular_system_gives_finite_step():

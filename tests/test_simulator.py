@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import drslam.fileio
 import drslam.simulator
+from drslam.cli import resolve_config_path
+from drslam.config import parse_config
 from drslam.errors import DegenerateSpec, FormatError
 from drslam.geometry import compose, inverse, log_se3
 from drslam.simulator import (
@@ -213,6 +215,20 @@ def test_sequence_round_trip(tmp_path, rng):
     assert set(back.world) == set(seq.world)
     for j in seq.world:
         assert np.allclose(seq.world[j], back.world[j], atol=1e-15)
+
+
+@pytest.mark.parametrize("scenario", ["corridor_gap", "two_lap", "rectangle_loop"])
+def test_read_sequence_dr_increments_match_per_row_compose(tmp_path, scenario):
+    # the batched increments equal compose(inverse(previous), odom) row by
+    # row, byte for byte, on the bundled scenarios
+    config = parse_config(resolve_config_path(scenario))
+    write_sequence(simulate_sequence(config.world_config(seed=0)), tmp_path)
+    records = read_sequence(tmp_path).records
+    assert records[0].dr_delta is None
+    for prev, rec in zip(records, records[1:]):
+        want = compose(inverse(prev.odom_pose), rec.odom_pose)
+        assert rec.dr_delta.q.tobytes() == want.q.tobytes()
+        assert rec.dr_delta.t.tobytes() == want.t.tobytes()
 
 
 def test_sequence_rewrite_byte_stable(tmp_path):
