@@ -1,26 +1,30 @@
 """Residuals, analytic Jacobians and the Huber kernel.
 
-Two factor types: pixel reprojection of a landmark into a camera, evaluated
-for every row of a problem at once, each row with its own pose or all rows
-with one, and a relative-pose prior from dead reckoning between two poses,
-evaluated for every edge of a problem at once on geometry's batched SE(3)
-kernels. A DR edge's residual is log(left to), with its fixed part
-left = delta^-1 from^-1 folded by dr_fold: once per solve where the from
-pose is fixed, once per evaluation where it is free. The residual
-evaluation returns the log's angle terms with the residuals, and the
-Jacobians reuse them. Pose variables are camera-in-world; Jacobians are
-taken with respect to a right-multiplicative tangent perturbation, twist
-ordering (rho, phi). These are the functions the solver linearizes with; it
-whitens their outputs itself, reprojection rows by one pixel std and DR
-edges by the square root of a diagonal precision.
+Two factor types. Pixel reprojection of a landmark into a camera is batched:
+one call evaluates every row of a problem, each row with its own pose or all
+rows with one. A relative-pose prior from dead reckoning between two poses is
+a scalar kernel on Python floats for one edge, on geometry's SE(3) kernels:
+an edge is a few hundred flops, which NumPy calls on one-row arrays would
+cost several times over, and the solver loops over its edges, so a batch of
+edges keeps each edge's bits. A DR edge's residual is log(left to), with its
+fixed part left = delta^-1 from^-1 folded by dr_fold: once per solve where
+the from pose is fixed, once per evaluation where it is free. The residual
+comes with the log's angle terms, and the Jacobians reuse them. Pose
+variables are camera-in-world; Jacobians are taken with respect to a
+right-multiplicative tangent perturbation, twist ordering (rho, phi). These
+are the functions the solver linearizes with; it whitens their outputs
+itself, reprojection rows by one pixel std and DR edges by the square root
+of a diagonal precision.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .geometry import (CameraIntrinsics, angle_coefficients, hat, project_points, se3_compose,
-                       se3_inverse, se3_log)
+from .geometry import (CameraIntrinsics, angle_coefficients, hat, matrix_product, project_points,
+                       se3_compose, se3_inverse, se3_log)
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
@@ -59,99 +63,105 @@ def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndar
     return j_pose, -(jpi @ np.swapaxes(rotation, -1, -2))
 
 
-def _coupling_closed_form(t: np.ndarray):
+def _coupling_closed_form(t: float):
     t2 = t * t
-    sin_t = np.sin(t)
-    c2 = (1.0 - 0.5 * t2 - np.cos(t)) / (t2 * t2)
+    sin_t = math.sin(t)
+    c2 = (1.0 - 0.5 * t2 - math.cos(t)) / (t2 * t2)
     return ((t - sin_t) / (t2 * t), c2,
             0.5 * (c2 - 3.0 * (t - sin_t - t * t2 / 6.0) / (t2 * t2 * t)))
 
 
-def _coupling_series(theta: np.ndarray):
-    s2 = theta * theta
-    c2 = 1.0 / 24.0 - s2 / 720.0
-    return 1.0 / 6.0 - s2 / 120.0, c2, 0.5 * (c2 - 3.0 * (1.0 / 120.0 - s2 / 2520.0))
+def _coupling_series(t: float):
+    t2 = t * t
+    return 1.0 / 6.0 - t2 / 120.0, -1.0 / 24.0 + t2 / 720.0, -1.0 / 120.0 + t2 / 2520.0
 
 
-def _translation_rotation_block(rho: np.ndarray, p: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian (N, 3, 3),
-    with p = hat(phi) and theta = |phi|."""
-    c1, c2, c3 = (c[:, None, None] for c in
-                  angle_coefficients(theta, _coupling_closed_form, _coupling_series))
-    rh = hat(rho)
-    pr, rp = p @ rh, rh @ p
-    prp = pr @ p
-    return (0.5 * rh + c1 * (pr + rp + p @ rp)
-            - c2 * (p @ pr + rp @ p - 3.0 * prp)
-            - c3 * (prp @ p + p @ prp))
+def _left_jacobian_blocks(xi, theta: float, c: float):
+    """The blocks of the inverse left Jacobian of SE(3) at a twist (rho, phi),
+    [[J, -J Q J], [0, J]]: J = I - hat(phi)/2 + c hat(phi)^2, the inverse of
+    the SO(3) left Jacobian, and the coupling Q(rho, phi) of Barfoot &
+    Furgale (T-RO 2014), 9 floats each, row-major. theta = |phi| and c are
+    the angle terms the log computed for the twist.
+
+    The hat products of Q reduce, with d = phi . rho and s = phi . phi, to
+    Q = hat(a rho + b phi) + g (rho phi^T + phi rho^T) + e phi phi^T + f I,
+    with a = 1/2 + c2 s, b = -(c1 + 2 c2) d, g = c1, e = 2 c3 d and
+    f = -2 d (c1 + c3 s), for Q's angle coefficients c1, c2 and c3.
+    """
+    r0, r1, r2, p0, p1, p2 = xi
+    c1, c2, c3 = angle_coefficients(theta, _coupling_closed_form, _coupling_series)
+    s0, s1, s2 = p0 * p0, p1 * p1, p2 * p2
+    d, s = p0 * r0 + p1 * r1 + p2 * r2, s0 + s1 + s2
+    a, b, e, f = 0.5 + c2 * s, -(c1 + 2.0 * c2) * d, 2.0 * c3 * d, -2.0 * d * (c1 + c3 * s)
+    v0, v1, v2 = a * r0 + b * p0, a * r1 + b * p1, a * r2 + b * p2
+    m01 = c1 * (r0 * p1 + p0 * r1) + e * p0 * p1
+    m02 = c1 * (r0 * p2 + p0 * r2) + e * p0 * p2
+    m12 = c1 * (r1 * p2 + p1 * r2) + e * p1 * p2
+    coupling = (2.0 * c1 * r0 * p0 + e * s0 + f, m01 - v2, m02 + v1,
+                m01 + v2, 2.0 * c1 * r1 * p1 + e * s1 + f, m12 - v0,
+                m02 - v1, m12 + v0, 2.0 * c1 * r2 * p2 + e * s2 + f)
+    # hat(phi)^2 = phi phi^T - s I, its diagonal formed without cancellation
+    h01, h02, h12 = c * p0 * p1, c * p0 * p2, c * p1 * p2
+    j = (1.0 - c * (s1 + s2), 0.5 * p2 + h01, h02 - 0.5 * p1,
+         h01 - 0.5 * p2, 1.0 - c * (s0 + s2), 0.5 * p0 + h12,
+         0.5 * p1 + h02, h12 - 0.5 * p0, 1.0 - c * (s0 + s1))
+    return j, coupling
 
 
-def _left_jacobian_inverse(xi: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobian of SE(3) (N, 6, 6) at twists (N, 6) = (rho, phi),
-    given the rotation angles theta = |phi| and the V^-1 coefficients c
-    (N,) that the log computed for them."""
-    rho, phi = xi[:, :3], xi[:, 3:]
-    k = hat(phi)
-    jinv = np.eye(3) - 0.5 * k + c[:, None, None] * (k @ k)
-    out = np.zeros((len(xi), 6, 6))
-    out[:, :3, :3] = jinv
-    out[:, 3:, 3:] = jinv
-    out[:, :3, 3:] = -jinv @ _translation_rotation_block(rho, k, theta) @ jinv
-    return out
+def _six_by_six(a, b, d) -> tuple:
+    """The 6x6 matrix [[a, b], [0, d]] (36 floats, row-major) of 3x3 blocks."""
+    zero = (0.0, 0.0, 0.0)
+    return (*a[:3], *b[:3], *a[3:6], *b[3:6], *a[6:], *b[6:],
+            *zero, *d[:3], *zero, *d[3:6], *zero, *d[6:])
 
 
-def dr_fold(from_q: np.ndarray, from_t: np.ndarray, delta_inv_q: np.ndarray,
-            delta_inv_t: np.ndarray, delta_inv_rotation: np.ndarray | None = None):
-    """The fixed part left = delta^-1 from^-1 of E relative-pose edges, as
-    (q, t), from the from poses and the inverted measured increments;
-    delta_inv_rotation, when the caller holds it, is their rotation matrices
-    (E, 3, 3) and is not formed again."""
-    return se3_compose(delta_inv_q, delta_inv_t, *se3_inverse(from_q, from_t), delta_inv_rotation)
+def dr_fold(from_q, from_t, delta_inv_q, delta_inv_t, delta_inv_rotation=None):
+    """The fixed part left = delta^-1 from^-1 of a relative-pose edge, as
+    (q, t), from its from pose and its inverted measured increment;
+    delta_inv_rotation, when the caller holds it, is the increment's rotation
+    matrix and is not formed again."""
+    from_inv_q, from_inv_t, _ = se3_inverse(from_q, from_t)
+    return se3_compose(delta_inv_q, delta_inv_t, from_inv_q, from_inv_t, delta_inv_rotation)
 
 
-def dr_residuals(left_q: np.ndarray, left_t: np.ndarray, to_q: np.ndarray, to_t: np.ndarray,
-                 left_rotation: np.ndarray | None = None):
-    """Residuals log(left to) = log(delta^-1 from^-1 to) (E, 6) of E
-    relative-pose edges, their near-pi mask (E,) and the log's angle terms,
-    the clamped angle and the V^-1 coefficient (E,) each, which dr_jacobians
-    takes.
+def dr_residual(left_q, left_t, to_q, to_t, left_rotation=None):
+    """The residual log(left to) = log(delta^-1 from^-1 to) (6 floats) of a
+    relative-pose edge, whether its angle is near pi, and the log's angle
+    terms, the clamped angle and the V^-1 coefficient, which the Jacobians
+    take.
 
-    left is dr_fold of the edges, as unit quaternions (E, 4), (w, x, y, z),
-    and translations (E, 3); left_rotation, when the caller holds it, is its
-    rotation matrices (E, 3, 3). Zero exactly when the estimated relative
-    motion equals the increment. The residual is a total function: where
-    the error rotation is within 1e-6 of pi the rotation is clamped just
-    below pi, so the cost stays large and honest; the log's Jacobian is not
-    defined there, and the caller treats those rows as inactive.
+    left is dr_fold of the edge; left_rotation, when the caller holds it, is
+    its rotation matrix. Zero exactly when the estimated relative motion
+    equals the increment. The residual is a total function: where the error
+    rotation is within 1e-6 of pi the rotation is clamped just below pi, so
+    the cost stays large and honest; the log's Jacobian is not defined
+    there, and the caller treats such an edge as inactive.
     """
     return se3_log(*se3_compose(left_q, left_t, to_q, to_t, left_rotation))
 
 
-def dr_jacobians(r: np.ndarray, theta: np.ndarray, c: np.ndarray, delta_inv_adjoint: np.ndarray,
-                 from_rows=slice(None), to_rows=slice(None)):
-    """Jacobians of the residuals r (E, 6) w.r.t. the from pose, for the edges
-    from_rows, and w.r.t. the to pose, for the edges to_rows; (n, 6, 6) each.
-
-    theta and c (E,) are the angle terms dr_residuals returned with r. Rows
-    are selected by index array or boolean mask. delta_inv_adjoint (E, 6, 6)
-    holds Ad(delta^-1) per edge. A caller that holds one side of an edge
-    fixed leaves that edge out of the side's rows, so that Jacobian is never
-    formed. Rows must not be flagged near pi.
-    """
-    r_from, r_to = r[from_rows], r[to_rows]
-    jl_inv = _left_jacobian_inverse(np.concatenate([r_from, -r_to]),
-                                    np.concatenate([theta[from_rows], theta[to_rows]]),
-                                    np.concatenate([c[from_rows], c[to_rows]]))
-    n = len(r_from)
-    # d/d(from) = -Jl^-1(r) Ad(delta^-1); d/d(to) = Jr^-1(r) = Jl^-1(-r).
-    return -jl_inv[:n] @ delta_inv_adjoint[from_rows], jl_inv[n:]
+def dr_from_jacobian(log, delta_inv_adjoint) -> tuple:
+    """The Jacobian (36 floats, row-major 6x6) of an edge's residual r w.r.t.
+    its from pose, -Jl^-1(r) Ad(delta^-1), at log, the edge's dr_residual
+    output (residual, near-pi flag, angle terms), which must not be near pi;
+    delta_inv_adjoint is se3_adjoint of delta^-1, as its blocks (R, hat(t) R)."""
+    r, _, theta, c = log
+    rotation, top_right = delta_inv_adjoint
+    j, coupling = _left_jacobian_blocks(r, theta, c)
+    # Jl^-1(r) Ad = [[A, B], [0, A]], A = J R and B = J (hat(t) R - Q A)
+    a = matrix_product(j, rotation)
+    b = matrix_product(j, [x - y for x, y in zip(top_right, matrix_product(coupling, a))])
+    minus_a = tuple(-x for x in a)
+    return _six_by_six(minus_a, tuple(-x for x in b), minus_a)
 
 
-def dr_to_jacobians(r: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The to side of dr_jacobians for every edge (E, 6, 6), for edges whose
-    from pose is fixed: no Ad(delta^-1) is needed. Rows must not be flagged
-    near pi."""
-    return _left_jacobian_inverse(-r, theta, c)
+def dr_to_jacobian(log) -> tuple:
+    """The Jacobian (36 floats, row-major 6x6) of an edge's residual r w.r.t.
+    its to pose, Jr^-1(r) = Jl^-1(-r), at log, the edge's dr_residual output,
+    which must not be near pi."""
+    r, _, theta, c = log
+    j, coupling = _left_jacobian_blocks([-x for x in r], theta, c)
+    return _six_by_six(j, tuple(-x for x in matrix_product(j, matrix_product(coupling, j))), j)
 
 
 def huber(norms: np.ndarray, threshold: np.ndarray | float):

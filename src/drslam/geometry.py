@@ -5,14 +5,21 @@ Conventions used everywhere in the package:
   * pose perturbations are right-multiplicative, P <- P * exp(xi);
   * quaternions are stored (w, x, y, z) with w >= 0 canonicalization.
 
-The group arithmetic is implemented once, as batched kernels on quaternions
-(N, 4), translations (N, 3) and twists (N, 6), called on stacked rows by the
-DR kernel and the solver and on one row by the scalar Pose API, whose twists
-are (6,) arrays. They work row by row (elementwise operations, one matrix
-product per row), so a row of a batch has the bits of that row evaluated
-alone. Pose canonicalizes the quaternions the kernels return. The pinhole
-camera is two batched kernels, projection and back-projection, the only
-estimator code that reads the intrinsics besides the reprojection Jacobian.
+The group arithmetic is implemented once, as scalar kernels on Python floats
+for one pose, twist or rotation: a quaternion is 4 floats, a translation or
+vector 3, a twist 6 and a 3x3 matrix 9, row-major; they take any sequence
+of floats and return tuples. A pose-sized kernel is a few hundred flops,
+while a NumPy call on a one-row array costs about a microsecond, so floats
+are several times faster. Callers that hold many poses (the solver, the
+sequence reader) loop over them and stack the results: each row keeps the
+bits of that row evaluated alone, and since no BLAS call is made the bits
+do not depend on the thread setting. Non-finite input propagates as NaN,
+never as an exception. The Pose API wraps the kernels for callers holding
+arrays, and canonicalizes the quaternions they return.
+
+What stays batched works on many points at once: hat, and the pinhole
+camera's two kernels, projection and back-projection, the only estimator
+code that reads the intrinsics besides the reprojection Jacobian.
 """
 
 from __future__ import annotations
@@ -74,21 +81,10 @@ def _matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return _canonical(q)
 
 
-# Index tables of the batched kernels: the slots of hat(v) that hold +-v;
-# a x b as a_A b_B, first three minus last three; the right-multiplication
-# matrix of a quaternion, a * b = M(b) a; and entry (i, j) of R(q), row-major,
-# as 2 (q_a q_b + sign q_c q_d), 1 minus that on the diagonal (R00 =
-# 1 - 2 (y y + z z), R01 = 2 (x y - w z), ...), a then c in the first table.
+# hat(v)'s slots that hold +-v, row-major, the entry of v each holds and its sign.
 _HAT_SLOT = np.array([1, 2, 3, 5, 6, 7])
 _HAT_SOURCE = np.array([2, 1, 2, 0, 1, 0])
 _HAT_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
-_QMUL_SOURCE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_QMUL_SIGN = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
-_ROT_FIRST = np.array([2, 1, 1, 1, 1, 2, 1, 2, 1, 3, 0, 0, 0, 3, 0, 0, 0, 2])
-_ROT_SECOND = np.array([2, 2, 3, 2, 1, 3, 3, 3, 1, 3, 3, 2, 3, 3, 1, 2, 1, 2])
-_ROT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -99,144 +95,154 @@ def hat(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products (..., 3) of broadcast vectors, a_1 b_2 - a_2 b_1, ..."""
-    p = a.take(_CROSS_A, -1) * b.take(_CROSS_B, -1)
-    return p[..., :3] - p[..., 3:]
+def quat_multiply(a, b) -> tuple:
+    """The Hamilton product a * b of quaternions (4 floats each)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
-def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Products m v (N, k) of matrices (N, k, j) and vectors (N, j), one
-    matrix-vector product per row."""
-    return (m @ v[:, :, None])[:, :, 0]
+def quat_to_rotation(q) -> tuple:
+    """The rotation matrix (9 floats, row-major) of a unit quaternion. Sign
+    flips are exact, so the conjugate's matrix is this one's transpose, bit
+    for bit."""
+    w, x, y, z = q
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+            2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+            2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy))
 
 
-def _squared_norm(v: np.ndarray) -> np.ndarray:
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+def rotate(r, v) -> tuple:
+    """The product r v of a 3x3 matrix (9 floats, row-major) and a vector."""
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    x, y, z = v
+    return r0 * x + r1 * y + r2 * z, r3 * x + r4 * y + r5 * z, r6 * x + r7 * y + r8 * z
 
 
-def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton products a * b (N, 4)."""
-    return _apply(b.take(_QMUL_SOURCE, 1) * _QMUL_SIGN, a)
+def matrix_product(a, b) -> tuple:
+    """The product a b of 3x3 matrices (9 floats each, row-major)."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
 
 
-def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (N, 3, 3) of unit quaternions (N, 4)."""
-    p = q.take(_ROT_FIRST, 1) * q.take(_ROT_SECOND, 1)
-    r = 2.0 * (p[:, :9] + p[:, 9:] * _ROT_SIGN)
-    r[:, ::4] = 1.0 - r[:, ::4]
-    return r.reshape(-1, 3, 3)
-
-
-def se3_compose(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray,
-                rotation_a: np.ndarray | None = None):
-    """Products a * b of pose rows, as (q, t). rotation_a, when the caller
-    holds it, is quat_to_rotation(qa) (N, 3, 3) and is not formed again."""
+def se3_compose(qa, ta, qb, tb, rotation_a=None):
+    """The product a * b of two poses, as (q, t). rotation_a, when the caller
+    holds it, is quat_to_rotation(qa) and is not formed again."""
     if rotation_a is None:
         rotation_a = quat_to_rotation(qa)
-    return _quat_multiply(qa, qb), _apply(rotation_a, tb) + ta
+    x, y, z = rotate(rotation_a, tb)
+    return quat_multiply(qa, qb), (x + ta[0], y + ta[1], z + ta[2])
 
 
-def se3_inverse(q: np.ndarray, t: np.ndarray):
-    """Inverses of pose rows, as (q, t)."""
-    return se3_inverse_with_rotation(q, t)[:2]
+def se3_inverse(q, t):
+    """The inverse of a pose, as (q, t), and its rotation matrix, which the
+    inversion forms."""
+    w, x, y, z = q
+    q_inv = (w, -x, -y, -z)
+    rotation = quat_to_rotation(q_inv)
+    a, b, c = rotate(rotation, t)
+    return q_inv, (-a, -b, -c), rotation
 
 
-def se3_inverse_with_rotation(q: np.ndarray, t: np.ndarray):
-    """Inverses of pose rows, as (q, t), and their rotation matrices (N, 3, 3)."""
-    qi = q * _CONJ
-    ri = quat_to_rotation(qi)
-    return qi, -_apply(ri, t), ri
-
-
-def se3_adjoint(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Adjoints (N, 6, 6) for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
+def se3_adjoint(q, t):
+    """The adjoint [[R, hat(t) R], [0, R]] of a pose for (rho, phi)
+    ordering, exp(Ad_P xi) = P exp(xi) P^-1, as its blocks R and hat(t) R
+    (9 floats each, row-major)."""
     r = quat_to_rotation(q)
-    out = np.zeros((len(q), 6, 6))
-    out[:, :3, :3] = out[:, 3:, 3:] = r
-    out[:, :3, 3:] = hat(t) @ r
-    return out
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    x, y, z = t
+    # column j of hat(t) R is t x (column j of R)
+    return r, (y * r6 - z * r3, y * r7 - z * r4, y * r8 - z * r5,
+               z * r0 - x * r6, z * r1 - x * r7, z * r2 - x * r8,
+               x * r3 - y * r0, x * r4 - y * r1, x * r5 - y * r2)
 
 
-def angle_coefficients(theta: np.ndarray, closed_form, series):
-    """k coefficients (N,) each at angles theta (N,): series(theta) below
-    SMALL_ANGLE, closed_form(theta) from there on. Each form is evaluated
-    only when some angle takes it, small angles entering the closed form as
-    1.0 and those values discarded, so a row's coefficients do not depend on
-    the other rows."""
-    small = theta < SMALL_ANGLE
-    n_small = np.count_nonzero(small)
-    if n_small == 0:
-        return closed_form(theta)
-    if n_small == len(theta):
+def angle_coefficients(theta: float, closed_form, series):
+    """The coefficients of an angle theta: series(theta) below SMALL_ANGLE,
+    closed_form(theta) from there on. A non-finite angle takes the closed
+    form at NaN, so that its coefficients are NaN (math.cos raises on inf)."""
+    if theta < SMALL_ANGLE:
         return series(theta)
-    return [np.where(small, s, c)
-            for s, c in zip(series(theta), closed_form(np.where(small, 1.0, theta)))]
+    return closed_form(theta if theta < math.inf else math.nan)
 
 
-def _taylor(theta: np.ndarray, c0, d2, d4) -> np.ndarray:
-    """Series c0 + theta^2/d2 + theta^4/d4 (k, N) of k coefficients, given
-    as k-vectors or scalars."""
-    theta = theta[:, None]
-    return (c0 + theta * theta / d2 + theta ** 4 / d4).T
-
-
-def _exp_closed_form(t: np.ndarray):
+def _exp_closed_form(t: float):
     half, t2 = 0.5 * t, t * t
-    return np.cos(half), np.sin(half) / t, (1.0 - np.cos(t)) / t2, (t - np.sin(t)) / (t2 * t)
+    return (math.cos(half), math.sin(half) / t, (1.0 - math.cos(t)) / t2,
+            (t - math.sin(t)) / (t2 * t))
 
 
-# Series of cos(t/2), sin(t/2)/t, (1 - cos t)/t^2 and (t - sin t)/t^3.
-_EXP_SERIES = (np.array([1.0, 0.5, 0.5, 1.0 / 6.0]), np.array([-8.0, -48.0, -24.0, -120.0]),
-               np.array([384.0, 3840.0, 720.0, 5040.0]))
+def _exp_series(t: float):
+    # cos(t/2), sin(t/2)/t, (1 - cos t)/t^2 and (t - sin t)/t^3
+    t2 = t * t
+    t4 = t2 * t2
+    return (1.0 - t2 / 8.0 + t4 / 384.0, 0.5 - t2 / 48.0 + t4 / 3840.0,
+            0.5 - t2 / 24.0 + t4 / 720.0, 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0)
 
 
-def se3_exp(xi: np.ndarray):
-    """Closed-form SE(3) exponentials of twists (N, 6), as (q, t); the ratios
-    take their series below SMALL_ANGLE."""
-    rho, phi = xi[:, :3], xi[:, 3:]
-    cos_half, k, a, b = angle_coefficients(np.sqrt(_squared_norm(phi)), _exp_closed_form,
-                                           lambda theta: _taylor(theta, *_EXP_SERIES))
-    q = np.concatenate([cos_half[:, None], k[:, None] * phi], axis=1)
+def se3_exp(xi):
+    """The closed-form SE(3) exponential of a twist (6 floats), as (q, t); the
+    ratios take their series below SMALL_ANGLE."""
+    r0, r1, r2, p0, p1, p2 = xi
+    cos_half, k, a, b = angle_coefficients(math.sqrt(p0 * p0 + p1 * p1 + p2 * p2),
+                                           _exp_closed_form, _exp_series)
     # V(phi) rho = rho + a phi x rho + b phi x (phi x rho)
-    phi_rho = _cross(phi, rho)
-    return q, rho + a[:, None] * phi_rho + b[:, None] * _cross(phi, phi_rho)
+    c0, c1, c2 = p1 * r2 - p2 * r1, p2 * r0 - p0 * r2, p0 * r1 - p1 * r0
+    d0, d1, d2 = p1 * c2 - p2 * c1, p2 * c0 - p0 * c2, p0 * c1 - p1 * c0
+    return ((cos_half, k * p0, k * p1, k * p2),
+            (r0 + a * c0 + b * d0, r1 + a * c1 + b * d1, r2 + a * c2 + b * d2))
 
 
-def _v_inverse_closed_form(t: np.ndarray):
-    return ((1.0 - 0.5 * t * np.sin(t) / (1.0 - np.cos(t))) / (t * t),)
+def _v_inverse_closed_form(t: float) -> float:
+    # the half-angle form (1 - (t/2) cot(t/2))/t^2, which loses about 1e-9 of
+    # its value at t = 1e-3 where (1 - (t/2) sin t/(1 - cos t))/t^2 loses 1e-3
+    half = 0.5 * t
+    return (1.0 - half / math.tan(half)) / (t * t)
 
 
-def v_inverse_coefficient(theta: np.ndarray) -> np.ndarray:
-    """c(theta) (N,) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse
-    of the SO(3) left Jacobian."""
-    return angle_coefficients(theta, _v_inverse_closed_form,
-                              lambda t: _taylor(t, 1.0 / 12.0, 720.0, 30240.0))[0]
+def _v_inverse_series(t: float) -> float:
+    t2 = t * t
+    return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
 
 
-def se3_log(q: np.ndarray, t: np.ndarray):
-    """The twists (N, 6) of pose rows, their near-pi mask (N,) and the log's
-    angle terms: the rotation angle of each twist and its V^-1 coefficient
-    (v_inverse_coefficient), (N,) each.
+def v_inverse_coefficient(theta: float) -> float:
+    """c(theta) in V^-1(phi) = I - hat(phi)/2 + c hat(phi)^2, the inverse of
+    the SO(3) left Jacobian, at theta = |phi|."""
+    return angle_coefficients(theta, _v_inverse_closed_form, _v_inverse_series)
+
+
+def se3_log(q, t):
+    """The twist (6 floats) of a pose, whether its angle is near pi, and the
+    log's angle terms: the rotation angle of the twist and its V^-1
+    coefficient (v_inverse_coefficient).
 
     A total function: where the rotation angle is NEAR_PI or more the angle
     is clamped to NEAR_PI about the same axis, so a residual stays large and
     honest; the log's Jacobian is not defined there.
     """
-    # the canonical (w >= 0) quaternion
-    w = np.abs(q[:, 0])
-    v = np.where(q[:, :1] < 0, -q[:, 1:], q[:, 1:])
-    s = np.sqrt(_squared_norm(v))
-    theta = 2.0 * np.arctan2(s, w)
-    near_pi = theta >= NEAR_PI
-    angle = np.minimum(theta, NEAR_PI)
-    tiny = s < 1e-9
-    phi = np.where(tiny, 2.0, angle / np.where(tiny, 1.0, s))[:, None] * v
+    w, x, y, z = q
+    if w < 0:     # the canonical (w >= 0) quaternion
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    theta = 2.0 * math.atan2(s, w)
+    angle = min(theta, NEAR_PI)
+    scale = 2.0 if s < 1e-9 else angle / s
+    p0, p1, p2 = scale * x, scale * y, scale * z
     # rho = V^-1(phi) t, with the angle of the (possibly clamped) phi
     c = v_inverse_coefficient(angle)
-    phi_t = _cross(phi, t)
-    xi = np.concatenate([t - 0.5 * phi_t + c[:, None] * _cross(phi, phi_t), phi], axis=1)
-    return xi, near_pi, angle, c
+    t0, t1, t2 = t
+    c0, c1, c2 = p1 * t2 - p2 * t1, p2 * t0 - p0 * t2, p0 * t1 - p1 * t0
+    d0, d1, d2 = p1 * c2 - p2 * c1, p2 * c0 - p0 * c2, p0 * c1 - p1 * c0
+    return ((t0 - 0.5 * c0 + c * d0, t1 - 0.5 * c1 + c * d1, t2 - 0.5 * c2 + c * d2, p0, p1, p2),
+            theta >= NEAR_PI, angle, c)
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ class Pose:
 
     @cached_property
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_rotation(self.q[None])[0]
+        return np.array(quat_to_rotation(self.q.tolist())).reshape(3, 3)
 
     def matrix(self) -> np.ndarray:
         T = np.eye(4)
@@ -291,26 +297,23 @@ class CameraIntrinsics:
 def exp_se3(xi: np.ndarray) -> Pose:
     """Closed-form SE(3) exponential of a (6,) twist (rho, phi); series below
     the small-angle cutoff."""
-    q, t = se3_exp(np.asarray(xi, dtype=float)[None])
-    return Pose(q[0], t[0])
+    return Pose(*se3_exp(np.asarray(xi, dtype=float).reshape(6).tolist()))
 
 
 def log_se3(p: Pose) -> np.ndarray:
     """Inverse of exp_se3, as a (6,) twist; raises AngleNearPi at the domain edge."""
-    xi, near_pi, _, _ = se3_log(p.q[None], p.t[None])
-    if near_pi[0]:
+    xi, near_pi, _, _ = se3_log(p.q.tolist(), p.t.tolist())
+    if near_pi:
         raise AngleNearPi(f"rotation angle {p.rotation_angle():.9f} too close to pi")
-    return xi[0]
+    return np.array(xi)
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    q, t = se3_compose(a.q[None], a.t[None], b.q[None], b.t[None])
-    return Pose(q[0], t[0])
+    return Pose(*se3_compose(a.q.tolist(), a.t.tolist(), b.q.tolist(), b.t.tolist()))
 
 
 def inverse(p: Pose) -> Pose:
-    q, t = se3_inverse(p.q[None], p.t[None])
-    return Pose(q[0], t[0])
+    return Pose(*se3_inverse(p.q.tolist(), p.t.tolist())[:2])
 
 
 def project_points(k: CameraIntrinsics, rotation: np.ndarray, translation: np.ndarray,

@@ -6,39 +6,48 @@ keyframe fixed), over a Problem of structured arrays: poses and landmarks in
 ascending id, reprojection rows and DR edges. The motion-only linearizer
 serves tracking: one free pose against fixed map points given as arrays in
 match order, with at most one DR edge from the fixed previous pose, and a 6x6
-system. A point of either is stacked arrays (pose quaternions and
-translations, landmark positions); a retraction moves all free poses with one
-batched exp and compose, and Pose objects are built only for the result. Both
-evaluate residuals once per point through the factors kernels. The loop
-linearizes a point only when an iteration steps from it, from the residuals
-its cost check computed there, DR edges with the log's angle terms that came
-with their residuals; the point a solve ends at is linearized only if its
-report's min_pose_eigenvalue is read. The Problem linearizer folds each DR
-edge's fixed part delta^-1 from^-1 per evaluation. The motion-only
-linearizer, whose from pose is fixed, folds it once per solve, with its
-rotation, and forms neither Ad(delta^-1) nor a from-side Jacobian; its point
-carries the pose's rotation matrix, formed once per point for both the
-residuals there and the retraction from there. Both fold with the same
-kernels, so their arithmetic is the same bit for bit. Visual rows are
-whitened by one pixel std and carry a Huber kernel; DR edges carry a
-diagonal precision, alpha times the nominal one, and each residual entry
-and Jacobian row is whitened by the square root of its precision entry;
-they carry no kernel. The Problem linearizer evaluates every reprojection
-row in one kernel call, each row with its pose's rotation and translation
-gathered by the row's pose slot; every DR edge is linearized in one batched
-call. Its rows are grouped by free pose once per solve, and each pose's
-block and gradient are one reduction over its rows, as the motion-only
-linearizer reduces its rows, so both sum a pose's rows in the same order.
-Landmark and coupling blocks are formed per row and each kind is added into
-the system with one np.bincount, which sums every entry's contributions in
-row order; the DR edges' pose blocks follow the visual ones. The BA linear
-solve eliminates landmarks by Schur complement; the pose-landmark coupling
-is kept as one dense block, O(F*L) memory for F free poses and L free
-landmarks, and the Schur complement is formed from it in chunks of
-landmarks, each a product over the poses that observe it, with the chunk
-index built once per system. Products whose size grows with the problem
-are einsum, not BLAS, so that the step does not depend on the thread
-setting.
+system. Both evaluate residuals once per point through the factors kernels.
+The loop linearizes a point only when an iteration steps from it, from the
+residuals its cost check computed there, DR edges with the log's angle terms
+that came with their residuals; the point a solve ends at is linearized only
+if its report's min_pose_eigenvalue is read.
+
+What is pose-sized runs on Python floats, through geometry's and factors'
+scalar kernels: the Problem linearizer loops over its free poses for the
+retraction, over all poses for their rotations, and over its DR edges for
+fold, residual and Jacobians; the motion-only linearizer holds its pose and
+its DR edge as floats. Both run the same kernels for each pose and edge, so
+their arithmetic is the same bit for bit, and a Problem's edge keeps the
+bits of that edge alone. What grows with the rows stays batched, fed by the
+stacked results: the reprojection rows, the normal equations and the Schur
+solve. The Problem linearizer's point is stacked arrays (pose quaternions
+and translations, landmark positions); the motion-only linearizer's is the
+pose's floats with its rotation matrix as the (3, 3) array the visual kernel
+reads, formed once per point for both the residuals there and the
+retraction from there. Pose objects are built only for the result. The
+Problem linearizer folds each DR edge's fixed part delta^-1 from^-1 per
+evaluation; the motion-only linearizer, whose from pose is fixed, folds it
+once per solve, with its rotation, and forms neither Ad(delta^-1) nor a
+from-side Jacobian.
+
+Visual rows are whitened by one pixel std and carry a Huber kernel; DR edges
+carry a diagonal precision, alpha times the nominal one, and each residual
+entry and Jacobian row is whitened by the square root of its precision
+entry; they carry no kernel. The Problem linearizer evaluates every
+reprojection row in one kernel call, each row with its pose's rotation and
+translation gathered by the row's pose slot. Its rows are grouped by free
+pose once per solve, and each pose's block and gradient are one reduction
+over its rows, as the motion-only linearizer reduces its rows, so both sum a
+pose's rows in the same order. Landmark and coupling blocks are formed per
+row and each kind is added into the system with one np.bincount, which sums
+every entry's contributions in row order; the DR edges' pose blocks follow
+the visual ones, one product per edge. The BA linear solve eliminates
+landmarks by Schur complement; the pose-landmark coupling is kept as one
+dense block, O(F*L) memory for F free poses and L free landmarks, and the
+Schur complement is formed from it in chunks of landmarks, each a product
+over the poses that observe it, with the chunk index built once per system.
+Products whose size grows with the problem are einsum, not BLAS, so that the
+step does not depend on the thread setting.
 """
 
 from __future__ import annotations
@@ -54,15 +63,15 @@ from .errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from .factors import (
     HUBER_PIXEL_SCALE,
     dr_fold,
-    dr_jacobians,
-    dr_residuals,
-    dr_to_jacobians,
+    dr_from_jacobian,
+    dr_residual,
+    dr_to_jacobian,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
 )
 from .geometry import (CameraIntrinsics, Pose, Z_MIN, quat_to_rotation, se3_adjoint, se3_compose,
-                       se3_exp, se3_inverse_with_rotation)
+                       se3_exp, se3_inverse)
 
 
 # One reprojection row: the observing pose id, the landmark id and the pixel.
@@ -352,14 +361,16 @@ class _Linearizer:
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         # DR edges: pose slots, inverted increments with their rotations,
-        # Ad(delta^-1), square roots of the precisions, and the free-pose
-        # index of each side (-1: fixed).
+        # Ad(delta^-1), square roots of the precisions (E, 6), and the
+        # free-pose index of each side (-1: fixed); each edge as its slots,
+        # increment and square roots, for the loop over edges.
         edges = problem.dr_factors
         self.dr_from = np.searchsorted(self.pose_ids, edges["from"])
         self.dr_to = np.searchsorted(self.pose_ids, edges["to"])
-        self.dr_delta_inv_q, self.dr_delta_inv_t, self.dr_delta_inv_rotation, self.dr_sqrt_p = \
-            _dr_edge_arrays(edges["q"], edges["t"], edges["precision"])
-        self.dr_delta_inv_adjoint = se3_adjoint(self.dr_delta_inv_q, self.dr_delta_inv_t)
+        delta_inv, self.dr_sqrt_p = _dr_edges(edges["q"], edges["t"], edges["precision"])
+        self.dr_delta_inv_adjoint = [se3_adjoint(q, t) for q, t, _ in delta_inv]
+        self.dr_edges = list(zip(self.dr_from.tolist(), self.dr_to.tolist(), delta_inv,
+                                 self.dr_sqrt_p.tolist()))
         self.dr_from_free = self.free_index[self.dr_from]
         self.dr_to_free = self.free_index[self.dr_to]
 
@@ -372,8 +383,10 @@ class _Linearizer:
         q, t, lm_pos = point
         n = self.n_pose_free
         if n:
-            q, t, free = q.copy(), t.copy(), self.free_slots
-            q[free], t[free] = se3_compose(q[free], t[free], *se3_exp(step[:6 * n].reshape(n, 6)))
+            qs, ts = q.tolist(), t.tolist()
+            for s, xi in zip(self.free_slots.tolist(), step[:6 * n].reshape(n, 6).tolist()):
+                qs[s], ts[s] = se3_compose(qs[s], ts[s], *se3_exp(xi))
+            q, t = np.array(qs), np.array(ts)
         if self.n_lm_free:
             lm_pos = lm_pos.copy()
             lm_pos[~self.lm_fixed] += step[6 * n:].reshape(-1, 3)
@@ -382,15 +395,17 @@ class _Linearizer:
     def residuals(self, point):
         """Cost at the point and the per-row residuals linearize reuses."""
         q, t, lm_pos = point
-        rotations = quat_to_rotation(q)[self.row_slot]
+        qs = q.tolist()
+        rotations = np.array([quat_to_rotation(x) for x in qs]).reshape(-1, 3, 3)[self.row_slot]
         cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
                                          self.uv, self.inv_std, self.huber_k)
         dr = None
-        if len(self.dr_from):
-            left = dr_fold(q[self.dr_from], t[self.dr_from], self.dr_delta_inv_q,
-                           self.dr_delta_inv_t, self.dr_delta_inv_rotation)
-            dr = _dr_whitened_residuals(*left, q[self.dr_to], t[self.dr_to], self.dr_sqrt_p)
-            cost += dr[-1]
+        if self.dr_edges:
+            ts = t.tolist()
+            dr = [_dr_whitened_residual(*dr_fold(qs[a], ts[a], *delta_inv), qs[b], ts[b], sqrt_p)
+                  for a, b, delta_inv, sqrt_p in self.dr_edges]
+            for _, _, edge_cost in dr:
+                cost += edge_cost
         return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
@@ -444,18 +459,20 @@ class _Linearizer:
         columns, and its gradients, with their free-pose rows: the diagonal
         blocks J^T J and gradients of both sides, then the blocks coupling
         the two poses of every edge with both sides free."""
-        log, rw, _ = dr
-        near_pi = log[1]
         # near-pi edges stay in the cost but are inactive for Jacobians; the
         # angle is tested again at the next linearization
+        near_pi = np.array([log[1] for log, _, _ in dr])
         f_sel = ~near_pi & (self.dr_from_free >= 0)
         t_sel = ~near_pi & (self.dr_to_free >= 0)
-        jw_from, jw_to = _dr_whitened_jacobians(log, self.dr_delta_inv_adjoint, self.dr_sqrt_p,
-                                                f_sel, t_sel)
+        jw_from = _whitened([dr_from_jacobian(dr[e][0], self.dr_delta_inv_adjoint[e])
+                             for e in np.flatnonzero(f_sel).tolist()], self.dr_sqrt_p[f_sel])
+        jw_to = _whitened([dr_to_jacobian(dr[e][0]) for e in np.flatnonzero(t_sel).tolist()],
+                          self.dr_sqrt_p[t_sel])
+        rw = np.array([edge_rw for _, edge_rw, _ in dr])
         jw = np.concatenate([jw_from, jw_to])
         idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
-        jwt = jw.transpose(0, 2, 1)
-        blocks.append(jwt @ jw)
+        block, grad = _dr_normal_blocks(jw, np.concatenate([rw[f_sel], rw[t_sel]]))
+        blocks.append(block)
         block_rows.append(idx)
         block_cols.append(idx)
         both = f_sel & t_sel
@@ -466,9 +483,8 @@ class _Linearizer:
             blocks += [cross, cross.transpose(0, 2, 1)]
             block_rows += [a, b]
             block_cols += [b, a]
-        rw_rows = np.concatenate([rw[f_sel], rw[t_sel]])
         grad_rows.append(idx)
-        grads.append((jwt @ rw_rows[:, :, None])[:, :, 0])
+        grads.append(grad)
 
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)
@@ -481,18 +497,18 @@ class _PoseLinearizer:
     """Motion-only BA: one free pose against fixed points, and at most one DR
     edge from a fixed previous pose.
 
-    A point is the pose as one row (quaternion (1, 4), translation (1, 3))
-    with its rotation matrix (1, 3, 3), formed once per point by retract and
-    used by both the residuals there and the next retraction; its system is
-    the 6x6 pair (H, b). Rows are the matched points (N, 3) and pixels
-    (N, 2) in match order, with one inverse pixel std and one Huber threshold
-    for every row. The DR edge's fixed part is folded once per solve, with
-    its rotation and that of delta^-1, each formed once; its from side is
-    fixed, so only its to side's Jacobian is formed, as a _Linearizer selects
-    the sides of such an edge whose angle is not near pi. The arithmetic and
-    its order are those of _Linearizer on the equivalent one-free-pose
-    Problem: one reduction over the active rows in row order, then the DR
-    edge's block added to it.
+    A point is the pose as floats (quaternion, translation) with its
+    rotation matrix as the (3, 3) array the visual kernel reads, formed once
+    per point by retract and used by both the residuals there and the next
+    retraction; its system is the 6x6 pair (H, b). Rows are the matched
+    points (N, 3) and pixels (N, 2) in match order, with one inverse pixel
+    std and one Huber threshold for every row. The DR edge is held as
+    floats, its fixed part folded once per solve, with its rotation and that
+    of delta^-1, each formed once; its from side is fixed, so only its to
+    side's Jacobian is formed, as a _Linearizer selects the sides of such an
+    edge whose angle is not near pi. The arithmetic and its order are those
+    of _Linearizer on the equivalent one-free-pose Problem: one reduction
+    over the active rows in row order, then the DR edge's block added to it.
     """
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
@@ -502,18 +518,17 @@ class _PoseLinearizer:
         self.dr_sqrt_p = None
         if dr is not None:
             previous, delta, precision = dr
-            delta_inv_q, delta_inv_t, delta_inv_rotation, self.dr_sqrt_p = \
-                _dr_edge_arrays(delta.q[None], delta.t[None], np.reshape(precision, (1, 6)))
-            self.left_q, self.left_t = dr_fold(previous.q[None], previous.t[None], delta_inv_q,
-                                               delta_inv_t, delta_inv_rotation)
+            (delta_inv,), self.dr_sqrt_p = _dr_edges(delta.q[None], delta.t[None],
+                                                     np.reshape(precision, (1, 6)))
+            self.left_q, self.left_t = dr_fold(previous.q.tolist(), previous.t.tolist(), *delta_inv)
             self.left_rotation = quat_to_rotation(self.left_q)
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
 
     def retract(self, point, step):
         q, t, rotation = point
-        q, t = se3_compose(q, t, *se3_exp(step[None]), rotation)
-        return q, t, quat_to_rotation(q)
+        q, t = se3_compose(q, t, *se3_exp(step.tolist()), rotation.ravel().tolist())
+        return q, t, np.array(quat_to_rotation(q)).reshape(3, 3)
 
     def residuals(self, point):
         """Cost at the pose and the per-row residuals linearize reuses."""
@@ -521,11 +536,11 @@ class _PoseLinearizer:
         cost = 0.0
         visual = dr = None
         if len(self.points):
-            cost, visual = _visual_residuals(self.k, rotation[0], t[0], self.points, self.uv,
+            cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
                                              self.inv_std, self.huber_k)
         if self.dr_sqrt_p is not None:
-            dr = _dr_whitened_residuals(self.left_q, self.left_t, q, t, self.dr_sqrt_p,
-                                        self.left_rotation)
+            dr = _dr_whitened_residual(self.left_q, self.left_t, q, t, self.dr_sqrt_p[0].tolist(),
+                                       self.left_rotation)
             cost += dr[-1]
         return cost, (visual, dr)
 
@@ -540,13 +555,13 @@ class _PoseLinearizer:
             H += hpp
             b -= gp
         if dr is not None:
-            (r, near_pi, theta, c), rw, _ = dr
-            if near_pi[0]:     # near pi: inactive, as in _Linearizer
+            log, rw, _ = dr
+            if log[1]:     # near pi: inactive, as in _Linearizer
                 return H, b
-            jw = dr_to_jacobians(r, theta, c) * self.dr_sqrt_p[:, :, None]
-            jwt = jw.transpose(0, 2, 1)
-            H += (jwt @ jw)[0]
-            b -= (jwt @ rw[:, :, None])[0, :, 0]
+            block, grad = _dr_normal_blocks(_whitened([dr_to_jacobian(log)], self.dr_sqrt_p),
+                                            np.array([rw]))
+            H += block[0]
+            b -= grad[0]
         return H, b
 
     def step(self, system, damping: float) -> np.ndarray:
@@ -570,14 +585,14 @@ def _free_index(fixed: np.ndarray):
     return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
 
 
-def _dr_edge_arrays(q, t, precisions):
-    """Per DR edge of increments (q (E, 4), t (E, 3)): inverted increment
-    (quaternion, translation, rotation matrix) and the square root of the
-    precision (E, 6). Raises NotPositiveDefinite when a precision entry is
-    not finite and positive."""
+def _dr_edges(q, t, precisions):
+    """Of DR edges with increments (q (E, 4), t (E, 3)): each edge's inverted
+    increment as floats (quaternion, translation, rotation matrix), and the
+    square roots of the precisions (E, 6). Raises NotPositiveDefinite when a
+    precision entry is not finite and positive."""
     if not np.all(np.isfinite(precisions) & (precisions > 0)):
         raise NotPositiveDefinite("DR precision entries must be finite and positive")
-    return *se3_inverse_with_rotation(q, t), np.sqrt(precisions)
+    return [se3_inverse(*edge) for edge in zip(q.tolist(), t.tolist())], np.sqrt(precisions)
 
 
 def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
@@ -623,22 +638,28 @@ def _scatter(targets, blocks, offsets, size: int) -> np.ndarray:
     return np.bincount(index, weights=blocks.reshape(-1), minlength=size)
 
 
-def _dr_whitened_residuals(left_q, left_t, to_q, to_t, sqrt_p, left_rotation=None):
-    """DR edges' dr_residuals output (residuals, near-pi mask, angle terms),
-    whitened residuals and cost; each residual entry is scaled by the square
-    root of its precision entry."""
-    log = dr_residuals(left_q, left_t, to_q, to_t, left_rotation)
-    rw = log[0] * sqrt_p
-    return log, rw, 0.5 * float(np.sum(rw * rw))
+def _dr_whitened_residual(left_q, left_t, to_q, to_t, sqrt_p, left_rotation=None):
+    """A DR edge's dr_residual output (residual, near-pi flag, angle terms),
+    whitened residual and cost, as floats; each residual entry is scaled by
+    the square root (6 floats) of its precision entry."""
+    log = dr_residual(left_q, left_t, to_q, to_t, left_rotation)
+    rw = [x * s for x, s in zip(log[0], sqrt_p)]
+    return log, rw, 0.5 * (rw[0] * rw[0] + rw[1] * rw[1] + rw[2] * rw[2] + rw[3] * rw[3]
+                           + rw[4] * rw[4] + rw[5] * rw[5])
 
 
-def _dr_whitened_jacobians(log, delta_inv_adjoint, sqrt_p, from_rows, to_rows):
-    """dr_jacobians of the edges' from and to sides, at the dr_residuals
-    output log, each Jacobian row scaled by the square root of its precision
-    entry."""
-    r, _, theta, c = log
-    j_from, j_to = dr_jacobians(r, theta, c, delta_inv_adjoint, from_rows, to_rows)
-    return j_from * sqrt_p[from_rows, :, None], j_to * sqrt_p[to_rows, :, None]
+def _whitened(jacobians, sqrt_p) -> np.ndarray:
+    """DR Jacobians (n lists of 36 floats) stacked (n, 6, 6), each row scaled
+    by the square root of its precision entry, sqrt_p (n, 6)."""
+    return np.array(jacobians).reshape(-1, 6, 6) * sqrt_p[:, :, None]
+
+
+def _dr_normal_blocks(jw, rw):
+    """J^T J (n, 6, 6) and J^T r (n, 6) of whitened DR Jacobians (n, 6, 6)
+    and residuals (n, 6), one product per edge, so that an edge's blocks do
+    not depend on the others."""
+    jwt = jw.transpose(0, 2, 1)
+    return jwt @ jw, (jwt @ rw[:, :, None])[:, :, 0]
 
 
 def _levenberg_marquardt(lin, point, config: SolverConfig):
@@ -749,8 +770,8 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
                           1.0 / pixel_std, huber_threshold, dr)
     (q, t, _), report = _levenberg_marquardt(
-        lin, (pose.q[None], pose.t[None], pose.rotation_matrix[None]), config)
-    return Pose(q[0], t[0]), replace(report, **lin.size)
+        lin, (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix), config)
+    return Pose(q, t), replace(report, **lin.size)
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

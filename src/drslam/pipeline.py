@@ -160,17 +160,36 @@ class SlamMap:
     observations: np.ndarray = field(default_factory=lambda: np.empty(0, REPROJECTION_ROW))
     loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
 
-    def shared_counts(self, kf_id: int) -> np.ndarray:
-        """Per keyframe id, the count of points it shares with keyframe kf_id
-        (its covisibility with kf_id); kf_id's own entry is 0."""
+    def shared_counts(self, kf_ids) -> np.ndarray:
+        """Per keyframe of kf_ids (K,), per keyframe id, the count of points the
+        two share (their covisibility), (K, n) for n past the largest id;
+        a keyframe's own entry is 0. One pass over the observations for all
+        of kf_ids."""
         table = self.observations
-        mine = table["landmark"][table["pose"] == kf_id]
-        counts = np.bincount(table["pose"][np.isin(table["landmark"], mine)], minlength=kf_id + 1)
-        counts[kf_id] = 0
+        poses, points = table["pose"], table["landmark"]
+        kf_ids = np.asarray(kf_ids)
+        n = max(int(kf_ids.max()), int(poses.max(initial=-1))) + 1
+        slot = np.full(n, -1)
+        slot[kf_ids] = np.arange(len(kf_ids))
+        row_slot = slot[poses]
+        mine = row_slot >= 0
+        if not mine.any():
+            return np.zeros((len(kf_ids), n), dtype=np.int64)
+        # the points kf_ids see, the keyframes of kf_ids that see each, and
+        # each observation's point among them (len(ids): none of them)
+        ids, column = np.unique(points[mine], return_inverse=True)
+        sees = np.zeros((len(kf_ids), len(ids) + 1), dtype=bool)
+        sees[row_slot[mine], column] = True
+        rank = np.searchsorted(ids, points)
+        rank[ids.take(rank, mode="clip") != points] = len(ids)
+        which, rows = np.nonzero(sees[:, rank])
+        counts = np.bincount(which * n + poses[rows], minlength=len(kf_ids) * n).reshape(-1, n)
+        counts[np.arange(len(kf_ids)), kf_ids] = 0
         return counts
 
-    def connection_count(self, kf_id: int) -> int:
-        return int(self.shared_counts(kf_id).max())
+    def connection_counts(self, kf_ids) -> list:
+        """Per keyframe of kf_ids, its largest covisibility count."""
+        return self.shared_counts(kf_ids).max(axis=1).tolist()
 
 
 @dataclass
@@ -470,10 +489,9 @@ class Pipeline:
         if self.mode == "fixed-dr":
             # the sweep protocol carries one constant weight through every stage
             return dict.fromkeys(kf_ids, p.fixed_alpha)
-        raw = []
-        for k in sorted(kf_ids):
-            q_ij = keyframe_quality(self.slam_map.connection_count(k), self.c_ref)
-            raw.append((k, dr_weight(q_ij, p.bounds)))
+        kf_ids = sorted(kf_ids)
+        raw = [(k, dr_weight(keyframe_quality(count, self.c_ref), p.bounds))
+               for k, count in zip(kf_ids, self.slam_map.connection_counts(kf_ids))]
         smoothed = {}
         # runs of consecutive keyframe ids, each smoothed on its own
         for _, run in groupby(enumerate(raw), key=lambda e: e[1][0] - e[0]):
@@ -483,7 +501,7 @@ class Pipeline:
 
     def _local_ba(self, new_kf: KeyFrame) -> None:
         p = self.params
-        counts = self.slam_map.shared_counts(new_kf.id)
+        (counts,) = self.slam_map.shared_counts([new_kf.id])
         covisible = np.flatnonzero(counts)
         ranked = covisible[np.argsort(-counts[covisible], kind="stable")[:MAX_LOCAL_KEYFRAMES]]
         window = {new_kf.id} | set(ranked.tolist()) | (
@@ -567,8 +585,8 @@ class Pipeline:
 
     def _update_c_ref(self) -> None:
         recent = sorted(self.slam_map.keyframes)[-self.params.c_ref_window:]
-        pairs = [(self.slam_map.keyframes[k].quality, self.slam_map.connection_count(k))
-                 for k in recent]
+        pairs = [(self.slam_map.keyframes[k].quality, count)
+                 for k, count in zip(recent, self.slam_map.connection_counts(recent))]
         self.c_ref = update_c_ref(pairs, previous=self.c_ref, q_well=self.params.q_well)
 
     # ----- loop closing ---------------------------------------------------

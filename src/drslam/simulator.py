@@ -567,12 +567,15 @@ def read_sequence(path) -> Sequence:
     n_det = _detection_counts(stats, stats_path, np.diff(bounds))
     bounds = bounds.tolist()
 
-    # DR increments prev^-1 odom of every frame after the first, in one batch;
-    # the kernels work row by row, so each equals compose(inverse(prev), odom)
-    odom_q = np.reshape([p.q for _, p in odom], (-1, 4))
-    odom_t = np.reshape([p.t for _, p in odom], (-1, 3))
-    delta_q, delta_t = se3_compose(*se3_inverse(odom_q[:-1], odom_t[:-1]), odom_q[1:], odom_t[1:])
-    deltas = [None] + [Pose(q, t) for q, t in zip(delta_q, delta_t)]
+    # DR increments prev^-1 odom of every frame after the first, from the
+    # floats of one .tolist() of the odometry: compose(inverse(prev), odom),
+    # with the rotation the inverse forms
+    odom_q = np.array([p.q for _, p in odom]).tolist()
+    odom_t = np.array([p.t for _, p in odom]).tolist()
+    deltas = [None]
+    for q0, t0, q1, t1 in zip(odom_q, odom_t, odom_q[1:], odom_t[1:]):
+        q_inv, t_inv, rotation = se3_inverse(q0, t0)
+        deltas.append(Pose(*se3_compose(q_inv, t_inv, q1, t1, rotation)))
     records = []
     for i, ((ts, gt_pose), (_, odom_pose)) in enumerate(zip(gt, odom)):
         a, b = bounds[i], bounds[i + 1]

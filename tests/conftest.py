@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from drslam.errors import SingularSystem
-from drslam.factors import dr_fold, dr_jacobians, dr_residuals
+from drslam.factors import dr_fold, dr_from_jacobian, dr_residual, dr_to_jacobian
 from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, project,
-                             se3_adjoint, transform_point)
+                             se3_adjoint, se3_inverse, transform_point)
 from drslam.optimizer import NormalEquations, Problem, _Linearizer
 from drslam.pipeline import PipelineParams
 from drslam.weighting import NominalDrInformation
@@ -20,11 +20,6 @@ def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> np.ndarray:
 
 def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
     return exp_se3(random_twist(rng, rot_scale, trans_scale))
-
-
-def adjoint(p: Pose) -> np.ndarray:
-    """Adjoint for (rho, phi) ordering: exp(Ad_P xi) = P exp(xi) P^-1."""
-    return se3_adjoint(p.q[None], p.t[None])[0]
 
 
 def build_normal_equations(problem: Problem):
@@ -64,26 +59,33 @@ def dense_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
         raise SingularSystem("dense system is singular") from e
 
 
+def edge_log(pose_from: Pose, pose_to: Pose, delta: Pose):
+    """dr_residual of one DR edge given as Poses, folded as the solver folds
+    it: the residual (6 floats), its near-pi flag and the log's angle terms."""
+    left = dr_fold(pose_from.q.tolist(), pose_from.t.tolist(),
+                   *se3_inverse(delta.q.tolist(), delta.t.tolist()))
+    return dr_residual(*left, pose_to.q.tolist(), pose_to.t.tolist())
+
+
 def edge_residuals(pose_from, pose_to, delta):
-    """Batched DR kernel on edges given as Pose lists, folded as the solver
-    folds them: residuals (E, 6), near-pi mask and the log's angle terms (E,)."""
-    inv = [inverse(d) for d in delta]
-    left = dr_fold(np.array([p.q for p in pose_from]), np.array([p.t for p in pose_from]),
-                   np.array([d.q for d in inv]), np.array([d.t for d in inv]))
-    return dr_residuals(*left, np.array([p.q for p in pose_to]), np.array([p.t for p in pose_to]))
+    """The DR kernel on edges given as Pose lists, one call per edge, stacked:
+    residuals (E, 6), near-pi mask and the log's angle terms (E,)."""
+    return tuple(np.array(column) for column in
+                 zip(*(edge_log(*edge) for edge in zip(pose_from, pose_to, delta))))
 
 
 def edge_residual(pose_from: Pose, pose_to: Pose, delta: Pose) -> np.ndarray:
-    """Residual (6,) of one DR edge through the batched kernel."""
-    return edge_residuals([pose_from], [pose_to], [delta])[0][0]
+    """Residual (6,) of one DR edge."""
+    return np.array(edge_log(pose_from, pose_to, delta)[0])
 
 
 def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
-    """From- and to-Jacobians (6, 6) of one DR edge through the batched kernel."""
-    r, near_pi, theta, c = edge_residuals([pose_from], [pose_to], [delta])
-    assert not near_pi[0]
-    j_from, j_to = dr_jacobians(r, theta, c, adjoint(inverse(delta))[None])
-    return j_from[0], j_to[0]
+    """From- and to-Jacobians (6, 6) of one DR edge."""
+    log = edge_log(pose_from, pose_to, delta)
+    assert not log[1]
+    delta_inv = se3_inverse(delta.q.tolist(), delta.t.tolist())
+    j_from = dr_from_jacobian(log, se3_adjoint(*delta_inv[:2]))
+    return np.reshape(j_from, (6, 6)), np.reshape(dr_to_jacobian(log), (6, 6))
 
 
 def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,

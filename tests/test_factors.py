@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import adjoint, edge_residuals, edge_jacobians, edge_residual, random_pose
+from conftest import CAMERA, edge_residuals, edge_jacobians, edge_residual, random_pose
 from drslam import optimizer
 from drslam.factors import (
     dr_fold,
-    dr_jacobians,
+    dr_from_jacobian,
+    dr_to_jacobian,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
@@ -22,8 +23,11 @@ from drslam.geometry import (
     exp_se3,
     inverse,
     project,
+    se3_adjoint,
     transform_point,
+    v_inverse_coefficient,
 )
+from drslam.optimizer import Problem, _Linearizer
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 FD_STEP = 1e-6
@@ -165,20 +169,46 @@ def test_dr_residual_near_pi_flagged_and_saturated():
     assert np.allclose(r[1, 3:], [0.0, 0.0, np.pi / 2], atol=1e-12)
 
 
-def test_dr_jacobians_skip_fixed_sides(rng):
-    pose_from = [random_pose(rng) for _ in range(4)]
-    pose_to = [random_pose(rng) for _ in range(4)]
-    delta = [random_pose(rng) for _ in range(4)]
-    r, _, theta, c = edge_residuals(pose_from, pose_to, delta)
-    ad = np.array([adjoint(inverse(d)) for d in delta])
-    all_from, all_to = dr_jacobians(r, theta, c, ad)
-    j_from, j_to = dr_jacobians(r, theta, c, ad, np.array([0, 2]), np.array([1, 2, 3]))
-    assert j_from.shape == (2, 6, 6) and j_to.shape == (3, 6, 6)
-    assert np.allclose(j_from, all_from[[0, 2]], rtol=0, atol=1e-15)
-    assert np.allclose(j_to, all_to[[1, 2, 3]], rtol=0, atol=1e-15)
+def disjoint_edges_problem(edges, fixed, precisions):
+    """A Problem of DR edges (from, to, delta) between poses of their own,
+    2e and 2e + 1 for edge e, with the (from, to) fixed flags and the
+    precisions (6,) of each edge."""
+    problem = Problem(intrinsics=CAMERA)
+    for e, ((pose_from, pose_to, delta), sides, precision) in enumerate(
+            zip(edges, fixed, precisions)):
+        problem.add_poses([2 * e, 2 * e + 1], [pose_from, pose_to], list(sides))
+        problem.add_dr_edges(2 * e, 2 * e + 1, [delta], precision)
+    return problem
 
 
-# Property tests of the batched DR kernel.
+def test_dr_jacobians_skip_fixed_sides(rng, monkeypatch):
+    # the linearizer forms the Jacobian of a free side only, and the system
+    # holds J^T J and J^T r of the free sides, as a direct product of the
+    # edge's Jacobians gives them
+    edges = [(random_pose(rng), random_pose(rng), random_pose(rng)) for _ in range(4)]
+    fixed = [(True, False), (False, True), (False, False), (True, True)]
+    calls = []
+    for name in ("dr_from_jacobian", "dr_to_jacobian"):
+        def counted(*args, kernel=getattr(optimizer, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(optimizer, name, counted)
+    lin = _Linearizer(disjoint_edges_problem(edges, fixed, [np.ones(6)] * 4))
+    neq = lin.linearize(lin.point, lin.residuals(lin.point)[1])
+    assert sorted(calls) == ["dr_from_jacobian"] * 2 + ["dr_to_jacobian"] * 2
+    assert neq.n_pose_free == 4
+    column = 0
+    for (pose_from, pose_to, delta), sides in zip(edges[:3], fixed):
+        j = np.hstack([jac for jac, side in zip(edge_jacobians(pose_from, pose_to, delta), sides)
+                       if not side])
+        span = slice(column, column + j.shape[1])
+        assert np.allclose(neq.Hpp[span, span], j.T @ j, rtol=0, atol=1e-12)
+        assert np.allclose(neq.bp[span], -j.T @ edge_residual(pose_from, pose_to, delta),
+                           rtol=0, atol=1e-12)
+        column += j.shape[1]
+
+
+# Property tests of the DR kernel.
 
 def twists(max_angle):
     """(6,) twists (rho, phi) with |rho| <= 2 m and 0 <= |phi| <= max_angle."""
@@ -196,19 +226,28 @@ def edges(max_angle=3.0):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.lists(edges(), min_size=1, max_size=8))
+@given(st.lists(st.tuples(edges(), st.sampled_from([(False, False), (True, False), (False, True)]),
+                          arrays(float, 6, elements=st.floats(1e-3, 1e6))),
+                min_size=1, max_size=8))
 def test_dr_batch_equals_one_edge_calls(batch):
-    pose_from, pose_to, delta = zip(*batch)
-    r, near_pi, theta, c = edge_residuals(pose_from, pose_to, delta)
-    ad = np.array([adjoint(inverse(d)) for d in delta])
-    j_from, j_to = dr_jacobians(r, theta, c, ad)
+    # a Problem of several DR edges gives each edge's whitened residual, cost
+    # and normal-equation blocks the bits of a Problem of that edge alone
+    def linearized(items):
+        lin = _Linearizer(disjoint_edges_problem(*zip(*items)))
+        cost, cache = lin.residuals(lin.point)
+        return cache[2], lin.linearize(lin.point, cache)
+    dr, neq = linearized(batch)
+    column = 0
     for e, edge in enumerate(batch):
-        r1, near1, theta1, c1 = edge_residuals(*([x] for x in edge))
-        jf1, jt1 = dr_jacobians(r1, theta1, c1, ad[e:e + 1])
-        assert near1[0] == near_pi[e]
-        assert np.allclose(r1[0], r[e], rtol=0, atol=1e-14)
-        assert np.allclose(jf1[0], j_from[e], rtol=0, atol=1e-14 * max(1.0, np.abs(jf1).max()))
-        assert np.allclose(jt1[0], j_to[e], rtol=0, atol=1e-14 * max(1.0, np.abs(jt1).max()))
+        (dr1,), neq1 = linearized([edge])
+        (r, near_pi, theta, c), rw, cost = dr[e]
+        assert (np.array(r).tobytes(), near_pi, theta, c, np.array(rw).tobytes(), cost) == (
+            np.array(dr1[0][0]).tobytes(), *dr1[0][1:], np.array(dr1[1]).tobytes(), dr1[2])
+        span = slice(column, column + len(neq1.bp))
+        assert neq.Hpp[span, span].tobytes() == neq1.Hpp.tobytes()
+        assert neq.bp[span].tobytes() == neq1.bp.tobytes()
+        column += len(neq1.bp)
+    assert column == len(neq.bp)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -262,6 +301,28 @@ def test_dr_jacobians_match_finite_differences_property(from_twist, to_twist, de
     assert rel_err(j_to, fd_jacobian(r_of_to, 6)) < FD_RTOL
 
 
+@pytest.mark.parametrize("axis", range(3))
+def test_dr_jacobians_agree_across_the_series_cut(rng, axis):
+    # below SMALL_ANGLE the angle coefficients of Q take their series, which
+    # must continue the closed forms: the Jacobians at error angles
+    # SMALL_ANGLE (1 - 1e-9) and SMALL_ANGLE (1 + 1e-9) about one axis, with
+    # the same rho, agree to 1e-9 of their size (a series of the wrong sign
+    # parts them by about 1.5e-7)
+    for _ in range(10):
+        rho = rng.uniform(-2.0, 2.0, size=3)
+        adjoint = se3_adjoint(random_pose(rng).q.tolist(), rng.normal(size=3).tolist())
+        sides = []
+        for angle in (SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE * (1.0 + 1e-9)):
+            r = [*rho, 0.0, 0.0, 0.0]
+            r[3 + axis] = angle
+            c = v_inverse_coefficient(angle)
+            log = (r, False, angle, c)
+            sides.append(np.array([dr_from_jacobian(log, adjoint), dr_to_jacobian(log)]))
+        below, above = sides
+        for j_below, j_above in zip(below, above):
+            assert np.max(np.abs(j_above - j_below)) <= 1e-9 * np.max(np.abs(j_below))
+
+
 def test_huber_weight():
     _, w = huber(np.array([0.0, 2.0, 4.0]), 2.0)
     assert w[0] == 1.0
@@ -283,14 +344,15 @@ def _whiten_edge(rng, precision):
     solver's whitening by the square root of each precision entry."""
     a, b = random_pose(rng), random_pose(rng)
     delta_inv = inverse(random_pose(rng, rot_scale=0.3))
-    ad = adjoint(delta_inv)[None]
-    sqrt_p = np.sqrt(np.asarray(precision, dtype=float))[None]
-    left = dr_fold(a.q[None], a.t[None], delta_inv.q[None], delta_inv.t[None])
-    log, rw, cost = optimizer._dr_whitened_residuals(*left, b.q[None], b.t[None], sqrt_p)
-    jw_from, jw_to = optimizer._dr_whitened_jacobians(log, ad, sqrt_p, slice(None), slice(None))
-    r, _, theta, c = log
-    j_from, j_to = dr_jacobians(r, theta, c, ad)
-    return (r[0], j_from[0], j_to[0]), (rw[0], jw_from[0], jw_to[0]), cost
+    sqrt_p = np.sqrt(np.asarray(precision, dtype=float))
+    left = dr_fold(a.q.tolist(), a.t.tolist(), delta_inv.q.tolist(), delta_inv.t.tolist())
+    log, rw, cost = optimizer._dr_whitened_residual(*left, b.q.tolist(), b.t.tolist(),
+                                                    sqrt_p.tolist())
+    j_from = dr_from_jacobian(log, se3_adjoint(delta_inv.q.tolist(), delta_inv.t.tolist()))
+    j_to = dr_to_jacobian(log)
+    jw_from, jw_to = optimizer._whitened([j_from, j_to], np.array([sqrt_p, sqrt_p]))
+    return ((np.array(log[0]), np.reshape(j_from, (6, 6)), np.reshape(j_to, (6, 6))),
+            (np.array(rw), jw_from, jw_to), cost)
 
 
 def test_whiten_identity_information(rng):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CAMERA, adjoint, build_normal_equations, dense_solve, dense_system,
+from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system,
                       edge_jacobians, edge_residual, edge_residuals, landmark_position,
                       make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
                       set_problem_pose)
@@ -13,13 +13,14 @@ from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
     dr_fold,
-    dr_jacobians,
+    dr_from_jacobian,
+    dr_to_jacobian,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
 )
 from drslam.geometry import (Z_MIN, Pose, compose, exp_se3, inverse, log_se3, project,
-                             transform_point)
+                             se3_adjoint, transform_point)
 from drslam import geometry, optimizer
 from drslam.optimizer import (
     Problem,
@@ -851,19 +852,20 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
         p = 10.0 ** rng.uniform(-3, 7, size=6)
         a, b = random_pose(rng), random_pose(rng)
         delta_inv = inverse(random_pose(rng, rot_scale=0.3))
-        ad = adjoint(delta_inv)[None]
-        sqrt_p = np.sqrt(p)[None]
-        left = dr_fold(a.q[None], a.t[None], delta_inv.q[None], delta_inv.t[None])
-        log, rw, _ = optimizer._dr_whitened_residuals(*left, b.q[None], b.t[None], sqrt_p)
-        jw_from, jw_to = optimizer._dr_whitened_jacobians(log, ad, sqrt_p, slice(None),
-                                                          slice(None))
-        r, _, theta, c = log
-        j_from, j_to = dr_jacobians(r, theta, c, ad)
+        sqrt_p = np.sqrt(p)
+        left = dr_fold(a.q.tolist(), a.t.tolist(), delta_inv.q.tolist(), delta_inv.t.tolist())
+        log, rw, _ = optimizer._dr_whitened_residual(*left, b.q.tolist(), b.t.tolist(),
+                                                     sqrt_p.tolist())
+        j_from = dr_from_jacobian(log, se3_adjoint(delta_inv.q.tolist(), delta_inv.t.tolist()))
+        j_to = dr_to_jacobian(log)
         u = np.linalg.cholesky(np.diag(p)).T
-        for whitened, raw in ((rw, r), (jw_from, j_from), (jw_to, j_to)):
-            assert (u @ raw[0]).tobytes() == whitened[0].tobytes()
-        mahalanobis = r[0] @ np.diag(p) @ r[0]
-        assert abs(rw[0] @ rw[0] - mahalanobis) <= 1e-12 * mahalanobis
+        r, rw = np.array(log[0]), np.array(rw)
+        assert (u @ r).tobytes() == rw.tobytes()
+        for j in (j_from, j_to):
+            whitened = optimizer._whitened([j], sqrt_p[None])[0]
+            assert (u @ np.reshape(j, (6, 6))).tobytes() == whitened.tobytes()
+        mahalanobis = r @ np.diag(p) @ r
+        assert abs(rw @ rw - mahalanobis) <= 1e-12 * mahalanobis
 
 
 def _set_point(problem, point):
@@ -957,11 +959,45 @@ def test_lm_linearizes_only_the_points_it_steps_from(rng, monkeypatch, level, en
         lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
                                         1.0 / args["pixel_std"], args["huber_threshold"],
                                         args["dr"])
-        point = (pose.q[None], pose.t[None], pose.rotation_matrix[None])
+        point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
         fresh = optimizer._min_eigenvalue(lin.linearize(point, lin.residuals(point)[1])[0])
     else:
         fresh = min_pose_eigenvalue(build_normal_equations(problem)[0])
     assert np.float64(fresh).tobytes() == np.float64(eigenvalue).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200], ids=["inf", "nan", "overflow"])
+@pytest.mark.parametrize("level", ["motion_only", "problem"])
+def test_non_finite_step_is_rejected_not_raised(rng, monkeypatch, level, bad):
+    # a step whose rotation is not finite, or overflows the exponential,
+    # retracts to a NaN pose: its cost is NaN, the step is rejected, and the
+    # solve goes on with a larger damping
+    cls = optimizer._PoseLinearizer if level == "motion_only" else _Linearizer
+    step, residuals, costs = cls.step, cls.residuals, []
+
+    def bad_first_step(lin, system, damping):
+        d = step(lin, system, damping)
+        if len(costs) == 1:
+            d = d.copy()
+            d[4] = bad
+        return d
+
+    def recording(lin, point):
+        cost, cache = residuals(lin, point)
+        costs.append(cost)
+        return cost, cache
+    monkeypatch.setattr(cls, "step", bad_first_step)
+    monkeypatch.setattr(cls, "residuals", recording)
+    if level == "motion_only":
+        problem, _, _, _ = make_motion_problem(rng, n_obs=30, pixel_noise=1.0)
+        _, report = solve_motion_only(**motion_only_args(problem))
+    else:
+        problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=20, pixel_noise=1.0,
+                                        pose_perturb=0.02, with_dr_chain=True)
+        report = solve(problem)
+    assert math.isnan(costs[1])
+    assert report.rejected_steps >= 1
+    assert math.isfinite(report.final_cost) and report.final_cost <= report.initial_cost
 
 
 class _Arctan:

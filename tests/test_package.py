@@ -4,8 +4,8 @@ from pathlib import Path
 
 import drslam
 
-# Exports the package itself need not call: the one-row wrappers the tests
-# check the batched kernels against, and the map reader.
+# Exports the package itself need not call: the Pose wrappers of the scalar
+# kernels that only tests and callers use, and the map reader.
 ENTRY_POINTS = {"project", "transform_point", "log_se3", "align", "load_map"}
 # Module-level functions the package need not call besides those: the
 # evaluation harness's baseline runs, which no command runs yet.

@@ -337,7 +337,7 @@ def test_decide_keyframe_rules():
 
 def covisibility(slam_map, k):
     """Keyframe id -> the count of points keyframe k shares with it, where not 0."""
-    return {o: c for o, c in enumerate(slam_map.shared_counts(k).tolist()) if c}
+    return {o: c for o, c in enumerate(slam_map.shared_counts([k])[0].tolist()) if c}
 
 
 def test_pipeline_first_and_second_keyframe_covisibility():
@@ -353,11 +353,33 @@ def test_pipeline_first_and_second_keyframe_covisibility():
         assert a not in edges
         for b, c in edges.items():
             assert covisible[b][a] == c  # symmetry
-            assert m.connection_count(a) >= c
+            assert m.connection_counts([a])[0] >= c
     shared = covisible[0].get(1, 0)
     manual = len(set(observed_ids(m, 0)) & set(observed_ids(m, 1)))
     assert shared == manual and shared > 0
-    assert m.connection_count(0) == max(covisible[0].values())
+    assert m.connection_counts([0])[0] == max(covisible[0].values())
+
+
+@pytest.mark.parametrize("scenario", ["corridor_gap", "two_lap", "rectangle_loop"])
+def test_covisibility_counted_at_once_equals_one_keyframe_at_a_time(scenario):
+    # one pass over the observations for every keyframe of a bundled
+    # scenario's map gives each keyframe the counts a pass of its own gives,
+    # and those of a per-keyframe np.isin over the observation table
+    config = parse_config(resolve_config_path(scenario))
+    m = run_pipeline(simulate_sequence(config.world_config()), config.pipeline_params(),
+                     "adaptive").slam_map
+    kf_ids = sorted(m.keyframes)
+    together = m.shared_counts(kf_ids)
+    table = m.observations
+    for k, counts, best in zip(kf_ids, together, m.connection_counts(kf_ids)):
+        alone = m.shared_counts([k])[0]
+        assert counts.tolist() == alone.tolist()
+        assert best == alone.max()
+        mine = table["landmark"][table["pose"] == k]
+        oracle = np.bincount(table["pose"][np.isin(table["landmark"], mine)],
+                             minlength=len(counts))
+        oracle[k] = 0
+        assert counts.tolist() == oracle.tolist()
 
 
 def test_pipeline_one_pose_per_frame_all_modes():
@@ -405,7 +427,7 @@ def test_zero_observation_keyframe_gets_dr_edge():
     empty_kfs = [k for k in m.keyframes if not observed(m, k) and k > 0]
     assert empty_kfs, "blackout should create zero-observation keyframes"
     k = empty_kfs[0]
-    assert m.connection_count(k) == 0
+    assert m.connection_counts([k])[0] == 0
     # keyframe quality 0 puts the raw weight at the alpha_max branch
     assert m.keyframes[k].dr_alpha > 0.5 * PARAMS.bounds.alpha_max
 
@@ -523,7 +545,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
                 walked.setdefault(new_kf.id, {})[k] = shared
         for k in self.slam_map.keyframes:
             assert covisibility(self.slam_map, k) == walked.get(k, {})
-            assert self.slam_map.connection_count(k) == max(walked.get(k, {0: 0}).values())
+            assert self.slam_map.connection_counts([k])[0] == max(walked.get(k, {0: 0}).values())
         by_count = sorted(walked.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
         window = {new_kf.id} | {k for k, _ in by_count[:MAX_LOCAL_KEYFRAMES]} | {
             k for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id)
@@ -562,7 +584,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         doomed = {j for j, created in zip(points.ids.tolist(), points.created_kf.tolist())
                   if len(observers[j]) < 2 and current_kf - created >= 2}
         before = {k: observed(self.slam_map, k) for k in self.slam_map.keyframes}
-        shared = {k: self.slam_map.shared_counts(k).tolist() for k in self.slam_map.keyframes}
+        shared = {k: self.slam_map.shared_counts([k])[0].tolist() for k in self.slam_map.keyframes}
         kept = [(j, x.tobytes(), c) for j, x, c in
                 zip(points.ids.tolist(), points.positions, points.created_kf.tolist())
                 if j not in doomed]
@@ -572,7 +594,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
                         points.created_kf.tolist())) == kept
         for k in self.slam_map.keyframes:
             assert observed(self.slam_map, k) == [o for o in before[k] if o[0] not in doomed]
-            assert self.slam_map.shared_counts(k).tolist() == shared[k]
+            assert self.slam_map.shared_counts([k])[0].tolist() == shared[k]
         assert np.all(np.diff(self.slam_map.observations["pose"]) >= 0)
         culled.extend(doomed)
 

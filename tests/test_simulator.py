@@ -219,8 +219,8 @@ def test_sequence_round_trip(tmp_path, rng):
 
 @pytest.mark.parametrize("scenario", ["corridor_gap", "two_lap", "rectangle_loop"])
 def test_read_sequence_dr_increments_match_per_row_compose(tmp_path, scenario):
-    # the batched increments equal compose(inverse(previous), odom) row by
-    # row, byte for byte, on the bundled scenarios
+    # the increments, built from the floats of the odometry arrays, equal
+    # compose(inverse(previous), odom), byte for byte, on the bundled scenarios
     config = parse_config(resolve_config_path(scenario))
     write_sequence(simulate_sequence(config.world_config(seed=0)), tmp_path)
     records = read_sequence(tmp_path).records
