@@ -118,7 +118,10 @@ def cmd_run(args) -> int:
             ("loop_closures", str(len(result.gba_events))),
             ("motion_failed", str(result.motion_failed)),
             ("lba_failed", str(result.lba_failed)),
-            ("gba_failed", str(result.gba_failed))]
+            ("gba_failed", str(result.gba_failed)),
+            ("motion_capped", str(result.motion_capped)),
+            ("lba_capped", str(result.lba_capped)),
+            ("gba_capped", str(result.gba_capped))]
     v = _run_verdict(result, sequence)
     if v is not None:
         rows += [("ape_rmse_m", fmt(v.rmse)), ("completed", str(v.completed).lower())]

@@ -1,20 +1,13 @@
 """Residuals, analytic Jacobians and the Huber kernel.
 
-Two factor types. Pixel reprojection of a landmark into a camera is batched:
-one call evaluates every row of a problem, each row with its own pose or all
-rows with one. A relative-pose prior from dead reckoning between two poses is
-a scalar kernel on Python floats for one edge, on geometry's SE(3) kernels:
-an edge is a few hundred flops, which NumPy calls on one-row arrays would
-cost several times over, and the solver loops over its edges, so a batch of
-edges keeps each edge's bits. A DR edge's residual is log(left to), with its
-fixed part left = delta^-1 from^-1 folded by dr_fold: once per solve where
-the from pose is fixed, once per evaluation where it is free. The residual
-comes with the log's angle terms, and the Jacobians reuse them. Pose
-variables are camera-in-world; Jacobians are taken with respect to a
-right-multiplicative tangent perturbation, twist ordering (rho, phi). These
-are the functions the solver linearizes with; it whitens their outputs
-itself, reprojection rows by one pixel std and DR edges by the square root
-of a diagonal precision.
+Pixel reprojection is batched: one call evaluates every row of a problem,
+each row with its own pose or all rows with one. The relative-pose (DR)
+kernel is scalar, on Python floats for one edge: dr_fold folds the edge's
+fixed part left = delta^-1 from^-1, dr_residual gives log(left to) with the
+log's angle terms, and one dr_jacobians call forms the Jacobian of each free
+side from one J and Q. Pose variables are camera-in-world; Jacobians are
+taken with respect to a right-multiplicative tangent perturbation, twist
+ordering (rho, phi). The solver whitens the outputs itself.
 """
 
 from __future__ import annotations
@@ -140,28 +133,34 @@ def dr_residual(left_q, left_t, to_q, to_t, left_rotation=None):
     return se3_log(*se3_compose(left_q, left_t, to_q, to_t, left_rotation))
 
 
-def dr_from_jacobian(log, delta_inv_adjoint) -> tuple:
-    """The Jacobian (36 floats, row-major 6x6) of an edge's residual r w.r.t.
-    its from pose, -Jl^-1(r) Ad(delta^-1), at log, the edge's dr_residual
-    output (residual, near-pi flag, angle terms), which must not be near pi;
-    delta_inv_adjoint is se3_adjoint of delta^-1, as its blocks (R, hat(t) R)."""
+def dr_jacobians(log, delta_inv_adjoint, to_free: bool):
+    """The Jacobians (36 floats each, row-major 6x6) of an edge's residual r
+    w.r.t. its from pose, -Jl^-1(r) Ad(delta^-1), formed given
+    delta_inv_adjoint (se3_adjoint of delta^-1), and its to pose,
+    Jr^-1(r) = Jl^-1(-r), formed given to_free, else None, at log, the edge's
+    dr_residual output, not near pi. J and Q are formed once, at r: J(-phi)
+    is J^T and Q(-rho, -phi) is Q^T, Q with its hat term negated, bit for bit."""
     r, _, theta, c = log
-    rotation, top_right = delta_inv_adjoint
     j, coupling = _left_jacobian_blocks(r, theta, c)
-    # Jl^-1(r) Ad = [[A, B], [0, A]], A = J R and B = J (hat(t) R - Q A)
-    a = matrix_product(j, rotation)
-    b = matrix_product(j, [x - y for x, y in zip(top_right, matrix_product(coupling, a))])
-    minus_a = tuple(-x for x in a)
-    return _six_by_six(minus_a, tuple(-x for x in b), minus_a)
+    from_jacobian = to_jacobian = None
+    if delta_inv_adjoint is not None:
+        rotation, top_right = delta_inv_adjoint
+        # Jl^-1(r) Ad = [[A, B], [0, A]], A = J R and B = J (hat(t) R - Q A)
+        a = matrix_product(j, rotation)
+        minus_b = matrix_product(j, [y - x for x, y in zip(top_right, matrix_product(coupling, a))])
+        minus_a = tuple(-x for x in a)
+        from_jacobian = _six_by_six(minus_a, minus_b, minus_a)
+    if to_free:
+        jt = _transposed(j)
+        to_jacobian = _six_by_six(
+            jt, matrix_product(jt, matrix_product(_transposed(coupling, -1.0), jt)), jt)
+    return from_jacobian, to_jacobian
 
 
-def dr_to_jacobian(log) -> tuple:
-    """The Jacobian (36 floats, row-major 6x6) of an edge's residual r w.r.t.
-    its to pose, Jr^-1(r) = Jl^-1(-r), at log, the edge's dr_residual output,
-    which must not be near pi."""
-    r, _, theta, c = log
-    j, coupling = _left_jacobian_blocks([-x for x in r], theta, c)
-    return _six_by_six(j, tuple(-x for x in matrix_product(j, matrix_product(coupling, j))), j)
+def _transposed(m, sign: float = 1.0) -> tuple:
+    """The transpose of a 3x3 matrix (9 floats, row-major), times sign."""
+    return (m[0] * sign, m[3] * sign, m[6] * sign, m[1] * sign, m[4] * sign, m[7] * sign,
+            m[2] * sign, m[5] * sign, m[8] * sign)
 
 
 def huber(norms: np.ndarray, threshold: np.ndarray | float):

@@ -1,53 +1,28 @@
 """Levenberg-Marquardt bundle adjustment over pose and landmark variables.
 
-One LM loop drives two linearizers. The Problem linearizer serves local BA
-(window of keyframes plus their landmarks) and global BA (everything, first
-keyframe fixed), over a Problem of structured arrays: poses and landmarks in
-ascending id, reprojection rows and DR edges. The motion-only linearizer
-serves tracking: one free pose against fixed map points given as arrays in
-match order, with at most one DR edge from the fixed previous pose, and a 6x6
-system. Both evaluate residuals once per point through the factors kernels.
-The loop linearizes a point only when an iteration steps from it, from the
-residuals its cost check computed there, DR edges with the log's angle terms
-that came with their residuals; the point a solve ends at is linearized only
-if its report's min_pose_eigenvalue is read.
+One LM loop drives two linearizers. The Problem linearizer serves local BA (a
+window of keyframes and their landmarks) and global BA (the whole map, its
+first keyframe fixed) over a Problem of structured arrays: poses and
+landmarks in ascending id, reprojection rows and DR edges. The motion-only
+linearizer serves tracking: one free pose against fixed map points in match
+order, at most one DR edge from the fixed previous pose, and a 6x6 system.
+The loop evaluates residuals once per point and linearizes a point only when
+an iteration steps from it; the point a solve ends at is linearized only if
+its report's min_pose_eigenvalue is read.
 
-What is pose-sized runs on Python floats, through geometry's and factors'
-scalar kernels: the Problem linearizer loops over its free poses for the
-retraction, over all poses for their rotations, and over its DR edges for
-fold, residual and Jacobians; the motion-only linearizer holds its pose and
-its DR edge as floats. Both run the same kernels for each pose and edge, so
-their arithmetic is the same bit for bit, and a Problem's edge keeps the
-bits of that edge alone. What grows with the rows stays batched, fed by the
-stacked results: the reprojection rows, the normal equations and the Schur
-solve. The Problem linearizer's point is stacked arrays (pose quaternions
-and translations, landmark positions); the motion-only linearizer's is the
-pose's floats with its rotation matrix as the (3, 3) array the visual kernel
-reads, formed once per point for both the residuals there and the
-retraction from there. Pose objects are built only for the result. The
-Problem linearizer folds each DR edge's fixed part delta^-1 from^-1 per
-evaluation; the motion-only linearizer, whose from pose is fixed, folds it
-once per solve, with its rotation, and forms neither Ad(delta^-1) nor a
-from-side Jacobian.
-
-Visual rows are whitened by one pixel std and carry a Huber kernel; DR edges
-carry a diagonal precision, alpha times the nominal one, and each residual
-entry and Jacobian row is whitened by the square root of its precision
-entry; they carry no kernel. The Problem linearizer evaluates every
-reprojection row in one kernel call, each row with its pose's rotation and
-translation gathered by the row's pose slot. Its rows are grouped by free
-pose once per solve, and each pose's block and gradient are one reduction
-over its rows, as the motion-only linearizer reduces its rows, so both sum a
-pose's rows in the same order. Landmark and coupling blocks are formed per
-row and each kind is added into the system with one np.bincount, which sums
-every entry's contributions in row order; the DR edges' pose blocks follow
-the visual ones, one product per edge. The BA linear solve eliminates
-landmarks by Schur complement; the pose-landmark coupling is kept as one
-dense block, O(F*L) memory for F free poses and L free landmarks, and the
-Schur complement is formed from it in chunks of landmarks, each a product
-over the poses that observe it, with the chunk index built once per system.
-Products whose size grows with the problem are einsum, not BLAS, so that the
-step does not depend on the thread setting.
+Both linearizers hold their DR edges in one _DREdges, which runs the factors
+kernels per edge on Python floats. Visual rows, whitened by one pixel std and
+carrying a Huber kernel, stay batched, as do the normal equations and the
+Schur solve. Each free pose's visual block and gradient are one reduction
+over its rows; landmark and coupling blocks are formed per row; each kind is
+added into the system with one np.bincount, which sums every entry's
+contributions in order: the visual blocks, then every free from side of the
+DR edges in edge order, then every free to side, then the blocks coupling an
+edge's two sides. The BA solve eliminates landmarks by Schur complement over
+a dense pose-landmark coupling, O(F*L) memory for F free poses and L free
+landmarks, in chunks of landmarks indexed once per system. Products whose
+size grows with the problem are einsum, not BLAS, so that the step does not
+depend on the thread setting.
 """
 
 from __future__ import annotations
@@ -63,9 +38,8 @@ from .errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from .factors import (
     HUBER_PIXEL_SCALE,
     dr_fold,
-    dr_from_jacobian,
+    dr_jacobians,
     dr_residual,
-    dr_to_jacobian,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
@@ -315,6 +289,107 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     return np.concatenate([dp, dl.reshape(-1)])
 
 
+# The Jacobian (36 floats) of each side of an edge whose angle is near pi.
+_ZERO_JACOBIAN = (0.0,) * 36
+
+
+class _DREdges:
+    """A solve's DR edges, for either linearizer: edges between slots
+    from_slots and to_slots, with each slot's free index (-1: fixed) and the
+    poses' quaternions and translations as floats by slot, read at fixed from
+    slots; increments q (E, 4) and t (E, 3), and precisions (E, 6).
+
+    An edge's residual is log(left to). Its fixed part left = delta^-1
+    from^-1 is folded once per solve, with its rotation, where the from pose
+    is fixed, and once per evaluation where it is free. Residual entries and
+    Jacobian rows are whitened by the square roots of the precision entries;
+    edges carry no kernel. The free sides are every free from side in edge
+    order, then every free to side; one dr_jacobians call per edge forms
+    its free sides. An edge whose angle is near pi stays in the cost, and
+    its sides take a zero Jacobian, which adds exact zeros to the system,
+    until the next linearization tests its angle again. Raises
+    NotPositiveDefinite when a precision entry is not finite and positive.
+    """
+
+    def __init__(self, from_slots, to_slots, free_index, qs, ts, q, t, precisions):
+        precisions = np.reshape(precisions, (-1, 6)).tolist()
+        if not all(0.0 < x < math.inf for row in precisions for x in row):
+            raise NotPositiveDefinite("DR precision entries must be finite and positive")
+        # per edge: the from slot (-1: fixed), the fixed part (left, or
+        # delta^-1 where the from pose is free, with its rotation), the to
+        # slot and the square roots; per edge with a free side: the edge,
+        # Ad(delta^-1) (None: fixed) and each side's position (-1: fixed)
+        self.edges, self.terms, from_sides, to_sides = [], [], [], []
+        n_from = sum(free_index[a] >= 0 for a in from_slots)
+        for e, (a, b, edge_q, edge_t, row) in enumerate(zip(from_slots, to_slots, q.tolist(),
+                                                            t.tolist(), precisions)):
+            delta_inv, sqrt_p = se3_inverse(edge_q, edge_t), [math.sqrt(x) for x in row]
+            adjoint, f, to = None, -1, -1
+            if free_index[a] < 0:
+                left_q, left_t = dr_fold(qs[a], ts[a], *delta_inv)
+                self.edges.append((-1, (left_q, left_t, quat_to_rotation(left_q)), b, sqrt_p))
+            else:
+                self.edges.append((a, delta_inv, b, sqrt_p))
+                adjoint, f = se3_adjoint(*delta_inv[:2]), len(from_sides)
+                from_sides.append((e, free_index[a]))
+            if free_index[b] >= 0:
+                to = n_from + len(to_sides)
+                to_sides.append((e, free_index[b]))
+            if f >= 0 or to >= 0:
+                self.terms.append((e, adjoint, f, to))
+        # each free side's edge, free pose index and square roots (n, 6, 1)
+        self.side_edges = [e for e, _ in from_sides + to_sides]
+        self.side_index = [i for _, i in from_sides + to_sides]
+        self.side_sqrt_p = np.array([self.edges[e][3] for e in self.side_edges]).reshape(-1, 6, 1)
+        self.cross_from = [f for _, _, f, to in self.terms if f >= 0 and to >= 0]
+        self.cross_to = [to for _, _, f, to in self.terms if f >= 0 and to >= 0]
+
+    def residuals(self, qs, ts, cost: float):
+        """The cost with each edge's added, one at a time, and per edge its
+        dr_residual output, whitened residual and cost, at the poses given as
+        floats by slot."""
+        dr = []
+        for a, fixed_part, b, sqrt_p in self.edges:
+            if a < 0:
+                left_q, left_t, rotation = fixed_part
+            else:
+                (left_q, left_t), rotation = dr_fold(qs[a], ts[a], *fixed_part), None
+            log = dr_residual(left_q, left_t, qs[b], ts[b], rotation)
+            rw = [x * s for x, s in zip(log[0], sqrt_p)]
+            edge_cost = 0.5 * (rw[0] * rw[0] + rw[1] * rw[1] + rw[2] * rw[2] + rw[3] * rw[3]
+                               + rw[4] * rw[4] + rw[5] * rw[5])
+            cost += edge_cost
+            dr.append((log, rw, edge_cost))
+        return cost, dr
+
+    def whitened_jacobians(self, dr):
+        """The free sides' whitened Jacobians (n, 6, 6) and residuals (n, 6)
+        at the residuals dr; there must be a free side."""
+        jacobians = [_ZERO_JACOBIAN] * len(self.side_edges)
+        for e, adjoint, f, to in self.terms:
+            log = dr[e][0]
+            if not log[1]:
+                j_from, j_to = dr_jacobians(log, adjoint, to >= 0)
+                if f >= 0:
+                    jacobians[f] = j_from
+                if to >= 0:
+                    jacobians[to] = j_to
+        return (np.array(jacobians).reshape(-1, 6, 6) * self.side_sqrt_p,
+                np.array([dr[e][1] for e in self.side_edges]))
+
+    def normal_blocks(self, dr):
+        """The free sides' blocks J^T J (n, 6, 6) and gradients J^T r (n, 6),
+        one product per side, so that an edge's blocks do not depend on the
+        others, and the blocks J_from^T J_to of the edges with both sides
+        free, or None; there must be a free side."""
+        jw, rw = self.whitened_jacobians(dr)
+        jwt = jw.transpose(0, 2, 1)
+        cross = None
+        if self.cross_from:
+            cross = jw[self.cross_from].transpose(0, 2, 1) @ jw[self.cross_to]
+        return jwt @ jw, (jwt @ rw[:, :, None])[:, :, 0], cross
+
+
 class _Linearizer:
     """Caches the factor structure of a Problem for repeated evaluation.
 
@@ -360,24 +435,16 @@ class _Linearizer:
         self.pair_pose, self.pair_lm = divmod(pairs, self.n_lm_free)
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
-        # DR edges: pose slots, inverted increments with their rotations,
-        # Ad(delta^-1), square roots of the precisions (E, 6), and the
-        # free-pose index of each side (-1: fixed); each edge as its slots,
-        # increment and square roots, for the loop over edges.
         edges = problem.dr_factors
-        self.dr_from = np.searchsorted(self.pose_ids, edges["from"])
-        self.dr_to = np.searchsorted(self.pose_ids, edges["to"])
-        delta_inv, self.dr_sqrt_p = _dr_edges(edges["q"], edges["t"], edges["precision"])
-        self.dr_delta_inv_adjoint = [se3_adjoint(q, t) for q, t, _ in delta_inv]
-        self.dr_edges = list(zip(self.dr_from.tolist(), self.dr_to.tolist(), delta_inv,
-                                 self.dr_sqrt_p.tolist()))
-        self.dr_from_free = self.free_index[self.dr_from]
-        self.dr_to_free = self.free_index[self.dr_to]
+        self.dr = _DREdges(np.searchsorted(self.pose_ids, edges["from"]).tolist(),
+                           np.searchsorted(self.pose_ids, edges["to"]).tolist(),
+                           self.free_index.tolist(), poses["q"].tolist(), poses["t"].tolist(),
+                           edges["q"], edges["t"], edges["precision"])
 
         # contiguous copies of the variables' columns
         self.point = (poses["q"].copy(), poses["t"].copy(), landmarks["position"].copy())
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
-                         reprojection_rows=len(self.uv), dr_edges=len(self.dr_from))
+                         reprojection_rows=len(self.uv), dr_edges=len(self.dr.edges))
 
     def retract(self, point, step):
         q, t, lm_pos = point
@@ -400,21 +467,17 @@ class _Linearizer:
         cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
                                          self.uv, self.inv_std, self.huber_k)
         dr = None
-        if self.dr_edges:
-            ts = t.tolist()
-            dr = [_dr_whitened_residual(*dr_fold(qs[a], ts[a], *delta_inv), qs[b], ts[b], sqrt_p)
-                  for a, b, delta_inv, sqrt_p in self.dr_edges]
-            for _, _, edge_cost in dr:
-                cost += edge_cost
+        if self.dr.edges:
+            cost, dr = self.dr.residuals(qs, t.tolist(), cost)
         return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
         """Normal equations at the point, from the residuals computed there.
 
         Each free pose's block and gradient are one reduction over its active
-        rows in row order, the DR edges' pose blocks added after them. Landmark
-        blocks, their gradients and the coupling are formed per row. _scatter
-        adds every block into its system block in order, as np.add.at would.
+        rows in row order; landmark blocks, their gradients and the coupling
+        are formed per row. _scatter adds the blocks into the system in the
+        order the module states, as np.add.at would.
         """
         visual, rotations, dr = cache
         n, n_l = self.n_pose_free, self.n_lm_free
@@ -432,8 +495,19 @@ class _Linearizer:
         block_rows, block_cols, grad_rows = [poses], [poses], [poses]
         blocks = [np.reshape([h for h, _ in reduced], (n, 6, 6))]
         grads = [np.reshape([g for _, g in reduced], (n, 6))]
-        if dr is not None:
-            self._add_dr_blocks(dr, block_rows, block_cols, blocks, grad_rows, grads)
+        if self.dr.side_edges:
+            dr_blocks, dr_grads, cross = self.dr.normal_blocks(dr)
+            index = np.array(self.dr.side_index)
+            block_rows.append(index)
+            block_cols.append(index)
+            blocks.append(dr_blocks)
+            grad_rows.append(index)
+            grads.append(dr_grads)
+            if cross is not None:
+                a, b = index[self.dr.cross_from], index[self.dr.cross_to]
+                blocks += [cross, cross.transpose(0, 2, 1)]
+                block_rows += [a, b]
+                block_cols += [b, a]
         # entry (i, j) of block (p, q) of Hpp (6n, 6n) is (6p + i) 6n + 6q + j
         Hpp = _scatter(36 * n * np.concatenate(block_rows) + 6 * np.concatenate(block_cols),
                        np.concatenate(blocks), 6 * n * np.arange(6)[:, None] + np.arange(6),
@@ -454,38 +528,6 @@ class _Linearizer:
         Hpl[self.pair_pose, :, self.pair_lm] = coupling.reshape(n_pairs, 6, 3)
         return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3), Hpl)
 
-    def _add_dr_blocks(self, dr, block_rows, block_cols, blocks, grad_rows, grads) -> None:
-        """Appends every DR edge's pose blocks, with their free-pose rows and
-        columns, and its gradients, with their free-pose rows: the diagonal
-        blocks J^T J and gradients of both sides, then the blocks coupling
-        the two poses of every edge with both sides free."""
-        # near-pi edges stay in the cost but are inactive for Jacobians; the
-        # angle is tested again at the next linearization
-        near_pi = np.array([log[1] for log, _, _ in dr])
-        f_sel = ~near_pi & (self.dr_from_free >= 0)
-        t_sel = ~near_pi & (self.dr_to_free >= 0)
-        jw_from = _whitened([dr_from_jacobian(dr[e][0], self.dr_delta_inv_adjoint[e])
-                             for e in np.flatnonzero(f_sel).tolist()], self.dr_sqrt_p[f_sel])
-        jw_to = _whitened([dr_to_jacobian(dr[e][0]) for e in np.flatnonzero(t_sel).tolist()],
-                          self.dr_sqrt_p[t_sel])
-        rw = np.array([edge_rw for _, edge_rw, _ in dr])
-        jw = np.concatenate([jw_from, jw_to])
-        idx = np.concatenate([self.dr_from_free[f_sel], self.dr_to_free[t_sel]])
-        block, grad = _dr_normal_blocks(jw, np.concatenate([rw[f_sel], rw[t_sel]]))
-        blocks.append(block)
-        block_rows.append(idx)
-        block_cols.append(idx)
-        both = f_sel & t_sel
-        if both.any():
-            jf, jt = jw_from[both[f_sel]], jw_to[both[t_sel]]
-            a, b = self.dr_from_free[both], self.dr_to_free[both]
-            cross = jf.transpose(0, 2, 1) @ jt
-            blocks += [cross, cross.transpose(0, 2, 1)]
-            block_rows += [a, b]
-            block_cols += [b, a]
-        grad_rows.append(idx)
-        grads.append(grad)
-
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)
 
@@ -499,29 +541,23 @@ class _PoseLinearizer:
 
     A point is the pose as floats (quaternion, translation) with its
     rotation matrix as the (3, 3) array the visual kernel reads, formed once
-    per point by retract and used by both the residuals there and the next
-    retraction; its system is the 6x6 pair (H, b). Rows are the matched
-    points (N, 3) and pixels (N, 2) in match order, with one inverse pixel
-    std and one Huber threshold for every row. The DR edge is held as
-    floats, its fixed part folded once per solve, with its rotation and that
-    of delta^-1, each formed once; its from side is fixed, so only its to
-    side's Jacobian is formed, as a _Linearizer selects the sides of such an
-    edge whose angle is not near pi. The arithmetic and its order are those
-    of _Linearizer on the equivalent one-free-pose Problem: one reduction
-    over the active rows in row order, then the DR edge's block added to it.
+    per point by retract; its system is the 6x6 pair (H, b). Rows are the
+    matched points (N, 3) and pixels (N, 2) in match order, with one inverse
+    pixel std and one Huber threshold. The arithmetic and its order are those
+    of _Linearizer on the equivalent one-free-pose Problem.
     """
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
         self.k = camera
         self.points, self.uv = points, uv
         self.inv_std, self.huber_k = inv_std, huber_threshold
-        self.dr_sqrt_p = None
+        self.dr = None
         if dr is not None:
+            # slot 0 is the free pose, slot 1 the fixed previous pose
             previous, delta, precision = dr
-            (delta_inv,), self.dr_sqrt_p = _dr_edges(delta.q[None], delta.t[None],
-                                                     np.reshape(precision, (1, 6)))
-            self.left_q, self.left_t = dr_fold(previous.q.tolist(), previous.t.tolist(), *delta_inv)
-            self.left_rotation = quat_to_rotation(self.left_q)
+            self.dr = _DREdges([1], [0], [0, -1], [None, previous.q.tolist()],
+                               [None, previous.t.tolist()], delta.q[None], delta.t[None],
+                               precision)
         self.size = dict(free_poses=1, free_landmarks=0, reprojection_rows=len(points),
                          dr_edges=int(dr is not None))
 
@@ -538,10 +574,8 @@ class _PoseLinearizer:
         if len(self.points):
             cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
                                              self.inv_std, self.huber_k)
-        if self.dr_sqrt_p is not None:
-            dr = _dr_whitened_residual(self.left_q, self.left_t, q, t, self.dr_sqrt_p[0].tolist(),
-                                       self.left_rotation)
-            cost += dr[-1]
+        if self.dr is not None:
+            cost, dr = self.dr.residuals((q,), (t,), cost)
         return cost, (visual, dr)
 
     def linearize(self, point, cache):
@@ -554,14 +588,10 @@ class _PoseLinearizer:
             hpp, gp = _pose_reduction(jp, rw)
             H += hpp
             b -= gp
-        if dr is not None:
-            log, rw, _ = dr
-            if log[1]:     # near pi: inactive, as in _Linearizer
-                return H, b
-            block, grad = _dr_normal_blocks(_whitened([dr_to_jacobian(log)], self.dr_sqrt_p),
-                                            np.array([rw]))
-            H += block[0]
-            b -= grad[0]
+        if dr is not None:     # the pose is the edge's free to side
+            blocks, grads, _ = self.dr.normal_blocks(dr)
+            H += blocks[0]
+            b -= grads[0]
         return H, b
 
     def step(self, system, damping: float) -> np.ndarray:
@@ -583,16 +613,6 @@ def _free_index(fixed: np.ndarray):
     number of free variables."""
     free = ~fixed
     return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
-
-
-def _dr_edges(q, t, precisions):
-    """Of DR edges with increments (q (E, 4), t (E, 3)): each edge's inverted
-    increment as floats (quaternion, translation, rotation matrix), and the
-    square roots of the precisions (E, 6). Raises NotPositiveDefinite when a
-    precision entry is not finite and positive."""
-    if not np.all(np.isfinite(precisions) & (precisions > 0)):
-        raise NotPositiveDefinite("DR precision entries must be finite and positive")
-    return [se3_inverse(*edge) for edge in zip(q.tolist(), t.tolist())], np.sqrt(precisions)
 
 
 def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
@@ -636,30 +656,6 @@ def _scatter(targets, blocks, offsets, size: int) -> np.ndarray:
         return np.zeros(size)      # np.bincount of nothing is int64
     index = (targets[:, None] + offsets.reshape(-1)).reshape(-1)
     return np.bincount(index, weights=blocks.reshape(-1), minlength=size)
-
-
-def _dr_whitened_residual(left_q, left_t, to_q, to_t, sqrt_p, left_rotation=None):
-    """A DR edge's dr_residual output (residual, near-pi flag, angle terms),
-    whitened residual and cost, as floats; each residual entry is scaled by
-    the square root (6 floats) of its precision entry."""
-    log = dr_residual(left_q, left_t, to_q, to_t, left_rotation)
-    rw = [x * s for x, s in zip(log[0], sqrt_p)]
-    return log, rw, 0.5 * (rw[0] * rw[0] + rw[1] * rw[1] + rw[2] * rw[2] + rw[3] * rw[3]
-                           + rw[4] * rw[4] + rw[5] * rw[5])
-
-
-def _whitened(jacobians, sqrt_p) -> np.ndarray:
-    """DR Jacobians (n lists of 36 floats) stacked (n, 6, 6), each row scaled
-    by the square root of its precision entry, sqrt_p (n, 6)."""
-    return np.array(jacobians).reshape(-1, 6, 6) * sqrt_p[:, :, None]
-
-
-def _dr_normal_blocks(jw, rw):
-    """J^T J (n, 6, 6) and J^T r (n, 6) of whitened DR Jacobians (n, 6, 6)
-    and residuals (n, 6), one product per edge, so that an edge's blocks do
-    not depend on the others."""
-    jwt = jw.transpose(0, 2, 1)
-    return jwt @ jw, (jwt @ rw[:, :, None])[:, :, 0]
 
 
 def _levenberg_marquardt(lin, point, config: SolverConfig):

@@ -278,6 +278,9 @@ class RunResult:
     motion_failed: int       # frames left at the prediction (NoConstraints, Diverged, SingularSystem)
     lba_failed: int          # local BA windows left unrefined (Diverged, SingularSystem)
     gba_failed: int          # global BAs that failed and had their loop edge rolled back
+    motion_capped: int       # solves of each level that ended on their iteration cap
+    lba_capped: int
+    gba_capped: int
 
     def frame_trajectory(self):
         return [(f.timestamp, f.pose) for f in self.frames]
@@ -319,6 +322,7 @@ class Pipeline:
         self.motion_failed = 0
         self.lba_failed = 0
         self.gba_failed = 0
+        self.motion_capped = self.lba_capped = self.gba_capped = 0
         self._next_kf_id = 0
 
     # ----- tracking -------------------------------------------------------
@@ -386,6 +390,7 @@ class Pipeline:
         try:
             pose, report = self._solve_motion(predicted, matches, dr, alpha)
             iterations = report.iterations
+            self.motion_capped += _capped(report)
         except (NoConstraints, Diverged, SingularSystem):
             pose = predicted
             tracked_ok = False
@@ -536,7 +541,7 @@ class Pipeline:
             return
         problem = self._ba_problem(kf_ids, fixed, points, True, edges)
         try:
-            solve_local_ba(problem, p.ba_solver)
+            self.lba_capped += _capped(solve_local_ba(problem, p.ba_solver))
         except (Diverged, SingularSystem):
             self.lba_failed += 1
             return
@@ -628,7 +633,7 @@ class Pipeline:
                                    _seen_twice(self.slam_map.observations["landmark"]), False,
                                    edges + self.slam_map.loop_edges)
         try:
-            solve_global_ba(problem, self.params.gba_solver)
+            self.gba_capped += _capped(solve_global_ba(problem, self.params.gba_solver))
         except (Diverged, SingularSystem):
             self.gba_failed += 1
             return False
@@ -649,7 +654,14 @@ class Pipeline:
         return RunResult(mode=self.mode, frames=self.frames, slam_map=self.slam_map,
                          track_lost_frame=self.track_lost_frame,
                          gba_events=self.gba_events, motion_failed=self.motion_failed,
-                         lba_failed=self.lba_failed, gba_failed=self.gba_failed)
+                         lba_failed=self.lba_failed, gba_failed=self.gba_failed,
+                         motion_capped=self.motion_capped, lba_capped=self.lba_capped,
+                         gba_capped=self.gba_capped)
+
+
+def _capped(report) -> bool:
+    """Whether a solve ended on its iteration cap."""
+    return report.termination == "max_iterations"
 
 
 def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:

@@ -86,8 +86,8 @@ def scale_information(alpha: float, nominal: NominalDrInformation) -> np.ndarray
     """DR precision (6,) of an edge at weight alpha: alpha times the nominal
     precision. The one scaling rule of tracking, local BA, global BA and the
     loop edge; the solver whitens each DR residual entry by its square root."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     return alpha * nominal.precision()
 
 

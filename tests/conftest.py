@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from drslam.errors import SingularSystem
-from drslam.factors import dr_fold, dr_from_jacobian, dr_residual, dr_to_jacobian
-from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, project,
-                             se3_adjoint, se3_inverse, transform_point)
+from drslam import factors, optimizer
+from drslam.factors import dr_fold, dr_jacobians, dr_residual
+from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, matrix_product,
+                             project, se3_adjoint, se3_inverse, transform_point)
 from drslam.optimizer import NormalEquations, Problem, _Linearizer
 from drslam.pipeline import PipelineParams
 from drslam.weighting import NominalDrInformation
@@ -84,8 +85,27 @@ def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
     log = edge_log(pose_from, pose_to, delta)
     assert not log[1]
     delta_inv = se3_inverse(delta.q.tolist(), delta.t.tolist())
-    j_from = dr_from_jacobian(log, se3_adjoint(*delta_inv[:2]))
-    return np.reshape(j_from, (6, 6)), np.reshape(dr_to_jacobian(log), (6, 6))
+    j_from, j_to = dr_jacobians(log, se3_adjoint(*delta_inv[:2]), True)
+    return np.reshape(j_from, (6, 6)), np.reshape(j_to, (6, 6))
+
+
+def dr_edge(pose_from: Pose, pose_to: Pose, delta: Pose, precision):
+    """One DR edge between two free poses, slots 0 and 1, as the solver
+    holds it, evaluated at the poses: the edge holder and its residuals
+    (one (dr_residual output, whitened residual, cost))."""
+    qs, ts = [pose_from.q.tolist(), pose_to.q.tolist()], [pose_from.t.tolist(), pose_to.t.tolist()]
+    edges = optimizer._DREdges([0], [1], [0, 1], qs, ts, delta.q[None], delta.t[None], precision)
+    return edges, edges.residuals(qs, ts, 0.0)[1]
+
+
+def to_jacobian_at_minus_r(log) -> tuple:
+    """Jr^-1(r) of a residual r formed as Jl^-1(-r) = [[J, -J Q J], [0, J]],
+    J and Q taken at -r: the oracle of dr_jacobians' to side, which forms
+    it from J and Q at r (36 floats, row-major 6x6)."""
+    r, _, theta, c = log
+    j, coupling = factors._left_jacobian_blocks([-x for x in r], theta, c)
+    return factors._six_by_six(j, tuple(-x for x in matrix_product(j, matrix_product(coupling, j))),
+                               j)
 
 
 def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,

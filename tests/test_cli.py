@@ -223,13 +223,15 @@ def test_run_counts_failed_local_ba(tmp_path, monkeypatch):
     seq_dir = str(tmp_path / "seq")
     main(["simulate", "--config", cfg, "--out", seq_dir])
     solve_local_ba = drslam.pipeline.solve_local_ba
-    calls = []
+    calls, capped = [], []
 
     def first_call_diverges(problem, config=None):
         calls.append(len(problem.poses))
         if len(calls) == 1:
             raise Diverged("forced failure")
-        return solve_local_ba(problem, config)
+        report = solve_local_ba(problem, config)
+        capped.append(report.termination == "max_iterations")
+        return report
 
     monkeypatch.setattr("drslam.pipeline.solve_local_ba", first_call_diverges)
     out = str(tmp_path / "run")
@@ -239,6 +241,9 @@ def test_run_counts_failed_local_ba(tmp_path, monkeypatch):
     assert metrics["motion_failed"] == "0"
     assert metrics["lba_failed"] == "1"
     assert metrics["gba_failed"] == "0"
+    # a failed solve is not a capped one
+    assert metrics["lba_capped"] == str(sum(capped))
+    assert metrics["gba_capped"] == "0"
 
 
 def test_run_counts_motion_only_fallbacks(tmp_path, monkeypatch):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import CAMERA, edge_residuals, edge_jacobians, edge_residual, random_pose
+from conftest import (CAMERA, dr_edge, edge_jacobians, edge_residual, edge_residuals,
+                      random_pose, to_jacobian_at_minus_r)
 from drslam import optimizer
 from drslam.factors import (
-    dr_fold,
-    dr_from_jacobian,
-    dr_to_jacobian,
+    dr_jacobians,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
@@ -182,20 +181,22 @@ def disjoint_edges_problem(edges, fixed, precisions):
 
 
 def test_dr_jacobians_skip_fixed_sides(rng, monkeypatch):
-    # the linearizer forms the Jacobian of a free side only, and the system
-    # holds J^T J and J^T r of the free sides, as a direct product of the
-    # edge's Jacobians gives them
+    # the linearizer makes one dr_jacobians call per edge with a free side,
+    # which forms the Jacobian of each free side only, and the system holds
+    # J^T J and J^T r of the free sides, as a direct product of the edge's
+    # Jacobians gives them
     edges = [(random_pose(rng), random_pose(rng), random_pose(rng)) for _ in range(4)]
     fixed = [(True, False), (False, True), (False, False), (True, True)]
-    calls = []
-    for name in ("dr_from_jacobian", "dr_to_jacobian"):
-        def counted(*args, kernel=getattr(optimizer, name), name=name):
-            calls.append(name)
-            return kernel(*args)
-        monkeypatch.setattr(optimizer, name, counted)
+    formed = []
+
+    def counted(*args):
+        sides = dr_jacobians(*args)
+        formed.append(tuple(j is not None for j in sides))
+        return sides
+    monkeypatch.setattr(optimizer, "dr_jacobians", counted)
     lin = _Linearizer(disjoint_edges_problem(edges, fixed, [np.ones(6)] * 4))
     neq = lin.linearize(lin.point, lin.residuals(lin.point)[1])
-    assert sorted(calls) == ["dr_from_jacobian"] * 2 + ["dr_to_jacobian"] * 2
+    assert formed == [(False, True), (True, False), (True, True)]
     assert neq.n_pose_free == 4
     column = 0
     for (pose_from, pose_to, delta), sides in zip(edges[:3], fixed):
@@ -317,10 +318,25 @@ def test_dr_jacobians_agree_across_the_series_cut(rng, axis):
             r[3 + axis] = angle
             c = v_inverse_coefficient(angle)
             log = (r, False, angle, c)
-            sides.append(np.array([dr_from_jacobian(log, adjoint), dr_to_jacobian(log)]))
+            sides.append(np.array(dr_jacobians(log, adjoint, True)))
         below, above = sides
         for j_below, j_above in zip(below, above):
             assert np.max(np.abs(j_above - j_below)) <= 1e-9 * np.max(np.abs(j_below))
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-6, SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE,
+                                   SMALL_ANGLE * (1.0 + 1e-9), 1e-2, 0.5, 2.0, 3.1])
+def test_dr_to_side_from_the_transposes_equals_the_jacobian_at_minus_r(rng, angle):
+    # the to side, formed from J and Q at r transposed, has the bits of
+    # Jl^-1(-r) formed at -r, below and above the series cut alike; a call
+    # without Ad(delta^-1) forms no from side
+    for _ in range(20):
+        axis = rng.normal(size=3)
+        r = [*rng.uniform(-2.0, 2.0, size=3), *(axis / np.linalg.norm(axis) * angle)]
+        log = (r, False, angle, v_inverse_coefficient(angle))
+        j_from, j_to = dr_jacobians(log, None, True)
+        assert j_from is None
+        assert np.array(j_to).tobytes() == np.array(to_jacobian_at_minus_r(log)).tobytes()
 
 
 def test_huber_weight():
@@ -342,17 +358,11 @@ def test_huber_cost_continuous_and_monotone():
 def _whiten_edge(rng, precision):
     """Raw and whitened residual and Jacobians of one random DR edge under the
     solver's whitening by the square root of each precision entry."""
-    a, b = random_pose(rng), random_pose(rng)
-    delta_inv = inverse(random_pose(rng, rot_scale=0.3))
-    sqrt_p = np.sqrt(np.asarray(precision, dtype=float))
-    left = dr_fold(a.q.tolist(), a.t.tolist(), delta_inv.q.tolist(), delta_inv.t.tolist())
-    log, rw, cost = optimizer._dr_whitened_residual(*left, b.q.tolist(), b.t.tolist(),
-                                                    sqrt_p.tolist())
-    j_from = dr_from_jacobian(log, se3_adjoint(delta_inv.q.tolist(), delta_inv.t.tolist()))
-    j_to = dr_to_jacobian(log)
-    jw_from, jw_to = optimizer._whitened([j_from, j_to], np.array([sqrt_p, sqrt_p]))
-    return ((np.array(log[0]), np.reshape(j_from, (6, 6)), np.reshape(j_to, (6, 6))),
-            (np.array(rw), jw_from, jw_to), cost)
+    a, b, delta = random_pose(rng), random_pose(rng), random_pose(rng, rot_scale=0.3)
+    edges, dr = dr_edge(a, b, delta, np.asarray(precision, dtype=float))
+    ((log, rw, cost),) = dr
+    (jw_from, jw_to), _ = edges.whitened_jacobians(dr)
+    return (np.array(log[0]), *edge_jacobians(a, b, delta)), (np.array(rw), jw_from, jw_to), cost
 
 
 def test_whiten_identity_information(rng):

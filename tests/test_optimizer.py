@@ -1,26 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system,
+from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system, dr_edge,
                       edge_jacobians, edge_residual, edge_residuals, landmark_position,
                       make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
                       set_problem_pose)
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
-    dr_fold,
-    dr_from_jacobian,
-    dr_to_jacobian,
     huber,
     reprojection_jacobians,
     reprojection_residuals,
 )
 from drslam.geometry import (Z_MIN, Pose, compose, exp_se3, inverse, log_se3, project,
-                             se3_adjoint, transform_point)
+                             transform_point)
 from drslam import geometry, optimizer
 from drslam.optimizer import (
     Problem,
@@ -850,22 +848,133 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
     # Mahalanobis norm
     for _ in range(50):
         p = 10.0 ** rng.uniform(-3, 7, size=6)
-        a, b = random_pose(rng), random_pose(rng)
-        delta_inv = inverse(random_pose(rng, rot_scale=0.3))
-        sqrt_p = np.sqrt(p)
-        left = dr_fold(a.q.tolist(), a.t.tolist(), delta_inv.q.tolist(), delta_inv.t.tolist())
-        log, rw, _ = optimizer._dr_whitened_residual(*left, b.q.tolist(), b.t.tolist(),
-                                                     sqrt_p.tolist())
-        j_from = dr_from_jacobian(log, se3_adjoint(delta_inv.q.tolist(), delta_inv.t.tolist()))
-        j_to = dr_to_jacobian(log)
+        a, b, delta = random_pose(rng), random_pose(rng), random_pose(rng, rot_scale=0.3)
+        edges, dr = dr_edge(a, b, delta, p)
+        ((log, rw, _),) = dr
+        whitened, _ = edges.whitened_jacobians(dr)
         u = np.linalg.cholesky(np.diag(p)).T
         r, rw = np.array(log[0]), np.array(rw)
         assert (u @ r).tobytes() == rw.tobytes()
-        for j in (j_from, j_to):
-            whitened = optimizer._whitened([j], sqrt_p[None])[0]
-            assert (u @ np.reshape(j, (6, 6))).tobytes() == whitened.tobytes()
+        for j, jw in zip(edge_jacobians(a, b, delta), whitened):
+            assert (u @ j).tobytes() == jw.tobytes()
         mahalanobis = r @ np.diag(p) @ r
         assert abs(rw @ rw - mahalanobis) <= 1e-12 * mahalanobis
+
+
+def test_dr_blocks_follow_the_visual_ones_from_sides_before_to_sides(rng):
+    # three free poses in a chain, each seeing the same fixed landmarks; the
+    # middle pose is the to side of edge 0 and the from side of edge 1. Hpp
+    # and bp are the visual system plus, in this order, every from side in
+    # edge order, every to side, and the cross blocks and their transposes:
+    # an oracle that adds them so gives the bytes, and one that adds the DR
+    # blocks before the visual ones, or the to sides first, does not
+    poses = [exp_se3(rng.normal(scale=0.05, size=6)) for _ in range(3)]
+    positions = np.column_stack([rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12),
+                                 rng.uniform(3, 5, 12)])
+    problem = Problem(intrinsics=CAMERA, pixel_std=0.5)
+    problem.add_poses([0, 1, 2], poses)
+    problem.add_landmarks(np.arange(12), positions, fixed=True)
+    for p, pose in enumerate(poses):
+        uv = [project(CAMERA, transform_point(inverse(pose), x)) + rng.normal(scale=1.5, size=2)
+              for x in positions]
+        problem.add_observations(p, np.arange(12), uv)
+    visual = build_normal_equations(problem)[0]
+    deltas = [compose(compose(inverse(poses[a]), poses[a + 1]),
+                      exp_se3(rng.normal(scale=0.01, size=6))) for a in range(2)]
+    precision = scale_information(2.0, NOMINAL)
+    problem.add_dr_edges([0, 1], [1, 2], deltas, precision)
+    neq = build_normal_equations(problem)[0]
+
+    # whitened Jacobians and residuals, from sides in edge order then to
+    # sides, and their products as the solver stacks them
+    sqrt_p = np.sqrt(precision)
+    jacobians = [edge_jacobians(poses[e], poses[e + 1], deltas[e]) for e in range(2)]
+    w = np.array([j[side] for side in range(2) for j in jacobians]) * sqrt_p[:, None]
+    rw = np.array([edge_residual(poses[e], poses[e + 1], deltas[e]) * sqrt_p
+                   for e in (0, 1, 0, 1)])
+    wt = w.transpose(0, 2, 1)
+    blocks, grads = wt @ w, (wt @ rw[:, :, None])[:, :, 0]
+    cross = w[:2].transpose(0, 2, 1) @ w[2:]
+    sides = [(0, blocks[0], grads[0]), (1, blocks[1], grads[1]),
+             (1, blocks[2], grads[2]), (2, blocks[3], grads[3])]
+
+    def summed(dr_first, to_first):
+        hpp, bp = np.zeros((18, 18)), np.zeros(18)
+        terms = [sides[2:] + sides[:2] if to_first else sides, "visual"]
+        for term in terms if dr_first else terms[::-1]:
+            if term == "visual":
+                hpp += visual.Hpp
+                bp += visual.bp
+                continue
+            for p, block, grad in term:
+                hpp[6 * p:6 * p + 6, 6 * p:6 * p + 6] += block
+                bp[6 * p:6 * p + 6] += -grad
+        for e in range(2):
+            hpp[6 * e:6 * e + 6, 6 * e + 6:6 * e + 12] += cross[e]
+        for e in range(2):
+            hpp[6 * e + 6:6 * e + 12, 6 * e:6 * e + 6] += cross[e].T
+        return hpp.tobytes(), bp.tobytes()
+    assert (neq.Hpp.tobytes(), neq.bp.tobytes()) == summed(False, False)
+    for other in (summed(True, False), summed(False, True)):
+        assert other[0] != neq.Hpp.tobytes() and other[1] != neq.bp.tobytes()
+
+
+@pytest.mark.parametrize("level", ["motion_only", "problem"])
+def test_dr_edge_near_pi_stays_in_the_cost_and_adds_nothing_to_the_system(rng, level):
+    # an edge whose error rotation is within 1e-6 of pi adds its cost, and
+    # its sides' zero Jacobians add exact zeros: the system has the bytes of
+    # the system without the edge
+    problem, _, prev, delta = make_motion_problem(rng, n_obs=30, pixel_noise=1.0, perturb_t=0.0,
+                                                  perturb_r_deg=0.0, with_dr=False)
+    visual = motion_only_args(problem)
+    turned = compose(delta, exp_se3(np.array([0.1, 0.0, 0.0, 0.0, 0.0, np.pi - 1e-8])))
+    assert edge_residuals([prev], [problem_pose(problem, 1)], [turned])[1][0]
+    problem.add_dr_edges(0, 1, [turned], NOMINAL.precision())
+    if level == "motion_only":
+        pose = visual["pose"]
+        point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
+        lins = [optimizer._PoseLinearizer(a["camera"], a["points"], a["uv"], 1.0 / a["pixel_std"],
+                                          a["huber_threshold"], a["dr"])
+                for a in (visual, motion_only_args(problem))]
+    else:
+        lins = [_Linearizer(replace(problem, dr_factors=problem.dr_factors[:0])),
+                _Linearizer(problem)]
+        point = lins[0].point
+    blocks, costs = [], []
+    for lin in lins:
+        cost, cache = lin.residuals(point)
+        system = lin.linearize(point, cache)
+        system = system if level == "motion_only" else (system.Hpp, system.bp)
+        blocks.append([block.tobytes() for block in system])
+        costs.append(cost)
+    assert blocks[0] == blocks[1]
+    assert costs[1] > costs[0] + 1e3
+
+
+@pytest.mark.parametrize("level", ["motion_only", "one_pose_problem", "chain"])
+def test_dr_edges_from_a_fixed_pose_are_folded_once_per_solve(rng, monkeypatch, level):
+    # an edge whose from pose is fixed folds its fixed part once per solve,
+    # in a Problem as in tracking; one whose from pose is free folds once
+    # per evaluation
+    folds = []
+    fold = optimizer.dr_fold
+
+    def counted(*args):
+        folds.append(args)
+        return fold(*args)
+    if level == "chain":
+        # pose 0 fixed: edge 0 is from a fixed pose, edges 1 and 2 are not
+        problem, _, _ = make_ba_problem(rng, n_poses=4, n_landmarks=20, pixel_noise=1.0,
+                                        pose_perturb=0.05, with_dr_chain=True)
+    else:
+        problem, _, _, _ = make_motion_problem(rng, n_obs=30, pixel_noise=1.0, perturb_t=0.3)
+    monkeypatch.setattr(optimizer, "dr_fold", counted)
+    if level == "motion_only":
+        _, report = solve_motion_only(**motion_only_args(problem))
+    else:
+        report = solve(problem)
+    assert report.evaluations > 2
+    assert len(folds) == (1 + 2 * report.evaluations if level == "chain" else 1)
 
 
 def _set_point(problem, point):

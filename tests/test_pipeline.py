@@ -662,6 +662,29 @@ def test_motion_only_fallbacks_are_counted(monkeypatch):
     assert all(f.solver_iterations == 0 for f in res.frames if not f.tracked_ok)
 
 
+def test_capped_solves_are_counted_per_level(monkeypatch):
+    # each level's capped count is the number of its solves whose report
+    # ends on max_iterations, as the solves returned them
+    endings = {"motion": [], "lba": [], "gba": []}
+
+    def recording(level, solver):
+        def solve(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            endings[level].append((out[1] if level == "motion" else out).termination)
+            return out
+        return solve
+    for level, name in (("motion", "solve_motion_only"), ("lba", "solve_local_ba"),
+                        ("gba", "solve_global_ba")):
+        monkeypatch.setattr(drslam.pipeline, name, recording(level, getattr(drslam.pipeline, name)))
+    config = parse_config(resolve_config_path("corridor_gap"))
+    res = run_pipeline(simulate_sequence(config.world_config()), config.pipeline_params(),
+                       "adaptive")
+    for level, terminations in endings.items():
+        assert getattr(res, f"{level}_capped") == terminations.count("max_iterations")
+    assert res.motion_capped > 0 and res.lba_capped > 0
+    assert 0 < res.lba_capped < len(endings["lba"])
+
+
 def test_map_round_trip_empty(tmp_path):
     m = SlamMap()
     path = tmp_path / "empty.gwmap"

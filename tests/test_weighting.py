@@ -104,6 +104,13 @@ def test_scale_information_positive_definite(rng):
         assert eig.min() > 0
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_scale_information_rejects_a_weight_not_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="finite and positive"):
+        scale_information(alpha, NominalDrInformation())
+
+
 def test_keyframe_quality():
     assert keyframe_quality(20, 20) == pytest.approx(1.0)
     assert keyframe_quality(40, 20) == pytest.approx(1.0)
