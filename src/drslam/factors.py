@@ -50,10 +50,25 @@ def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndar
     jpi[:, 1, 1] = k.fy / z
     jpi[:, 1, 2] = -k.fy * y[:, 1] / z ** 2
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
-    j_pose = np.concatenate([jpi, -(jpi @ hat(y))], axis=2)
+    j_pose = np.empty((n, 2, 6))
+    j_pose[:, :, :3] = jpi
+    np.negative(jpi @ hat(y), out=j_pose[:, :, 3:])
     if rotation is None:
         return j_pose, None
     return j_pose, -(jpi @ np.swapaxes(rotation, -1, -2))
+
+
+# Below this angle Q's coefficients take their series [rad]. Their closed
+# forms cancel: c2 and c3 lose about 1e2 eps / t^4 of their value (1.5e-2 of
+# c3 at 1e-3 rad, 2e-14 at 1 rad), and c1 6 eps / t^2. Nine terms of each
+# series are exact to rounding up to 1 rad.
+COUPLING_SERIES_CUT = 1.0
+# Their series in t^2, highest power first: c1 = (t - sin t)/t^3 has terms
+# (-1)^k / (2k + 3)!, c2 = (1 - t^2/2 - cos t)/t^4 -(-1)^k / (2k + 4)! and
+# c3 = -(2t - 3 sin t + t cos t)/(2 t^5) -(-1)^k (k + 1) / (2k + 5)!.
+_COUPLING_TERMS = tuple(((-1) ** k / math.factorial(2 * k + 3),
+                         -(-1) ** k / math.factorial(2 * k + 4),
+                         -(-1) ** k * (k + 1) / math.factorial(2 * k + 5)) for k in range(8, -1, -1))
 
 
 def _coupling_closed_form(t: float):
@@ -66,7 +81,10 @@ def _coupling_closed_form(t: float):
 
 def _coupling_series(t: float):
     t2 = t * t
-    return 1.0 / 6.0 - t2 / 120.0, -1.0 / 24.0 + t2 / 720.0, -1.0 / 120.0 + t2 / 2520.0
+    c1 = c2 = c3 = 0.0
+    for a, b, c in _COUPLING_TERMS:
+        c1, c2, c3 = c1 * t2 + a, c2 * t2 + b, c3 * t2 + c
+    return c1, c2, c3
 
 
 def _left_jacobian_blocks(xi, theta: float, c: float):
@@ -82,7 +100,8 @@ def _left_jacobian_blocks(xi, theta: float, c: float):
     f = -2 d (c1 + c3 s), for Q's angle coefficients c1, c2 and c3.
     """
     r0, r1, r2, p0, p1, p2 = xi
-    c1, c2, c3 = angle_coefficients(theta, _coupling_closed_form, _coupling_series)
+    c1, c2, c3 = angle_coefficients(theta, _coupling_closed_form, _coupling_series,
+                                    COUPLING_SERIES_CUT)
     s0, s1, s2 = p0 * p0, p1 * p1, p2 * p2
     d, s = p0 * r0 + p1 * r1 + p2 * r2, s0 + s1 + s2
     a, b, e, f = 0.5 + c2 * s, -(c1 + 2.0 * c2) * d, 2.0 * c3 * d, -2.0 * d * (c1 + c3 * s)
@@ -167,6 +186,8 @@ def huber(norms: np.ndarray, threshold: np.ndarray | float):
     """Huber cost and IRLS weight per whitened residual norm: quadratic with
     weight 1 up to the threshold, linear with weight threshold/norm beyond."""
     inside = norms <= threshold
+    if np.all(inside):
+        return 0.5 * norms ** 2, np.ones_like(norms)
     cost = np.where(inside, 0.5 * norms ** 2, threshold * (norms - 0.5 * threshold))
     weight = np.where(inside, 1.0, threshold / np.maximum(norms, 1e-300))
     return cost, weight

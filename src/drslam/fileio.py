@@ -122,10 +122,19 @@ def read_tum(path):
 
 
 def write_csv(path, header, rows) -> None:
+    """Writes a header line and one line per row: a float value as fmt
+    writes it, any other value as str does. Each row is one %-format call,
+    its format chosen by the types of its values."""
+    formats = {}
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            line = formats.get(types)
+            if line is None:
+                line = formats[types] = ",".join(
+                    "%.17g" if issubclass(kind, float) else "%s" for kind in types) + "\n"
+            f.write(line % tuple(row))
 
 
 def read_csv(path, expected_header) -> np.ndarray:

@@ -165,11 +165,11 @@ def se3_adjoint(q, t):
                x * r3 - y * r0, x * r4 - y * r1, x * r5 - y * r2)
 
 
-def angle_coefficients(theta: float, closed_form, series):
-    """The coefficients of an angle theta: series(theta) below SMALL_ANGLE,
+def angle_coefficients(theta: float, closed_form, series, cut: float = SMALL_ANGLE):
+    """The coefficients of an angle theta: series(theta) below cut,
     closed_form(theta) from there on. A non-finite angle takes the closed
     form at NaN, so that its coefficients are NaN (math.cos raises on inf)."""
-    if theta < SMALL_ANGLE:
+    if theta < cut:
         return series(theta)
     return closed_form(theta if theta < math.inf else math.nan)
 
@@ -323,8 +323,8 @@ def project_points(k: CameraIntrinsics, rotation: np.ndarray, translation: np.nd
     translation (3,), or by one each, (N, 3, 3) and (N, 3). Points at or
     behind the near plane are projected at the clamped depth Z_MIN."""
     y = np.einsum("...i,...ij->...j", points - translation, rotation)
-    z = np.maximum(y[:, 2], Z_MIN)
-    return y, np.stack([k.fx * y[:, 0] / z + k.cx, k.fy * y[:, 1] / z + k.cy], axis=1)
+    z = np.maximum(y[:, 2:], Z_MIN)
+    return y, y[:, :2] * (k.fx, k.fy) / z + (k.cx, k.cy)
 
 
 def camera_to_world(rotation: np.ndarray, translation: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -20,9 +20,17 @@ contributions in order: the visual blocks, then every free from side of the
 DR edges in edge order, then every free to side, then the blocks coupling an
 edge's two sides. The BA solve eliminates landmarks by Schur complement over
 a dense pose-landmark coupling, O(F*L) memory for F free poses and L free
-landmarks, in chunks of landmarks indexed once per system. Products whose
-size grows with the problem are einsum, not BLAS, so that the step does not
-depend on the thread setting.
+landmarks, in chunks of landmarks. Products whose size grows with the
+problem are einsum, not BLAS, so that the step does not depend on the thread
+setting.
+
+What depends on the problem's structure alone is built once per solve: the
+DR edges' fixed parts and side layout, the bincount targets of every block
+and the Schur chunk index. Once per linearization the blocks are formed and
+summed on those targets (the targets of the rows and the chunk index are
+derived again, from the active rows, only when a row is behind the near
+plane). Once per damping tried, the landmark blocks are inverted in closed
+form and eliminated, and the reduced camera system is solved.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,32 +213,34 @@ class NormalEquations:
     dense coupling costs O(F*L) memory, most of it zeros on a long map, and
     needs no observer bookkeeping: the blocks of all reprojection rows are
     added into it at once by their pose and landmark indices, repeated
-    pose-landmark pairs included, and schur_solve reads its structure from
-    the nonzero blocks, once per system.
+    pose-landmark pairs included. schur_chunks is the Schur complement's
+    chunk index that schur_solve reads, the linearizer's (_schur_chunks):
+    indices only, shared by every damping tried on the system.
     """
 
-    def __init__(self, Hpp, bp, Hll, bl, Hpl):
+    def __init__(self, Hpp, bp, Hll, bl, Hpl, schur_chunks: list):
         self.n_pose_free, self.n_lm_free = len(bp) // 6, len(bl)
         self.Hpp, self.bp, self.Hll, self.bl, self.Hpl = Hpp, bp, Hll, bl, Hpl
+        self.schur_chunks = schur_chunks
 
-    @cached_property
-    def schur_chunks(self) -> list:
-        """The Schur complement's chunks of landmarks, in order of their first
-        observer, each as (landmarks, the rows of the free poses that observe
-        them, np.ix_ of those rows): indices only, shared by every damping
-        tried on this system."""
-        n, n_l = self.n_pose_free, self.n_lm_free
-        seen = (self.Hpl != 0).reshape(n, 6, 3 * n_l).any(axis=1)
-        seen = seen.reshape(n, n_l, 3).any(axis=2)
-        order = np.argsort(seen.argmax(axis=0), kind="stable")
-        chunks = []
-        for a in range(0, n_l, LANDMARK_CHUNK):
-            lms = order[a:a + LANDMARK_CHUNK]
-            poses = np.flatnonzero(seen[:, lms].any(axis=1))
-            if len(poses):
-                rows = (6 * poses[:, None] + np.arange(6)).ravel()
-                chunks.append((lms, rows, np.ix_(rows, rows)))
-        return chunks
+
+def _schur_chunks(seen: np.ndarray) -> list:
+    """The Schur complement's chunks of landmarks, in order of their first
+    observer, each as (landmarks, the rows of the free poses that observe
+    them, np.ix_ of those rows), of the (F, L) mask of the free poses that
+    observe each free landmark. A landmark no free pose observes is ordered
+    as if pose 0 did."""
+    if not seen.size:
+        return []
+    order = np.argsort(seen.argmax(axis=0), kind="stable")
+    chunks = []
+    for a in range(0, seen.shape[1], LANDMARK_CHUNK):
+        lms = order[a:a + LANDMARK_CHUNK]
+        poses = np.flatnonzero(seen[:, lms].any(axis=1))
+        if len(poses):
+            rows = (6 * poses[:, None] + np.arange(6)).ravel()
+            chunks.append((lms, rows, np.ix_(rows, rows)))
+    return chunks
 
 
 def min_pose_eigenvalue(neq: NormalEquations) -> float:
@@ -247,28 +258,26 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     """Landmark-eliminated step, identical to the solve of the full system.
 
     Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the dense
-    coupling and C the damped landmark block. Returns the concatenated
-    (pose, landmark) step vector. Raises SingularSystem when the reduced
-    camera system cannot be factorized.
+    coupling and C the damped landmark block, inverted in closed form
+    (_inverse_3x3). Returns the concatenated (pose, landmark) step vector.
+    Raises SingularSystem when a damped landmark block or the reduced camera
+    system cannot be inverted.
     """
     n_p, n_l = 6 * neq.n_pose_free, neq.n_lm_free
     s = neq.Hpp.copy()
     s.flat[::n_p + 1] += damping
     bs = neq.bp.copy()
     if n_l:
-        try:
-            cinv = np.linalg.inv(neq.Hll + damping * np.eye(3))
-        except np.linalg.LinAlgError as e:
-            raise SingularSystem("landmark block singular under damping") from e
+        cinv = _inverse_3x3(neq.Hll + damping * np.eye(3))
         w = neq.Hpl.reshape(n_p, n_l, 3)
     if n_p and n_l:
         # S -= W C^-1 W^T and bs -= W C^-1 bl over chunks of landmarks taken in
         # order of their first observer, each over the rows of the free poses
         # that observe the chunk: a landmark is seen from a few keyframes close
         # in time, so on a long map a chunk has few rows. The chunk index is
-        # built once per system and kept for every damping. einsum, not BLAS:
-        # a BLAS product rounds differently with one thread than with
-        # several, and the step must not depend on the thread setting.
+        # kept for every damping. einsum, not BLAS: a BLAS product rounds
+        # differently with one thread than with several, and the step must
+        # not depend on the thread setting.
         for lms, rows, block in neq.schur_chunks:
             w_c = w[rows].take(lms, axis=1)
             y_c = (w_c.transpose(1, 0, 2) @ cinv[lms]).transpose(1, 0, 2).reshape(len(rows), -1)
@@ -287,6 +296,35 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     rhs = neq.bl - np.einsum("p,plk->lk", dp, w)
     dl = np.einsum("ljk,lk->lj", cinv, rhs)
     return np.concatenate([dp, dl.reshape(-1)])
+
+
+def _inverse_3x3(blocks: np.ndarray) -> np.ndarray:
+    """The inverses (L, 3, 3) of symmetric 3x3 blocks (L, 3, 3), read from
+    their upper triangles, in closed form elementwise over the blocks:
+    A = M^-1 D M^-T with M^-1 unit lower triangular (LDL^T), so A^-1 =
+    M^T D^-1 M. Each entry is formed once and written at (i, j) and (j, i),
+    so the inverse is exactly symmetric. Like a Cholesky factorization its
+    error grows with the condition number, not with its square, as the
+    adjugate's does on a block with two small eigenvalues. Raises
+    SingularSystem when a pivot is not finite and positive, that is, when a
+    block is not positive definite."""
+    a00, a01, a02 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 0, 2]
+    a11, a12, a22 = blocks[:, 1, 1], blocks[:, 1, 2], blocks[:, 2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):    # a zero pivot raises below
+        l10, l20 = a01 / a00, a02 / a00
+        d1 = a11 - l10 * a01
+        u = a12 - l20 * a01
+        l21 = u / d1
+        pivots = np.stack([a00, d1, a22 - l20 * a02 - l21 * u])
+    if not np.all((pivots > 0.0) & (pivots < math.inf)):
+        raise SingularSystem("landmark block not positive definite under damping")
+    # M = [[1, 0, 0], [m10, 1, 0], [m20, m21, 1]], the inverse of the unit factor
+    m10, m21, m20 = -l10, -l21, l10 * l21 - l20
+    i0, i1, i2 = 1.0 / pivots
+    b01, b02, b12 = m10 * i1 + m20 * m21 * i2, m20 * i2, m21 * i2
+    return np.stack([i0 + m10 * m10 * i1 + m20 * m20 * i2, b01, b02,
+                     b01, i1 + m21 * m21 * i2, b12,
+                     b02, b12, i2], axis=1).reshape(-1, 3, 3)
 
 
 # The Jacobian (36 floats) of each side of an edge whose angle is near pi.
@@ -390,6 +428,20 @@ class _DREdges:
         return jwt @ jw, (jwt @ rw[:, :, None])[:, :, 0], cross
 
 
+class _RowPlan(NamedTuple):
+    """What a linearization reads of its active rows, rows given as positions
+    among the active ones; a selection of every row is slice(None), which
+    takes no copy."""
+    pose_rows: np.ndarray       # each free pose's rows, pose by pose, in row order
+    bounds: list                # (start, end) of each free pose's rows in pose_rows
+    on_lm: np.ndarray | slice   # the rows on a free landmark
+    hll_index: np.ndarray       # the flat targets of their Hll blocks
+    bl_index: np.ndarray        # and of their bl gradients
+    both: np.ndarray | slice    # the rows on a free pose and a free landmark
+    hpl_index: np.ndarray       # the flat targets of their Hpl blocks
+    chunks: list                # the Schur chunk index of the pairs they observe
+
+
 class _Linearizer:
     """Caches the factor structure of a Problem for repeated evaluation.
 
@@ -397,6 +449,14 @@ class _Linearizer:
     (P, 3), landmark positions (L, 3)) in slot and row order; point holds the
     problem's variables. Its system is a NormalEquations, solved by
     schur_solve. size is the problem size the solve reports.
+
+    The plan is built once per solve from the structure alone: the flat
+    np.bincount targets of every block's entries in Hpp, bp, Hll, bl and
+    Hpl, and the Schur chunk index. A linearization forms the blocks and
+    sums them on those targets; one with a row behind the near plane
+    derives the rows' part of the plan (row_plan) again from its active
+    rows. A damping trial inverts the landmark blocks and eliminates them
+    over the chunks.
     """
 
     def __init__(self, problem: Problem):
@@ -418,21 +478,9 @@ class _Linearizer:
         self.row_pose_free = self.free_index[self.row_slot]
         self.row_lm = np.searchsorted(self.lm_ids, rows["landmark"])
         self.row_lm_free = self.lm_free_index[self.row_lm]
-        # The rows of the free poses grouped by pose, each pose's in row order,
-        # and each group's start (F + 1,).
+        # The rows of the free poses grouped by pose, each pose's in row order.
         on_pose = np.flatnonzero(self.row_pose_free >= 0)
         self.pose_rows = on_pose[np.argsort(self.row_pose_free[on_pose], kind="stable")]
-        self.pose_rows_free = self.row_pose_free[self.pose_rows]
-        self.pose_starts = np.searchsorted(self.pose_rows_free, np.arange(self.n_pose_free + 1))
-        # The distinct (free pose, free landmark) pairs, as their free indices,
-        # and each row's pair (-1: pose or landmark fixed): the coupling's
-        # blocks are summed per pair and only those blocks are written.
-        key = np.where((self.row_pose_free >= 0) & (self.row_lm_free >= 0),
-                       self.row_pose_free * self.n_lm_free + self.row_lm_free, -1)
-        pairs, self.row_pair = np.unique(key, return_inverse=True)
-        if len(pairs) and pairs[0] < 0:
-            pairs, self.row_pair = pairs[1:], self.row_pair - 1
-        self.pair_pose, self.pair_lm = divmod(pairs, self.n_lm_free)
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         edges = problem.dr_factors
@@ -441,10 +489,45 @@ class _Linearizer:
                            self.free_index.tolist(), poses["q"].tolist(), poses["t"].tolist(),
                            edges["q"], edges["t"], edges["precision"])
 
+        # The plan. Hpp's blocks are every free pose's visual block, then the
+        # DR edges' free sides (from sides, then to sides), then the blocks
+        # coupling an edge's two sides and their transposes; bp's gradients
+        # are the visual ones, then the sides'. Entry (i, j) of block (p, q)
+        # of Hpp (6F, 6F) is (6p + i) 6F + 6q + j.
+        n = self.n_pose_free
+        index = np.array(self.dr.side_index, dtype=np.int64)
+        a, b = index[self.dr.cross_from], index[self.dr.cross_to]
+        block_rows = np.concatenate([np.arange(n), index, a, b])
+        block_cols = np.concatenate([np.arange(n), index, b, a])
+        self.hpp_index = _scatter_index(36 * n * block_rows + 6 * block_cols,
+                                        6 * n * np.arange(6)[:, None] + np.arange(6))
+        self.bp_index = _scatter_index(6 * np.concatenate([np.arange(n), index]), np.arange(6))
+        self.row_plan = self._row_plan(np.ones(len(self.uv), dtype=bool))
+
         # contiguous copies of the variables' columns
         self.point = (poses["q"].copy(), poses["t"].copy(), landmarks["position"].copy())
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
                          reprojection_rows=len(self.uv), dr_edges=len(self.dr.edges))
+
+    def _row_plan(self, active: np.ndarray) -> _RowPlan:
+        """The plan's part that depends on which rows are active, (N,) bool."""
+        n, n_l = self.n_pose_free, self.n_lm_free
+        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
+        rows = (np.cumsum(active) - 1)[self.pose_rows[active[self.pose_rows]]]
+        bounds = np.searchsorted(pose_free[rows], np.arange(n + 1)).tolist()
+        on_lm = lm_free >= 0
+        both = on_lm & (pose_free >= 0)
+        lms, p, l = lm_free[on_lm], pose_free[both], lm_free[both]
+        seen = np.zeros((n, n_l), dtype=bool)
+        seen[p, l] = True
+        # entry (i, k) of the block of pose p and landmark l in Hpl (F, 6, L, 3)
+        # is ((6p + i) L + l) 3 + k
+        return _RowPlan(rows, list(zip(bounds[:-1], bounds[1:])),
+                        _selection(on_lm), _scatter_index(9 * lms, np.arange(9)),
+                        _scatter_index(3 * lms, np.arange(3)), _selection(both),
+                        _scatter_index(18 * n_l * p + 3 * l,
+                                       3 * n_l * np.arange(6)[:, None] + np.arange(3)),
+                        _schur_chunks(seen))
 
     def retract(self, point, step):
         q, t, lm_pos = point
@@ -476,57 +559,36 @@ class _Linearizer:
 
         Each free pose's block and gradient are one reduction over its active
         rows in row order; landmark blocks, their gradients and the coupling
-        are formed per row. _scatter adds the blocks into the system in the
-        order the module states, as np.add.at would.
+        are formed per row. Each kind is summed on the plan's targets with one
+        np.bincount, in the order the module states, as np.add.at would.
         """
         visual, rotations, dr = cache
         n, n_l = self.n_pose_free, self.n_lm_free
         active, jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
-        rows, starts = self.pose_rows, self.pose_starts
-        if not active.all():
-            kept = active[rows]
-            rows = (np.cumsum(active) - 1)[rows[kept]]
-            starts = np.searchsorted(self.pose_rows_free[kept], np.arange(n + 1))
-        jp_rows, rw_rows = jp[rows], rw[rows]
-        reduced = [_pose_reduction(jp_rows[a:b], rw_rows[a:b])
-                   for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
-        # Hpp's blocks by (row, column) pose and bp's gradients by pose
-        poses = np.arange(n)
-        block_rows, block_cols, grad_rows = [poses], [poses], [poses]
+        plan = self.row_plan if active.all() else self._row_plan(active)
+        jp_rows, rw_rows = jp[plan.pose_rows], rw[plan.pose_rows]
+        reduced = [_pose_reduction(jp_rows[a:b], rw_rows[a:b]) for a, b in plan.bounds]
         blocks = [np.reshape([h for h, _ in reduced], (n, 6, 6))]
         grads = [np.reshape([g for _, g in reduced], (n, 6))]
         if self.dr.side_edges:
             dr_blocks, dr_grads, cross = self.dr.normal_blocks(dr)
-            index = np.array(self.dr.side_index)
-            block_rows.append(index)
-            block_cols.append(index)
             blocks.append(dr_blocks)
-            grad_rows.append(index)
             grads.append(dr_grads)
             if cross is not None:
-                a, b = index[self.dr.cross_from], index[self.dr.cross_to]
                 blocks += [cross, cross.transpose(0, 2, 1)]
-                block_rows += [a, b]
-                block_cols += [b, a]
-        # entry (i, j) of block (p, q) of Hpp (6n, 6n) is (6p + i) 6n + 6q + j
-        Hpp = _scatter(36 * n * np.concatenate(block_rows) + 6 * np.concatenate(block_cols),
-                       np.concatenate(blocks), 6 * n * np.arange(6)[:, None] + np.arange(6),
-                       36 * n * n).reshape(6 * n, 6 * n)
-        bp = _scatter(6 * np.concatenate(grad_rows), -np.concatenate(grads), np.arange(6), 6 * n)
+        Hpp = _scatter(self.hpp_index, np.concatenate(blocks), 36 * n * n).reshape(6 * n, 6 * n)
+        bp = _scatter(self.bp_index, -np.concatenate(grads), 6 * n)
 
-        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
-        on_lm = lm_free >= 0
-        j, r, lms = j_lm[on_lm], rw[on_lm], lm_free[on_lm]
-        Hll = _scatter(9 * lms, np.einsum("nij,nik->njk", j, j), np.arange(9), 9 * n_l)
-        bl = _scatter(3 * lms, -np.einsum("nij,ni->nj", j, r), np.arange(3), 3 * n_l)
-        pair = self.row_pair[active]
-        both = pair >= 0
-        n_pairs = len(self.pair_pose)
-        coupling = _scatter(18 * pair[both], jp[both].transpose(0, 2, 1) @ j_lm[both],
-                            np.arange(18), 18 * n_pairs)
-        Hpl = np.zeros((n, 6, n_l, 3))
-        Hpl[self.pair_pose, :, self.pair_lm] = coupling.reshape(n_pairs, 6, 3)
-        return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3), Hpl)
+        # J^T J and J^T r of each row's two pixel rows, as two broadcast products
+        j, r = j_lm[plan.on_lm], rw[plan.on_lm]
+        j0, j1 = j[:, 0], j[:, 1]
+        Hll = _scatter(plan.hll_index,
+                       j0[:, :, None] * j0[:, None] + j1[:, :, None] * j1[:, None], 9 * n_l)
+        bl = _scatter(plan.bl_index, -(j0 * r[:, :1] + j1 * r[:, 1:]), 3 * n_l)
+        Hpl = _scatter(plan.hpl_index, jp[plan.both].transpose(0, 2, 1) @ j_lm[plan.both],
+                       18 * n * n_l)
+        return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3),
+                               Hpl.reshape(n, 6, n_l, 3), plan.chunks)
 
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)
@@ -620,7 +682,8 @@ def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber
     whitened residuals and IRLS weights."""
     y, r = reprojection_residuals(k, rotation, translation, points, observed)
     rw = r * inv_std
-    rho, w = huber(np.linalg.norm(rw, axis=1), huber_k)
+    # the bytes of np.linalg.norm(rw, axis=1), in one pass
+    rho, w = huber(np.sqrt(np.einsum("ij,ij->i", rw, rw)), huber_k)
     return float(np.sum(rho)), (y, rw, w)
 
 
@@ -647,15 +710,25 @@ def _pose_reduction(jp, rw):
     return np.einsum("ij,ik->jk", j, j), np.einsum("ij,i->j", j, r)
 
 
-def _scatter(targets, blocks, offsets, size: int) -> np.ndarray:
-    """The flat array of size entries that np.add.at of blocks (N, ...) into
-    zeros gives, block k's entries at targets[k] + offsets (offsets in the
-    block's entry order): one np.bincount, which adds each entry's
-    contributions in input order, as np.add.at does."""
-    if not len(targets):
+def _scatter_index(targets, offsets) -> np.ndarray:
+    """The flat positions of the entries of blocks (N, ...) placed at
+    targets (N,) + offsets (offsets in the block's entry order)."""
+    return (targets[:, None] + offsets.reshape(-1)).reshape(-1)
+
+
+def _scatter(index, blocks, size: int) -> np.ndarray:
+    """The flat array of size entries that np.add.at of the entries of
+    blocks (N, ...) into zeros at the flat positions index gives: one
+    np.bincount, which adds each entry's contributions in input order, as
+    np.add.at does."""
+    if not len(index):
         return np.zeros(size)      # np.bincount of nothing is int64
-    index = (targets[:, None] + offsets.reshape(-1)).reshape(-1)
     return np.bincount(index, weights=blocks.reshape(-1), minlength=size)
+
+
+def _selection(mask: np.ndarray):
+    """The positions where mask holds, or slice(None) where it holds everywhere."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _levenberg_marquardt(lin, point, config: SolverConfig):

@@ -407,6 +407,16 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
     )
 
 
+def _odometry_increment(previous_q, previous_t, q, t) -> Pose:
+    """The DR increment previous^-1 odom between two odometry poses, given as
+    floats: compose(inverse(previous), odom), with the rotation the inverse
+    forms. Both the simulator and read_sequence derive a record's increment
+    here, so a sequence run in memory and read back from disk carry the same
+    bytes."""
+    q_inv, t_inv, rotation = se3_inverse(previous_q, previous_t)
+    return Pose(*se3_compose(q_inv, t_inv, q, t, rotation))
+
+
 def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CAMERA) -> Sequence:
     rng = np.random.default_rng(config.seed)
     trajectory = generate_trajectory(config)
@@ -415,7 +425,15 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
     prev = None
     for i, gt in enumerate(trajectory[0]):
         rec = simulate_frame(gt, prev, landmarks, config, rng, i, camera)
-        rec.odom_pose = gt if prev is None else compose(records[-1].odom_pose, rec.dr_delta)
+        if prev is None:
+            rec.odom_pose = gt
+        else:
+            # the drawn increment moves the odometry; the record carries the
+            # increment that read_sequence derives from the odometry poses
+            previous = records[-1].odom_pose
+            rec.odom_pose = compose(previous, rec.dr_delta)
+            rec.dr_delta = _odometry_increment(previous.q.tolist(), previous.t.tolist(),
+                                              rec.odom_pose.q.tolist(), rec.odom_pose.t.tolist())
         records.append(rec)
         prev = gt
     world = {int(j): landmarks[j] for j in range(len(landmarks))}
@@ -567,15 +585,12 @@ def read_sequence(path) -> Sequence:
     n_det = _detection_counts(stats, stats_path, np.diff(bounds))
     bounds = bounds.tolist()
 
-    # DR increments prev^-1 odom of every frame after the first, from the
-    # floats of one .tolist() of the odometry: compose(inverse(prev), odom),
-    # with the rotation the inverse forms
+    # DR increments of every frame after the first, from the floats of one
+    # .tolist() of the odometry
     odom_q = np.array([p.q for _, p in odom]).tolist()
     odom_t = np.array([p.t for _, p in odom]).tolist()
-    deltas = [None]
-    for q0, t0, q1, t1 in zip(odom_q, odom_t, odom_q[1:], odom_t[1:]):
-        q_inv, t_inv, rotation = se3_inverse(q0, t0)
-        deltas.append(Pose(*se3_compose(q_inv, t_inv, q1, t1, rotation)))
+    deltas = [None] + [_odometry_increment(q0, t0, q1, t1) for q0, t0, q1, t1 in
+                       zip(odom_q, odom_t, odom_q[1:], odom_t[1:])]
     records = []
     for i, ((ts, gt_pose), (_, odom_pose)) in enumerate(zip(gt, odom)):
         a, b = bounds[i], bounds[i + 1]

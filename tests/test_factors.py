@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (CAMERA, dr_edge, edge_jacobians, edge_residual, edge_residuals,
                       random_pose, to_jacobian_at_minus_r)
-from drslam import optimizer
+from drslam import factors, geometry, optimizer
 from drslam.factors import (
     dr_jacobians,
     huber,
@@ -20,6 +20,7 @@ from drslam.geometry import (
     Z_MIN,
     compose,
     exp_se3,
+    hat,
     inverse,
     project,
     se3_adjoint,
@@ -388,3 +389,67 @@ def test_whiten_preserves_mahalanobis_norm(rng):
         mahalanobis = r @ np.diag(p) @ r
         assert abs(rw @ rw - mahalanobis) <= 1e-12 * max(1.0, mahalanobis)
         assert cost == pytest.approx(0.5 * mahalanobis, rel=1e-12)
+
+
+def test_visual_row_kernels_give_the_bytes_of_their_textbook_formulas(rng):
+    # each kernel against the formula it replaces, on random rows with one
+    # point behind the near plane (its depth is clamped): np.stack of the
+    # pixel columns, np.linalg.norm, np.where over the Huber branches and
+    # np.concatenate of the Jacobian's halves
+    for n in (1, 5, 60, 1000):
+        points = rng.normal(size=(n, 3)) * 2.0 + [0.0, 0.0, 4.0]
+        points[0] = [0.2, -0.1, -1.0]
+        rotations = np.array([random_pose(rng, rot_scale=0.3).rotation_matrix for _ in range(n)])
+        translations = rng.normal(scale=0.3, size=(n, 3))
+        for rotation, translation in ((rotations[0], translations[0]), (rotations, translations)):
+            y, uv = geometry.project_points(K, rotation, translation, points)
+            z = np.maximum(y[:, 2], Z_MIN)
+            want = np.stack([K.fx * y[:, 0] / z + K.cx, K.fy * y[:, 1] / z + K.cy], axis=1)
+            assert uv.tobytes() == want.tobytes()
+        observed = uv + rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+        cost, (_, rw, weights) = optimizer._visual_residuals(K, rotations, translations, points,
+                                                             observed, 0.7, 2.0)
+        norms = np.linalg.norm(rw, axis=1)
+        inside = norms <= 2.0
+        assert weights.tobytes() == np.where(inside, 1.0, 2.0 / norms).tobytes()
+        assert cost == float(np.sum(np.where(inside, 0.5 * norms ** 2, 2.0 * (norms - 1.0))))
+        for threshold in (np.inf, float(np.median(norms))):
+            inside = norms <= threshold
+            want = (np.where(inside, 0.5 * norms ** 2, threshold * (norms - 0.5 * threshold)),
+                    np.where(inside, 1.0, threshold / np.maximum(norms, 1e-300)))
+            for got, expected in zip(huber(norms, threshold), want):
+                assert got.tobytes() == expected.tobytes()
+        for rotation in (None, rotations):
+            j_pose, j_lm = reprojection_jacobians(K, y, rotation)
+            jpi = j_pose[:, :, :3]
+            assert j_pose.tobytes() == np.concatenate([jpi, -(jpi @ hat(y))], axis=2).tobytes()
+            assert (j_lm is None) == (rotation is None)
+    for norm in (0.5, 3.0):     # a scalar norm, inside and outside the threshold
+        cost, weight = huber(norm, 2.0)
+        assert (float(cost), float(weight)) == ((0.125, 1.0) if norm < 2.0 else (4.0, 2.0 / 3.0))
+
+
+def _coupling_coefficients_exact(t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        c2 = (1 - t ** 2 / 2 - mpmath.cos(t)) / t ** 4
+        return ((t - mpmath.sin(t)) / t ** 3, c2,
+                (c2 - 3 * (t - mpmath.sin(t) - t ** 3 / 6) / t ** 5) / 2)
+
+
+def test_coupling_coefficients_match_fifty_digits_on_both_sides_of_the_cut():
+    # c1, c2 and c3 of Q, series below COUPLING_SERIES_CUT and closed forms
+    # from it on, within 1e-12 relative of a 50-digit evaluation; the closed
+    # forms alone miss by 1.5e-2 at 1e-3 rad
+    cut = factors.COUPLING_SERIES_CUT
+    angles = [*np.geomspace(1e-6, 3.0, 300), cut * (1.0 - 1e-12), cut, cut * (1.0 + 1e-12),
+              0.0, SMALL_ANGLE]
+    worst = 0.0
+    for t in angles:
+        got = geometry.angle_coefficients(t, factors._coupling_closed_form,
+                                          factors._coupling_series, cut)
+        want = (1.0 / 6.0, -1.0 / 24.0, -1.0 / 120.0) if t == 0.0 else \
+            _coupling_coefficients_exact(t)
+        worst = max(worst, *(abs(float((g - w) / w)) for g, w in zip(got, want)))
+    assert worst <= 1e-12

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drslam.errors import FormatError
-from drslam.fileio import int_column, parse_poses, read_csv, read_tum, write_tum
+from drslam.cli import resolve_config_path
+from drslam.config import parse_config
+from drslam.fileio import fmt, int_column, parse_poses, read_csv, read_tum, write_csv, write_tum
+from drslam.simulator import simulate_sequence, write_sequence
 from drslam.geometry import Pose
 
 HEADER = ["frame_id", "landmark_id", "u", "v"]
@@ -136,3 +139,34 @@ def test_tum_round_trip_bit_exact(tmp_path_factory, samples):
         assert pose2.q.tobytes() == pose.q.tobytes()
         assert pose2.t.tobytes() == pose.t.tobytes()
 
+
+
+def _per_value_csv(header, rows) -> str:
+    """The table text of a writer that formats one value at a time: fmt for a
+    float, str for anything else."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_writes_the_bytes_of_a_per_value_writer(tmp_path):
+    # special floats, numpy scalars (np.float64 is a float, np.float32 and
+    # integers are not), strings and rows whose types change from row to row
+    rows = [(0, 1, -0.0, 5e-324), (1, 2, 1e308, float("inf")), (2, -3, float("nan"), -1e-300),
+            (np.int64(4), np.float64(0.1), np.float32(0.1), np.float64(-0.0)),
+            ("a", 2.5, True, None), (7, 0.1 + 0.2, 1.0 / 3.0, -2.0 ** 70), (8, 1, 2, 3),
+            (np.float64(np.nan), np.float64(np.inf), np.uint8(255), "x,y")]
+    header = ["a", "b", "c", "d"]
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_text() == _per_value_csv(header, rows)
+
+
+def test_write_csv_writes_a_simulated_sequence_as_a_per_value_writer(tmp_path):
+    seq = simulate_sequence(parse_config(resolve_config_path("corridor_gap")).world_config(seed=0))
+    write_sequence(seq, tmp_path)
+    rows = [(r.frame_id, j, float(u), float(v)) for r in seq.records for j, u, v in r.detections]
+    assert len(rows) > 10_000
+    assert (tmp_path / "obs.csv").read_text() == _per_value_csv(HEADER, rows)
+    world = [(j, float(p[0]), float(p[1]), float(p[2])) for j, p in sorted(seq.world.items())]
+    assert (tmp_path / "world.csv").read_text() == _per_value_csv(
+        ["landmark_id", "x", "y", "z"], world)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system,
                       edge_jacobians, edge_residual, edge_residuals, landmark_position,
                       make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
                       set_problem_pose)
-from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite
+from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
     huber,
@@ -21,6 +25,7 @@ from drslam.geometry import (Z_MIN, Pose, compose, exp_se3, inverse, log_se3, pr
                              transform_point)
 from drslam import geometry, optimizer
 from drslam.optimizer import (
+    NormalEquations,
     Problem,
     SolverConfig,
     _Linearizer,
@@ -512,8 +517,10 @@ def test_scatter_adds_in_the_order_of_np_add_at(rng):
     offsets = 3 * np.arange(6)[:, None] + np.arange(3)
     want = np.zeros(size)
     np.add.at(want, (targets[:, None] + offsets.reshape(-1)).reshape(-1), blocks.reshape(-1))
-    assert optimizer._scatter(targets, blocks, offsets, size).tobytes() == want.tobytes()
-    empty = optimizer._scatter(np.zeros(0, np.int64), np.zeros((0, 6, 3)), offsets, size)
+    index = optimizer._scatter_index(targets, offsets)
+    assert optimizer._scatter(index, blocks, size).tobytes() == want.tobytes()
+    empty = optimizer._scatter(optimizer._scatter_index(np.zeros(0, np.int64), offsets),
+                               np.zeros((0, 6, 3)), size)
     assert empty.dtype == np.float64 and empty.tobytes() == np.zeros(size).tobytes()
 
 
@@ -1218,3 +1225,157 @@ def test_problem_keeps_variables_in_ascending_id_and_rejects_an_id_given_twice(r
     with pytest.raises(KeyError, match=f"{name} 7 given twice"):
         add([7, 7], values[2:])
     assert getattr(problem, kind).tobytes() == variables.tobytes()
+
+
+def _derived_system(lin, point):
+    """The system at the point, derived per system: each block added in the
+    module's order, one at a time, and the chunk index of the nonzero blocks
+    of Hpl."""
+    _, (visual, rotations, dr) = lin.residuals(point)
+    active, jp, j_lm, rw = optimizer._visual_jacobians(lin.k, visual, lin.inv_std, rotations)
+    n, n_l = lin.n_pose_free, lin.n_lm_free
+    pose_free, lm_free = lin.row_pose_free[active], lin.row_lm_free[active]
+    hpp, bp = np.zeros((n, 6, n, 6)), np.zeros((n, 6))
+    for p in range(n):
+        h, g = optimizer._pose_reduction(jp[pose_free == p], rw[pose_free == p])
+        hpp[p, :, p] += h
+        bp[p] += -g
+    if lin.dr.side_edges:
+        blocks, grads, cross = lin.dr.normal_blocks(dr)
+        index = lin.dr.side_index
+        for p, h, g in zip(index, blocks, grads):
+            hpp[p, :, p] += h
+        for p, g in zip(index, grads):
+            bp[p] += -g
+        pairs = [(index[f], index[t]) for f, t in zip(lin.dr.cross_from, lin.dr.cross_to)]
+        for (a, b), h in zip(pairs, [] if cross is None else cross):
+            hpp[a, :, b] += h
+        for (a, b), h in zip(pairs, [] if cross is None else cross):
+            hpp[b, :, a] += h.T
+    hll, bl, hpl = np.zeros((n_l, 3, 3)), np.zeros((n_l, 3)), np.zeros((n, 6, n_l, 3))
+    coupling = jp.transpose(0, 2, 1) @ j_lm
+    for p, l, j, r, c in zip(pose_free, lm_free, j_lm, rw, coupling):
+        if l >= 0:
+            hll[l] += np.outer(j[0], j[0]) + np.outer(j[1], j[1])
+            bl[l] += -(j[0] * r[0] + j[1] * r[1])
+            if p >= 0:
+                hpl[p, :, l] += c
+    seen = (hpl != 0).reshape(n, 6, 3 * n_l).any(axis=1).reshape(n, n_l, 3).any(axis=2)
+    return NormalEquations(hpp.reshape(6 * n, 6 * n), bp.reshape(-1), hll, bl, hpl,
+                           optimizer._schur_chunks(seen))
+
+
+def _plan_problem(rng, case):
+    if case == "no_rows":
+        problem = Problem(intrinsics=CAMERA)
+        for i in range(3):
+            problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i == 0)
+        for a in range(2):
+            problem.add_dr_edges(a, a + 1, [exp_se3(rng.normal(scale=0.05, size=6))],
+                                 NOMINAL.precision())
+        problem.add_landmarks([0, 1], rng.normal(size=(2, 3)), fixed=[False, True])
+        return problem
+    problem, _, _ = make_ba_problem(rng, n_poses=6, n_landmarks=150, pixel_noise=0.5,
+                                    pose_perturb=0.005, lm_perturb=0.01, obs_per_landmark=3,
+                                    with_dr_chain=True)
+    if case == "fixed_landmarks":
+        set_fixed(problem.landmarks, np.arange(0, 150, 4))
+        set_fixed(problem.poses, [3])
+    if case == "near_plane":
+        # free landmark 150 has one row, behind free pose 3
+        problem.add_landmarks(150, transform_point(problem_pose(problem, 3),
+                                                   np.array([0.2, -0.1, -1.0])))
+        problem.add_observations(3, 150, np.array([CAMERA.cx, CAMERA.cy]))
+    return problem
+
+
+@pytest.mark.parametrize("case", ["dr_chain", "fixed_landmarks", "near_plane", "no_rows"])
+def test_plan_gives_the_bytes_of_the_per_system_derivation(rng, case):
+    # the chain's edges between free poses add cross blocks; fixed landmarks
+    # and a fixed middle pose leave rows out of Hll and Hpl; a row behind the
+    # near plane takes the fallback; with no rows every block is zero and
+    # float64
+    problem = _plan_problem(rng, case)
+    lin = _Linearizer(problem)
+    assert len(lin.dr.cross_from) > 0
+    _, cache = lin.residuals(lin.point)
+    neq, want = lin.linearize(lin.point, cache), _derived_system(lin, lin.point)
+    for block in BLOCKS:
+        got = getattr(neq, block)
+        assert got.dtype == np.float64 and got.shape == getattr(want, block).shape, block
+        assert got.tobytes() == getattr(want, block).tobytes(), block
+    assert len(want.schur_chunks) == len(neq.schur_chunks)
+    for got, expected in zip(neq.schur_chunks, want.schur_chunks):
+        lms, rows, (block_rows, block_cols) = got
+        assert lms.tobytes() == expected[0].tobytes() and rows.tobytes() == expected[1].tobytes()
+        assert block_rows.tobytes() == expected[2][0].tobytes()
+        assert block_cols.tobytes() == expected[2][1].tobytes()
+    # the plan is built once per solve; a row behind the near plane derives
+    # the rows' part again
+    assert (neq.schur_chunks is lin.row_plan.chunks) == (case != "near_plane")
+    if case == "no_rows":
+        assert not neq.Hpl.any() and not neq.Hll.any() and neq.Hpp.any()
+    else:
+        assert len(neq.schur_chunks) >= 2
+
+
+def test_closed_form_landmark_inverse_is_symmetric_and_matches_lapack(rng):
+    # random SPD blocks with condition numbers up to 1e8, made exactly
+    # symmetric; the closed form is exactly symmetric and within 1e-12 cond
+    # of LAPACK's inverse
+    n = 500
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    eig = 10.0 ** rng.uniform(-4, 4, size=(n, 3))
+    blocks = np.einsum("nij,nj,nkj->nik", q, eig, q)
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    inverse_blocks = optimizer._inverse_3x3(blocks)
+    assert inverse_blocks.tobytes() == inverse_blocks.transpose(0, 2, 1).copy().tobytes()
+    want = np.linalg.inv(blocks)
+    cond = np.linalg.cond(blocks)
+    error = np.abs(inverse_blocks - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert np.all(error <= 1e-12 * cond)
+
+
+def test_zero_landmark_block_at_zero_damping_raises_singular_system():
+    problem = Problem(intrinsics=CAMERA)
+    problem.add_poses(0, Pose.identity(), fixed=True)
+    problem.add_poses(1, Pose.identity())
+    problem.add_landmarks([0, 1], np.array([[0.0, 0.0, 3.0], [0.1, 0.0, 3.0]]))
+    problem.add_observations(1, 0, np.array([322.0, 239.0]))
+    neq, _ = build_normal_equations(problem)
+    assert not neq.Hll[1].any()
+    with pytest.raises(SingularSystem):
+        optimizer._inverse_3x3(np.zeros((1, 3, 3)))
+    with pytest.raises(SingularSystem):
+        schur_solve(neq, 0.0)
+    assert np.all(np.isfinite(schur_solve(neq, 1e-4)))
+
+
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from conftest import build_normal_equations, make_ba_problem
+from drslam.optimizer import schur_solve
+problem, _, _ = make_ba_problem(np.random.default_rng(7), n_poses=12, n_landmarks=150,
+                                pixel_noise=0.5, pose_perturb=0.01, lm_perturb=0.02,
+                                with_dr_chain=True)
+neq, _ = build_normal_equations(problem)
+assert neq.n_pose_free == 11 and neq.n_lm_free == 150, (neq.n_pose_free, neq.n_lm_free)
+print(hashlib.sha256(b"".join(schur_solve(neq, d).tobytes() for d in (0.0, 1e-4, 1.0))).hexdigest())
+"""
+
+
+def test_schur_step_bytes_do_not_depend_on_the_blas_thread_count():
+    # the reduced camera system of 66 unknowns is factorized the same way on
+    # one or two threads, so a BLAS product in the elimination would show
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, cwd=here,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
