@@ -73,8 +73,9 @@ def _echo_config(config: RunConfig, out: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
+    world = config.world_config()
     out = _out_dir(args, f"seq_{config.seed}")
-    sequence = simulate_sequence(config.world_config())
+    sequence = simulate_sequence(world)
     write_sequence(sequence, out)
     _echo_config(config, out)
     print(f"simulated {len(sequence.records)} frames, "

@@ -24,7 +24,7 @@ from functools import reduce
 from .errors import ConfigError
 from .fileio import fmt
 from .pipeline import MODES, PipelineParams
-from .simulator import WORLD_FIELDS, WorldConfig
+from .simulator import WORLD_FIELDS, WorldConfig, WorldConfigError
 
 
 def _positive(s: str) -> float:
@@ -128,8 +128,14 @@ class RunConfig:
         return replace(params, **top, **groups)
 
     def world_config(self, seed=None) -> WorldConfig:
+        """WorldConfig of the world.* keys and the seed, run.seed unless given;
+        a value it rejects raises ConfigError naming the keys that set it."""
         fields = {name: self.values[f"world.{name}"] for name in WORLD_FIELDS if name != "seed"}
-        return WorldConfig(**fields, seed=self.seed if seed is None else seed)
+        try:
+            return WorldConfig(**fields, seed=self.seed if seed is None else seed)
+        except WorldConfigError as e:
+            keys = ("run.seed" if name == "seed" else f"world.{name}" for name in e.fields)
+            raise ConfigError(f"{e}; set by {', '.join(keys)}") from None
 
     def echo(self) -> str:
         lines = []

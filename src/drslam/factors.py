@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, angle_coefficients, hat, matrix_product, project_points,
-                       se3_compose, se3_inverse, se3_log)
+from .geometry import (Z_MIN, CameraIntrinsics, angle_coefficients, hat, matrix_product,
+                       project_points, se3_compose, se3_inverse, se3_log)
 
 # 95% chi-square quantile with 2 DoF, as a multiple of the pixel std.
 HUBER_PIXEL_SCALE = 2.447
@@ -31,8 +31,7 @@ def reprojection_residuals(k: CameraIntrinsics, rotation: np.ndarray, translatio
 
     The residual is a total function: the projection kernel projects points
     at or behind the near plane at the clamped depth Z_MIN (a huge, honest
-    residual), so steps that flip geometry raise the cost. Their Jacobians
-    are not defined; the caller treats rows with y[:, 2] <= Z_MIN as inactive.
+    residual), so steps that flip geometry raise the cost.
     """
     y, u = project_points(k, rotation, translation, points)
     return y, observed - u
@@ -40,10 +39,15 @@ def reprojection_residuals(k: CameraIntrinsics, rotation: np.ndarray, translatio
 
 def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndarray | None = None):
     """Residual Jacobians w.r.t. the pose (N, 2, 6) and the landmark (N, 2, 3)
-    at camera-frame points y in front of the near plane. Without the camera
-    rotation (points held fixed) the landmark Jacobian is not formed: None."""
+    at camera-frame points y. Without the camera rotation (points held fixed)
+    the landmark Jacobian is not formed: None.
+
+    The depth is clamped at Z_MIN, as in project_points, so the Jacobian is
+    finite for every row. At or behind the near plane it is not the
+    residual's: the solver gives such a row an IRLS weight of 0, so it stays
+    in the cost and adds exact zeros to the system."""
     n = len(y)
-    z = y[:, 2]
+    z = np.maximum(y[:, 2], Z_MIN)
     jpi = np.zeros((n, 2, 3))
     jpi[:, 0, 0] = k.fx / z
     jpi[:, 0, 2] = -k.fx * y[:, 0] / z ** 2
@@ -147,7 +151,7 @@ def dr_residual(left_q, left_t, to_q, to_t, left_rotation=None):
     equals the increment. The residual is a total function: where the error
     rotation is within 1e-6 of pi the rotation is clamped just below pi, so
     the cost stays large and honest; the log's Jacobian is not defined
-    there, and the caller treats such an edge as inactive.
+    there, and the solver gives such an edge a zero Jacobian.
     """
     return se3_log(*se3_compose(left_q, left_t, to_q, to_t, left_rotation))
 

@@ -27,10 +27,14 @@ setting.
 What depends on the problem's structure alone is built once per solve: the
 DR edges' fixed parts and side layout, the bincount targets of every block
 and the Schur chunk index. Once per linearization the blocks are formed and
-summed on those targets (the targets of the rows and the chunk index are
-derived again, from the active rows, only when a row is behind the near
-plane). Once per damping tried, the landmark blocks are inverted in closed
-form and eliminated, and the reduced camera system is solved.
+summed on those targets. Once per damping tried, the landmark blocks are
+inverted in closed form and eliminated, and the reduced camera system is
+solved.
+
+A factor that cannot be linearized stays in the cost and adds exact zeros
+to the system: a visual row at or behind the near plane takes an IRLS
+weight of 0, a DR edge whose angle is near pi a zero Jacobian. Every
+linearization of a solve thus runs one path on one plan.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -384,7 +387,7 @@ class _DREdges:
 
     def residuals(self, qs, ts, cost: float):
         """The cost with each edge's added, one at a time, and per edge its
-        dr_residual output, whitened residual and cost, at the poses given as
+        dr_residual output and whitened residual, at the poses given as
         floats by slot."""
         dr = []
         for a, fixed_part, b, sqrt_p in self.edges:
@@ -394,10 +397,9 @@ class _DREdges:
                 (left_q, left_t), rotation = dr_fold(qs[a], ts[a], *fixed_part), None
             log = dr_residual(left_q, left_t, qs[b], ts[b], rotation)
             rw = [x * s for x, s in zip(log[0], sqrt_p)]
-            edge_cost = 0.5 * (rw[0] * rw[0] + rw[1] * rw[1] + rw[2] * rw[2] + rw[3] * rw[3]
-                               + rw[4] * rw[4] + rw[5] * rw[5])
-            cost += edge_cost
-            dr.append((log, rw, edge_cost))
+            cost += 0.5 * (rw[0] * rw[0] + rw[1] * rw[1] + rw[2] * rw[2] + rw[3] * rw[3]
+                           + rw[4] * rw[4] + rw[5] * rw[5])
+            dr.append((log, rw))
         return cost, dr
 
     def whitened_jacobians(self, dr):
@@ -428,20 +430,6 @@ class _DREdges:
         return jwt @ jw, (jwt @ rw[:, :, None])[:, :, 0], cross
 
 
-class _RowPlan(NamedTuple):
-    """What a linearization reads of its active rows, rows given as positions
-    among the active ones; a selection of every row is slice(None), which
-    takes no copy."""
-    pose_rows: np.ndarray       # each free pose's rows, pose by pose, in row order
-    bounds: list                # (start, end) of each free pose's rows in pose_rows
-    on_lm: np.ndarray | slice   # the rows on a free landmark
-    hll_index: np.ndarray       # the flat targets of their Hll blocks
-    bl_index: np.ndarray        # and of their bl gradients
-    both: np.ndarray | slice    # the rows on a free pose and a free landmark
-    hpl_index: np.ndarray       # the flat targets of their Hpl blocks
-    chunks: list                # the Schur chunk index of the pairs they observe
-
-
 class _Linearizer:
     """Caches the factor structure of a Problem for repeated evaluation.
 
@@ -452,11 +440,11 @@ class _Linearizer:
 
     The plan is built once per solve from the structure alone: the flat
     np.bincount targets of every block's entries in Hpp, bp, Hll, bl and
-    Hpl, and the Schur chunk index. A linearization forms the blocks and
-    sums them on those targets; one with a row behind the near plane
-    derives the rows' part of the plan (row_plan) again from its active
-    rows. A damping trial inverts the landmark blocks and eliminates them
-    over the chunks.
+    Hpl, and the Schur chunk index. A linearization forms the blocks of
+    every row and edge and sums them on those targets; a row at or behind
+    the near plane and an edge near pi stay in it and add exact zeros. A
+    damping trial inverts the landmark blocks and eliminates them over the
+    chunks.
     """
 
     def __init__(self, problem: Problem):
@@ -478,9 +466,6 @@ class _Linearizer:
         self.row_pose_free = self.free_index[self.row_slot]
         self.row_lm = np.searchsorted(self.lm_ids, rows["landmark"])
         self.row_lm_free = self.lm_free_index[self.row_lm]
-        # The rows of the free poses grouped by pose, each pose's in row order.
-        on_pose = np.flatnonzero(self.row_pose_free >= 0)
-        self.pose_rows = on_pose[np.argsort(self.row_pose_free[on_pose], kind="stable")]
         self.uv = rows["uv"]
         self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
         edges = problem.dr_factors
@@ -502,32 +487,34 @@ class _Linearizer:
         self.hpp_index = _scatter_index(36 * n * block_rows + 6 * block_cols,
                                         6 * n * np.arange(6)[:, None] + np.arange(6))
         self.bp_index = _scatter_index(6 * np.concatenate([np.arange(n), index]), np.arange(6))
-        self.row_plan = self._row_plan(np.ones(len(self.uv), dtype=bool))
+        # The rows of the free poses grouped by pose, each pose's in row order,
+        # and each pose's (start, end) among them. The rows on a free landmark
+        # and the targets of their Hll blocks and bl gradients; the rows on a
+        # free pose and a free landmark and the targets of their Hpl blocks,
+        # entry (i, k) of block (p, l) of Hpl (F, 6, L, 3) at
+        # ((6p + i) L + l) 3 + k. A selection of every row is slice(None),
+        # which takes no copy.
+        n_l, pose_free, lm_free = self.n_lm_free, self.row_pose_free, self.row_lm_free
+        on_pose = np.flatnonzero(pose_free >= 0)
+        self.pose_rows = on_pose[np.argsort(pose_free[on_pose], kind="stable")]
+        bounds = np.searchsorted(pose_free[self.pose_rows], np.arange(n + 1)).tolist()
+        self.bounds = list(zip(bounds[:-1], bounds[1:]))
+        on_lm = lm_free >= 0
+        both = on_lm & (pose_free >= 0)
+        lms, p, l = lm_free[on_lm], pose_free[both], lm_free[both]
+        self.on_lm, self.both = _selection(on_lm), _selection(both)
+        self.hll_index = _scatter_index(9 * lms, np.arange(9))
+        self.bl_index = _scatter_index(3 * lms, np.arange(3))
+        self.hpl_index = _scatter_index(18 * n_l * p + 3 * l,
+                                        3 * n_l * np.arange(6)[:, None] + np.arange(3))
+        seen = np.zeros((n, n_l), dtype=bool)
+        seen[p, l] = True
+        self.schur_chunks = _schur_chunks(seen)
 
         # contiguous copies of the variables' columns
         self.point = (poses["q"].copy(), poses["t"].copy(), landmarks["position"].copy())
         self.size = dict(free_poses=self.n_pose_free, free_landmarks=self.n_lm_free,
                          reprojection_rows=len(self.uv), dr_edges=len(self.dr.edges))
-
-    def _row_plan(self, active: np.ndarray) -> _RowPlan:
-        """The plan's part that depends on which rows are active, (N,) bool."""
-        n, n_l = self.n_pose_free, self.n_lm_free
-        pose_free, lm_free = self.row_pose_free[active], self.row_lm_free[active]
-        rows = (np.cumsum(active) - 1)[self.pose_rows[active[self.pose_rows]]]
-        bounds = np.searchsorted(pose_free[rows], np.arange(n + 1)).tolist()
-        on_lm = lm_free >= 0
-        both = on_lm & (pose_free >= 0)
-        lms, p, l = lm_free[on_lm], pose_free[both], lm_free[both]
-        seen = np.zeros((n, n_l), dtype=bool)
-        seen[p, l] = True
-        # entry (i, k) of the block of pose p and landmark l in Hpl (F, 6, L, 3)
-        # is ((6p + i) L + l) 3 + k
-        return _RowPlan(rows, list(zip(bounds[:-1], bounds[1:])),
-                        _selection(on_lm), _scatter_index(9 * lms, np.arange(9)),
-                        _scatter_index(3 * lms, np.arange(3)), _selection(both),
-                        _scatter_index(18 * n_l * p + 3 * l,
-                                       3 * n_l * np.arange(6)[:, None] + np.arange(3)),
-                        _schur_chunks(seen))
 
     def retract(self, point, step):
         q, t, lm_pos = point
@@ -549,25 +536,22 @@ class _Linearizer:
         rotations = np.array([quat_to_rotation(x) for x in qs]).reshape(-1, 3, 3)[self.row_slot]
         cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
                                          self.uv, self.inv_std, self.huber_k)
-        dr = None
-        if self.dr.edges:
-            cost, dr = self.dr.residuals(qs, t.tolist(), cost)
+        cost, dr = self.dr.residuals(qs, t.tolist(), cost)
         return cost, (visual, rotations, dr)
 
     def linearize(self, point, cache) -> NormalEquations:
         """Normal equations at the point, from the residuals computed there.
 
-        Each free pose's block and gradient are one reduction over its active
-        rows in row order; landmark blocks, their gradients and the coupling
-        are formed per row. Each kind is summed on the plan's targets with one
+        Each free pose's block and gradient are one reduction over its rows in
+        row order; landmark blocks, their gradients and the coupling are
+        formed per row. Each kind is summed on the plan's targets with one
         np.bincount, in the order the module states, as np.add.at would.
         """
         visual, rotations, dr = cache
         n, n_l = self.n_pose_free, self.n_lm_free
-        active, jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
-        plan = self.row_plan if active.all() else self._row_plan(active)
-        jp_rows, rw_rows = jp[plan.pose_rows], rw[plan.pose_rows]
-        reduced = [_pose_reduction(jp_rows[a:b], rw_rows[a:b]) for a, b in plan.bounds]
+        jp, j_lm, rw = _visual_jacobians(self.k, visual, self.inv_std, rotations)
+        jp_rows, rw_rows = jp[self.pose_rows], rw[self.pose_rows]
+        reduced = [_pose_reduction(jp_rows[a:b], rw_rows[a:b]) for a, b in self.bounds]
         blocks = [np.reshape([h for h, _ in reduced], (n, 6, 6))]
         grads = [np.reshape([g for _, g in reduced], (n, 6))]
         if self.dr.side_edges:
@@ -580,15 +564,15 @@ class _Linearizer:
         bp = _scatter(self.bp_index, -np.concatenate(grads), 6 * n)
 
         # J^T J and J^T r of each row's two pixel rows, as two broadcast products
-        j, r = j_lm[plan.on_lm], rw[plan.on_lm]
+        j, r = j_lm[self.on_lm], rw[self.on_lm]
         j0, j1 = j[:, 0], j[:, 1]
-        Hll = _scatter(plan.hll_index,
+        Hll = _scatter(self.hll_index,
                        j0[:, :, None] * j0[:, None] + j1[:, :, None] * j1[:, None], 9 * n_l)
-        bl = _scatter(plan.bl_index, -(j0 * r[:, :1] + j1 * r[:, 1:]), 3 * n_l)
-        Hpl = _scatter(plan.hpl_index, jp[plan.both].transpose(0, 2, 1) @ j_lm[plan.both],
+        bl = _scatter(self.bl_index, -(j0 * r[:, :1] + j1 * r[:, 1:]), 3 * n_l)
+        Hpl = _scatter(self.hpl_index, jp[self.both].transpose(0, 2, 1) @ j_lm[self.both],
                        18 * n * n_l)
         return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3),
-                               Hpl.reshape(n, 6, n_l, 3), plan.chunks)
+                               Hpl.reshape(n, 6, n_l, 3), self.schur_chunks)
 
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)
@@ -605,8 +589,10 @@ class _PoseLinearizer:
     rotation matrix as the (3, 3) array the visual kernel reads, formed once
     per point by retract; its system is the 6x6 pair (H, b). Rows are the
     matched points (N, 3) and pixels (N, 2) in match order, with one inverse
-    pixel std and one Huber threshold. The arithmetic and its order are those
-    of _Linearizer on the equivalent one-free-pose Problem.
+    pixel std and one Huber threshold; N may be 0, which gives a zero visual
+    block. A row at or behind the near plane stays in the cost and adds exact
+    zeros to the system. The arithmetic and its order are those of
+    _Linearizer on the equivalent one-free-pose Problem.
     """
 
     def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
@@ -631,11 +617,9 @@ class _PoseLinearizer:
     def residuals(self, point):
         """Cost at the pose and the per-row residuals linearize reuses."""
         q, t, rotation = point
-        cost = 0.0
-        visual = dr = None
-        if len(self.points):
-            cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
-                                             self.inv_std, self.huber_k)
+        cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
+                                         self.inv_std, self.huber_k)
+        dr = None
         if self.dr is not None:
             cost, dr = self.dr.residuals((q,), (t,), cost)
         return cost, (visual, dr)
@@ -643,13 +627,11 @@ class _PoseLinearizer:
     def linearize(self, point, cache):
         """The 6x6 system (H, b) at the pose, from the residuals computed there."""
         visual, dr = cache
-        H = np.zeros((6, 6))
-        b = np.zeros(6)
-        if visual is not None:
-            _, jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
-            hpp, gp = _pose_reduction(jp, rw)
-            H += hpp
-            b -= gp
+        jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
+        hpp, gp = _pose_reduction(jp, rw)
+        H, b = np.zeros((6, 6)), np.zeros(6)     # onto zeros, as np.bincount sums a Problem's
+        H += hpp
+        b -= gp
         if dr is not None:     # the pose is the edge's free to side
             blocks, grads, _ = self.dr.normal_blocks(dr)
             H += blocks[0]
@@ -688,18 +670,15 @@ def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber
 
 
 def _visual_jacobians(k, visual, inv_std: float, rotations=None):
-    """IRLS-weighted Jacobians and residuals of the rows in front of the near
-    plane: (active, jp, j_landmark, rw), j_landmark only given the rows'
-    rotations."""
+    """IRLS-weighted Jacobians and residuals of every row: (jp, j_landmark,
+    rw), j_landmark only given the rows' rotations. A row at or behind the
+    near plane takes a weight of 0; its kernel outputs are finite, so it adds
+    exact zeros to the system."""
     y, rw, w = visual
-    active = y[:, 2] > Z_MIN
-    if not active.all():
-        y, rw, w = y[active], rw[active], w[active]
-        rotations = None if rotations is None else rotations[active]
     j_pose, j_lm = reprojection_jacobians(k, y, rotations)
-    sqrt_w = np.sqrt(w)
+    sqrt_w = np.sqrt(np.where(y[:, 2] > Z_MIN, w, 0.0))
     scale = (inv_std * sqrt_w)[:, None, None]
-    return active, j_pose * scale, None if j_lm is None else j_lm * scale, rw * sqrt_w[:, None]
+    return j_pose * scale, None if j_lm is None else j_lm * scale, rw * sqrt_w[:, None]
 
 
 def _pose_reduction(jp, rw):

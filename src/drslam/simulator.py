@@ -61,12 +61,31 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.detection_cap <= 0:
-            raise ValueError("detection cap must be positive")
-        if any(d < 0 for _, d in self.density):
-            raise ValueError("density values must be nonnegative")
-        if self.pixel_noise < 0 or self.dr_sigma_t < 0 or self.dr_sigma_r_deg < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        for fields, valid, message in (
+                (("detection_cap",), self.detection_cap > 0, "detection cap must be positive"),
+                (("clutter",), self.clutter >= 0, "clutter count must be nonnegative"),
+                (("density",), all(d >= 0 for _, d in self.density),
+                 "density values must be nonnegative"),
+                (("pixel_noise", "dr_sigma_t", "dr_sigma_r_deg"),
+                 not (self.pixel_noise < 0 or self.dr_sigma_t < 0 or self.dr_sigma_r_deg < 0),
+                 "noise standard deviations must be nonnegative"),
+                (("fps",), 0 < self.fps < math.inf, "frame rate must be finite and positive"),
+                (("n_frames",), self.n_frames >= 1, "a sequence needs at least one frame"),
+                (("depth_min", "depth_max"), 0 <= self.depth_min < self.depth_max < math.inf,
+                 "depth range must satisfy 0 <= depth_min < depth_max < inf"),
+                (("seed",), self.seed >= 0, "seed must be nonnegative")):
+            if not valid:
+                raise WorldConfigError(message, fields)
+
+
+class WorldConfigError(ValueError):
+    """A WorldConfig value out of range; fields names the fields checked.
+    fields has a default so that the error unpickles, as it must to come
+    back from a worker process."""
+
+    def __init__(self, message: str, fields: tuple = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 def _float_pairs(sep: str):

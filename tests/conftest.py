@@ -91,11 +91,12 @@ def edge_jacobians(pose_from: Pose, pose_to: Pose, delta: Pose):
 
 def dr_edge(pose_from: Pose, pose_to: Pose, delta: Pose, precision):
     """One DR edge between two free poses, slots 0 and 1, as the solver
-    holds it, evaluated at the poses: the edge holder and its residuals
-    (one (dr_residual output, whitened residual, cost))."""
+    holds it, evaluated at the poses: the edge holder, its residuals (one
+    (dr_residual output, whitened residual)) and its cost."""
     qs, ts = [pose_from.q.tolist(), pose_to.q.tolist()], [pose_from.t.tolist(), pose_to.t.tolist()]
     edges = optimizer._DREdges([0], [1], [0, 1], qs, ts, delta.q[None], delta.t[None], precision)
-    return edges, edges.residuals(qs, ts, 0.0)[1]
+    cost, dr = edges.residuals(qs, ts, 0.0)
+    return edges, dr, cost
 
 
 def to_jacobian_at_minus_r(log) -> tuple:

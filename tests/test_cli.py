@@ -186,6 +186,30 @@ def test_config_echo_round_trip(values):
     assert back.echo() == config.echo()
 
 
+@pytest.mark.parametrize("args, keys", [
+    (["--set", "world.fps=0"], ["world.fps"]),
+    (["--set", "world.fps=-30"], ["world.fps"]),
+    (["--set", "world.fps=inf"], ["world.fps"]),
+    (["--set", "world.n_frames=0"], ["world.n_frames"]),
+    (["--set", "world.depth_min=9"], ["world.depth_min", "world.depth_max"]),
+    (["--set", "world.depth_min=-0.5"], ["world.depth_min", "world.depth_max"]),
+    (["--set", "world.depth_max=inf"], ["world.depth_min", "world.depth_max"]),
+    (["--set", "world.clutter=-1"], ["world.clutter"]),
+    (["--set", "world.detection_cap=0"], ["world.detection_cap"]),
+    (["--set", "world.pixel_noise=-1"], ["world.pixel_noise"]),
+    (["--seed", "-1"], ["run.seed"])])
+def test_simulate_out_of_range_world_exits_two(tmp_path, capsys, args, keys):
+    # a world setting the simulator cannot run is a config error that names
+    # its keys, not a traceback, and makes no output directory
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    out = tmp_path / "seq"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert all(key in err for key in keys)
+    assert not out.exists()
+
+
 def test_simulate_and_run_dr_only_equals_odometry(tmp_path):
     cfg = write_world(tmp_path / "w.cfg")
     seq_dir = str(tmp_path / "seq")

@@ -232,24 +232,27 @@ def edges(max_angle=3.0):
                           arrays(float, 6, elements=st.floats(1e-3, 1e6))),
                 min_size=1, max_size=8))
 def test_dr_batch_equals_one_edge_calls(batch):
-    # a Problem of several DR edges gives each edge's whitened residual, cost
-    # and normal-equation blocks the bits of a Problem of that edge alone
+    # a Problem of several DR edges gives each edge's whitened residual and
+    # normal-equation blocks the bits of a Problem of that edge alone, and
+    # its cost the bits of their costs summed in edge order
     def linearized(items):
         lin = _Linearizer(disjoint_edges_problem(*zip(*items)))
         cost, cache = lin.residuals(lin.point)
-        return cache[2], lin.linearize(lin.point, cache)
-    dr, neq = linearized(batch)
-    column = 0
+        return cost, cache[2], lin.linearize(lin.point, cache)
+    cost, dr, neq = linearized(batch)
+    column, summed = 0, 0.0
     for e, edge in enumerate(batch):
-        (dr1,), neq1 = linearized([edge])
-        (r, near_pi, theta, c), rw, cost = dr[e]
-        assert (np.array(r).tobytes(), near_pi, theta, c, np.array(rw).tobytes(), cost) == (
-            np.array(dr1[0][0]).tobytes(), *dr1[0][1:], np.array(dr1[1]).tobytes(), dr1[2])
+        cost1, (dr1,), neq1 = linearized([edge])
+        summed += cost1
+        (r, near_pi, theta, c), rw = dr[e]
+        assert (np.array(r).tobytes(), near_pi, theta, c, np.array(rw).tobytes()) == (
+            np.array(dr1[0][0]).tobytes(), *dr1[0][1:], np.array(dr1[1]).tobytes())
         span = slice(column, column + len(neq1.bp))
         assert neq.Hpp[span, span].tobytes() == neq1.Hpp.tobytes()
         assert neq.bp[span].tobytes() == neq1.bp.tobytes()
         column += len(neq1.bp)
     assert column == len(neq.bp)
+    assert np.float64(cost).tobytes() == np.float64(summed).tobytes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -360,8 +363,8 @@ def _whiten_edge(rng, precision):
     """Raw and whitened residual and Jacobians of one random DR edge under the
     solver's whitening by the square root of each precision entry."""
     a, b, delta = random_pose(rng), random_pose(rng), random_pose(rng, rot_scale=0.3)
-    edges, dr = dr_edge(a, b, delta, np.asarray(precision, dtype=float))
-    ((log, rw, cost),) = dr
+    edges, dr, cost = dr_edge(a, b, delta, np.asarray(precision, dtype=float))
+    ((log, rw),) = dr
     (jw_from, jw_to), _ = edges.whitened_jacobians(dr)
     return (np.array(log[0]), *edge_jacobians(a, b, delta)), (np.array(rw), jw_from, jw_to), cost
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -302,7 +303,9 @@ def test_reprojection_normal_equations_match_direct_product(rng):
 def direct_normal_equations(problem):
     """H = J^T W J and b = -J^T W r over the free variables, one row or edge at
     a time, with J from the factor kernels and W from huber or the information.
-    Rows at or behind the near plane are skipped, as the solver skips them."""
+    A factor that cannot be linearized stays in the solver's cost and adds
+    exact zeros to its system, so rows at or behind the near plane are
+    skipped here."""
     free_poses = problem.poses["id"][~problem.poses["fixed"]].tolist()
     free_lms = problem.landmarks["id"][~problem.landmarks["fixed"]].tolist()
     pose_col = {p: 6 * k for k, p in enumerate(free_poses)}
@@ -624,6 +627,73 @@ def test_normal_equations_match_direct_product_with_a_row_behind_one_pose(rng, p
     assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
 
 
+# Camera-frame depths of rows that cannot be linearized: on the camera
+# centre's plane, behind the camera and exactly on the near plane.
+NEAR_PLANE_DEPTHS = (0.0, -0.7, Z_MIN)
+
+
+def _rows_at_near_plane_depths(rng, problem, pose_id, first_lm, fixed):
+    """Rows of the free pose pose_id, at the identity so that a row's depth
+    is its landmark's z, to twelve landmarks from first_lm on: nine in front
+    and three at NEAR_PLANE_DEPTHS, interleaved with them."""
+    cams = np.column_stack([rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12), rng.uniform(2, 5, 12)])
+    cams[[2, 5, 9], 2] = NEAR_PLANE_DEPTHS
+    centre = np.array([CAMERA.cx, CAMERA.cy])
+    for j, cam in enumerate(cams, start=first_lm):
+        obs = (project(CAMERA, cam) if cam[2] > Z_MIN else centre) + rng.normal(size=2)
+        problem.add_landmarks(j, cam, fixed=fixed)
+        problem.add_observations(pose_id, j, obs)
+    y, _ = reprojection_residuals(CAMERA, np.eye(3), np.zeros(3), cams, cams[:, :2])
+    assert y[[2, 5, 9], 2].tolist() == list(NEAR_PLANE_DEPTHS)
+
+
+def _assert_system_matches_direct(problem, hpp, bp, hll=None, bl=None, hpl=None):
+    h, b = direct_normal_equations(problem)
+    n_p = len(bp)
+    for got, want in ((hpp, h[:n_p, :n_p]), (bp, b[:n_p]), (hll, h[n_p:, n_p:]), (bl, b[n_p:]),
+                      (hpl, h[:n_p, n_p:])):
+        if got is not None:
+            assert np.all(np.isfinite(got))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_rows_at_or_behind_the_near_plane_add_exact_zeros_to_the_ba_system(rng):
+    # the free pose 4, at the identity and held to the window by a DR edge,
+    # sees free landmarks 20-31, three of them at the near-plane depths
+    problem, _, _ = make_ba_problem(rng, n_poses=4, n_landmarks=20, pixel_noise=1.0,
+                                    pose_perturb=0.01, lm_perturb=0.02, with_dr_chain=True)
+    problem.add_poses(4, Pose.identity())
+    problem.add_dr_edges(3, 4, [inverse(problem_pose(problem, 3))], NOMINAL.precision())
+    _rows_at_near_plane_depths(rng, problem, 4, 20, fixed=False)
+    neq, _ = build_normal_equations(problem)
+    _assert_system_matches_direct(problem, neq.Hpp, neq.bp, scipy.linalg.block_diag(*neq.Hll),
+                                  neq.bl.reshape(-1), neq.Hpl.reshape(6 * neq.n_pose_free, -1))
+    # the landmarks seen only at the near-plane depths have zero blocks
+    inactive = np.searchsorted(problem.landmarks["id"], [22, 25, 29])
+    assert not neq.Hll[inactive].any() and not neq.bl[inactive].any()
+    assert not neq.Hpl[:, :, inactive].any()
+
+
+def test_motion_only_rows_at_or_behind_the_near_plane_add_exact_zeros(rng):
+    # the free pose at the identity, a DR edge from the fixed previous pose
+    # and twelve matched points, three of them at the near-plane depths
+    problem = Problem(intrinsics=CAMERA)
+    prev = exp_se3(rng.normal(scale=0.1, size=6))
+    problem.add_poses([0, 1], [prev, Pose.identity()], fixed=[True, False])
+    problem.add_dr_edges(0, 1, [compose(inverse(prev), exp_se3(rng.normal(scale=0.02, size=6)))],
+                         NOMINAL.precision())
+    _rows_at_near_plane_depths(rng, problem, 1, 0, fixed=True)
+    args = motion_only_args(problem)
+    lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
+                                    1.0 / args["pixel_std"], args["huber_threshold"], args["dr"])
+    point = (args["pose"].q.tolist(), args["pose"].t.tolist(), args["pose"].rotation_matrix)
+    _assert_system_matches_direct(problem, *lin.linearize(point, lin.residuals(point)[1]))
+    arrays = solve_motion_only(**args)
+    assert arrays[1].iterations > 1
+    report = solve(problem, args["config"])
+    _assert_same_solve(arrays, (problem_pose(problem, 1), report))
+
+
 @pytest.mark.parametrize("rows", ["none", "behind"])
 def test_dr_edges_without_active_rows_give_float_blocks_and_the_dense_step(rng, rows):
     # poses 1 and 2 free, held by DR edges from the fixed pose 0; with
@@ -856,8 +926,8 @@ def test_dr_whitening_matches_cholesky_of_the_precision(rng):
     for _ in range(50):
         p = 10.0 ** rng.uniform(-3, 7, size=6)
         a, b, delta = random_pose(rng), random_pose(rng), random_pose(rng, rot_scale=0.3)
-        edges, dr = dr_edge(a, b, delta, p)
-        ((log, rw, _),) = dr
+        edges, dr, _ = dr_edge(a, b, delta, p)
+        ((log, rw),) = dr
         whitened, _ = edges.whitened_jacobians(dr)
         u = np.linalg.cholesky(np.diag(p)).T
         r, rw = np.array(log[0]), np.array(rw)
@@ -1229,12 +1299,12 @@ def test_problem_keeps_variables_in_ascending_id_and_rejects_an_id_given_twice(r
 
 def _derived_system(lin, point):
     """The system at the point, derived per system: each block added in the
-    module's order, one at a time, and the chunk index of the nonzero blocks
-    of Hpl."""
+    module's order, one at a time, and the chunk index of the pairs of free
+    poses and free landmarks the rows form."""
     _, (visual, rotations, dr) = lin.residuals(point)
-    active, jp, j_lm, rw = optimizer._visual_jacobians(lin.k, visual, lin.inv_std, rotations)
+    jp, j_lm, rw = optimizer._visual_jacobians(lin.k, visual, lin.inv_std, rotations)
     n, n_l = lin.n_pose_free, lin.n_lm_free
-    pose_free, lm_free = lin.row_pose_free[active], lin.row_lm_free[active]
+    pose_free, lm_free = lin.row_pose_free, lin.row_lm_free
     hpp, bp = np.zeros((n, 6, n, 6)), np.zeros((n, 6))
     for p in range(n):
         h, g = optimizer._pose_reduction(jp[pose_free == p], rw[pose_free == p])
@@ -1253,6 +1323,7 @@ def _derived_system(lin, point):
         for (a, b), h in zip(pairs, [] if cross is None else cross):
             hpp[b, :, a] += h.T
     hll, bl, hpl = np.zeros((n_l, 3, 3)), np.zeros((n_l, 3)), np.zeros((n, 6, n_l, 3))
+    seen = np.zeros((n, n_l), dtype=bool)
     coupling = jp.transpose(0, 2, 1) @ j_lm
     for p, l, j, r, c in zip(pose_free, lm_free, j_lm, rw, coupling):
         if l >= 0:
@@ -1260,7 +1331,7 @@ def _derived_system(lin, point):
             bl[l] += -(j[0] * r[0] + j[1] * r[1])
             if p >= 0:
                 hpl[p, :, l] += c
-    seen = (hpl != 0).reshape(n, 6, 3 * n_l).any(axis=1).reshape(n, n_l, 3).any(axis=2)
+                seen[p, l] = True
     return NormalEquations(hpp.reshape(6 * n, 6 * n), bp.reshape(-1), hll, bl, hpl,
                            optimizer._schur_chunks(seen))
 
@@ -1293,8 +1364,8 @@ def _plan_problem(rng, case):
 def test_plan_gives_the_bytes_of_the_per_system_derivation(rng, case):
     # the chain's edges between free poses add cross blocks; fixed landmarks
     # and a fixed middle pose leave rows out of Hll and Hpl; a row behind the
-    # near plane takes the fallback; with no rows every block is zero and
-    # float64
+    # near plane stays in the plan at zero weight; with no rows every block
+    # is zero and float64
     problem = _plan_problem(rng, case)
     lin = _Linearizer(problem)
     assert len(lin.dr.cross_from) > 0
@@ -1310,9 +1381,15 @@ def test_plan_gives_the_bytes_of_the_per_system_derivation(rng, case):
         assert lms.tobytes() == expected[0].tobytes() and rows.tobytes() == expected[1].tobytes()
         assert block_rows.tobytes() == expected[2][0].tobytes()
         assert block_cols.tobytes() == expected[2][1].tobytes()
-    # the plan is built once per solve; a row behind the near plane derives
-    # the rows' part again
-    assert (neq.schur_chunks is lin.row_plan.chunks) == (case != "near_plane")
+    # the plan is built once per solve, and every linearization reads it
+    moved = lin.retract(lin.point, np.full(6 * lin.n_pose_free + 3 * lin.n_lm_free, 1e-3))
+    for system in (neq, lin.linearize(moved, lin.residuals(moved)[1])):
+        assert system.schur_chunks is lin.schur_chunks
+    if case == "near_plane":
+        # the row behind pose 3 adds exact zeros: its Hpl block is zero, and
+        # its landmark's Hll block and gradient are zero
+        p, l = lin.free_index[lin.pose_ids == 3][0], lin.lm_free_index[lin.lm_ids == 150][0]
+        assert not neq.Hpl[p, :, l].any() and not neq.Hll[l].any() and not neq.bl[l].any()
     if case == "no_rows":
         assert not neq.Hpl.any() and not neq.Hll.any() and neq.Hpp.any()
     else:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import tempfile
 import warnings
 from pathlib import Path
@@ -22,6 +23,7 @@ from drslam.simulator import (
     Detections,
     Dropout,
     WorldConfig,
+    WorldConfigError,
     config_from_meta,
     generate_trajectory,
     populate_landmarks,
@@ -94,6 +96,17 @@ def test_trajectory_degenerate_spec():
         generate_trajectory(WorldConfig(waypoints=[(1, 1)], n_frames=5))
     with pytest.raises(DegenerateSpec):
         generate_trajectory(WorldConfig(waypoints=[(0, 0), (0, 0), (1, 0)], n_frames=5))
+
+
+@pytest.mark.parametrize("field, value", [("fps", 0.0), ("n_frames", 0), ("depth_min", 9.0),
+                                          ("seed", -1)])
+def test_world_config_error_names_its_fields_and_survives_pickling(field, value):
+    # a worker process sends the error back pickled, fields and all
+    with pytest.raises(WorldConfigError) as e:
+        WorldConfig(**{field: value})
+    assert field in e.value.fields
+    back = pickle.loads(pickle.dumps(e.value))
+    assert (type(back), str(back), back.fields) == (WorldConfigError, str(e.value), e.value.fields)
 
 
 def test_populate_zero_density_gives_empty_set():
