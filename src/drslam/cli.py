@@ -117,12 +117,7 @@ def cmd_run(args) -> int:
             ("track_lost_frame",
              "" if result.track_lost_frame is None else str(result.track_lost_frame)),
             ("loop_closures", str(len(result.gba_events))),
-            ("motion_failed", str(result.motion_failed)),
-            ("lba_failed", str(result.lba_failed)),
-            ("gba_failed", str(result.gba_failed)),
-            ("motion_capped", str(result.motion_capped)),
-            ("lba_capped", str(result.lba_capped)),
-            ("gba_capped", str(result.gba_capped))]
+            *((name, str(count)) for name, count in result.counts.items())]
     v = _run_verdict(result, sequence)
     if v is not None:
         rows += [("ape_rmse_m", fmt(v.rmse)), ("completed", str(v.completed).lower())]
@@ -306,10 +301,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DrSlamError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (DrSlamError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,10 +1,13 @@
 """Hierarchical SLAM pipeline with adaptive dead-reckoning support.
 
-Per-frame tracking (predict, associate, motion-only BA), keyframe management
-with covisibility counted from the map's observations, local bundle adjustment
-with smoothed DR edge weights, oracle loop detection over simulated geometry,
-global bundle adjustment with the edge weights local BA last set, and map
-persistence.
+Every frame takes one path through ``Pipeline.process``: its start pose (the
+first frame's true pose, every later frame's prediction), association and
+motion-only BA when the frame gets visual processing, one ``Frame``, then
+mapping, where it may become a keyframe. Around that path: covisibility
+counted from the map's observations, local bundle adjustment with smoothed DR
+edge weights, oracle loop detection over simulated geometry, global bundle
+adjustment with the edge weights local BA last set, and map persistence. A
+run counts its failed and capped solves in one table keyed by ``SOLVE_COUNTS``.
 
 Modes:
   vision-only  constant-velocity prediction, no DR anywhere, can lose track
@@ -42,6 +45,12 @@ from .weighting import (
 )
 
 MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
+# Solve outcomes a run counts, in the order metrics.csv lists them: per level,
+# failed solves (a frame left at its prediction, a local BA window left
+# unrefined, a global BA rolled back with its loop edge), then solves that
+# ended on their iteration cap.
+SOLVE_COUNTS = ("motion_failed", "lba_failed", "gba_failed",
+                "motion_capped", "lba_capped", "gba_capped")
 
 MAP_MAGIC = "GWMAP v2"
 # Per map section, in file order: the fields of a data line, how many of them
@@ -209,11 +218,6 @@ class PipelineParams:
     gba_solver: SolverConfig = field(default_factory=SolverConfig)
 
 
-def predict_pose(prev: Frame, dr: Pose) -> Pose:
-    """DR motion model: compose the previous pose with the camera-frame increment."""
-    return compose(prev.pose, dr)
-
-
 def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
     """Rows, in detection order, of the first detection of each landmark id."""
     _, first = np.unique(ids, return_index=True)
@@ -275,12 +279,7 @@ class RunResult:
     slam_map: SlamMap
     track_lost_frame: int | None
     gba_events: list
-    motion_failed: int       # frames left at the prediction (NoConstraints, Diverged, SingularSystem)
-    lba_failed: int          # local BA windows left unrefined (Diverged, SingularSystem)
-    gba_failed: int          # global BAs that failed and had their loop edge rolled back
-    motion_capped: int       # solves of each level that ended on their iteration cap
-    lba_capped: int
-    gba_capped: int
+    counts: dict             # solve outcomes, keyed by SOLVE_COUNTS in its order
 
     def frame_trajectory(self):
         return [(f.timestamp, f.pose) for f in self.frames]
@@ -311,7 +310,6 @@ class Pipeline:
         self.mode = mode
         self.slam_map = SlamMap()
         self.frames: list[Frame] = []
-        self.prev_frame: Frame | None = None
         self.prev_prev_pose: Pose | None = None
         self.acc_delta: Pose | None = Pose.identity()
         self.c_ref = params.c_ref_init
@@ -319,22 +317,18 @@ class Pipeline:
         self.track_lost_frame: int | None = None
         self.last_gba_kf: int | None = None
         self.gba_events: list[GbaEvent] = []
-        self.motion_failed = 0
-        self.lba_failed = 0
-        self.gba_failed = 0
-        self.motion_capped = self.lba_capped = self.gba_capped = 0
+        self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
         self._next_kf_id = 0
 
-    # ----- tracking -------------------------------------------------------
+    # ----- tracking and mapping, one frame at a time -----------------------
 
     def _predict(self, dr: Pose | None) -> Pose:
-        prev = self.prev_frame
+        prev = self.frames[-1].pose
         if self.mode == "vision-only" or dr is None:
             if self.prev_prev_pose is None:
-                return prev.pose
-            cv = compose(inverse(self.prev_prev_pose), prev.pose)
-            return compose(prev.pose, cv)
-        return predict_pose(prev, dr)
+                return prev
+            return compose(prev, compose(inverse(self.prev_prev_pose), prev))
+        return compose(prev, dr)
 
     def _alpha_for_quality(self, q: float) -> float | None:
         if self.mode == "adaptive":
@@ -343,95 +337,70 @@ class Pipeline:
             return self.params.fixed_alpha
         return None
 
-    def _solve_motion(self, predicted, matches: Detections, dr, alpha):
-        p = self.params
-        points = self.slam_map.points.positions[self.slam_map.points.rows(matches.ids)]
-        prior = None
-        if alpha is not None and dr is not None:
-            prior = (self.prev_frame.pose, dr, scale_information(alpha, p.nominal))
-        return solve_motion_only(self.camera, predicted, points, matches.uv, p.pixel_std,
-                                 HUBER_PIXEL_SCALE, prior, p.motion_solver)
-
     def process(self, record) -> Frame:
-        dr = record.dr_delta
-        if self.prev_frame is None:
+        """Track the record's frame, then map it: the same steps for every frame.
+
+        The first frame starts at its true pose (the identity without one),
+        every later one at its prediction. A frame after the first gets
+        visual processing, association then the motion-only solve, unless
+        the mode is dr-only or track is lost for good. The frame then joins
+        the trajectory and may become a keyframe.
+        """
+        p, dr, first = self.params, record.dr_delta, not self.frames
+        if first:
             pose = record.gt_pose if record.gt_pose is not None else Pose.identity()
-            stats = TrackingStats(record.n_det, 0)
-            frame = Frame(record.frame_id, record.timestamp, pose, stats,
-                          compute_quality(stats, self.params.quality), dr,
-                          tracked_ok=True, gt_pose=record.gt_pose)
-            self.frames.append(frame)
-            if self.mode == "dr-only":
-                self._bare_keyframe(frame)
-            else:
-                self._insert_keyframe(frame, record, Detections.empty())
-            self.prev_frame = frame
-            return frame
-
-        predicted = self._predict(dr)
-
-        if self.mode == "dr-only" or self.track_lost_frame is not None:
-            # no visual processing: integrated odometry, or tracking lost for good
-            stats = TrackingStats(record.n_det, 0)
-            frame = Frame(record.frame_id, record.timestamp, predicted, stats,
-                          compute_quality(stats, self.params.quality), dr,
-                          tracked_ok=self.mode == "dr-only", gt_pose=record.gt_pose)
-            self._finish_frame(frame, record)
-            return frame
-
-        matches, n_trk, n_cand = associate_features(
-            record.detections, self.slam_map.points, predicted, SEARCH_RADIUS, self.camera)
+        else:
+            pose = self._predict(dr)
+        visual = not first and self.mode != "dr-only" and self.track_lost_frame is None
+        matches, n_trk, n_cand = Detections.empty(), 0, 0
+        if visual:
+            matches, n_trk, n_cand = associate_features(
+                record.detections, self.slam_map.points, pose, SEARCH_RADIUS, self.camera)
         stats = TrackingStats(record.n_det, n_trk)
-        q = compute_quality(stats, self.params.quality)
-        alpha = self._alpha_for_quality(q)
-
-        tracked_ok = True
-        iterations = 0
-        try:
-            pose, report = self._solve_motion(predicted, matches, dr, alpha)
-            iterations = report.iterations
-            self.motion_capped += _capped(report)
-        except (NoConstraints, Diverged, SingularSystem):
-            pose = predicted
-            tracked_ok = False
-            self.motion_failed += 1
+        q = compute_quality(stats, p.quality)
+        alpha = self._alpha_for_quality(q) if visual else None
+        tracked_ok, iterations = self.track_lost_frame is None, 0
+        if visual:
+            prior = None
+            if alpha is not None and dr is not None:
+                prior = (self.frames[-1].pose, dr, scale_information(alpha, p.nominal))
+            points = self.slam_map.points.positions[self.slam_map.points.rows(matches.ids)]
+            try:
+                pose, report = solve_motion_only(self.camera, pose, points, matches.uv,
+                                                 p.pixel_std, HUBER_PIXEL_SCALE, prior,
+                                                 p.motion_solver)
+                iterations = report.iterations
+                self.counts["motion_capped"] += _capped(report)
+            except (NoConstraints, Diverged, SingularSystem):
+                tracked_ok = False      # left at the prediction
+                self.counts["motion_failed"] += 1
+            if self.mode == "vision-only":
+                self.lost_streak = self.lost_streak + 1 if n_trk < MIN_INLIERS else 0
+                if self.lost_streak >= LOST_FRAMES:
+                    self.track_lost_frame = record.frame_id
+                    tracked_ok = False
 
         frame = Frame(record.frame_id, record.timestamp, pose, stats, q, dr, tracked_ok,
                       alpha=alpha if alpha is not None else float("nan"),
                       solver_iterations=iterations, gt_pose=record.gt_pose, n_cand=n_cand)
-
-        if self.mode == "vision-only":
-            self.lost_streak = self.lost_streak + 1 if n_trk < MIN_INLIERS else 0
-            if self.lost_streak >= LOST_FRAMES:
-                self.track_lost_frame = record.frame_id
-                frame.tracked_ok = False
-
-        self._finish_frame(frame, record, matches if self.track_lost_frame is None else None)
-        return frame
-
-    def _finish_frame(self, frame: Frame, record, matches: Detections | None = None) -> None:
-        """Append the frame; with its matches, map it (the frame may become a keyframe)."""
+        if self.acc_delta is not None:
+            self.acc_delta = None if dr is None else compose(self.acc_delta, dr)
+        self.prev_prev_pose = None if first else self.frames[-1].pose
         self.frames.append(frame)
-        if self.acc_delta is not None and frame.dr is not None:
-            self.acc_delta = compose(self.acc_delta, frame.dr)
-        else:
-            self.acc_delta = None if frame.dr is None else self.acc_delta
-        self.prev_prev_pose = self.prev_frame.pose
-        self.prev_frame = frame
+        last_kf = None if first else self.slam_map.keyframes[self._next_kf_id - 1]
+        # Few-but-nonzero matches on a degraded frame make a geometrically
+        # risky keyframe. Blackout frames (zero matches, no geometry) and
+        # frontier frames (plenty of fresh detections to triangulate) are
+        # fine; only deny the degenerate low-texture case.
+        risky = 0 < n_trk < KF_MIN_TRK and record.n_det < KF_MIN_DET
         if self.mode == "dr-only":
             # trajectory snapshots only; no mapping in this mode
-            last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
-            if frame.id - last_kf.frame_id >= K_MAX:
+            if first or frame.id - last_kf.frame_id >= K_MAX:
                 self._bare_keyframe(frame)
-        elif matches is not None:
-            last_kf = self.slam_map.keyframes[max(self.slam_map.keyframes)]
-            # Few-but-nonzero matches on a degraded frame make a geometrically
-            # risky keyframe. Blackout frames (zero matches, no geometry) and
-            # frontier frames (plenty of fresh detections to triangulate) are
-            # fine; only deny the degenerate low-texture case.
-            risky = 0 < frame.stats.n_trk < KF_MIN_TRK and frame.stats.n_det < KF_MIN_DET
-            if decide_keyframe(frame, last_kf) and not risky:
-                self._insert_keyframe(frame, record, matches)
+        elif first or (self.track_lost_frame is None and not risky
+                       and decide_keyframe(frame, last_kf)):
+            self._insert_keyframe(frame, record, matches)
+        return frame
 
     # ----- mapping --------------------------------------------------------
 
@@ -541,9 +510,9 @@ class Pipeline:
             return
         problem = self._ba_problem(kf_ids, fixed, points, True, edges)
         try:
-            self.lba_capped += _capped(solve_local_ba(problem, p.ba_solver))
+            self.counts["lba_capped"] += _capped(solve_local_ba(problem, p.ba_solver))
         except (Diverged, SingularSystem):
-            self.lba_failed += 1
+            self.counts["lba_failed"] += 1
             return
         self._apply_ba(problem)
         if alphas:
@@ -633,19 +602,17 @@ class Pipeline:
                                    _seen_twice(self.slam_map.observations["landmark"]), False,
                                    edges + self.slam_map.loop_edges)
         try:
-            self.gba_capped += _capped(solve_global_ba(problem, self.params.gba_solver))
+            self.counts["gba_capped"] += _capped(solve_global_ba(problem, self.params.gba_solver))
         except (Diverged, SingularSystem):
-            self.gba_failed += 1
+            self.counts["gba_failed"] += 1
             return False
         last, before = keyframes[kf_ids[-1]], keyframes[kf_ids[-1]].pose
         self._apply_ba(problem)
-        correction = compose(last.pose, inverse(before))
-        if self.prev_frame is not None:
-            self.prev_frame.pose = compose(correction, self.prev_frame.pose)
-            if self.prev_prev_pose is not None:
-                self.prev_prev_pose = compose(correction, self.prev_prev_pose)
+        correction, frame = compose(last.pose, inverse(before)), self.frames[-1]
+        frame.pose = compose(correction, frame.pose)
+        self.prev_prev_pose = compose(correction, self.prev_prev_pose)
         post = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
-        self.gba_events.append(GbaEvent(frame_id=self.frames[-1].id if self.frames else -1,
+        self.gba_events.append(GbaEvent(frame_id=frame.id,
                                         kf_from=loop_from, kf_to=loop_to,
                                         pre_keyframes=pre, post_keyframes=post))
         return True
@@ -653,10 +620,7 @@ class Pipeline:
     def result(self) -> RunResult:
         return RunResult(mode=self.mode, frames=self.frames, slam_map=self.slam_map,
                          track_lost_frame=self.track_lost_frame,
-                         gba_events=self.gba_events, motion_failed=self.motion_failed,
-                         lba_failed=self.lba_failed, gba_failed=self.gba_failed,
-                         motion_capped=self.motion_capped, lba_capped=self.lba_capped,
-                         gba_capped=self.gba_capped)
+                         gba_events=self.gba_events, counts=self.counts)
 
 
 def _capped(report) -> bool:

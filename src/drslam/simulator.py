@@ -460,6 +460,10 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
 
+# The camera's entries of a sequence's meta, each with its parse.
+CAMERA_FIELDS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int}
+
+
 def _config_meta(config: WorldConfig, camera: CameraIntrinsics) -> dict:
     return {"format": META_MAGIC,
             **{name: render(getattr(config, name)) for name, (_, render) in WORLD_FIELDS.items()},
@@ -468,15 +472,40 @@ def _config_meta(config: WorldConfig, camera: CameraIntrinsics) -> dict:
             "width": str(camera.width), "height": str(camera.height)}
 
 
-def config_from_meta(meta: dict) -> WorldConfig:
-    return WorldConfig(**{name: parse(meta[name]) for name, (parse, _) in WORLD_FIELDS.items()})
+def _meta_values(meta: dict, parsers: dict, path) -> dict:
+    """Each key of parsers with its meta entry parsed; FormatError naming the
+    key when the entry is missing or does not parse, or parses to NaN, as
+    the configuration's keys do."""
+    values = {}
+    for key, parse in parsers.items():
+        if key not in meta:
+            raise FormatError(f"no '{key}' entry", path=path)
+        try:
+            values[key] = parse(meta[key])
+            if isinstance(values[key], float) and math.isnan(values[key]):
+                raise ValueError("NaN is not accepted")
+        except ValueError as e:
+            raise FormatError(f"'{key} = {meta[key]}' does not parse: {e}", path=path) from None
+    return values
 
 
-def camera_from_meta(meta: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        fx=float(meta["fx"]), fy=float(meta["fy"]),
-        cx=float(meta["cx"]), cy=float(meta["cy"]),
-        width=int(meta["width"]), height=int(meta["height"]))
+def config_from_meta(meta: dict, path=None) -> WorldConfig:
+    """The world a sequence's meta describes; FormatError naming the key(s) of
+    an entry that is missing, does not parse or is out of range."""
+    values = _meta_values(meta, {name: parse for name, (parse, _) in WORLD_FIELDS.items()}, path)
+    try:
+        return WorldConfig(**values)
+    except WorldConfigError as e:
+        raise FormatError(f"{', '.join(e.fields)}: {e}", path=path) from None
+
+
+def camera_from_meta(meta: dict, path=None) -> CameraIntrinsics:
+    """The camera a sequence's meta describes; FormatError as config_from_meta."""
+    values = _meta_values(meta, CAMERA_FIELDS, path)
+    try:
+        return CameraIntrinsics(**values)
+    except ValueError as e:
+        raise FormatError(f"{', '.join(CAMERA_FIELDS)}: {e}", path=path) from None
 
 
 def write_sequence(seq: Sequence, path) -> None:
@@ -558,8 +587,10 @@ def _detection_counts(stats: np.ndarray, path, n_obs: np.ndarray) -> list:
 
 
 def read_sequence(path) -> Sequence:
-    meta = _read_meta(os.path.join(path, "meta"))
-    camera = camera_from_meta(meta)
+    meta_path = os.path.join(path, "meta")
+    meta = _read_meta(meta_path)
+    config_from_meta(meta, meta_path)     # every world entry there, parsed and in range
+    camera = camera_from_meta(meta, meta_path)
     gt_path = os.path.join(path, "gt.tum")
     gt = read_tum(gt_path)
     gt_ts = np.array([ts for ts, _ in gt])

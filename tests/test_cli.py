@@ -13,10 +13,10 @@ import drslam.pipeline
 import drslam.simulator
 from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import SCHEMA, RunConfig, parse_config
-from drslam.errors import ConfigError, Diverged
+from drslam.errors import ConfigError, Diverged, FormatError
 from drslam.fileio import read_tum
 from drslam.pipeline import MODES, PipelineParams
-from drslam.simulator import Dropout
+from drslam.simulator import Dropout, read_sequence
 
 
 def write_world(path, extra=""):
@@ -467,6 +467,56 @@ def test_run_inconsistent_frame_rows_exit_two(tmp_path, capsys, name, edit):
     assert main(["run", "--seq", str(seq_dir), "--out", str(tmp_path / "o"),
                  "--config", cfg]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("fx", "abc", "fx"),                    # does not parse
+    ("fps", None, "fps"),                   # missing
+    ("fps", "0", "fps"),                    # WorldConfig rejects it
+    ("depth_max", "0.1", "depth_min, depth_max"),
+    ("dropouts", "3:4", "dropouts"),
+    ("width", "100", "width"),              # CameraIntrinsics rejects it
+    ("fx", "inf", "fx"),
+    ("pixel_noise", "nan", "pixel_noise"),  # NaN, as in a configuration key
+], ids=["unparsed", "missing", "world-range", "depth-range", "dropout", "camera-range",
+        "camera-inf", "nan"])
+def test_bad_sequence_meta_is_a_format_error(tmp_path, capsys, key, value, named):
+    # read_sequence checks every meta entry, so run and sweep exit 2 on a bad
+    # one before any frame is processed or any repeat re-simulated
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--out", str(seq_dir)])
+    meta = seq_dir / "meta"
+    lines = [line for line in meta.read_text().splitlines()
+             if line.partition("=")[0].strip() != key]
+    meta.write_text("\n".join(lines + ([f"{key} = {value}"] if value is not None else [])) + "\n")
+    with pytest.raises(FormatError) as e:
+        read_sequence(str(seq_dir))
+    assert str(meta) in str(e.value) and named in str(e.value)
+    capsys.readouterr()
+    for command in (["run"], ["sweep", "--alphas", "0", "--repeats", "2"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--seq", str(seq_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err and named in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--ref", "--seq"])
+def test_os_error_on_a_path_exits_two(tmp_path, capsys, flag):
+    # a file where a directory belongs and a directory where a file belongs
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--out", str(seq_dir)])
+    gt, taken = str(seq_dir / "gt.tum"), tmp_path / "taken"
+    taken.write_text("")
+    args = {"--out": ["eval", "--est", gt, "--ref", gt, "--out", str(taken)],
+            "--ref": ["eval", "--est", gt, "--ref", str(seq_dir), "--out", str(tmp_path / "o")],
+            "--seq": ["run", "--seq", gt, "--out", str(tmp_path / "o")]}[flag]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_bundled_configs_resolve(tmp_path):

@@ -320,7 +320,8 @@ def test_back_projection_then_projection_returns_the_pixels(xi, pixels):
 
 
 def test_intrinsics_validation():
-    with pytest.raises(ValueError):
-        CameraIntrinsics(fx=-1, fy=500, cx=320, cy=240, width=640, height=480)
+    for fx, fy in ((-1, 500), (float("nan"), 500), (500, float("inf"))):
+        with pytest.raises(ValueError):
+            CameraIntrinsics(fx=fx, fy=fy, cx=320, cy=240, width=640, height=480)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=500, fy=500, cx=700, cy=240, width=640, height=480)

@@ -19,6 +19,8 @@ from drslam.pipeline import (
     LOOP_GAP_MIN,
     LOST_FRAMES,
     MAX_LOCAL_KEYFRAMES,
+    MODES,
+    SOLVE_COUNTS,
     Frame,
     KeyFrame,
     Pipeline,
@@ -28,7 +30,6 @@ from drslam.pipeline import (
     associate_features,
     decide_keyframe,
     load_map,
-    predict_pose,
     run_pipeline,
     save_map,
 )
@@ -70,19 +71,20 @@ def straight_sequence(n_frames=120, seed=0, **kw):
 
 
 def test_predict_pose_identity_delta(rng):
-    prev = make_frame(pose=exp_se3(rng.normal(scale=0.2, size=6)))
-    pred = predict_pose(prev, Pose.identity())
-    assert np.allclose(pred.matrix(), prev.pose.matrix(), atol=1e-15)
+    prev = exp_se3(rng.normal(scale=0.2, size=6))
+    pred = compose(prev, Pose.identity())
+    assert np.allclose(pred.matrix(), prev.matrix(), atol=1e-15)
 
 
 def test_predict_pose_chain_composition(rng):
+    # the DR prediction chained over 20 increments is their matrix product
     pose = Pose.identity()
-    chain = Pose.identity()
+    chain = np.eye(4)
     for _ in range(20):
         delta = exp_se3(rng.normal(scale=0.05, size=6))
-        pose = predict_pose(make_frame(pose=pose), delta)
-        chain = compose(chain, delta)
-    assert np.allclose(pose.matrix(), chain.matrix(), atol=1e-12)
+        pose = compose(pose, delta)
+        chain = chain @ delta.matrix()
+    assert np.allclose(pose.matrix(), chain, atol=1e-12)
 
 
 def simple_map_points(positions):
@@ -392,6 +394,49 @@ def test_pipeline_one_pose_per_frame_all_modes():
             assert np.all(np.isfinite(f.pose.q))
 
 
+@pytest.fixture(scope="module")
+def blackout_runs():
+    seq = straight_sequence(n_frames=50, dropouts=[Dropout(20, 34, 0)])
+    return {mode: run_pipeline(seq, PARAMS, mode) for mode in MODES}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_takes_its_frames_through_one_path(blackout_runs, mode):
+    res = blackout_runs[mode]
+    assert list(res.counts) == list(SOLVE_COUNTS)
+    first, kf0 = res.frames[0], res.slam_map.keyframes[0]
+    # the first frame: tracked at its start pose, no solve, keyframe 0, which
+    # observes points in every mode that maps
+    assert first.tracked_ok and math.isnan(first.alpha)
+    assert pose_bytes(first.pose) == pose_bytes(first.gt_pose)
+    assert first.solver_iterations == 0 and first.n_cand == 0
+    assert kf0.frame_id == 0 and kf0.dr_to_prev is None
+    assert bool(observed(res.slam_map, 0)) == (mode != "dr-only")
+    alphas = [f.alpha for f in res.frames[1:]]
+    if mode == "dr-only":
+        assert all(f.tracked_ok for f in res.frames) and all(map(math.isnan, alphas))
+        assert len(res.slam_map.points.ids) == 0
+    elif mode in ("fixed-dr", "adaptive"):
+        assert all(math.isfinite(f.alpha) for f in res.frames[1:] if f.tracked_ok)
+        if mode == "fixed-dr":
+            assert set(alphas) == {PARAMS.fixed_alpha}
+    else:
+        assert all(map(math.isnan, alphas))
+    if mode != "vision-only":
+        assert res.track_lost_frame is None
+        return
+    # vision-only loses track in the blackout; every later frame stays at the
+    # constant-velocity prediction from the two before it, and maps nothing
+    lost = res.track_lost_frame
+    assert 20 + LOST_FRAMES - 1 <= lost <= 34
+    assert not any(f.tracked_ok for f in res.frames[lost:])
+    for before, prev, f in zip(res.frames[lost - 1:], res.frames[lost:], res.frames[lost + 1:]):
+        cv = compose(prev.pose, compose(inverse(before.pose), prev.pose))
+        assert pose_bytes(f.pose) == pose_bytes(cv)
+        assert f.solver_iterations == 0 and f.stats.n_trk == 0
+    assert max(kf.frame_id for kf in res.slam_map.keyframes.values()) < lost
+
+
 def test_textureless_frames_adaptive_follows_dr_prediction():
     seq = straight_sequence(n_frames=60, dropouts=[Dropout(25, 40, 0)])
     res = run_pipeline(seq, PARAMS, "adaptive")
@@ -639,7 +684,7 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     assert attempts, "no loop closure was attempted"
     assert res.slam_map.loop_edges == []
     assert res.gba_events == []
-    assert res.gba_failed == len(attempts)
+    assert res.counts["gba_failed"] == len(attempts)
     assert all(b - a >= LOOP_COOLDOWN for a, b in zip(attempts, attempts[1:]))
 
 
@@ -656,9 +701,9 @@ def test_motion_only_fallbacks_are_counted(monkeypatch):
     monkeypatch.setattr("drslam.pipeline.solve_motion_only", every_fifth_diverges)
     res = run_pipeline(straight_sequence(n_frames=60), PARAMS, "adaptive")
     assert len(calls) == 59
-    assert res.motion_failed == 11
+    assert res.counts["motion_failed"] == 11
     # each fallback leaves its frame at the prediction, marked not tracked
-    assert sum(not f.tracked_ok for f in res.frames) == res.motion_failed
+    assert sum(not f.tracked_ok for f in res.frames) == res.counts["motion_failed"]
     assert all(f.solver_iterations == 0 for f in res.frames if not f.tracked_ok)
 
 
@@ -680,9 +725,9 @@ def test_capped_solves_are_counted_per_level(monkeypatch):
     res = run_pipeline(simulate_sequence(config.world_config()), config.pipeline_params(),
                        "adaptive")
     for level, terminations in endings.items():
-        assert getattr(res, f"{level}_capped") == terminations.count("max_iterations")
-    assert res.motion_capped > 0 and res.lba_capped > 0
-    assert 0 < res.lba_capped < len(endings["lba"])
+        assert res.counts[f"{level}_capped"] == terminations.count("max_iterations")
+    assert res.counts["motion_capped"] > 0 and res.counts["lba_capped"] > 0
+    assert 0 < res.counts["lba_capped"] < len(endings["lba"])
 
 
 def test_map_round_trip_empty(tmp_path):
