@@ -105,9 +105,10 @@ def _run_verdict(result, sequence):
 
 def cmd_run(args) -> int:
     config = _load_config(args)
+    params = config.pipeline_params()
     sequence = read_sequence(args.seq)
     out = _out_dir(args, f"run_{config.mode}_{config.seed}")
-    result = run_pipeline(sequence, config.pipeline_params(), config.mode)
+    result = run_pipeline(sequence, params, config.mode)
     _write_run_outputs(result, sequence, out)
     _echo_config(config, out)
     rows = [("mode", config.mode),
@@ -182,6 +183,7 @@ def _sweep_arguments(args):
 def cmd_sweep(args) -> int:
     alphas, frame_range = _sweep_arguments(args)
     config = _load_config(args)
+    params = config.pipeline_params()
     sequence = read_sequence(args.seq)
     n_frames = len(sequence.records)
     if frame_range is not None:
@@ -194,8 +196,8 @@ def cmd_sweep(args) -> int:
                               f"at least {evaluation.MIN_PAIRS}")
     out = _out_dir(args, f"sweep_{config.seed}")
     with _sweep_pool(args.jobs) as pool:
-        rows = evaluation.alpha_sweep(sequence, alphas, args.repeats, config.pipeline_params(),
-                                      frame_range, map=pool.map)
+        rows = evaluation.alpha_sweep(sequence, alphas, args.repeats, params, frame_range,
+                                      map=pool.map)
     write_csv(os.path.join(out, "sweep.csv"),
               ["log_alpha", "repeat", "rmse", "median"],
               [(fmt(r.log_alpha), r.repeat, float(r.rmse), float(r.median)) for r in rows])
@@ -208,10 +210,10 @@ def cmd_repeat(args) -> int:
     if args.loops < 2:
         raise ConfigError(f"--loops must be at least 2, got {args.loops}")
     config = _load_config(args)
+    params = config.pipeline_params()
     sequence = read_sequence(args.seq)
     out = _out_dir(args, f"repeat_{config.mode}_{config.seed}")
-    reports, result = evaluation.repeat_run(sequence, args.loops,
-                                            config.pipeline_params(), config.mode)
+    reports, result = evaluation.repeat_run(sequence, args.loops, params, config.mode)
     write_csv(os.path.join(out, "repeat.csv"), ["loop", "frame_rmse", "r_f_kf"],
               [(r.loop, float(r.frame_rmse), float(r.ratio)) for r in reports])
     _write_run_outputs(result, sequence, out)
@@ -233,12 +235,11 @@ def cmd_eval(args) -> int:
     ref = _read_trajectory("--ref", args.ref)
     out = _out_dir(args, "eval")
     rmse = evaluation.ape_rmse(est, ref)
-    errors = evaluation.per_frame_errors(est, ref)
-    write_csv(os.path.join(out, "errors.csv"), ["frame_id", "err_m"],
-              [(i, float(e)) for i, (_, e) in enumerate(errors)])
+    _, errors = evaluation.per_frame_errors(est, ref)
+    write_csv(os.path.join(out, "errors.csv"), ["frame_id", "err_m"], enumerate(errors.tolist()))
     rows = [("ape_rmse_m", fmt(rmse)),
             ("pairs", str(len(errors))),
-            ("max_err_m", fmt(max(e for _, e in errors)))]
+            ("max_err_m", fmt(errors.max()))]
     write_csv(os.path.join(out, "metrics.csv"), ["metric", "value"], rows)
     print(f"APE RMSE {rmse:.6f} m over {len(errors)} pairs -> {out}")
     return EXIT_OK

@@ -27,13 +27,6 @@ from .pipeline import MODES, PipelineParams
 from .simulator import WORLD_FIELDS, WorldConfig, WorldConfigError
 
 
-def _positive(s: str) -> float:
-    value = float(s)
-    if not value > 0:
-        raise ValueError("must be positive")
-    return value
-
-
 def _mode(s: str) -> str:
     if s not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {s!r}")
@@ -57,8 +50,8 @@ SCHEMA = {
     "quality.c_ref_window": (int, str, ("c_ref_window",)),
     "quality.q_well": (float, fmt, ("q_well",)),
     "quality.smoothing_halfwidth": (int, str, ("smoothing_halfwidth",)),
-    "tracking.pixel_std": (_positive, fmt, ("pixel_std",)),
-    "tracking.fixed_alpha": (_positive, fmt, ("fixed_alpha",)),
+    "tracking.pixel_std": (float, fmt, ("pixel_std",)),
+    "tracking.fixed_alpha": (float, fmt, ("fixed_alpha",)),
     "solver.initial_damping": (float, fmt, ("motion_solver.initial_damping",
                                             "ba_solver.initial_damping",
                                             "gba_solver.initial_damping")),
@@ -76,6 +69,14 @@ DEFAULTS = {
        for key, (_, _, fields) in SCHEMA.items() if fields},
     **{f"world.{name}": getattr(_WORLD, name) for name in WORLD_FIELDS if name != "seed"},
 }
+
+
+def _checked(obj, values: dict, keys):
+    """replace(obj, **values), whose ValueError becomes a ConfigError naming keys."""
+    try:
+        return replace(obj, **values)
+    except ValueError as e:
+        raise ConfigError(f"{e}; set by {', '.join(keys)}") from None
 
 
 @dataclass
@@ -110,21 +111,21 @@ class RunConfig:
         return self.values["run.seed"]
 
     def pipeline_params(self) -> PipelineParams:
-        """PipelineParams() with the fields each key names set to its value;
-        each nested group is rebuilt once, so it validates its fields together,
-        and a group that rejects them raises ConfigError naming its keys."""
-        top, groups, group_keys = {}, {}, {}
+        """PipelineParams() with the fields each key names set to its value.
+        Each nested group is rebuilt once, so it validates its fields
+        together, and each top-level field is checked on its own; a value
+        rejected raises ConfigError naming the keys that set it."""
+        top, groups, keys = {}, {}, {}
         for key, (_, _, fields) in SCHEMA.items():
             for path in fields:
                 group, _, name = path.rpartition(".")
                 (groups.setdefault(group, {}) if group else top)[name] = self.values[key]
-                group_keys.setdefault(group, []).append(key)
+                keys.setdefault(group or name, []).append(key)
         params = PipelineParams()
         for group, values in groups.items():
-            try:
-                groups[group] = replace(getattr(params, group), **values)
-            except ValueError as e:
-                raise ConfigError(f"{e}; set by {', '.join(group_keys[group])}") from None
+            groups[group] = _checked(getattr(params, group), values, keys[group])
+        for name, value in top.items():
+            _checked(params, {name: value}, keys[name])
         return replace(params, **top, **groups)
 
     def world_config(self, seed=None) -> WorldConfig:

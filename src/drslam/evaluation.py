@@ -24,26 +24,24 @@ TRACKING_RATIO_LIMIT = 0.5
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered (timestamp, Pose) samples with strictly increasing timestamps."""
+    """Timestamps (N,), strictly increasing, and camera positions (N, 3)."""
 
     timestamps: np.ndarray
-    poses: list
+    positions: np.ndarray
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.timestamps)
 
     @staticmethod
     def from_rows(rows) -> "Trajectory":
+        """The trajectory of (timestamp, Pose) rows."""
         ts = np.array([t for t, _ in rows], dtype=float)
         back = np.flatnonzero(~(np.diff(ts) > 0))
         if len(back):
             k = int(back[0]) + 1
             raise NonMonotoneTimestamps("trajectory timestamps must be strictly increasing: "
                                         f"sample {k} at {ts[k]:.17g} follows {ts[k - 1]:.17g}")
-        return Trajectory(ts, [p for _, p in rows])
-
-    def positions(self) -> np.ndarray:
-        return np.array([p.t for p in self.poses]) if self.poses else np.zeros((0, 3))
+        return Trajectory(ts, np.array([p.t for _, p in rows], dtype=float).reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -54,23 +52,21 @@ class RunVerdict:
 
 
 def associate(est: Trajectory, ref: Trajectory):
-    """Nearest-timestamp pairing within half the reference frame period."""
-    if len(ref) < 2:
-        tol = math.inf
-    else:
-        tol = 0.5 * float(np.median(np.diff(ref.timestamps)))
-    pairs = []
-    for i, t in enumerate(est.timestamps):
-        k = int(np.searchsorted(ref.timestamps, t))
-        best, best_dt = None, tol
-        for c in (k - 1, k):
-            if 0 <= c < len(ref):
-                dt = abs(float(ref.timestamps[c] - t))
-                if dt <= best_dt:
-                    best, best_dt = c, dt
-        if best is not None:
-            pairs.append((i, best))
-    return pairs
+    """Nearest-timestamp pairs as index arrays (est_index, ref_index).
+
+    Each estimate takes the nearer of its two reference neighbours when it
+    lies within half the median reference period (any distance when the
+    reference has one sample); a tie goes to the later neighbour.
+    """
+    t, r = est.timestamps, ref.timestamps
+    tol = 0.5 * float(np.median(np.diff(r))) if len(r) > 1 else math.inf
+    k = np.searchsorted(r, t)     # r[k - 1] < t <= r[k]
+    padded = np.concatenate([[-math.inf], r, [math.inf]])
+    before, after = t - padded[k], padded[k + 1] - t
+    later = after <= before
+    near = np.where(later, after, before)
+    keep = np.flatnonzero(np.isfinite(near) & (near <= tol))
+    return keep, (k - 1 + later)[keep]
 
 
 # Associated pairs the alignment needs; fewer make ape_rmse raise TooFewPairs.
@@ -83,12 +79,12 @@ def align(est: Trajectory, ref: Trajectory) -> Pose:
 
 
 def _aligned_pairs(est: Trajectory, ref: Trajectory):
-    """align's transform and the associated pairs it is fitted on."""
-    pairs = associate(est, ref)
-    if len(pairs) < MIN_PAIRS:
-        raise TooFewPairs(f"{len(pairs)} associated pairs; need at least {MIN_PAIRS}")
-    a = np.array([est.poses[i].t for i, _ in pairs])
-    b = np.array([ref.poses[j].t for _, j in pairs])
+    """align's transform, the estimate index (M,) of each associated pair,
+    and the estimate and reference positions (M, 3) it is fitted on."""
+    i, j = associate(est, ref)
+    if len(i) < MIN_PAIRS:
+        raise TooFewPairs(f"{len(i)} associated pairs; need at least {MIN_PAIRS}")
+    a, b = est.positions[i], ref.positions[j]
     ca, cb = a.mean(axis=0), b.mean(axis=0)
     h = (a - ca).T @ (b - cb)
     u, _, vt = np.linalg.svd(h)
@@ -98,14 +94,15 @@ def _aligned_pairs(est: Trajectory, ref: Trajectory):
     m = np.eye(4)
     m[:3, :3] = rot
     m[:3, 3] = t
-    return Pose.from_matrix(m), pairs
+    return Pose.from_matrix(m), i, a, b
 
 
 def _aligned_errors(est: Trajectory, ref: Trajectory):
-    """The associated pairs and the position error (3,) of each after alignment."""
-    transform, pairs = _aligned_pairs(est, ref)
-    rot, t = transform.rotation_matrix, transform.t
-    return pairs, [rot @ est.poses[i].t + t - ref.poses[j].t for i, j in pairs]
+    """The estimate index (M,) of each associated pair and its position
+    error (M, 3) after alignment."""
+    transform, i, a, b = _aligned_pairs(est, ref)
+    # R @ a_k for each pair as one stacked product; a @ R.T rounds differently
+    return i, (transform.rotation_matrix @ a[:, :, None])[:, :, 0] + transform.t - b
 
 
 def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
@@ -115,9 +112,10 @@ def ape_rmse(est: Trajectory, ref: Trajectory) -> float:
 
 
 def per_frame_errors(est: Trajectory, ref: Trajectory):
-    """(timestamp, position error norm) of each associated pair after alignment."""
-    pairs, errs = _aligned_errors(est, ref)
-    return [(float(est.timestamps[i]), float(np.linalg.norm(e))) for (i, _), e in zip(pairs, errs)]
+    """Timestamps (M,) and position error norms (M,) of the associated pairs
+    after alignment."""
+    i, errs = _aligned_errors(est, ref)
+    return est.timestamps[i], np.linalg.norm(errs, axis=1)
 
 
 def verdict(est: Trajectory, ref: Trajectory, tracked_flags) -> RunVerdict:
@@ -155,8 +153,10 @@ class SweepRow:
     median: float = float("nan")
 
 
-def _repeat_sequence(sequence: Sequence, repeat: int, frame_range, reseed: bool):
-    if reseed and repeat > 0:
+def _repeat_sequence(sequence: Sequence, repeat: int, frame_range):
+    """The sequence of a repeat: repeat 0 is the sequence itself; later ones
+    re-simulate it from its config echo with the seed advanced."""
+    if repeat > 0:
         cfg = config_from_meta(sequence.meta)
         cfg.seed = cfg.seed + 1000 * repeat
         sequence = simulate_sequence(cfg, sequence.camera)
@@ -165,18 +165,22 @@ def _repeat_sequence(sequence: Sequence, repeat: int, frame_range, reseed: bool)
     return sequence
 
 
+def _run_and_score(sequence: Sequence, params: PipelineParams, mode: str) -> float:
+    """Frame APE RMSE of one pipeline run against the sequence's ground truth."""
+    result = run_pipeline(sequence, params, mode)
+    return ape_rmse(Trajectory.from_rows(result.frame_trajectory()), gt_trajectory(sequence))
+
+
 def sweep_repeat(sequence: Sequence, alphas, repeat: int,
-                 params: PipelineParams, frame_range=None,
-                 reseed: bool = True) -> list:
-    """One repeat of the fixed-weight sweep; medians are filled by the caller."""
-    seq_r = _repeat_sequence(sequence, repeat, frame_range, reseed)
-    ref = gt_trajectory(seq_r)
+                 params: PipelineParams, frame_range=None) -> list:
+    """One repeat of the fixed-weight sweep; a run that raises a package
+    error is a NaN cell. Medians are filled by the caller."""
+    seq_r = _repeat_sequence(sequence, repeat, frame_range)
     rows = []
     for log_alpha in alphas:
         run_params = replace(params, fixed_alpha=10.0 ** log_alpha)
         try:
-            result = run_pipeline(seq_r, run_params, "fixed-dr")
-            rmse = ape_rmse(Trajectory.from_rows(result.frame_trajectory()), ref)
+            rmse = _run_and_score(seq_r, run_params, "fixed-dr")
         except DrSlamError:
             rmse = float("nan")
         rows.append(SweepRow(log_alpha=float(log_alpha), repeat=repeat, rmse=rmse))
@@ -195,8 +199,7 @@ def fill_medians(rows) -> list:
 
 
 def alpha_sweep(sequence: Sequence, alphas, repeats: int,
-                params: PipelineParams, frame_range=None,
-                reseed: bool = True, map=map) -> list:
+                params: PipelineParams, frame_range=None, map=map) -> list:
     """Fixed-weight sweep: one pipeline run per (alpha, repeat).
 
     Repeats re-simulate the sequence from its config echo with the seed
@@ -204,22 +207,15 @@ def alpha_sweep(sequence: Sequence, alphas, repeats: int,
     then repeat and carry the per-alpha median RMSE. ``map`` runs the
     repeats, in order; a process pool's map runs them in parallel.
     """
-    run_repeat = partial(sweep_repeat, sequence, alphas, params=params,
-                         frame_range=frame_range, reseed=reseed)
+    run_repeat = partial(sweep_repeat, sequence, alphas, params=params, frame_range=frame_range)
     return fill_medians([row for part in map(run_repeat, range(repeats)) for row in part])
 
 
 def baseline_rmse(sequence: Sequence, mode: str, repeats: int,
-                  params: PipelineParams, frame_range=None,
-                  reseed: bool = True) -> list:
-    """Per-repeat RMSE of a plain pipeline mode, same reseeding as the sweep."""
-    out = []
-    for repeat in range(repeats):
-        seq_r = _repeat_sequence(sequence, repeat, frame_range, reseed)
-        ref = gt_trajectory(seq_r)
-        result = run_pipeline(seq_r, params, mode)
-        out.append(ape_rmse(Trajectory.from_rows(result.frame_trajectory()), ref))
-    return out
+                  params: PipelineParams, frame_range=None) -> list:
+    """Per-repeat RMSE of a plain pipeline mode, on the sweep's repeat sequences."""
+    return [_run_and_score(_repeat_sequence(sequence, repeat, frame_range), params, mode)
+            for repeat in range(repeats)]
 
 
 def concatenate_loops(sequence: Sequence, loops: int) -> Sequence:

@@ -108,7 +108,6 @@ class Problem:
     dr_factors: np.ndarray = field(                    # (E,) DR_EDGE
         default_factory=lambda: np.empty(0, DR_EDGE))
     pixel_std: float = 1.0                             # isotropic, every row [px]
-    huber_threshold: float = HUBER_PIXEL_SCALE         # every row, whitened units
 
     def add_poses(self, pose_ids, poses, fixed=False):
         """Adds poses: ids (N,) and N Poses, or one id and Pose, fixed one flag
@@ -140,7 +139,7 @@ class Problem:
         self.dr_factors = np.concatenate([self.dr_factors, edges])
 
     def validate(self):
-        _check_pixel_model(self.pixel_std, self.huber_threshold)
+        _check_pixel_std(self.pixel_std)
         if not all(np.all(np.diff(v["id"]) > 0) for v in (self.poses, self.landmarks)):
             raise ValueError("pose and landmark ids must be unique and ascending")
         rows, edges, poses = self.reprojection_factors, self.dr_factors, self.poses["id"]
@@ -153,17 +152,9 @@ class Problem:
                 raise KeyError(f"{kind} references unknown {name} {unknown[0]}")
 
 
-def _check_pixel_model(pixel_std, huber_threshold):
-    if not all(np.ndim(v) == 0 and v > 0 for v in (pixel_std, huber_threshold)):
-        raise ValueError("pixel std and Huber threshold must be positive scalars")
-
-
-@dataclass
-class SolverConfig:
-    """The LM settings that differ between tracking, local BA and global BA."""
-    max_iterations: int = 20
-    initial_damping: float = 1e-4
-    cost_tolerance: float = 1e-8
+def _check_pixel_std(pixel_std):
+    if not (np.ndim(pixel_std) == 0 and pixel_std > 0):
+        raise ValueError("pixel std must be positive and a scalar")
 
 
 # The LM settings every solve shares: the damping factor after a rejected and
@@ -173,6 +164,20 @@ DAMPING_UP = 10.0
 DAMPING_DOWN = 0.5
 MAX_DAMPING = 1e10
 STEP_TOLERANCE = 1e-10
+
+
+@dataclass
+class SolverConfig:
+    """The LM settings that differ between tracking, local BA and global BA.
+    The initial damping lies in (0, MAX_DAMPING]: at 0 a rejected step is
+    retried unchanged, and above MAX_DAMPING no step is tried."""
+    max_iterations: int = 20
+    initial_damping: float = 1e-4
+    cost_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if not 0 < self.initial_damping <= MAX_DAMPING:
+            raise ValueError(f"initial damping must be in (0, {MAX_DAMPING:g}]")
 
 
 @dataclass
@@ -467,7 +472,7 @@ class _Linearizer:
         self.row_lm = np.searchsorted(self.lm_ids, rows["landmark"])
         self.row_lm_free = self.lm_free_index[self.row_lm]
         self.uv = rows["uv"]
-        self.inv_std, self.huber_k = 1.0 / problem.pixel_std, problem.huber_threshold
+        self.inv_std = 1.0 / problem.pixel_std
         edges = problem.dr_factors
         self.dr = _DREdges(np.searchsorted(self.pose_ids, edges["from"]).tolist(),
                            np.searchsorted(self.pose_ids, edges["to"]).tolist(),
@@ -535,7 +540,7 @@ class _Linearizer:
         qs = q.tolist()
         rotations = np.array([quat_to_rotation(x) for x in qs]).reshape(-1, 3, 3)[self.row_slot]
         cost, visual = _visual_residuals(self.k, rotations, t[self.row_slot], lm_pos[self.row_lm],
-                                         self.uv, self.inv_std, self.huber_k)
+                                         self.uv, self.inv_std)
         cost, dr = self.dr.residuals(qs, t.tolist(), cost)
         return cost, (visual, rotations, dr)
 
@@ -589,16 +594,15 @@ class _PoseLinearizer:
     rotation matrix as the (3, 3) array the visual kernel reads, formed once
     per point by retract; its system is the 6x6 pair (H, b). Rows are the
     matched points (N, 3) and pixels (N, 2) in match order, with one inverse
-    pixel std and one Huber threshold; N may be 0, which gives a zero visual
-    block. A row at or behind the near plane stays in the cost and adds exact
-    zeros to the system. The arithmetic and its order are those of
-    _Linearizer on the equivalent one-free-pose Problem.
+    pixel std; N may be 0, which gives a zero visual block. A row at or
+    behind the near plane stays in the cost and adds exact zeros to the
+    system. The arithmetic and its order are those of _Linearizer on the
+    equivalent one-free-pose Problem.
     """
 
-    def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, huber_threshold, dr):
+    def __init__(self, camera: CameraIntrinsics, points, uv, inv_std, dr):
         self.k = camera
-        self.points, self.uv = points, uv
-        self.inv_std, self.huber_k = inv_std, huber_threshold
+        self.points, self.uv, self.inv_std = points, uv, inv_std
         self.dr = None
         if dr is not None:
             # slot 0 is the free pose, slot 1 the fixed previous pose
@@ -618,7 +622,7 @@ class _PoseLinearizer:
         """Cost at the pose and the per-row residuals linearize reuses."""
         q, t, rotation = point
         cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
-                                         self.inv_std, self.huber_k)
+                                         self.inv_std)
         dr = None
         if self.dr is not None:
             cost, dr = self.dr.residuals((q,), (t,), cost)
@@ -659,13 +663,13 @@ def _free_index(fixed: np.ndarray):
     return np.where(fixed, -1, np.cumsum(free) - 1), int(np.count_nonzero(free))
 
 
-def _visual_residuals(k, rotation, translation, points, observed, inv_std, huber_k):
-    """Huber cost of reprojection rows, and their camera-frame points,
-    whitened residuals and IRLS weights."""
+def _visual_residuals(k, rotation, translation, points, observed, inv_std):
+    """Huber cost of reprojection rows at HUBER_PIXEL_SCALE, and their
+    camera-frame points, whitened residuals and IRLS weights."""
     y, r = reprojection_residuals(k, rotation, translation, points, observed)
     rw = r * inv_std
     # the bytes of np.linalg.norm(rw, axis=1), in one pass
-    rho, w = huber(np.sqrt(np.einsum("ij,ij->i", rw, rw)), huber_k)
+    rho, w = huber(np.sqrt(np.einsum("ij,ij->i", rw, rw)), HUBER_PIXEL_SCALE)
     return float(np.sum(rho)), (y, rw, w)
 
 
@@ -799,24 +803,23 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
     return replace(report, **lin.size)
 
 
-def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float,
-                      huber_threshold: float, dr, config: SolverConfig):
+def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float, dr,
+                      config: SolverConfig):
     """Motion-only BA: refine one pose against fixed map points.
 
     points (N, 3) are the matched map points and uv (N, 2) their pixels, in
-    match order; pixel_std and huber_threshold are positive scalars that hold
-    for every row. dr is None or one DR edge (previous, delta, precision) from
+    match order; pixel_std is a positive scalar that holds for every row. dr is None or one DR edge (previous, delta, precision) from
     the fixed previous pose, its precision (6,) already scaled by its weight.
     Starts at pose, the prediction, and runs LM under config; returns (pose,
     report). Raises NoConstraints when there is no row and no DR edge.
     """
-    _check_pixel_model(pixel_std, huber_threshold)
+    _check_pixel_std(pixel_std)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     if n == 0 and dr is None:
         raise NoConstraints("the pose has no visual and no DR constraint")
     lin = _PoseLinearizer(camera, points, np.asarray(uv, dtype=float).reshape(n, 2),
-                          1.0 / pixel_std, huber_threshold, dr)
+                          1.0 / pixel_std, dr)
     (q, t, _), report = _levenberg_marquardt(
         lin, (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix), config)
     return Pose(q, t), replace(report, **lin.size)

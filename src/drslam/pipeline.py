@@ -19,13 +19,13 @@ Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
-from .factors import HUBER_PIXEL_SCALE
 from .fileio import fmt, parse_poses, pose_text
 from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
 from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
@@ -217,6 +217,17 @@ class PipelineParams:
         default_factory=lambda: SolverConfig(max_iterations=8, cost_tolerance=1e-6))
     gba_solver: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        for name in ("pixel_std", "fixed_alpha", "c_ref_init"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.c_ref_window >= 1:
+            raise ValueError("c_ref_window must be at least 1")
+        if not self.smoothing_halfwidth >= 0:
+            raise ValueError("smoothing_halfwidth must be nonnegative")
+        if not 0 <= self.q_well <= 1:
+            raise ValueError("q_well must be in [0, 1], the range of Q")
+
 
 def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
     """Rows, in detection order, of the first detection of each landmark id."""
@@ -367,8 +378,7 @@ class Pipeline:
             points = self.slam_map.points.positions[self.slam_map.points.rows(matches.ids)]
             try:
                 pose, report = solve_motion_only(self.camera, pose, points, matches.uv,
-                                                 p.pixel_std, HUBER_PIXEL_SCALE, prior,
-                                                 p.motion_solver)
+                                                 p.pixel_std, prior, p.motion_solver)
                 iterations = report.iterations
                 self.counts["motion_capped"] += _capped(report)
             except (NoConstraints, Diverged, SingularSystem):

@@ -214,8 +214,7 @@ def motion_only_args(problem):
     return dict(camera=problem.intrinsics, pose=problem_pose(problem, pid),
                 points=np.array([landmark_position(problem, j)
                                  for j in rows["landmark"].tolist()]).reshape(-1, 3),
-                uv=rows["uv"], pixel_std=problem.pixel_std,
-                huber_threshold=problem.huber_threshold, dr=dr,
+                uv=rows["uv"], pixel_std=problem.pixel_std, dr=dr,
                 config=PipelineParams().motion_solver)
 
 

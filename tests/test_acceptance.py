@@ -23,7 +23,7 @@ from drslam.evaluation import (
     gt_trajectory,
     repeat_run,
 )
-from drslam.factors import HUBER_PIXEL_SCALE, reprojection_jacobians, reprojection_residuals
+from drslam.factors import reprojection_jacobians, reprojection_residuals
 from drslam.geometry import compose, exp_se3, inverse, project, transform_point
 from drslam.optimizer import Problem, schur_solve, solve_motion_only
 from drslam.pipeline import PipelineParams, run_pipeline
@@ -188,7 +188,7 @@ def test_criterion_05_conditioning_guarantee():
         start = compose(prediction, exp_se3(rng.normal(scale=0.02, size=6)))
         precision = scale_information(dr_weight(0.0, BOUNDS), NOMINAL)
         pose, rep = solve_motion_only(CAMERA, start, np.zeros((0, 3)), np.zeros((0, 2)),
-                                      1.0, HUBER_PIXEL_SCALE, dr=(prev, delta, precision),
+                                      1.0, dr=(prev, delta, precision),
                                       config=PipelineParams().motion_solver)
         err = np.linalg.norm(pose.t - prediction.t)
         rot = compose(inverse(pose), prediction).rotation_angle()

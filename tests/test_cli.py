@@ -137,8 +137,7 @@ def test_schema_holds_only_the_settings_runs_vary(tmp_path):
 
 
 def test_config_rejects_nan_in_every_float_key(tmp_path):
-    float_keys = [key for key, (parse, _, _) in SCHEMA.items()
-                  if parse in (float, drslam.config._positive)]
+    float_keys = [key for key, (parse, _, _) in SCHEMA.items() if parse is float]
     assert {"solver.initial_damping", "tracking.pixel_std", "world.fps"} <= set(float_keys)
     for key in float_keys:
         section, _, name = key.partition(".")
@@ -159,7 +158,6 @@ PARSED_VALUES = {
     drslam.config._mode: st.sampled_from(MODES),
     int: st.integers(),
     float: floats,
-    drslam.config._positive: st.floats(min_value=0.0, exclude_min=True),
     drslam.fileio.parse_bool: st.booleans(),
     drslam.simulator.WORLD_FIELDS["waypoints"][0]: float_pairs,
     drslam.simulator.WORLD_FIELDS["density"][0]: float_pairs,
@@ -414,6 +412,31 @@ def test_run_nonpositive_pixel_std_or_huber_scale_exits_two(tmp_path, capsys, se
                  "--set", setting]) == 2
     err = capsys.readouterr().err
     assert setting.partition("=")[0] in err and "must be positive" in err
+
+
+@pytest.mark.parametrize("setting", [
+    "solver.initial_damping=0", "solver.initial_damping=-1", "solver.initial_damping=inf",
+    "solver.initial_damping=1e20",
+    "quality.c_ref_window=0", "quality.c_ref_window=-3", "quality.c_ref_init=0",
+    "quality.c_ref_init=-5", "quality.c_ref_init=inf", "quality.smoothing_halfwidth=-1",
+    "quality.q_well=-0.1", "quality.q_well=1.5", "tracking.pixel_std=inf",
+    "tracking.fixed_alpha=inf"])
+def test_run_out_of_range_estimator_setting_exits_two_before_any_output(tmp_path, capsys,
+                                                                         setting):
+    # values each key's parser accepts but the estimator cannot run with
+    # (a damping of 0 would retry a rejected step forever); the run stops on
+    # the key before it reads the sequence or writes anything
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", "--seq", seq_dir, "--out", str(out), "--config", cfg,
+                 "--set", setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("config error: ") and "Traceback" not in captured.err
+    assert setting.partition("=")[0] in captured.err
 
 
 @pytest.mark.parametrize("setting, keys", [

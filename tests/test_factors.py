@@ -411,11 +411,11 @@ def test_visual_row_kernels_give_the_bytes_of_their_textbook_formulas(rng):
             assert uv.tobytes() == want.tobytes()
         observed = uv + rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
         cost, (_, rw, weights) = optimizer._visual_residuals(K, rotations, translations, points,
-                                                             observed, 0.7, 2.0)
-        norms = np.linalg.norm(rw, axis=1)
-        inside = norms <= 2.0
-        assert weights.tobytes() == np.where(inside, 1.0, 2.0 / norms).tobytes()
-        assert cost == float(np.sum(np.where(inside, 0.5 * norms ** 2, 2.0 * (norms - 1.0))))
+                                                             observed, 0.7)
+        norms, k = np.linalg.norm(rw, axis=1), factors.HUBER_PIXEL_SCALE
+        inside = norms <= k
+        assert weights.tobytes() == np.where(inside, 1.0, k / norms).tobytes()
+        assert cost == float(np.sum(np.where(inside, 0.5 * norms ** 2, k * (norms - 0.5 * k))))
         for threshold in (np.inf, float(np.median(norms))):
             inside = norms <= threshold
             want = (np.where(inside, 0.5 * norms ** 2, threshold * (norms - 0.5 * threshold)),

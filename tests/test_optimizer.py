@@ -229,8 +229,7 @@ def test_problem_rejects_variables_out_of_id_order(rng, kind):
             solve(problem)
 
 
-@pytest.mark.parametrize("name, value", [("pixel_std", 0.0), ("pixel_std", -1.5),
-                                         ("huber_threshold", 0.0)])
+@pytest.mark.parametrize("name, value", [("pixel_std", 0.0), ("pixel_std", -1.5)])
 def test_problem_rejects_nonpositive_pixel_std_and_huber_threshold(rng, name, value):
     problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10)
     setattr(problem, name, value)
@@ -282,7 +281,7 @@ def test_reprojection_normal_equations_match_direct_product(rng):
                                       observed[None])
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
         r_w = r[0] / pixel_std
-        _, w = huber(np.linalg.norm(r_w), problem.huber_threshold)
+        _, w = huber(np.linalg.norm(r_w), HUBER_PIXEL_SCALE)
         weights.append(w)
         info = w / pixel_std ** 2
         if i == 1:
@@ -320,7 +319,7 @@ def direct_normal_equations(problem):
         if y[0, 2] <= Z_MIN:
             continue
         j_pose, j_lm = (j[0] for j in reprojection_jacobians(CAMERA, y, pose.rotation_matrix))
-        _, w = huber(np.linalg.norm(r[0]) / problem.pixel_std, problem.huber_threshold)
+        _, w = huber(np.linalg.norm(r[0]) / problem.pixel_std, HUBER_PIXEL_SCALE)
         j = np.zeros((2, n))
         if i in pose_col:
             j[:, pose_col[i]:pose_col[i] + 6] = j_pose
@@ -685,7 +684,7 @@ def test_motion_only_rows_at_or_behind_the_near_plane_add_exact_zeros(rng):
     _rows_at_near_plane_depths(rng, problem, 1, 0, fixed=True)
     args = motion_only_args(problem)
     lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
-                                    1.0 / args["pixel_std"], args["huber_threshold"], args["dr"])
+                                    1.0 / args["pixel_std"], args["dr"])
     point = (args["pose"].q.tolist(), args["pose"].t.tolist(), args["pose"].rotation_matrix)
     _assert_system_matches_direct(problem, *lin.linearize(point, lin.residuals(point)[1]))
     arrays = solve_motion_only(**args)
@@ -881,18 +880,17 @@ def test_report_carries_problem_size(rng):
 def test_motion_only_without_rows_or_dr_edge_raises():
     with pytest.raises(NoConstraints):
         solve_motion_only(CAMERA, Pose.identity(), np.zeros((0, 3)), np.zeros((0, 2)),
-                          1.0, HUBER_PIXEL_SCALE, None, SolverConfig())
+                          1.0, None, SolverConfig())
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.zeros(0)], ids=["zero", "negative", "empty"])
-@pytest.mark.parametrize("name", ["pixel_std", "huber_threshold"])
-def test_motion_only_rejects_pixel_model_that_is_not_a_positive_scalar(rng, name, value):
-    # the motion-only solve checks its pixel std and Huber threshold as
-    # Problem.validate does, and raises the same error
+@pytest.mark.parametrize("value", [0.0, -1.0, np.zeros(0)],
+                         ids=["pixel_std-zero", "pixel_std-negative", "pixel_std-empty"])
+def test_motion_only_rejects_pixel_model_that_is_not_a_positive_scalar(rng, value):
+    # the motion-only solve checks its pixel std as Problem.validate does,
+    # and raises the same error
     problem, _, _, _ = make_motion_problem(rng, n_obs=10)
     args = motion_only_args(problem)
-    args[name] = value
-    setattr(problem, name, value)
+    args["pixel_std"] = problem.pixel_std = value
     with pytest.raises(ValueError) as problem_error:
         problem.validate()
     with pytest.raises(ValueError) as motion_error:
@@ -1011,7 +1009,7 @@ def test_dr_edge_near_pi_stays_in_the_cost_and_adds_nothing_to_the_system(rng, l
         pose = visual["pose"]
         point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
         lins = [optimizer._PoseLinearizer(a["camera"], a["points"], a["uv"], 1.0 / a["pixel_std"],
-                                          a["huber_threshold"], a["dr"])
+                                          a["dr"])
                 for a in (visual, motion_only_args(problem))]
     else:
         lins = [_Linearizer(replace(problem, dr_factors=problem.dr_factors[:0])),
@@ -1143,8 +1141,7 @@ def test_lm_linearizes_only_the_points_it_steps_from(rng, monkeypatch, level, en
     monkeypatch.undo()
     if level == "motion_only":
         lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
-                                        1.0 / args["pixel_std"], args["huber_threshold"],
-                                        args["dr"])
+                                        1.0 / args["pixel_std"], args["dr"])
         point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
         fresh = optimizer._min_eigenvalue(lin.linearize(point, lin.residuals(point)[1])[0])
     else:

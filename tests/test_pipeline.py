@@ -992,8 +992,7 @@ def test_fixed_dr_runs_its_weight_in_every_stage():
 
 
 def test_lba_rejects_nonpositive_fixed_weight():
+    # the parameters reject the weight when built, before any run
     import dataclasses
-    seq = straight_sequence(n_frames=40)
-    params = dataclasses.replace(PARAMS, fixed_alpha=0.0)
-    with pytest.raises(ValueError):
-        run_pipeline(seq, params, "fixed-dr")
+    with pytest.raises(ValueError, match="fixed_alpha must be positive"):
+        dataclasses.replace(PARAMS, fixed_alpha=0.0)
