@@ -136,8 +136,17 @@ def gt_trajectory(sequence: Sequence) -> Trajectory:
                                  if r.gt_pose is not None])
 
 
+def _check_frame_range(start: int, stop: int, n_frames: int) -> None:
+    """ValueError unless [start, stop) is a nonempty range of frames 0..n_frames-1."""
+    if not 0 <= start < stop <= n_frames:
+        raise ValueError(f"frame range {start}:{stop} is not within the sequence's "
+                         f"{n_frames} frames")
+
+
 def slice_sequence(sequence: Sequence, start: int, stop: int) -> Sequence:
-    """Frame range [start, stop) as a standalone sequence, ids re-anchored."""
+    """Frame range [start, stop) as a standalone sequence, ids re-anchored.
+    Raises ValueError unless 0 <= start < stop <= the record count."""
+    _check_frame_range(start, stop, len(sequence.records))
     records = []
     for i, r in enumerate(sequence.records[start:stop]):
         records.append(replace(r, frame_id=i, dr_delta=None if i == 0 else r.dr_delta))
@@ -154,14 +163,20 @@ class SweepRow:
 
 
 def _repeat_sequence(sequence: Sequence, repeat: int, frame_range):
-    """The sequence of a repeat: repeat 0 is the sequence itself; later ones
-    re-simulate it from its config echo with the seed advanced."""
+    """The sequence of a repeat, sliced to frame_range: repeat 0 is the
+    sequence itself; later ones re-simulate it from its config echo with the
+    seed advanced, up to the range's end. Raises ValueError, before any
+    simulation, when the range is not within the sequence's records."""
+    stop = None
+    if frame_range is not None:
+        _check_frame_range(*frame_range, len(sequence.records))
+        stop = frame_range[1]
     if repeat > 0:
         cfg = config_from_meta(sequence.meta)
         cfg.seed = cfg.seed + 1000 * repeat
-        sequence = simulate_sequence(cfg, sequence.camera)
+        sequence = simulate_sequence(cfg, sequence.camera, stop)
     if frame_range is not None:
-        sequence = slice_sequence(sequence, frame_range[0], frame_range[1])
+        sequence = slice_sequence(sequence, *frame_range)
     return sequence
 
 
@@ -203,9 +218,11 @@ def alpha_sweep(sequence: Sequence, alphas, repeats: int,
     """Fixed-weight sweep: one pipeline run per (alpha, repeat).
 
     Repeats re-simulate the sequence from its config echo with the seed
-    advanced, so each repeat sees fresh noise; rows are ordered by alpha
-    then repeat and carry the per-alpha median RMSE. ``map`` runs the
-    repeats, in order; a process pool's map runs them in parallel.
+    advanced, so each repeat sees fresh noise, up to the end of frame_range,
+    the frames every cell scores; rows are ordered by alpha then repeat and
+    carry the per-alpha median RMSE. ``map`` runs the repeats, in order; a
+    process pool's map runs them in parallel. Raises ValueError, as
+    slice_sequence does, when frame_range is not within the sequence.
     """
     run_repeat = partial(sweep_repeat, sequence, alphas, params=params, frame_range=frame_range)
     return fill_medians([row for part in map(run_repeat, range(repeats)) for row in part])

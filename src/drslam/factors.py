@@ -48,11 +48,12 @@ def reprojection_jacobians(k: CameraIntrinsics, y: np.ndarray, rotation: np.ndar
     in the cost and adds exact zeros to the system."""
     n = len(y)
     z = np.maximum(y[:, 2], Z_MIN)
+    z2 = z ** 2
     jpi = np.zeros((n, 2, 3))
     jpi[:, 0, 0] = k.fx / z
-    jpi[:, 0, 2] = -k.fx * y[:, 0] / z ** 2
+    jpi[:, 0, 2] = -k.fx * y[:, 0] / z2
     jpi[:, 1, 1] = k.fy / z
-    jpi[:, 1, 2] = -k.fy * y[:, 1] / z ** 2
+    jpi[:, 1, 2] = -k.fy * y[:, 1] / z2
     # d(camera point)/d(xi) = [-I | hat(y)] under P <- P exp(xi).
     j_pose = np.empty((n, 2, 6))
     j_pose[:, :, :3] = jpi

@@ -293,6 +293,21 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
+    @cached_property
+    def focal(self) -> np.ndarray:
+        """(fx, fy) as a read-only array, formed once for the batched kernels."""
+        return _read_only(np.array([self.fx, self.fy]))
+
+    @cached_property
+    def principal(self) -> np.ndarray:
+        """(cx, cy) as a read-only array, formed once for the batched kernels."""
+        return _read_only(np.array([self.cx, self.cy]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def exp_se3(xi: np.ndarray) -> Pose:
     """Closed-form SE(3) exponential of a (6,) twist (rho, phi); series below
@@ -324,7 +339,7 @@ def project_points(k: CameraIntrinsics, rotation: np.ndarray, translation: np.nd
     behind the near plane are projected at the clamped depth Z_MIN."""
     y = np.einsum("...i,...ij->...j", points - translation, rotation)
     z = np.maximum(y[:, 2:], Z_MIN)
-    return y, y[:, :2] * (k.fx, k.fy) / z + (k.cx, k.cy)
+    return y, y[:, :2] * k.focal / z + k.principal
 
 
 def camera_to_world(rotation: np.ndarray, translation: np.ndarray, y: np.ndarray) -> np.ndarray:

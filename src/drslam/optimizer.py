@@ -5,7 +5,9 @@ window of keyframes and their landmarks) and global BA (the whole map, its
 first keyframe fixed) over a Problem of structured arrays: poses and
 landmarks in ascending id, reprojection rows and DR edges. The motion-only
 linearizer serves tracking: one free pose against fixed map points in match
-order, at most one DR edge from the fixed previous pose, and a 6x6 system.
+order, at most one DR edge from the fixed previous pose, and a 6x6 system;
+with no rows, as on a blackout frame, no visual block is formed, and the
+system gets the same exact zeros.
 The loop evaluates residuals once per point and linearizes a point only when
 an iteration steps from it; the point a solve ends at is linearized only if
 its report's min_pose_eigenvalue is read.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -594,7 +596,8 @@ class _PoseLinearizer:
     rotation matrix as the (3, 3) array the visual kernel reads, formed once
     per point by retract; its system is the 6x6 pair (H, b). Rows are the
     matched points (N, 3) and pixels (N, 2) in match order, with one inverse
-    pixel std; N may be 0, which gives a zero visual block. A row at or
+    pixel std; with no rows, no visual residual or block is formed: the cost
+    starts at 0.0 and the system gets the same exact zeros. A row at or
     behind the near plane stays in the cost and adds exact zeros to the
     system. The arithmetic and its order are those of _Linearizer on the
     equivalent one-free-pose Problem.
@@ -621,8 +624,10 @@ class _PoseLinearizer:
     def residuals(self, point):
         """Cost at the pose and the per-row residuals linearize reuses."""
         q, t, rotation = point
-        cost, visual = _visual_residuals(self.k, rotation, np.array(t), self.points, self.uv,
-                                         self.inv_std)
+        cost, visual = 0.0, None
+        if len(self.uv):
+            cost, visual = _visual_residuals(self.k, rotation, t, self.points, self.uv,
+                                             self.inv_std)
         dr = None
         if self.dr is not None:
             cost, dr = self.dr.residuals((q,), (t,), cost)
@@ -631,11 +636,12 @@ class _PoseLinearizer:
     def linearize(self, point, cache):
         """The 6x6 system (H, b) at the pose, from the residuals computed there."""
         visual, dr = cache
-        jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
-        hpp, gp = _pose_reduction(jp, rw)
         H, b = np.zeros((6, 6)), np.zeros(6)     # onto zeros, as np.bincount sums a Problem's
-        H += hpp
-        b -= gp
+        if visual is not None:
+            jp, _, rw = _visual_jacobians(self.k, visual, self.inv_std)
+            hpp, gp = _pose_reduction(jp, rw)
+            H += hpp
+            b -= gp
         if dr is not None:     # the pose is the edge's free to side
             blocks, grads, _ = self.dr.normal_blocks(dr)
             H += blocks[0]
@@ -670,7 +676,7 @@ def _visual_residuals(k, rotation, translation, points, observed, inv_std):
     rw = r * inv_std
     # the bytes of np.linalg.norm(rw, axis=1), in one pass
     rho, w = huber(np.sqrt(np.einsum("ij,ij->i", rw, rw)), HUBER_PIXEL_SCALE)
-    return float(np.sum(rho)), (y, rw, w)
+    return float(rho.sum()), (y, rw, w)
 
 
 def _visual_jacobians(k, visual, inv_std: float, rotations=None):
@@ -720,8 +726,9 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
     lin is a linearizer over points of its own kind: residuals(point) gives
     the cost and a cache of per-row residuals, linearize(point, cache) the
     system at the point, step(system, damping) the damped step (or raises
-    SingularSystem), retract(point, step) the moved point, and
-    min_pose_eigenvalue(system) the conditioning diagnostic. Residuals are
+    SingularSystem), retract(point, step) the moved point,
+    min_pose_eigenvalue(system) the conditioning diagnostic, and size the
+    problem size, the SolverReport fields the report starts with. Residuals are
     evaluated once per point. A point is linearized, from the residuals its
     cost check computed, only when an iteration steps from it: once per
     iteration, so not after the step that meets the cost or step tolerance
@@ -730,7 +737,7 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
     final point when first read.
     """
     lam = config.initial_damping
-    report = SolverReport(termination="max_iterations")
+    report = SolverReport(termination="max_iterations", **lin.size)
     accepted_any = False
     cost, cache = lin.residuals(point)
     report.evaluations = 1
@@ -772,7 +779,7 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
         if decrease <= config.cost_tolerance * max(cost, 1e-30):
             report.termination = "cost_tolerance"
             break
-        if np.max(np.abs(step)) < STEP_TOLERANCE:
+        if abs(step).max() < STEP_TOLERANCE:
             report.termination = "step_tolerance"
             break
     report.final_cost = cost
@@ -800,7 +807,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:
         pose = Pose(q[s], t[s])    # canonical, as a keyframe holds it
         problem.poses["q"][s], problem.poses["t"][s] = pose.q, pose.t
     problem.landmarks["position"] = lm_pos
-    return replace(report, **lin.size)
+    return report
 
 
 def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_std: float, dr,
@@ -822,7 +829,7 @@ def solve_motion_only(camera: CameraIntrinsics, pose: Pose, points, uv, pixel_st
                           1.0 / pixel_std, dr)
     (q, t, _), report = _levenberg_marquardt(
         lin, (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix), config)
-    return Pose(q, t), replace(report, **lin.size)
+    return Pose(q, t), report
 
 
 def solve_local_ba(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

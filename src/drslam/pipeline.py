@@ -245,8 +245,11 @@ def associate_features(detections: Detections, points: PointTable, predicted: Po
     the point's projection under the predicted pose. Returns (matches,
     n_trk, n_cand): the matched detections in detection order, their count,
     and the count of candidates, the detected map points in front of the
-    predicted camera.
+    predicted camera. A frame without detections (a blackout) returns at
+    once, with its own empty detections as the matches.
     """
+    if not len(detections):
+        return detections, 0, 0
     rows = _first_landmark_rows(detections.ids)
     at, held = points.lookup(detections.ids[rows])
     rows = rows[held]

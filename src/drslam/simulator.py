@@ -263,12 +263,15 @@ def _camera_points(pose: Pose, positions: np.ndarray) -> np.ndarray:
 
 
 def _visible_mask(cam_pts: np.ndarray, k: CameraIntrinsics, zmin: float, zmax: float):
-    z = cam_pts[:, 2]
+    """Which camera-frame points (N, 3) lie in the depth range and project
+    into the image, and every point's pixel coordinates u and v (N,), -1
+    outside the depth range. They are formed for every point at once, so a
+    point at z <= 0 divides by zero there; the depth test discards that value."""
+    x, y, z = cam_pts.T
     ok = (z > zmin) & (z < zmax)
-    u = np.full(len(cam_pts), -1.0)
-    v = np.full(len(cam_pts), -1.0)
-    u[ok] = k.fx * cam_pts[ok, 0] / z[ok] + k.cx
-    v[ok] = k.fy * cam_pts[ok, 1] / z[ok] + k.cy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.where(ok, k.fx * x / z + k.cx, -1.0)
+        v = np.where(ok, k.fy * y / z + k.cy, -1.0)
     ok &= (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
     return ok, u, v
 
@@ -436,13 +439,23 @@ def _odometry_increment(previous_q, previous_t, q, t) -> Pose:
     return Pose(*se3_compose(q_inv, t_inv, q, t, rotation))
 
 
-def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CAMERA) -> Sequence:
+def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CAMERA,
+                      stop: int | None = None) -> Sequence:
+    """The sequence of the config's world; with stop, its records [0, stop)
+    only. Those are the bytes of the first stop records of the whole run:
+    the trajectory is spaced over n_frames and the noise is drawn in frame
+    order either way. Raises ValueError unless 1 <= stop <= n_frames."""
+    if stop is None:
+        stop = config.n_frames
+    elif not 1 <= stop <= config.n_frames:
+        raise ValueError(f"stop frame {stop} is outside 1..{config.n_frames}, "
+                         f"the sequence's frame count")
     rng = np.random.default_rng(config.seed)
     trajectory = generate_trajectory(config)
     landmarks = populate_landmarks(config, camera)
     records = []
     prev = None
-    for i, gt in enumerate(trajectory[0]):
+    for i, gt in enumerate(trajectory[0][:stop]):
         rec = simulate_frame(gt, prev, landmarks, config, rng, i, camera)
         if prev is None:
             rec.odom_pose = gt

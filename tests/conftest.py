@@ -221,3 +221,17 @@ def motion_only_args(problem):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def assert_same_records(a, b):
+    """Two lists of sequence records the same, field by field and bit for bit."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert (ra.frame_id, ra.timestamp, ra.n_det) == (rb.frame_id, rb.timestamp, rb.n_det)
+        for x, y in ((ra.detections.ids, rb.detections.ids), (ra.detections.uv, rb.detections.uv)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for pa, pb in ((ra.gt_pose, rb.gt_pose), (ra.odom_pose, rb.odom_pose),
+                       (ra.dr_delta, rb.dr_delta)):
+            assert (pa is None) == (pb is None)
+            if pa is not None:
+                assert pa.q.tobytes() == pb.q.tobytes() and pa.t.tobytes() == pb.t.tobytes()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pose
+from conftest import assert_same_records, random_pose
 from drslam import evaluation
+from drslam.cli import resolve_config_path
+from drslam.config import parse_config
 from drslam.errors import Diverged, TooFewPairs
 from drslam.evaluation import (
     Trajectory,
@@ -13,17 +15,19 @@ from drslam.evaluation import (
     alpha_sweep,
     ape_rmse,
     associate,
+    baseline_rmse,
     concatenate_loops,
     frame_kf_ratio,
     gt_trajectory,
     per_frame_errors,
     repeat_run,
+    slice_sequence,
     sweep_repeat,
     verdict,
 )
 from drslam.geometry import Pose, compose
 from drslam.pipeline import PipelineParams
-from drslam.simulator import WorldConfig, simulate_sequence
+from drslam.simulator import WorldConfig, config_from_meta, simulate_sequence
 
 
 def traj_from_positions(positions, t0=0.0, dt=1.0 / 30.0):
@@ -323,3 +327,53 @@ def test_verdict_exact_threshold_examples():
     assert not v.completed
     nine = traj_from_positions(base * 10.0)    # APE exactly 9 m: inside the limit
     assert verdict(nine, ref, [True] * 6).completed
+
+
+def corridor_gap_sequence(n_frames: int):
+    config = parse_config(resolve_config_path("corridor_gap")).world_config(seed=0)
+    config.n_frames = n_frames
+    return simulate_sequence(config)
+
+
+@pytest.mark.parametrize("frame_range", [(40, 90), (70, 90), (60, 61), (-1, 5), (5, 5), (8, 3)])
+def test_frame_range_outside_the_sequence_is_rejected(monkeypatch, frame_range):
+    # 40:90 used to score frames 40-59 and 70:90 to give a NaN cell, silently
+    seq = corridor_gap_sequence(60)
+    message = f"frame range {frame_range[0]}:{frame_range[1]} is not within the sequence's 60 frames"
+    with pytest.raises(ValueError, match=message):
+        slice_sequence(seq, *frame_range)
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("a repeat was simulated before its range was checked")
+
+    monkeypatch.setattr(evaluation, "simulate_sequence", simulate)
+    for repeat in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            sweep_repeat(seq, [0.0], repeat, PipelineParams(), frame_range)
+    with pytest.raises(ValueError, match=message):
+        alpha_sweep(seq, [0.0], 2, PipelineParams(), frame_range)
+    with pytest.raises(ValueError, match=message):
+        baseline_rmse(seq, "vision-only", 2, PipelineParams(), frame_range)
+
+
+def test_frame_range_up_to_the_last_frame_is_accepted():
+    seq = corridor_gap_sequence(60)
+    assert [r.frame_id for r in slice_sequence(seq, 57, 60).records] == [0, 1, 2]
+    assert len(slice_sequence(seq, 0, 60).records) == 60
+
+
+@pytest.mark.parametrize("repeat, frame_range", [(0, (270, 360)), (1, (270, 360)), (2, (0, 1)),
+                                                 (1, (599, 600)), (1, None)])
+def test_repeat_sequence_is_the_slice_of_the_whole_resimulation(repeat, frame_range):
+    # a repeat simulated only up to its segment's end is the slice of the
+    # whole re-simulation, bit for bit
+    seq = corridor_gap_sequence(600)
+    whole = seq
+    if repeat:
+        config = config_from_meta(seq.meta)
+        config.seed += 1000 * repeat
+        whole = simulate_sequence(config, seq.camera)
+    want = whole if frame_range is None else slice_sequence(whole, *frame_range)
+    got = evaluation._repeat_sequence(seq, repeat, frame_range)
+    assert_same_records(got.records, want.records)
+    assert got.meta == want.meta

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system, dr_edge,
                       edge_jacobians, edge_residual, edge_residuals, landmark_position,
@@ -814,6 +814,12 @@ def _assert_same_solve(a, b):
        dr_edge=st.sampled_from(["none", "edge", "near_pi"]),
        behind=st.floats(0.0, 0.3), outliers=st.floats(0.0, 0.4),
        log_alpha=st.floats(-1.0, 3.0))
+# frames without rows, as a blackout gives: the DR edge alone, near pi or not
+@example(seed=1, n_obs=0, dr_edge="edge", behind=0.0, outliers=0.0, log_alpha=-1.0)
+@example(seed=2, n_obs=0, dr_edge="edge", behind=0.0, outliers=0.0, log_alpha=3.0)
+@example(seed=3, n_obs=0, dr_edge="near_pi", behind=0.0, outliers=0.0, log_alpha=0.0)
+@example(seed=4, n_obs=0, dr_edge="near_pi", behind=0.0, outliers=0.0, log_alpha=2.5)
+@example(seed=5, n_obs=0, dr_edge="none", behind=0.0, outliers=0.0, log_alpha=0.0)
 def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, outliers,
                                                 log_alpha):
     # the array solve against the one-free-pose Problem through the generic
@@ -1186,6 +1192,8 @@ def test_non_finite_step_is_rejected_not_raised(rng, monkeypatch, level, bad):
 class _Arctan:
     """Linearizer of the scalar residual r(x) = atan(x): Gauss-Newton
     overshoots from |x| > 1.39, so steps are rejected until the damping grows."""
+
+    size = dict(free_poses=0, free_landmarks=0, reprojection_rows=1, dr_edges=0)
 
     def residuals(self, x):
         r = math.atan(x)

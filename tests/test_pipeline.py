@@ -123,6 +123,21 @@ def test_associate_offset_beyond_radius_matches_nothing():
     assert n_trk == 0 and list(obs) == [] and n_cand == 2
 
 
+@pytest.mark.parametrize("n_points", [0, 2])
+def test_associate_without_detections_matches_nothing(monkeypatch, n_points):
+    # a blackout frame returns at once: no map point is looked up or projected
+    points = simple_map_points([(0.5, 0.2, 3.0), (-0.4, 0.1, 2.5)][:n_points])
+
+    def project(*args):
+        raise AssertionError("a frame without detections projected map points")
+
+    monkeypatch.setattr(drslam.pipeline, "project_points", project)
+    obs, n_trk, n_cand = associate_features(Detections.empty(), points, Pose.identity(), 15.0,
+                                            DEFAULT_CAMERA)
+    assert (len(obs), n_trk, n_cand) == (0, 0, 0)
+    assert obs.ids.dtype == np.int64 and obs.uv.shape == (0, 2)
+
+
 def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
     # oracle: per map point, explicit projection + distance test of its own id
     radius = 15.0

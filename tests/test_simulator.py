@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_same_records
 import drslam.fileio
 import drslam.simulator
 from drslam.cli import resolve_config_path
@@ -573,3 +574,30 @@ def test_simulated_and_read_back_sequences_carry_the_same_increments(tmp_path):
                     for run in runs]
     assert len(trajectories[0]) == 120
     assert trajectories[0].tobytes() == trajectories[1].tobytes()
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("corridor_gap", {}), ("corridor_gap", {"detection_cap": 300}), ("two_lap", {})])
+def test_truncated_simulation_is_a_prefix_of_the_full_one(scenario, overrides):
+    # corridor_gap draws clutter and blacks out frames 295-324, and with a
+    # cap of 300 caps every other frame's detections; two_lap has clustered
+    # drop-outs. Records [0, stop) are those of the whole run, bit for bit,
+    # and so are the world and the meta.
+    config = dataclasses.replace(parse_config(resolve_config_path(scenario)).world_config(seed=0),
+                                 **overrides)
+    full = simulate_sequence(config)
+    if overrides:
+        assert sum(r.n_det == 300 for r in full.records) > 500
+    assert len(full.records) == config.n_frames
+    for stop in (1, 270, 360, config.n_frames):
+        part = simulate_sequence(config, stop=stop)
+        assert_same_records(part.records, full.records[:stop])
+        assert part.meta == full.meta and part.camera == full.camera
+        assert sorted(part.world) == sorted(full.world)
+        assert all(part.world[j].tobytes() == full.world[j].tobytes() for j in full.world)
+
+
+@pytest.mark.parametrize("stop", [0, -1, 11])
+def test_simulate_rejects_a_stop_outside_the_frames(stop):
+    with pytest.raises(ValueError, match=f"stop frame {stop} is outside 1..10"):
+        simulate_sequence(WorldConfig(n_frames=10), stop=stop)
