@@ -3,8 +3,8 @@
 A key exists only for a value that a bundled config, the benchmark or a
 production caller varies, or for a parameter of the weight model (the
 ``quality.*`` keys). The estimator's fixed settings are named constants: the
-tracking, keyframe, local BA and loop thresholds in ``pipeline``, the LM
-settings every solve shares in ``optimizer``.
+tracking, keyframe, local BA and loop thresholds and each solve level's LM
+caps in ``pipeline``, the LM settings every solve shares in ``optimizer``.
 
 Resolution is layered: built-in defaults, then the config file, then
 command-line ``--set section.key=value`` overrides. The defaults are those of
@@ -52,9 +52,7 @@ SCHEMA = {
     "quality.smoothing_halfwidth": (int, str, ("smoothing_halfwidth",)),
     "tracking.pixel_std": (float, fmt, ("pixel_std",)),
     "tracking.fixed_alpha": (float, fmt, ("fixed_alpha",)),
-    "solver.initial_damping": (float, fmt, ("motion_solver.initial_damping",
-                                            "ba_solver.initial_damping",
-                                            "gba_solver.initial_damping")),
+    "solver.initial_damping": (float, fmt, ("initial_damping",)),
     **{f"world.{name}": (parse, render, ())
        for name, (parse, render) in WORLD_FIELDS.items() if name != "seed"},
 }

@@ -132,8 +132,7 @@ def frame_kf_ratio(frame_traj: Trajectory, kf_traj: Trajectory, ref: Trajectory)
 
 
 def gt_trajectory(sequence: Sequence) -> Trajectory:
-    return Trajectory.from_rows([(r.timestamp, r.gt_pose) for r in sequence.records
-                                 if r.gt_pose is not None])
+    return Trajectory.from_rows([(r.timestamp, r.gt_pose) for r in sequence.records])
 
 
 def _check_frame_range(start: int, stop: int, n_frames: int) -> None:

@@ -1,13 +1,18 @@
 """Hierarchical SLAM pipeline with adaptive dead-reckoning support.
 
 Every frame takes one path through ``Pipeline.process``: its start pose (the
-first frame's true pose, every later frame's prediction), association and
+first frame's odometry pose, every later frame's prediction), association and
 motion-only BA when the frame gets visual processing, one ``Frame``, then
 mapping, where it may become a keyframe. Around that path: covisibility
 counted from the map's observations, local bundle adjustment with smoothed DR
-edge weights, oracle loop detection over simulated geometry, global bundle
-adjustment with the edge weights local BA last set, and map persistence. A
-run counts its failed and capped solves in one table keyed by ``SOLVE_COUNTS``.
+edge weights, loop detection, global bundle adjustment with the edge weights
+local BA last set, and map persistence. A run counts its failed and capped
+solves in one table keyed by ``SOLVE_COUNTS``.
+
+Ground truth reaches the estimator through two oracles only, both fed by
+``_insert_keyframe``: the depth oracle gives a new point its true depth, from
+the sequence's world projected into the keyframe record's true pose, and the
+loop oracle picks and constrains a loop from the true poses of the keyframes.
 
 Modes:
   vision-only  constant-velocity prediction, no DR anywhere, can lose track
@@ -20,7 +25,7 @@ Modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 
 import numpy as np
@@ -52,11 +57,11 @@ MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 SOLVE_COUNTS = ("motion_failed", "lba_failed", "gba_failed",
                 "motion_capped", "lba_capped", "gba_capped")
 
-MAP_MAGIC = "GWMAP v2"
+MAP_MAGIC = "GWMAP v3"
 # Per map section, in file order: the fields of a data line, how many of them
 # lead with the ids the line is the entry of, and how many of those are keyframes.
-MAP_SECTIONS = {"keyframes": (13, 1, 0), "keyframe_dr": (9, 1, 1), "keyframe_gt": (8, 1, 1),
-                "observations": (4, 2, 1), "points": (5, 1, 0), "loopedges": (10, 2, 2)}
+MAP_SECTIONS = {"keyframes": (13, 1, 0), "keyframe_dr": (9, 1, 1), "observations": (4, 2, 1),
+                "points": (5, 1, 0), "loopedges": (10, 2, 2)}
 
 
 # The estimator's fixed settings; PipelineParams holds the ones runs vary.
@@ -86,6 +91,12 @@ LOOP_RADIUS = 0.5
 LOOP_GAP_MIN = 30
 LOOP_INFO_SCALE = 100.0
 LOOP_COOLDOWN = 30
+# LM settings of tracking, local BA and global BA: each level's iteration cap
+# and cost tolerance. A run sets only the initial damping, which the three
+# share (PipelineParams.initial_damping).
+MOTION_SOLVER = SolverConfig(max_iterations=10, cost_tolerance=1e-8)
+BA_SOLVER = SolverConfig(max_iterations=8, cost_tolerance=1e-6)
+GBA_SOLVER = SolverConfig(max_iterations=20, cost_tolerance=1e-8)
 
 
 @dataclass
@@ -95,11 +106,9 @@ class Frame:
     pose: Pose
     stats: TrackingStats
     quality: float
-    dr: Pose | None                  # DR increment from the previous frame, camera frame
     tracked_ok: bool
     alpha: float = float("nan")
     solver_iterations: int = 0
-    gt_pose: Pose | None = None
     n_cand: int = 0                  # detected map points in front of the prediction
 
 
@@ -114,7 +123,6 @@ class KeyFrame:
     lba_alpha: float = float("nan")
     dr_to_prev: Pose | None = None   # composed frame deltas since previous keyframe
     dr_alpha: float = float("nan")   # weight of the DR edge from keyframe id - 1, set by local BA
-    gt_pose: Pose | None = None
 
 
 @dataclass
@@ -212,12 +220,10 @@ class PipelineParams:
     c_ref_init: float = 20.0
     c_ref_window: int = 10
     smoothing_halfwidth: int = 2
-    motion_solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iterations=10))
-    ba_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(max_iterations=8, cost_tolerance=1e-6))
-    gba_solver: SolverConfig = field(default_factory=SolverConfig)
+    initial_damping: float = 1e-4
 
     def __post_init__(self):
+        self.solvers()      # SolverConfig's range check of the damping
         for name in ("pixel_std", "fixed_alpha", "c_ref_init"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -227,6 +233,11 @@ class PipelineParams:
             raise ValueError("smoothing_halfwidth must be nonnegative")
         if not 0 <= self.q_well <= 1:
             raise ValueError("q_well must be in [0, 1], the range of Q")
+
+    def solvers(self) -> tuple:
+        """The LM settings of tracking, local BA and global BA at this run's damping."""
+        return tuple(replace(level, initial_damping=self.initial_damping)
+                     for level in (MOTION_SOLVER, BA_SOLVER, GBA_SOLVER))
 
 
 def _first_landmark_rows(ids: np.ndarray) -> np.ndarray:
@@ -333,6 +344,8 @@ class Pipeline:
         self.gba_events: list[GbaEvent] = []
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
         self._next_kf_id = 0
+        self._motion_solver, self._ba_solver, self._gba_solver = params.solvers()
+        self._kf_truth: list[Pose] = []   # the loop oracle's true pose per keyframe id
 
     # ----- tracking and mapping, one frame at a time -----------------------
 
@@ -354,17 +367,14 @@ class Pipeline:
     def process(self, record) -> Frame:
         """Track the record's frame, then map it: the same steps for every frame.
 
-        The first frame starts at its true pose (the identity without one),
-        every later one at its prediction. A frame after the first gets
-        visual processing, association then the motion-only solve, unless
-        the mode is dr-only or track is lost for good. The frame then joins
-        the trajectory and may become a keyframe.
+        The first frame starts at its odometry pose, which fixes the frame
+        the run is reported in, every later one at its prediction. A frame
+        after the first gets visual processing, association then the
+        motion-only solve, unless the mode is dr-only or track is lost for
+        good. The frame then joins the trajectory and may become a keyframe.
         """
         p, dr, first = self.params, record.dr_delta, not self.frames
-        if first:
-            pose = record.gt_pose if record.gt_pose is not None else Pose.identity()
-        else:
-            pose = self._predict(dr)
+        pose = record.odom_pose if first else self._predict(dr)
         visual = not first and self.mode != "dr-only" and self.track_lost_frame is None
         matches, n_trk, n_cand = Detections.empty(), 0, 0
         if visual:
@@ -381,7 +391,7 @@ class Pipeline:
             points = self.slam_map.points.positions[self.slam_map.points.rows(matches.ids)]
             try:
                 pose, report = solve_motion_only(self.camera, pose, points, matches.uv,
-                                                 p.pixel_std, prior, p.motion_solver)
+                                                 p.pixel_std, prior, self._motion_solver)
                 iterations = report.iterations
                 self.counts["motion_capped"] += _capped(report)
             except (NoConstraints, Diverged, SingularSystem):
@@ -393,9 +403,9 @@ class Pipeline:
                     self.track_lost_frame = record.frame_id
                     tracked_ok = False
 
-        frame = Frame(record.frame_id, record.timestamp, pose, stats, q, dr, tracked_ok,
+        frame = Frame(record.frame_id, record.timestamp, pose, stats, q, tracked_ok,
                       alpha=alpha if alpha is not None else float("nan"),
-                      solver_iterations=iterations, gt_pose=record.gt_pose, n_cand=n_cand)
+                      solver_iterations=iterations, n_cand=n_cand)
         if self.acc_delta is not None:
             self.acc_delta = None if dr is None else compose(self.acc_delta, dr)
         self.prev_prev_pose = None if first else self.frames[-1].pose
@@ -420,20 +430,20 @@ class Pipeline:
     def _bare_keyframe(self, frame: Frame) -> KeyFrame:
         """A new keyframe at the frame, observing no point, in the map."""
         kf = KeyFrame(self._next_kf_id, frame.id, frame.timestamp, frame.pose, n_trk=0,
-                      quality=frame.quality, gt_pose=frame.gt_pose)
+                      quality=frame.quality)
         self._next_kf_id += 1
         self.slam_map.keyframes[kf.id] = kf
         return kf
 
-    def _true_depths(self, ids: np.ndarray, gt_pose: Pose | None) -> np.ndarray:
-        """RGB-D stand-in: the true depth (N,) of each of the distinct landmark
-        ids in the actual camera, NaN where the landmark or the true pose is unknown."""
+    def _true_depths(self, ids: np.ndarray, gt_pose: Pose) -> np.ndarray:
+        """RGB-D stand-in (the depth oracle): the true depth (N,) of each of the
+        distinct landmark ids in the camera at gt_pose, NaN where the world
+        lacks the landmark."""
         depth = np.full(len(ids), np.nan)
         at, known = self._world.lookup(ids)
-        if gt_pose is not None:
-            y, _ = project_points(self.camera, gt_pose.rotation_matrix, gt_pose.t,
-                                  self._world.positions[at[known]])
-            depth[known] = y[:, 2]
+        y, _ = project_points(self.camera, gt_pose.rotation_matrix, gt_pose.t,
+                              self._world.positions[at[known]])
+        depth[known] = y[:, 2]
         return depth
 
     def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> KeyFrame:
@@ -442,14 +452,16 @@ class Pipeline:
         Every match is a map point, so the first detection of each landmark
         not yet in the map is a candidate, in detection order; a candidate
         with a true depth in front of the near plane becomes a new point.
+        The record's true pose feeds the two oracles and nothing else.
         """
         kf = self._bare_keyframe(frame)
         kf_id = kf.id
+        self._kf_truth.append(record.gt_pose)
         kf.n_trk, kf.dr_to_prev = frame.stats.n_trk, self.acc_delta if kf_id > 0 else None
         ids, uv = record.detections.ids, record.detections.uv
         rows = _first_landmark_rows(ids)
         rows = rows[~np.isin(ids[rows], self.slam_map.points.ids, assume_unique=True)]
-        depth = self._true_depths(ids[rows], frame.gt_pose)
+        depth = self._true_depths(ids[rows], record.gt_pose)
         front = depth > Z_MIN
         rows = rows[front]
         self.slam_map.points = self.slam_map.points.insert(
@@ -523,7 +535,7 @@ class Pipeline:
             return
         problem = self._ba_problem(kf_ids, fixed, points, True, edges)
         try:
-            self.counts["lba_capped"] += _capped(solve_local_ba(problem, p.ba_solver))
+            self.counts["lba_capped"] += _capped(solve_local_ba(problem, self._ba_solver))
         except (Diverged, SingularSystem):
             self.counts["lba_failed"] += 1
             return
@@ -579,24 +591,18 @@ class Pipeline:
     # ----- loop closing ---------------------------------------------------
 
     def _check_loop(self, new_kf: KeyFrame) -> None:
-        if new_kf.gt_pose is None:
-            return
+        """The loop oracle: the keyframe nearest new_kf's true position among
+        those at least LOOP_GAP_MIN older, within LOOP_RADIUS, closes a loop
+        with their exact true relative pose."""
         if self.last_gba_kf is not None and new_kf.id - self.last_gba_kf < LOOP_COOLDOWN:
             return
-        best = None
-        for k in sorted(self.slam_map.keyframes):
-            if new_kf.id - k < LOOP_GAP_MIN:
-                continue
-            other = self.slam_map.keyframes[k]
-            if other.gt_pose is None:
-                continue
-            dist = float(np.linalg.norm(other.gt_pose.t - new_kf.gt_pose.t))
-            if dist <= LOOP_RADIUS and (best is None or dist < best[1]):
-                best = (k, dist)
-        if best is None:
+        here = self._kf_truth[new_kf.id]
+        older = self._kf_truth[:max(0, new_kf.id - LOOP_GAP_MIN + 1)]
+        dist, old_id = min(((float(np.linalg.norm(truth.t - here.t)), k)
+                            for k, truth in enumerate(older)), default=(math.inf, None))
+        if dist > LOOP_RADIUS:
             return
-        old_id = best[0]
-        relative = compose(inverse(self.slam_map.keyframes[old_id].gt_pose), new_kf.gt_pose)
+        relative = compose(inverse(older[old_id]), here)
         self.slam_map.loop_edges.append((old_id, new_kf.id, relative, LOOP_INFO_SCALE))
         if not self._global_ba(old_id, new_kf.id):
             self.slam_map.loop_edges.pop()
@@ -615,7 +621,7 @@ class Pipeline:
                                    _seen_twice(self.slam_map.observations["landmark"]), False,
                                    edges + self.slam_map.loop_edges)
         try:
-            self.counts["gba_capped"] += _capped(solve_global_ba(problem, self.params.gba_solver))
+            self.counts["gba_capped"] += _capped(solve_global_ba(problem, self._gba_solver))
         except (Diverged, SingularSystem):
             self.counts["gba_failed"] += 1
             return False
@@ -661,8 +667,6 @@ def save_map(slam_map: SlamMap, path) -> None:
     lines.append("[keyframe_dr]")
     lines += [f"{kf.id} {fmt(kf.dr_alpha)} {pose_text(kf.dr_to_prev)}" for kf in keyframes
               if kf.dr_to_prev is not None]
-    lines.append("[keyframe_gt]")
-    lines += [f"{kf.id} {pose_text(kf.gt_pose)}" for kf in keyframes if kf.gt_pose is not None]
     lines.append("[observations]")
     obs = slam_map.observations
     for k, j, (u, v) in zip(obs["pose"].tolist(), obs["landmark"].tolist(), obs["uv"].tolist()):
@@ -730,8 +734,6 @@ def load_map(path) -> SlamMap:
             elif section == "keyframe_dr":
                 kf = slam_map.keyframes[ids[0]]
                 kf.dr_alpha, kf.dr_to_prev = float(parts[1]), pose(parts[2:])
-            elif section == "keyframe_gt":
-                slam_map.keyframes[ids[0]].gt_pose = pose(parts[1:])
             elif section == "observations":
                 observations.append((*ids, (float(parts[2]), float(parts[3]))))
                 observation_lines.append(lineno)

@@ -62,6 +62,12 @@ class WorldConfig:
 
     def __post_init__(self):
         for fields, valid, message in (
+                (("waypoints",), _finite(c for point in self.waypoints for c in point),
+                 "waypoints must be finite"),
+                (("dr_bias_t",), _finite(self.dr_bias_t), "DR bias must be finite"),
+                (("dr_bias_r_deg",), _finite(self.dr_bias_r_deg), "DR bias must be finite"),
+                (("dropouts",), all(0 <= d.start <= d.end and d.n_det >= 0 for d in self.dropouts),
+                 "each drop-out needs 0 <= start <= end and n_det >= 0"),
                 (("detection_cap",), self.detection_cap > 0, "detection cap must be positive"),
                 (("clutter",), self.clutter >= 0, "clutter count must be nonnegative"),
                 (("density",), all(d >= 0 for _, d in self.density),
@@ -76,6 +82,10 @@ class WorldConfig:
                 (("seed",), self.seed >= 0, "seed must be nonnegative")):
             if not valid:
                 raise WorldConfigError(message, fields)
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 class WorldConfigError(ValueError):
@@ -183,7 +193,7 @@ class Detections:
 class SimFrameRecord:
     frame_id: int
     timestamp: float
-    gt_pose: Pose | None
+    gt_pose: Pose
     detections: Detections
     dr_delta: Pose | None               # relative increment to previous frame
     odom_pose: Pose | None              # absolute DR-integrated pose
@@ -599,6 +609,23 @@ def _detection_counts(stats: np.ndarray, path, n_obs: np.ndarray) -> list:
     return counts.tolist()
 
 
+def _world(table: np.ndarray, path) -> dict:
+    """Landmark id -> position (3,) of a world.csv table; FormatError at the
+    first row with a negative id, then at the first with a position that is
+    not finite, then at the first giving an id an earlier row gave."""
+    ids = int_column(table, 0, "landmark_id", path)
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(ids, return_index=True)[1]] = False
+    for bad, message in ((ids < 0, "landmark_id {} is negative"),
+                         (~np.isfinite(table[:, 1:]).all(axis=1),
+                          "landmark {} has a position that is not finite"),
+                         (repeat, "second row for landmark {}")):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise FormatError(message.format(ids[row]), path=str(path), line=csv_line(path, row))
+    return dict(zip(ids.tolist(), table[:, 1:]))
+
+
 def read_sequence(path) -> Sequence:
     meta_path = os.path.join(path, "meta")
     meta = _read_meta(meta_path)
@@ -626,9 +653,7 @@ def read_sequence(path) -> Sequence:
         os.path.join(path, name) for name in ("stats.csv", "obs.csv", "world.csv"))
     stats = read_csv(stats_path, ["frame_id", "n_det"])
     obs = read_csv(obs_path, ["frame_id", "landmark_id", "u", "v"])
-    world_table = read_csv(world_path, ["landmark_id", "x", "y", "z"])
-    world = dict(zip(int_column(world_table, 0, "landmark_id", world_path).tolist(),
-                     world_table[:, 1:]))
+    world = _world(read_csv(world_path, ["landmark_id", "x", "y", "z"]), world_path)
 
     frames = _frame_ids(obs, obs_path, len(gt))
     ids = int_column(obs, 1, "landmark_id", obs_path)

@@ -35,8 +35,10 @@ class WeightBounds:
     alpha_max: float = 1e3
 
     def __post_init__(self):
-        if not (0 < self.alpha_min < self.alpha_max):
-            raise ValueError("require 0 < alpha_min < alpha_max")
+        # dr_weight raises their ratio to a power in [0, 1], so it must be finite
+        if not (0 < self.alpha_min < self.alpha_max < math.inf
+                and self.alpha_max / self.alpha_min < math.inf):
+            raise ValueError("require 0 < alpha_min < alpha_max < inf with a finite ratio")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,12 @@ class NominalDrInformation:
     def __post_init__(self):
         if self.sigma_t <= 0 or self.sigma_r_deg <= 0:
             raise ValueError("noise standard deviations must be positive")
+        try:
+            precision = self.precision()
+        except (ZeroDivisionError, OverflowError):   # a variance that under- or overflows
+            precision = np.zeros(6)
+        if not np.all((0 < precision) & (precision < math.inf)):
+            raise ValueError("DR precision entries must be finite and positive")
 
     def precision(self) -> np.ndarray:
         """Diagonal of the information matrix (6,), translation then rotation,

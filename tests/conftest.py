@@ -7,7 +7,7 @@ from drslam.factors import dr_fold, dr_jacobians, dr_residual
 from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, matrix_product,
                              project, se3_adjoint, se3_inverse, transform_point)
 from drslam.optimizer import NormalEquations, Problem, _Linearizer
-from drslam.pipeline import PipelineParams
+from drslam.pipeline import MOTION_SOLVER
 from drslam.weighting import NominalDrInformation
 
 CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -215,7 +215,7 @@ def motion_only_args(problem):
                 points=np.array([landmark_position(problem, j)
                                  for j in rows["landmark"].tolist()]).reshape(-1, 3),
                 uv=rows["uv"], pixel_std=problem.pixel_std, dr=dr,
-                config=PipelineParams().motion_solver)
+                config=MOTION_SOLVER)
 
 
 @pytest.fixture

@@ -195,6 +195,13 @@ def test_config_echo_round_trip(values):
     (["--set", "world.clutter=-1"], ["world.clutter"]),
     (["--set", "world.detection_cap=0"], ["world.detection_cap"]),
     (["--set", "world.pixel_noise=-1"], ["world.pixel_noise"]),
+    (["--set", "world.waypoints=0,0;nan,0"], ["world.waypoints"]),
+    (["--set", "world.waypoints=0,0;inf,0"], ["world.waypoints"]),
+    (["--set", "world.dr_bias_t=nan,0,0"], ["world.dr_bias_t"]),
+    (["--set", "world.dr_bias_r_deg=0,-inf,0"], ["world.dr_bias_r_deg"]),
+    (["--set", "world.dropouts=5:9:-3:0"], ["world.dropouts"]),
+    (["--set", "world.dropouts=9:5:0:0"], ["world.dropouts"]),
+    (["--set", "world.dropouts=-2:5:0:0"], ["world.dropouts"]),
     (["--seed", "-1"], ["run.seed"])])
 def test_simulate_out_of_range_world_exits_two(tmp_path, capsys, args, keys):
     # a world setting the simulator cannot run is a config error that names
@@ -420,7 +427,8 @@ def test_run_nonpositive_pixel_std_or_huber_scale_exits_two(tmp_path, capsys, se
     "quality.c_ref_window=0", "quality.c_ref_window=-3", "quality.c_ref_init=0",
     "quality.c_ref_init=-5", "quality.c_ref_init=inf", "quality.smoothing_halfwidth=-1",
     "quality.q_well=-0.1", "quality.q_well=1.5", "tracking.pixel_std=inf",
-    "tracking.fixed_alpha=inf"])
+    "tracking.fixed_alpha=inf", "quality.alpha_max=inf", "quality.alpha_min=1e-320",
+    "quality.sigma_r_deg=1e-300", "quality.sigma_t=inf"])
 def test_run_out_of_range_estimator_setting_exits_two_before_any_output(tmp_path, capsys,
                                                                          setting):
     # values each key's parser accepts but the estimator cannot run with
@@ -501,8 +509,11 @@ def test_run_inconsistent_frame_rows_exit_two(tmp_path, capsys, name, edit):
     ("width", "100", "width"),              # CameraIntrinsics rejects it
     ("fx", "inf", "fx"),
     ("pixel_noise", "nan", "pixel_noise"),  # NaN, as in a configuration key
+    ("waypoints", "0,0;nan,0", "waypoints"),
+    ("dr_bias_t", "nan,0,0", "dr_bias_t"),
+    ("dropouts", "9:5:0:0", "dropouts"),
 ], ids=["unparsed", "missing", "world-range", "depth-range", "dropout", "camera-range",
-        "camera-inf", "nan"])
+        "camera-inf", "nan", "waypoint-nan", "bias-nan", "dropout-order"])
 def test_bad_sequence_meta_is_a_format_error(tmp_path, capsys, key, value, named):
     # read_sequence checks every meta entry, so run and sweep exit 2 on a bad
     # one before any frame is processed or any repeat re-simulated

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from drslam.optimizer import reprojection_rows
 from drslam.cli import resolve_config_path
 from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
+from drslam.evaluation import slice_sequence
 from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse
 from drslam.pipeline import (
     K_MAX,
@@ -42,7 +44,7 @@ PARAMS = PipelineParams()
 def make_frame(fid=0, pose=None, n_det=100, n_trk=50, ts=None):
     return Frame(fid, fid / 30.0 if ts is None else ts,
                  pose or Pose.identity(), TrackingStats(n_det, n_trk),
-                 quality=0.5, dr=None, tracked_ok=True)
+                 quality=0.5, tracked_ok=True)
 
 
 def as_detections(rows) -> Detections:
@@ -412,18 +414,19 @@ def test_pipeline_one_pose_per_frame_all_modes():
 @pytest.fixture(scope="module")
 def blackout_runs():
     seq = straight_sequence(n_frames=50, dropouts=[Dropout(20, 34, 0)])
-    return {mode: run_pipeline(seq, PARAMS, mode) for mode in MODES}
+    return seq, {mode: run_pipeline(seq, PARAMS, mode) for mode in MODES}
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_every_mode_takes_its_frames_through_one_path(blackout_runs, mode):
-    res = blackout_runs[mode]
+    seq, runs = blackout_runs
+    res = runs[mode]
     assert list(res.counts) == list(SOLVE_COUNTS)
     first, kf0 = res.frames[0], res.slam_map.keyframes[0]
-    # the first frame: tracked at its start pose, no solve, keyframe 0, which
-    # observes points in every mode that maps
+    # the first frame: tracked at its odometry pose, no solve, keyframe 0,
+    # which observes points in every mode that maps
     assert first.tracked_ok and math.isnan(first.alpha)
-    assert pose_bytes(first.pose) == pose_bytes(first.gt_pose)
+    assert pose_bytes(first.pose) == pose_bytes(seq.records[first.id].odom_pose)
     assert first.solver_iterations == 0 and first.n_cand == 0
     assert kf0.frame_id == 0 and kf0.dr_to_prev is None
     assert bool(observed(res.slam_map, 0)) == (mode != "dr-only")
@@ -459,7 +462,7 @@ def test_textureless_frames_adaptive_follows_dr_prediction():
     for fid in range(26, 41):
         f, prev = frames[fid], frames[fid - 1]
         assert f.quality == 0.0
-        predicted = compose(prev.pose, f.dr)
+        predicted = compose(prev.pose, seq.records[fid].dr_delta)
         assert np.linalg.norm(f.pose.t - predicted.t) < 1e-9
         assert f.tracked_ok  # DR keeps the solve constrained
 
@@ -492,6 +495,43 @@ def test_zero_observation_keyframe_gets_dr_edge():
     assert m.keyframes[k].dr_alpha > 0.5 * PARAMS.bounds.alpha_max
 
 
+def test_a_segment_starts_at_its_odometry_pose():
+    # frame 270 of corridor_gap has drifted odometry; the segment's first
+    # frame starts there, not at its true pose
+    config = parse_config(resolve_config_path("corridor_gap"))
+    seq = slice_sequence(simulate_sequence(config.world_config(), stop=300), 270, 300)
+    first = seq.records[0]
+    assert np.linalg.norm(first.odom_pose.t - first.gt_pose.t) > 1e-3
+    res = run_pipeline(seq, config.pipeline_params(), "adaptive")
+    assert pose_bytes(res.frames[0].pose) == pose_bytes(first.odom_pose)
+
+
+def frame_bytes(frame):
+    return (frame.id, frame.timestamp, pose_bytes(frame.pose), frame.stats, frame.quality,
+            frame.tracked_ok, np.float64(frame.alpha).tobytes(), frame.solver_iterations,
+            frame.n_cand)
+
+
+def test_tracking_and_mapping_read_no_true_pose_of_a_frame_that_is_no_keyframe():
+    # two_lap seed 0, which closes a loop, run again with the true pose of
+    # every frame that is no keyframe 100 m away: the run is the same bytes
+    config = parse_config(resolve_config_path("two_lap"))
+    seq = simulate_sequence(config.world_config())
+    params = config.pipeline_params()
+    res = run_pipeline(seq, params, "adaptive")
+    assert res.slam_map.loop_edges
+    keyframe_frames = {kf.frame_id for kf in res.slam_map.keyframes.values()}
+    seq.records = [r if r.frame_id in keyframe_frames else
+                   replace(r, gt_pose=Pose(r.gt_pose.q, r.gt_pose.t + 100.0))
+                   for r in seq.records]
+    again = run_pipeline(seq, params, "adaptive")
+    assert [frame_bytes(f) for f in again.frames] == [frame_bytes(f) for f in res.frames]
+    assert_maps_equal(again.slam_map, res.slam_map)
+    assert again.counts == res.counts and again.track_lost_frame == res.track_lost_frame
+    assert [(e.frame_id, e.kf_from, e.kf_to) for e in again.gba_events] == \
+        [(e.frame_id, e.kf_from, e.kf_to) for e in res.gba_events]
+
+
 def test_loop_oracle_never_fires_on_straight_line():
     seq = straight_sequence(n_frames=120)
     res = run_pipeline(seq, PARAMS, "adaptive")
@@ -516,8 +556,8 @@ def test_loop_oracle_fires_on_closed_rectangle():
     ev = res.gba_events[0]
     assert ev.kf_to - ev.kf_from >= LOOP_GAP_MIN
     a, b, rel, scale = res.slam_map.loop_edges[0]
-    gt_a = res.slam_map.keyframes[a].gt_pose
-    gt_b = res.slam_map.keyframes[b].gt_pose
+    gt_a = seq.records[res.slam_map.keyframes[a].frame_id].gt_pose
+    gt_b = seq.records[res.slam_map.keyframes[b].frame_id].gt_pose
     assert np.allclose(rel.matrix(), compose(inverse(gt_a), gt_b).matrix(), atol=1e-12)
 
 
@@ -769,7 +809,7 @@ def assert_maps_equal(a: SlamMap, b: SlamMap):
         assert (ka.id, ka.frame_id, ka.n_trk) == (kb.id, kb.frame_id, kb.n_trk)
         assert ka.timestamp == kb.timestamp and ka.quality == kb.quality
         assert same_float(ka.lba_alpha, kb.lba_alpha) and same_float(ka.dr_alpha, kb.dr_alpha)
-        for field in ("pose", "dr_to_prev", "gt_pose"):
+        for field in ("pose", "dr_to_prev"):
             assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
     oa, ob = a.observations, b.observations
     assert (oa.dtype, oa.shape, oa.tobytes()) == (ob.dtype, ob.shape, ob.tobytes())
@@ -807,8 +847,7 @@ def slam_maps(draw):
             k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
             n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
             lba_alpha=draw(st.just(float("nan")) | finite), dr_to_prev=dr_to_prev,
-            dr_alpha=float("nan") if dr_to_prev is None else draw(st.just(float("nan")) | finite),
-            gt_pose=draw(st.none() | poses()))
+            dr_alpha=float("nan") if dr_to_prev is None else draw(st.just(float("nan")) | finite))
     positions, created = [], []
     for _ in sorted(point_ids):
         positions.append([draw(finite) for _ in range(3)])
@@ -884,10 +923,9 @@ LOOP_EDGE = "0 5 100 0 0 0 0 0 0 1"
 @pytest.mark.parametrize("section, edit, message", [
     ("[keyframes]", None, r"duplicate \[keyframes\] entry 0"),
     ("[keyframe_dr]", None, r"duplicate \[keyframe_dr\] entry 1"),
-    ("[keyframe_gt]", None, r"duplicate \[keyframe_gt\] entry 0"),
     ("[observations]", None, r"duplicate \[observations\] entry 0 \d+"),
     ("[loopedges]", LOOP_EDGE, r"duplicate \[loopedges\] entry 0 5")],
-    ids=["keyframe", "keyframe_dr", "keyframe_gt", "observation", "loopedge"])
+    ids=["keyframe", "keyframe_dr", "observation", "loopedge"])
 def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, edit, message):
     # the section's first data line given twice: the copy, at file line i + 2
     # for list index i of the original, is rejected; the straight run closes
@@ -939,11 +977,13 @@ def test_map_load_rejects_a_pose_that_is_not_finite_or_has_a_zero_quaternion(
 
 
 def test_map_load_rejects_a_version_1_map(tmp_path):
+    # and a version 2 map, whose [keyframe_gt] section the map no longer has
     text = saved_map_lines(tmp_path)
-    assert text[0] == "GWMAP v2"
-    with pytest.raises(FormatError, match="bad map magic") as error:
-        load_map(write_lines(tmp_path / "v1.gwmap", ["GWMAP v1"] + text[1:]))
-    assert error.value.line == 1
+    assert text[0] == "GWMAP v3"
+    for magic in ("GWMAP v1", "GWMAP v2"):
+        with pytest.raises(FormatError, match="bad map magic") as error:
+            load_map(write_lines(tmp_path / "old.gwmap", [magic] + text[1:]))
+        assert error.value.line == 1
 
 
 def write_lines(path, lines):
@@ -972,7 +1012,8 @@ def test_gap_drift_bounded_by_dr_random_walk():
     fa = res.frames[39]
     fb = res.frames[39 + g]
     est_rel = np.linalg.inv(fa.pose.matrix()) @ fb.pose.matrix()
-    gt_rel = np.linalg.inv(fa.gt_pose.matrix()) @ fb.gt_pose.matrix()
+    ga, gb = seq.records[fa.id].gt_pose, seq.records[fb.id].gt_pose
+    gt_rel = np.linalg.inv(ga.matrix()) @ gb.matrix()
     drift = np.linalg.norm(est_rel[:3, 3] - gt_rel[:3, 3])
     assert drift <= 3.0 * math.sqrt(g) * sigma_t
 

@@ -287,6 +287,9 @@ def test_read_sequence_missing_column(tmp_path):
     ("stats.csv", "3,x"),
     ("world.csv", "1.5,0.0,0.0,0.0"),
     ("world.csv", "7,0.0,0.0"),
+    ("world.csv", "5,100.0,100.0,100.0"),  # a second row for landmark 5
+    ("world.csv", "-3,0.0,0.0,0.0"),
+    ("world.csv", "100000,nan,0.0,0.0"),
 ])
 def test_read_sequence_malformed_field_is_format_error(tmp_path, name, row):
     cfg = WorldConfig(waypoints=[(0, 0), (5, 0)], n_frames=10, density=[(0.0, 10.0)])
