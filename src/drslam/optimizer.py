@@ -17,14 +17,15 @@ kernels per edge on Python floats. Visual rows, whitened by one pixel std and
 carrying a Huber kernel, stay batched, as do the normal equations and the
 Schur solve. Each free pose's visual block and gradient are one reduction
 over its rows; landmark and coupling blocks are formed per row; each kind is
-added into the system with one np.bincount, which sums every entry's
-contributions in order: the visual blocks, then every free from side of the
-DR edges in edge order, then every free to side, then the blocks coupling an
-edge's two sides. The BA solve eliminates landmarks by Schur complement over
-a dense pose-landmark coupling, O(F*L) memory for F free poses and L free
-landmarks, in chunks of landmarks. Products whose size grows with the
-problem are einsum, not BLAS, so that the step does not depend on the thread
-setting.
+added into the system with one np.bincount (the coupling with one per Schur
+chunk), which sums every entry's contributions in order: the visual blocks,
+then every free from side of the DR edges in edge order, then every free to
+side, then the blocks coupling an edge's two sides. The BA solve eliminates landmarks by Schur complement in
+chunks of landmarks. The pose-landmark coupling is held per chunk, over the
+free poses that observe the chunk only, so its memory follows the
+observation rows, not F*L for F free poses and L free landmarks. Products
+whose size grows with the problem are einsum, not BLAS, so that the step
+does not depend on the thread setting.
 
 What depends on the problem's structure alone is built once per solve: the
 DR edges' fixed parts and side layout, the bincount targets of every block
@@ -217,40 +218,66 @@ LANDMARK_CHUNK = 64
 class NormalEquations:
     """Gauss-Newton system in pose/landmark block form.
 
-    Hpp is the dense pose-pose block (6F x 6F), Hll the block-diagonal
-    landmark block stored as (L, 3, 3), and Hpl the pose-landmark coupling
-    kept dense as (F, 6, L, 3), for F free poses and L free landmarks. The
-    dense coupling costs O(F*L) memory, most of it zeros on a long map, and
-    needs no observer bookkeeping: the blocks of all reprojection rows are
-    added into it at once by their pose and landmark indices, repeated
-    pose-landmark pairs included. schur_chunks is the Schur complement's
-    chunk index that schur_solve reads, the linearizer's (_schur_chunks):
-    indices only, shared by every damping tried on the system.
+    Hpp is the dense pose-pose block (6F x 6F) and Hll the block-diagonal
+    landmark block stored as (L, 3, 3), for F free poses and L free
+    landmarks. schur_chunks is the Schur complement's chunk index that
+    schur_solve reads, the linearizer's (_schur_chunks): indices only,
+    shared by every damping tried on the system. The pose-landmark coupling
+    is held per chunk: couplings[c] is the (rows, landmarks, 3) block of
+    chunk c, over the rows of the free poses that observe the chunk, zero
+    where such a pose does not observe a landmark. A free landmark in no
+    chunk is observed by no free pose and has no coupling. The couplings'
+    memory thus follows the observation rows, not F*L.
     """
 
-    def __init__(self, Hpp, bp, Hll, bl, Hpl, schur_chunks: list):
+    def __init__(self, Hpp, bp, Hll, bl, couplings: list, schur_chunks: list):
         self.n_pose_free, self.n_lm_free = len(bp) // 6, len(bl)
-        self.Hpp, self.bp, self.Hll, self.bl, self.Hpl = Hpp, bp, Hll, bl, Hpl
-        self.schur_chunks = schur_chunks
+        self.Hpp, self.bp, self.Hll, self.bl = Hpp, bp, Hll, bl
+        self.couplings, self.schur_chunks = couplings, schur_chunks
 
 
-def _schur_chunks(seen: np.ndarray) -> list:
-    """The Schur complement's chunks of landmarks, in order of their first
-    observer, each as (landmarks, the rows of the free poses that observe
-    them, np.ix_ of those rows), of the (F, L) mask of the free poses that
-    observe each free landmark. A landmark no free pose observes is ordered
-    as if pose 0 did."""
-    if not seen.size:
-        return []
-    order = np.argsort(seen.argmax(axis=0), kind="stable")
-    chunks = []
-    for a in range(0, seen.shape[1], LANDMARK_CHUNK):
-        lms = order[a:a + LANDMARK_CHUNK]
-        poses = np.flatnonzero(seen[:, lms].any(axis=1))
-        if len(poses):
-            rows = (6 * poses[:, None] + np.arange(6)).ravel()
-            chunks.append((lms, rows, np.ix_(rows, rows)))
-    return chunks
+def _schur_chunks(pose: np.ndarray, lm: np.ndarray, n_lm: int):
+    """The Schur complement's chunk index and the plan of its coupling blocks,
+    of the free pose and free landmark index (N,) of each row on a free pose
+    and a free landmark, for n_lm free landmarks.
+
+    Landmarks are taken in order of their lowest observing free pose,
+    stably; a landmark no free pose observes is ordered as if pose 0 did.
+    Each chunk of LANDMARK_CHUNK of them that a free pose observes is
+    (landmarks, the rows of the free poses that observe them, np.ix_ of
+    those rows), and its plan (its observations: their positions among the
+    N in row order, the flat np.bincount targets of their blocks in its
+    coupling block, and that block's shape). Entry (i, k) of an
+    observation's block, for the chunk's m-th observing pose and j-th
+    landmark, is at ((6m + i) M + j) 3 + k for M landmarks.
+    """
+    if not len(pose):
+        return [], []
+    # each landmark's lowest observing free pose, 0 where none observes it
+    unseen = int(pose.max()) + 1
+    first = np.full(n_lm, unseen)
+    np.minimum.at(first, lm, pose)
+    first[first == unseen] = 0
+    order = np.argsort(first, kind="stable")
+    position = np.empty(n_lm, dtype=np.int64)
+    position[order] = np.arange(n_lm)
+    row_chunk = position[lm] // LANDMARK_CHUNK
+    by_chunk = np.argsort(row_chunk, kind="stable")
+    n_chunks = -(-n_lm // LANDMARK_CHUNK)
+    bounds = np.searchsorted(row_chunk[by_chunk], np.arange(n_chunks + 1)).tolist()
+    chunks, plan = [], []
+    for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            continue
+        lms, obs = order[c * LANDMARK_CHUNK:(c + 1) * LANDMARK_CHUNK], by_chunk[a:b]
+        poses, observer = np.unique(pose[obs], return_inverse=True)
+        rows = (6 * poses[:, None] + np.arange(6)).ravel()
+        m = len(lms)
+        targets = _scatter_index(18 * m * observer + 3 * (position[lm[obs]] % LANDMARK_CHUNK),
+                                 3 * m * np.arange(6)[:, None] + np.arange(3))
+        chunks.append((lms, rows, np.ix_(rows, rows)))
+        plan.append((obs, targets, (len(rows), m, 3)))
+    return chunks, plan
 
 
 def min_pose_eigenvalue(neq: NormalEquations) -> float:
@@ -267,11 +294,11 @@ def _min_eigenvalue(hpp: np.ndarray) -> float:
 def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     """Landmark-eliminated step, identical to the solve of the full system.
 
-    Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the dense
-    coupling and C the damped landmark block, inverted in closed form
-    (_inverse_3x3). Returns the concatenated (pose, landmark) step vector.
-    Raises SingularSystem when a damped landmark block or the reduced camera
-    system cannot be inverted.
+    Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the
+    coupling, read chunk by chunk, and C the damped landmark block, inverted
+    in closed form (_inverse_3x3). Returns the concatenated (pose, landmark)
+    step vector. Raises SingularSystem when a damped landmark block or the
+    reduced camera system cannot be inverted.
     """
     n_p, n_l = 6 * neq.n_pose_free, neq.n_lm_free
     s = neq.Hpp.copy()
@@ -279,21 +306,18 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
     bs = neq.bp.copy()
     if n_l:
         cinv = _inverse_3x3(neq.Hll + damping * np.eye(3))
-        w = neq.Hpl.reshape(n_p, n_l, 3)
-    if n_p and n_l:
-        # S -= W C^-1 W^T and bs -= W C^-1 bl over chunks of landmarks taken in
-        # order of their first observer, each over the rows of the free poses
-        # that observe the chunk: a landmark is seen from a few keyframes close
-        # in time, so on a long map a chunk has few rows. The chunk index is
-        # kept for every damping. einsum, not BLAS: a BLAS product rounds
-        # differently with one thread than with several, and the step must
-        # not depend on the thread setting.
-        for lms, rows, block in neq.schur_chunks:
-            w_c = w[rows].take(lms, axis=1)
-            y_c = (w_c.transpose(1, 0, 2) @ cinv[lms]).transpose(1, 0, 2).reshape(len(rows), -1)
-            w_c = w_c.reshape(len(rows), -1)
-            s[block] -= np.einsum("pk,qk->pq", y_c, w_c)
-            bs[rows] -= np.einsum("pk,k->p", y_c, neq.bl[lms].reshape(-1))
+    chunks = list(zip(neq.schur_chunks, neq.couplings))
+    # S -= W C^-1 W^T and bs -= W C^-1 bl over chunks of landmarks taken in
+    # order of their first observer, each over the rows of the free poses
+    # that observe the chunk: a landmark is seen from a few keyframes close
+    # in time, so on a long map a chunk has few rows. einsum, not BLAS: a
+    # BLAS product rounds differently with one thread than with several, and
+    # the step must not depend on the thread setting.
+    for (lms, rows, block), w_c in chunks:
+        y_c = (w_c.transpose(1, 0, 2) @ cinv[lms]).transpose(1, 0, 2).reshape(len(rows), -1)
+        w_c = w_c.reshape(len(rows), -1)
+        s[block] -= np.einsum("pk,qk->pq", y_c, w_c)
+        bs[rows] -= np.einsum("pk,k->p", y_c, neq.bl[lms].reshape(-1))
     if n_p:
         try:
             dp = np.linalg.solve(s, bs)
@@ -303,7 +327,10 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
         dp = np.zeros(0)
     if not n_l:
         return dp
-    rhs = neq.bl - np.einsum("p,plk->lk", dp, w)
+    # a landmark in no chunk is observed by no free pose: its rhs is bl
+    rhs = neq.bl.copy()
+    for (lms, rows, _), w_c in chunks:
+        rhs[lms] -= np.einsum("p,plk->lk", dp[rows], w_c)
     dl = np.einsum("ljk,lk->lj", cinv, rhs)
     return np.concatenate([dp, dl.reshape(-1)])
 
@@ -447,11 +474,12 @@ class _Linearizer:
 
     The plan is built once per solve from the structure alone: the flat
     np.bincount targets of every block's entries in Hpp, bp, Hll, bl and
-    Hpl, and the Schur chunk index. A linearization forms the blocks of
-    every row and edge and sums them on those targets; a row at or behind
-    the near plane and an edge near pi stay in it and add exact zeros. A
-    damping trial inverts the landmark blocks and eliminates them over the
-    chunks.
+    each Schur chunk's coupling block, and the Schur chunk index, both from
+    the rows, so that no array of a solve is sized F x L. A linearization
+    forms the blocks of every row and edge and sums them on those targets;
+    a row at or behind the near plane and an edge near pi stay in it and add
+    exact zeros. A damping trial inverts the landmark blocks and eliminates
+    them over the chunks.
     """
 
     def __init__(self, problem: Problem):
@@ -497,9 +525,8 @@ class _Linearizer:
         # The rows of the free poses grouped by pose, each pose's in row order,
         # and each pose's (start, end) among them. The rows on a free landmark
         # and the targets of their Hll blocks and bl gradients; the rows on a
-        # free pose and a free landmark and the targets of their Hpl blocks,
-        # entry (i, k) of block (p, l) of Hpl (F, 6, L, 3) at
-        # ((6p + i) L + l) 3 + k. A selection of every row is slice(None),
+        # free pose and a free landmark, and the Schur chunks with the plan
+        # of their coupling blocks. A selection of every row is slice(None),
         # which takes no copy.
         n_l, pose_free, lm_free = self.n_lm_free, self.row_pose_free, self.row_lm_free
         on_pose = np.flatnonzero(pose_free >= 0)
@@ -512,11 +539,7 @@ class _Linearizer:
         self.on_lm, self.both = _selection(on_lm), _selection(both)
         self.hll_index = _scatter_index(9 * lms, np.arange(9))
         self.bl_index = _scatter_index(3 * lms, np.arange(3))
-        self.hpl_index = _scatter_index(18 * n_l * p + 3 * l,
-                                        3 * n_l * np.arange(6)[:, None] + np.arange(3))
-        seen = np.zeros((n, n_l), dtype=bool)
-        seen[p, l] = True
-        self.schur_chunks = _schur_chunks(seen)
+        self.schur_chunks, self.coupling_plan = _schur_chunks(p, l, n_l)
 
         # contiguous copies of the variables' columns
         self.point = (poses["q"].copy(), poses["t"].copy(), landmarks["position"].copy())
@@ -576,10 +599,11 @@ class _Linearizer:
         Hll = _scatter(self.hll_index,
                        j0[:, :, None] * j0[:, None] + j1[:, :, None] * j1[:, None], 9 * n_l)
         bl = _scatter(self.bl_index, -(j0 * r[:, :1] + j1 * r[:, 1:]), 3 * n_l)
-        Hpl = _scatter(self.hpl_index, jp[self.both].transpose(0, 2, 1) @ j_lm[self.both],
-                       18 * n * n_l)
-        return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3),
-                               Hpl.reshape(n, 6, n_l, 3), self.schur_chunks)
+        coupling = jp[self.both].transpose(0, 2, 1) @ j_lm[self.both]
+        couplings = [_scatter(targets, coupling[obs], math.prod(shape)).reshape(shape)
+                     for obs, targets, shape in self.coupling_plan]
+        return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3), couplings,
+                               self.schur_chunks)
 
     def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
         return schur_solve(neq, damping)

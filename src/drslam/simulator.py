@@ -70,8 +70,9 @@ class WorldConfig:
                  "each drop-out needs 0 <= start <= end and n_det >= 0"),
                 (("detection_cap",), self.detection_cap > 0, "detection cap must be positive"),
                 (("clutter",), self.clutter >= 0, "clutter count must be nonnegative"),
-                (("density",), all(d >= 0 for _, d in self.density),
-                 "density values must be nonnegative"),
+                (("density",), _density_profile(self.density),
+                 "density arc starts must be finite, begin at 0 and increase strictly, "
+                 "and density values must be finite and nonnegative"),
                 (("pixel_noise", "dr_sigma_t", "dr_sigma_r_deg"),
                  not (self.pixel_noise < 0 or self.dr_sigma_t < 0 or self.dr_sigma_r_deg < 0),
                  "noise standard deviations must be nonnegative"),
@@ -86,6 +87,16 @@ class WorldConfig:
 
 def _finite(values) -> bool:
     return all(map(math.isfinite, values))
+
+
+def _density_profile(density) -> bool:
+    """Whether density is a profile _density_at reads: (arc start, value)
+    pairs from arc 0 on in strictly increasing starts, each finite, and
+    values finite and nonnegative."""
+    starts = [start for start, _ in density]
+    return (bool(density) and starts[0] == 0 and _finite(starts)
+            and all(a < b for a, b in zip(starts, starts[1:]))
+            and all(0 <= d < math.inf for _, d in density))
 
 
 class WorldConfigError(ValueError):
@@ -247,16 +258,18 @@ def _path(config: WorldConfig):
     return points, seg_vecs, seg_lens, np.concatenate([[0.0], np.cumsum(seg_lens)])
 
 
-def generate_trajectory(config: WorldConfig):
+def generate_trajectory(config: WorldConfig, stop: int | None = None):
     """Constant-speed poses along the waypoint polyline, yaw on the tangent.
 
-    Returns (poses, arc positions). Closed specs revisit the start exactly.
+    Returns (poses, arc positions), with stop those of frames [0, stop)
+    only: the poses are spaced over n_frames either way, so each keeps its
+    bytes. Closed specs revisit the start exactly.
     """
     points, seg_vecs, seg_lens, cum = _path(config)
     total = cum[-1]
     n = config.n_frames
     poses, arcs = [], []
-    for i in range(n):
+    for i in range(n if stop is None else stop):
         s = total * i / (n - 1) if n > 1 else 0.0
         k = int(np.searchsorted(cum, s, side="right")) - 1
         k = min(k, len(seg_vecs) - 1)
@@ -461,11 +474,11 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
         raise ValueError(f"stop frame {stop} is outside 1..{config.n_frames}, "
                          f"the sequence's frame count")
     rng = np.random.default_rng(config.seed)
-    trajectory = generate_trajectory(config)
+    trajectory, _ = generate_trajectory(config, stop)
     landmarks = populate_landmarks(config, camera)
     records = []
     prev = None
-    for i, gt in enumerate(trajectory[0][:stop]):
+    for i, gt in enumerate(trajectory):
         rec = simulate_frame(gt, prev, landmarks, config, rng, i, camera)
         if prev is None:
             rec.odom_pose = gt

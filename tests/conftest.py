@@ -30,6 +30,17 @@ def build_normal_equations(problem: Problem):
     return lin.linearize(lin.point, cache), cost
 
 
+def dense_coupling(neq: NormalEquations) -> np.ndarray:
+    """The pose-landmark coupling (F, 6, L, 3) of the block normal equations,
+    each Schur chunk's block scattered into its poses' rows and its
+    landmarks; zero where no free pose observes a landmark."""
+    n_p = 6 * neq.n_pose_free
+    w = np.zeros((n_p, neq.n_lm_free, 3))
+    for (lms, rows, _), w_c in zip(neq.schur_chunks, neq.couplings):
+        w[np.ix_(rows, lms)] = w_c
+    return w.reshape(neq.n_pose_free, 6, neq.n_lm_free, 3)
+
+
 def dense_system(neq: NormalEquations, damping: float = 0.0):
     """The full system (H, b) of the block normal equations, H damped on its diagonal."""
     n = 6 * neq.n_pose_free + 3 * neq.n_lm_free
@@ -42,7 +53,7 @@ def dense_system(neq: NormalEquations, damping: float = 0.0):
         s = np_ + 3 * j
         H[s:s + 3, s:s + 3] = neq.Hll[j]
         b[s:s + 3] = neq.bl[j]
-    H[:np_, np_:] = neq.Hpl.reshape(np_, 3 * neq.n_lm_free)
+    H[:np_, np_:] = dense_coupling(neq).reshape(np_, 3 * neq.n_lm_free)
     H[np_:, :np_] = H[:np_, np_:].T
     if damping:
         H = H + damping * np.eye(n)

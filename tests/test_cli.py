@@ -202,7 +202,11 @@ def test_config_echo_round_trip(values):
     (["--set", "world.dropouts=5:9:-3:0"], ["world.dropouts"]),
     (["--set", "world.dropouts=9:5:0:0"], ["world.dropouts"]),
     (["--set", "world.dropouts=-2:5:0:0"], ["world.dropouts"]),
-    (["--seed", "-1"], ["run.seed"])])
+    (["--seed", "-1"], ["run.seed"]),
+    (["--set", "world.density=0:80;-5:3"], ["world.density"]),
+    (["--set", "world.density=0:inf"], ["world.density"]),
+    (["--set", "world.density=0:80;40:3;20:5"], ["world.density"]),
+    (["--set", "world.density=nan:80"], ["world.density"])])
 def test_simulate_out_of_range_world_exits_two(tmp_path, capsys, args, keys):
     # a world setting the simulator cannot run is a config error that names
     # its keys, not a traceback, and makes no output directory
@@ -512,8 +516,9 @@ def test_run_inconsistent_frame_rows_exit_two(tmp_path, capsys, name, edit):
     ("waypoints", "0,0;nan,0", "waypoints"),
     ("dr_bias_t", "nan,0,0", "dr_bias_t"),
     ("dropouts", "9:5:0:0", "dropouts"),
+    ("density", "0:80;40:3;20:5", "density"),
 ], ids=["unparsed", "missing", "world-range", "depth-range", "dropout", "camera-range",
-        "camera-inf", "nan", "waypoint-nan", "bias-nan", "dropout-order"])
+        "camera-inf", "nan", "waypoint-nan", "bias-nan", "dropout-order", "density-order"])
 def test_bad_sequence_meta_is_a_format_error(tmp_path, capsys, key, value, named):
     # read_sequence checks every meta entry, so run and sweep exit 2 on a bad
     # one before any frame is processed or any repeat re-simulated

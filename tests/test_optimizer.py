@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (CAMERA, build_normal_equations, dense_solve, dense_system, dr_edge,
-                      edge_jacobians, edge_residual, edge_residuals, landmark_position,
+from conftest import (CAMERA, build_normal_equations, dense_coupling, dense_solve, dense_system,
+                      dr_edge, edge_jacobians, edge_residual, edge_residuals, landmark_position,
                       make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
                       set_problem_pose)
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
@@ -26,7 +27,6 @@ from drslam.geometry import (Z_MIN, Pose, compose, exp_se3, inverse, log_se3, pr
                              transform_point)
 from drslam import geometry, optimizer
 from drslam.optimizer import (
-    NormalEquations,
     Problem,
     SolverConfig,
     _Linearizer,
@@ -293,8 +293,9 @@ def test_reprojection_normal_equations_match_direct_product(rng):
         if i == 1 and lm == 0:
             hpl += info * j_pose.T @ j_lm
     assert min(weights) < 1.0 == max(weights)   # both Huber branches are exercised
-    assert neq.Hpl.shape == (1, 6, 1, 3)
-    for got, want in ((neq.Hpp, hpp), (neq.Hll[0], hll), (neq.Hpl[0, :, 0, :], hpl),
+    coupling = dense_coupling(neq)
+    assert coupling.shape == (1, 6, 1, 3)
+    for got, want in ((neq.Hpp, hpp), (neq.Hll[0], hll), (coupling[0, :, 0, :], hpl),
                       (neq.bp, bp), (neq.bl[0], bl)):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -390,13 +391,13 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     neq, _ = build_normal_equations(problem)
     h, b = direct_normal_equations(problem)
 
-    n_p = 6 * neq.n_pose_free
-    assert neq.Hpl.shape == (3, 6, 7 if near_plane else 5, 3)
+    n_p, coupling = 6 * neq.n_pose_free, dense_coupling(neq)
+    assert coupling.shape == (3, 6, 7 if near_plane else 5, 3)
     if near_plane:
         # landmarks 6 and 7 have only inactive rows
-        assert not neq.Hll[5:].any() and not neq.Hpl[:, :, 5:].any()
+        assert not neq.Hll[5:].any() and not coupling[:, :, 5:].any()
     scale = np.max(np.abs(h))
-    assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(coupling.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
     assert np.allclose(neq.Hpp, h[:n_p, :n_p], rtol=1e-12, atol=1e-12 * scale)
     for k in range(neq.n_lm_free):
         s = n_p + 3 * k
@@ -510,6 +511,11 @@ def test_schur_landmark_free_reduces_to_pose_solve(rng):
 BLOCKS = ("Hpp", "bp", "Hll", "bl", "Hpl")
 
 
+def system_block(neq, name):
+    """A block of the system by name; Hpl is the coupling's dense view."""
+    return dense_coupling(neq) if name == "Hpl" else getattr(neq, name)
+
+
 def test_scatter_adds_in_the_order_of_np_add_at(rng):
     # many contributions per target, over magnitudes far apart, so that any
     # other summation order would round differently
@@ -566,7 +572,7 @@ def test_interleaving_rows_of_different_poses_leaves_the_system_unchanged(rng, w
             assert uv_a.tobytes() == uv_b.tobytes()
     neq_a, neq_b = build_normal_equations(a)[0], build_normal_equations(b)[0]
     for block in BLOCKS:
-        assert getattr(neq_a, block).tobytes() == getattr(neq_b, block).tobytes(), block
+        assert system_block(neq_a, block).tobytes() == system_block(neq_b, block).tobytes(), block
     # the cost sums its rows in row order, so only its last bits may differ
     config = SolverConfig(max_iterations=5)
     report_a, report_b = solve(a, config), solve(b, config)
@@ -623,7 +629,8 @@ def test_normal_equations_match_direct_product_with_a_row_behind_one_pose(rng, p
     n_p, scale = 6 * neq.n_pose_free, np.max(np.abs(h))
     assert np.allclose(neq.Hpp, h[:n_p, :n_p], rtol=1e-12, atol=1e-12 * scale)
     assert np.allclose(neq.bp, b[:n_p], rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
-    assert np.allclose(neq.Hpl.reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12, atol=1e-12 * scale)
+    assert np.allclose(dense_coupling(neq).reshape(n_p, -1), h[:n_p, n_p:], rtol=1e-12,
+                       atol=1e-12 * scale)
 
 
 # Camera-frame depths of rows that cannot be linearized: on the camera
@@ -665,12 +672,13 @@ def test_rows_at_or_behind_the_near_plane_add_exact_zeros_to_the_ba_system(rng):
     problem.add_dr_edges(3, 4, [inverse(problem_pose(problem, 3))], NOMINAL.precision())
     _rows_at_near_plane_depths(rng, problem, 4, 20, fixed=False)
     neq, _ = build_normal_equations(problem)
+    coupling = dense_coupling(neq)
     _assert_system_matches_direct(problem, neq.Hpp, neq.bp, scipy.linalg.block_diag(*neq.Hll),
-                                  neq.bl.reshape(-1), neq.Hpl.reshape(6 * neq.n_pose_free, -1))
+                                  neq.bl.reshape(-1), coupling.reshape(6 * neq.n_pose_free, -1))
     # the landmarks seen only at the near-plane depths have zero blocks
     inactive = np.searchsorted(problem.landmarks["id"], [22, 25, 29])
     assert not neq.Hll[inactive].any() and not neq.bl[inactive].any()
-    assert not neq.Hpl[:, :, inactive].any()
+    assert not coupling[:, :, inactive].any()
 
 
 def test_motion_only_rows_at_or_behind_the_near_plane_add_exact_zeros(rng):
@@ -712,12 +720,13 @@ def test_dr_edges_without_active_rows_give_float_blocks_and_the_dense_step(rng, 
                                                  np.array([0.1, 0.1, Z_MIN])), fixed=True)
         problem.add_observations([1, 2], [0, 1], np.array([[CAMERA.cx, CAMERA.cy]] * 2))
     neq, _ = build_normal_equations(problem)
-    n_l = int(rows == "behind")
-    assert (neq.Hpp.shape, neq.Hll.shape, neq.Hpl.shape) == ((12, 12), (n_l, 3, 3),
-                                                             (2, 6, n_l, 3))
+    n_l, coupling = int(rows == "behind"), dense_coupling(neq)
+    assert (neq.Hpp.shape, neq.Hll.shape, coupling.shape) == ((12, 12), (n_l, 3, 3),
+                                                              (2, 6, n_l, 3))
     for block in BLOCKS:
-        assert getattr(neq, block).dtype == np.float64, block
-    assert not neq.Hll.any() and not neq.bl.any() and not neq.Hpl.any()
+        assert system_block(neq, block).dtype == np.float64, block
+    assert all(w_c.dtype == np.float64 for w_c in neq.couplings)
+    assert not neq.Hll.any() and not neq.bl.any() and not coupling.any()
     assert neq.Hpp.any()
     for damping in (1e-4, 1.0):
         step, dense = schur_solve(neq, damping), dense_solve(neq, damping)
@@ -1090,8 +1099,8 @@ def test_cached_linearization_matches_fresh_build(seed, n_poses, perturb, with_d
     for point, neq in seen:
         _set_point(problem, point)
         fresh, _ = build_normal_equations(problem)
-        for block in ("Hpp", "bp", "Hll", "bl", "Hpl"):
-            assert np.array_equal(getattr(neq, block), getattr(fresh, block)), block
+        for block in BLOCKS:
+            assert np.array_equal(system_block(neq, block), system_block(fresh, block)), block
 
 
 def _watch_linearizers(monkeypatch, stall_after=None):
@@ -1302,10 +1311,64 @@ def test_problem_keeps_variables_in_ascending_id_and_rejects_an_id_given_twice(r
     assert getattr(problem, kind).tobytes() == variables.tobytes()
 
 
+def _mask_schur_chunks(seen: np.ndarray) -> list:
+    """The Schur complement's chunks of landmarks, in order of their first
+    observer, each as (landmarks, the rows of the free poses that observe
+    them, np.ix_ of those rows), of the (F, L) mask of the free poses that
+    observe each free landmark. A landmark no free pose observes is ordered
+    as if pose 0 did."""
+    if not seen.size:
+        return []
+    order = np.argsort(seen.argmax(axis=0), kind="stable")
+    chunks = []
+    for a in range(0, seen.shape[1], optimizer.LANDMARK_CHUNK):
+        lms = order[a:a + optimizer.LANDMARK_CHUNK]
+        poses = np.flatnonzero(seen[:, lms].any(axis=1))
+        if len(poses):
+            rows = (6 * poses[:, None] + np.arange(6)).ravel()
+            chunks.append((lms, rows, np.ix_(rows, rows)))
+    return chunks
+
+
+def test_chunk_index_from_rows_matches_the_mask_derivation(rng):
+    # random pairs of free poses and free landmarks, repeated pairs and
+    # landmarks no free pose observes included, and on every fourth draw a
+    # few rows of late poses only: the chunks derived from the rows are
+    # those of the (F, L) mask, and each chunk's block, summed on its plan's
+    # targets, is the dense coupling's cut to its rows and landmarks, bit
+    # for bit
+    for trial in range(40):
+        n, n_l = int(rng.integers(1, 12)), int(rng.integers(1, 200))
+        if trial % 4:
+            pose = rng.integers(0, n, int(rng.integers(1, 3 * n_l + 1)))
+        else:
+            pose = rng.integers(n // 2, n, int(rng.integers(1, 4)))
+        lm = rng.integers(0, n_l, len(pose))
+        seen = np.zeros((n, n_l), dtype=bool)
+        seen[pose, lm] = True
+        chunks, plan = optimizer._schur_chunks(pose, lm, n_l)
+        want = _mask_schur_chunks(seen)
+        assert len(chunks) == len(plan) == len(want)
+        for (lms, rows, block), expected in zip(chunks, want):
+            assert lms.tobytes() == expected[0].tobytes()
+            assert rows.tobytes() == expected[1].tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(block, expected[2]))
+        blocks = rng.normal(size=(len(pose), 6, 3)) * 10.0 ** rng.integers(-8, 9, (len(pose), 1, 1))
+        dense = np.zeros(18 * n * n_l)
+        np.add.at(dense, optimizer._scatter_index(18 * n_l * pose + 3 * lm,
+                                                  3 * n_l * np.arange(6)[:, None] + np.arange(3)),
+                  blocks.reshape(-1))
+        dense = dense.reshape(6 * n, n_l, 3)
+        for (lms, rows, _), (obs, targets, shape) in zip(chunks, plan):
+            got = optimizer._scatter(targets, blocks[obs], math.prod(shape)).reshape(shape)
+            assert got.tobytes() == dense[rows].take(lms, axis=1).tobytes()
+
+
 def _derived_system(lin, point):
-    """The system at the point, derived per system: each block added in the
-    module's order, one at a time, and the chunk index of the pairs of free
-    poses and free landmarks the rows form."""
+    """The system at the point, derived per system: its blocks by name, each
+    added in the module's order, one at a time, the coupling dense as Hpl,
+    and the chunk index of the mask of the pairs of free poses and free
+    landmarks the rows form."""
     _, (visual, rotations, dr) = lin.residuals(point)
     jp, j_lm, rw = optimizer._visual_jacobians(lin.k, visual, lin.inv_std, rotations)
     n, n_l = lin.n_pose_free, lin.n_lm_free
@@ -1337,8 +1400,8 @@ def _derived_system(lin, point):
             if p >= 0:
                 hpl[p, :, l] += c
                 seen[p, l] = True
-    return NormalEquations(hpp.reshape(6 * n, 6 * n), bp.reshape(-1), hll, bl, hpl,
-                           optimizer._schur_chunks(seen))
+    blocks = dict(Hpp=hpp.reshape(6 * n, 6 * n), bp=bp.reshape(-1), Hll=hll, bl=bl, Hpl=hpl)
+    return blocks, _mask_schur_chunks(seen)
 
 
 def _plan_problem(rng, case):
@@ -1375,13 +1438,14 @@ def test_plan_gives_the_bytes_of_the_per_system_derivation(rng, case):
     lin = _Linearizer(problem)
     assert len(lin.dr.cross_from) > 0
     _, cache = lin.residuals(lin.point)
-    neq, want = lin.linearize(lin.point, cache), _derived_system(lin, lin.point)
+    neq, (want, want_chunks) = lin.linearize(lin.point, cache), _derived_system(lin, lin.point)
     for block in BLOCKS:
-        got = getattr(neq, block)
-        assert got.dtype == np.float64 and got.shape == getattr(want, block).shape, block
-        assert got.tobytes() == getattr(want, block).tobytes(), block
-    assert len(want.schur_chunks) == len(neq.schur_chunks)
-    for got, expected in zip(neq.schur_chunks, want.schur_chunks):
+        got = system_block(neq, block)
+        assert got.dtype == np.float64 and got.shape == want[block].shape, block
+        assert got.tobytes() == want[block].tobytes(), block
+    assert all(w_c.dtype == np.float64 for w_c in neq.couplings)
+    assert len(want_chunks) == len(neq.schur_chunks) == len(neq.couplings)
+    for got, expected in zip(neq.schur_chunks, want_chunks):
         lms, rows, (block_rows, block_cols) = got
         assert lms.tobytes() == expected[0].tobytes() and rows.tobytes() == expected[1].tobytes()
         assert block_rows.tobytes() == expected[2][0].tobytes()
@@ -1394,9 +1458,10 @@ def test_plan_gives_the_bytes_of_the_per_system_derivation(rng, case):
         # the row behind pose 3 adds exact zeros: its Hpl block is zero, and
         # its landmark's Hll block and gradient are zero
         p, l = lin.free_index[lin.pose_ids == 3][0], lin.lm_free_index[lin.lm_ids == 150][0]
-        assert not neq.Hpl[p, :, l].any() and not neq.Hll[l].any() and not neq.bl[l].any()
+        coupling = dense_coupling(neq)
+        assert not coupling[p, :, l].any() and not neq.Hll[l].any() and not neq.bl[l].any()
     if case == "no_rows":
-        assert not neq.Hpl.any() and not neq.Hll.any() and neq.Hpp.any()
+        assert not neq.couplings and not neq.Hll.any() and neq.Hpp.any()
     else:
         assert len(neq.schur_chunks) >= 2
 
@@ -1461,3 +1526,57 @@ def test_schur_step_bytes_do_not_depend_on_the_blas_thread_count():
         assert done.returncode == 0, done.stderr
         digests.add(done.stdout.strip())
     assert len(digests) == 1
+
+
+def _chain_problem(rng, n_free=120, per_window=13):
+    """A chain of n_free free poses after one fixed pose, stepping 0.1 m
+    along x and looking along z: each window of three consecutive poses sees
+    per_window landmarks of its own, 3-6 m ahead, so every landmark has
+    three rows, and a DR edge joins each pose to the next."""
+    n = n_free + 1
+    truth = [Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1 * i, 0.0, 0.0]))
+             for i in range(n)]
+    problem = Problem(intrinsics=CAMERA, pixel_std=1.0)
+    problem.add_poses(np.arange(n), [truth[0]] + [
+        compose(pose, exp_se3(rng.normal(scale=1e-3, size=6))) for pose in truth[1:]],
+        fixed=np.arange(n) == 0)
+    n_windows = n - 2
+    positions = np.column_stack([
+        0.1 * (np.repeat(np.arange(n_windows), per_window) + 1)
+        + rng.uniform(-1.0, 1.0, n_windows * per_window),
+        rng.uniform(-1.0, 1.0, n_windows * per_window),
+        rng.uniform(3.0, 6.0, n_windows * per_window)])
+    problem.add_landmarks(np.arange(len(positions)), positions + rng.normal(scale=0.01,
+                                                                             size=positions.shape))
+    lms = np.arange(len(positions))
+    for k in range(3):
+        poses = lms // per_window + k
+        uv = np.array([project(CAMERA, transform_point(inverse(truth[p]), x))
+                       for p, x in zip(poses, positions)])
+        problem.add_observations(poses, lms, uv + rng.normal(scale=0.5, size=uv.shape))
+    problem.add_dr_edges(np.arange(n - 1), np.arange(1, n),
+                         [compose(inverse(a), b) for a, b in zip(truth, truth[1:])],
+                         NOMINAL.precision())
+    return problem
+
+
+def test_ba_solve_memory_follows_its_rows_not_poses_times_landmarks(rng):
+    # 120 free poses, 1,547 landmarks, 4,641 rows. The solve holds a few
+    # copies of the reduced camera system S (6F x 6F, 4.15 MB: Hpp, its
+    # damped copy and the LU's) and arrays per row or per Schur chunk;
+    # measured, its traced peak is 13.3 MB, 3.2 copies of S. The bound is
+    # four copies and 1 KB per row, 21.4 MB. A dense pose-landmark coupling
+    # alone would be 120 * 18 * 1,547 * 8 B = 26.7 MB; with it the peak was
+    # 39.9 MB.
+    problem = _chain_problem(rng)
+    rows, n_p = len(problem.reprojection_factors), 6 * 120
+    assert (len(problem.landmarks), rows) == (1547, 4641)
+    tracemalloc.start()
+    try:
+        report = solve(problem, SolverConfig(max_iterations=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 3 and report.final_cost < report.initial_cost
+    s_bytes = 8 * n_p * n_p
+    assert peak < 4 * s_bytes + 1024 * rows, peak / 1e6

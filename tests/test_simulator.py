@@ -592,7 +592,13 @@ def test_truncated_simulation_is_a_prefix_of_the_full_one(scenario, overrides):
     if overrides:
         assert sum(r.n_det == 300 for r in full.records) > 500
     assert len(full.records) == config.n_frames
+    poses, arcs = generate_trajectory(config)
     for stop in (1, 270, 360, config.n_frames):
+        # the truncated trajectory is built to stop only, a prefix of the whole
+        part_poses, part_arcs = generate_trajectory(config, stop)
+        assert len(part_poses) == stop and part_arcs.tobytes() == arcs[:stop].tobytes()
+        for got, want in zip(part_poses, poses):
+            assert got.q.tobytes() == want.q.tobytes() and got.t.tobytes() == want.t.tobytes()
         part = simulate_sequence(config, stop=stop)
         assert_same_records(part.records, full.records[:stop])
         assert part.meta == full.meta and part.camera == full.camera
