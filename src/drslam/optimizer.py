@@ -173,7 +173,10 @@ STEP_TOLERANCE = 1e-10
 class SolverConfig:
     """The LM settings that differ between tracking, local BA and global BA.
     The initial damping lies in (0, MAX_DAMPING]: at 0 a rejected step is
-    retried unchanged, and above MAX_DAMPING no step is tried."""
+    retried unchanged, and above MAX_DAMPING no step is tried. A solve takes
+    at least one iteration, and the cost tolerance, a relative decrease, lies
+    in [0, 1): a NaN or negative one is never met, so every solve would run
+    to its cap."""
     max_iterations: int = 20
     initial_damping: float = 1e-4
     cost_tolerance: float = 1e-8
@@ -181,6 +184,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.initial_damping <= MAX_DAMPING:
             raise ValueError(f"initial damping must be in (0, {MAX_DAMPING:g}]")
+        if not self.max_iterations >= 1:
+            raise ValueError("max iterations must be at least 1")
+        if not 0 <= self.cost_tolerance < 1:
+            raise ValueError("cost tolerance must be in [0, 1)")
 
 
 @dataclass

@@ -1237,6 +1237,24 @@ def test_lm_counts_rejected_steps_exactly():
     assert report.final_cost == 0.5 * math.atan(x) ** 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_iterations", 0), ("max_iterations", -3),
+    ("cost_tolerance", math.nan), ("cost_tolerance", -1e-8), ("cost_tolerance", 1.0),
+    ("cost_tolerance", math.inf),
+    ("initial_damping", 0.0), ("initial_damping", math.nan),
+])
+def test_solver_config_rejects_settings_out_of_range(name, value):
+    # a NaN or negative tolerance is never met and would run every solve to
+    # its cap; a cap of 0 would report a capped solve that never iterated
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        SolverConfig(**{name: value})
+
+
+def test_solver_config_accepts_the_ends_of_its_ranges():
+    SolverConfig(max_iterations=1, cost_tolerance=0.0)
+    SolverConfig(cost_tolerance=0.999, initial_damping=optimizer.MAX_DAMPING)
+
+
 def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     # a start 0.5 m too close to points 0.3-1.5 m away: the first steps
     # overshoot and are rejected while the cost is still at its start, far

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import drslam.optimizer
 import drslam.pipeline
-from drslam.optimizer import reprojection_rows
+from drslam.optimizer import _PoseLinearizer, reprojection_rows
 from drslam.cli import resolve_config_path
 from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
 from drslam.evaluation import slice_sequence
-from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse
+from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse, log_se3
 from drslam.pipeline import (
     K_MAX,
     LOOP_COOLDOWN,
@@ -22,6 +22,7 @@ from drslam.pipeline import (
     LOST_FRAMES,
     MAX_LOCAL_KEYFRAMES,
     MODES,
+    MOTION_SOLVER,
     SOLVE_COUNTS,
     Frame,
     KeyFrame,
@@ -783,6 +784,37 @@ def test_capped_solves_are_counted_per_level(monkeypatch):
         assert res.counts[f"{level}_capped"] == terminations.count("max_iterations")
     assert res.counts["motion_capped"] > 0 and res.counts["lba_capped"] > 0
     assert 0 < res.counts["lba_capped"] < len(endings["lba"])
+
+
+def test_tracking_tolerance_stops_within_a_hundredth_sigma_of_the_optimum(monkeypatch):
+    # every motion-only solve of a corridor_gap prefix (matches plus the DR
+    # prior), rerun at MOTION_SOLVER, ends within 0.01 sigma of a solve run
+    # to a 1e-12 tolerance, measured under that solve's own 6x6 H at its
+    # optimum, and takes fewer iterations than it
+    calls = []
+    solve_motion_only = drslam.pipeline.solve_motion_only
+
+    def recording(*args):
+        calls.append(args[:-1])
+        return solve_motion_only(*args)
+    monkeypatch.setattr(drslam.pipeline, "solve_motion_only", recording)
+    config = parse_config(resolve_config_path("corridor_gap"))
+    run_pipeline(simulate_sequence(config.world_config(), stop=60), config.pipeline_params(),
+                 "adaptive")
+    tight = replace(MOTION_SOLVER, cost_tolerance=1e-12, max_iterations=50)
+    assert len(calls) == 59 and all(dr is not None for *_, dr in calls)
+    for camera, prediction, points, uv, pixel_std, dr in calls:
+        pose, report = solve_motion_only(camera, prediction, points, uv, pixel_std, dr,
+                                         MOTION_SOLVER)
+        optimum, tight_report = solve_motion_only(camera, prediction, points, uv, pixel_std,
+                                                  dr, tight)
+        lin = _PoseLinearizer(camera, points, uv, 1.0 / pixel_std, dr)
+        point = (optimum.q.tolist(), optimum.t.tolist(), optimum.rotation_matrix)
+        H, _ = lin.linearize(point, lin.residuals(point)[1])
+        d = log_se3(compose(inverse(optimum), pose))     # the retraction's right increment
+        assert math.sqrt(d @ H @ d) < 0.01
+        assert tight_report.termination == "cost_tolerance"
+        assert report.iterations < tight_report.iterations
 
 
 def test_map_round_trip_empty(tmp_path):
