@@ -143,8 +143,9 @@ def _check_frame_range(start: int, stop: int, n_frames: int) -> None:
 
 
 def slice_sequence(sequence: Sequence, start: int, stop: int) -> Sequence:
-    """Frame range [start, stop) as a standalone sequence, ids re-anchored.
-    Raises ValueError unless 0 <= start < stop <= the record count."""
+    """Frame range [start, stop) as a standalone sequence, ids re-anchored,
+    sharing the sequence's world table. Raises ValueError unless
+    0 <= start < stop <= the record count."""
     _check_frame_range(start, stop, len(sequence.records))
     records = []
     for i, r in enumerate(sequence.records[start:stop]):
@@ -239,7 +240,8 @@ def concatenate_loops(sequence: Sequence, loops: int) -> Sequence:
 
     Ground truth and detections repeat; the seam delta between consecutive
     laps is the exact ground-truth increment (closed trajectories make it
-    small). Timestamps continue at the recorded frame period.
+    small). Timestamps continue at the recorded frame period. The laps
+    share the sequence's world table.
     """
     if loops < 2:
         raise ValueError("repeat protocol needs at least two loops")

@@ -11,8 +11,9 @@ solves in one table keyed by ``SOLVE_COUNTS``.
 
 Ground truth reaches the estimator through two oracles only, both fed by
 ``_insert_keyframe``: the depth oracle gives a new point its true depth, from
-the sequence's world projected into the keyframe record's true pose, and the
-loop oracle picks and constrains a loop from the true poses of the keyframes.
+the sequence's world (its ``PointTable``, read in place, never copied)
+projected into the keyframe record's true pose, and the loop oracle picks and
+constrains a loop from the true poses of the keyframes.
 
 Modes:
   vision-only  constant-velocity prediction, no DR anywhere, can lose track
@@ -35,7 +36,7 @@ from .fileio import fmt, parse_poses, pose_text
 from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
 from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
                         solve_local_ba, solve_motion_only)
-from .simulator import Detections, squared_distance
+from .simulator import Detections, PointTable, squared_distance
 from .weighting import (
     NominalDrInformation,
     QualityParams,
@@ -53,9 +54,10 @@ MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 # Solve outcomes a run counts, in the order metrics.csv lists them: per level,
 # failed solves (a frame left at its prediction, a local BA window left
 # unrefined, a global BA rolled back with its loop edge), then solves that
-# ended on their iteration cap.
+# ended on their iteration cap, then the observations local and global BA
+# left at or behind the near plane of their keyframe, which the map drops.
 SOLVE_COUNTS = ("motion_failed", "lba_failed", "gba_failed",
-                "motion_capped", "lba_capped", "gba_capped")
+                "motion_capped", "lba_capped", "gba_capped", "behind_dropped")
 
 MAP_MAGIC = "GWMAP v3"
 # Per map section, in file order: the fields of a data line, how many of them
@@ -127,45 +129,6 @@ class KeyFrame:
     lba_alpha: float = float("nan")
     dr_to_prev: Pose | None = None   # composed frame deltas since previous keyframe
     dr_alpha: float = float("nan")   # weight of the DR edge from keyframe id - 1, set by local BA
-
-
-@dataclass
-class PointTable:
-    """The map's points, rows in ascending id, found with np.searchsorted.
-
-    ``ids`` (M,) int64 holds each row's point id, ``positions`` (M, 3)
-    float64 its world position and ``created_kf`` (M,) int64 the keyframe
-    that created it.
-    """
-
-    ids: np.ndarray
-    positions: np.ndarray
-    created_kf: np.ndarray
-
-    @classmethod
-    def empty(cls) -> PointTable:
-        return cls(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0, dtype=np.int64))
-
-    def rows(self, ids) -> np.ndarray:
-        """The rows of point ids (N,), each of which the table holds."""
-        return np.searchsorted(self.ids, ids)
-
-    def lookup(self, ids):
-        """The rows (N,) of point ids (N,), any of which the table may lack,
-        and whether it holds each (N,); a row is meaningful only where it does."""
-        rows = np.searchsorted(self.ids, ids)
-        if not len(self.ids):
-            return rows, np.zeros(len(rows), dtype=bool)
-        return rows, self.ids.take(rows, mode="clip") == ids
-
-    def insert(self, ids, positions, created_kf) -> PointTable:
-        """The table with points ids (N,), none of them in it, at positions
-        (N, 3), created by keyframe created_kf, one or (N,)."""
-        ids = np.concatenate([self.ids, ids])
-        order = np.argsort(ids, kind="stable")
-        created_kf = np.concatenate([self.created_kf, np.broadcast_to(created_kf, len(positions))])
-        return PointTable(ids[order], np.concatenate([self.positions, positions])[order],
-                          created_kf[order])
 
 
 @dataclass
@@ -326,16 +289,15 @@ class Pipeline:
     """Single-owner sequential pipeline: track, map, close loops per frame."""
 
     def __init__(self, params: PipelineParams, camera: CameraIntrinsics,
-                 world: dict | None = None, mode: str = "adaptive"):
+                 world: PointTable | None = None, mode: str = "adaptive"):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if world is not None and not np.all(np.diff(world.ids) > 0):
+            raise ValueError("world landmark ids must be strictly ascending")
         self.params = params
         self.camera = camera
-        world = world or {}
-        # the depth oracle's true landmark positions, created by no keyframe
-        self._world = PointTable.empty().insert(
-            np.fromiter(world, dtype=np.int64, count=len(world)),
-            np.array(list(world.values()), dtype=float).reshape(-1, 3), -1)
+        # the depth oracle's true landmark positions: the caller's table, read in place
+        self._world = PointTable.empty() if world is None else world
         self.mode = mode
         self.slam_map = SlamMap()
         self.frames: list[Frame] = []
@@ -569,12 +531,32 @@ class Pipeline:
         return problem
 
     def _apply_ba(self, problem: Problem) -> None:
-        """Moves the free poses' keyframes and the landmarks' points to their solved values."""
-        free = problem.poses[~problem.poses["fixed"]]
+        """Moves the free poses' keyframes and the landmarks' points to their
+        solved values, then drops each of the problem's observations whose
+        point lies there at or behind Z_MIN in its keyframe (the depth check
+        ORB-SLAM2 makes after local BA). The solver gives such a row an IRLS
+        weight of 0, so it cannot pull its point back in front, while its
+        clamped cost still moves and stalls every later BA that carries it."""
+        poses, landmarks, rows = problem.poses, problem.landmarks, problem.reprojection_factors
+        keyframes = self.slam_map.keyframes
+        free = poses[~poses["fixed"]]
         for k, q, t in zip(free["id"].tolist(), free["q"], free["t"]):
-            self.slam_map.keyframes[k].pose = Pose(q, t)
+            keyframes[k].pose = Pose(q, t)
         points = self.slam_map.points
-        points.positions[points.rows(problem.landmarks["id"])] = problem.landmarks["position"]
+        points.positions[points.rows(landmarks["id"])] = landmarks["position"]
+        solved = [keyframes[k].pose for k in poses["id"].tolist()]
+        slot = np.searchsorted(poses["id"], rows["pose"])
+        positions = landmarks["position"][np.searchsorted(landmarks["id"], rows["landmark"])]
+        y, _ = project_points(self.camera, np.array([p.rotation_matrix for p in solved])[slot],
+                              np.array([p.t for p in solved])[slot], positions)
+        behind = rows[y[:, 2] <= Z_MIN]
+        if len(behind):
+            table = self.slam_map.observations
+            keep = np.ones(len(table), dtype=bool)
+            for k, j in zip(behind["pose"].tolist(), behind["landmark"].tolist()):
+                keep &= (table["pose"] != k) | (table["landmark"] != j)
+            self.slam_map.observations = table[keep]
+            self.counts["behind_dropped"] += len(behind)
 
     def _cull_points(self, current_kf: int) -> None:
         """Drops each point fewer than two keyframes see, two keyframes after

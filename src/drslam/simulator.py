@@ -4,8 +4,10 @@ A sequence holds per-frame ground truth, detections from an ideal pinhole
 camera over a landmark field with a controllable visible-density profile,
 and noisy dead-reckoning increments. Clutter (detections of no landmark) is
 drawn, ranked in the drop-out and cap selection and counted in each frame's
-``n_det``, but only landmark detections are kept. Sequences round-trip
-losslessly through a directory layout of TUM and CSV files.
+``n_det``, but only landmark detections are kept. A sequence's world is
+one ``PointTable`` of its landmarks in ascending id, the table the
+pipeline's depth oracle reads in place. Sequences round-trip losslessly
+through a directory layout of TUM and CSV files.
 """
 
 from __future__ import annotations
@@ -201,6 +203,55 @@ class Detections:
 
 
 @dataclass
+class PointTable:
+    """Points by id, rows in ascending id, found with np.searchsorted: a
+    sequence's world and the map's points.
+
+    ``ids`` (M,) int64 holds each row's point id, ``positions`` (M, 3)
+    float64 its position and ``created_kf`` (M,) int64 the keyframe that
+    created it; a world's landmarks were created by none, -1 for every row
+    as one broadcast value.
+    """
+
+    ids: np.ndarray
+    positions: np.ndarray
+    created_kf: np.ndarray
+
+    @classmethod
+    def empty(cls) -> PointTable:
+        return cls(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0, dtype=np.int64))
+
+    @classmethod
+    def world(cls, ids, positions) -> PointTable:
+        """The landmarks ids (M,), ascending, at positions (M, 3)."""
+        return cls(ids, positions, np.broadcast_to(np.int64(-1), len(ids)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, ids) -> np.ndarray:
+        """The rows of point ids (N,), each of which the table holds."""
+        return np.searchsorted(self.ids, ids)
+
+    def lookup(self, ids):
+        """The rows (N,) of point ids (N,), any of which the table may lack,
+        and whether it holds each (N,); a row is meaningful only where it does."""
+        rows = np.searchsorted(self.ids, ids)
+        if not len(self.ids):
+            return rows, np.zeros(len(rows), dtype=bool)
+        return rows, self.ids.take(rows, mode="clip") == ids
+
+    def insert(self, ids, positions, created_kf) -> PointTable:
+        """The table with points ids (N,), none of them in it, at positions
+        (N, 3), created by keyframe created_kf, one or (N,)."""
+        ids = np.concatenate([self.ids, ids])
+        order = np.argsort(ids, kind="stable")
+        created_kf = np.concatenate([self.created_kf, np.broadcast_to(created_kf, len(positions))])
+        return PointTable(ids[order], np.concatenate([self.positions, positions])[order],
+                          created_kf[order])
+
+
+@dataclass
 class SimFrameRecord:
     frame_id: int
     timestamp: float
@@ -214,7 +265,7 @@ class SimFrameRecord:
 @dataclass
 class Sequence:
     records: list
-    world: dict                         # landmark_id -> position (3,)
+    world: PointTable                   # the landmarks, ascending id
     camera: CameraIntrinsics
     meta: dict
 
@@ -491,7 +542,7 @@ def simulate_sequence(config: WorldConfig, camera: CameraIntrinsics = DEFAULT_CA
                                               rec.odom_pose.q.tolist(), rec.odom_pose.t.tolist())
         records.append(rec)
         prev = gt
-    world = {int(j): landmarks[j] for j in range(len(landmarks))}
+    world = PointTable.world(np.arange(len(landmarks)), landmarks)
     meta = _config_meta(config, camera)
     return Sequence(records=records, world=world, camera=camera, meta=meta)
 
@@ -557,7 +608,7 @@ def write_sequence(seq: Sequence, path) -> None:
     write_csv(os.path.join(path, "stats.csv"), ["frame_id", "n_det"],
               [(r.frame_id, r.n_det) for r in seq.records])
     write_csv(os.path.join(path, "world.csv"), ["landmark_id", "x", "y", "z"],
-              [(j, float(p[0]), float(p[1]), float(p[2])) for j, p in sorted(seq.world.items())])
+              zip(seq.world.ids.tolist(), *seq.world.positions.T.tolist()))
     with open(os.path.join(path, "meta"), "w") as f:
         for key, value in seq.meta.items():
             f.write(f"{key} = {value}\n")
@@ -622,13 +673,14 @@ def _detection_counts(stats: np.ndarray, path, n_obs: np.ndarray) -> list:
     return counts.tolist()
 
 
-def _world(table: np.ndarray, path) -> dict:
-    """Landmark id -> position (3,) of a world.csv table; FormatError at the
-    first row with a negative id, then at the first with a position that is
-    not finite, then at the first giving an id an earlier row gave."""
+def _world(table: np.ndarray, path) -> PointTable:
+    """The landmarks of a world.csv table, its rows sorted by id; FormatError
+    at the first row with a negative id, then at the first with a position
+    that is not finite, then at the first giving an id an earlier row gave."""
     ids = int_column(table, 0, "landmark_id", path)
+    unique, first = np.unique(ids, return_index=True)
     repeat = np.ones(len(ids), dtype=bool)
-    repeat[np.unique(ids, return_index=True)[1]] = False
+    repeat[first] = False
     for bad, message in ((ids < 0, "landmark_id {} is negative"),
                          (~np.isfinite(table[:, 1:]).all(axis=1),
                           "landmark {} has a position that is not finite"),
@@ -636,7 +688,7 @@ def _world(table: np.ndarray, path) -> dict:
         if bad.any():
             row = int(np.argmax(bad))
             raise FormatError(message.format(ids[row]), path=str(path), line=csv_line(path, row))
-    return dict(zip(ids.tolist(), table[:, 1:]))
+    return PointTable.world(unique, table[first, 1:])
 
 
 def read_sequence(path) -> Sequence:

@@ -234,6 +234,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def assert_same_world(a, b):
+    """Two worlds (PointTables) the same: int64 ids ascending and float64
+    positions, bit for bit, every landmark created by no keyframe."""
+    assert a.ids.dtype == b.ids.dtype == np.int64 and np.all(np.diff(a.ids) > 0)
+    assert a.ids.tobytes() == b.ids.tobytes()
+    assert a.positions.dtype == b.positions.dtype == np.float64
+    assert a.positions.shape == b.positions.shape == (len(a.ids), 3)
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert np.all(a.created_kf == -1) and np.all(b.created_kf == -1)
+    assert len(a.created_kf) == len(b.created_kf) == len(a.ids)
+
+
 def assert_same_records(a, b):
     """Two lists of sequence records the same, field by field and bit for bit."""
     assert len(a) == len(b)

@@ -15,7 +15,7 @@ from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import SCHEMA, RunConfig, parse_config
 from drslam.errors import ConfigError, Diverged, FormatError
 from drslam.fileio import read_tum
-from drslam.pipeline import MODES, PipelineParams
+from drslam.pipeline import MODES, SOLVE_COUNTS, PipelineParams
 from drslam.simulator import Dropout, read_sequence
 
 
@@ -277,6 +277,9 @@ def test_run_counts_failed_local_ba(tmp_path, monkeypatch):
     # a failed solve is not a capped one
     assert metrics["lba_capped"] == str(sum(capped))
     assert metrics["gba_capped"] == "0"
+    # every count of the run, in the order of SOLVE_COUNTS, after the run's summary
+    assert list(metrics)[6:6 + len(SOLVE_COUNTS)] == list(SOLVE_COUNTS)
+    assert int(metrics["behind_dropped"]) >= 0
 
 
 def test_run_counts_motion_only_fallbacks(tmp_path, monkeypatch):

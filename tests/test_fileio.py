@@ -167,6 +167,8 @@ def test_write_csv_writes_a_simulated_sequence_as_a_per_value_writer(tmp_path):
     rows = [(r.frame_id, j, float(u), float(v)) for r in seq.records for j, u, v in r.detections]
     assert len(rows) > 10_000
     assert (tmp_path / "obs.csv").read_text() == _per_value_csv(HEADER, rows)
-    world = [(j, float(p[0]), float(p[1]), float(p[2])) for j, p in sorted(seq.world.items())]
+    world = [(int(j), float(x), float(y), float(z))
+             for j, (x, y, z) in zip(seq.world.ids, seq.world.positions)]
+    assert len(world) > 1_000 and [j for j, *_ in world] == sorted(j for j, *_ in world)
     assert (tmp_path / "world.csv").read_text() == _per_value_csv(
         ["landmark_id", "x", "y", "z"], world)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_same_world
 import drslam.optimizer
 import drslam.pipeline
 from drslam.optimizer import _PoseLinearizer, reprojection_rows
 from drslam.cli import resolve_config_path
 from drslam.config import parse_config
 from drslam.errors import Diverged, FormatError
-from drslam.evaluation import slice_sequence
+from drslam.evaluation import concatenate_loops, slice_sequence
 from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse, log_se3
 from drslam.pipeline import (
     K_MAX,
@@ -36,7 +37,8 @@ from drslam.pipeline import (
     run_pipeline,
     save_map,
 )
-from drslam.simulator import DEFAULT_CAMERA, Detections, Dropout, WorldConfig, simulate_sequence
+from drslam.simulator import (DEFAULT_CAMERA, Detections, Dropout, WorldConfig, read_sequence,
+                              simulate_sequence, write_sequence)
 from drslam.weighting import TrackingStats
 
 PARAMS = PipelineParams()
@@ -335,11 +337,113 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
         for j, u, v in record.detections:
             if j >= 0:
                 first.setdefault(j, (j, u, v))
-        new = [first[j] for j in first
-               if j not in before and true_depth(seq.world[j], record.gt_pose) > Z_MIN]
+        new = [first[j] for j in first if j not in before and true_depth(
+            seq.world.positions[seq.world.rows(j)], record.gt_pose) > Z_MIN]
         assert all(j in before for j in matches.ids.tolist())
         assert observations == list(matches) + new
         assert created == sorted(j for j, _, _ in new)
+
+
+def test_pipelines_of_one_sequence_read_its_world_in_place():
+    # the depth oracle keeps the caller's table: the runs of one sequence, as
+    # a sweep's cells are, of its slices and of its repeated laps hold its
+    # positions, not a copy each
+    seq = straight_sequence(n_frames=20)
+    pipes = [Pipeline(PARAMS, s.camera, s.world, mode) for s, mode in (
+        (seq, "adaptive"), (seq, "fixed-dr"), (slice_sequence(seq, 5, 20), "adaptive"),
+        (concatenate_loops(seq, 2), "adaptive"))]
+    assert len(seq.world) > 100
+    for pipe in pipes:
+        assert np.shares_memory(pipe._world.positions, seq.world.positions)
+        assert np.shares_memory(pipe._world.ids, seq.world.ids)
+    # None is the empty world: every depth is NaN, so no point is created
+    empty = Pipeline(PARAMS, seq.camera, None)
+    assert len(empty._world) == 0
+    assert np.isnan(empty._true_depths(np.array([0, 3]), Pose.identity())).all()
+
+
+def test_world_csv_rows_in_any_order_read_as_the_id_sorted_table(tmp_path):
+    # world.csv rows shuffled: read_sequence returns the rows sorted by id,
+    # the bytes of the simulated table, and the depth oracle gives the same
+    # depths, NaN for an id the world lacks
+    seq = straight_sequence(n_frames=20)
+    write_sequence(seq, tmp_path)
+    header, *rows = (tmp_path / "world.csv").read_text().splitlines()
+    rng = np.random.default_rng(11)
+    (tmp_path / "world.csv").write_text(
+        "\n".join([header] + [rows[i] for i in rng.permutation(len(rows))]) + "\n")
+    back = read_sequence(tmp_path)
+    assert_same_world(back.world, seq.world)
+    ids = np.append(rng.permutation(seq.world.ids), seq.world.ids[-1] + 7)
+    oracles = [Pipeline(PARAMS, s.camera, s.world) for s in (seq, back)]
+    for record in seq.records[::5]:
+        want, got = (pipe._true_depths(ids, record.gt_pose) for pipe in oracles)
+        assert np.isnan(want[-1]) and np.isfinite(want[:-1]).all()
+        assert got.tobytes() == want.tobytes()
+        rows = seq.world.rows(ids[:3])
+        assert np.allclose(want[:3], [true_depth(p, record.gt_pose)
+                                      for p in seq.world.positions[rows]], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("ids", [[0, 2, 1], [0, 1, 1], [3, 2, 1]],
+                         ids=["unsorted", "repeated", "descending"])
+def test_pipeline_rejects_a_world_whose_ids_do_not_ascend_strictly(ids):
+    world = PointTable.world(np.array(ids, dtype=np.int64), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        Pipeline(PARAMS, DEFAULT_CAMERA, world)
+
+
+def behind_observations(slam_map):
+    """(keyframe, point) of each map observation whose point lies at or
+    behind Z_MIN in the keyframe, by the per-point depth oracle."""
+    table, points = slam_map.observations, slam_map.points
+    return [(k, j) for k, j in zip(table["pose"].tolist(), table["landmark"].tolist())
+            if true_depth(points.positions[points.rows(j)], slam_map.keyframes[k].pose) <= Z_MIN]
+
+
+def test_ba_drops_the_observations_it_leaves_behind_their_keyframe():
+    # corridor_gap seed 0 up to frame 370: the local BA of keyframe 25 moves
+    # point 372 behind keyframes 24 and 25. Their observations of it are
+    # dropped and counted, so no later BA carries them, and no observation
+    # of the map ends the run at or behind its keyframe's near plane
+    config = parse_config(resolve_config_path("corridor_gap"))
+    res = run_pipeline(simulate_sequence(config.world_config(), stop=371),
+                       config.pipeline_params(), "adaptive")
+    assert len(res.slam_map.keyframes) == 26
+    assert res.counts["behind_dropped"] >= 2
+    assert behind_observations(res.slam_map) == []
+
+
+def test_apply_ba_drops_and_counts_each_observation_behind_its_keyframe():
+    # keyframe 0 fixed 2 m behind keyframe 1, which is free at the origin;
+    # both look down +z. Point 3 lies on keyframe 1's near plane and point 5
+    # behind it, both in front of keyframe 0; point 4 lies one ulp in front
+    # of the near plane and point 8 well in front of both. Only keyframe 1's
+    # observations of points 3 and 5 go
+    pipe = Pipeline(PARAMS, DEFAULT_CAMERA)
+    m = pipe.slam_map
+    for k, z in ((0, -2.0), (1, 0.0)):
+        m.keyframes[k] = KeyFrame(k, 10 * k, k / 3.0, Pose(np.array([1.0, 0, 0, 0]),
+                                                          np.array([0.0, 0.0, z])),
+                                  n_trk=0, quality=1.0)
+    m.points = PointTable(np.array([3, 4, 5, 8]),
+                          np.array([[0.0, 0.0, Z_MIN], [0.0, 0.0, np.nextafter(Z_MIN, 1.0)],
+                                    [0.1, 0.0, -1.0], [0.5, 0.2, 5.0]]),
+                          np.zeros(4, dtype=np.int64))
+    pairs = [(k, j) for k in (0, 1) for j in (3, 4, 5, 8)]
+    m.observations = reprojection_rows([k for k, _ in pairs], [j for _, j in pairs],
+                                       np.arange(16.0).reshape(8, 2))
+    before = row_tuples(m.observations)
+    problem = pipe._ba_problem(np.array([0, 1]), np.array([True, False]), m.points.ids, True, [])
+    assert len(problem.reprojection_factors) == 8
+    pipe._apply_ba(problem)
+    assert pipe.counts["behind_dropped"] == 2
+    assert row_tuples(m.observations) == [r for r in before if r[:2] not in ((1, 3), (1, 5))]
+    assert behind_observations(m) == []
+    # a solve that leaves every point in front drops nothing
+    pipe._apply_ba(pipe._ba_problem(np.array([0, 1]), np.array([True, False]), m.points.ids,
+                                    True, []))
+    assert pipe.counts["behind_dropped"] == 2 and len(m.observations) == 6
 
 
 def test_decide_keyframe_rules():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_same_records
+from conftest import assert_same_records, assert_same_world
 import drslam.fileio
 import drslam.simulator
 from drslam.cli import resolve_config_path
@@ -227,9 +227,7 @@ def test_sequence_round_trip(tmp_path, rng):
         if a.dr_delta is not None:
             assert np.allclose(a.dr_delta.matrix(), b.dr_delta.matrix(), atol=1e-12)
         assert_same_detections(a.detections, b.detections)
-    assert set(back.world) == set(seq.world)
-    for j in seq.world:
-        assert np.allclose(seq.world[j], back.world[j], atol=1e-15)
+    assert_same_world(back.world, seq.world)
 
 
 @pytest.mark.parametrize("scenario", ["corridor_gap", "two_lap", "rectangle_loop"])
@@ -447,7 +445,8 @@ def test_read_sequence_header_only_tables(tmp_path, clutter):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         seq = read_sequence(d)
-    assert seq.world == {}
+    assert len(seq.world) == 0
+    assert seq.world.ids.dtype == np.int64 and seq.world.positions.shape == (0, 3)
     for rec in seq.records:
         assert len(rec.detections) == 0 and rec.n_det == clutter
 
@@ -532,8 +531,7 @@ def test_sequence_round_trip_property(cfg, shuffle_seed):
             assert rec.n_det == sim.n_det
             for p, q in ((sim.gt_pose, rec.gt_pose), (sim.odom_pose, rec.odom_pose)):
                 assert p.q.tobytes() == q.q.tobytes() and p.t.tobytes() == q.t.tobytes()
-        assert sorted(back.world) == sorted(seq.world)
-        assert all(back.world[j].tobytes() == seq.world[j].tobytes() for j in seq.world)
+        assert_same_world(back.world, seq.world)
         assert config_from_meta(back.meta) == cfg
 
         write_sequence(back, b)
@@ -602,8 +600,7 @@ def test_truncated_simulation_is_a_prefix_of_the_full_one(scenario, overrides):
         part = simulate_sequence(config, stop=stop)
         assert_same_records(part.records, full.records[:stop])
         assert part.meta == full.meta and part.camera == full.camera
-        assert sorted(part.world) == sorted(full.world)
-        assert all(part.world[j].tobytes() == full.world[j].tobytes() for j in full.world)
+        assert_same_world(part.world, full.world)
 
 
 @pytest.mark.parametrize("stop", [0, -1, 11])
