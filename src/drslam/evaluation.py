@@ -44,6 +44,17 @@ class Trajectory:
         return Trajectory(ts, np.array([p.t for _, p in rows], dtype=float).reshape(-1, 3))
 
 
+def median(values) -> float:
+    """np.median of a nonempty 1-D float array, taken as np.median takes it
+    (a partition, then the mean of the middle value or two, NaN when a value
+    is NaN) but without its masked-array check, which imports numpy.ma."""
+    values = np.asarray(values, dtype=float)
+    half = len(values) // 2
+    middle = [half - 1, half] if len(values) % 2 == 0 else [half]
+    part = np.partition(values, [*middle, -1])
+    return float(part[-1] if np.isnan(part[-1]) else part[middle].mean())
+
+
 @dataclass(frozen=True)
 class RunVerdict:
     rmse: float
@@ -59,7 +70,7 @@ def associate(est: Trajectory, ref: Trajectory):
     reference has one sample); a tie goes to the later neighbour.
     """
     t, r = est.timestamps, ref.timestamps
-    tol = 0.5 * float(np.median(np.diff(r))) if len(r) > 1 else math.inf
+    tol = 0.5 * median(np.diff(r)) if len(r) > 1 else math.inf
     k = np.searchsorted(r, t)     # r[k - 1] < t <= r[k]
     padded = np.concatenate([[-math.inf], r, [math.inf]])
     before, after = t - padded[k], padded[k + 1] - t
@@ -209,7 +220,7 @@ def fill_medians(rows) -> list:
         by_alpha.setdefault(row.log_alpha, []).append(row.rmse)
     for row in rows:
         vals = [v for v in by_alpha[row.log_alpha] if not math.isnan(v)]
-        row.median = float(np.median(vals)) if vals else float("nan")
+        row.median = median(vals) if vals else float("nan")
     return rows
 
 

@@ -164,11 +164,19 @@ def tum_row_line(path, row: int) -> int:
 
 
 def int_column(table: np.ndarray, column: int, name: str, path) -> np.ndarray:
-    """Column of a read_csv table as int64; FormatError on a non-integral value."""
+    """Column of a read_csv table as int64; FormatError on a non-integral value.
+
+    Checked without a float temporary the length of the column: NaN and any
+    value beyond 2**53 fail the range test, and a value within it converts
+    to int64 and compares equal to it only when it is an integer.
+    """
     values = table[:, column]
-    ok = np.isfinite(values) & (np.trunc(values) == values) & (np.abs(values) <= _INT_EXACT)
+    ok = (-_INT_EXACT <= values) & (values <= _INT_EXACT)
+    with np.errstate(invalid="ignore"):     # a value out of range casts to any int
+        ints = values.astype(np.int64)
+    ok &= ints == values
     if not ok.all():
         row = int(np.argmin(ok))
         raise FormatError(f"{name} must be an integer, got {float(values[row])}",
                           path=str(path), line=csv_line(path, row))
-    return values.astype(np.int64)
+    return ints

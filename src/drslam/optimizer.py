@@ -61,6 +61,7 @@ from .factors import (
 )
 from .geometry import (CameraIntrinsics, Pose, Z_MIN, quat_to_rotation, se3_adjoint, se3_compose,
                        se3_exp, se3_inverse)
+from .idsets import member
 
 
 # One reprojection row: the observing pose id, the landmark id and the pixel.
@@ -150,7 +151,7 @@ class Problem:
                 ("reprojection row", rows["pose"], "pose", poses),
                 ("reprojection row", rows["landmark"], "landmark", self.landmarks["id"]),
                 ("DR edge", np.concatenate([edges["from"], edges["to"]]), "pose", poses)):
-            unknown = ids[~np.isin(ids, known)]
+            unknown = ids[~member(ids, known)]
             if len(unknown):
                 raise KeyError(f"{kind} references unknown {name} {unknown[0]}")
 

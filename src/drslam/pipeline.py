@@ -34,6 +34,7 @@ import numpy as np
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .fileio import fmt, parse_poses, pose_text
 from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
+from .idsets import lookup, member
 from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
                         solve_local_ba, solve_motion_only)
 from .simulator import Detections, PointTable, squared_distance
@@ -164,8 +165,8 @@ class SlamMap:
         ids, column = np.unique(points[mine], return_inverse=True)
         sees = np.zeros((len(kf_ids), len(ids) + 1), dtype=bool)
         sees[row_slot[mine], column] = True
-        rank = np.searchsorted(ids, points)
-        rank[ids.take(rank, mode="clip") != points] = len(ids)
+        rank, held = lookup(ids, points)
+        rank[~held] = len(ids)
         which, rows = np.nonzero(sees[:, rank])
         counts = np.bincount(which * n + poses[rows], minlength=len(kf_ids) * n).reshape(-1, n)
         counts[np.arange(len(kf_ids)), kf_ids] = 0
@@ -426,7 +427,7 @@ class Pipeline:
         kf.n_trk, kf.dr_to_prev = frame.stats.n_trk, self.acc_delta if kf_id > 0 else None
         ids, uv = record.detections.ids, record.detections.uv
         rows = _first_landmark_rows(ids)
-        rows = rows[~np.isin(ids[rows], self.slam_map.points.ids, assume_unique=True)]
+        rows = rows[~member(ids[rows], self.slam_map.points.ids)]
         depth = self._true_depths(ids[rows], record.gt_pose)
         front = depth > Z_MIN
         rows = rows[front]
@@ -473,19 +474,23 @@ class Pipeline:
             set(range(new_kf.id - p.smoothing_halfwidth, new_kf.id)) & set(self.slam_map.keyframes))
 
         # the points the window sees that at least two keyframes see, and as
-        # anchors the keyframes outside the window seeing most of them
+        # anchors the keyframes outside the window seeing most of them; each
+        # id set ascending, as the membership tests take them
         table = self.slam_map.observations
-        in_window = np.isin(table["pose"], list(window))
-        points = np.intersect1d(_seen_twice(table["landmark"]), table["landmark"][in_window])
-        voters, votes = np.unique(table["pose"][~in_window & np.isin(table["landmark"], points)],
+        window_ids = np.array(sorted(window))
+        in_window = member(table["pose"], window_ids)
+        points = _seen_twice(table["landmark"])
+        points = points[member(points, np.sort(table["landmark"][in_window]))]
+        voters, votes = np.unique(table["pose"][~in_window & member(table["landmark"], points)],
                                   return_counts=True)
-        anchors = voters[np.argsort(-votes, kind="stable")[:MAX_ANCHOR_KEYFRAMES]]
-        kf_ids = np.union1d(list(window), anchors)
+        anchors = np.sort(voters[np.argsort(-votes, kind="stable")[:MAX_ANCHOR_KEYFRAMES]])
+        # the anchors lie outside the window, so this is the two sets' union
+        kf_ids = np.sort(np.concatenate([window_ids, anchors]))
         if len(kf_ids) < 2:
             return
         # Anchors are fixed. A reprojection-only problem's similarity gauge, which a weak DR
         # chain barely stiffens, needs two fixed poses: the lowest window ids make up the count.
-        fixed = np.isin(kf_ids, anchors)
+        fixed = member(kf_ids, anchors)
         fixed[np.flatnonzero(~fixed)[:max(0, 2 - np.count_nonzero(fixed))]] = True
 
         # a DR edge from each keyframe's predecessor in the problem, one of the
@@ -521,7 +526,7 @@ class Pipeline:
         problem.add_poses(kf_ids, [slam_map.keyframes[k].pose for k in kf_ids.tolist()], fixed)
         problem.add_landmarks(point_ids, slam_map.points.positions[slam_map.points.rows(point_ids)])
         table = slam_map.observations
-        rows = table[np.isin(table["pose"], kf_ids) & np.isin(table["landmark"], point_ids)]
+        rows = table[member(table["pose"], kf_ids) & member(table["landmark"], point_ids)]
         if by_id:
             rows = rows[np.lexsort((rows["landmark"], rows["pose"]))]
         problem.add_observations(rows["pose"], rows["landmark"], rows["uv"])
@@ -562,11 +567,11 @@ class Pipeline:
         """Drops each point fewer than two keyframes see, two keyframes after
         its creation, with its observations."""
         table, points = self.slam_map.observations, self.slam_map.points
-        drop = ~np.isin(points.ids, _seen_twice(table["landmark"])) & (
+        drop = ~member(points.ids, _seen_twice(table["landmark"])) & (
             current_kf - points.created_kf >= 2)
         self.slam_map.points = PointTable(points.ids[~drop], points.positions[~drop],
                                           points.created_kf[~drop])
-        self.slam_map.observations = table[~np.isin(table["landmark"], points.ids[drop])]
+        self.slam_map.observations = table[~member(table["landmark"], points.ids[drop])]
 
     def _update_c_ref(self) -> None:
         recent = sorted(self.slam_map.keyframes)[-self.params.c_ref_window:]
@@ -731,13 +736,13 @@ def load_map(path) -> SlamMap:
                 slam_map.loop_edges.append((*ids, pose(parts[3:]), float(parts[2])))
     except ValueError as e:
         raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
+    slam_map.points = PointTable.empty().insert(
+        np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
+        np.array(points[2], dtype=np.int64))
     table = np.array(observations, dtype=REPROJECTION_ROW)
-    unknown = np.flatnonzero(~np.isin(table["landmark"], points[0]))
+    unknown = np.flatnonzero(~member(table["landmark"], slam_map.points.ids))
     if len(unknown):
         raise FormatError(f"[observations] entry names point {table['landmark'][unknown[0]]}, "
                           "not in [points]", path=str(path), line=observation_lines[unknown[0]])
     slam_map.observations = table[np.argsort(table["pose"], kind="stable")]
-    slam_map.points = PointTable.empty().insert(
-        np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
-        np.array(points[2], dtype=np.int64))
     return slam_map

@@ -22,6 +22,7 @@ from .errors import DegenerateSpec, FormatError
 from .fileio import (csv_line, fmt, fmt_bool, int_column, parse_bool, read_csv, read_tum,
                      tum_row_line, write_csv, write_tum)
 from .geometry import CameraIntrinsics, Pose, compose, exp_se3, inverse, se3_compose, se3_inverse
+from .idsets import lookup
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -236,10 +237,7 @@ class PointTable:
     def lookup(self, ids):
         """The rows (N,) of point ids (N,), any of which the table may lack,
         and whether it holds each (N,); a row is meaningful only where it does."""
-        rows = np.searchsorted(self.ids, ids)
-        if not len(self.ids):
-            return rows, np.zeros(len(rows), dtype=bool)
-        return rows, self.ids.take(rows, mode="clip") == ids
+        return lookup(self.ids, ids)
 
     def insert(self, ids, positions, created_kf) -> PointTable:
         """The table with points ids (N,), none of them in it, at positions
@@ -624,7 +622,10 @@ def _read_meta(path) -> dict:
             if "=" not in line:
                 raise FormatError("expected 'key = value'", path=str(path), line=lineno)
             key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key in meta:
+                raise FormatError(f"duplicate '{key}' entry", path=str(path), line=lineno)
+            meta[key] = value.strip()
     if meta.get("format") != META_MAGIC:
         raise FormatError(f"bad meta magic: {meta.get('format')!r}", path=str(path), line=1)
     return meta
@@ -720,21 +721,27 @@ def read_sequence(path) -> Sequence:
     obs = read_csv(obs_path, ["frame_id", "landmark_id", "u", "v"])
     world = _world(read_csv(world_path, ["landmark_id", "x", "y", "z"]), world_path)
 
+    # Rows group by frame: write_sequence writes them in frame order, and rows
+    # in any other order are grouped with a stable sort, so they keep their
+    # file order within a frame. Each frame holds a slice of one ids array
+    # and one (N, 2) uv array, copied out of the parsed table, which goes
+    # before any record is built; the frame column goes once it gave the
+    # frames' bounds.
     frames = _frame_ids(obs, obs_path, len(gt))
+    order = None if np.all(frames[:-1] <= frames[1:]) else np.argsort(frames, kind="stable")
+    bounds = np.searchsorted(frames if order is None else frames[order], np.arange(len(gt) + 1))
+    del frames
     ids = int_column(obs, 1, "landmark_id", obs_path)
     negative = np.flatnonzero(ids < 0)
     if len(negative):
         row = int(negative[0])
         raise FormatError(f"landmark_id {ids[row]} is negative", path=str(obs_path),
                           line=csv_line(obs_path, row))
-    # Group rows by frame with a stable sort, so rows keep their file order
-    # within a frame whatever the order of the frames in the file. Each frame
-    # holds a slice of the sorted columns.
-    order = np.argsort(frames, kind="stable")
-    ids = ids[order]
-    uv = obs[order, 2:]
+    if order is None:
+        uv = obs[:, 2:].copy()
+    else:
+        ids, uv = ids[order], obs[order, 2:]
     del obs
-    bounds = np.searchsorted(frames[order], np.arange(len(gt) + 1))
     n_det = _detection_counts(stats, stats_path, np.diff(bounds))
     bounds = bounds.tolist()
 

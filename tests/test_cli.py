@@ -544,6 +544,29 @@ def test_bad_sequence_meta_is_a_format_error(tmp_path, capsys, key, value, named
         assert not out.exists()
 
 
+def test_repeated_sequence_meta_key_is_a_format_error(tmp_path, capsys):
+    # a second seed line would otherwise win, and sweep would re-simulate its
+    # repeats from a seed the recorded frames did not come from
+    cfg = write_world(tmp_path / "w.cfg", extra="n_frames = 10\n")
+    seq_dir = tmp_path / "seq"
+    main(["simulate", "--config", cfg, "--seed", "3", "--out", str(seq_dir)])
+    meta = seq_dir / "meta"
+    lines = meta.read_text().splitlines()
+    assert "seed = 3" in lines
+    meta.write_text("\n".join(lines + ["seed = 99"]) + "\n")
+    with pytest.raises(FormatError) as e:
+        read_sequence(str(seq_dir))
+    assert e.value.path == str(meta) and e.value.line == len(lines) + 1
+    assert "'seed'" in str(e.value)
+    capsys.readouterr()
+    for command in (["run"], ["sweep", "--alphas", "0", "--repeats", "2"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--seq", str(seq_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err and "'seed'" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--ref", "--seq"])
 def test_os_error_on_a_path_exits_two(tmp_path, capsys, flag):
     # a file where a directory belongs and a directory where a file belongs

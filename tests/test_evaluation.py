@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_same_records, random_pose
 from drslam import evaluation
@@ -189,6 +189,27 @@ def test_associate_matches_per_sample_oracle(case):
     est_index, ref_index = associate(Trajectory(est, np.zeros((len(est), 3))),
                                      Trajectory(ref, np.zeros((len(ref), 3))))
     assert list(zip(est_index.tolist(), ref_index.tolist())) == associate_oracle(est, ref)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, math.inf, -math.inf, math.nan])
+                | st.floats(), min_size=1, max_size=25))
+@example([5.0])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([2.0, 1.0, 2.0, 1.0])
+@example([1e308, 1e308])
+def test_median_is_np_median_bit_for_bit(values):
+    # odd and even lengths, repeated values, one element, signed zeros, and
+    # infinities and NaN; both overflow alike on two huge middle values
+    with np.errstate(all="ignore"):
+        want = np.median(values)
+        got = evaluation.median(values)
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_verdict_thresholds(rng):

@@ -1,5 +1,9 @@
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import drslam
@@ -57,3 +61,43 @@ def test_benchmark_tracer_finds_every_traced_function():
     with tracing.Tracer().installed():
         assert all(fn is not before[name] for name, fn in sites().items())
     assert sites() == before
+
+
+_NO_MASKED_ARRAYS_SCRIPT = """
+import json
+import sys
+import tempfile
+from drslam.cli import resolve_config_path
+from drslam.config import parse_config
+from drslam.evaluation import Trajectory, alpha_sweep, ape_rmse, gt_trajectory
+from drslam.pipeline import Pipeline
+from drslam.simulator import read_sequence, simulate_sequence, write_sequence
+config = parse_config(resolve_config_path("two_lap"))
+with tempfile.TemporaryDirectory() as tmp:
+    write_sequence(simulate_sequence(config.world_config(), stop=425), tmp)
+    seq = read_sequence(tmp)
+pipe = Pipeline(config.pipeline_params(), seq.camera, seq.world, "adaptive")
+for record in seq.records:
+    pipe.process(record)
+result = pipe.result()
+ape = ape_rmse(Trajectory.from_rows(result.frame_trajectory()), gt_trajectory(seq))
+cells = alpha_sweep(seq, [0.0, 1.0], 2, config.pipeline_params(), frame_range=(300, 340))
+print(json.dumps({"keyframes": len(result.slam_map.keyframes), "loops": len(result.gba_events),
+                  "ape": ape, "cells": len(cells), "masked": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_a_run_imports_no_masked_arrays():
+    # numpy's set routines and np.median import numpy.ma, about 1.25 MB of
+    # resident memory; reading a sequence, a two_lap prefix whose adaptive run
+    # closes its loop (so local and global BA both solve), its APE and a short
+    # sweep use none of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)
+    assert run["keyframes"] > 30 and run["loops"] == 1
+    assert run["ape"] < 0.1 and run["cells"] == 4
+    assert not run["masked"]

@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -385,6 +386,23 @@ def test_read_sequence_frames_slice_shared_columns(tmp_path):
     assert len(ids_base) == len(uv_base) == 1
     assert seq.records[0].detections.ids.base.shape == (rows,)
     assert seq.records[0].detections.uv.base.shape == (rows, 2)
+
+
+def test_read_sequence_transient_stays_within_its_parsed_table(tmp_path):
+    # corridor_gap seed 0, 39,385 obs.csv rows: what read_sequence allocates
+    # beyond the sequence it returns stays within the bytes of the parsed
+    # (N, 4) float64 obs.csv table, which it frees before building records
+    config = parse_config(resolve_config_path("corridor_gap"))
+    write_sequence(simulate_sequence(config.world_config()), tmp_path)
+    rows = len((tmp_path / "obs.csv").read_text().splitlines()) - 1
+    tracemalloc.start()
+    try:
+        seq = read_sequence(tmp_path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.detections) for r in seq.records) == rows
+    assert peak - held <= rows * 4 * 8
 
 
 def test_world_fields_cover_world_config_in_order():
