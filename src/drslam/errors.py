@@ -14,7 +14,7 @@ class BehindCamera(DrSlamError):
 
 
 class NotPositiveDefinite(DrSlamError):
-    """Information matrix failed its Cholesky factorization."""
+    """DR precision entry that is not finite and positive."""
 
 
 class Diverged(DrSlamError):
@@ -26,7 +26,9 @@ class NoConstraints(DrSlamError):
 
 
 class SingularSystem(DrSlamError):
-    """Reduced camera system is rank deficient beyond damping repair."""
+    """Damped linear system that cannot be solved: a landmark block, or the
+    pose system left after eliminating the landmarks (tracking's one-pose
+    system included)."""
 
 
 class DegenerateSpec(DrSlamError):

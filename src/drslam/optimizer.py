@@ -1,13 +1,15 @@
 """Levenberg-Marquardt bundle adjustment over pose and landmark variables.
 
-One LM loop drives two linearizers. The Problem linearizer serves local BA (a
-window of keyframes and their landmarks) and global BA (the whole map, its
-first keyframe fixed) over a Problem of structured arrays: poses and
-landmarks in ascending id, reprojection rows and DR edges. The motion-only
-linearizer serves tracking: one free pose against fixed map points in match
-order, at most one DR edge from the fixed previous pose, and a 6x6 system;
-with no rows, as on a blackout frame, no visual block is formed, and the
-system gets the same exact zeros.
+One LM loop drives two linearizers, and every level's system is a
+NormalEquations, stepped by schur_solve and read by min_pose_eigenvalue. The
+Problem linearizer serves local BA (a window of keyframes and their
+landmarks) and global BA (the whole map, its first keyframe fixed) over a
+Problem of structured arrays: poses and landmarks in ascending id,
+reprojection rows and DR edges. The motion-only linearizer serves tracking:
+one free pose against fixed map points in match order and at most one DR
+edge from the fixed previous pose, a system with one free pose and no
+landmarks; with no rows, as on a blackout frame, no visual block is formed,
+and the system gets the same exact zeros.
 The loop evaluates residuals once per point and linearizes a point only when
 an iteration steps from it; the point a solve ends at is linearized only if
 its report's min_pose_eigenvalue is read.
@@ -224,11 +226,12 @@ LANDMARK_CHUNK = 64
 
 
 class NormalEquations:
-    """Gauss-Newton system in pose/landmark block form.
+    """Gauss-Newton system in pose/landmark block form, of every level.
 
     Hpp is the dense pose-pose block (6F x 6F) and Hll the block-diagonal
     landmark block stored as (L, 3, 3), for F free poses and L free
-    landmarks. schur_chunks is the Schur complement's chunk index that
+    landmarks; tracking's system has F = 1 and L = 0, with no chunks and no
+    couplings. schur_chunks is the Schur complement's chunk index that
     schur_solve reads, the linearizer's (_schur_chunks): indices only,
     shared by every damping tried on the system. The pose-landmark coupling
     is held per chunk: couplings[c] is the (rows, landmarks, 3) block of
@@ -292,11 +295,7 @@ def min_pose_eigenvalue(neq: NormalEquations) -> float:
     """Smallest eigenvalue of the pose-pose block (conditioning diagnostic)."""
     if neq.n_pose_free == 0:
         return float("nan")
-    return _min_eigenvalue(neq.Hpp)
-
-
-def _min_eigenvalue(hpp: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (hpp + hpp.T)).min())
+    return float(np.linalg.eigvalsh(0.5 * (neq.Hpp + neq.Hpp.T)).min())
 
 
 def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
@@ -304,9 +303,10 @@ def schur_solve(neq: NormalEquations, damping: float = 0.0) -> np.ndarray:
 
     Forms the reduced camera system S = Hpp - W C^-1 W^T, with W the
     coupling, read chunk by chunk, and C the damped landmark block, inverted
-    in closed form (_inverse_3x3). Returns the concatenated (pose, landmark)
-    step vector. Raises SingularSystem when a damped landmark block or the
-    reduced camera system cannot be inverted.
+    in closed form (_inverse_3x3); with no landmarks, as in tracking, S is
+    the damped Hpp. Returns the concatenated (pose, landmark) step vector.
+    Raises SingularSystem when a damped landmark block or the reduced camera
+    system cannot be inverted.
     """
     n_p, n_l = 6 * neq.n_pose_free, neq.n_lm_free
     s = neq.Hpp.copy()
@@ -613,12 +613,6 @@ class _Linearizer:
         return NormalEquations(Hpp, bp, Hll.reshape(n_l, 3, 3), bl.reshape(n_l, 3), couplings,
                                self.schur_chunks)
 
-    def step(self, neq: NormalEquations, damping: float) -> np.ndarray:
-        return schur_solve(neq, damping)
-
-    def min_pose_eigenvalue(self, neq: NormalEquations) -> float:
-        return min_pose_eigenvalue(neq)
-
 
 class _PoseLinearizer:
     """Motion-only BA: one free pose against fixed points, and at most one DR
@@ -626,10 +620,11 @@ class _PoseLinearizer:
 
     A point is the pose as floats (quaternion, translation) with its
     rotation matrix as the (3, 3) array the visual kernel reads, formed once
-    per point by retract; its system is the 6x6 pair (H, b). Rows are the
-    matched points (N, 3) and pixels (N, 2) in match order, with one inverse
-    pixel std; with no rows, no visual residual or block is formed: the cost
-    starts at 0.0 and the system gets the same exact zeros. A row at or
+    per point by retract; its system is a NormalEquations with one free pose
+    and no landmarks. Rows are the matched points (N, 3) and pixels (N, 2)
+    in match order, with one inverse pixel std; with no rows, no visual
+    residual or block is formed: the cost starts at 0.0 and the system gets
+    the same exact zeros. A row at or
     behind the near plane stays in the cost and adds exact zeros to the
     system. The arithmetic and its order are those of _Linearizer on the
     equivalent one-free-pose Problem.
@@ -665,8 +660,8 @@ class _PoseLinearizer:
             cost, dr = self.dr.residuals((q,), (t,), cost)
         return cost, (visual, dr)
 
-    def linearize(self, point, cache):
-        """The 6x6 system (H, b) at the pose, from the residuals computed there."""
+    def linearize(self, point, cache) -> NormalEquations:
+        """The one-pose system at the pose, from the residuals computed there."""
         visual, dr = cache
         H, b = np.zeros((6, 6)), np.zeros(6)     # onto zeros, as np.bincount sums a Problem's
         if visual is not None:
@@ -678,20 +673,7 @@ class _PoseLinearizer:
             blocks, grads, _ = self.dr.normal_blocks(dr)
             H += blocks[0]
             b -= grads[0]
-        return H, b
-
-    def step(self, system, damping: float) -> np.ndarray:
-        """The damped step, with the diagonal add that schur_solve makes."""
-        H, b = system
-        s = H.copy()
-        s.flat[::7] += damping
-        try:
-            return np.linalg.solve(s, b)
-        except np.linalg.LinAlgError as e:
-            raise SingularSystem("motion-only system is singular") from e
-
-    def min_pose_eigenvalue(self, system) -> float:
-        return _min_eigenvalue(system[0])
+        return NormalEquations(H, b, np.zeros((0, 3, 3)), np.zeros((0, 3)), [], [])
 
 
 def _free_index(fixed: np.ndarray):
@@ -757,10 +739,10 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
 
     lin is a linearizer over points of its own kind: residuals(point) gives
     the cost and a cache of per-row residuals, linearize(point, cache) the
-    system at the point, step(system, damping) the damped step (or raises
-    SingularSystem), retract(point, step) the moved point,
-    min_pose_eigenvalue(system) the conditioning diagnostic, and size the
-    problem size, the SolverReport fields the report starts with. Residuals are
+    NormalEquations at the point, retract(point, step) the moved point, and
+    size the problem size, the SolverReport fields the report starts with.
+    Every level takes its damped step from schur_solve (which raises
+    SingularSystem) and its conditioning from min_pose_eigenvalue. Residuals are
     evaluated once per point. A point is linearized, from the residuals its
     cost check computed, only when an iteration steps from it: once per
     iteration, so not after the step that meets the cost or step tolerance
@@ -784,7 +766,7 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
         step = None
         while lam <= MAX_DAMPING:
             try:
-                step = lin.step(system, lam)
+                step = schur_solve(system, lam)
             except SingularSystem:
                 lam *= DAMPING_UP
                 continue
@@ -825,7 +807,7 @@ def _levenberg_marquardt(lin, point, config: SolverConfig):
 def _final_conditioning(lin, point, cache, system):
     """min_pose_eigenvalue of the system at a solve's final point: the one
     given, or else the point linearized from its residuals."""
-    return lin.min_pose_eigenvalue(lin.linearize(point, cache) if system is None else system)
+    return min_pose_eigenvalue(lin.linearize(point, cache) if system is None else system)
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolverReport:

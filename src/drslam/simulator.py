@@ -2,12 +2,13 @@
 
 A sequence holds per-frame ground truth, detections from an ideal pinhole
 camera over a landmark field with a controllable visible-density profile,
-and noisy dead-reckoning increments. Clutter (detections of no landmark) is
-drawn, ranked in the drop-out and cap selection and counted in each frame's
-``n_det``, but only landmark detections are kept. A sequence's world is
-one ``PointTable`` of its landmarks in ascending id, the table the
-pipeline's depth oracle reads in place. Sequences round-trip losslessly
-through a directory layout of TUM and CSV files.
+and noisy dead-reckoning increments. Clutter (detections of no landmark)
+enters a record only as its count in ``n_det``; its pixels are drawn only to
+keep the noise stream, and the drop-out and cap selection ranks landmark
+detections alone. A sequence's world is one ``PointTable`` of its landmarks
+in ascending id, the table the pipeline's depth oracle reads in place.
+Sequences round-trip losslessly through a directory layout of TUM and CSV
+files.
 """
 
 from __future__ import annotations
@@ -418,34 +419,30 @@ def populate_landmarks(config: WorldConfig,
 
 def squared_distance(uv: np.ndarray, center) -> np.ndarray:
     """Squared pixel distance of each row of uv (N, 2) from center (u, v), scalars or (N,)."""
-    # float_power rounds each square as a Python float's ``** 2`` (libm pow)
-    # does, which keeps drop-out ranks, gate decisions and so the pinned
-    # sequence bytes and run outputs; an array's ``** 2`` is x * x, which
-    # differs from it in the last bit for about one value in a thousand
-    return np.float_power(uv[:, 0] - center[0], 2) + np.float_power(uv[:, 1] - center[1], 2)
+    du, dv = uv[:, 0] - center[0], uv[:, 1] - center[1]
+    return du * du + dv * dv
 
 
 def _select_detections(dets: Detections, n_keep: int, clustered: bool,
                        camera: CameraIntrinsics, landmarks=None) -> Detections:
-    """Deterministic subset when a drop-out forces the detection count down.
+    """The n_keep highest-ranked landmark detections, when a drop-out or the
+    cap forces the detection count down; clutter, which ranks after every
+    landmark, has no rows here.
 
     Plain drop-outs keep the most central detections. Clustered drop-outs
     keep a tight 3D neighborhood (one wall patch): seeded by the detection
     nearest an off-center anchor, then grown by landmark-space distance, so
     the surviving geometry is nearly degenerate for pose estimation. Ties
-    go to the lower landmark id; clutter fills up in detection order.
+    go to the lower landmark id.
     """
-    rows = np.flatnonzero(dets.ids >= 0)
-    ids = dets.ids[rows]
-    if clustered and landmarks is not None and len(rows):
+    ids = dets.ids
+    if clustered and landmarks is not None and len(ids):
         anchor = (0.2 * camera.width, 0.5 * camera.height)
-        seed = ids[np.lexsort((ids, squared_distance(dets.uv[rows], anchor)))[0]]
+        seed = ids[np.lexsort((ids, squared_distance(dets.uv, anchor)))[0]]
         key = np.sum((landmarks[ids] - landmarks[seed]) ** 2, axis=1)
     else:
-        key = squared_distance(dets.uv[rows], (camera.cx, camera.cy))
-    ranked = rows[np.lexsort((ids, key))][:n_keep]
-    clutter = np.flatnonzero(dets.ids < 0)[:n_keep - len(ranked)]
-    return dets.take(np.concatenate([ranked, clutter]))
+        key = squared_distance(dets.uv, (camera.cx, camera.cy))
+    return dets.take(np.lexsort((ids, key))[:n_keep])
 
 
 def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
@@ -463,12 +460,11 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
             detections = Detections(ids, uv).take(
                 (uv[:, 0] >= 0) & (uv[:, 0] < camera.width)
                 & (uv[:, 1] >= 0) & (uv[:, 1] < camera.height))
+    # clutter is only counted: its pixels are drawn to keep the noise stream
+    n_det = len(detections) + config.clutter
     if config.clutter:
-        cu = rng.uniform(0.0, camera.width - 1e-6, config.clutter)
-        cv = rng.uniform(0.0, camera.height - 1e-6, config.clutter)
-        detections = Detections(
-            np.concatenate([detections.ids, np.full(config.clutter, -1)]),
-            np.concatenate([detections.uv, np.column_stack([cu, cv])]))
+        rng.uniform(0.0, camera.width - 1e-6, config.clutter)
+        rng.uniform(0.0, camera.height - 1e-6, config.clutter)
 
     active = None
     for d in config.dropouts:
@@ -478,8 +474,10 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
     if active is not None:
         detections = _select_detections(detections, active.n_det, active.clustered,
                                         camera, landmarks)
-    elif len(detections) > config.detection_cap:
+        n_det = min(n_det, active.n_det)
+    elif n_det > config.detection_cap:
         detections = _select_detections(detections, config.detection_cap, False, camera)
+        n_det = config.detection_cap
 
     dr_delta = None
     if prev_gt is not None:
@@ -494,10 +492,10 @@ def simulate_frame(gt_pose: Pose, prev_gt: Pose | None, landmarks: np.ndarray,
         frame_id=frame_id,
         timestamp=frame_id / config.fps,
         gt_pose=gt_pose,
-        detections=detections.take(detections.ids >= 0),
+        detections=detections,
         dr_delta=dr_delta,
         odom_pose=None,
-        n_det=len(detections),
+        n_det=n_det,
     )
 
 

@@ -694,7 +694,8 @@ def test_motion_only_rows_at_or_behind_the_near_plane_add_exact_zeros(rng):
     lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
                                     1.0 / args["pixel_std"], args["dr"])
     point = (args["pose"].q.tolist(), args["pose"].t.tolist(), args["pose"].rotation_matrix)
-    _assert_system_matches_direct(problem, *lin.linearize(point, lin.residuals(point)[1]))
+    neq = lin.linearize(point, lin.residuals(point)[1])
+    _assert_system_matches_direct(problem, neq.Hpp, neq.bp)
     arrays = solve_motion_only(**args)
     assert arrays[1].iterations > 1
     report = solve(problem, args["config"])
@@ -743,6 +744,68 @@ def test_damped_singular_system_gives_finite_step():
     neq, _ = build_normal_equations(problem)
     step = schur_solve(neq, 1e-2)
     assert np.all(np.isfinite(step))
+
+
+def _one_pose_step(H, b, damping):
+    """Tracking's damped step as it was taken before its system was a
+    NormalEquations: the oracle of schur_solve on a one-pose system."""
+    s = H.copy()
+    s.flat[::7] += damping
+    return np.linalg.solve(s, b)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([0, 1, 2, 30]),
+       behind=st.booleans(), with_dr=st.booleans(),
+       damping=st.sampled_from([1e-15, 1e-4, 1.0, 1e10]))
+def test_tracking_system_is_one_pose_normal_equations_solved_by_schur(seed, n_rows, behind,
+                                                                      with_dr, damping):
+    # tracking's system is a NormalEquations with one free pose and no
+    # landmarks, from all-zero (no rows, or every row behind the camera, and
+    # no DR edge), rank-deficient (one or two rows) and full-rank Jacobians;
+    # schur_solve takes the old one-pose step bit for bit and raises
+    # SingularSystem where it raised LinAlgError, and the dense system of
+    # criterion 03's oracle is (H, b) itself
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
+    local = np.column_stack([rng.uniform(-2.0, 2.0, (n_rows, 2)), rng.uniform(2.0, 10.0, n_rows)])
+    if behind:
+        local[:, 2] = -local[:, 2]
+    points = local @ pose.rotation_matrix.T + pose.t
+    uv = np.column_stack([CAMERA.fx * local[:, 0] / np.abs(local[:, 2]) + CAMERA.cx,
+                          CAMERA.fy * local[:, 1] / np.abs(local[:, 2]) + CAMERA.cy])
+    uv += rng.normal(scale=2.0, size=uv.shape)
+    dr = None
+    if with_dr:
+        previous = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
+        dr = (previous, compose(compose(inverse(previous), pose), random_pose(rng, 0.01, 0.02)),
+              NOMINAL.precision())
+    lin = optimizer._PoseLinearizer(CAMERA, points, uv, 1.0, dr)
+    start = compose(pose, random_pose(rng, rot_scale=0.02, trans_scale=0.05))
+    point = (start.q.tolist(), start.t.tolist(), start.rotation_matrix)
+    neq = lin.linearize(point, lin.residuals(point)[1])
+    assert isinstance(neq, optimizer.NormalEquations)
+    assert (neq.n_pose_free, neq.n_lm_free) == (1, 0)
+    assert neq.schur_chunks == [] and neq.couplings == []
+    assert (neq.Hll.shape, neq.bl.shape) == ((0, 3, 3), (0, 3))
+    rank = np.linalg.matrix_rank(neq.Hpp)
+    assert rank == (6 if with_dr or (n_rows == 30 and not behind) else
+                    0 if behind or not n_rows else 2 * n_rows)
+    H, b = dense_system(neq)
+    assert (H.tobytes(), b.tobytes()) == (neq.Hpp.tobytes(), neq.bp.tobytes())
+    # -damping I, which the damping makes exactly zero
+    singular = optimizer.NormalEquations(-damping * np.eye(6), neq.bp, neq.Hll, neq.bl, [], [])
+    for system in (neq, singular):
+        try:
+            want = _one_pose_step(system.Hpp, system.bp, damping)
+        except np.linalg.LinAlgError:
+            assert system is singular
+            with pytest.raises(SingularSystem):
+                schur_solve(system, damping)
+            continue
+        assert system is neq
+        assert schur_solve(system, damping).tobytes() == want.tobytes()
+        assert np.array_equal(dense_solve(system, damping), want)
 
 
 def test_min_pose_eigenvalue_identity_and_scaled():
@@ -1033,9 +1096,8 @@ def test_dr_edge_near_pi_stays_in_the_cost_and_adds_nothing_to_the_system(rng, l
     blocks, costs = [], []
     for lin in lins:
         cost, cache = lin.residuals(point)
-        system = lin.linearize(point, cache)
-        system = system if level == "motion_only" else (system.Hpp, system.bp)
-        blocks.append([block.tobytes() for block in system])
+        neq = lin.linearize(point, cache)
+        blocks.append([neq.Hpp.tobytes(), neq.bp.tobytes()])
         costs.append(cost)
     assert blocks[0] == blocks[1]
     assert costs[1] > costs[0] + 1e3
@@ -1158,7 +1220,7 @@ def test_lm_linearizes_only_the_points_it_steps_from(rng, monkeypatch, level, en
         lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
                                         1.0 / args["pixel_std"], args["dr"])
         point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
-        fresh = optimizer._min_eigenvalue(lin.linearize(point, lin.residuals(point)[1])[0])
+        fresh = min_pose_eigenvalue(lin.linearize(point, lin.residuals(point)[1]))
     else:
         fresh = min_pose_eigenvalue(build_normal_equations(problem)[0])
     assert np.float64(fresh).tobytes() == np.float64(eigenvalue).tobytes()
@@ -1171,10 +1233,10 @@ def test_non_finite_step_is_rejected_not_raised(rng, monkeypatch, level, bad):
     # retracts to a NaN pose: its cost is NaN, the step is rejected, and the
     # solve goes on with a larger damping
     cls = optimizer._PoseLinearizer if level == "motion_only" else _Linearizer
-    step, residuals, costs = cls.step, cls.residuals, []
+    step, residuals, costs = optimizer.schur_solve, cls.residuals, []
 
-    def bad_first_step(lin, system, damping):
-        d = step(lin, system, damping)
+    def bad_first_step(system, damping):
+        d = step(system, damping)
         if len(costs) == 1:
             d = d.copy()
             d[4] = bad
@@ -1184,7 +1246,7 @@ def test_non_finite_step_is_rejected_not_raised(rng, monkeypatch, level, bad):
         cost, cache = residuals(lin, point)
         costs.append(cost)
         return cost, cache
-    monkeypatch.setattr(cls, "step", bad_first_step)
+    monkeypatch.setattr(optimizer, "schur_solve", bad_first_step)
     monkeypatch.setattr(cls, "residuals", recording)
     if level == "motion_only":
         problem, _, _, _ = make_motion_problem(rng, n_obs=30, pixel_noise=1.0)
@@ -1200,9 +1262,12 @@ def test_non_finite_step_is_rejected_not_raised(rng, monkeypatch, level, bad):
 
 class _Arctan:
     """Linearizer of the scalar residual r(x) = atan(x): Gauss-Newton
-    overshoots from |x| > 1.39, so steps are rejected until the damping grows."""
+    overshoots from |x| > 1.39, so steps are rejected until the damping grows.
+    Its system is one pose's, H = diag(j^2, 0, ..., 0) and b = (-j r, 0, ...,
+    0): with the damping on every diagonal entry, the step's first entry is
+    the scalar b / (h + damping) and the others are 0."""
 
-    size = dict(free_poses=0, free_landmarks=0, reprojection_rows=1, dr_edges=0)
+    size = dict(free_poses=1, free_landmarks=0, reprojection_rows=1, dr_edges=0)
 
     def residuals(self, x):
         r = math.atan(x)
@@ -1210,17 +1275,12 @@ class _Arctan:
 
     def linearize(self, x, r):
         j = 1.0 / (1.0 + x * x)
-        return j * j, -j * r
-
-    def step(self, system, damping):
-        h, b = system
-        return np.array([b / (h + damping)])
+        H, b = np.zeros((6, 6)), np.zeros(6)
+        H[0, 0], b[0] = j * j, -j * r
+        return optimizer.NormalEquations(H, b, np.zeros((0, 3, 3)), np.zeros((0, 3)), [], [])
 
     def retract(self, x, step):
         return x + float(step[0])
-
-    def min_pose_eigenvalue(self, system):
-        return system[0]
 
 
 def test_lm_counts_rejected_steps_exactly():

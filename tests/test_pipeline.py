@@ -172,7 +172,7 @@ def test_associate_half_radius_offset_matches_exhaustive_oracle(rng):
                     and -radius <= v < DEFAULT_CAMERA.height + radius):
                 continue
             du, dv = detections[j][1], detections[j][2]
-            if (du - u) ** 2 + (dv - v) ** 2 <= radius ** 2:
+            if (du - u) * (du - u) + (dv - v) * (dv - v) <= radius ** 2:
                 expected.add(j)
         assert {j for j, _, _ in obs} == expected
         assert n_trk == len(expected)
@@ -205,7 +205,7 @@ def associate_oracle(detections, points, predicted, search_radius, camera):
                 and -search_radius <= v < camera.height + search_radius):
             continue
         du, dv = det_by_id[j]
-        if (du - u) ** 2 + (dv - v) ** 2 <= search_radius ** 2:
+        if (du - u) * (du - u) + (dv - v) * (dv - v) <= search_radius ** 2:
             observations.append((j, du, dv))
     return observations, len(observations), n_cand
 
@@ -914,7 +914,7 @@ def test_tracking_tolerance_stops_within_a_hundredth_sigma_of_the_optimum(monkey
                                                   dr, tight)
         lin = _PoseLinearizer(camera, points, uv, 1.0 / pixel_std, dr)
         point = (optimum.q.tolist(), optimum.t.tolist(), optimum.rotation_matrix)
-        H, _ = lin.linearize(point, lin.residuals(point)[1])
+        H = lin.linearize(point, lin.residuals(point)[1]).Hpp
         d = log_se3(compose(inverse(optimum), pose))     # the retraction's right increment
         assert math.sqrt(d @ H @ d) < 0.01
         assert tight_report.termination == "cost_tolerance"

@@ -155,17 +155,17 @@ def test_simulate_frame_zero_noise_exact_projections(rng):
         assert v == pytest.approx(DEFAULT_CAMERA.fy * y[1] / y[2] + DEFAULT_CAMERA.cy, abs=1e-9)
 
 
-def test_squared_distance_rounds_as_scalar_power(rng):
+def test_squared_distance_is_ieee_products(rng):
     # the drop-out ranking and the association gate compare these sums, so
-    # they round as a Python float's ``x ** 2`` (libm pow) does; x * x
-    # differs from it in the last bit for about one row in a thousand
+    # each square is the IEEE product x * x, which no C library's pow can
+    # round differently
     uv = rng.uniform(-700.0, 700.0, size=(20000, 2))
     cu, cv = rng.uniform(0.0, 640.0, 20000), rng.uniform(0.0, 480.0, 20000)
-    expected = [(u - a) ** 2 + (v - b) ** 2
+    expected = [(u - a) * (u - a) + (v - b) * (v - b)
                 for (u, v), a, b in zip(uv.tolist(), cu.tolist(), cv.tolist())]
     assert squared_distance(uv, (cu, cv)).tolist() == expected
     assert squared_distance(uv, (320.0, 240.0)).tolist() == \
-        [(u - 320.0) ** 2 + (v - 240.0) ** 2 for u, v in uv.tolist()]
+        [(u - 320.0) * (u - 320.0) + (v - 240.0) * (v - 240.0) for u, v in uv.tolist()]
 
 
 def test_dropout_forces_detection_count(rng):
