@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
@@ -202,7 +203,10 @@ def cmd_sweep(args) -> int:
               ["log_alpha", "repeat", "rmse", "median"],
               [(fmt(r.log_alpha), r.repeat, float(r.rmse), float(r.median)) for r in rows])
     _echo_config(config, out)
-    print(f"sweep over {len(alphas)} weights x {args.repeats} repeats -> {out}")
+    nan_cells = Counter(r.error or "no error" for r in rows if math.isnan(r.rmse))
+    by_error = "".join(f", {n} {error}" for error, n in sorted(nan_cells.items()))
+    print(f"sweep over {len(alphas)} weights x {args.repeats} repeats, "
+          f"{sum(nan_cells.values())} NaN cells{by_error} -> {out}")
     return EXIT_OK
 
 

@@ -171,6 +171,7 @@ class SweepRow:
     repeat: int
     rmse: float
     median: float = float("nan")
+    error: str = ""             # the class name of the package error that made the cell NaN
 
 
 def _repeat_sequence(sequence: Sequence, repeat: int, frame_range):
@@ -200,16 +201,18 @@ def _run_and_score(sequence: Sequence, params: PipelineParams, mode: str) -> flo
 def sweep_repeat(sequence: Sequence, alphas, repeat: int,
                  params: PipelineParams, frame_range=None) -> list:
     """One repeat of the fixed-weight sweep; a run that raises a package
-    error is a NaN cell. Medians are filled by the caller."""
+    error is a NaN cell, which keeps the error's class name. Medians are
+    filled by the caller."""
     seq_r = _repeat_sequence(sequence, repeat, frame_range)
     rows = []
     for log_alpha in alphas:
         run_params = replace(params, fixed_alpha=10.0 ** log_alpha)
+        error = ""
         try:
             rmse = _run_and_score(seq_r, run_params, "fixed-dr")
-        except DrSlamError:
-            rmse = float("nan")
-        rows.append(SweepRow(log_alpha=float(log_alpha), repeat=repeat, rmse=rmse))
+        except DrSlamError as e:
+            rmse, error = float("nan"), type(e).__name__
+        rows.append(SweepRow(log_alpha=float(log_alpha), repeat=repeat, rmse=rmse, error=error))
     return rows
 
 

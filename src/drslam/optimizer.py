@@ -4,8 +4,9 @@ One LM loop drives two linearizers, and every level's system is a
 NormalEquations, stepped by schur_solve and read by min_pose_eigenvalue. The
 Problem linearizer serves local BA (a window of keyframes and their
 landmarks) and global BA (the whole map, its first keyframe fixed) over a
-Problem of structured arrays: poses and landmarks in ascending id,
-reprojection rows and DR edges. The motion-only linearizer serves tracking:
+Problem of structured arrays, each added from arrays: poses and landmarks in
+ascending id, reprojection rows and DR edges (a loop edge is a DR edge at the
+loop's information). The motion-only linearizer serves tracking:
 one free pose against fixed map points in match order and at most one DR
 edge from the fixed previous pose, a system with one free pose and no
 landmarks; with no rows, as on a blackout frame, no visual block is formed,
@@ -115,13 +116,12 @@ class Problem:
         default_factory=lambda: np.empty(0, DR_EDGE))
     pixel_std: float = 1.0                             # isotropic, every row [px]
 
-    def add_poses(self, pose_ids, poses, fixed=False):
-        """Adds poses: ids (N,) and N Poses, or one id and Pose, fixed one flag
-        or (N,). Raises KeyError on an id given twice."""
-        poses = [poses] if isinstance(poses, Pose) else poses
+    def add_poses(self, pose_ids, q, t, fixed=False):
+        """Adds poses: ids (N,), unit quaternions (N, 4) and translations
+        (N, 3), or one id, quaternion and translation, fixed one flag or (N,).
+        Raises KeyError on an id given twice."""
         self.poses = _merged(self.poses, "pose", pose_ids, fixed,
-                             q=np.reshape([p.q for p in poses], (-1, 4)),
-                             t=np.reshape([p.t for p in poses], (-1, 3)))
+                             q=np.reshape(q, (-1, 4)), t=np.reshape(t, (-1, 3)))
 
     def add_landmarks(self, lm_ids, positions, fixed=False):
         """Adds landmarks: ids (N,) and positions (N, 3), or one id and
@@ -134,14 +134,14 @@ class Problem:
         self.reprojection_factors = np.concatenate([self.reprojection_factors,
                                                     reprojection_rows(pose_ids, landmark_ids, uv)])
 
-    def add_dr_edges(self, from_ids, to_ids, deltas, precisions):
-        """Appends DR edges: pose ids (E,), or one id for every edge, increments
-        (E Poses) and precisions (E, 6), or one precision for every edge."""
-        edges = np.empty(len(deltas), DR_EDGE)
-        edges["from"], edges["to"] = from_ids, to_ids
-        edges["precision"] = np.reshape(precisions, (-1, 6))
-        edges["q"] = np.array([d.q for d in deltas]).reshape(-1, 4)
-        edges["t"] = np.array([d.t for d in deltas]).reshape(-1, 3)
+    def add_dr_edges(self, from_ids, to_ids, q, t, precisions):
+        """Appends DR edges: pose ids (E,), or one id for every edge, the
+        increments' unit quaternions (E, 4) and translations (E, 3), and
+        precisions (E, 6), or one precision for every edge."""
+        q = np.reshape(q, (-1, 4))
+        edges = np.empty(len(q), DR_EDGE)
+        edges["from"], edges["to"], edges["q"] = from_ids, to_ids, q
+        edges["t"], edges["precision"] = np.reshape(t, (-1, 3)), np.reshape(precisions, (-1, 6))
         self.dr_factors = np.concatenate([self.dr_factors, edges])
 
     def validate(self):

@@ -3,11 +3,14 @@
 Every frame takes one path through ``Pipeline.process``: its start pose (the
 first frame's odometry pose, every later frame's prediction), association and
 motion-only BA when the frame gets visual processing, one ``Frame``, then
-mapping, where it may become a keyframe. Around that path: covisibility
-counted from the map's observations, local bundle adjustment with smoothed DR
-edge weights, loop detection, global bundle adjustment with the edge weights
-local BA last set, and map persistence. A run counts its failed and capped
-solves in one table keyed by ``SOLVE_COUNTS``.
+mapping, where it may become a keyframe. The map holds its pose graph as two
+tables, keyframes and edges: a keyframe's DR edge from the keyframe before it
+and a loop edge per closed loop. Around the frame path: covisibility counted
+from the map's observations, local bundle adjustment over the DR edges of its
+window, weighted by quality smoothed along them, loop detection, global
+bundle adjustment over every edge local BA weighted and every loop edge, and
+map persistence. A run counts its failed and capped solves in one table
+keyed by ``SOLVE_COUNTS``.
 
 Ground truth reaches the estimator through two oracles only, both fed by
 ``_insert_keyframe``: the depth oracle gives a new point its true depth, from
@@ -27,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
 from .errors import Diverged, FormatError, NoConstraints, SingularSystem
 from .fileio import fmt, parse_poses, pose_text
-from .geometry import CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse, project_points
-from .idsets import lookup, member
+from .geometry import (CameraIntrinsics, Pose, Z_MIN, back_project, compose, inverse,
+                       project_points, quat_to_rotation)
+from .idsets import lookup, member, member_pairs
 from .optimizer import (REPROJECTION_ROW, Problem, SolverConfig, reprojection_rows, solve_global_ba,
                         solve_local_ba, solve_motion_only)
 from .simulator import Detections, PointTable, squared_distance
@@ -60,11 +63,24 @@ MODES = ("vision-only", "da-only", "fixed-dr", "adaptive", "dr-only")
 SOLVE_COUNTS = ("motion_failed", "lba_failed", "gba_failed",
                 "motion_capped", "lba_capped", "gba_capped", "behind_dropped")
 
-MAP_MAGIC = "GWMAP v3"
-# Per map section, in file order: the fields of a data line, how many of them
-# lead with the ids the line is the entry of, and how many of those are keyframes.
-MAP_SECTIONS = {"keyframes": (13, 1, 0), "keyframe_dr": (9, 1, 1), "observations": (4, 2, 1),
-                "points": (5, 1, 0), "loopedges": (10, 2, 2)}
+MAP_MAGIC = "GWMAP v4"
+# Per map section, in file order: the fields of a line and, per id it leads with
+# (the ids it is the entry of), the section that must already hold the id, or None.
+MAP_SECTIONS = {"keyframes": (13, (None,)), "edges": (11, ("keyframes", "keyframes", None)),
+                "points": (5, (None,)), "observations": (4, ("keyframes", "points"))}
+
+# The map's pose graph as two tables. A keyframe: its id, its frame's id and
+# timestamp, its pose (unit quaternion, translation), its matches, its frame's
+# quality and the DR weight its last local BA gave it (NaN before one). An
+# edge: from and to keyframe ids, kind, the measured increment from -> to and
+# the weight scale_information turns into its precision: a DR edge's alpha
+# (NaN until a local BA sets it) or a loop edge's information scale.
+KEYFRAME_ROW = np.dtype([("id", np.int64), ("frame", np.int64), ("timestamp", np.float64),
+                         ("q", np.float64, (4,)), ("t", np.float64, (3,)), ("n_trk", np.int64),
+                         ("quality", np.float64), ("lba_alpha", np.float64)])
+POSE_EDGE = np.dtype([("from", np.int64), ("to", np.int64), ("kind", np.int64),
+                      ("q", np.float64, (4,)), ("t", np.float64, (3,)), ("weight", np.float64)])
+DR_EDGE_KIND, LOOP_EDGE_KIND = 0, 1
 
 
 # The estimator's fixed settings; PipelineParams holds the ones runs vary.
@@ -120,30 +136,19 @@ class Frame:
 
 
 @dataclass
-class KeyFrame:
-    id: int
-    frame_id: int
-    timestamp: float
-    pose: Pose
-    n_trk: int
-    quality: float
-    lba_alpha: float = float("nan")
-    dr_to_prev: Pose | None = None   # composed frame deltas since previous keyframe
-    dr_alpha: float = float("nan")   # weight of the DR edge from keyframe id - 1, set by local BA
-
-
-@dataclass
 class SlamMap:
-    """Keyframes (each carrying its DR edge's weight), points, observations and
-    loop edges: only what cannot be derived; covisibility is counted from the
-    observations."""
+    """The pose graph as two tables, keyframes and edges, then points and
+    observations: only what cannot be derived; covisibility is counted from
+    the observations."""
 
-    keyframes: dict = field(default_factory=dict)
+    # (K,) KEYFRAME_ROW, ascending id
+    keyframes: np.ndarray = field(default_factory=lambda: np.empty(0, KEYFRAME_ROW))
+    # (E,) POSE_EDGE in the order added: each keyframe's DR edge, then any loop edge it closes
+    edges: np.ndarray = field(default_factory=lambda: np.empty(0, POSE_EDGE))
     points: PointTable = field(default_factory=PointTable.empty)
     # the one record of which keyframe sees which point: (N,) REPROJECTION_ROW of keyframe
     # id, point id and pixel, keyframes ascending, each keyframe's in observation order
     observations: np.ndarray = field(default_factory=lambda: np.empty(0, REPROJECTION_ROW))
-    loop_edges: list = field(default_factory=list)     # (a, b, relative Pose, info scale)
 
     def shared_counts(self, kf_ids) -> np.ndarray:
         """Per keyframe of kf_ids (K,), per keyframe id, the count of points the
@@ -250,10 +255,16 @@ def _seen_twice(ids: np.ndarray) -> np.ndarray:
     return unique[counts >= 2]
 
 
-def decide_keyframe(frame: Frame, last_kf: KeyFrame) -> bool:
-    return bool(frame.id - last_kf.frame_id >= K_MAX
-                or (last_kf.n_trk > 0 and frame.stats.n_trk / last_kf.n_trk < OVERLAP_RATIO)
-                or np.linalg.norm(frame.pose.t - last_kf.pose.t) > D_MAX)
+def decide_keyframe(frame: Frame, last_kf) -> bool:
+    """Whether the frame becomes a keyframe after last_kf, a KEYFRAME_ROW."""
+    return bool(frame.id - last_kf["frame"] >= K_MAX
+                or (last_kf["n_trk"] > 0 and frame.stats.n_trk / last_kf["n_trk"] < OVERLAP_RATIO)
+                or np.linalg.norm(frame.pose.t - last_kf["t"]) > D_MAX)
+
+
+def _stamped_poses(keyframes) -> list:
+    """(timestamp, Pose) of each row of keyframes, a KEYFRAME_ROW table."""
+    return list(zip(keyframes["timestamp"].tolist(), map(Pose, keyframes["q"], keyframes["t"])))
 
 
 @dataclass
@@ -278,7 +289,7 @@ class RunResult:
         return [(f.timestamp, f.pose) for f in self.frames]
 
     def keyframe_trajectory(self):
-        return [(kf.timestamp, kf.pose) for _, kf in sorted(self.slam_map.keyframes.items())]
+        return _stamped_poses(self.slam_map.keyframes)
 
     def tracking_ratio(self) -> float:
         if not self.frames:
@@ -310,7 +321,6 @@ class Pipeline:
         self.last_gba_kf: int | None = None
         self.gba_events: list[GbaEvent] = []
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
-        self._next_kf_id = 0
         self._motion_solver, self._ba_solver, self._gba_solver = params.solvers()
         self._kf_truth: list[Pose] = []   # the loop oracle's true pose per keyframe id
 
@@ -377,7 +387,7 @@ class Pipeline:
             self.acc_delta = None if dr is None else compose(self.acc_delta, dr)
         self.prev_prev_pose = None if first else self.frames[-1].pose
         self.frames.append(frame)
-        last_kf = None if first else self.slam_map.keyframes[self._next_kf_id - 1]
+        last_kf = None if first else self.slam_map.keyframes[-1]
         # Few-but-nonzero matches on a degraded frame make a geometrically
         # risky keyframe. Blackout frames (zero matches, no geometry) and
         # frontier frames (plenty of fresh detections to triangulate) are
@@ -385,8 +395,8 @@ class Pipeline:
         risky = 0 < n_trk < KF_MIN_TRK and record.n_det < KF_MIN_DET
         if self.mode == "dr-only":
             # trajectory snapshots only; no mapping in this mode
-            if first or frame.id - last_kf.frame_id >= K_MAX:
-                self._bare_keyframe(frame)
+            if first or frame.id - last_kf["frame"] >= K_MAX:
+                self._add_keyframe(frame, 0)
         elif first or (self.track_lost_frame is None and not risky
                        and decide_keyframe(frame, last_kf)):
             self._insert_keyframe(frame, record, matches)
@@ -394,13 +404,18 @@ class Pipeline:
 
     # ----- mapping --------------------------------------------------------
 
-    def _bare_keyframe(self, frame: Frame) -> KeyFrame:
-        """A new keyframe at the frame, observing no point, in the map."""
-        kf = KeyFrame(self._next_kf_id, frame.id, frame.timestamp, frame.pose, n_trk=0,
-                      quality=frame.quality)
-        self._next_kf_id += 1
-        self.slam_map.keyframes[kf.id] = kf
-        return kf
+    def _add_keyframe(self, frame: Frame, n_trk: int) -> int:
+        """The id of a new keyframe at the frame, with n_trk matches, last in the map."""
+        keyframes = self.slam_map.keyframes
+        kf_id = int(keyframes["id"][-1]) + 1 if len(keyframes) else 0
+        self.slam_map.keyframes = np.concatenate([keyframes, np.array([(
+            kf_id, frame.id, frame.timestamp, frame.pose.q, frame.pose.t, n_trk, frame.quality,
+            math.nan)], KEYFRAME_ROW)])
+        return kf_id
+
+    def _add_edge(self, kf_from: int, kf_to: int, kind: int, delta: Pose, weight: float) -> None:
+        self.slam_map.edges = np.concatenate([self.slam_map.edges, np.array([(
+            kf_from, kf_to, kind, delta.q, delta.t, weight)], POSE_EDGE)])
 
     def _true_depths(self, ids: np.ndarray, gt_pose: Pose) -> np.ndarray:
         """RGB-D stand-in (the depth oracle): the true depth (N,) of each of the
@@ -413,18 +428,21 @@ class Pipeline:
         depth[known] = y[:, 2]
         return depth
 
-    def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> KeyFrame:
+    def _insert_keyframe(self, frame: Frame, record, matches: Detections) -> None:
         """Keyframe observing its matches, then new points from its other detections.
 
         Every match is a map point, so the first detection of each landmark
         not yet in the map is a candidate, in detection order; a candidate
         with a true depth in front of the near plane becomes a new point.
-        The record's true pose feeds the two oracles and nothing else.
+        The keyframe gets a DR edge from the keyframe before it when every
+        frame since has an increment. The record's true pose feeds the two
+        oracles and nothing else.
         """
-        kf = self._bare_keyframe(frame)
-        kf_id = kf.id
+        previous = self.slam_map.keyframes["id"][-1:].tolist()
+        kf_id = self._add_keyframe(frame, frame.stats.n_trk)
         self._kf_truth.append(record.gt_pose)
-        kf.n_trk, kf.dr_to_prev = frame.stats.n_trk, self.acc_delta if kf_id > 0 else None
+        if previous and self.acc_delta is not None:
+            self._add_edge(previous[0], kf_id, DR_EDGE_KIND, self.acc_delta, math.nan)
         ids, uv = record.detections.ids, record.detections.uv
         rows = _first_landmark_rows(ids)
         rows = rows[~member(ids[rows], self.slam_map.points.ids)]
@@ -435,48 +453,50 @@ class Pipeline:
             ids[rows], back_project(self.camera, frame.pose.rotation_matrix, frame.pose.t,
                                     uv[rows], depth[front]), kf_id)
         seen = np.concatenate([matches.ids, ids[rows]])
-        table = self.slam_map.observations = np.concatenate([
-            self.slam_map.observations,
-            reprojection_rows(kf_id, seen, np.concatenate([matches.uv, uv[rows]]))])
+        self.slam_map.observations = np.concatenate([self.slam_map.observations, reprojection_rows(
+            kf_id, seen, np.concatenate([matches.uv, uv[rows]]))])
 
         self.acc_delta = Pose.identity()
-        if kf_id > 0:
-            self._local_ba(kf)
+        if previous:
+            self._local_ba(kf_id)
             self._cull_points(kf_id)
             self._update_c_ref()
-            self._check_loop(kf)
-        return kf
+            self._check_loop(kf_id)
 
-    def _edge_alphas(self, kf_ids) -> dict:
-        """Per-keyframe DR weights for the window: quality, then smoothing."""
+    def _edge_alphas(self, kf_ids: np.ndarray) -> np.ndarray | None:
+        """DR weights (K,) of keyframes kf_ids (K,), ascending: quality, then
+        smoothing along the DR edges; None in a mode without DR factors."""
         p = self.params
         if self.mode in ("vision-only", "da-only"):
-            return {}
+            return None
         if self.mode == "fixed-dr":
             # the sweep protocol carries one constant weight through every stage
-            return dict.fromkeys(kf_ids, p.fixed_alpha)
-        kf_ids = sorted(kf_ids)
-        raw = [(k, dr_weight(keyframe_quality(count, self.c_ref), p.bounds))
-               for k, count in zip(kf_ids, self.slam_map.connection_counts(kf_ids))]
-        smoothed = {}
-        # runs of consecutive keyframe ids, each smoothed on its own
-        for _, run in groupby(enumerate(raw), key=lambda e: e[1][0] - e[0]):
-            smoothed.update(smooth_window_weights([r for _, r in run], p.smoothing_halfwidth))
-        lo, hi = p.bounds.alpha_min, p.bounds.alpha_max
-        return {k: min(max(a, lo), hi) for k, a in smoothed.items()}
+            return np.full(len(kf_ids), p.fixed_alpha)
+        raw = [dr_weight(keyframe_quality(count, self.c_ref), p.bounds)
+               for count in self.slam_map.connection_counts(kf_ids)]
+        # smoothed per run of keyframes each joined to the one before by a DR edge
+        dr = self.slam_map.edges[self.slam_map.edges["kind"] == DR_EDGE_KIND]
+        joined = member_pairs(kf_ids[:-1], kf_ids[1:], dr["from"], dr["to"])
+        smoothed = []
+        for run in np.split(np.arange(len(kf_ids)), np.flatnonzero(~joined) + 1):
+            smoothed += smooth_window_weights([(i, raw[i]) for i in run.tolist()],
+                                              p.smoothing_halfwidth)
+        return np.clip([a for _, a in smoothed], p.bounds.alpha_min, p.bounds.alpha_max)
 
-    def _local_ba(self, new_kf: KeyFrame) -> None:
-        p = self.params
-        (counts,) = self.slam_map.shared_counts([new_kf.id])
+    def _local_ba(self, kf_id: int) -> None:
+        """Local BA of the newest keyframe, kf_id, over its window: itself, its
+        most covisible keyframes and the smoothing_halfwidth keyframes before it."""
+        p, slam_map = self.params, self.slam_map
+        (counts,) = slam_map.shared_counts([kf_id])
         covisible = np.flatnonzero(counts)
         ranked = covisible[np.argsort(-counts[covisible], kind="stable")[:MAX_LOCAL_KEYFRAMES]]
-        window = {new_kf.id} | set(ranked.tolist()) | (
-            set(range(new_kf.id - p.smoothing_halfwidth, new_kf.id)) & set(self.slam_map.keyframes))
+        window = {kf_id, *ranked.tolist(),
+                  *slam_map.keyframes["id"][-1 - p.smoothing_halfwidth:-1].tolist()}
 
         # the points the window sees that at least two keyframes see, and as
         # anchors the keyframes outside the window seeing most of them; each
         # id set ascending, as the membership tests take them
-        table = self.slam_map.observations
+        table = slam_map.observations
         window_ids = np.array(sorted(window))
         in_window = member(table["pose"], window_ids)
         points = _seen_twice(table["landmark"])
@@ -493,46 +513,50 @@ class Pipeline:
         fixed = member(kf_ids, anchors)
         fixed[np.flatnonzero(~fixed)[:max(0, 2 - np.count_nonzero(fixed))]] = True
 
-        # a DR edge from each keyframe's predecessor in the problem, one of the
-        # two in the window, at the larger of their weights
-        alphas, edges, lo = self._edge_alphas(window), [], p.bounds.alpha_min
-        for k in kf_ids[1:].tolist() if alphas else ():
-            kf = self.slam_map.keyframes[k]
-            if k - 1 in kf_ids and (k in window or k - 1 in window) and kf.dr_to_prev is not None:
-                kf.dr_alpha = max(alphas.get(k - 1, lo), alphas.get(k, lo))
-                edges.append((k - 1, k, kf.dr_to_prev, kf.dr_alpha))
+        # each DR edge between two keyframes of the problem, one of them in the
+        # window, at the larger of their weights (alpha_min outside the window)
+        alphas, edges = self._edge_alphas(window_ids), slam_map.edges
+        a, b = edges["from"], edges["to"]
+        chosen = np.flatnonzero((alphas is not None) & (edges["kind"] == DR_EDGE_KIND)
+                                & member(a, kf_ids) & member(b, kf_ids)
+                                & (member(a, window_ids) | member(b, window_ids)))
+        if len(chosen):
+            weights = np.full(len(kf_ids), p.bounds.alpha_min)
+            weights[member(kf_ids, window_ids)] = alphas
+            edges["weight"][chosen] = np.maximum(weights[kf_ids.searchsorted(a[chosen])],
+                                                 weights[kf_ids.searchsorted(b[chosen])])
 
         if fixed.all() and not len(points):
             return
-        problem = self._ba_problem(kf_ids, fixed, points, True, edges)
+        problem = self._ba_problem(kf_ids, fixed, points, True, edges[chosen])
         try:
             self.counts["lba_capped"] += _capped(solve_local_ba(problem, self._ba_solver))
         except (Diverged, SingularSystem):
             self.counts["lba_failed"] += 1
             return
         self._apply_ba(problem)
-        if alphas:
-            for k in window:
-                self.slam_map.keyframes[k].lba_alpha = alphas[k]
+        if alphas is not None:
+            keyframes = slam_map.keyframes
+            keyframes["lba_alpha"][keyframes["id"].searchsorted(window_ids)] = alphas
 
     def _ba_problem(self, kf_ids, fixed, point_ids, by_id: bool, edges) -> Problem:
         """The BA problem over keyframes kf_ids, those under the mask fixed
-        held fixed, points point_ids (both ascending) and DR edges (from, to,
-        increment, weight), a row per observation of the points by the
-        keyframes: keyframe by keyframe, each keyframe's in ascending point id
-        when by_id, else in observation order, the order the solver sums them."""
+        held fixed, points point_ids (both ascending) and edges, POSE_EDGE
+        rows in the order the solver sums them, a row per observation of the
+        points by the keyframes: keyframe by keyframe, each keyframe's in
+        ascending point id when by_id, else in observation order."""
         p, slam_map = self.params, self.slam_map
         problem = Problem(intrinsics=self.camera, pixel_std=p.pixel_std)
-        problem.add_poses(kf_ids, [slam_map.keyframes[k].pose for k in kf_ids.tolist()], fixed)
+        keyframes = slam_map.keyframes[slam_map.keyframes["id"].searchsorted(kf_ids)]
+        problem.add_poses(kf_ids, keyframes["q"], keyframes["t"], fixed)
         problem.add_landmarks(point_ids, slam_map.points.positions[slam_map.points.rows(point_ids)])
         table = slam_map.observations
         rows = table[member(table["pose"], kf_ids) & member(table["landmark"], point_ids)]
         if by_id:
             rows = rows[np.lexsort((rows["landmark"], rows["pose"]))]
         problem.add_observations(rows["pose"], rows["landmark"], rows["uv"])
-        if edges:
-            a, b, deltas, weights = zip(*edges)
-            problem.add_dr_edges(a, b, deltas, [scale_information(w, p.nominal) for w in weights])
+        problem.add_dr_edges(edges["from"], edges["to"], edges["q"], edges["t"],
+                             [scale_information(w, p.nominal) for w in edges["weight"].tolist()])
         return problem
 
     def _apply_ba(self, problem: Problem) -> None:
@@ -543,24 +567,20 @@ class Pipeline:
         weight of 0, so it cannot pull its point back in front, while its
         clamped cost still moves and stalls every later BA that carries it."""
         poses, landmarks, rows = problem.poses, problem.landmarks, problem.reprojection_factors
-        keyframes = self.slam_map.keyframes
-        free = poses[~poses["fixed"]]
-        for k, q, t in zip(free["id"].tolist(), free["q"], free["t"]):
-            keyframes[k].pose = Pose(q, t)
+        keyframes, free = self.slam_map.keyframes, ~poses["fixed"]
+        slots = keyframes["id"].searchsorted(poses["id"][free])
+        keyframes["q"][slots], keyframes["t"][slots] = poses["q"][free], poses["t"][free]
         points = self.slam_map.points
         points.positions[points.rows(landmarks["id"])] = landmarks["position"]
-        solved = [keyframes[k].pose for k in poses["id"].tolist()]
+        rotations = np.array([quat_to_rotation(q) for q in poses["q"].tolist()]).reshape(-1, 3, 3)
         slot = np.searchsorted(poses["id"], rows["pose"])
         positions = landmarks["position"][np.searchsorted(landmarks["id"], rows["landmark"])]
-        y, _ = project_points(self.camera, np.array([p.rotation_matrix for p in solved])[slot],
-                              np.array([p.t for p in solved])[slot], positions)
+        y, _ = project_points(self.camera, rotations[slot], poses["t"][slot], positions)
         behind = rows[y[:, 2] <= Z_MIN]
         if len(behind):
             table = self.slam_map.observations
-            keep = np.ones(len(table), dtype=bool)
-            for k, j in zip(behind["pose"].tolist(), behind["landmark"].tolist()):
-                keep &= (table["pose"] != k) | (table["landmark"] != j)
-            self.slam_map.observations = table[keep]
+            self.slam_map.observations = table[~member_pairs(
+                table["pose"], table["landmark"], behind["pose"], behind["landmark"])]
             self.counts["behind_dropped"] += len(behind)
 
     def _cull_points(self, current_kf: int) -> None:
@@ -574,57 +594,52 @@ class Pipeline:
         self.slam_map.observations = table[~member(table["landmark"], points.ids[drop])]
 
     def _update_c_ref(self) -> None:
-        recent = sorted(self.slam_map.keyframes)[-self.params.c_ref_window:]
-        pairs = [(self.slam_map.keyframes[k].quality, count)
-                 for k, count in zip(recent, self.slam_map.connection_counts(recent))]
+        recent = self.slam_map.keyframes[-self.params.c_ref_window:]
+        pairs = list(zip(recent["quality"].tolist(), self.slam_map.connection_counts(recent["id"])))
         self.c_ref = update_c_ref(pairs, previous=self.c_ref, q_well=self.params.q_well)
 
     # ----- loop closing ---------------------------------------------------
 
-    def _check_loop(self, new_kf: KeyFrame) -> None:
-        """The loop oracle: the keyframe nearest new_kf's true position among
-        those at least LOOP_GAP_MIN older, within LOOP_RADIUS, closes a loop
-        with their exact true relative pose."""
-        if self.last_gba_kf is not None and new_kf.id - self.last_gba_kf < LOOP_COOLDOWN:
+    def _check_loop(self, kf_id: int) -> None:
+        """The loop oracle: the keyframe nearest keyframe kf_id's true position
+        among those at least LOOP_GAP_MIN older, within LOOP_RADIUS, closes a
+        loop with their exact true relative pose."""
+        if self.last_gba_kf is not None and kf_id - self.last_gba_kf < LOOP_COOLDOWN:
             return
-        here = self._kf_truth[new_kf.id]
-        older = self._kf_truth[:max(0, new_kf.id - LOOP_GAP_MIN + 1)]
+        here = self._kf_truth[kf_id]
+        older = self._kf_truth[:max(0, kf_id - LOOP_GAP_MIN + 1)]
         dist, old_id = min(((float(np.linalg.norm(truth.t - here.t)), k)
                             for k, truth in enumerate(older)), default=(math.inf, None))
         if dist > LOOP_RADIUS:
             return
         relative = compose(inverse(older[old_id]), here)
-        self.slam_map.loop_edges.append((old_id, new_kf.id, relative, LOOP_INFO_SCALE))
-        if not self._global_ba(old_id, new_kf.id):
-            self.slam_map.loop_edges.pop()
-        self.last_gba_kf = new_kf.id
+        self._add_edge(old_id, kf_id, LOOP_EDGE_KIND, relative, LOOP_INFO_SCALE)
+        if not self._global_ba(old_id, kf_id):
+            self.slam_map.edges = self.slam_map.edges[:-1]
+        self.last_gba_kf = kf_id
 
     def _global_ba(self, loop_from: int, loop_to: int) -> bool:
         """Refine the whole map over every loop edge; False when the solve fails."""
-        keyframes = self.slam_map.keyframes
-        kf_ids = np.array(sorted(keyframes))
-        pre = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
+        keyframes, edges = self.slam_map.keyframes, self.slam_map.edges
+        kf_ids, pre = keyframes["id"], _stamped_poses(keyframes)
         # the first keyframe fixed; the live points, each seen by at least two
-        # keyframes, ascending; each DR edge a local BA weighted
-        edges = [(k - 1, k, keyframes[k].dr_to_prev, keyframes[k].dr_alpha)
-                 for k in kf_ids.tolist() if not np.isnan(keyframes[k].dr_alpha)]
+        # keyframes, ascending; each DR edge a local BA weighted, then each
+        # loop edge, each kind in the order added
+        edges = edges[(edges["kind"] == LOOP_EDGE_KIND) | ~np.isnan(edges["weight"])]
         problem = self._ba_problem(kf_ids, kf_ids == kf_ids[0],
                                    _seen_twice(self.slam_map.observations["landmark"]), False,
-                                   edges + self.slam_map.loop_edges)
+                                   edges[np.argsort(edges["kind"], kind="stable")])
         try:
             self.counts["gba_capped"] += _capped(solve_global_ba(problem, self._gba_solver))
         except (Diverged, SingularSystem):
             self.counts["gba_failed"] += 1
             return False
-        last, before = keyframes[kf_ids[-1]], keyframes[kf_ids[-1]].pose
         self._apply_ba(problem)
-        correction, frame = compose(last.pose, inverse(before)), self.frames[-1]
+        post = _stamped_poses(keyframes)
+        correction, frame = compose(post[-1][1], inverse(pre[-1][1])), self.frames[-1]
         frame.pose = compose(correction, frame.pose)
         self.prev_prev_pose = compose(correction, self.prev_prev_pose)
-        post = [(keyframes[k].timestamp, keyframes[k].pose) for k in kf_ids.tolist()]
-        self.gba_events.append(GbaEvent(frame_id=frame.id,
-                                        kf_from=loop_from, kf_to=loop_to,
-                                        pre_keyframes=pre, post_keyframes=post))
+        self.gba_events.append(GbaEvent(frame.id, loop_from, loop_to, pre, post))
         return True
 
     def result(self) -> RunResult:
@@ -650,36 +665,30 @@ def run_pipeline(sequence, params: PipelineParams, mode: str) -> RunResult:
 
 def save_map(slam_map: SlamMap, path) -> None:
     """Versioned structured text; see the README for the section layout."""
-    keyframes = [slam_map.keyframes[k] for k in sorted(slam_map.keyframes)]
     lines = [MAP_MAGIC, "[keyframes]"]
-    for kf in keyframes:
-        lines.append(f"{kf.id} {kf.frame_id} {fmt(kf.timestamp)} {pose_text(kf.pose)} "
-                     f"{fmt(kf.lba_alpha)} {kf.n_trk} {fmt(kf.quality)}")
-    lines.append("[keyframe_dr]")
-    lines += [f"{kf.id} {fmt(kf.dr_alpha)} {pose_text(kf.dr_to_prev)}" for kf in keyframes
-              if kf.dr_to_prev is not None]
-    lines.append("[observations]")
-    obs = slam_map.observations
-    for k, j, (u, v) in zip(obs["pose"].tolist(), obs["landmark"].tolist(), obs["uv"].tolist()):
-        lines.append(f"{k} {j} {fmt(u)} {fmt(v)}")
+    for k, frame, stamp, q, t, n_trk, quality, alpha in slam_map.keyframes.tolist():
+        lines.append(f"{k} {frame} {fmt(stamp)} {pose_text(Pose(q, t))} {n_trk} {fmt(quality)} "
+                     f"{fmt(alpha)}")
+    lines.append("[edges]")
+    lines += [f"{a} {b} {kind} {pose_text(Pose(q, t))} {fmt(weight)}"
+              for a, b, kind, q, t, weight in slam_map.edges.tolist()]
     lines.append("[points]")
     points = slam_map.points
-    for j, position, created in zip(points.ids.tolist(), points.positions.tolist(),
-                                    points.created_kf.tolist()):
-        lines.append(f"{j} {' '.join(fmt(x) for x in position)} {created}")
-    lines.append("[loopedges]")
-    for a, b, rel, scale in slam_map.loop_edges:
-        lines.append(f"{a} {b} {fmt(scale)} {pose_text(rel)}")
+    lines += [f"{j} {' '.join(map(fmt, position))} {created}" for j, position, created in
+              zip(points.ids.tolist(), points.positions.tolist(), points.created_kf.tolist())]
+    lines.append("[observations]")
+    lines += [f"{k} {j} {fmt(u)} {fmt(v)}" for k, j, (u, v) in slam_map.observations.tolist()]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def load_map(path) -> SlamMap:
-    slam_map = SlamMap()
-    observations, observation_lines = [], []   # (keyframe id, point id, pixel), its file line
-    points = ([], [], [])            # point ids, positions, creating keyframes
+    rows = {section: [] for section in MAP_SECTIONS}
     seen = set()                     # (section, the ids the line is the entry of)
-    section = None
+    section, lineno = None, 1
+
+    def fail(message):
+        return FormatError(message, path=str(path), line=lineno)
 
     def pose(fields):
         return parse_poses(fields, path, lambda _: lineno)[0]
@@ -687,7 +696,7 @@ def load_map(path) -> SlamMap:
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != MAP_MAGIC:
-        raise FormatError(f"bad map magic: expected {MAP_MAGIC!r}", path=str(path), line=1)
+        raise fail(f"bad map magic: expected {MAP_MAGIC!r}")
     try:
         for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
@@ -695,54 +704,44 @@ def load_map(path) -> SlamMap:
                 continue
             if line.startswith("["):
                 if not line.endswith("]"):
-                    raise FormatError("unterminated section header", path=str(path), line=lineno)
+                    raise fail("unterminated section header")
                 section = line[1:-1]
                 if section not in MAP_SECTIONS:
-                    raise FormatError(f"unknown section {section!r}", path=str(path), line=lineno)
+                    raise fail(f"unknown section {section!r}")
                 continue
             if section is None:
-                raise FormatError("data line before any section", path=str(path), line=lineno)
+                raise fail("data line before any section")
             parts = line.split()
-            n_fields, n_ids, n_keyframes = MAP_SECTIONS[section]
+            n_fields, named = MAP_SECTIONS[section]
             if len(parts) != n_fields:
-                raise FormatError(f"expected {n_fields} fields, got {len(parts)}",
-                                  path=str(path), line=lineno)
-            ids = tuple(int(x) for x in parts[:n_ids])
+                raise fail(f"expected {n_fields} fields, got {len(parts)}")
+            ids = tuple(int(x) for x in parts[:len(named)])
             if (section, ids) in seen:
-                raise FormatError(f"duplicate [{section}] entry {' '.join(map(str, ids))}",
-                                  path=str(path), line=lineno)
+                raise fail(f"duplicate [{section}] entry {' '.join(map(str, ids))}")
             seen.add((section, ids))
-            for k in ids[:n_keyframes]:
-                if k not in slam_map.keyframes:
-                    raise FormatError(f"[{section}] entry names keyframe {k}, not in [keyframes]",
-                                      path=str(path), line=lineno)
+            for i, where in zip(ids, named):
+                if where and (where, (i,)) not in seen:
+                    raise fail(f"[{section}] entry names {where[:-1]} {i}, not in [{where}]")
             if section == "keyframes":
-                kf = KeyFrame(
-                    id=ids[0], frame_id=int(parts[1]), timestamp=float(parts[2]),
-                    pose=pose(parts[3:10]), n_trk=int(parts[11]),
-                    quality=float(parts[12]), lba_alpha=float(parts[10]))
-                slam_map.keyframes[kf.id] = kf
-            elif section == "keyframe_dr":
-                kf = slam_map.keyframes[ids[0]]
-                kf.dr_alpha, kf.dr_to_prev = float(parts[1]), pose(parts[2:])
-            elif section == "observations":
-                observations.append((*ids, (float(parts[2]), float(parts[3]))))
-                observation_lines.append(lineno)
+                p = pose(parts[3:10])
+                rows[section].append((*ids, int(parts[1]), float(parts[2]), p.q, p.t,
+                                      int(parts[10]), float(parts[11]), float(parts[12])))
+            elif section == "edges":
+                if ids[2] not in (DR_EDGE_KIND, LOOP_EDGE_KIND):
+                    raise fail(f"unknown edge kind {ids[2]}")
+                p = pose(parts[3:10])
+                rows[section].append((*ids, p.q, p.t, float(parts[10])))
             elif section == "points":
-                points[0].append(ids[0])
-                points[1].append([float(x) for x in parts[1:4]])
-                points[2].append(int(parts[4]))
+                rows[section].append((*ids, [float(x) for x in parts[1:4]], int(parts[4])))
             else:
-                slam_map.loop_edges.append((*ids, pose(parts[3:]), float(parts[2])))
+                rows[section].append((*ids, [float(x) for x in parts[2:]]))
     except ValueError as e:
-        raise FormatError(f"malformed map entry: {e}", path=str(path), line=lineno) from e
-    slam_map.points = PointTable.empty().insert(
-        np.array(points[0], dtype=np.int64), np.array(points[1], dtype=float).reshape(-1, 3),
-        np.array(points[2], dtype=np.int64))
-    table = np.array(observations, dtype=REPROJECTION_ROW)
-    unknown = np.flatnonzero(~member(table["landmark"], slam_map.points.ids))
-    if len(unknown):
-        raise FormatError(f"[observations] entry names point {table['landmark'][unknown[0]]}, "
-                          "not in [points]", path=str(path), line=observation_lines[unknown[0]])
-    slam_map.observations = table[np.argsort(table["pose"], kind="stable")]
-    return slam_map
+        raise fail(f"malformed map entry: {e}") from e
+    keyframes = np.array(rows["keyframes"], dtype=KEYFRAME_ROW)
+    points = np.array(rows["points"], dtype=[("id", np.int64), ("position", np.float64, (3,)),
+                                             ("created", np.int64)])
+    observations = np.array(rows["observations"], dtype=REPROJECTION_ROW)
+    return SlamMap(keyframes[np.argsort(keyframes["id"], kind="stable")],
+                   np.array(rows["edges"], dtype=POSE_EDGE),
+                   PointTable.empty().insert(points["id"], points["position"], points["created"]),
+                   observations[np.argsort(observations["pose"], kind="stable")])

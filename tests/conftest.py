@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from drslam.geometry import (CameraIntrinsics, Pose, exp_se3, compose, inverse, 
                              project, se3_adjoint, se3_inverse, transform_point)
 from drslam.optimizer import NormalEquations, Problem, _Linearizer
 from drslam.pipeline import MOTION_SOLVER
+from drslam.simulator import Detections, PointTable
 from drslam.weighting import NominalDrInformation
 
 CAMERA = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -21,6 +24,15 @@ def random_twist(rng, rot_scale=0.5, trans_scale=1.0) -> np.ndarray:
 
 def random_pose(rng, rot_scale=0.5, trans_scale=1.0) -> Pose:
     return exp_se3(random_twist(rng, rot_scale, trans_scale))
+
+
+def pose_columns(poses):
+    """The unit quaternions (N, 4) and translations (N, 3) of a list of
+    Poses, or the (4,) and (3,) of one, as Problem.add_poses and
+    add_dr_edges take them."""
+    if isinstance(poses, Pose):
+        return poses.q, poses.t
+    return np.reshape([p.q for p in poses], (-1, 4)), np.reshape([p.t for p in poses], (-1, 3))
 
 
 def build_normal_equations(problem: Problem):
@@ -171,7 +183,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
         anchored = i == 0
         init = gt if (pose_perturb == 0 or anchored) else \
             compose(gt, exp_se3(rng.normal(scale=pose_perturb, size=6)))
-        problem.add_poses(i, init, fixed=anchored)
+        problem.add_poses(i, *pose_columns(init), fixed=anchored)
     for j, gt in enumerate(gt_landmarks):
         init = gt if lm_perturb == 0 else gt + rng.normal(scale=lm_perturb, size=3)
         problem.add_landmarks(j, init, fixed=fix_landmarks)
@@ -181,7 +193,7 @@ def make_ba_problem(rng, n_poses=5, n_landmarks=50, pixel_noise=0.0,
         info = NominalDrInformation().precision()
         for i in range(n_poses - 1):
             delta = compose(inverse(gt_poses[i]), gt_poses[i + 1])
-            problem.add_dr_edges(i, i + 1, [delta], info)
+            problem.add_dr_edges(i, i + 1, *pose_columns([delta]), info)
     return problem, gt_poses, np.array(gt_landmarks)
 
 
@@ -258,3 +270,52 @@ def assert_same_records(a, b):
             assert (pa is None) == (pb is None)
             if pa is not None:
                 assert pa.q.tobytes() == pb.q.tobytes() and pa.t.tobytes() == pb.t.tobytes()
+
+
+# ----- sequence transforms of the invariant tests ---------------------------
+
+
+def moved_sequence(sequence, motion: Pose):
+    """The sequence with its world, true poses and odometry poses moved by
+    the rigid motion; increments and detections, relative to the camera,
+    stay as they are."""
+    world = sequence.world
+    positions = world.positions @ motion.rotation_matrix.T + motion.t
+    records = [replace(r, gt_pose=compose(motion, r.gt_pose),
+                       odom_pose=None if r.odom_pose is None else compose(motion, r.odom_pose))
+               for r in sequence.records]
+    return replace(sequence, records=records, world=PointTable.world(world.ids, positions))
+
+
+def relabelled_sequence(sequence, relabel):
+    """The sequence with landmark id i as relabel(i), an injective map of id
+    arrays, in the world (rows re-sorted to ascending id) and in every
+    frame's detections (rows in their order)."""
+    ids = relabel(sequence.world.ids)
+    order = np.argsort(ids, kind="stable")
+    world = PointTable.world(ids[order], sequence.world.positions[order])
+    records = [replace(r, detections=Detections(relabel(r.detections.ids), r.detections.uv))
+               for r in sequence.records]
+    return replace(sequence, records=records, world=world)
+
+
+def shifted_sequence(sequence, seconds: float):
+    """The sequence with every timestamp later by seconds."""
+    return replace(sequence, records=[replace(r, timestamp=r.timestamp + seconds)
+                                      for r in sequence.records])
+
+
+def blacked_out_sequence(sequence, start: int, stop: int):
+    """The sequence with the frames of ids start <= id < stop detecting nothing."""
+    return replace(sequence, records=[
+        replace(r, detections=Detections.empty(), n_det=0) if start <= r.frame_id < stop else r
+        for r in sequence.records])
+
+
+def dr_composition(sequence) -> list:
+    """Per frame, the first frame's odometry pose composed with the DR
+    increments of every later frame up to it, one at a time."""
+    poses = [sequence.records[0].odom_pose]
+    for r in sequence.records[1:]:
+        poses.append(compose(poses[-1], r.dr_delta))
+    return poses

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (CAMERA, build_normal_equations, dense_solve, edge_jacobians, edge_residual,
-                      make_ba_problem, random_pose)
+                      make_ba_problem, pose_columns, random_pose)
 from drslam.cli import main as cli_main, resolve_config_path
 from drslam.config import parse_config
 from drslam.evaluation import (
@@ -161,9 +161,9 @@ def test_criterion_04_hessian_linear_in_alpha():
 
         def hpp(alpha):
             problem = Problem(intrinsics=CAMERA)
-            problem.add_poses(0, a)
-            problem.add_poses(1, b)
-            problem.add_dr_edges(0, 1, [delta], alpha * w0)
+            problem.add_poses(0, *pose_columns(a))
+            problem.add_poses(1, *pose_columns(b))
+            problem.add_dr_edges(0, 1, *pose_columns([delta]), alpha * w0)
             return build_normal_equations(problem)[0].Hpp
 
         a1, a2 = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(2, 3)

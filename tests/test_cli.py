@@ -1,19 +1,23 @@
+import contextlib
 import dataclasses
 import math
 import os
 import tempfile
+import types
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import drslam.cli
 import drslam.config
+import drslam.evaluation
 import drslam.fileio
 import drslam.pipeline
 import drslam.simulator
 from drslam.cli import BLAS_THREAD_ENV, _sweep_pool, main
 from drslam.config import SCHEMA, RunConfig, parse_config
-from drslam.errors import ConfigError, Diverged, FormatError
+from drslam.errors import ConfigError, Diverged, FormatError, SingularSystem
 from drslam.fileio import read_tum
 from drslam.pipeline import MODES, SOLVE_COUNTS, PipelineParams
 from drslam.simulator import Dropout, read_sequence
@@ -345,6 +349,36 @@ def test_sweep_csv_shape(tmp_path):
     lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert lines[0] == "log_alpha,repeat,rmse,median"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_sweep_counts_its_nan_cells_by_error_type(tmp_path, monkeypatch, capsys):
+    # the cells at alpha 10 diverge and those at alpha 100 meet a singular
+    # system; the pool is the serial map, so that the patched run is the one
+    # the cells take. sweep.csv keeps its layout and the summary line counts
+    # the NaN cells, per error type
+    cfg = write_world(tmp_path / "w.cfg")
+    seq_dir = str(tmp_path / "seq")
+    main(["simulate", "--config", cfg, "--out", seq_dir])
+    run_pipeline = drslam.evaluation.run_pipeline
+
+    def failing(sequence, params, mode):
+        if params.fixed_alpha > 1.0:
+            raise (Diverged if params.fixed_alpha == 10.0 else SingularSystem)("forced failure")
+        return run_pipeline(sequence, params, mode)
+
+    monkeypatch.setattr(drslam.evaluation, "run_pipeline", failing)
+    monkeypatch.setattr(drslam.cli, "_sweep_pool",
+                        lambda jobs: contextlib.nullcontext(types.SimpleNamespace(map=map)))
+    out = str(tmp_path / "sweep")
+    capsys.readouterr()
+    assert main(["sweep", "--seq", seq_dir, "--alphas=0,1,2", "--repeats", "2",
+                 "--out", out, "--config", cfg]) == 0
+    assert capsys.readouterr().out == (f"sweep over 3 weights x 2 repeats, 4 NaN cells, "
+                                       f"2 Diverged, 2 SingularSystem -> {out}\n")
+    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    assert lines[0] == "log_alpha,repeat,rmse,median" and len(lines) == 1 + 3 * 2
+    rmse = [line.split(",")[2] for line in lines[1:]]      # rows by alpha, then repeat
+    assert "nan" not in rmse[:2] and rmse[2:] == ["nan"] * 4
 
 
 def test_repeat_csv_shape(tmp_path):

@@ -273,8 +273,8 @@ def test_sweep_repeat_nan_row_only_for_package_errors(monkeypatch):
 
     monkeypatch.setattr(evaluation, "run_pipeline", fail_at_alpha_100)
     rows = sweep_repeat(seq, [0.0, 2.0], 0, PipelineParams())
-    assert np.isfinite(rows[0].rmse)
-    assert np.isnan(rows[1].rmse)
+    assert np.isfinite(rows[0].rmse) and rows[0].error == ""
+    assert np.isnan(rows[1].rmse) and rows[1].error == "Diverged"
     # a defect outside the package's error types is not turned into a NaN cell
     failure = RuntimeError("bug")
     with pytest.raises(RuntimeError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (CAMERA, dr_edge, edge_jacobians, edge_residual, edge_residuals,
-                      random_pose, to_jacobian_at_minus_r)
+                      pose_columns, random_pose, to_jacobian_at_minus_r)
 from drslam import factors, geometry, optimizer
 from drslam.factors import (
     dr_jacobians,
@@ -176,8 +176,8 @@ def disjoint_edges_problem(edges, fixed, precisions):
     problem = Problem(intrinsics=CAMERA)
     for e, ((pose_from, pose_to, delta), sides, precision) in enumerate(
             zip(edges, fixed, precisions)):
-        problem.add_poses([2 * e, 2 * e + 1], [pose_from, pose_to], list(sides))
-        problem.add_dr_edges(2 * e, 2 * e + 1, [delta], precision)
+        problem.add_poses([2 * e, 2 * e + 1], *pose_columns([pose_from, pose_to]), list(sides))
+        problem.add_dr_edges(2 * e, 2 * e + 1, *pose_columns([delta]), precision)
     return problem
 
 

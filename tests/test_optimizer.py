@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (CAMERA, build_normal_equations, dense_coupling, dense_solve, dense_system,
                       dr_edge, edge_jacobians, edge_residual, edge_residuals, landmark_position,
-                      make_ba_problem, motion_only_args, problem_pose, random_pose, set_fixed,
-                      set_problem_pose)
+                      make_ba_problem, motion_only_args, pose_columns, problem_pose, random_pose,
+                      set_fixed, set_problem_pose)
 from drslam.errors import Diverged, NoConstraints, NotPositiveDefinite, SingularSystem
 from drslam.factors import (
     HUBER_PIXEL_SCALE,
@@ -58,14 +58,14 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
     gt = compose(prev, delta)
 
     problem = Problem(intrinsics=CAMERA, pixel_std=max(pixel_noise, 1.0))
-    problem.add_poses(0, prev, fixed=True)
+    problem.add_poses(0, *pose_columns(prev), fixed=True)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     perturb = np.concatenate([
         rng.normal(size=3) / math.sqrt(3) * perturb_t,
         axis * math.radians(perturb_r_deg),
     ])
-    problem.add_poses(1, compose(gt, exp_se3(perturb)), fixed=False)
+    problem.add_poses(1, *pose_columns(compose(gt, exp_se3(perturb))), fixed=False)
 
     for j in range(n_obs):
         u = rng.uniform(60, 580)
@@ -79,7 +79,7 @@ def make_motion_problem(rng, n_obs=50, pixel_noise=0.0, perturb_t=0.05,
             obs = obs + rng.normal(scale=pixel_noise, size=2)
         problem.add_observations(1, j, obs)
     if with_dr:
-        problem.add_dr_edges(0, 1, [delta], scale_information(dr_alpha, NOMINAL))
+        problem.add_dr_edges(0, 1, *pose_columns([delta]), scale_information(dr_alpha, NOMINAL))
     return problem, gt, prev, delta
 
 
@@ -167,7 +167,7 @@ def test_local_ba_zero_observation_keyframe_held_by_dr_chain(rng):
     problem.reprojection_factors = rows[rows["pose"] != 1]
     d01 = compose(inverse(gt_poses[0]), gt_poses[1])
     d12 = compose(inverse(gt_poses[1]), gt_poses[2])
-    problem.add_dr_edges([0, 1], [1, 2], [d01, d12], NOMINAL.precision())
+    problem.add_dr_edges([0, 1], [1, 2], *pose_columns([d01, d12]), NOMINAL.precision())
     set_problem_pose(problem, 1, compose(gt_poses[1], exp_se3(np.full(6, 0.01))))
     report = solve_local_ba(problem)
     assert report.final_cost <= report.initial_cost
@@ -210,7 +210,7 @@ def test_problem_rejects_rows_of_unknown_ids(rng, pose_id, landmark_id, unknown)
 @pytest.mark.parametrize("from_id, to_id", [(7, 1), (1, 7)])
 def test_problem_rejects_dr_edges_of_unknown_poses(rng, from_id, to_id):
     problem, _, _ = make_ba_problem(rng, n_poses=3, n_landmarks=10, with_dr_chain=True)
-    problem.add_dr_edges(from_id, to_id, [Pose.identity()], NOMINAL.precision())
+    problem.add_dr_edges(from_id, to_id, *pose_columns([Pose.identity()]), NOMINAL.precision())
     with pytest.raises(KeyError, match="DR edge references unknown pose 7"):
         problem.validate()
     with pytest.raises(KeyError, match="DR edge references unknown pose 7"):
@@ -241,9 +241,9 @@ def test_single_dr_factor_normal_equations_match_direct_product(rng):
     a, b = random_pose(rng), random_pose(rng)
     delta = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, a)
-    problem.add_poses(1, b)
-    problem.add_dr_edges(0, 1, [delta], np.ones(6))
+    problem.add_poses(0, *pose_columns(a))
+    problem.add_poses(1, *pose_columns(b))
+    problem.add_dr_edges(0, 1, *pose_columns([delta]), np.ones(6))
     neq, _ = build_normal_equations(problem)
     jf, jt = edge_jacobians(a, b, delta)
     j = np.hstack([jf, jt])
@@ -255,8 +255,8 @@ def test_reprojection_normal_equations_match_direct_product(rng):
     # are fixed, so every block has a known set of contributing factors
     pose0, pose1 = random_pose(rng, rot_scale=0.2), random_pose(rng, rot_scale=0.2)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, pose0, fixed=True)
-    problem.add_poses(1, pose1)
+    problem.add_poses(0, *pose_columns(pose0), fixed=True)
+    problem.add_poses(1, *pose_columns(pose1))
     lms = []
     for j in range(4):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 5)])
@@ -362,9 +362,9 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     # pose 0 sees the free landmark 7 exactly on its near plane, and pose 1's
     # rows interleave with the other poses' rows.
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, Pose.identity(), fixed=True)
+    problem.add_poses(0, *pose_columns(Pose.identity()), fixed=True)
     for i in (1, 2, 3):
-        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)))
+        problem.add_poses(i, *pose_columns(exp_se3(rng.normal(scale=0.05, size=6))))
     for j in range(6):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=j == 5)
@@ -387,7 +387,7 @@ def test_normal_equations_match_direct_product_with_repeated_factors(rng, near_p
     for a, c in ((0, 1), (1, 2), (1, 2), (2, 3), (3, 1)):
         delta = compose(compose(inverse(problem_pose(problem, a)), problem_pose(problem, c)),
                         exp_se3(rng.normal(scale=0.01, size=6)))
-        problem.add_dr_edges(a, c, [delta], scale_information(2.0, NOMINAL))
+        problem.add_dr_edges(a, c, *pose_columns([delta]), scale_information(2.0, NOMINAL))
     neq, _ = build_normal_equations(problem)
     h, b = direct_normal_equations(problem)
 
@@ -413,9 +413,9 @@ def test_dr_hessian_linear_in_alpha(rng):
 
     def hessians(alpha):
         problem = Problem(intrinsics=CAMERA)
-        problem.add_poses(0, a)
-        problem.add_poses(1, b)
-        problem.add_dr_edges(0, 1, [delta], alpha * w0)
+        problem.add_poses(0, *pose_columns(a))
+        problem.add_poses(1, *pose_columns(b))
+        problem.add_dr_edges(0, 1, *pose_columns([delta]), alpha * w0)
         neq, _ = build_normal_equations(problem)
         return neq.Hpp
 
@@ -434,9 +434,9 @@ def test_alpha_doubling_doubles_dr_contribution(rng):
 
     def hpp(alpha):
         problem = Problem(intrinsics=CAMERA)
-        problem.add_poses(0, a)
-        problem.add_poses(1, b)
-        problem.add_dr_edges(0, 1, [delta], scale_information(alpha, NOMINAL))
+        problem.add_poses(0, *pose_columns(a))
+        problem.add_poses(1, *pose_columns(b))
+        problem.add_dr_edges(0, 1, *pose_columns([delta]), scale_information(alpha, NOMINAL))
         return build_normal_equations(problem)[0].Hpp
 
     h1, h2 = hpp(1.0), hpp(2.0)
@@ -471,7 +471,8 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     rng = np.random.default_rng(seed)
     problem = Problem(intrinsics=CAMERA)
     for i in range(n_poses):
-        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i < n_fixed)
+        problem.add_poses(i, *pose_columns(exp_se3(rng.normal(scale=0.05, size=6))),
+                          fixed=i < n_fixed)
     for j in range(n_lms):
         lm = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(3, 5)])
         problem.add_landmarks(j, lm, fixed=rng.uniform() < 0.2)
@@ -482,7 +483,7 @@ def test_schur_matches_dense_on_random_sparsity(seed, n_poses, n_fixed, n_lms, d
     if with_dr:
         for i in range(n_poses - 1):
             delta = exp_se3(rng.normal(scale=0.05, size=6))
-            problem.add_dr_edges(i, i + 1, [delta], NOMINAL.precision())
+            problem.add_dr_edges(i, i + 1, *pose_columns([delta]), NOMINAL.precision())
     neq, _ = build_normal_equations(problem)
     step_s = schur_solve(neq, damping)
     step_d = dense_solve(neq, damping)
@@ -555,12 +556,13 @@ def test_interleaving_rows_of_different_poses_leaves_the_system_unchanged(rng, w
     def problem_of(rows):
         problem = Problem(intrinsics=CAMERA, pixel_std=0.5)
         for p, pose in enumerate(poses):
-            problem.add_poses(p, pose, fixed=p == 0)
+            problem.add_poses(p, *pose_columns(pose), fixed=p == 0)
         problem.add_landmarks(np.arange(18), positions, fixed=np.arange(18) == 5)
         for p, j, obs in rows:
             problem.add_observations(p, j, obs)
         if with_dr:
-            problem.add_dr_edges([0, 1, 2], [1, 2, 3], deltas, scale_information(2.0, NOMINAL))
+            problem.add_dr_edges([0, 1, 2], [1, 2, 3], *pose_columns(deltas),
+                                 scale_information(2.0, NOMINAL))
         return problem
 
     a, b = problem_of(grouped), problem_of(interleaved)
@@ -668,8 +670,9 @@ def test_rows_at_or_behind_the_near_plane_add_exact_zeros_to_the_ba_system(rng):
     # sees free landmarks 20-31, three of them at the near-plane depths
     problem, _, _ = make_ba_problem(rng, n_poses=4, n_landmarks=20, pixel_noise=1.0,
                                     pose_perturb=0.01, lm_perturb=0.02, with_dr_chain=True)
-    problem.add_poses(4, Pose.identity())
-    problem.add_dr_edges(3, 4, [inverse(problem_pose(problem, 3))], NOMINAL.precision())
+    problem.add_poses(4, *pose_columns(Pose.identity()))
+    problem.add_dr_edges(3, 4, *pose_columns(inverse(problem_pose(problem, 3))),
+                         NOMINAL.precision())
     _rows_at_near_plane_depths(rng, problem, 4, 20, fixed=False)
     neq, _ = build_normal_equations(problem)
     coupling = dense_coupling(neq)
@@ -686,9 +689,9 @@ def test_motion_only_rows_at_or_behind_the_near_plane_add_exact_zeros(rng):
     # and twelve matched points, three of them at the near-plane depths
     problem = Problem(intrinsics=CAMERA)
     prev = exp_se3(rng.normal(scale=0.1, size=6))
-    problem.add_poses([0, 1], [prev, Pose.identity()], fixed=[True, False])
-    problem.add_dr_edges(0, 1, [compose(inverse(prev), exp_se3(rng.normal(scale=0.02, size=6)))],
-                         NOMINAL.precision())
+    problem.add_poses([0, 1], *pose_columns([prev, Pose.identity()]), fixed=[True, False])
+    problem.add_dr_edges(0, 1, *pose_columns(
+        compose(inverse(prev), exp_se3(rng.normal(scale=0.02, size=6)))), NOMINAL.precision())
     _rows_at_near_plane_depths(rng, problem, 1, 0, fixed=True)
     args = motion_only_args(problem)
     lin = optimizer._PoseLinearizer(args["camera"], args["points"], args["uv"],
@@ -709,11 +712,11 @@ def test_dr_edges_without_active_rows_give_float_blocks_and_the_dense_step(rng, 
     # behind the near plane, so no reprojection row is active
     problem = Problem(intrinsics=CAMERA)
     for i in range(3):
-        problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i == 0)
+        problem.add_poses(i, *pose_columns(exp_se3(rng.normal(scale=0.05, size=6))), fixed=i == 0)
     for a in range(2):
         delta = compose(compose(inverse(problem_pose(problem, a)), problem_pose(problem, a + 1)),
                         exp_se3(rng.normal(scale=0.01, size=6)))
-        problem.add_dr_edges(a, a + 1, [delta], NOMINAL.precision())
+        problem.add_dr_edges(a, a + 1, *pose_columns([delta]), NOMINAL.precision())
     if rows == "behind":
         problem.add_landmarks(0, transform_point(problem_pose(problem, 1),
                                                  np.array([0.2, -0.1, -1.0])))
@@ -736,8 +739,8 @@ def test_dr_edges_without_active_rows_give_float_blocks_and_the_dense_step(rng, 
 
 def test_damped_singular_system_gives_finite_step():
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, Pose.identity(), fixed=True)
-    problem.add_poses(1, Pose.identity())
+    problem.add_poses(0, *pose_columns(Pose.identity()), fixed=True)
+    problem.add_poses(1, *pose_columns(Pose.identity()))
     # single observation: wildly underdetermined without damping
     problem.add_landmarks(0, np.array([0.0, 0.0, 3.0]))
     problem.add_observations(1, 0, np.array([322.0, 239.0]))
@@ -811,7 +814,7 @@ def test_tracking_system_is_one_pose_normal_equations_solved_by_schur(seed, n_ro
 def test_min_pose_eigenvalue_identity_and_scaled():
     neq, _ = build_normal_equations(Problem(intrinsics=CAMERA))
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, Pose.identity())
+    problem.add_poses(0, *pose_columns(Pose.identity()))
     neq, _ = build_normal_equations(problem)
     neq.Hpp[:] = np.eye(6)
     assert min_pose_eigenvalue(neq) == pytest.approx(1.0)
@@ -821,8 +824,8 @@ def test_min_pose_eigenvalue_identity_and_scaled():
 
 def test_min_pose_eigenvalue_matches_iterative_oracle(rng):
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, Pose.identity())
-    problem.add_poses(1, Pose.identity())
+    problem.add_poses(0, *pose_columns(Pose.identity()))
+    problem.add_poses(1, *pose_columns(Pose.identity()))
     neq, _ = build_normal_equations(problem)
     a = rng.normal(size=(12, 12))
     spd = a @ a.T + 12 * np.eye(12)
@@ -902,7 +905,7 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
     gt = compose(prev, delta)
     start = compose(gt, exp_se3(rng.normal(scale=0.05, size=6)))
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(1, start)
+    problem.add_poses(1, *pose_columns(start))
     # landmark ids out of match order: the Problem sorts them, the arrays do not
     for j in rng.permutation(1000)[:n_obs]:
         cam = np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 6.0)])
@@ -921,8 +924,9 @@ def test_motion_only_arrays_match_problem_solve(seed, n_obs, dr_edge, behind, ou
             set_problem_pose(problem, 1, compose(compose(prev, delta),
                                                  exp_se3(np.concatenate([np.zeros(3), phi]))))
             assert edge_residuals([prev], [problem_pose(problem, 1)], [delta])[1][0]
-        problem.add_poses(0, prev, fixed=True)
-        problem.add_dr_edges(0, 1, [delta], scale_information(10.0 ** log_alpha, NOMINAL))
+        problem.add_poses(0, *pose_columns(prev), fixed=True)
+        problem.add_dr_edges(0, 1, *pose_columns(delta),
+                             scale_information(10.0 ** log_alpha, NOMINAL))
     args = motion_only_args(problem)
     arrays = _outcome(lambda: solve_motion_only(**args))
     if n_obs == 0 and dr_edge == "none":
@@ -984,9 +988,9 @@ def test_dr_precision_not_finite_and_positive_raises(solver, bad):
     precision = NOMINAL.precision()
     precision[4] = bad
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, previous, fixed=True)
-    problem.add_poses(1, compose(previous, delta))
-    problem.add_dr_edges(0, 1, [delta], precision)
+    problem.add_poses(0, *pose_columns(previous), fixed=True)
+    problem.add_poses(1, *pose_columns(compose(previous, delta)))
+    problem.add_dr_edges(0, 1, *pose_columns([delta]), precision)
     with pytest.raises(NotPositiveDefinite):
         if solver == "solve":
             solve(problem)
@@ -1025,7 +1029,7 @@ def test_dr_blocks_follow_the_visual_ones_from_sides_before_to_sides(rng):
     positions = np.column_stack([rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12),
                                  rng.uniform(3, 5, 12)])
     problem = Problem(intrinsics=CAMERA, pixel_std=0.5)
-    problem.add_poses([0, 1, 2], poses)
+    problem.add_poses([0, 1, 2], *pose_columns(poses))
     problem.add_landmarks(np.arange(12), positions, fixed=True)
     for p, pose in enumerate(poses):
         uv = [project(CAMERA, transform_point(inverse(pose), x)) + rng.normal(scale=1.5, size=2)
@@ -1035,7 +1039,7 @@ def test_dr_blocks_follow_the_visual_ones_from_sides_before_to_sides(rng):
     deltas = [compose(compose(inverse(poses[a]), poses[a + 1]),
                       exp_se3(rng.normal(scale=0.01, size=6))) for a in range(2)]
     precision = scale_information(2.0, NOMINAL)
-    problem.add_dr_edges([0, 1], [1, 2], deltas, precision)
+    problem.add_dr_edges([0, 1], [1, 2], *pose_columns(deltas), precision)
     neq = build_normal_equations(problem)[0]
 
     # whitened Jacobians and residuals, from sides in edge order then to
@@ -1082,7 +1086,7 @@ def test_dr_edge_near_pi_stays_in_the_cost_and_adds_nothing_to_the_system(rng, l
     visual = motion_only_args(problem)
     turned = compose(delta, exp_se3(np.array([0.1, 0.0, 0.0, 0.0, 0.0, np.pi - 1e-8])))
     assert edge_residuals([prev], [problem_pose(problem, 1)], [turned])[1][0]
-    problem.add_dr_edges(0, 1, [turned], NOMINAL.precision())
+    problem.add_dr_edges(0, 1, *pose_columns([turned]), NOMINAL.precision())
     if level == "motion_only":
         pose = visual["pose"]
         point = (pose.q.tolist(), pose.t.tolist(), pose.rotation_matrix)
@@ -1322,7 +1326,8 @@ def test_report_telemetry_matches_for_both_linearizers(monkeypatch):
     rng = np.random.default_rng(2)
     gt = random_pose(rng, rot_scale=0.3)
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(1, compose(gt, exp_se3(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2]))))
+    problem.add_poses(1, *pose_columns(
+        compose(gt, exp_se3(np.array([-0.2, -0.05, -0.5, 0.25, 0.08, -0.2])))))
     for j in range(12):
         cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5)])
         problem.add_landmarks(j, transform_point(gt, cam), fixed=True)
@@ -1365,7 +1370,9 @@ def test_problem_keeps_variables_in_ascending_id_and_rejects_an_id_given_twice(r
     problem = Problem(intrinsics=CAMERA)
     if kind == "poses":
         values = [random_pose(rng) for _ in range(4)]
-        add = problem.add_poses
+
+        def add(ids, poses, fixed=False):
+            problem.add_poses(ids, *pose_columns(poses), fixed)
     else:
         values = list(rng.normal(size=(4, 3)))
         add = problem.add_landmarks
@@ -1486,9 +1493,10 @@ def _plan_problem(rng, case):
     if case == "no_rows":
         problem = Problem(intrinsics=CAMERA)
         for i in range(3):
-            problem.add_poses(i, exp_se3(rng.normal(scale=0.05, size=6)), fixed=i == 0)
+            problem.add_poses(i, *pose_columns(exp_se3(rng.normal(scale=0.05, size=6))),
+                              fixed=i == 0)
         for a in range(2):
-            problem.add_dr_edges(a, a + 1, [exp_se3(rng.normal(scale=0.05, size=6))],
+            problem.add_dr_edges(a, a + 1, *pose_columns([exp_se3(rng.normal(scale=0.05, size=6))]),
                                  NOMINAL.precision())
         problem.add_landmarks([0, 1], rng.normal(size=(2, 3)), fixed=[False, True])
         return problem
@@ -1563,8 +1571,8 @@ def test_closed_form_landmark_inverse_is_symmetric_and_matches_lapack(rng):
 
 def test_zero_landmark_block_at_zero_damping_raises_singular_system():
     problem = Problem(intrinsics=CAMERA)
-    problem.add_poses(0, Pose.identity(), fixed=True)
-    problem.add_poses(1, Pose.identity())
+    problem.add_poses(0, *pose_columns(Pose.identity()), fixed=True)
+    problem.add_poses(1, *pose_columns(Pose.identity()))
     problem.add_landmarks([0, 1], np.array([[0.0, 0.0, 3.0], [0.1, 0.0, 3.0]]))
     problem.add_observations(1, 0, np.array([322.0, 239.0]))
     neq, _ = build_normal_equations(problem)
@@ -1615,8 +1623,8 @@ def _chain_problem(rng, n_free=120, per_window=13):
     truth = [Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1 * i, 0.0, 0.0]))
              for i in range(n)]
     problem = Problem(intrinsics=CAMERA, pixel_std=1.0)
-    problem.add_poses(np.arange(n), [truth[0]] + [
-        compose(pose, exp_se3(rng.normal(scale=1e-3, size=6))) for pose in truth[1:]],
+    problem.add_poses(np.arange(n), *pose_columns([truth[0]] + [
+        compose(pose, exp_se3(rng.normal(scale=1e-3, size=6))) for pose in truth[1:]]),
         fixed=np.arange(n) == 0)
     n_windows = n - 2
     positions = np.column_stack([
@@ -1633,7 +1641,7 @@ def _chain_problem(rng, n_free=120, per_window=13):
                        for p, x in zip(poses, positions)])
         problem.add_observations(poses, lms, uv + rng.normal(scale=0.5, size=uv.shape))
     problem.add_dr_edges(np.arange(n - 1), np.arange(1, n),
-                         [compose(inverse(a), b) for a, b in zip(truth, truth[1:])],
+                         *pose_columns([compose(inverse(a), b) for a, b in zip(truth, truth[1:])]),
                          NOMINAL.precision())
     return problem
 

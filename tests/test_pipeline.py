@@ -17,7 +17,10 @@ from drslam.errors import Diverged, FormatError
 from drslam.evaluation import concatenate_loops, slice_sequence
 from drslam.geometry import CameraIntrinsics, Pose, Z_MIN, compose, exp_se3, inverse, log_se3
 from drslam.pipeline import (
+    DR_EDGE_KIND,
     K_MAX,
+    KEYFRAME_ROW,
+    LOOP_EDGE_KIND,
     LOOP_COOLDOWN,
     LOOP_GAP_MIN,
     LOST_FRAMES,
@@ -25,8 +28,8 @@ from drslam.pipeline import (
     MODES,
     MOTION_SOLVER,
     SOLVE_COUNTS,
+    POSE_EDGE,
     Frame,
-    KeyFrame,
     Pipeline,
     PipelineParams,
     PointTable,
@@ -65,6 +68,26 @@ def observed(slam_map, k):
 
 def observed_ids(slam_map, k):
     return [j for j, _, _ in observed(slam_map, k)]
+
+
+def keyframe_ids(slam_map):
+    return slam_map.keyframes["id"].tolist()
+
+
+def keyframe_pose(slam_map, k):
+    (row,) = slam_map.keyframes[slam_map.keyframes["id"] == k]
+    return Pose(row["q"], row["t"])
+
+
+def keyframe_rows(*rows):
+    """A KEYFRAME_ROW table of (id, frame, pose, n_trk) rows, each at time
+    frame / 30 s, of quality 1 and with no local BA weight."""
+    return np.array([(k, frame, frame / 30.0, pose.q, pose.t, n_trk, 1.0, math.nan)
+                     for k, frame, pose, n_trk in rows], KEYFRAME_ROW)
+
+
+def edges_of(slam_map, kind):
+    return slam_map.edges[slam_map.edges["kind"] == kind]
 
 
 def straight_sequence(n_frames=120, seed=0, **kw):
@@ -319,13 +342,13 @@ def test_keyframe_observes_matches_then_new_points_in_detection_order(monkeypatc
 
     def recorded(self, frame, record, matches):
         before = set(self.slam_map.points.ids.tolist())
-        kf = insert(self, frame, record, matches)
+        insert(self, frame, record, matches)
+        kf = keyframe_ids(self.slam_map)[-1]      # the new keyframe, last in the map
         points = self.slam_map.points
         assert np.all(np.diff(points.ids) > 0)
         created = [j for j in points.ids.tolist() if j not in before]
-        assert points.created_kf[np.isin(points.ids, created)].tolist() == [kf.id] * len(created)
-        seen.append((before, created, record, matches, observed(self.slam_map, kf.id)))
-        return kf
+        assert points.created_kf[np.isin(points.ids, created)].tolist() == [kf] * len(created)
+        seen.append((before, created, record, matches, observed(self.slam_map, kf)))
 
     monkeypatch.setattr(Pipeline, "_insert_keyframe", recorded)
     pipe = Pipeline(PARAMS, seq.camera, seq.world, "adaptive")
@@ -398,7 +421,7 @@ def behind_observations(slam_map):
     behind Z_MIN in the keyframe, by the per-point depth oracle."""
     table, points = slam_map.observations, slam_map.points
     return [(k, j) for k, j in zip(table["pose"].tolist(), table["landmark"].tolist())
-            if true_depth(points.positions[points.rows(j)], slam_map.keyframes[k].pose) <= Z_MIN]
+            if true_depth(points.positions[points.rows(j)], keyframe_pose(slam_map, k)) <= Z_MIN]
 
 
 def test_ba_drops_the_observations_it_leaves_behind_their_keyframe():
@@ -422,10 +445,9 @@ def test_apply_ba_drops_and_counts_each_observation_behind_its_keyframe():
     # observations of points 3 and 5 go
     pipe = Pipeline(PARAMS, DEFAULT_CAMERA)
     m = pipe.slam_map
-    for k, z in ((0, -2.0), (1, 0.0)):
-        m.keyframes[k] = KeyFrame(k, 10 * k, k / 3.0, Pose(np.array([1.0, 0, 0, 0]),
-                                                          np.array([0.0, 0.0, z])),
-                                  n_trk=0, quality=1.0)
+    down_z = np.array([1.0, 0, 0, 0])
+    m.keyframes = keyframe_rows((0, 0, Pose(down_z, np.array([0.0, 0.0, -2.0])), 0),
+                                (1, 10, Pose(down_z, np.zeros(3)), 0))
     m.points = PointTable(np.array([3, 4, 5, 8]),
                           np.array([[0.0, 0.0, Z_MIN], [0.0, 0.0, np.nextafter(Z_MIN, 1.0)],
                                     [0.1, 0.0, -1.0], [0.5, 0.2, 5.0]]),
@@ -434,7 +456,8 @@ def test_apply_ba_drops_and_counts_each_observation_behind_its_keyframe():
     m.observations = reprojection_rows([k for k, _ in pairs], [j for _, j in pairs],
                                        np.arange(16.0).reshape(8, 2))
     before = row_tuples(m.observations)
-    problem = pipe._ba_problem(np.array([0, 1]), np.array([True, False]), m.points.ids, True, [])
+    problem = pipe._ba_problem(np.array([0, 1]), np.array([True, False]), m.points.ids, True,
+                               m.edges)
     assert len(problem.reprojection_factors) == 8
     pipe._apply_ba(problem)
     assert pipe.counts["behind_dropped"] == 2
@@ -442,12 +465,12 @@ def test_apply_ba_drops_and_counts_each_observation_behind_its_keyframe():
     assert behind_observations(m) == []
     # a solve that leaves every point in front drops nothing
     pipe._apply_ba(pipe._ba_problem(np.array([0, 1]), np.array([True, False]), m.points.ids,
-                                    True, []))
+                                    True, m.edges))
     assert pipe.counts["behind_dropped"] == 2 and len(m.observations) == 6
 
 
 def test_decide_keyframe_rules():
-    last = KeyFrame(0, 0, 0.0, Pose.identity(), n_trk=60, quality=1.0)
+    (last,) = keyframe_rows((0, 0, Pose.identity(), 60))
     below = make_frame(fid=5, n_trk=40)
     assert not decide_keyframe(below, last)
     gap = make_frame(fid=K_MAX, n_trk=40)
@@ -471,7 +494,7 @@ def test_pipeline_first_and_second_keyframe_covisibility():
         pipe.process(rec)
     m = pipe.slam_map
     assert len(m.keyframes) >= 2
-    covisible = {k: covisibility(m, k) for k in m.keyframes}
+    covisible = {k: covisibility(m, k) for k in keyframe_ids(m)}
     assert covisible[0] != {}
     for a, edges in covisible.items():
         assert a not in edges
@@ -492,7 +515,7 @@ def test_covisibility_counted_at_once_equals_one_keyframe_at_a_time(scenario):
     config = parse_config(resolve_config_path(scenario))
     m = run_pipeline(simulate_sequence(config.world_config()), config.pipeline_params(),
                      "adaptive").slam_map
-    kf_ids = sorted(m.keyframes)
+    kf_ids = keyframe_ids(m)
     together = m.shared_counts(kf_ids)
     table = m.observations
     for k, counts, best in zip(kf_ids, together, m.connection_counts(kf_ids)):
@@ -528,12 +551,13 @@ def test_every_mode_takes_its_frames_through_one_path(blackout_runs, mode):
     res = runs[mode]
     assert list(res.counts) == list(SOLVE_COUNTS)
     first, kf0 = res.frames[0], res.slam_map.keyframes[0]
+    assert kf0["id"] == 0
     # the first frame: tracked at its odometry pose, no solve, keyframe 0,
     # which observes points in every mode that maps
     assert first.tracked_ok and math.isnan(first.alpha)
     assert pose_bytes(first.pose) == pose_bytes(seq.records[first.id].odom_pose)
     assert first.solver_iterations == 0 and first.n_cand == 0
-    assert kf0.frame_id == 0 and kf0.dr_to_prev is None
+    assert kf0["frame"] == 0 and 0 not in res.slam_map.edges["to"]
     assert bool(observed(res.slam_map, 0)) == (mode != "dr-only")
     alphas = [f.alpha for f in res.frames[1:]]
     if mode == "dr-only":
@@ -557,7 +581,7 @@ def test_every_mode_takes_its_frames_through_one_path(blackout_runs, mode):
         cv = compose(prev.pose, compose(inverse(before.pose), prev.pose))
         assert pose_bytes(f.pose) == pose_bytes(cv)
         assert f.solver_iterations == 0 and f.stats.n_trk == 0
-    assert max(kf.frame_id for kf in res.slam_map.keyframes.values()) < lost
+    assert res.slam_map.keyframes["frame"].max() < lost
 
 
 def test_textureless_frames_adaptive_follows_dr_prediction():
@@ -592,12 +616,13 @@ def test_zero_observation_keyframe_gets_dr_edge():
     seq = straight_sequence(n_frames=80, dropouts=[Dropout(20, 60, 0)])
     res = run_pipeline(seq, PARAMS, "adaptive")
     m = res.slam_map
-    empty_kfs = [k for k in m.keyframes if not observed(m, k) and k > 0]
+    empty_kfs = [k for k in keyframe_ids(m) if not observed(m, k) and k > 0]
     assert empty_kfs, "blackout should create zero-observation keyframes"
     k = empty_kfs[0]
     assert m.connection_counts([k])[0] == 0
     # keyframe quality 0 puts the raw weight at the alpha_max branch
-    assert m.keyframes[k].dr_alpha > 0.5 * PARAMS.bounds.alpha_max
+    (weight,) = edges_of(m, DR_EDGE_KIND)["weight"][edges_of(m, DR_EDGE_KIND)["to"] == k]
+    assert weight > 0.5 * PARAMS.bounds.alpha_max
 
 
 def test_a_segment_starts_at_its_odometry_pose():
@@ -624,8 +649,8 @@ def test_tracking_and_mapping_read_no_true_pose_of_a_frame_that_is_no_keyframe()
     seq = simulate_sequence(config.world_config())
     params = config.pipeline_params()
     res = run_pipeline(seq, params, "adaptive")
-    assert res.slam_map.loop_edges
-    keyframe_frames = {kf.frame_id for kf in res.slam_map.keyframes.values()}
+    assert len(edges_of(res.slam_map, LOOP_EDGE_KIND))
+    keyframe_frames = set(res.slam_map.keyframes["frame"].tolist())
     seq.records = [r if r.frame_id in keyframe_frames else
                    replace(r, gt_pose=Pose(r.gt_pose.q, r.gt_pose.t + 100.0))
                    for r in seq.records]
@@ -641,7 +666,7 @@ def test_loop_oracle_never_fires_on_straight_line():
     seq = straight_sequence(n_frames=120)
     res = run_pipeline(seq, PARAMS, "adaptive")
     assert res.gba_events == []
-    assert res.slam_map.loop_edges == []
+    assert len(edges_of(res.slam_map, LOOP_EDGE_KIND)) == 0
 
 
 def closed_loop_sequence(seed=0, laps=1):
@@ -660,10 +685,11 @@ def test_loop_oracle_fires_on_closed_rectangle():
     assert len(res.gba_events) >= 1
     ev = res.gba_events[0]
     assert ev.kf_to - ev.kf_from >= LOOP_GAP_MIN
-    a, b, rel, scale = res.slam_map.loop_edges[0]
-    gt_a = seq.records[res.slam_map.keyframes[a].frame_id].gt_pose
-    gt_b = seq.records[res.slam_map.keyframes[b].frame_id].gt_pose
-    assert np.allclose(rel.matrix(), compose(inverse(gt_a), gt_b).matrix(), atol=1e-12)
+    edge = edges_of(res.slam_map, LOOP_EDGE_KIND)[0]
+    frames = res.slam_map.keyframes["frame"]
+    gt_a, gt_b = (seq.records[frames[k]].gt_pose for k in (edge["from"], edge["to"]))
+    assert np.allclose(Pose(edge["q"], edge["t"]).matrix(), compose(inverse(gt_a), gt_b).matrix(),
+                       atol=1e-12)
 
 
 def test_ba_problems_answer_the_traced_sizes(monkeypatch):
@@ -698,7 +724,7 @@ def test_ba_problems_answer_the_traced_sizes(monkeypatch):
     assert pipe.gba_events, "no loop closure"
     assert len(sizes["local"]) >= 10 and len(sizes["global"]) == 1
     assert sizes["global"][0][0] == len(pipe.slam_map.keyframes)
-    assert sizes["global"][0][3] >= len(pipe.slam_map.loop_edges) == 1
+    assert sizes["global"][0][3] >= len(edges_of(pipe.slam_map, LOOP_EDGE_KIND)) == 1
     for n_poses, n_landmarks, n_rows, _, seen in sizes["local"] + sizes["global"]:
         assert n_poses >= 2 and n_landmarks > 0
         assert n_rows == seen
@@ -707,7 +733,7 @@ def test_ba_problems_answer_the_traced_sizes(monkeypatch):
 def observer_walk(slam_map):
     """Point id -> the keyframes whose observations hold it, one keyframe at a time."""
     observers = {}
-    for k in sorted(slam_map.keyframes):
+    for k in keyframe_ids(slam_map):
         for j in observed_ids(slam_map, k):
             observers.setdefault(j, set()).add(k)
     return observers
@@ -743,18 +769,19 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         # walked counts of earlier pairs are those of their own insertions
         counts["insertions"] += 1
         observers = observer_walk(self.slam_map)
-        for k in self.slam_map.keyframes:
-            shared = len(set(ids_of(k)) & set(ids_of(new_kf.id)))
-            if k != new_kf.id and shared:
-                walked.setdefault(k, {})[new_kf.id] = shared
-                walked.setdefault(new_kf.id, {})[k] = shared
-        for k in self.slam_map.keyframes:
+        before = keyframe_ids(self.slam_map)
+        assert before[-1] == new_kf
+        for k in before:
+            shared = len(set(ids_of(k)) & set(ids_of(new_kf)))
+            if k != new_kf and shared:
+                walked.setdefault(k, {})[new_kf] = shared
+                walked.setdefault(new_kf, {})[k] = shared
+        for k in before:
             assert covisibility(self.slam_map, k) == walked.get(k, {})
             assert self.slam_map.connection_counts([k])[0] == max(walked.get(k, {0: 0}).values())
-        by_count = sorted(walked.get(new_kf.id, {}).items(), key=lambda e: (-e[1], e[0]))
-        window = {new_kf.id} | {k for k, _ in by_count[:MAX_LOCAL_KEYFRAMES]} | {
-            k for k in range(new_kf.id - p.smoothing_halfwidth, new_kf.id)
-            if k in self.slam_map.keyframes}
+        by_count = sorted(walked.get(new_kf, {}).items(), key=lambda e: (-e[1], e[0]))
+        window = {new_kf} | {k for k, _ in by_count[:MAX_LOCAL_KEYFRAMES]} | set(
+            before[max(0, len(before) - 1 - p.smoothing_halfwidth):-1])
         points = {j for k in window for j in ids_of(k) if len(observers[j]) >= 2}
         votes = {}
         for j in points:
@@ -788,8 +815,9 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         points = self.slam_map.points
         doomed = {j for j, created in zip(points.ids.tolist(), points.created_kf.tolist())
                   if len(observers[j]) < 2 and current_kf - created >= 2}
-        before = {k: observed(self.slam_map, k) for k in self.slam_map.keyframes}
-        shared = {k: self.slam_map.shared_counts([k])[0].tolist() for k in self.slam_map.keyframes}
+        before = {k: observed(self.slam_map, k) for k in keyframe_ids(self.slam_map)}
+        shared = {k: self.slam_map.shared_counts([k])[0].tolist()
+                  for k in keyframe_ids(self.slam_map)}
         kept = [(j, x.tobytes(), c) for j, x, c in
                 zip(points.ids.tolist(), points.positions, points.created_kf.tolist())
                 if j not in doomed]
@@ -797,7 +825,7 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         points = self.slam_map.points
         assert list(zip(points.ids.tolist(), (x.tobytes() for x in points.positions),
                         points.created_kf.tolist())) == kept
-        for k in self.slam_map.keyframes:
+        for k in keyframe_ids(self.slam_map):
             assert observed(self.slam_map, k) == [o for o in before[k] if o[0] not in doomed]
             assert self.slam_map.shared_counts([k])[0].tolist() == shared[k]
         assert np.all(np.diff(self.slam_map.observations["pose"]) >= 0)
@@ -808,10 +836,10 @@ def test_keyframe_point_relation_matches_observer_walk(monkeypatch):
         live = [j for j in pipe.slam_map.points.ids.tolist() if len(observers[j]) >= 2]
         assert problem.landmarks["id"].tolist() == live
         assert row_tuples(problem.reprojection_factors) == [
-            (k, j, u, v) for k in sorted(pipe.slam_map.keyframes)
+            (k, j, u, v) for k in keyframe_ids(pipe.slam_map)
             for j, u, v in observed(pipe.slam_map, k) if len(observers[j]) >= 2]
         edges = problem.dr_factors
-        assert len(edges) == len(weighted) + len(pipe.slam_map.loop_edges)
+        assert len(edges) == len(weighted) + len(edges_of(pipe.slam_map, LOOP_EDGE_KIND))
         assert [(a, b, precision.tobytes()) for a, b, precision in zip(
             edges["from"].tolist(), edges["to"].tolist(), edges["precision"])][:len(weighted)] == \
             [weighted[b] for b in sorted(weighted)]
@@ -842,7 +870,7 @@ def test_failed_global_ba_rolls_back_loop_edge_and_arms_cooldown(monkeypatch):
     monkeypatch.setattr("drslam.pipeline.solve_global_ba", diverging)
     res = run_pipeline(closed_loop_sequence(), PARAMS, "adaptive")
     assert attempts, "no loop closure was attempted"
-    assert res.slam_map.loop_edges == []
+    assert len(edges_of(res.slam_map, LOOP_EDGE_KIND)) == 0
     assert res.gba_events == []
     assert res.counts["gba_failed"] == len(attempts)
     assert all(b - a >= LOOP_COOLDOWN for a, b in zip(attempts, attempts[1:]))
@@ -926,7 +954,8 @@ def test_map_round_trip_empty(tmp_path):
     path = tmp_path / "empty.gwmap"
     save_map(m, path)
     back = load_map(path)
-    assert back.keyframes == {} and len(back.points.ids) == 0
+    assert len(back.keyframes) == len(back.edges) == len(back.points.ids) == 0
+    assert_maps_equal(m, back)
 
 
 def pose_bytes(pose):
@@ -938,22 +967,14 @@ def same_float(x: float, y: float) -> bool:
 
 
 def assert_maps_equal(a: SlamMap, b: SlamMap):
-    """Every field of every keyframe, point and edge, bit for bit."""
-    assert sorted(a.keyframes) == sorted(b.keyframes)
-    for k in a.keyframes:
-        ka, kb = a.keyframes[k], b.keyframes[k]
-        assert (ka.id, ka.frame_id, ka.n_trk) == (kb.id, kb.frame_id, kb.n_trk)
-        assert ka.timestamp == kb.timestamp and ka.quality == kb.quality
-        assert same_float(ka.lba_alpha, kb.lba_alpha) and same_float(ka.dr_alpha, kb.dr_alpha)
-        for field in ("pose", "dr_to_prev"):
-            assert pose_bytes(getattr(ka, field)) == pose_bytes(getattr(kb, field)), field
-    oa, ob = a.observations, b.observations
-    assert (oa.dtype, oa.shape, oa.tobytes()) == (ob.dtype, ob.shape, ob.tobytes())
-    for column in ("ids", "positions", "created_kf"):
-        ca, cb = getattr(a.points, column), getattr(b.points, column)
-        assert (ca.dtype, ca.shape, ca.tobytes()) == (cb.dtype, cb.shape, cb.tobytes()), column
-    assert [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in a.loop_edges] == \
-        [(i, j, pose_bytes(rel), scale) for i, j, rel, scale in b.loop_edges]
+    """Every field of every keyframe, edge, point and observation, bit for bit."""
+    def columns(m):
+        return {"keyframes": m.keyframes, "edges": m.edges, "observations": m.observations,
+                "ids": m.points.ids, "positions": m.points.positions,
+                "created_kf": m.points.created_kf}
+    for name, ca in columns(a).items():
+        cb = columns(b)[name]
+        assert (ca.dtype, ca.shape, ca.tobytes()) == (cb.dtype, cb.shape, cb.tobytes()), name
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -967,23 +988,23 @@ def poses(draw):
 
 @st.composite
 def slam_maps(draw):
-    """Small maps: keyframes, each with or without a DR increment, and with a
-    DR weight only with one, with drawn observations of the points, each of a
-    point at most once, points, and loop edges, each of its own keyframe pair."""
+    """Small maps: keyframes, with drawn observations of the points, each of
+    a point at most once, points, and edges, each of its own keyframe pair
+    and kind, a DR edge's weight NaN or not."""
     m = SlamMap()
     kf_ids = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     point_ids = draw(st.sets(st.integers(0, 12), max_size=8))
+    keyframes = []
     for k in kf_ids:
         rows = draw(st.lists(st.tuples(st.sampled_from(sorted(point_ids)), finite, finite),
                              max_size=4, unique_by=lambda row: row[0])) if point_ids else []
         m.observations = np.concatenate([m.observations, reprojection_rows(
             k, [j for j, _, _ in rows], [(u, v) for _, u, v in rows])])
-        dr_to_prev = draw(st.none() | poses())
-        m.keyframes[k] = KeyFrame(
-            k, draw(st.integers(0, 10 ** 6)), draw(finite), draw(poses()),
-            n_trk=draw(st.integers(0, 1000)), quality=draw(finite),
-            lba_alpha=draw(st.just(float("nan")) | finite), dr_to_prev=dr_to_prev,
-            dr_alpha=float("nan") if dr_to_prev is None else draw(st.just(float("nan")) | finite))
+        pose = draw(poses())
+        keyframes.append((k, draw(st.integers(0, 10 ** 6)), draw(finite), pose.q, pose.t,
+                          draw(st.integers(0, 1000)), draw(finite),
+                          draw(st.just(float("nan")) | finite)))
+    m.keyframes = np.array(keyframes, KEYFRAME_ROW)
     positions, created = [], []
     for _ in sorted(point_ids):
         positions.append([draw(finite) for _ in range(3)])
@@ -993,8 +1014,14 @@ def slam_maps(draw):
                           np.array(created, dtype=np.int64))
     if len(kf_ids) >= 2:
         pairs = st.lists(st.sampled_from(kf_ids), min_size=2, max_size=2, unique=True)
-        for a, b in draw(st.lists(pairs, max_size=2, unique_by=tuple)):
-            m.loop_edges.append((a, b, draw(poses()), draw(finite)))
+        kinds = st.sampled_from([DR_EDGE_KIND, LOOP_EDGE_KIND])
+        edges = []
+        for a, b, kind in draw(st.lists(st.tuples(pairs, kinds).map(lambda e: (*e[0], e[1])),
+                                        max_size=4, unique=True)):
+            delta = draw(poses())
+            weight = draw((st.just(float("nan")) | finite) if kind == DR_EDGE_KIND else finite)
+            edges.append((a, b, kind, delta.q, delta.t, weight))
+        m.edges = np.array(edges, POSE_EDGE)
     return m
 
 
@@ -1053,24 +1080,25 @@ def saved_map_lines(tmp_path):
     return (tmp_path / "run.gwmap").read_text().splitlines()
 
 
-LOOP_EDGE = "0 5 100 0 0 0 0 0 0 1"
+LOOP_EDGE = "0 5 1 0 0 0 0 0 0 1 100"
 
 
 @pytest.mark.parametrize("section, edit, message", [
     ("[keyframes]", None, r"duplicate \[keyframes\] entry 0"),
-    ("[keyframe_dr]", None, r"duplicate \[keyframe_dr\] entry 1"),
+    ("[edges]", None, r"duplicate \[edges\] entry 0 1 0"),
     ("[observations]", None, r"duplicate \[observations\] entry 0 \d+"),
-    ("[loopedges]", LOOP_EDGE, r"duplicate \[loopedges\] entry 0 5")],
+    ("[edges]", LOOP_EDGE, r"duplicate \[edges\] entry 0 5 1")],
     ids=["keyframe", "keyframe_dr", "observation", "loopedge"])
 def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, edit, message):
     # the section's first data line given twice: the copy, at file line i + 2
     # for list index i of the original, is rejected; the straight run closes
-    # no loop, so its map is given one loop edge first
+    # no loop, so its map is given one loop edge first, ahead of the DR edges
     text = saved_map_lines(tmp_path)
     i = text.index(section) + 1
     if edit == LOOP_EDGE:
         text.insert(i, LOOP_EDGE)
-        assert load_map(write_lines(tmp_path / "loop.gwmap", text)).loop_edges[0][:2] == (0, 5)
+        loop = edges_of(load_map(write_lines(tmp_path / "loop.gwmap", text)), LOOP_EDGE_KIND)
+        assert (loop["from"].tolist(), loop["to"].tolist()) == ([0], [5])
     copy = text[i]
     with pytest.raises(FormatError, match=message) as error:
         load_map(write_lines(tmp_path / "twice.gwmap", text[:i + 1] + [copy] + text[i + 1:]))
@@ -1078,13 +1106,13 @@ def test_map_load_rejects_a_repeated_entry_on_its_line(tmp_path, section, edit, 
 
 
 @pytest.mark.parametrize("section, line, message", [
-    ("[keyframe_dr]", "99 nan 0 0 0 0 0 0 1", r"\[keyframe_dr\] entry names keyframe 99,"),
+    ("[edges]", "0 99 0 0 0 0 0 0 0 1 nan", r"\[edges\] entry names keyframe 99,"),
     ("[observations]", "99 0 1.5 2.5", r"\[observations\] entry names keyframe 99,"),
     ("[observations]", "0 1000000000 1.5 2.5",
      r"\[observations\] entry names point 1000000000, not in \[points\]"),
-    ("[loopedges]", "0 99 100 0 0 0 0 0 0 1",
-     r"\[loopedges\] entry names keyframe 99, not in \[keyframes\]"),
-    ("[loopedges]", "99 5 100 0 0 0 0 0 0 1", r"\[loopedges\] entry names keyframe 99,")],
+    ("[edges]", "0 99 1 0 0 0 0 0 0 1 100",
+     r"\[edges\] entry names keyframe 99, not in \[keyframes\]"),
+    ("[edges]", "99 5 1 0 0 0 0 0 0 1 100", r"\[edges\] entry names keyframe 99,")],
     ids=["dr_keyframe", "observation_keyframe", "observation_point", "loopedge_to",
          "loopedge_from"])
 def test_map_load_rejects_a_line_naming_an_id_the_map_lacks(tmp_path, section, line, message):
@@ -1097,9 +1125,20 @@ def test_map_load_rejects_a_line_naming_an_id_the_map_lacks(tmp_path, section, l
     assert error.value.line == i + 1
 
 
+def test_map_load_rejects_an_edge_of_unknown_kind(tmp_path):
+    # kinds 0 (DR) and 1 (loop) are read; the line, at list index i, is file line i + 1
+    text = saved_map_lines(tmp_path)
+    i = text.index("[edges]") + 1
+    line = text[i].split()
+    line[2] = "2"
+    with pytest.raises(FormatError, match="unknown edge kind 2") as error:
+        load_map(write_lines(tmp_path / "kind.gwmap", text[:i] + [" ".join(line)] + text[i + 1:]))
+    assert error.value.line == i + 1
+
+
 @pytest.mark.parametrize("section, fields, values", [
     ("[keyframes]", slice(6, 10), ["0", "0", "0", "0"]),
-    ("[keyframe_dr]", slice(2, 3), ["nan"])], ids=["zero-quaternion", "nan-translation"])
+    ("[edges]", slice(3, 4), ["nan"])], ids=["zero-quaternion", "nan-translation"])
 def test_map_load_rejects_a_pose_that_is_not_finite_or_has_a_zero_quaternion(
         tmp_path, section, fields, values):
     # the section's first data line, at list index i, is file line i + 1
@@ -1115,11 +1154,82 @@ def test_map_load_rejects_a_pose_that_is_not_finite_or_has_a_zero_quaternion(
 def test_map_load_rejects_a_version_1_map(tmp_path):
     # and a version 2 map, whose [keyframe_gt] section the map no longer has
     text = saved_map_lines(tmp_path)
-    assert text[0] == "GWMAP v3"
+    assert text[0] == "GWMAP v4"
     for magic in ("GWMAP v1", "GWMAP v2"):
         with pytest.raises(FormatError, match="bad map magic") as error:
             load_map(write_lines(tmp_path / "old.gwmap", [magic] + text[1:]))
         assert error.value.line == 1
+
+
+def test_map_load_rejects_a_version_3_map(tmp_path):
+    # a map as version 3 wrote it: DR edges on the keyframes, loop edges apart
+    v3 = ["GWMAP v3", "[keyframes]",
+          "0 0 0 0 0 0 0 0 0 1 nan 0 1", "1 15 0.5 0.1 0 0 0 0 0 1 nan 0 1",
+          "[keyframe_dr]", "1 nan 0.1 0 0 0 0 0 1", "[observations]", "[points]", "[loopedges]"]
+    with pytest.raises(FormatError, match="bad map magic: expected 'GWMAP v4'") as error:
+        load_map(write_lines(tmp_path / "v3.gwmap", v3))
+    assert error.value.line == 1
+
+
+def test_a_map_whose_dr_edges_skip_a_keyframe_keeps_them_through_save_and_local_ba(tmp_path,
+                                                                                  monkeypatch):
+    # a straight run into a blackout, whose last two keyframes (frames 70 and
+    # 75) see nothing, so that DR weights vary across the last keyframes;
+    # its map with the second-to-last keyframe culled, as keyframe culling
+    # will: its observations go, and its two DR edges become one over both
+    # increments. The map saves, loads and saves byte for byte. The last
+    # keyframe's local BA gets the same problem on the map, on its copy read
+    # back and, but for the ids, on the map with its keyframe ids made
+    # consecutive again: the keyframes before it in its window are the two
+    # before it in the map, and the edge over the gap is among its DR edges
+    # and joins the DR chain, for smoothing, as an edge between consecutive ids
+    m = run_pipeline(straight_sequence(n_frames=80, dropouts=[Dropout(70, 79, 0)]), PARAMS,
+                     "adaptive").slam_map
+    *_, before, culled, last = keyframe_ids(m)
+    dr = edges_of(m, DR_EDGE_KIND)
+    (into,), (out,) = (dr[dr["to"] == k] for k in (culled, last))
+    delta = compose(Pose(into["q"], into["t"]), Pose(out["q"], out["t"]))
+    m.edges = np.concatenate([m.edges[(m.edges["from"] != culled) & (m.edges["to"] != culled)],
+                              np.array([(before, last, DR_EDGE_KIND, delta.q, delta.t, math.nan)],
+                                       POSE_EDGE)])
+    m.keyframes = m.keyframes[m.keyframes["id"] != culled]
+    m.observations = m.observations[m.observations["pose"] != culled]
+    save_map(m, tmp_path / "culled.gwmap")
+    back = load_map(tmp_path / "culled.gwmap")
+    assert_maps_equal(m, back)
+    save_map(back, tmp_path / "again.gwmap")
+    assert (tmp_path / "again.gwmap").read_bytes() == (tmp_path / "culled.gwmap").read_bytes()
+
+    def relabel(columns, ids):
+        for table, column in columns:
+            table[column] = ids(table[column])
+
+    consecutive = load_map(tmp_path / "culled.gwmap")
+    relabel([(consecutive.keyframes, "id"), (consecutive.edges, "from"), (consecutive.edges, "to"),
+             (consecutive.observations, "pose"), (consecutive.points.created_kf, ...)],
+            lambda ids: np.where(ids > culled, ids - 1, ids))
+    problems = []
+    monkeypatch.setattr(drslam.pipeline, "solve_local_ba",
+                        lambda problem, config=None: problems.append(problem) or
+                        drslam.optimizer.solve_local_ba(problem, config))
+    for slam_map, kf in ((m, last), (back, last), (consecutive, last - 1)):
+        pipe = Pipeline(PARAMS, DEFAULT_CAMERA, mode="adaptive")
+        pipe.slam_map = slam_map
+        pipe._local_ba(kf)
+    a, b, c = problems
+    relabel([(c.poses, "id"), (c.reprojection_factors, "pose"), (c.dr_factors, "from"),
+             (c.dr_factors, "to")], lambda ids: np.where(ids >= culled, ids + 1, ids))
+    for other in (b, c):
+        for name in ("poses", "landmarks", "reprojection_factors", "dr_factors"):
+            for column in getattr(a, name).dtype.names:     # the columns, not the padding
+                assert getattr(a, name)[column].tobytes() == \
+                    getattr(other, name)[column].tobytes(), (name, column)
+    pairs = list(zip(a.dr_factors["from"].tolist(), a.dr_factors["to"].tolist()))
+    assert (before, last) in pairs and all(culled not in pair for pair in pairs)
+    # one smoothing run over the gap: the weights local BA gave, set on the map
+    gap = (m.edges["from"] == before) & (m.edges["to"] == last)
+    assert m.edges["weight"][gap].tobytes() == back.edges["weight"][gap].tobytes()
+    assert not np.isnan(m.edges["weight"][gap]).any()
 
 
 def write_lines(path, lines):
@@ -1164,7 +1274,8 @@ def test_dr_only_emits_cadence_keyframes():
 def test_lba_edge_weights_respect_bounds():
     seq = straight_sequence(n_frames=120, dropouts=[Dropout(40, 70, 0)])
     res = run_pipeline(seq, PARAMS, "adaptive")
-    alphas = [kf.dr_alpha for kf in res.slam_map.keyframes.values() if not math.isnan(kf.dr_alpha)]
+    weights = edges_of(res.slam_map, DR_EDGE_KIND)["weight"]
+    alphas = weights[~np.isnan(weights)].tolist()
     assert alphas
     for alpha in alphas:
         assert PARAMS.bounds.alpha_min - 1e-12 <= alpha <= PARAMS.bounds.alpha_max + 1e-12
@@ -1176,9 +1287,9 @@ def test_fixed_dr_runs_its_weight_in_every_stage():
     params = dataclasses.replace(PARAMS, fixed_alpha=1e4)
     assert params.fixed_alpha > params.bounds.alpha_max
     res = run_pipeline(straight_sequence(n_frames=80), params, "fixed-dr")
-    keyframes = [kf for k, kf in sorted(res.slam_map.keyframes.items()) if k > 0]
-    assert len(keyframes) >= 3
-    assert [kf.dr_alpha for kf in keyframes] == [1e4] * len(keyframes)
+    dr = edges_of(res.slam_map, DR_EDGE_KIND)
+    assert dr["to"].tolist() == keyframe_ids(res.slam_map)[1:] and len(dr) >= 3
+    assert dr["weight"].tolist() == [1e4] * len(dr)
     tracked = [f.alpha for f in res.frames[1:] if f.tracked_ok]
     assert tracked and tracked == [1e4] * len(tracked)
 
